@@ -103,20 +103,13 @@ func (b *Backend) strike(subs []int) {
 	}
 	now := b.Engine.Now()
 	b.rf.Q.Strike(subs, now)
-	struck := make(map[int]bool, len(subs))
+	var struck uint64
 	for _, s := range subs {
-		struck[s] = true
+		struck |= spectrum.Sub20Mask(spectrum.Band5, s)
 	}
 	touches := func(c spectrum.Channel) bool {
-		if c.Band != spectrum.Band5 || !c.Width.Valid() {
-			return false
-		}
-		for _, s := range c.Sub20Numbers() {
-			if struck[s] {
-				return true
-			}
-		}
-		return false
+		id, ok := spectrum.IDOf(c)
+		return ok && c.Band == spectrum.Band5 && id.Mask()&struck != 0
 	}
 	intended := b.intended[spectrum.Band5]
 	moved := false
@@ -175,15 +168,26 @@ func (b *Backend) fallbackFor(ap *topo.AP) spectrum.Channel {
 		w = spectrum.W20
 	}
 	for {
+		// cands is a view of the spectrum table: count, then pick the
+		// k-th unblocked one, without writing through it.
 		cands := spectrum.Channels(spectrum.Band5, w, false)
-		kept := cands[:0]
+		free := 0
 		for _, c := range cands {
 			if !blocked(c) {
-				kept = append(kept, c)
+				free++
 			}
 		}
-		if len(kept) > 0 {
-			return kept[b.rng.Intn(len(kept))]
+		if free > 0 {
+			k := b.rng.Intn(free)
+			for _, c := range cands {
+				if blocked(c) {
+					continue
+				}
+				if k == 0 {
+					return c
+				}
+				k--
+			}
 		}
 		w /= 2
 		if !w.Valid() {

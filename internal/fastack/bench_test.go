@@ -1,41 +1,11 @@
 package fastack
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"repro/internal/packet"
 )
-
-// mergeBenchJSON folds payload into $BENCH_JSON_DIR/<name>, preserving keys
-// written by other benchmarks in the same file (the 1k- and 10k-flow runs
-// share BENCH_fastack.json). No-op when BENCH_JSON_DIR is unset.
-func mergeBenchJSON(b *testing.B, name string, payload map[string]float64) {
-	dir := os.Getenv("BENCH_JSON_DIR")
-	if dir == "" || name == "" {
-		return
-	}
-	path := filepath.Join(dir, name)
-	merged := map[string]float64{}
-	if prev, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(prev, &merged)
-	}
-	for k, v := range payload {
-		merged[k] = v
-	}
-	data, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		b.Logf("bench json: %v", err)
-		return
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Logf("bench json: %v", err)
-	}
-}
 
 // benchEPs returns the wired-server / wireless-client endpoint pair for the
 // i-th benchmark flow (distinct client addresses, one server).
@@ -117,8 +87,7 @@ func (d *hotPathDriver) warm() {
 // BenchmarkAgentHotPath measures steady-state segment processing with 1k
 // and 10k concurrent flows: one op is one segment's full lifecycle
 // (downlink + wireless feedback + client ACK). Steady state must be
-// allocation-free; mergeBenchJSON lands segments/sec and allocs/op in
-// BENCH_fastack.json under `make bench-json`.
+// allocation-free (allocs/op, via ReportAllocs).
 func BenchmarkAgentHotPath(b *testing.B) {
 	for _, nflows := range []int{1000, 10000} {
 		nflows := nflows
@@ -126,22 +95,12 @@ func BenchmarkAgentHotPath(b *testing.B) {
 			d := newHotPathDriver(New(DefaultConfig(), nil), nflows)
 			d.warm()
 			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				d.step(i)
 			}
 			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			allocsPerOp := float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N)
-			segsPerSec := float64(b.N) / b.Elapsed().Seconds()
-			b.ReportMetric(segsPerSec, "segs/s")
-			mergeBenchJSON(b, "BENCH_fastack.json", map[string]float64{
-				fmt.Sprintf("flows_%d_segments_per_sec", nflows): segsPerSec,
-				fmt.Sprintf("flows_%d_allocs_per_op", nflows):    allocsPerOp,
-			})
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "segs/s")
 		})
 	}
 }
@@ -191,9 +150,5 @@ func BenchmarkAgentHotPathBatched(b *testing.B) {
 		step(i)
 	}
 	b.StopTimer()
-	segsPerSec := float64(b.N) * burst / b.Elapsed().Seconds()
-	b.ReportMetric(segsPerSec, "segs/s")
-	mergeBenchJSON(b, "BENCH_fastack.json", map[string]float64{
-		"flows_1000_batched_segments_per_sec": segsPerSec,
-	})
+	b.ReportMetric(float64(b.N)*burst/b.Elapsed().Seconds(), "segs/s")
 }

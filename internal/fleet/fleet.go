@@ -164,7 +164,7 @@ func Generate(opt Options) *Fleet {
 			ap.ConfiguredWidth = sampleWidth(rng, size)
 			ap.Channel24 = spectrum.Channel{Band: spectrum.Band2G4, Number: ch24[rng.Intn(len(ch24))], Width: spectrum.W20}
 			base := ch5[rng.Intn(len(ch5))]
-			ap.Channel5 = widen(base, ap.ConfiguredWidth)
+			ap.Channel5 = spectrum.Bonded(base.Band, base.Number, ap.ConfiguredWidth)
 			ap.MaxClients = sampleMaxClients(rng, density)
 			ap.Util24, ap.Util5 = sampleUtilization(rng, density)
 			net.APs = append(net.APs, ap)
@@ -186,7 +186,7 @@ func Generate(opt Options) *Fleet {
 			if rng.Float64() < 0.45 {
 				w := sampleWidth(rng, 1)
 				base := ch5[rng.Intn(len(ch5))]
-				fap.Channel5 = widen(base, w)
+				fap.Channel5 = spectrum.Bonded(base.Band, base.Number, w)
 			}
 			net.Foreign = append(net.Foreign, fap)
 		}
@@ -247,18 +247,6 @@ func sampleWidth(rng *rand.Rand, networkSize int) spectrum.Width {
 	default:
 		return spectrum.W80
 	}
-}
-
-func widen(base spectrum.Channel, w spectrum.Width) spectrum.Channel {
-	c := base
-	for c.Width < w {
-		next, ok := spectrum.Wider(c)
-		if !ok {
-			break
-		}
-		c = next
-	}
-	return c
 }
 
 // sampleMaxClients matches the §3.2.3 client-density buckets: 33% <=5,

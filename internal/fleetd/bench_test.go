@@ -1,10 +1,7 @@
 package fleetd
 
 import (
-	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -13,41 +10,15 @@ import (
 	"repro/internal/sim"
 )
 
-// writeBenchJSON merges a machine-readable benchmark artifact into
-// $BENCH_JSON_DIR (no-op when unset). `make bench-json` sets the
-// directory; the verify target carries the artifact as a non-failing
-// by-product. Keys merge into any existing file so several benchmarks in
-// one run can contribute to the same artifact (the scale gauge and the
-// adaptive-cadence twin both feed BENCH_fleetd.json).
-func writeBenchJSON(b *testing.B, name string, payload map[string]float64) {
-	dir := os.Getenv("BENCH_JSON_DIR")
-	if dir == "" || name == "" {
-		return
-	}
-	merged := map[string]float64{}
-	if prev, err := os.ReadFile(filepath.Join(dir, name)); err == nil {
-		_ = json.Unmarshal(prev, &merged)
-	}
-	for k, v := range payload {
-		merged[k] = v
-	}
-	data, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		b.Logf("bench json: %v", err)
-		return
-	}
-	if err := os.WriteFile(filepath.Join(dir, name), append(data, '\n'), 0o644); err != nil {
-		b.Logf("bench json: %v", err)
-	}
-}
-
 // BenchmarkFleetd1000Networks measures one full i=0 fleet pass: every
 // network of a 1000-network synthetic fleet polls, plans, and ingests
 // telemetry over one 15-minute cadence window. Deeper cadences are
 // disabled so each iteration is exactly one fleet-wide i=0 sweep.
 func BenchmarkFleetd1000Networks(b *testing.B) {
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: 1000})
-	c := New(Config{Seed: 1, Fast: 15 * sim.Minute, Mid: -1, Deep: -1})
+	// A private registry: the pass counter checked below must start at 0
+	// each time the framework re-enters with a larger b.N.
+	c := New(Config{Seed: 1, Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: obs.NewRegistry()})
 	c.AddFleet(f)
 	aps := 0
 	for _, n := range f.Networks {
@@ -70,12 +41,8 @@ func BenchmarkFleetd1000Networks(b *testing.B) {
 // converges most plans), measure steady-state resident bytes/network, and
 // then time whole fleet-wide i=0 sweeps. Deeper cadences are disabled so
 // each iteration is exactly networks i=0 passes.
-func benchFleetScale(b *testing.B, networks int, artifact string) {
+func benchFleetScale(b *testing.B, networks int) {
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: networks})
-	aps := 0
-	for _, n := range f.Networks {
-		aps += len(n.APs)
-	}
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -112,38 +79,24 @@ func benchFleetScale(b *testing.B, networks int, artifact string) {
 	b.ReportMetric(passesPerSec, "passes/sec")
 	b.ReportMetric(100*skipRate, "skip%")
 	b.ReportMetric(allocsPerPass, "allocs/pass")
-	writeBenchJSON(b, artifact, map[string]float64{
-		"networks":          float64(networks),
-		"aps":               float64(aps),
-		"bytes_per_network": bytesPerNet,
-		"passes_per_sec":    passesPerSec,
-		"ns_per_pass":       float64(b.Elapsed().Nanoseconds()) / passes,
-		"allocs_per_pass":   allocsPerPass,
-		"skip_rate_i0":      skipRate,
-		// Supervision health: all must be zero in a fault-free sweep. A
-		// nonzero value here means the bench itself tripped the
-		// panic-recovery or watchdog machinery — a regression to chase.
-		"quarantined":      float64(c.met.quarantined.Value()),
-		"pass_panics":      float64(c.met.passPanics.Value()),
-		"watchdog_cancels": float64(c.met.watchdogCancels.Value()),
-		"ckpt_commits":     float64(c.met.ckptCommits.Value()),
-		"ckpt_failures":    float64(c.met.ckptFailures.Value()),
-	})
+	// Supervision health: a nonzero value means the bench itself tripped
+	// the panic-recovery or watchdog machinery — a regression to chase.
+	if q, p, w := c.met.quarantined.Value(), c.met.passPanics.Value(), c.met.watchdogCancels.Value(); q+p+w != 0 {
+		b.Fatalf("fault-free sweep tripped supervision: quarantined=%d panics=%d watchdog=%d", q, p, w)
+	}
 }
 
 // BenchmarkFleetd10kNetworks is the tentpole's scaling gauge: bytes of
 // steady-state resident memory per network and fleet-wide i=0 passes/sec
-// at 10k networks. `make bench-json` persists the numbers as
-// BENCH_fleetd.json.
+// at 10k networks.
 func BenchmarkFleetd10kNetworks(b *testing.B) {
-	benchFleetScale(b, 10_000, "BENCH_fleetd.json")
+	benchFleetScale(b, 10_000)
 }
 
 // BenchmarkFleetdAdaptiveCadence runs twin 200-network fleets — fixed
 // §4.4.4 cadence vs Config.AdaptiveCadence — over ten simulated hours
 // and reports the planning passes the adaptive controller saved at equal
-// final fleet NetP (the headline adaptive_passes_saved_pct /
-// adaptive_netp_delta_pct pair merged into BENCH_fleetd.json). The timed
+// final fleet NetP (the saved% / netpΔ% pair). The timed
 // loop then measures steady-state fleet sweeps on the adaptive twin,
 // where most networks coast at a stretched cadence.
 func BenchmarkFleetdAdaptiveCadence(b *testing.B) {
@@ -182,12 +135,8 @@ func BenchmarkFleetdAdaptiveCadence(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(savedPct, "saved%")
 	b.ReportMetric(netpDeltaPct, "netpΔ%")
-	writeBenchJSON(b, "BENCH_fleetd.json", map[string]float64{
-		"adaptive_passes_saved_pct": savedPct,
-		"adaptive_netp_delta_pct":   netpDeltaPct,
-		"adaptive_stretched":        float64(ac.AdaptiveStretched()),
-		"adaptive_escalated":        float64(ac.AdaptiveEscalated()),
-	})
+	b.ReportMetric(float64(ac.AdaptiveStretched()), "stretched")
+	b.ReportMetric(float64(ac.AdaptiveEscalated()), "escalated")
 }
 
 // BenchmarkFleetd100kNetworks is the 100k-network smoke: skipped under
@@ -196,5 +145,5 @@ func BenchmarkFleetd100kNetworks(b *testing.B) {
 	if testing.Short() {
 		b.Skip("100k-network fleet benchmark skipped under -short")
 	}
-	benchFleetScale(b, 100_000, "")
+	benchFleetScale(b, 100_000)
 }

@@ -97,7 +97,7 @@ func buildScenario(n *fleet.Network, seed int64) *topo.Scenario {
 			sc.Interferers = append(sc.Interferers, &topo.Interferer{
 				Pos:    pos,
 				Band:   spectrum.Band5,
-				Chan20: fap.Channel5.Sub20Numbers()[0],
+				Chan20: fap.Channel5.Primary20(),
 				Width:  fap.Channel5.Width,
 				Duty:   duty * 0.6, // 5 GHz foreign gear is lighter-duty
 				RangeM: rangeM,

@@ -1,11 +1,8 @@
 package oracle
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/turboca"
@@ -13,11 +10,9 @@ import (
 
 // BenchmarkOracleSolve times exact solves at the three campaign sizes on
 // the grid family (the campus floor-plan shape — dense enough to make the
-// search work, sparse enough to finish). When BENCH_JSON_DIR is set
-// (`make bench-json`) it persists per-size solve latency and nodes
-// expanded as BENCH_oracle.json.
+// search work, sparse enough to finish), reporting nodes expanded per
+// solve next to the latency.
 func BenchmarkOracleSolve(b *testing.B) {
-	payload := map[string]float64{}
 	for _, aps := range []int{6, 9, 12} {
 		var cfgs []turboca.Config
 		var ins []turboca.Input
@@ -36,21 +31,7 @@ func BenchmarkOracleSolve(b *testing.B) {
 				nodes += int64(res.Nodes)
 			}
 			b.StopTimer()
-			payload[fmt.Sprintf("aps_%d_ns_per_solve", aps)] = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			payload[fmt.Sprintf("aps_%d_nodes", aps)] = float64(nodes) / float64(b.N)
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
-	}
-
-	dir := os.Getenv("BENCH_JSON_DIR")
-	if dir == "" {
-		return
-	}
-	data, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		b.Logf("bench json: %v", err)
-		return
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_oracle.json"), append(data, '\n'), 0o644); err != nil {
-		b.Logf("bench json: %v", err)
 	}
 }

@@ -1,9 +1,6 @@
 package rfenv_test
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/backend"
@@ -15,11 +12,8 @@ import (
 // BenchmarkRFEnv times the hostile-RF hot paths: trace-occupancy sampling
 // (on every planner input build, 25 channels per poll) and full storm
 // recovery (strike → quarantine → fallback → expiry → re-converge) on an
-// office deployment. When BENCH_JSON_DIR is set (`make bench-json`) it
-// persists BENCH_rfenv.json for bench-check.
+// office deployment.
 func BenchmarkRFEnv(b *testing.B) {
-	payload := map[string]float64{}
-
 	b.Run("trace-sampling", func(b *testing.B) {
 		ts := rfenv.NewTraceSet(1, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions())
 		chans := ts.Channels()
@@ -43,7 +37,7 @@ func BenchmarkRFEnv(b *testing.B) {
 			b.Fatal("impossible occupancy")
 		}
 		if secs := b.Elapsed().Seconds(); secs > 0 {
-			payload["trace_samples_per_sec"] = float64(samples) / secs
+			b.ReportMetric(float64(samples)/secs, "samples/s")
 		}
 	})
 
@@ -79,19 +73,6 @@ func BenchmarkRFEnv(b *testing.B) {
 			passes = be.Service.RunsTotal - preRuns
 		}
 		b.StopTimer()
-		payload["storm_recovery_passes"] = float64(passes)
+		b.ReportMetric(float64(passes), "recovery-passes")
 	})
-
-	dir := os.Getenv("BENCH_JSON_DIR")
-	if dir == "" {
-		return
-	}
-	data, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		b.Logf("bench json: %v", err)
-		return
-	}
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_rfenv.json"), append(data, '\n'), 0o644); err != nil {
-		b.Logf("bench json: %v", err)
-	}
 }

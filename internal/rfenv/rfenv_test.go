@@ -219,6 +219,26 @@ func TestQuarantinePropagation(t *testing.T) {
 	}
 }
 
+// TestQuarantineBlockedDoesNotAllocate: install guards, fallback picks and
+// the NOP audit ask this per AP per pass.
+func TestQuarantineBlockedDoesNotAllocate(t *testing.T) {
+	q := rfenv.NewQuarantine()
+	q.Strike([]int{52, 56}, sim.Hour)
+	c160, _ := spectrum.ChannelAt(spectrum.Band5, 114, spectrum.W160)
+	c80, _ := spectrum.ChannelAt(spectrum.Band5, 58, spectrum.W80)
+	hits := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if q.Blocked(c160, sim.Hour) {
+			hits++
+		}
+		if q.Blocked(c80, sim.Hour) {
+			hits++
+		}
+	}); n != 0 || hits != 101 {
+		t.Fatalf("Blocked: %v allocations per call pair, %d hits (want 0 and 101)", n, hits)
+	}
+}
+
 func TestQuarantineBlockedSetAndExpiry(t *testing.T) {
 	q := rfenv.NewQuarantine()
 	q.Strike([]int{100, 104}, 0)

@@ -93,21 +93,31 @@ func (r *Receiver) Deliver(d *packet.Datagram) {
 			r.irs = t.Seq
 			r.rcvNxt = t.Seq + 1
 			r.state = "established" // we treat the final ACK as implicit
-			sa := packet.NewTCPDatagram(r.local, r.remote, 0)
-			sa.TCP.Seq = 2000
-			sa.TCP.Ack = r.rcvNxt
-			sa.TCP.Flags = packet.FlagSYN | packet.FlagACK
-			sa.TCP.Window = r.scaledWindow()
-			sa.TCP.MSS = uint16(r.cfg.MSS)
-			sa.TCP.WindowScale = r.cfg.WScale
-			sa.TCP.SACKPermitted = r.cfg.SACK
-			r.out(sa)
+			r.sendSynAck()
 		}
 	case "established":
+		if t.Flags == packet.FlagSYN && t.Seq == r.irs {
+			// The sender retransmitted its SYN: our SYN-ACK was lost on
+			// the way. Answer again, or the flow never opens.
+			r.sendSynAck()
+			return
+		}
 		if d.PayloadLen > 0 {
 			r.handleData(t, d.PayloadLen)
 		}
 	}
+}
+
+func (r *Receiver) sendSynAck() {
+	sa := packet.NewTCPDatagram(r.local, r.remote, 0)
+	sa.TCP.Seq = 2000
+	sa.TCP.Ack = r.irs + 1
+	sa.TCP.Flags = packet.FlagSYN | packet.FlagACK
+	sa.TCP.Window = r.scaledWindow()
+	sa.TCP.MSS = uint16(r.cfg.MSS)
+	sa.TCP.WindowScale = r.cfg.WScale
+	sa.TCP.SACKPermitted = r.cfg.SACK
+	r.out(sa)
 }
 
 func (r *Receiver) handleData(t *packet.TCP, payloadLen int) {

@@ -52,6 +52,23 @@ func TestHandshake(t *testing.T) {
 	}
 }
 
+// TestLostSynAckReanswered: when the first SYN-ACK is lost the sender
+// retransmits its SYN on RTO; the receiver, already established on its
+// side, must answer again so the flow opens and carries data.
+func TestLostSynAckReanswered(t *testing.T) {
+	p := newPipe(DefaultConfig(), sim.Millisecond)
+	p.dropAcks = func(n int) bool { return n == 1 } // the SYN-ACK
+	p.s.Start()
+	p.engine.RunUntil(1500 * sim.Millisecond) // the initial RTO is 1 s
+	if !p.s.Established() {
+		t.Fatal("flow never opened after a lost SYN-ACK")
+	}
+	st, rt := p.s.Stats(), p.r.Stats()
+	if rt.BytesReceived == 0 || rt.BytesReceived != st.BytesAcked {
+		t.Fatalf("after a lost SYN-ACK: acked %d vs received %d", st.BytesAcked, rt.BytesReceived)
+	}
+}
+
 func TestBulkTransferLossless(t *testing.T) {
 	p := newPipe(DefaultConfig(), sim.Millisecond)
 	p.s.Start()

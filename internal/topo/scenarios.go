@@ -122,7 +122,7 @@ func Generate(opt ScenarioOptions) *Scenario {
 		s.Interferers = append(s.Interferers, &Interferer{
 			Pos:    Point{X: rng.Float64() * opt.AreaW, Y: rng.Float64() * opt.AreaH},
 			Band:   band,
-			Chan20: c.Sub20Numbers()[0],
+			Chan20: c.Primary20(),
 			Width:  w,
 			Duty:   0.1 + rng.Float64()*0.5,
 			RangeM: 25 + rng.Float64()*25,

@@ -161,6 +161,37 @@ func TestWideInterfererCoversSubchannels(t *testing.T) {
 	}
 }
 
+// TestForeign24InterfererOverlapsNeighbours: a foreign 2.4 GHz AP sits on
+// any of channels 1-11, most of which are not in the 1/6/11 plan; its
+// 20 MHz still spills onto the plan channels within 4 numbers of it.
+func TestForeign24InterfererOverlapsNeighbours(t *testing.T) {
+	sc := &Scenario{
+		Interferers: []*Interferer{{
+			Pos: Point{X: 0, Y: 0}, Band: spectrum.Band2G4,
+			Chan20: 3, Width: spectrum.W20, Duty: 0.5, RangeM: 30,
+		}},
+	}
+	for ch, want := range map[int]bool{1: true, 6: true, 11: false} {
+		if got := sc.ExternalUtilization(Point{1, 1}, spectrum.Band2G4, ch) > 0; got != want {
+			t.Fatalf("ch3 interferer on ch%d: heard=%v, want %v", ch, got, want)
+		}
+	}
+}
+
+// TestExternalUtilizationDoesNotAllocate: the planner-input build asks
+// this once per AP per 20 MHz channel, every pass.
+func TestExternalUtilizationDoesNotAllocate(t *testing.T) {
+	sc := Office(1)
+	pos := sc.APs[0].Pos
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += sc.ExternalUtilization(pos, spectrum.Band5, 44)
+		sink += sc.ExternalUtilization(pos, spectrum.Band2G4, 6)
+	}); n != 0 {
+		t.Fatalf("ExternalUtilization allocates %v times per call pair", n)
+	}
+}
+
 func TestBuiltinScenarioScales(t *testing.T) {
 	if n := len(Campus(1).APs); n != 600 {
 		t.Fatalf("campus has %d APs", n)

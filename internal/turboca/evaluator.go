@@ -9,7 +9,7 @@ import (
 
 // Evaluator exposes the planner's exact NodeP/NetP machinery over dense AP
 // indexes to external exhaustive searchers (internal/oracle). It wraps the
-// same planner NBO evaluates with — same interned channel table, same
+// same planner NBO evaluates with — same spectrum table IDs, same
 // index-ordered summation — so a score computed here is bitwise comparable
 // to RunNBO's LogNetP and to NetP() on the same (canonically ordered)
 // input.
@@ -60,7 +60,7 @@ func NewEvaluator(cfg Config, in Input) *Evaluator {
 	// Clear the incumbent layer: channelOf must reflect only what the
 	// caller has assigned. onAir is untouched (penalty anchoring).
 	for i := range p.current {
-		p.current[i] = noChan
+		p.current[i] = spectrum.None
 	}
 	e := &Evaluator{p: p, cands: make([][]int, len(p.views))}
 	for i, v := range p.views {
@@ -72,7 +72,7 @@ func NewEvaluator(cfg Config, in Input) *Evaluator {
 // buildCandidates computes one AP's candidate list (see NewEvaluator).
 func (e *Evaluator) buildCandidates(i int, v *APView) []int {
 	p := e.p
-	if v.Pinned && p.onAir[i] != noChan {
+	if v.Pinned && p.onAir[i] != spectrum.None {
 		return []int{int(p.onAir[i])}
 	}
 	base := p.cands
@@ -85,7 +85,7 @@ func (e *Evaluator) buildCandidates(i int, v *APView) []int {
 	}
 	var cs []int
 	for _, c := range base {
-		if !p.blocked[c] && p.tbl.chans[c].Width <= maxW {
+		if !p.blocked[c] && c.Channel().Width <= maxW {
 			cs = append(cs, int(c))
 		}
 	}
@@ -99,7 +99,7 @@ func (e *Evaluator) buildCandidates(i int, v *APView) []int {
 			cs = e.narrowestSet(cs, false)
 		}
 	}
-	if cur := p.onAir[i]; cur != noChan && !p.blocked[cur] {
+	if cur := p.onAir[i]; cur != spectrum.None && !p.blocked[cur] {
 		found := false
 		for _, c := range cs {
 			if c == int(cur) {
@@ -125,7 +125,7 @@ func (e *Evaluator) narrowestSet(cs []int, skipBlocked bool) []int {
 		if skipBlocked && p.blocked[c] {
 			continue
 		}
-		if w := p.tbl.chans[c].Width; minW == 0 || w < minW {
+		if w := c.Channel().Width; minW == 0 || w < minW {
 			minW = w
 		}
 	}
@@ -133,7 +133,7 @@ func (e *Evaluator) narrowestSet(cs []int, skipBlocked bool) []int {
 		if skipBlocked && p.blocked[c] {
 			continue
 		}
-		if p.tbl.chans[c].Width == minW {
+		if c.Channel().Width == minW {
 			cs = append(cs, int(c))
 		}
 	}
@@ -156,20 +156,20 @@ func (e *Evaluator) Pinned(i int) bool { return e.p.views[i].Pinned }
 // state — callers must not mutate it.
 func (e *Evaluator) Neighbors(i int) []int { return e.p.neigh[i] }
 
-// Candidates returns AP i's channel candidates (interned indexes, possibly
+// Candidates returns AP i's channel candidates (spectrum.ID values, possibly
 // ending with Unassigned). The slice is shared state — callers must not
 // mutate it.
 func (e *Evaluator) Candidates(i int) []int { return e.cands[i] }
 
-// OnAir returns the AP's real current channel as an interned index, or
+// OnAir returns the AP's real current channel as a spectrum.ID value, or
 // Unassigned when it has none.
 func (e *Evaluator) OnAir(i int) int { return int(e.p.onAir[i]) }
 
-// Channel resolves an interned candidate to its spectrum.Channel.
-func (e *Evaluator) Channel(c int) spectrum.Channel { return e.p.tbl.channel(chanIdx(c)) }
+// Channel resolves a candidate to its spectrum.Channel.
+func (e *Evaluator) Channel(c int) spectrum.Channel { return spectrum.ID(c).Channel() }
 
 // Assign sets AP i's working channel (Unassigned clears it).
-func (e *Evaluator) Assign(i, c int) { e.p.assign[i] = chanIdx(c) }
+func (e *Evaluator) Assign(i, c int) { e.p.assign[i] = spectrum.ID(c) }
 
 // NodeP returns ln NodeP(i, c) under the current working assignment: the
 // exact per-AP term logNetP would sum for i if it held channel c. For
@@ -180,8 +180,8 @@ func (e *Evaluator) NodeP(i, c int) float64 {
 		return e.p.views[i].Load * math.Log(e.p.cfg.MetricFloor)
 	}
 	prev := e.p.assign[i]
-	e.p.assign[i] = chanIdx(c)
-	v := e.p.logNodeP(i, chanIdx(c))
+	e.p.assign[i] = spectrum.ID(c)
+	v := e.p.logNodeP(i, spectrum.ID(c))
 	e.p.assign[i] = prev
 	return v
 }

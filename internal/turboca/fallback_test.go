@@ -32,10 +32,10 @@ func TestAccFallbackDropsOverWideCurrent(t *testing.T) {
 	}
 	p := newPlanner(DefaultConfig(), fallbackInput(cur, true))
 	got := p.acc(0)
-	if got == noChan {
+	if got == spectrum.None {
 		t.Fatal("acc returned no channel; want a narrow fallback")
 	}
-	ch := p.tbl.channel(got)
+	ch := got.Channel()
 	if ch == cur {
 		t.Fatalf("acc stayed on %v, which is wider than the AP's cap", cur)
 	}
@@ -57,10 +57,10 @@ func TestAccFallbackVacatesDFSWithClients(t *testing.T) {
 	}
 	p := newPlanner(DefaultConfig(), fallbackInput(cur, true))
 	got := p.acc(0)
-	if got == noChan {
+	if got == spectrum.None {
 		t.Fatal("acc returned no channel; want a non-DFS fallback")
 	}
-	ch := p.tbl.channel(got)
+	ch := got.Channel()
 	if ch == cur || ch.DFS {
 		t.Fatalf("acc kept clients on DFS: got %v from current %v", ch, cur)
 	}
@@ -71,10 +71,10 @@ func TestAccFallbackAssignsGreenfield(t *testing.T) {
 	// assignment rather than leaving the AP serving nothing.
 	p := newPlanner(DefaultConfig(), fallbackInput(spectrum.Channel{}, false))
 	got := p.acc(0)
-	if got == noChan {
+	if got == spectrum.None {
 		t.Fatal("acc left a greenfield AP unassigned")
 	}
-	if ch := p.tbl.channel(got); ch.Width != spectrum.W20 || ch.DFS {
+	if ch := got.Channel(); ch.Width != spectrum.W20 || ch.DFS {
 		t.Errorf("greenfield fallback = %v, want narrowest non-DFS", ch)
 	}
 }
@@ -87,7 +87,7 @@ func TestAccStaysPutWhenAdmissible(t *testing.T) {
 	in := fallbackInput(cur, true)
 	in.APs[0].MaxWidth = spectrum.W20
 	p := newPlanner(DefaultConfig(), in)
-	if got := p.acc(0); got == noChan {
+	if got := p.acc(0); got == spectrum.None {
 		t.Fatal("acc returned no channel with a valid cap")
 	}
 }

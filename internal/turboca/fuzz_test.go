@@ -120,8 +120,11 @@ func FuzzSanitize(f *testing.F) {
 			if !v.MaxWidth.Valid() {
 				t.Fatalf("AP %d invalid max width %v", v.ID, v.MaxWidth)
 			}
-			if v.Current.Width.Valid() && v.Current.Band != in.Band {
-				t.Fatalf("AP %d off-band current channel %v survived", v.ID, v.Current)
+			if v.Current != (spectrum.Channel{}) {
+				c, ok := spectrum.ChannelAt(v.Current.Band, v.Current.Number, v.Current.Width)
+				if !ok || c.Band != in.Band {
+					t.Fatalf("AP %d current channel %v survived: not a US channel of %v", v.ID, v.Current, in.Band)
+				}
 			}
 			if len(v.WidthLoad) == 0 {
 				t.Fatalf("AP %d empty width-load mix", v.ID)

@@ -5,7 +5,7 @@
 // DFS/CSA practical rules (§4.5), and the prior-generation baseline
 // ReservedCA (§4.6.1) it is evaluated against.
 //
-// Evaluation hot paths use interned channels and dense AP indexing so a
+// Evaluation hot paths use spectrum table IDs and dense AP indexing so a
 // 600-AP campus plans in milliseconds; the exported API speaks AP IDs and
 // spectrum.Channel values.
 package turboca
@@ -169,36 +169,33 @@ type planner struct {
 	cfg Config
 	in  Input
 
-	// tbl starts as the band's shared superset table (see sharedTable);
-	// ownTbl flips when an out-of-superset channel forces a private
-	// copy-on-write clone. Clones made while ownTbl is false must never
-	// intern.
-	tbl    *chanTable
-	ownTbl bool
-	views  []*APView
-	idxOf  map[int]int // AP ID -> dense index
-	neigh  [][]int     // dense neighbor indices
-	// onAir is the AP's real current channel (noChan when the AP has no
-	// assignment yet): the switch-penalty anchor and the baseline for
-	// switch counting. Never mutated.
-	onAir []chanIdx
+	views []*APView
+	idxOf map[int]int // AP ID -> dense index
+	neigh [][]int     // dense neighbor indices
+	// onAir is the AP's real current channel (spectrum.None when the AP
+	// has no assignment yet): the switch-penalty anchor and the baseline
+	// for switch counting. Never mutated.
+	onAir []spectrum.ID
 	// current is the working incumbent: it starts equal to onAir and
 	// adopts the best plan found so far between hop levels, so deeper
 	// NBO passes refine the shallower levels' winner (§4.4.3-4.4.4).
-	current []chanIdx
+	current []spectrum.ID
 
-	cands     []chanIdx // candidate channels, interned
-	candNoDFS []chanIdx
-	blocked   []bool // per interned channel: touches a quarantined sub-channel
+	// Channels are spectrum table IDs throughout. The per-channel rows
+	// below (blocked, extOf[i]) are indexed by ID directly and filled for
+	// the input band's range only.
+	cands     []spectrum.ID // candidate channels
+	candNoDFS []spectrum.ID
+	blocked   []bool // per channel: touches a quarantined sub-channel
 
 	// Precomputed per view:
 	loadShare [][4]float64 // usage share of clients by max-width slot
-	extOf     [][]float64  // worst external util per interned channel
+	extOf     [][]float64  // worst external util per channel
 	weight    []float64    // contention weight this AP exerts on neighbors
 	penBase   []float64    // switch penalty before channel comparison
 
 	// Scratch state for one NBO pass.
-	assign []chanIdx // noChan = unassigned in the working plan
+	assign []spectrum.ID // spectrum.None = unassigned in the working plan
 	ignore []bool
 
 	// Allocation-free scratch for hopGroup's BFS: membership is "stamp ==
@@ -215,7 +212,7 @@ type planner struct {
 	// marking APs whose channel changed this call. Lazily allocated;
 	// cloneScratch resets them so every clone owns its own cache.
 	contrib    []float64
-	scoredChan []chanIdx
+	scoredChan []spectrum.ID
 	chgGen     []int
 	met        *plannerMetrics
 }
@@ -231,16 +228,15 @@ func newPlanner(cfg Config, in Input) *planner {
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
-		tbl:       sharedTable(in.Band),
 		views:     make([]*APView, n),
 		idxOf:     make(map[int]int, n),
 		neigh:     make([][]int, n),
-		onAir:     make([]chanIdx, n),
-		current:   make([]chanIdx, n),
+		onAir:     make([]spectrum.ID, n),
+		current:   make([]spectrum.ID, n),
 		loadShare: make([][4]float64, n),
 		weight:    make([]float64, n),
 		penBase:   make([]float64, n),
-		assign:    make([]chanIdx, n),
+		assign:    make([]spectrum.ID, n),
 		ignore:    make([]bool, n),
 		eligGen:   make([]int, n),
 		seenGen:   make([]int, n),
@@ -251,27 +247,20 @@ func newPlanner(cfg Config, in Input) *planner {
 		p.views[i] = v
 		p.idxOf[v.ID] = i
 	}
-	// Candidates resolve against the shared table in AllChannels order —
-	// the same iteration order a private table would produce, so plans are
-	// byte-identical to the per-planner-table implementation.
 	for _, c := range spectrum.AllChannels(in.Band, maxW, in.AllowDFS) {
-		idx := p.internChannel(c)
-		p.cands = append(p.cands, idx)
+		id, _ := spectrum.IDOf(c)
+		p.cands = append(p.cands, id)
 		if !c.DFS {
-			p.candNoDFS = append(p.candNoDFS, idx)
+			p.candNoDFS = append(p.candNoDFS, id)
 		}
 	}
 	for i, v := range p.views {
-		// An AP that has never been assigned reports a zero-value (or
-		// otherwise malformed) Current; interning it would inject a bogus
-		// channel into the table and every overlap row. Map it to noChan.
-		if v.Current.Width.Valid() {
-			p.onAir[i] = p.internChannel(v.Current)
-		} else {
-			p.onAir[i] = noChan
-		}
+		// An AP that has never been assigned reports a zero-value Current,
+		// and unsanitized telemetry can carry one that is no channel of
+		// this band: both are "unassigned".
+		p.onAir[i] = p.idOf(v.Current)
 		p.current[i] = p.onAir[i]
-		p.assign[i] = noChan
+		p.assign[i] = spectrum.None
 		for _, nid := range v.Neighbors {
 			if j, ok := p.idxOf[nid]; ok {
 				p.neigh[i] = append(p.neigh[i], j)
@@ -285,9 +274,9 @@ func newPlanner(cfg Config, in Input) *planner {
 			total += v.WidthLoad[w]
 		}
 		if total > 0 {
-			for _, w := range spectrum.Widths {
+			for slot, w := range spectrum.Widths {
 				if s := v.WidthLoad[w]; s > 0 {
-					p.loadShare[i][widthSlot(w)] += s / total
+					p.loadShare[i][slot] += s / total
 				}
 			}
 		} else {
@@ -296,25 +285,36 @@ func newPlanner(cfg Config, in Input) *planner {
 		p.weight[i] = 0.2 + v.Load
 		p.penBase[i] = p.penaltyBase(v)
 	}
-	// The shared table arrives finalized; only a copy-on-write clone that
-	// grew past it needs its overlap matrix rebuilt.
-	if len(p.tbl.overlap) != len(p.tbl.chans) {
-		p.tbl.finalize()
-	}
+	lo, hi := spectrum.BandIDs(in.Band)
 	p.extOf = make([][]float64, n)
 	for i, v := range p.views {
-		p.extOf[i] = make([]float64, len(p.tbl.chans))
-		for ci, subs := range p.tbl.sub20s {
-			p.extOf[i][ci] = p.extWorst(v, subs)
+		p.extOf[i] = make([]float64, hi)
+		for c := lo; c < hi; c++ {
+			p.extOf[i][c] = p.extWorst(v, c.Sub20Numbers())
 		}
 	}
-	p.blocked = make([]bool, len(p.tbl.chans))
-	if len(in.Blocked) > 0 {
-		for ci, subs := range p.tbl.sub20s {
-			p.blocked[ci] = touchesBlocked(in.Blocked, subs)
+	p.blocked = make([]bool, hi)
+	var quarantined uint64
+	for s, on := range in.Blocked {
+		if on {
+			quarantined |= spectrum.Sub20Mask(in.Band, s)
 		}
+	}
+	for c := lo; c < hi; c++ {
+		p.blocked[c] = c.Mask()&quarantined != 0
 	}
 	return p
+}
+
+// idOf resolves a channel from outside the planner (an AP's Current, a
+// plan entry) to its table ID; anything that is not a US channel of the
+// input band reads as unassigned.
+func (p *planner) idOf(c spectrum.Channel) spectrum.ID {
+	if c.Band != p.in.Band {
+		return spectrum.None
+	}
+	id, _ := spectrum.IDOf(c)
+	return id
 }
 
 // extWorst is the worst per-sub-channel external utilization across a
@@ -334,36 +334,6 @@ func (p *planner) extWorst(v *APView, subs []int) float64 {
 		}
 	}
 	return worst
-}
-
-// touchesBlocked reports whether any sub-channel of a bonded width is in
-// the quarantine set.
-func touchesBlocked(blocked map[int]bool, subs []int) bool {
-	for _, s := range subs {
-		if blocked[s] {
-			return true
-		}
-	}
-	return false
-}
-
-// internChannel resolves c against the planner's table. A hit on the
-// shared superset table (the overwhelmingly common case — every
-// regulatory channel is pre-interned) is a map lookup; a miss clones the
-// table into private ownership first, so the shared table is never
-// mutated.
-func (p *planner) internChannel(c spectrum.Channel) chanIdx {
-	if c.Width == 0 {
-		return noChan
-	}
-	if idx, ok := p.tbl.byKey[keyOf(c)]; ok {
-		return idx
-	}
-	if !p.ownTbl {
-		p.tbl = p.tbl.clone()
-		p.ownTbl = true
-	}
-	return p.tbl.intern(c)
 }
 
 // penaltyBase computes the per-AP part of penalty_c (§4.4.1, §4.5.1).
@@ -386,14 +356,14 @@ func (p *planner) penaltyBase(v *APView) float64 {
 }
 
 // cloneScratch returns a planner that shares every immutable table with p
-// (tbl, views, neigh, extOf, loadShare, weight, penBase, onAir, current)
+// (views, neigh, extOf, loadShare, weight, penBase, onAir, current)
 // but owns its own assign/ignore scratch state, so concurrent NBO rounds
 // can run on clones without synchronization. The shared current slice is
 // only mutated between hop levels, when no clone is running.
 func (p *planner) cloneScratch() *planner {
 	cp := *p
 	n := len(p.assign)
-	cp.assign = make([]chanIdx, n)
+	cp.assign = make([]spectrum.ID, n)
 	cp.ignore = make([]bool, n)
 	cp.groupBuf = nil
 	cp.eligGen = make([]int, n)
@@ -404,17 +374,17 @@ func (p *planner) cloneScratch() *planner {
 	cp.scoredChan = nil
 	cp.chgGen = nil
 	for i := range cp.assign {
-		cp.assign[i] = noChan
+		cp.assign[i] = spectrum.None
 	}
 	return &cp
 }
 
 // channelOf resolves a dense AP index's channel under the working state.
-func (p *planner) channelOf(j int) chanIdx {
+func (p *planner) channelOf(j int) spectrum.ID {
 	if p.ignore[j] {
-		return noChan
+		return spectrum.None
 	}
-	if p.assign[j] != noChan {
+	if p.assign[j] != spectrum.None {
 		return p.assign[j]
 	}
 	return p.current[j]
@@ -423,12 +393,12 @@ func (p *planner) channelOf(j int) chanIdx {
 // airtime estimates the share of airtime view i can expect on sub-channel
 // sub: the idle share after external interference, divided among i and the
 // co-channel neighbors weighted by their load (§4.4.1).
-func (p *planner) airtime(i int, sub chanIdx) float64 {
+func (p *planner) airtime(i int, sub spectrum.ID) float64 {
 	contention := 0.0
-	overlapRow := p.tbl.overlap[sub]
+	mask := sub.Mask()
 	for _, j := range p.neigh[i] {
 		nc := p.channelOf(j)
-		if nc != noChan && overlapRow[nc] {
+		if nc != spectrum.None && mask&nc.Mask() != 0 {
 			contention += p.weight[j]
 		}
 	}
@@ -460,23 +430,23 @@ func (p *planner) loadAtWidth(i, bSlot, cwSlot int) float64 {
 //
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
 //	channel_metric(c,b) = airtime(c,b)·capacity(c,b) − penalty_c
-func (p *planner) logNodeP(i int, c chanIdx) float64 {
+func (p *planner) logNodeP(i int, c spectrum.ID) float64 {
 	pen := 0.0
 	// The penalty anchors to the channel clients are actually on (onAir),
 	// not the working incumbent: adopting a best-so-far plan between hop
 	// levels must not erase the cost of moving away from the real current
 	// channel, and a first assignment disrupts nobody.
-	if p.onAir[i] != noChan && c != p.onAir[i] {
+	if p.onAir[i] != spectrum.None && c != p.onAir[i] {
 		pen = p.penBase[i]
 	}
-	cwSlot := widthSlot(p.tbl.chans[c].Width)
+	cwSlot := c.Channel().Width.Slot()
 	sum := 0.0
 	for b := 0; b <= cwSlot; b++ {
 		load := p.loadAtWidth(i, b, cwSlot)
 		if load == 0 {
 			continue
 		}
-		sub := p.tbl.subAt[c][b]
+		sub := c.AtWidth(b)
 		// capacity: width scaling times channel quality after non-WiFi
 		// interference (§4.4.1).
 		capacity := widthFrac[b] * (1 - 0.5*p.extOf[i][sub])
@@ -498,7 +468,7 @@ func (p *planner) logNetP() float64 {
 	sum := 0.0
 	for i := range p.views {
 		c := p.channelOf(i)
-		if c == noChan {
+		if c == spectrum.None {
 			sum += p.views[i].Load * math.Log(p.cfg.MetricFloor)
 			continue
 		}
@@ -510,34 +480,13 @@ func (p *planner) logNetP() float64 {
 // loadAssign installs a Plan map into the scratch assignment state.
 func (p *planner) loadAssign(plan Plan) {
 	for i := range p.assign {
-		p.assign[i] = noChan
+		p.assign[i] = spectrum.None
 		p.ignore[i] = false
 	}
 	for id, a := range plan {
 		if i, ok := p.idxOf[id]; ok {
-			p.assign[i] = p.internChannel(a.Channel)
+			p.assign[i] = p.idOf(a.Channel)
 		}
-	}
-	// Interning may have grown the table; refresh derived state.
-	p.refreshTables()
-}
-
-// refreshTables recomputes overlap/ext tables after late interning.
-func (p *planner) refreshTables() {
-	if len(p.tbl.overlap) == len(p.tbl.chans) {
-		return
-	}
-	p.tbl.finalize()
-	for i, v := range p.views {
-		ext := p.extOf[i]
-		for ci := len(ext); ci < len(p.tbl.chans); ci++ {
-			ext = append(ext, p.extWorst(v, p.tbl.sub20s[ci]))
-		}
-		p.extOf[i] = ext
-	}
-	for ci := len(p.blocked); ci < len(p.tbl.chans); ci++ {
-		p.blocked = append(p.blocked,
-			len(p.in.Blocked) > 0 && touchesBlocked(p.in.Blocked, p.tbl.sub20s[ci]))
 	}
 }
 

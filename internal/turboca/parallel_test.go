@@ -96,7 +96,7 @@ func oldBestNetP(cfg Config, in Input, seed int64, hops []int) float64 {
 		runs = 2 + len(in.APs)/100
 	}
 	for i := range p.assign {
-		p.assign[i] = noChan
+		p.assign[i] = spectrum.None
 	}
 	best := p.logNetP()
 	for li, h := range hops {
@@ -120,8 +120,8 @@ func TestHopRefinementAdoptsIncumbent(t *testing.T) {
 	cfg.Runs = 6
 	cfg.Workers = 1
 
-	var incumbents [][]chanIdx
-	res := runNBO(cfg, in, rand.New(rand.NewSource(99)), []int{1, 0}, func(hop int, inc []chanIdx) {
+	var incumbents [][]spectrum.ID
+	res := runNBO(cfg, in, rand.New(rand.NewSource(99)), []int{1, 0}, func(hop int, inc []spectrum.ID) {
 		incumbents = append(incumbents, inc)
 	})
 	if len(incumbents) != 2 {
@@ -134,9 +134,9 @@ func TestHopRefinementAdoptsIncumbent(t *testing.T) {
 	afterDeep := incumbents[0]
 	if afterDeep[1] == p.onAir[1] {
 		t.Fatalf("hop-level refinement did not adopt the i=1 winner: B's incumbent still on-air channel %v",
-			p.tbl.channel(p.onAir[1]))
+			p.onAir[1].Channel())
 	}
-	if got := p.tbl.channel(afterDeep[1]); got.Number == 149 {
+	if got := afterDeep[1].Channel(); got.Number == 149 {
 		t.Fatalf("adopted incumbent left B on the dirty channel: %v", got)
 	}
 	if b := res.Plan[1].Channel; b.Number == 149 {
@@ -159,20 +159,22 @@ func TestEmptyCurrentNotInterned(t *testing.T) {
 	in := chainInput(4, spectrum.W80, 1.0)
 	in.APs[2].Current = spectrum.Channel{} // never assigned
 	p := newPlanner(DefaultConfig(), in)
-	if p.onAir[2] != noChan || p.current[2] != noChan {
+	if p.onAir[2] != spectrum.None || p.current[2] != spectrum.None {
 		t.Fatalf("empty Current interned as %d", p.onAir[2])
 	}
-	for _, c := range p.tbl.chans {
-		if !c.Width.Valid() {
-			t.Fatalf("bogus channel in interned table: %#v", c)
-		}
+
+	// An on-band channel the US table does not know is unassigned too.
+	off := chainInput(2, spectrum.W80, 1.0)
+	off.APs[0].Current = spectrum.Channel{Band: spectrum.Band5, Number: 37, Width: spectrum.W20}
+	if po := newPlanner(DefaultConfig(), off); po.onAir[0] != spectrum.None {
+		t.Fatal("off-table Current resolved to a channel")
 	}
 
 	// A malformed width must be rejected too, not only the zero value.
 	bad := chainInput(2, spectrum.W80, 1.0)
 	bad.APs[0].Current = spectrum.Channel{Band: spectrum.Band5, Number: 36, Width: 13}
 	pb := newPlanner(DefaultConfig(), bad)
-	if pb.onAir[0] != noChan {
+	if pb.onAir[0] != spectrum.None {
 		t.Fatal("invalid-width Current interned")
 	}
 

@@ -15,7 +15,7 @@ import (
 // only NodeP values a single-AP change can affect). APs currently marked
 // in p.ignore (the paper's ψ) are treated as if they had no channel, which
 // lets NBO escape locally optimal plans by presuming upcoming changes.
-func (p *planner) acc(i int) chanIdx {
+func (p *planner) acc(i int) spectrum.ID {
 	cands := p.cands
 	if p.views[i].HasClients {
 		// §4.5.2: never move an AP with connected clients onto a DFS
@@ -24,9 +24,9 @@ func (p *planner) acc(i int) chanIdx {
 	}
 	maxW := p.views[i].MaxWidth
 	bestScore := math.Inf(-1)
-	best := noChan
+	best := spectrum.None
 	for _, c := range cands {
-		if p.blocked[c] || p.tbl.chans[c].Width > maxW {
+		if p.blocked[c] || c.Channel().Width > maxW {
 			continue
 		}
 		score := p.deltaScore(i, c)
@@ -35,7 +35,7 @@ func (p *planner) acc(i int) chanIdx {
 			best = c
 		}
 	}
-	if best == noChan {
+	if best == spectrum.None {
 		// No candidate cleared the width cap. Staying put is only safe when
 		// the current channel is itself admissible: no wider than the AP's
 		// cap, not a DFS channel while clients are associated (§4.5.2), and
@@ -43,8 +43,8 @@ func (p *planner) acc(i int) chanIdx {
 		// best narrowest non-DFS channel — keeping a channel that violates
 		// the constraint this filter exists to honor is worse than an
 		// out-of-cap move to a safe one.
-		if cur := p.current[i]; cur != noChan {
-			ch := p.tbl.chans[cur]
+		if cur := p.current[i]; cur != spectrum.None {
+			ch := cur.Channel()
 			if ch.Width <= maxW && !(ch.DFS && p.views[i].HasClients) && !p.blocked[cur] {
 				return cur
 			}
@@ -63,30 +63,30 @@ func (p *planner) acc(i int) chanIdx {
 // when strikes come from radar, which only exists on DFS channels — the
 // blocked filter is dropped so the planner still degrades to a
 // deterministic answer instead of failing.
-func (p *planner) narrowestFallback(i int) chanIdx {
-	if best := p.narrowestAmong(i, true); best != noChan {
+func (p *planner) narrowestFallback(i int) spectrum.ID {
+	if best := p.narrowestAmong(i, true); best != spectrum.None {
 		return best
 	}
 	return p.narrowestAmong(i, false)
 }
 
-func (p *planner) narrowestAmong(i int, skipBlocked bool) chanIdx {
+func (p *planner) narrowestAmong(i int, skipBlocked bool) spectrum.ID {
 	var minW spectrum.Width
 	for _, c := range p.candNoDFS {
 		if skipBlocked && p.blocked[c] {
 			continue
 		}
-		if w := p.tbl.chans[c].Width; minW == 0 || w < minW {
+		if w := c.Channel().Width; minW == 0 || w < minW {
 			minW = w
 		}
 	}
 	bestScore := math.Inf(-1)
-	best := noChan
+	best := spectrum.None
 	for _, c := range p.candNoDFS {
 		if skipBlocked && p.blocked[c] {
 			continue
 		}
-		if p.tbl.chans[c].Width != minW {
+		if c.Channel().Width != minW {
 			continue
 		}
 		if s := p.deltaScore(i, c); s > bestScore {
@@ -100,7 +100,7 @@ func (p *planner) narrowestAmong(i int, skipBlocked bool) chanIdx {
 // deltaScore is the NetP contribution affected by assigning c to i: its
 // own NodeP plus the NodeP of every neighbor (whose airtime depends on
 // i's channel).
-func (p *planner) deltaScore(i int, c chanIdx) float64 {
+func (p *planner) deltaScore(i int, c spectrum.ID) float64 {
 	prev := p.assign[i]
 	p.assign[i] = c
 	score := p.logNodeP(i, c)
@@ -109,7 +109,7 @@ func (p *planner) deltaScore(i int, c chanIdx) float64 {
 			continue
 		}
 		nc := p.channelOf(j)
-		if nc == noChan {
+		if nc == spectrum.None {
 			continue
 		}
 		score += p.logNodeP(j, nc)
@@ -127,9 +127,9 @@ func (p *planner) deltaScore(i int, c chanIdx) float64 {
 func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 	maxW := p.views[i].MaxWidth
 	bestScore := math.Inf(-1)
-	best := noChan
+	best := spectrum.None
 	for _, c := range p.candNoDFS {
-		if p.blocked[c] || p.tbl.chans[c].Width > maxW {
+		if p.blocked[c] || c.Channel().Width > maxW {
 			continue
 		}
 		if s := p.deltaScore(i, c); s > bestScore {
@@ -137,10 +137,10 @@ func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 			best = c
 		}
 	}
-	if best == noChan {
+	if best == spectrum.None {
 		return spectrum.Channel{}
 	}
-	return p.tbl.channel(best)
+	return best.Channel()
 }
 
 // nbo — Network Basic Operation (Algorithm 1, §4.4.3) — produces a full
@@ -151,7 +151,7 @@ func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
 	n := len(p.views)
 	for i := 0; i < n; i++ {
-		p.assign[i] = noChan
+		p.assign[i] = spectrum.None
 		p.ignore[i] = false
 	}
 	remaining := p.remBuf[:0]
@@ -159,7 +159,7 @@ func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
 		// A pinned AP (stale/offline telemetry, §4.5-style caution) is
 		// pre-assigned its current channel and never enters ψ: neighbors
 		// always see it where it really is, and no pass can move it.
-		if p.views[i].Pinned && p.current[i] != noChan {
+		if p.views[i].Pinned && p.current[i] != spectrum.None {
 			p.assign[i] = p.current[i]
 			continue
 		}
@@ -256,10 +256,10 @@ func (p *planner) snapshotPlan() Plan {
 	plan := Plan{}
 	for i, v := range p.views {
 		c := p.assign[i]
-		if c == noChan {
+		if c == spectrum.None {
 			continue
 		}
-		a := Assignment{Channel: p.tbl.channel(c)}
+		a := Assignment{Channel: c.Channel()}
 		if a.Channel.DFS {
 			fb := p.bestNonDFSFallback(i)
 			a.Fallback = &fb
@@ -314,7 +314,7 @@ func RunNBO(cfg Config, in Input, rng *rand.Rand, hops []int) Result {
 
 // runNBO is RunNBO plus a test hook: onLevel, when non-nil, observes the
 // working incumbent after each hop level's adoption step.
-func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop int, incumbent []chanIdx)) Result {
+func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop int, incumbent []spectrum.ID)) Result {
 	m := cfg.metrics()
 	sp := cfg.obsRegistry().Tracer().Begin("turboca.pass")
 	passStart := time.Now()
@@ -344,16 +344,16 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 	// beats the baseline on their account rather than being penalized for
 	// disturbing a fictitious perfect score.
 	for i := range p.assign {
-		p.assign[i] = noChan
+		p.assign[i] = spectrum.None
 	}
 	bestScore := p.score()
-	var bestAssign []chanIdx
+	var bestAssign []spectrum.ID
 	improved := false
 	rounds := 0
 
 	type roundOut struct {
 		score  float64
-		assign []chanIdx
+		assign []spectrum.ID
 	}
 	for li, h := range hops {
 		levelStart := time.Now()
@@ -367,7 +367,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 				for r := w; r < runs; r += workers {
 					rr := rand.New(rand.NewSource(roundSeed(base, li, r)))
 					wp.nbo(rr, h)
-					out[r] = roundOut{wp.score(), append([]chanIdx(nil), wp.assign...)}
+					out[r] = roundOut{wp.score(), append([]spectrum.ID(nil), wp.assign...)}
 				}
 			}(w)
 		}
@@ -398,13 +398,13 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 		// ACC's stay-put fallback keeps them there.
 		if bestAssign != nil {
 			for i, c := range bestAssign {
-				if c != noChan {
+				if c != spectrum.None {
 					p.current[i] = c
 				}
 			}
 		}
 		if onLevel != nil {
-			onLevel(h, append([]chanIdx(nil), p.current...))
+			onLevel(h, append([]spectrum.ID(nil), p.current...))
 		}
 	}
 
@@ -413,7 +413,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 		copy(p.assign, bestAssign)
 	} else {
 		for i := range p.assign {
-			p.assign[i] = noChan
+			p.assign[i] = spectrum.None
 		}
 	}
 	res.Plan = p.snapshotPlan()

@@ -67,11 +67,11 @@ func TestQuarantineDegradationLadder(t *testing.T) {
 	p := newPlanner(DefaultConfig(), in)
 	for i := range p.views {
 		c := p.acc(i)
-		if c == noChan {
+		if c == spectrum.None {
 			t.Fatalf("acc(%d) failed under partial quarantine", i)
 		}
-		if touchesAny(p.tbl.chans[c], in.Blocked) {
-			t.Fatalf("acc(%d) chose quarantined %v", i, p.tbl.chans[c])
+		if touchesAny(c.Channel(), in.Blocked) {
+			t.Fatalf("acc(%d) chose quarantined %v", i, c.Channel())
 		}
 	}
 
@@ -86,11 +86,11 @@ func TestQuarantineDegradationLadder(t *testing.T) {
 	p2 := newPlanner(DefaultConfig(), in2)
 	for i := range p2.views {
 		c := p2.acc(i)
-		if c == noChan {
+		if c == spectrum.None {
 			t.Fatalf("acc(%d) failed under total quarantine", i)
 		}
-		if p2.tbl.chans[c].Width != spectrum.W20 {
-			t.Fatalf("acc(%d) floor width %v, want 20 MHz", i, p2.tbl.chans[c].Width)
+		if c.Channel().Width != spectrum.W20 {
+			t.Fatalf("acc(%d) floor width %v, want 20 MHz", i, c.Channel().Width)
 		}
 	}
 }
@@ -117,9 +117,8 @@ func TestChannelNoisePenalizesOccupiedChannels(t *testing.T) {
 	quiet, _ := spectrum.ChannelAt(spectrum.Band5, 106, spectrum.W80)
 	in.ChannelNoise = map[int]float64{149: 0.7, 153: 0.7, 157: 0.7, 161: 0.7}
 	p := newPlanner(DefaultConfig(), in)
-	ni := p.tbl.intern(noisy)
-	qi := p.tbl.intern(quiet)
-	p.refreshTables()
+	ni := p.idOf(noisy)
+	qi := p.idOf(quiet)
 	if p.logNodeP(0, ni) >= p.logNodeP(0, qi) {
 		t.Fatalf("noisy channel scored %f >= quiet %f", p.logNodeP(0, ni), p.logNodeP(0, qi))
 	}
@@ -133,8 +132,7 @@ func TestChannelNoiseCapsAtFullOccupancy(t *testing.T) {
 	in.ChannelNoise = map[int]float64{149: 0.9}
 	p := newPlanner(DefaultConfig(), in)
 	c, _ := spectrum.ChannelAt(spectrum.Band5, 149, spectrum.W20)
-	ci := p.tbl.intern(c)
-	p.refreshTables()
+	ci := p.idOf(c)
 	if got := p.extOf[0][ci]; got != 1 {
 		t.Fatalf("external+noise = %v, want capped at 1", got)
 	}

@@ -1,6 +1,10 @@
 package turboca
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/spectrum"
+)
 
 // Incremental NetP rescoring. NetP decomposes over APs — ln NetP is the
 // index-ordered sum of per-AP contributions, and an AP's contribution
@@ -20,14 +24,14 @@ import "math"
 // not associative, so summing deltas instead would drift in the low bits.
 
 // unscored marks a contribution slot that has never been computed.
-// channelOf ranges over [noChan, len(chans)), so -2 never collides.
-const unscored = chanIdx(-2)
+// channelOf returns spectrum.None or a table ID, so -2 never collides.
+const unscored = spectrum.ID(-2)
 
 // contribution computes AP i's ln NodeP term under the working state —
 // exactly the value logNetP adds for i.
 func (p *planner) contribution(i int) float64 {
 	c := p.channelOf(i)
-	if c == noChan {
+	if c == spectrum.None {
 		return p.views[i].Load * math.Log(p.cfg.MetricFloor)
 	}
 	return p.logNodeP(i, c)
@@ -45,7 +49,7 @@ func (p *planner) score() float64 {
 	n := len(p.views)
 	if p.contrib == nil {
 		p.contrib = make([]float64, n)
-		p.scoredChan = make([]chanIdx, n)
+		p.scoredChan = make([]spectrum.ID, n)
 		p.chgGen = make([]int, n)
 		for i := range p.scoredChan {
 			p.scoredChan[i] = unscored

@@ -24,9 +24,9 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 			cands = p.candNoDFS
 		}
 		bestScore := math.Inf(-1)
-		best := noChan
+		best := spectrum.None
 		for _, c := range cands {
-			if p.blocked[c] || p.tbl.chans[c].Width != fixedWidth {
+			if p.blocked[c] || c.Channel().Width != fixedWidth {
 				continue
 			}
 			// Isolated objective: only this AP's NodeP, evaluated against
@@ -34,13 +34,13 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 			// new channels; later ones their current).
 			p.assign[i] = c
 			score := p.logNodeP(i, c)
-			p.assign[i] = noChan
+			p.assign[i] = spectrum.None
 			if score > bestScore {
 				bestScore = score
 				best = c
 			}
 		}
-		if best == noChan {
+		if best == spectrum.None {
 			best = p.current[i] // no candidate at the fixed width
 		}
 		p.assign[i] = best

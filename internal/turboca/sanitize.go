@@ -17,9 +17,9 @@ const maxSaneLoad = 64
 // dropped (first occurrence wins), NaN and negative loads are clamped,
 // utilization and CSA fractions are forced into [0, 1], neighbor
 // references to unknown APs and self-loops are removed, empty width-load
-// mixes default to all-20MHz, and off-band or width-less current channels
-// are cleared so they intern as "unassigned" rather than as bogus table
-// entries. It returns the number of corrections applied; a well-formed
+// mixes default to all-20MHz, and a current channel that is not a US
+// channel of the input band is cleared to the zero Channel, the "never
+// assigned" state the planner already handles. It returns the number of corrections applied; a well-formed
 // input returns 0 and is left untouched.
 func (in *Input) Sanitize() int {
 	fixes := 0
@@ -47,9 +47,11 @@ func (in *Input) Sanitize() int {
 			v.MaxWidth = spectrum.W20
 			fixes++
 		}
-		if v.Current.Width.Valid() && v.Current.Band != in.Band {
-			v.Current = spectrum.Channel{}
-			fixes++
+		if v.Current != (spectrum.Channel{}) {
+			if _, ok := spectrum.IDOf(v.Current); !ok || v.Current.Band != in.Band {
+				v.Current = spectrum.Channel{}
+				fixes++
+			}
 		}
 
 		for w, s := range v.WidthLoad {

@@ -106,6 +106,8 @@ func TestSanitizeExternalUtilAndOffBandCurrent(t *testing.T) {
 	in := chainInput(3, spectrum.W80, 1.0)
 	in.APs[0].ExternalUtil = map[int]float64{36: math.NaN(), 40: -1, 44: 2.0, 48: 0.5}
 	in.APs[1].Current = spectrum.Channel{Band: spectrum.Band2G4, Number: 6, Width: spectrum.W20}
+	// On-band, valid width, but ch37 is no US channel.
+	in.APs[2].Current = spectrum.Channel{Band: spectrum.Band5, Number: 37, Width: spectrum.W20}
 	(&in).Sanitize()
 	ext := in.APs[0].ExternalUtil
 	if _, ok := ext[36]; ok {
@@ -117,8 +119,11 @@ func TestSanitizeExternalUtilAndOffBandCurrent(t *testing.T) {
 	if ext[44] != 1 || ext[48] != 0.5 {
 		t.Fatalf("external util clamp: %v", ext)
 	}
-	if in.APs[1].Current.Width.Valid() {
+	if in.APs[1].Current != (spectrum.Channel{}) {
 		t.Fatal("off-band current channel survived")
+	}
+	if in.APs[2].Current != (spectrum.Channel{}) {
+		t.Fatal("off-table current channel survived")
 	}
 	planAfterSanitize(t, in)
 }

@@ -39,10 +39,9 @@ func rng() *rand.Rand { return rand.New(rand.NewSource(99)) }
 func TestNodePPenalizesCoChannelNeighbors(t *testing.T) {
 	in := chainInput(2, spectrum.W80, 1.0)
 	p := newPlanner(DefaultConfig(), in)
-	same := p.tbl.intern(in.APs[0].Current)
+	same := p.idOf(in.APs[0].Current)
 	clean, _ := spectrum.ChannelAt(spectrum.Band5, 155, spectrum.W80)
-	cleanIdx := p.tbl.intern(clean)
-	p.refreshTables()
+	cleanIdx := p.idOf(clean)
 	// AP0's NodeP on the shared channel must be worse than on a clean
 	// one (before any penalty: both differ from... same IS current, so
 	// clean pays the switch penalty yet must still win).
@@ -60,10 +59,9 @@ func TestNodePWidthProperty(t *testing.T) {
 	in.APs[0].WidthLoad = map[spectrum.Width]float64{spectrum.W20: 1} // 20 MHz-only clients
 	in.APs[0].Current, _ = spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
 	p := newPlanner(DefaultConfig(), in)
-	c20 := p.tbl.intern(in.APs[0].Current)
+	c20 := p.idOf(in.APs[0].Current)
 	c80, _ := spectrum.ChannelAt(spectrum.Band5, 42, spectrum.W80)
-	i80 := p.tbl.intern(c80)
-	p.refreshTables()
+	i80 := p.idOf(c80)
 	// The 80 MHz assignment covers the same primary; with only-20MHz
 	// clients its NodeP must not beat staying at 20 MHz (it also pays a
 	// switch penalty).
@@ -80,7 +78,7 @@ func TestZeroLoadAPIndifferent(t *testing.T) {
 	p := newPlanner(DefaultConfig(), in)
 	for _, c := range p.cands {
 		if got := p.logNodeP(0, c); got != 0 {
-			t.Fatalf("zero-load NodeP = %f on %v", got, p.tbl.channel(c))
+			t.Fatalf("zero-load NodeP = %f on %v", got, c.Channel())
 		}
 	}
 }
