@@ -26,7 +26,7 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-module gap
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-module gap loc
 
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-module
 	-$(MAKE) gap
@@ -126,3 +126,12 @@ bench-module:
 # `turboca -oracle` for the interactive version.
 gap:
 	$(GO) test -race -count=1 -run '^TestGapCampaign$$' ./internal/experiments
+
+# Size of the system: non-test Go lines per package outside bench/, and the
+# total (ROADMAP aim 2, "the least code"). CI prints it on every run.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
+		| xargs wc -l \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); loc[d] += $$1; all += $$1 } \
+			END { for (d in loc) printf "%7d %s\n", loc[d], d; printf "%7d ~total\n", all }' \
+		| sort -k2 | sed 's/~total/total/'

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/fastack"
 	"repro/internal/faults"
@@ -45,19 +44,8 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the experiments run")
 	flag.Parse()
 
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.Default()
-		reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
-		srv, errc := obs.Serve(*metricsAddr, reg)
-		defer srv.Close()
-		go func() {
-			if err := <-errc; err != nil {
-				fmt.Fprintln(os.Stderr, "metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", *metricsAddr)
-	}
+	reg, stopMetrics := obs.ServeFlag(*metricsAddr)
+	defer stopMetrics()
 
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)

@@ -41,7 +41,6 @@ func main() {
 
 func run() int {
 	networks := flag.Int("networks", 1000, "number of synthesized networks")
-	shards := flag.Int("shards", 8, "registry shards (never affects results)")
 	workers := flag.Int("workers", 0, "concurrent pass executors (0 = GOMAXPROCS); results are identical for any value")
 	hours := flag.Int("hours", 6, "simulated hours to run the fleet")
 	seed := flag.Int64("seed", 2017, "fleet synthesis and control-plane seed")
@@ -58,17 +57,8 @@ func run() int {
 	flag.Parse()
 
 	reg := obs.Default()
-	if *metricsAddr != "" {
-		reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
-		srv, errc := obs.Serve(*metricsAddr, reg)
-		defer srv.Close()
-		go func() {
-			if err := <-errc; err != nil {
-				fmt.Fprintln(os.Stderr, "metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", *metricsAddr)
-	}
+	_, stopMetrics := obs.ServeFlag(*metricsAddr)
+	defer stopMetrics()
 
 	opt := backend.DefaultOptions(backend.AlgTurboCA)
 	if *chaos {
@@ -77,7 +67,6 @@ func run() int {
 
 	cfg := fleetd.Config{
 		Seed:             *seed,
-		Shards:           *shards,
 		Workers:          *workers,
 		MaxPassesPerTick: *budget,
 		DisableDirtySkip: *noSkip,

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -25,19 +24,8 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the report generates")
 	flag.Parse()
 
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.Default()
-		reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
-		srv, errc := obs.Serve(*metricsAddr, reg)
-		defer srv.Close()
-		go func() {
-			if err := <-errc; err != nil {
-				fmt.Fprintln(os.Stderr, "metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", *metricsAddr)
-	}
+	reg, stopMetrics := obs.ServeFlag(*metricsAddr)
+	defer stopMetrics()
 
 	f := fleet.Generate(fleet.Options{Seed: *seed, Networks: *networks})
 	fmt.Printf("fleet: %d networks, %d APs (%d networks with >=10 APs)\n\n",

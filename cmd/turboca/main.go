@@ -15,10 +15,10 @@ import (
 	"math/rand"
 	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -26,7 +26,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
-	"repro/internal/turboca"
 
 	// Registers the fastack metric scope on the default registry so
 	// -metrics advertises the full schema even in planner-only runs
@@ -56,19 +55,8 @@ func main() {
 		return
 	}
 
-	var reg *obs.Registry
-	if *metricsAddr != "" {
-		reg = obs.Default()
-		reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
-		srv, errc := obs.Serve(*metricsAddr, reg)
-		defer srv.Close()
-		go func() {
-			if err := <-errc; err != nil {
-				fmt.Fprintln(os.Stderr, "metrics server:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", *metricsAddr)
-	}
+	reg, stopMetrics := obs.ServeFlag(*metricsAddr)
+	defer stopMetrics()
 
 	build, ok := scenarios[*scenario]
 	if !ok {
@@ -150,19 +138,24 @@ var scenarios = map[string]func(int64) *topo.Scenario{
 	"hotel":  topo.Hotel,
 }
 
+// planOnce runs one deep TurboCA pass (hops 2,1,0) on the 5 GHz band
+// through the backend's own service, which snapshots the planner input
+// and pushes the accepted plan to the APs.
 func planOnce(build func(int64) *topo.Scenario, seed int64, workers int) {
 	sc := build(seed)
-	dp := core.WrapDeployment(sc, backend.AlgNone, seed)
+	opt := backend.DefaultOptions(backend.AlgTurboCA)
+	opt.Planner.Workers = workers
+	be := backend.New(opt, sc, sim.NewEngine(seed))
+	be.Service.Bands = []spectrum.Band{spectrum.Band5}
 	fmt.Printf("%v\n", sc)
-	fmt.Printf("before: %v\n", dp.CurrentPlan())
-
-	cfg := turboca.DefaultConfig()
-	cfg.Workers = workers
-	res := core.PlanOnceWith(sc, cfg, seed)
-	fmt.Printf("after:  %v\n", dp.CurrentPlan())
+	before := be.Report(0, 0)
+	fmt.Printf("before: widths=%v dfs=%d\n", before.Widths, before.DFSCount)
+	be.Service.RunOnce([]int{2, 1, 0})
+	after := be.Report(0, 0)
+	fmt.Printf("after:  widths=%v dfs=%d\n", after.Widths, after.DFSCount)
 	fmt.Println(sc.RenderPlan(72, 18))
-	fmt.Printf("rounds=%d switches=%d logNetP=%.1f improved=%v\n",
-		res.Rounds, res.Switches, res.LogNetP, res.Improved)
+	fmt.Printf("switches=%d logNetP=%.1f improved=%v\n",
+		be.Switches(), be.Service.LastLogNetP[spectrum.Band5], be.Service.ImprovedTotal > 0)
 
 	// Channel histogram.
 	counts := map[int]int{}
@@ -175,32 +168,16 @@ func planOnce(build func(int64) *topo.Scenario, seed int64, workers int) {
 	}
 	sort.Ints(chans)
 	for _, c := range chans {
-		ch := spectrum.Channel{Band: spectrum.Band5, Number: c}
-		fmt.Printf("  ch%-4d %3d APs %s\n", c, counts[c], bar(counts[c]))
-		_ = ch
+		fmt.Printf("  ch%-4d %3d APs %s\n", c, counts[c], strings.Repeat("#", min(counts[c], 60)))
 	}
-}
-
-func bar(n int) string {
-	if n > 60 {
-		n = 60
-	}
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = '#'
-	}
-	return string(b)
 }
 
 func evalAB(build func(int64) *topo.Scenario, days int, seed int64, workers int, prof *faults.Profile, rfTrace bool, reg *obs.Registry) {
 	d := sim.Time(days) * sim.Day
 	type result struct {
-		alg      string
-		usageTB  float64
-		latP50   float64
-		effP50   float64
-		switches int
-		ctl      backend.ControlStats
+		alg string
+		rep backend.NetworkReport
+		ctl backend.ControlStats
 	}
 	var results []result
 	for _, alg := range []backend.Algorithm{backend.AlgReservedCA, backend.AlgTurboCA} {
@@ -217,23 +194,18 @@ func evalAB(build func(int64) *topo.Scenario, days int, seed int64, workers int,
 		// backend is built, so the shared serving registry still yields
 		// exact per-instance deltas.
 		opt.Obs = reg
-		dp := core.WrapDeploymentOptions(build(seed), opt, seed)
-		dp.Run(d)
+		engine := sim.NewEngine(seed)
+		be := backend.New(opt, build(seed), engine)
+		be.Start()
+		engine.RunUntil(d)
 		// Skip the first day for stabilization, as §4.6.1 skips the first
 		// week.
-		from := sim.Day
-		results = append(results, result{
-			alg:      alg.String(),
-			usageTB:  dp.UsageTB(from, d),
-			latP50:   dp.TCPLatency(from, d).Median(),
-			effP50:   dp.BitrateEfficiency(from, d).Median(),
-			switches: dp.Backend.Switches(),
-			ctl:      dp.Backend.Control(),
-		})
+		results = append(results, result{alg.String(), be.Report(sim.Day, d), be.Control()})
 	}
 	fmt.Printf("%-12s %10s %12s %10s %9s\n", "algorithm", "usage(TB)", "latP50(ms)", "effP50", "switches")
 	for _, r := range results {
-		fmt.Printf("%-12s %10.3f %12.1f %10.3f %9d\n", r.alg, r.usageTB, r.latP50, r.effP50, r.switches)
+		fmt.Printf("%-12s %10.3f %12.1f %10.3f %9d\n", r.alg,
+			r.rep.TotalUsageTB, r.rep.TCPLatencyP50, r.rep.BitrateEffP50, r.rep.Switches)
 	}
 	if prof != nil {
 		fmt.Printf("%-12s %8s %8s %8s %8s %8s %8s %8s\n", "control",
@@ -244,10 +216,10 @@ func evalAB(build func(int64) *topo.Scenario, days int, seed int64, workers int,
 				r.ctl.PushesFailed, r.ctl.PushRetries, r.ctl.Reconciliations)
 		}
 	}
-	if len(results) == 2 && results[0].usageTB > 0 {
+	if a, b := results[0].rep, results[1].rep; a.TotalUsageTB > 0 {
 		fmt.Printf("usage %+0.1f%%, latency %+0.1f%%, efficiency %+0.1f%%\n",
-			100*(results[1].usageTB-results[0].usageTB)/results[0].usageTB,
-			100*(results[1].latP50-results[0].latP50)/results[0].latP50,
-			100*(results[1].effP50-results[0].effP50)/results[0].effP50)
+			100*(b.TotalUsageTB-a.TotalUsageTB)/a.TotalUsageTB,
+			100*(b.TCPLatencyP50-a.TCPLatencyP50)/a.TCPLatencyP50,
+			100*(b.BitrateEffP50-a.BitrateEffP50)/a.BitrateEffP50)
 	}
 }

@@ -10,8 +10,8 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/testbed"
 )
 
 func main() {
@@ -20,11 +20,11 @@ func main() {
 
 	cases := []struct {
 		name   string
-		m1, m2 core.Mode
+		m1, m2 testbed.Mode
 	}{
-		{"baseline + baseline", core.Baseline, core.Baseline},
-		{"baseline + fastack", core.Baseline, core.FastACK},
-		{"fastack  + fastack", core.FastACK, core.FastACK},
+		{"baseline + baseline", testbed.Baseline, testbed.Baseline},
+		{"baseline + fastack", testbed.Baseline, testbed.FastACK},
+		{"fastack  + fastack", testbed.FastACK, testbed.FastACK},
 	}
 
 	fmt.Printf("two APs, one channel, %d clients each, %v per case\n\n", clients, dur)
@@ -32,11 +32,11 @@ func main() {
 
 	var totals []float64
 	for _, tc := range cases {
-		opt := core.DefaultTestbedOptions()
-		opt.APModes = []core.Mode{tc.m1, tc.m2}
+		opt := testbed.DefaultOptions()
+		opt.APModes = []testbed.Mode{tc.m1, tc.m2}
 		opt.ClientsPerAP = clients
 		opt.BadHintRate = 0.015
-		tb := core.NewTestbed(opt)
+		tb := testbed.New(opt)
 		tb.Run(dur)
 
 		var ap1, ap2 float64

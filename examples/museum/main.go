@@ -11,8 +11,8 @@ import (
 	"fmt"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 func main() {
@@ -29,28 +29,31 @@ func main() {
 	var results []outcome
 
 	for _, alg := range []backend.Algorithm{backend.AlgReservedCA, backend.AlgTurboCA} {
-		dp := core.NewDeployment(core.Museum, alg, 42)
-		fmt.Printf("running %v over %s for %d days...\n", alg, dp.Scenario, days)
-		dp.Run(sim.Time(days) * sim.Day)
+		sc := topo.Museum(42)
+		engine := sim.NewEngine(42)
+		be := backend.New(backend.DefaultOptions(alg), sc, engine)
+		fmt.Printf("running %v over %s for %d days...\n", alg, sc, days)
+		be.Start()
+		engine.RunUntil(sim.Time(days) * sim.Day)
 
 		// Skip day 1 while the algorithm stabilizes (§4.6.1 skips the
 		// first week).
 		from, to := sim.Day, sim.Time(days)*sim.Day
 		peak := 0.0
 		for h := from; h < to; h += sim.Hour {
-			if v := dp.UsageTB(h, h+sim.Hour); v > peak {
+			if v := be.DB.Table("usage").SumField("bytes", h, h+sim.Hour) / 1e12; v > peak {
 				peak = v
 			}
 		}
-		lat := dp.TCPLatency(from, to)
+		rep := be.Report(from, to)
 		results = append(results, outcome{
 			alg:      alg.String(),
-			dailyTB:  dp.UsageTB(from, to) / float64(days-1),
+			dailyTB:  rep.TotalUsageTB / float64(days-1),
 			peakTB:   peak,
-			latP50:   lat.Median(),
-			latP90:   lat.Percentile(90),
-			effP50:   dp.BitrateEfficiency(from, to).Median(),
-			switches: dp.Backend.Switches(),
+			latP50:   rep.TCPLatencyP50,
+			latP90:   rep.TCPLatencyP90,
+			effP50:   rep.BitrateEffP50,
+			switches: be.Switches(),
 		})
 	}
 

@@ -15,19 +15,19 @@ import (
 	"strings"
 
 	"repro/internal/backend"
-	"repro/internal/core"
 	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
+	"repro/internal/topo"
 )
 
-// scanEnv adapts the deployment scenario to the scanning radio's
+// scanEnv adapts the scenario to the scanning radio's
 // Environment interface: a dwell on channel c observes the external
 // interferers audible at the AP plus co-channel neighbor airtime.
-type scanEnv struct{ dp *core.Deployment }
+type scanEnv struct{ sc *topo.Scenario }
 
 func (e scanEnv) ObserveChannel(apID int, ch spectrum.Channel, t sim.Time) (float64, map[int]float64) {
-	sc := e.dp.Scenario
+	sc := e.sc
 	ap := sc.APs[apID]
 	util := sc.ExternalUtilization(ap.Pos, ch.Band, ch.Number)
 	neigh := map[int]float64{}
@@ -49,27 +49,29 @@ func (e scanEnv) ObserveChannel(apID int, ch spectrum.Channel, t sim.Time) (floa
 }
 
 func main() {
-	dp := core.NewDeployment(core.Office, backend.AlgTurboCA, 21)
+	sc := topo.Office(21)
+	engine := sim.NewEngine(21)
+	be := backend.New(backend.DefaultOptions(backend.AlgTurboCA), sc, engine)
 
 	// Attach a scanning radio to the AP we will watch. (The backend's
 	// long-horizon loop snapshots the same quantities analytically; the
 	// scanner shows the per-dwell mechanics of §2.1.)
-	watched := dp.Scenario.APs[4]
-	scanner := radio.NewScanner(watched.ID, scanEnv{dp})
-	scanner.Start(dp.Engine)
+	watched := sc.APs[4]
+	scanner := radio.NewScanner(watched.ID, scanEnv{sc})
+	scanner.Start(engine)
 
 	fmt.Printf("office: %d APs; watching %s at (%.0f,%.0f)\n",
-		len(dp.Scenario.APs), watched.Name, watched.Pos.X, watched.Pos.Y)
+		len(sc.APs), watched.Name, watched.Pos.X, watched.Pos.Y)
 	fmt.Printf("%5s %9s %8s %12s %6s %s\n", "hour", "demand", "util", "channel", "busy36", "demand bar")
 
-	dp.Backend.Start()
+	be.Start()
 	lastChan := watched.Channel
 	switches := 0
 	for hour := 0; hour < 24; hour++ {
-		dp.Engine.RunUntil(sim.Time(hour+1) * sim.Hour)
-		now := dp.Engine.Now()
-		demand := dp.Scenario.DemandAt(watched, now)
-		perf := dp.Backend.Model.Evaluate(now)[watched.ID]
+		engine.RunUntil(sim.Time(hour+1) * sim.Hour)
+		now := engine.Now()
+		demand := sc.DemandAt(watched, now)
+		perf := be.Model.Evaluate(now)[watched.ID]
 		if watched.Channel != lastChan {
 			switches++
 			lastChan = watched.Channel
@@ -86,8 +88,8 @@ func main() {
 	}
 
 	fmt.Printf("\nday summary: %d channel switches on the watched AP, %d network-wide\n",
-		switches, dp.Backend.Switches())
-	lat := dp.TCPLatency(0, 24*sim.Hour)
+		switches, be.Switches())
+	lat := be.DB.Table("tcp_latency").AggregateField("ms", 0, 24*sim.Hour)
 	fmt.Printf("network TCP latency p50=%.1fms p90=%.1fms over %d samples\n",
 		lat.Median(), lat.Percentile(90), lat.N())
 	nr := scanner.NeighborReport(spectrum.Band5)

@@ -411,9 +411,7 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 		// outlive this poll window) and the spectrum trace's current
 		// occupancy. Both are folded into Input.Digest, so a quarantine
 		// starting or expiring dirties an otherwise-skippable fast pass.
-		if b.rf.Q != nil {
-			in.Blocked = b.rf.Q.BlockedSet(now)
-		}
+		in.Blocked = b.rf.Q.BlockedSet(now)
 		if b.rf.Traces != nil {
 			in.ChannelNoise = b.rf.Traces.NoiseMap(now)
 		}

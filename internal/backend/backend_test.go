@@ -344,3 +344,25 @@ func TestNetworkReport(t *testing.T) {
 		t.Fatal("empty rendering")
 	}
 }
+
+// TestDeploymentMetrics: after a 2 h TurboCA run the telemetry store holds
+// usage, latency, efficiency and utilization samples, the Report API reads
+// them, and the engine resumes from where the run stopped.
+func TestDeploymentMetrics(t *testing.T) {
+	engine := sim.NewEngine(3)
+	b := New(DefaultOptions(AlgTurboCA), topo.Office(3), engine)
+	b.Start()
+	engine.RunUntil(2 * sim.Hour)
+	if r := b.Report(0, 2*sim.Hour); r.TotalUsageTB <= 0 || r.TCPLatencyP50 <= 0 || r.BitrateEffP50 <= 0 {
+		t.Fatalf("report after 2 h: usage %f TB, latency p50 %f ms, efficiency p50 %f", r.TotalUsageTB, r.TCPLatencyP50, r.BitrateEffP50)
+	}
+	for table, field := range map[string]string{"tcp_latency": "ms", "bitrate_eff": "eff", "utilization": "util"} {
+		if b.DB.Table(table).AggregateField(field, 0, 2*sim.Hour).N() == 0 {
+			t.Fatalf("no %s samples", table)
+		}
+	}
+	engine.RunUntil(engine.Now() + sim.Hour)
+	if engine.Now() != 3*sim.Hour {
+		t.Fatalf("continued run landed at %v", engine.Now())
+	}
+}

@@ -3,6 +3,7 @@ package backend
 import (
 	"time"
 
+	"repro/internal/rfenv"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
@@ -130,7 +131,7 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, ch
 // left alone: the reconciler retries after expiry unless a newer plan
 // supersedes it first.
 func (b *Backend) installChannel(ap *topo.AP, band spectrum.Band, a turboca.Assignment) {
-	if band == spectrum.Band5 && b.rf != nil && b.rf.Q.Blocked(a.Channel, b.Engine.Now()) {
+	if band == spectrum.Band5 && rfenv.Touches(a.Channel, b.nopMask()) {
 		b.ctl.nopViolations.Inc()
 		return
 	}

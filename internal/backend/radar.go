@@ -21,12 +21,13 @@ import (
 //
 // When a hostile-RF environment is attached, every detection also
 // starts the regulatory 30-minute non-occupancy period on the covered
-// 20 MHz sub-channels. The quarantine is enforced at three layers —
-// planner candidate generation (Input.Blocked), fallback selection
-// (fallbackFor, below), and plan installation (push.go's installChannel
-// guard) — and audited by a periodic sweep (checkNOP) that counts any
-// AP caught transmitting inside an active window as an invariant
-// violation. The storm campaign asserts that count stays zero.
+// 20 MHz sub-channels. The two places that choose a channel keep out of
+// it — the planner's admissible-channel provider (turboca/admissible.go,
+// fed by Input.Blocked) and the radar fallback draw (fallbackFor, below);
+// one gate, push.go's installChannel, refuses any quarantined assignment
+// whatever produced it; and one audit, the periodic checkNOP sweep,
+// counts any AP caught transmitting inside an active window as an
+// invariant violation. The storm campaign asserts that count stays zero.
 
 // radarCheckInterval is how often the injector draws for events (and,
 // under an RF env, how often the NOP invariant sweep runs).
@@ -80,7 +81,7 @@ func (b *Backend) radarEvent() {
 		b.strike(ap.Channel.Sub20Numbers())
 		return
 	}
-	b.vacate(ap)
+	b.vacate(ap, 0)
 	b.Model.Invalidate()
 }
 
@@ -102,28 +103,21 @@ func (b *Backend) strike(subs []int) {
 		return
 	}
 	now := b.Engine.Now()
-	b.rf.Q.Strike(subs, now)
-	var struck uint64
-	for _, s := range subs {
-		struck |= spectrum.Sub20Mask(spectrum.Band5, s)
-	}
-	touches := func(c spectrum.Channel) bool {
-		id, ok := spectrum.IDOf(c)
-		return ok && c.Band == spectrum.Band5 && id.Mask()&struck != 0
-	}
+	struck := b.rf.Q.Strike(subs, now)
+	nop := b.rf.Q.Mask(now)
 	intended := b.intended[spectrum.Band5]
 	moved := false
 	for _, ap := range b.Scenario.APs {
 		switch {
-		case touches(ap.Channel):
+		case rfenv.Touches(ap.Channel, struck):
 			b.ctl.radarStrikes.Inc()
-			b.vacate(ap)
+			b.vacate(ap, nop)
 			moved = true
 		case intended != nil:
-			if a, ok := intended[ap.ID]; ok && touches(a.Channel) {
+			if a, ok := intended[ap.ID]; ok && rfenv.Touches(a.Channel, struck) {
 				// The AP is not on the struck range but a pending push would
 				// put it there (a retry or reconcile in flight).
-				intended[ap.ID] = turboca.Assignment{Channel: b.fallbackFor(ap)}
+				intended[ap.ID] = turboca.Assignment{Channel: b.fallbackFor(ap, nop)}
 			}
 		}
 	}
@@ -132,11 +126,12 @@ func (b *Backend) strike(subs []int) {
 	}
 }
 
-// vacate moves ap off its current channel onto a quarantine-safe
-// fallback and makes that the plan of record — otherwise the reconciler
-// would immediately push it back onto the radar channel.
-func (b *Backend) vacate(ap *topo.AP) {
-	fb := b.fallbackFor(ap)
+// vacate moves ap off its current channel onto a fallback outside nop (the
+// sub-channels under quarantine, as a spectrum mask) and makes that the
+// plan of record — otherwise the reconciler would immediately push it back
+// onto the radar channel.
+func (b *Backend) vacate(ap *topo.AP, nop uint64) {
+	fb := b.fallbackFor(ap, nop)
 	ap.Channel = fb
 	b.switches++
 	if m := b.intended[spectrum.Band5]; m != nil {
@@ -150,15 +145,11 @@ func (b *Backend) vacate(ap *topo.AP) {
 // the planner-provided non-DFS fallback when it exists and is not itself
 // quarantined (a fallback computed before this strike can point straight
 // into it — the NOPBlockedFallbacks counter tracks how often), otherwise
-// a random non-DFS channel outside every active NOP window at the AP's
-// width, narrowing until one exists.
-func (b *Backend) fallbackFor(ap *topo.AP) spectrum.Channel {
-	now := b.Engine.Now()
-	blocked := func(c spectrum.Channel) bool {
-		return b.rf != nil && b.rf.Q.Blocked(c, now)
-	}
+// a random non-DFS channel outside nop (every active NOP window) at the
+// AP's width, narrowing until one exists.
+func (b *Backend) fallbackFor(ap *topo.AP, nop uint64) spectrum.Channel {
 	if fb, ok := b.fallbacks[ap.ID]; ok && fb.Width != 0 && !fb.DFS {
-		if !blocked(fb) {
+		if !rfenv.Touches(fb, nop) {
 			return fb
 		}
 		b.ctl.nopBlockedFallbacks.Inc()
@@ -167,53 +158,44 @@ func (b *Backend) fallbackFor(ap *topo.AP) spectrum.Channel {
 	if !w.Valid() {
 		w = spectrum.W20
 	}
-	for {
-		// cands is a view of the spectrum table: count, then pick the
-		// k-th unblocked one, without writing through it.
-		cands := spectrum.Channels(spectrum.Band5, w, false)
-		free := 0
-		for _, c := range cands {
-			if !blocked(c) {
-				free++
+	for ; w.Valid(); w /= 2 {
+		var free []spectrum.Channel
+		for _, c := range spectrum.Channels(spectrum.Band5, w, false) {
+			if !rfenv.Touches(c, nop) {
+				free = append(free, c)
 			}
 		}
-		if free > 0 {
-			k := b.rng.Intn(free)
-			for _, c := range cands {
-				if blocked(c) {
-					continue
-				}
-				if k == 0 {
-					return c
-				}
-				k--
-			}
-		}
-		w /= 2
-		if !w.Valid() {
-			// Non-DFS channels cannot be radar-quarantined, so this is
-			// unreachable under radar strikes; kept as the deterministic
-			// floor for malformed widths.
-			fb, _ := spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
-			return fb
+		if len(free) > 0 {
+			return free[b.rng.Intn(len(free))]
 		}
 	}
+	// Non-DFS channels cannot be radar-quarantined, so this is unreachable
+	// under radar strikes; kept as the deterministic floor.
+	fb, _ := spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
+	return fb
 }
 
-// checkNOP audits the no-transmit-during-NOP invariant: with strikes
-// enforced at planning, fallback, and install time, no AP should ever be
-// found on a quarantined channel. Any hit here is a real bug, surfaced
-// as a counter the storm campaign asserts to be zero.
-func (b *Backend) checkNOP() {
+// nopMask returns the 5 GHz sub-channels under an active NOP right now, as
+// a spectrum mask: zero without an RF environment.
+func (b *Backend) nopMask() uint64 {
 	if b.rf == nil {
-		return
+		return 0
 	}
-	now := b.Engine.Now()
-	if b.rf.Q.Active(now) == 0 {
+	return b.rf.Q.Mask(b.Engine.Now())
+}
+
+// checkNOP audits the no-transmit-during-NOP invariant: with the planner
+// and the fallback draw keeping out of the quarantine and installChannel
+// refusing it, no AP should ever be found on a quarantined channel. Any
+// hit here is a real bug, surfaced as a counter the storm campaign asserts
+// to be zero.
+func (b *Backend) checkNOP() {
+	nop := b.nopMask()
+	if nop == 0 {
 		return
 	}
 	for _, ap := range b.Scenario.APs {
-		if b.rf.Q.Blocked(ap.Channel, now) {
+		if rfenv.Touches(ap.Channel, nop) {
 			b.ctl.nopViolations.Inc()
 		}
 	}

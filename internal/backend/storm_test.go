@@ -99,7 +99,7 @@ func TestStormCampaignSurvival(t *testing.T) {
 	if b.Control().RadarStrikes == 0 {
 		t.Fatalf("storm struck %d on-air APs, want > 0", b.Control().RadarStrikes)
 	}
-	if b.rf.Q.Active(engine.Now()) == 0 {
+	if b.nopMask() == 0 {
 		t.Fatal("no active quarantine right after a storm")
 	}
 	assertNoneBlocked(t, b, "inside storm-1 NOP")
@@ -228,10 +228,11 @@ func TestStormStrikeSemantics(t *testing.T) {
 
 	// Sub-channels 52..64 are all blocked; exactly at +30 min they free.
 	for _, s := range []int{52, 56, 60, 64} {
-		if !b.rf.Q.SubBlocked(s, now) {
+		bit := spectrum.Sub20Mask(spectrum.Band5, s)
+		if b.rf.Q.Mask(now)&bit == 0 {
 			t.Fatalf("sub %d not quarantined after the sweep", s)
 		}
-		if b.rf.Q.SubBlocked(s, now+rfenv.NOPDuration) {
+		if b.rf.Q.Mask(now+rfenv.NOPDuration)&bit != 0 {
 			t.Fatalf("sub %d still blocked at expiry", s)
 		}
 	}

@@ -22,7 +22,7 @@ import (
 // (MaxPassesPerTick shedding and degraded-mode demotion apply unchanged);
 // and every controller decision happens in the serial ingest section in
 // ascending network-ID order off journaled pass results, so snapshots
-// stay byte-identical across shard/worker settings and journal replay.
+// stay byte-identical across worker settings and journal replay.
 const (
 	// adaptMaxMult caps the stretch: 8× turns the 15-minute fast cadence
 	// into 2 hours — still inside one mid (3 h) window, so even a fully

@@ -24,7 +24,7 @@ func TestAdaptiveCadenceEscalation(t *testing.T) {
 	// Converge: after the first passes the plan settles, dirty-skips prove
 	// the quiet, and the multiplier climbs.
 	c.Run(6 * sim.Hour)
-	ns := c.shardFor(0).get(0)
+	ns := c.get(0)
 	if ns.mult < 2 {
 		t.Fatalf("quiet network never stretched: mult=%d calm=%d ewma=%g", ns.mult, ns.calm, ns.ewma)
 	}
@@ -56,21 +56,18 @@ func TestAdaptiveCadenceEscalation(t *testing.T) {
 // The adaptive controller's decisions run in the serial ingest section in
 // ascending network-ID order, so the determinism contract extends to it:
 // snapshots AND canonical checkpoint bytes are byte-identical for every
-// shard/worker shape.
+// worker count.
 func TestAdaptiveSnapshotInvariance(t *testing.T) {
 	f := fleet.Generate(fleet.Options{Seed: 42, Networks: 6})
-	shapes := []struct{ shards, workers int }{
-		{1, 1}, {7, 8}, {3, 2}, {1, 4},
-	}
 	var base Snapshot
 	var baseText string
 	var baseCkpt []byte
 	var baseStretched int64
-	for i, shape := range shapes {
+	for i, workers := range []int{1, 8, 2, 4} {
 		c := New(Config{
-			Seed:   99,
-			Shards: shape.shards, Workers: shape.workers,
-			Fast: 15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1,
+			Seed:    99,
+			Workers: workers,
+			Fast:    15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1,
 			AdaptiveCadence: true,
 			Obs:             obs.NewRegistry(),
 		})
@@ -87,18 +84,18 @@ func TestAdaptiveSnapshotInvariance(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(snap, base) {
-			t.Fatalf("snapshot with shards=%d workers=%d diverged:\n%s\nvs base\n%s",
-				shape.shards, shape.workers, snap.String(), baseText)
+			t.Fatalf("snapshot with workers=%d diverged:\n%s\nvs base\n%s",
+				workers, snap.String(), baseText)
 		}
 		if snap.String() != baseText {
-			t.Fatalf("snapshot text diverged for shards=%d workers=%d", shape.shards, shape.workers)
+			t.Fatalf("snapshot text diverged for workers=%d", workers)
 		}
 		if !bytes.Equal(ckpt, baseCkpt) {
-			t.Fatalf("checkpoint bytes diverged for shards=%d workers=%d", shape.shards, shape.workers)
+			t.Fatalf("checkpoint bytes diverged for workers=%d", workers)
 		}
 		if got := c.AdaptiveStretched(); got != baseStretched {
-			t.Fatalf("stretch decisions diverged for shards=%d workers=%d: %d vs %d",
-				shape.shards, shape.workers, got, baseStretched)
+			t.Fatalf("stretch decisions diverged for workers=%d: %d vs %d",
+				workers, got, baseStretched)
 		}
 	}
 }

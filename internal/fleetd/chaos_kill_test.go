@@ -32,7 +32,6 @@ func TestChaosKillCampaign(t *testing.T) {
 		seed := int64(1000 + 17*s)
 		cfg := Config{
 			Seed:            seed,
-			Shards:          8,
 			CheckpointEvery: 45 * sim.Minute,
 			Obs:             obs.NewRegistry(),
 		}

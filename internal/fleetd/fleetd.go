@@ -5,7 +5,7 @@
 //
 // The architecture has four moving parts:
 //
-//   - A sharded registry of per-network control planes. Each network
+//   - A registry of per-network control planes. Each network
 //     wraps today's backend.Backend — private simulation engine, private
 //     telemetry store, private RNG streams, optionally a private chaos
 //     profile — built from a seed derived from (controller seed, network
@@ -22,7 +22,7 @@
 //   - A bounded worker pool that executes one tick's surviving passes
 //     concurrently. Networks are mutually independent, so parallel
 //     execution cannot perturb results: a fleet snapshot is byte-identical
-//     for any -shards/-workers setting.
+//     for any -workers setting.
 //
 //   - Batched telemetry ingest: each pass emits its network's telemetry
 //     as row batches that land in a shared littletable.DB via
@@ -60,9 +60,6 @@ type Config struct {
 	// engine, backend, chaos). Two controllers with equal Seed and equal
 	// network sets produce byte-identical snapshots.
 	Seed int64
-	// Shards partitions the network registry (default 8). Sharding
-	// bounds registry lock contention; it never affects results.
-	Shards int
 	// Workers bounds concurrently executing passes (default GOMAXPROCS).
 	// Results are identical for any value.
 	Workers int
@@ -78,7 +75,7 @@ type Config struct {
 	// passes. Fleetd enables turboca.Service.DirtySkip by default: on a
 	// steady-state fleet most i=0 passes are provable no-op replays, and
 	// skipping them is exact — snapshots are byte-identical either way
-	// (the invariant TestSnapshotInvariantAcrossShardsAndWorkers pins).
+	// (the invariant TestSnapshotInvariantAcrossWorkers pins).
 	// Deep (i>0) passes are never skipped.
 	DisableDirtySkip bool
 	// AdaptiveCadence enables the churn-driven cadence controller (see
@@ -87,7 +84,7 @@ type Config struct {
 	// of volatility (a planner improvement, a radar detection, or NetP
 	// churn above the EWMA threshold) snaps them back to 1x and pulls their pending deadlines
 	// forward. Off by default; snapshots remain byte-identical across
-	// shard/worker settings either way, but an adaptive fleet's snapshot
+	// worker settings either way, but an adaptive fleet's snapshot
 	// differs from a fixed-cadence fleet's (fewer passes run), so the flag
 	// is folded into the config digest.
 	AdaptiveCadence bool
@@ -144,9 +141,6 @@ type Config struct {
 
 // withDefaults resolves the zero values.
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 8
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -186,7 +180,7 @@ func (c Config) withDefaults() Config {
 
 // digest folds the result-affecting configuration into the journal's
 // config record, so a journal is never replayed under a configuration
-// that would reconstruct different state. Shards/Workers/Obs and the
+// that would reconstruct different state. Workers/Obs and the
 // wall-clock knobs are deliberately excluded: they never affect state
 // bytes.
 func (c Config) digest() uint64 {
@@ -281,23 +275,15 @@ func (ns *netState) ensureBuilt() {
 	}
 }
 
-type shard struct {
-	mu   sync.RWMutex
-	nets map[int]*netState
-}
-
-func (s *shard) get(id int) *netState {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.nets[id]
-}
-
 // Controller drives a fleet of networks off one cadence scheduler.
 // Run, Add*, Remove, and Snapshot must be called from one goroutine (the
 // control loop); the worker pool is internal.
 type Controller struct {
-	cfg   Config
-	sh    []*shard
+	cfg Config
+	// reg is the network registry, under mu. Every lookup on the tick
+	// path is serial and a pass touches only its own netState.
+	mu    sync.RWMutex
+	reg   map[int]*netState
 	sched scheduler
 	now   sim.Time
 	db    *littletable.DB
@@ -325,7 +311,7 @@ type Controller struct {
 // New builds an empty controller; register networks with Add or AddFleet.
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, db: littletable.NewDB(), met: metricsOn(cfg.Obs)}
+	c := &Controller{cfg: cfg, reg: map[int]*netState{}, db: littletable.NewDB(), met: metricsOn(cfg.Obs)}
 	c.proc = faults.NewProc(cfg.Proc)
 	c.wallNow = time.Now
 	if cfg.StormRF {
@@ -336,9 +322,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.Retention > 0 {
 		c.db.SetRetention(cfg.Retention)
-	}
-	for i := 0; i < cfg.Shards; i++ {
-		c.sh = append(c.sh, &shard{nets: map[int]*netState{}})
 	}
 	return c
 }
@@ -382,21 +365,21 @@ func (c *Controller) SkippedFastPasses() int64 { return c.met.skippedI0.Value() 
 
 // Len returns the number of registered (non-removed) networks.
 func (c *Controller) Len() int {
-	n := 0
-	for _, s := range c.sh {
-		s.mu.RLock()
-		n += len(s.nets)
-		s.mu.RUnlock()
-	}
-	return n
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.reg)
 }
 
-// shardFor maps a network ID to its shard.
-func (c *Controller) shardFor(id int) *shard { return c.sh[id%len(c.sh)] }
+// get returns the registered network with this ID, or nil.
+func (c *Controller) get(id int) *netState {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.reg[id]
+}
 
 // netSeed derives a network's seed from the controller seed and the
-// network ID alone (splitmix64-style), so registration order, shard
-// count, and worker count cannot perturb any network's behavior.
+// network ID alone (splitmix64-style), so registration order and
+// worker count cannot perturb any network's behavior.
 func netSeed(seed int64, id int) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -520,10 +503,9 @@ func resolveCadence(override, def sim.Time) sim.Time {
 
 // register inserts the network and seeds its deadlines at now+cadence.
 func (c *Controller) register(ns *netState) {
-	sh := c.shardFor(ns.id)
-	sh.mu.Lock()
-	sh.nets[ns.id] = ns
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.reg[ns.id] = ns
+	c.mu.Unlock()
 	c.met.networks.Add(1)
 	for level, period := range ns.cadence {
 		if period > 0 {
@@ -545,11 +527,10 @@ func (c *Controller) Remove(id int) bool {
 }
 
 func (c *Controller) remove(id int) bool {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	_, ok := sh.nets[id]
-	delete(sh.nets, id)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	_, ok := c.reg[id]
+	delete(c.reg, id)
+	c.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -574,7 +555,7 @@ func (c *Controller) SetCadence(id int, opt NetOptions) bool {
 }
 
 func (c *Controller) setCadence(id int, opt NetOptions) bool {
-	ns := c.shardFor(id).get(id)
+	ns := c.get(id)
 	if ns == nil || ns.quarantined {
 		return false
 	}
@@ -697,7 +678,7 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) error {
 	// builds jobs in ascending ID order with levels ascending within.
 	var jobs []*passJob
 	for _, e := range due {
-		ns := c.shardFor(e.id).get(e.id)
+		ns := c.get(e.id)
 		if ns == nil {
 			// Removed after this entry was pushed: drop, never reschedule.
 			c.met.removedDropped.Inc()
@@ -831,7 +812,7 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) error {
 		c.met.skippedI0.Add(int64(res.skipped))
 		if c.cfg.AdaptiveCadence {
 			// Serial, ascending-ID, before the reschedule loop below — so
-			// the controller's decision is shard/worker independent and this
+			// the controller's decision is worker-count independent and this
 			// tick's own levels already re-arm at the new multiplier.
 			c.adaptObserve(t, j, res)
 		}
@@ -937,21 +918,17 @@ func (c *Controller) executePass(t sim.Time, j *passJob) *passResult {
 func (c *Controller) syncEngines(t sim.Time) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.cfg.Workers)
-	for _, s := range c.sh {
-		s.mu.RLock()
-		for _, ns := range s.nets {
-			if ns.quarantined {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ns *netState) {
-				defer func() { <-sem; wg.Done() }()
-				ns.ensureBuilt()
-				ns.engine.RunUntil(t)
-			}(ns)
+	for _, ns := range c.nets() {
+		if ns.quarantined {
+			continue
 		}
-		s.mu.RUnlock()
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(ns *netState) {
+			defer func() { <-sem; wg.Done() }()
+			ns.ensureBuilt()
+			ns.engine.RunUntil(t)
+		}(ns)
 	}
 	wg.Wait()
 }
@@ -959,14 +936,12 @@ func (c *Controller) syncEngines(t sim.Time) {
 // nets returns every registered network sorted by ID — the canonical
 // iteration order for snapshots.
 func (c *Controller) nets() []*netState {
-	var out []*netState
-	for _, s := range c.sh {
-		s.mu.RLock()
-		for _, ns := range s.nets {
-			out = append(out, ns)
-		}
-		s.mu.RUnlock()
+	c.mu.RLock()
+	out := make([]*netState, 0, len(c.reg))
+	for _, ns := range c.reg {
+		out = append(out, ns)
 	}
+	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }

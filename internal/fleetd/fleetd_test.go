@@ -31,9 +31,6 @@ func testNetwork(id, aps int) *fleet.Network {
 
 func TestConfigDefaults(t *testing.T) {
 	c := New(Config{Seed: 1})
-	if got := len(c.sh); got != 8 {
-		t.Fatalf("default shards = %d, want 8", got)
-	}
 	if c.cfg.Fast != 15*sim.Minute || c.cfg.Mid != 3*sim.Hour || c.cfg.Deep != 24*sim.Hour {
 		t.Fatalf("default cadences = %v/%v/%v", c.cfg.Fast, c.cfg.Mid, c.cfg.Deep)
 	}
@@ -159,25 +156,25 @@ func TestRemovedNetworkNeverFires(t *testing.T) {
 }
 
 // The determinism contract: same seed and network set produce a
-// byte-identical snapshot for every shard and worker count — and for
+// byte-identical snapshot for every worker count — and for
 // either dirty-skip setting, since a skipped fast pass is a provable
 // replay of the pass it elides.
-func TestSnapshotInvariantAcrossShardsAndWorkers(t *testing.T) {
+func TestSnapshotInvariantAcrossWorkers(t *testing.T) {
 	f := fleet.Generate(fleet.Options{Seed: 42, Networks: 6})
 	shapes := []struct {
-		shards, workers int
-		noskip          bool
+		workers int
+		noskip  bool
 	}{
-		{1, 1, false}, {7, 8, true}, {3, 2, false}, {1, 2, true},
+		{1, false}, {8, true}, {2, false}, {2, true},
 	}
 	var base Snapshot
 	var baseText string
 	for i, shape := range shapes {
 		reg := obs.NewRegistry()
 		c := New(Config{
-			Seed:   99,
-			Shards: shape.shards, Workers: shape.workers,
-			Fast: 15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1,
+			Seed:    99,
+			Workers: shape.workers,
+			Fast:    15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1,
 			DisableDirtySkip: shape.noskip,
 			Obs:              reg,
 		})
@@ -201,12 +198,12 @@ func TestSnapshotInvariantAcrossShardsAndWorkers(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(snap, base) {
-			t.Fatalf("snapshot with shards=%d workers=%d noskip=%v diverged:\n%s\nvs base\n%s",
-				shape.shards, shape.workers, shape.noskip, snap.String(), baseText)
+			t.Fatalf("snapshot with workers=%d noskip=%v diverged:\n%s\nvs base\n%s",
+				shape.workers, shape.noskip, snap.String(), baseText)
 		}
 		if snap.String() != baseText {
-			t.Fatalf("snapshot text diverged for shards=%d workers=%d noskip=%v",
-				shape.shards, shape.workers, shape.noskip)
+			t.Fatalf("snapshot text diverged for workers=%d noskip=%v",
+				shape.workers, shape.noskip)
 		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden fleet files")
 
 // TestGoldenFleet pins fleet behaviour across commits: the invariance
-// suites compare shard and worker shapes within one run, so a change that
+// suites compare worker shapes within one run, so a change that
 // moves every run the same way passes them all. A 12-network fleet runs 6
 // simulated hours under correlated radar storms (scenario build, planner
 // input, NBO, quarantine, radar fallback and the checkpoint codec all
@@ -28,7 +28,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden fleet files")
 // `go test -run GoldenFleet -update`.
 func TestGoldenFleet(t *testing.T) {
 	c := New(Config{
-		Seed: 20170811, Shards: 3, Workers: 2,
+		Seed: 20170811, Workers: 2,
 		StormRF: true, StormsPerDay: 12, StormHorizon: sim.Day,
 		Obs: obs.NewRegistry(),
 	})

@@ -18,7 +18,6 @@ import (
 func testConfig(seed int64) Config {
 	return Config{
 		Seed:            seed,
-		Shards:          4,
 		Workers:         2,
 		CheckpointEvery: sim.Hour,
 		Obs:             obs.NewRegistry(),

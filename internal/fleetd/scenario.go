@@ -17,7 +17,7 @@ import (
 // stochastic detail — client capability mixes, usage weights, interferer
 // duty cycles — from its own deterministic stream, so the same fleet and
 // controller seed always produce byte-identical scenarios regardless of
-// registration order, shard layout, or worker count.
+// registration order or worker count.
 
 const (
 	// maxModeledClients caps the per-AP client snapshot handed to the

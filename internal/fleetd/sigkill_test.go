@@ -23,7 +23,6 @@ const (
 func sigkillConfig() Config {
 	return Config{
 		Seed:            sigkillSeed,
-		Shards:          4,
 		CheckpointEvery: 30 * sim.Minute,
 		Obs:             obs.NewRegistry(),
 	}

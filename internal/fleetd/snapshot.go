@@ -40,7 +40,7 @@ type NetworkStatus struct {
 // Snapshot is the fleet-wide state at one instant: every network's
 // status in ascending ID order plus cross-network distribution
 // summaries. It is a pure function of the controller's configuration and
-// network set — byte-identical across shard and worker counts.
+// network set — byte-identical across worker counts.
 type Snapshot struct {
 	Networks []NetworkStatus
 

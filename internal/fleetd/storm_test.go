@@ -30,7 +30,7 @@ func TestStormRFFleetCorrelated(t *testing.T) {
 
 	storms := -1
 	for id := 0; id < 3; id++ {
-		ns := c.shardFor(id).get(id)
+		ns := c.get(id)
 		ctl := ns.be.Control()
 		if ctl.NOPViolations != 0 {
 			t.Fatalf("network %d: NOP invariant tripped %d times", id, ctl.NOPViolations)
@@ -62,7 +62,7 @@ func TestStormRadarCountsAsChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(6 * sim.Hour) // quiet network: the multiplier climbs
-	ns := c.shardFor(0).get(0)
+	ns := c.get(0)
 	if ns.mult < 2 {
 		t.Fatalf("quiet network never stretched: mult=%d", ns.mult)
 	}
@@ -81,16 +81,15 @@ func TestStormRadarCountsAsChurn(t *testing.T) {
 
 // TestStormRFSnapshotInvariance: the storm path inherits the determinism
 // contract — snapshots and checkpoint bytes are byte-identical across
-// shard/worker shapes.
+// worker counts.
 func TestStormRFSnapshotInvariance(t *testing.T) {
 	f := fleet.Generate(fleet.Options{Seed: 42, Networks: 4})
-	shapes := []struct{ shards, workers int }{{1, 1}, {3, 2}, {1, 4}}
 	var base Snapshot
 	var baseCkpt []byte
-	for i, shape := range shapes {
+	for i, workers := range []int{1, 2, 4} {
 		c := New(Config{
-			Seed:   99,
-			Shards: shape.shards, Workers: shape.workers,
+			Seed:    99,
+			Workers: workers,
 			StormRF: true, StormsPerDay: 12, StormHorizon: sim.Day,
 			Fast: 15 * sim.Minute, Mid: -1, Deep: -1,
 			AdaptiveCadence: true, Obs: obs.NewRegistry(),
@@ -106,11 +105,11 @@ func TestStormRFSnapshotInvariance(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(snap, base) {
-			t.Fatalf("snapshot diverged for shards=%d workers=%d:\n%s\nvs\n%s",
-				shape.shards, shape.workers, snap.String(), base.String())
+			t.Fatalf("snapshot diverged for workers=%d:\n%s\nvs\n%s",
+				workers, snap.String(), base.String())
 		}
 		if !bytes.Equal(ckpt, baseCkpt) {
-			t.Fatalf("checkpoint bytes diverged for shards=%d workers=%d", shape.shards, shape.workers)
+			t.Fatalf("checkpoint bytes diverged for workers=%d", workers)
 		}
 	}
 }

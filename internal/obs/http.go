@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"time"
 )
 
 // HTTP export: the one way metrics and profiles leave a running process.
@@ -44,17 +47,29 @@ func Handler(r *Registry) http.Handler {
 	return mux
 }
 
-// Serve starts an HTTP server for the registry on addr in a background
-// goroutine and returns it; callers Close it on shutdown. Listen errors
-// are reported on the returned channel (buffered, at most one).
-func Serve(addr string, r *Registry) (*http.Server, <-chan error) {
-	srv := &http.Server{Addr: addr, Handler: Handler(r)}
-	errc := make(chan error, 1)
+// ServeFlag is what every command's -metrics flag does. With an address it
+// turns on wall-clock span tracing on the process-wide registry and serves
+// that registry there (Handler) from a background goroutine, reporting a
+// listen failure on stderr; it returns the registry and a stop function
+// to defer, which returns once the server has exited. With an empty
+// address it returns nil and a no-op.
+func ServeFlag(addr string) (*Registry, func()) {
+	if addr == "" {
+		return nil, func() {}
+	}
+	reg := Default()
+	reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
+	srv := &http.Server{Addr: addr, Handler: Handler(reg)}
+	done := make(chan struct{})
 	go func() {
+		defer close(done)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errc <- err
+			fmt.Fprintln(os.Stderr, "metrics server:", err)
 		}
-		close(errc)
 	}()
-	return srv, errc
+	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", addr)
+	return reg, func() {
+		_ = srv.Close() // a failed close of a stopping server has no one to tell
+		<-done
+	}
 }

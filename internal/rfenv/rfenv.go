@@ -12,7 +12,7 @@
 package rfenv
 
 import (
-	"sort"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/spectrum"
@@ -39,90 +39,98 @@ func NewEnv(traces *TraceSet, storms []Storm) *Env {
 	return &Env{Traces: traces, Storms: storms, Q: NewQuarantine()}
 }
 
-// Quarantine is the non-occupancy table: 20 MHz sub-channel number to
-// NOP expiry instant. A sub-channel is blocked for t in
-// [strike, strike+NOPDuration) and free again exactly at expiry.
+// Quarantine is the non-occupancy table: the NOP expiry instant of each
+// 5 GHz 20 MHz sub-channel, indexed by the sub-channel's bit position in
+// a spectrum mask (spectrum.Sub20Mask), so the set under quarantine at an
+// instant is itself a spectrum mask and "does this channel touch it" is
+// one AND. A sub-channel is blocked for t in [strike, strike+NOPDuration)
+// and free again exactly at expiry. The zero value is an empty table.
 type Quarantine struct {
-	expiry map[int]sim.Time
+	expiry [64]sim.Time
+	last   sim.Time // the latest expiry: from then on nothing is blocked
 }
 
 // NewQuarantine returns an empty table.
-func NewQuarantine() *Quarantine {
-	return &Quarantine{expiry: make(map[int]sim.Time)}
-}
+func NewQuarantine() *Quarantine { return &Quarantine{} }
 
-// Strike starts (or extends) a NOP on every listed sub-channel.
-func (q *Quarantine) Strike(subs []int, at sim.Time) {
+// Strike starts (or extends) a NOP on every listed 5 GHz sub-channel
+// number and returns the struck sub-channels as a spectrum mask. Numbers
+// that are not US 5 GHz 20 MHz channels are ignored.
+func (q *Quarantine) Strike(subs []int, at sim.Time) uint64 {
+	var struck uint64
 	for _, s := range subs {
-		if e := at + NOPDuration; e > q.expiry[s] {
-			q.expiry[s] = e
+		struck |= spectrum.Sub20Mask(spectrum.Band5, s)
+	}
+	for m := struck; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); at+NOPDuration > q.expiry[i] {
+			q.expiry[i] = at + NOPDuration
 		}
 	}
+	if struck != 0 && at+NOPDuration > q.last {
+		q.last = at + NOPDuration
+	}
+	return struck
 }
 
-// SubBlocked reports whether 20 MHz sub-channel n is inside an active
-// NOP window at time t.
-func (q *Quarantine) SubBlocked(n int, t sim.Time) bool {
-	return q.expiry[n] > t
+// Mask returns the sub-channels inside an active NOP window at t, as a
+// 5 GHz spectrum mask.
+func (q *Quarantine) Mask(t sim.Time) uint64 {
+	var m uint64
+	if t >= q.last {
+		return 0
+	}
+	for i, e := range q.expiry {
+		if e > t {
+			m |= 1 << i
+		}
+	}
+	return m
 }
 
-// Blocked reports whether any 20 MHz sub-channel covered by c is inside
-// an active NOP window — quarantine propagates to every bonded channel
-// that touches a struck sub-channel. Only 5 GHz channels can be radar
-// quarantined; other bands are never blocked.
-func (q *Quarantine) Blocked(c spectrum.Channel, t sim.Time) bool {
-	if c.Band != spectrum.Band5 || len(q.expiry) == 0 {
+// Touches reports whether c is a 5 GHz channel covering any sub-channel
+// of mask — quarantine propagates to every bonded channel that touches a
+// struck sub-channel. Only 5 GHz channels can be radar quarantined. A
+// channel the US plan does not have (malformed telemetry reaching the
+// install gate or the audit) is judged by the sub-channel numbers its
+// width would span, or by its own number when the width is no width.
+func Touches(c spectrum.Channel, mask uint64) bool {
+	if c.Band != spectrum.Band5 || mask == 0 {
 		return false
 	}
-	if !c.Width.Valid() {
-		return q.SubBlocked(c.Number, t)
+	if id, ok := spectrum.IDOf(c); ok {
+		return id.Mask()&mask != 0
 	}
-	for _, s := range c.Sub20Numbers() {
-		if q.SubBlocked(s, t) {
+	subs := []int{c.Number}
+	if c.Width.Valid() {
+		subs = c.Sub20Numbers()
+	}
+	for _, s := range subs {
+		if spectrum.Sub20Mask(spectrum.Band5, s)&mask != 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// Blocked reports whether any 20 MHz sub-channel covered by c is inside
+// an active NOP window at t.
+func (q *Quarantine) Blocked(c spectrum.Channel, t sim.Time) bool {
+	return Touches(c, q.Mask(t))
+}
+
 // BlockedSet returns the sub-channel numbers under an active NOP at t as
-// a set, or nil when none are. Expired entries are dropped from the
-// table on the way, bounding its size to one storm's worth of strikes.
+// a set (the shape turboca.Input.Blocked carries), or nil when none are.
 func (q *Quarantine) BlockedSet(t sim.Time) map[int]bool {
-	var out map[int]bool
-	for s, e := range q.expiry {
-		if e <= t {
-			delete(q.expiry, s)
-			continue
-		}
-		if out == nil {
-			out = make(map[int]bool)
-		}
-		out[s] = true
+	mask := q.Mask(t)
+	if mask == 0 {
+		return nil
 	}
-	return out
-}
-
-// Active counts sub-channels under an active NOP at t.
-func (q *Quarantine) Active(t sim.Time) int {
-	n := 0
-	for _, e := range q.expiry {
-		if e > t {
-			n++
+	out := make(map[int]bool, bits.OnesCount64(mask))
+	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
+		if Touches(c, mask) {
+			out[c.Number] = true
 		}
 	}
-	return n
-}
-
-// ActiveSubs lists the quarantined sub-channel numbers at t, sorted.
-func (q *Quarantine) ActiveSubs(t sim.Time) []int {
-	var out []int
-	for s, e := range q.expiry {
-		if e > t {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -160,24 +160,32 @@ func TestParseRecordingRejectsMalformed(t *testing.T) {
 func TestQuarantineWindow(t *testing.T) {
 	q := rfenv.NewQuarantine()
 	const t0 = 2 * sim.Hour
-	q.Strike([]int{52}, t0)
-	if !q.SubBlocked(52, t0) || !q.SubBlocked(52, t0+rfenv.NOPDuration-1) {
+	ch52, _ := spectrum.ChannelAt(spectrum.Band5, 52, spectrum.W20)
+	ch60, _ := spectrum.ChannelAt(spectrum.Band5, 60, spectrum.W20)
+	if struck := q.Strike([]int{52}, t0); struck != spectrum.Sub20Mask(spectrum.Band5, 52) || struck != q.Mask(t0) {
+		t.Fatalf("Strike returned mask %#x, Mask %#x, want ch52's bit", struck, q.Mask(t0))
+	}
+	if !q.Blocked(ch52, t0) || !q.Blocked(ch52, t0+rfenv.NOPDuration-1) {
 		t.Fatal("not blocked inside the NOP window")
 	}
-	if q.SubBlocked(52, t0+rfenv.NOPDuration) {
+	if q.Blocked(ch52, t0+rfenv.NOPDuration) {
 		t.Fatal("still blocked exactly at expiry — the window must be half-open")
 	}
 	// Re-strike mid-window: expiry moves to the later strike's.
 	q.Strike([]int{52}, t0+10*sim.Minute)
-	if !q.SubBlocked(52, t0+rfenv.NOPDuration+9*sim.Minute) {
+	if !q.Blocked(ch52, t0+rfenv.NOPDuration+9*sim.Minute) {
 		t.Fatal("re-strike did not extend the NOP")
 	}
 	// A strike never shortens an existing window.
 	q2 := rfenv.NewQuarantine()
 	q2.Strike([]int{60}, t0+20*sim.Minute)
 	q2.Strike([]int{60}, t0)
-	if !q2.SubBlocked(60, t0+20*sim.Minute+rfenv.NOPDuration-1) {
+	if !q2.Blocked(ch60, t0+20*sim.Minute+rfenv.NOPDuration-1) {
 		t.Fatal("earlier strike shortened a later window")
+	}
+	// A number that is no US 5 GHz 20 MHz channel strikes nothing.
+	if q3 := rfenv.NewQuarantine(); q3.Strike([]int{0, 38, 7}, t0) != 0 || q3.Mask(t0) != 0 {
+		t.Fatal("off-plan sub-channel numbers were quarantined")
 	}
 }
 
@@ -210,6 +218,20 @@ func TestQuarantinePropagation(t *testing.T) {
 	// w160 50.
 	if blocked != 4 {
 		t.Fatalf("expected 4 covering channels across widths, found %d", blocked)
+	}
+	// A channel the US plan does not have is still caught: by the numbers
+	// its width would span, or by its own number under a malformed width.
+	for _, c := range []spectrum.Channel{
+		{Band: spectrum.Band5, Number: 52},
+		{Band: spectrum.Band5, Number: 52, Width: -40},
+		{Band: spectrum.Band5, Number: 50, Width: spectrum.W40}, // would span 48+52
+	} {
+		if !q.Blocked(c, at) {
+			t.Fatalf("off-plan %+v inside the struck range not reported quarantined", c)
+		}
+	}
+	if q.Blocked(spectrum.Channel{Band: spectrum.Band5, Number: 56}, at) {
+		t.Fatal("off-plan channel outside the struck range reported quarantined")
 	}
 	// Other bands can never be quarantined.
 	for _, c := range spectrum.Channels(spectrum.Band2G4, spectrum.W20, true) {
@@ -246,15 +268,16 @@ func TestQuarantineBlockedSetAndExpiry(t *testing.T) {
 	if len(set) != 2 || !set[100] || !set[104] {
 		t.Fatalf("BlockedSet = %v, want {100,104}", set)
 	}
-	if got := q.ActiveSubs(sim.Minute); len(got) != 2 || got[0] != 100 || got[1] != 104 {
-		t.Fatalf("ActiveSubs = %v", got)
-	}
-	// After expiry: nil set, zero active, and the table GCs itself.
+	// Reading is free of side effects: asking about a later instant does
+	// not forget a window that is still open at an earlier one.
 	if set := q.BlockedSet(rfenv.NOPDuration); set != nil {
 		t.Fatalf("expired BlockedSet = %v, want nil", set)
 	}
-	if q.Active(rfenv.NOPDuration) != 0 {
-		t.Fatal("Active nonzero after expiry")
+	if q.Mask(rfenv.NOPDuration) != 0 {
+		t.Fatal("Mask nonzero after expiry")
+	}
+	if len(q.BlockedSet(sim.Minute)) != 2 {
+		t.Fatal("reading the table after expiry dropped a window still open at an earlier instant")
 	}
 }
 

@@ -34,27 +34,16 @@ type Evaluator struct {
 // candidate it is the choice of leaving a never-assigned AP off the air
 // (contributing its NodeP floor, exactly as logNetP scores it), and as an
 // Assign argument it clears a previous assignment.
-const Unassigned = -1
+const Unassigned = int(spectrum.None)
 
 // NewEvaluator builds an evaluator over one band's planning problem. The
-// per-AP candidate lists are a feasibility superset of everything the
-// greedy planners can produce, which is what makes an exhaustive search
-// over them a true upper bound for RunNBO and RunReservedCA (on inputs the
-// latter respects pinning for — it never checks):
-//
-//   - a pinned AP with a valid on-air channel is fixed there, as NBO
-//     pre-assigns it;
-//   - otherwise the band's candidates (DFS-free when the AP has clients,
-//     §4.5.2, and never radar-quarantined) filtered by the AP's width
-//     capability — ACC's loop;
-//   - the narrowest unquarantined non-DFS channels when that filter
-//     empties (then without the quarantine filter, mirroring ACC's
-//     deterministic degradation) — ACC's last-resort fallback;
-//   - the on-air channel, when valid and not quarantined — ACC's
-//     stay-put rule, and the baseline plan;
-//   - Unassigned, when there is no usable on-air channel — the baseline
-//     state of a never-assigned AP, and the only admissible "stay" for
-//     an AP whose on-air channel a radar strike just quarantined.
+// per-AP candidate lists are admissibleSets.reachable — the same provider
+// ACC, the DFS fallback and ReservedCA draw from, plus staying on the air
+// and the never-assigned state — so they are a feasibility superset of
+// everything the greedy planners can produce, which is what makes an
+// exhaustive search over them a true upper bound for RunNBO and
+// RunReservedCA (on inputs the latter respects pinning for — it never
+// checks).
 func NewEvaluator(cfg Config, in Input) *Evaluator {
 	p := newPlanner(cfg, in)
 	// Clear the incumbent layer: channelOf must reflect only what the
@@ -64,80 +53,11 @@ func NewEvaluator(cfg Config, in Input) *Evaluator {
 	}
 	e := &Evaluator{p: p, cands: make([][]int, len(p.views))}
 	for i, v := range p.views {
-		e.cands[i] = e.buildCandidates(i, v)
+		for _, c := range p.adm.reachable(v, p.onAir[i]) {
+			e.cands[i] = append(e.cands[i], int(c))
+		}
 	}
 	return e
-}
-
-// buildCandidates computes one AP's candidate list (see NewEvaluator).
-func (e *Evaluator) buildCandidates(i int, v *APView) []int {
-	p := e.p
-	if v.Pinned && p.onAir[i] != spectrum.None {
-		return []int{int(p.onAir[i])}
-	}
-	base := p.cands
-	if v.HasClients {
-		base = p.candNoDFS
-	}
-	maxW := v.MaxWidth
-	if maxW == 0 {
-		maxW = spectrum.W160
-	}
-	var cs []int
-	for _, c := range base {
-		if !p.blocked[c] && c.Channel().Width <= maxW {
-			cs = append(cs, int(c))
-		}
-	}
-	if len(cs) == 0 {
-		// ACC's narrowestFallback search space: the best-scoring channel
-		// among the narrowest non-DFS candidates, cap ignored — first
-		// skipping quarantined channels, then without the filter when the
-		// quarantine has swallowed every one.
-		cs = e.narrowestSet(cs, true)
-		if len(cs) == 0 {
-			cs = e.narrowestSet(cs, false)
-		}
-	}
-	if cur := p.onAir[i]; cur != spectrum.None && !p.blocked[cur] {
-		found := false
-		for _, c := range cs {
-			if c == int(cur) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			cs = append(cs, int(cur))
-		}
-	} else {
-		cs = append(cs, Unassigned)
-	}
-	return cs
-}
-
-// narrowestSet collects the narrowest non-DFS candidates, optionally
-// skipping quarantined ones — the same ladder narrowestAmong walks.
-func (e *Evaluator) narrowestSet(cs []int, skipBlocked bool) []int {
-	p := e.p
-	var minW spectrum.Width
-	for _, c := range p.candNoDFS {
-		if skipBlocked && p.blocked[c] {
-			continue
-		}
-		if w := c.Channel().Width; minW == 0 || w < minW {
-			minW = w
-		}
-	}
-	for _, c := range p.candNoDFS {
-		if skipBlocked && p.blocked[c] {
-			continue
-		}
-		if c.Channel().Width == minW {
-			cs = append(cs, int(c))
-		}
-	}
-	return cs
 }
 
 // NumAPs returns the problem size.

@@ -118,11 +118,6 @@ type Config struct {
 	// for any worker count: every round draws from its own RNG stream
 	// derived from (seed, hop level, round index).
 	Workers int
-	// FullRescore disables the incremental per-AP contribution cache and
-	// scores every NBO round with a full logNetP re-sum. Plans and scores
-	// are byte-identical either way (see rescore.go); this is the debug
-	// oracle the property tests compare the incremental path against.
-	FullRescore bool
 	// Obs, when non-nil, redirects the planner's metrics (pass/hop-level
 	// timings, NetP trajectory, accept/reject counters — see obs.go) to a
 	// private scope instead of the process-wide default registry. Tests
@@ -181,18 +176,17 @@ type planner struct {
 	// NBO passes refine the shallower levels' winner (§4.4.3-4.4.4).
 	current []spectrum.ID
 
-	// Channels are spectrum table IDs throughout. The per-channel rows
-	// below (blocked, extOf[i]) are indexed by ID directly and filled for
-	// the input band's range only.
-	cands     []spectrum.ID // candidate channels
-	candNoDFS []spectrum.ID
-	blocked   []bool // per channel: touches a quarantined sub-channel
+	// Channels are spectrum table IDs throughout; adm answers which of
+	// them an AP may take (admissible.go).
+	adm admissibleSets
 
 	// Precomputed per view:
 	loadShare [][4]float64 // usage share of clients by max-width slot
-	extOf     [][]float64  // worst external util per channel
-	weight    []float64    // contention weight this AP exerts on neighbors
-	penBase   []float64    // switch penalty before channel comparison
+	// extOf[i] is the worst external util per channel, indexed by ID and
+	// filled for the input band's range only.
+	extOf   [][]float64
+	weight  []float64 // contention weight this AP exerts on neighbors
+	penBase []float64 // switch penalty before channel comparison
 
 	// Scratch state for one NBO pass.
 	assign []spectrum.ID // spectrum.None = unassigned in the working plan
@@ -221,13 +215,10 @@ func newPlanner(cfg Config, in Input) *planner {
 	if cfg.MetricFloor == 0 {
 		cfg.MetricFloor = 1e-9
 	}
-	maxW := in.MaxWidth
-	if maxW == 0 {
-		maxW = spectrum.W160
-	}
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
+		adm:       newAdmissibleSets(in),
 		views:     make([]*APView, n),
 		idxOf:     make(map[int]int, n),
 		neigh:     make([][]int, n),
@@ -246,13 +237,6 @@ func newPlanner(cfg Config, in Input) *planner {
 		v := &in.APs[i]
 		p.views[i] = v
 		p.idxOf[v.ID] = i
-	}
-	for _, c := range spectrum.AllChannels(in.Band, maxW, in.AllowDFS) {
-		id, _ := spectrum.IDOf(c)
-		p.cands = append(p.cands, id)
-		if !c.DFS {
-			p.candNoDFS = append(p.candNoDFS, id)
-		}
 	}
 	for i, v := range p.views {
 		// An AP that has never been assigned reports a zero-value Current,
@@ -292,16 +276,6 @@ func newPlanner(cfg Config, in Input) *planner {
 		for c := lo; c < hi; c++ {
 			p.extOf[i][c] = p.extWorst(v, c.Sub20Numbers())
 		}
-	}
-	p.blocked = make([]bool, hi)
-	var quarantined uint64
-	for s, on := range in.Blocked {
-		if on {
-			quarantined |= spectrum.Sub20Mask(in.Band, s)
-		}
-	}
-	for c := lo; c < hi; c++ {
-		p.blocked[c] = c.Mask()&quarantined != 0
 	}
 	return p
 }

@@ -121,9 +121,9 @@ func TestHopRefinementAdoptsIncumbent(t *testing.T) {
 	cfg.Workers = 1
 
 	var incumbents [][]spectrum.ID
-	res := runNBO(cfg, in, rand.New(rand.NewSource(99)), []int{1, 0}, func(hop int, inc []spectrum.ID) {
+	res := runNBO(cfg, in, rand.New(rand.NewSource(99)), []int{1, 0}, nboHooks{onLevel: func(hop int, inc []spectrum.ID) {
 		incumbents = append(incumbents, inc)
-	})
+	}})
 	if len(incumbents) != 2 {
 		t.Fatalf("onLevel fired %d times, want 2", len(incumbents))
 	}

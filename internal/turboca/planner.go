@@ -15,81 +15,21 @@ import (
 // only NodeP values a single-AP change can affect). APs currently marked
 // in p.ignore (the paper's ψ) are treated as if they had no channel, which
 // lets NBO escape locally optimal plans by presuming upcoming changes.
+// Which channels i may take, and what it degrades to when none is
+// admissible, is admissibleSets.ladder's decision.
 func (p *planner) acc(i int) spectrum.ID {
-	cands := p.cands
-	if p.views[i].HasClients {
-		// §4.5.2: never move an AP with connected clients onto a DFS
-		// channel — they would sit through a 60 s CAC.
-		cands = p.candNoDFS
-	}
-	maxW := p.views[i].MaxWidth
-	bestScore := math.Inf(-1)
-	best := spectrum.None
-	for _, c := range cands {
-		if p.blocked[c] || c.Channel().Width > maxW {
-			continue
-		}
-		score := p.deltaScore(i, c)
-		if score > bestScore {
-			bestScore = score
-			best = c
-		}
-	}
-	if best == spectrum.None {
-		// No candidate cleared the width cap. Staying put is only safe when
-		// the current channel is itself admissible: no wider than the AP's
-		// cap, not a DFS channel while clients are associated (§4.5.2), and
-		// not inside an active radar quarantine. Otherwise fall back to the
-		// best narrowest non-DFS channel — keeping a channel that violates
-		// the constraint this filter exists to honor is worse than an
-		// out-of-cap move to a safe one.
-		if cur := p.current[i]; cur != spectrum.None {
-			ch := cur.Channel()
-			if ch.Width <= maxW && !(ch.DFS && p.views[i].HasClients) && !p.blocked[cur] {
-				return cur
-			}
-		}
-		best = p.narrowestFallback(i)
-	}
-	return best
+	return p.bestByDelta(i, p.adm.ladder(p.views[i], p.current[i]))
 }
 
-// narrowestFallback picks the best-scoring channel among the narrowest
-// unquarantined non-DFS candidates, ignoring the AP's width cap. It is
-// the last resort when no candidate is admissible under the cap (a
-// malformed cap narrower than every channel, or a quarantine collapsing
-// the admissible set) and the current channel violates a hard
-// constraint. If every non-DFS candidate is quarantined — unreachable
-// when strikes come from radar, which only exists on DFS channels — the
-// blocked filter is dropped so the planner still degrades to a
-// deterministic answer instead of failing.
-func (p *planner) narrowestFallback(i int) spectrum.ID {
-	if best := p.narrowestAmong(i, true); best != spectrum.None {
-		return best
-	}
-	return p.narrowestAmong(i, false)
-}
-
-func (p *planner) narrowestAmong(i int, skipBlocked bool) spectrum.ID {
-	var minW spectrum.Width
-	for _, c := range p.candNoDFS {
-		if skipBlocked && p.blocked[c] {
-			continue
-		}
-		if w := c.Channel().Width; minW == 0 || w < minW {
-			minW = w
-		}
-	}
+// bestByDelta returns the member of cs with the highest deltaScore for i,
+// the first such in cs order, and spectrum.None only when cs is empty: if
+// no score compares (NaN loads on input that skipped Sanitize) the answer
+// is still a member of cs, its first.
+func (p *planner) bestByDelta(i int, cs []spectrum.ID) spectrum.ID {
 	bestScore := math.Inf(-1)
 	best := spectrum.None
-	for _, c := range p.candNoDFS {
-		if skipBlocked && p.blocked[c] {
-			continue
-		}
-		if c.Channel().Width != minW {
-			continue
-		}
-		if s := p.deltaScore(i, c); s > bestScore {
+	for _, c := range cs {
+		if s := p.deltaScore(i, c); s > bestScore || best == spectrum.None {
 			bestScore = s
 			best = c
 		}
@@ -118,25 +58,14 @@ func (p *planner) deltaScore(i int, c spectrum.ID) float64 {
 	return score
 }
 
-// bestNonDFSFallback picks the best DFS-free channel for i, used when a
-// radar event forces an immediate move (§4.5.2). Quarantined channels
-// are excluded — a fallback that lands inside an active NOP window is
-// exactly the violation the fallback exists to avoid. Returns the zero
+// bestNonDFSFallback picks the best DFS-free channel within i's cap, used
+// when a radar event forces an immediate move (§4.5.2). Quarantined
+// channels are excluded — a fallback that lands inside an active NOP window
+// is exactly the violation the fallback exists to avoid. Returns the zero
 // Channel when nothing qualifies; the backend then draws its own
 // quarantine-aware fallback.
 func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
-	maxW := p.views[i].MaxWidth
-	bestScore := math.Inf(-1)
-	best := spectrum.None
-	for _, c := range p.candNoDFS {
-		if p.blocked[c] || c.Channel().Width > maxW {
-			continue
-		}
-		if s := p.deltaScore(i, c); s > bestScore {
-			bestScore = s
-			best = c
-		}
-	}
+	best := p.bestByDelta(i, p.adm.upTo(true, p.views[i].MaxWidth))
 	if best == spectrum.None {
 		return spectrum.Channel{}
 	}
@@ -269,6 +198,21 @@ func (p *planner) snapshotPlan() Plan {
 	return plan
 }
 
+// switches counts the APs plan moves off their reported Current channel.
+func (p *planner) switches(plan Plan) int {
+	n := 0
+	for id, a := range plan {
+		cur := p.views[p.idxOf[id]].Current
+		if !cur.Width.Valid() {
+			continue // first assignment ever: nothing switched away from
+		}
+		if cur.Number != a.Channel.Number || cur.Width != a.Channel.Width {
+			n++
+		}
+	}
+	return n
+}
+
 // Result reports one planning invocation.
 type Result struct {
 	Plan Plan
@@ -309,12 +253,21 @@ func roundSeed(base int64, level, round int) int64 {
 // rounds in index order — so a given seed yields byte-identical results at
 // any worker count.
 func RunNBO(cfg Config, in Input, rng *rand.Rand, hops []int) Result {
-	return runNBO(cfg, in, rng, hops, nil)
+	return runNBO(cfg, in, rng, hops, nboHooks{})
 }
 
-// runNBO is RunNBO plus a test hook: onLevel, when non-nil, observes the
-// working incumbent after each hop level's adoption step.
-func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop int, incumbent []spectrum.ID)) Result {
+// nboHooks are runNBO's test hooks; each may be nil.
+type nboHooks struct {
+	// onRound observes a worker's planner right after it scored a round. It
+	// runs on the worker's goroutine.
+	onRound func(wp *planner, score float64)
+	// onLevel observes the working incumbent after each hop level's
+	// adoption step.
+	onLevel func(hop int, incumbent []spectrum.ID)
+}
+
+// runNBO is RunNBO plus test hooks.
+func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Result {
 	m := cfg.metrics()
 	sp := cfg.obsRegistry().Tracer().Begin("turboca.pass")
 	passStart := time.Now()
@@ -368,6 +321,9 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 					rr := rand.New(rand.NewSource(roundSeed(base, li, r)))
 					wp.nbo(rr, h)
 					out[r] = roundOut{wp.score(), append([]spectrum.ID(nil), wp.assign...)}
+					if hooks.onRound != nil {
+						hooks.onRound(wp, out[r].score)
+					}
 				}
 			}(w)
 		}
@@ -403,8 +359,8 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 				}
 			}
 		}
-		if onLevel != nil {
-			onLevel(h, append([]spectrum.ID(nil), p.current...))
+		if hooks.onLevel != nil {
+			hooks.onLevel(h, append([]spectrum.ID(nil), p.current...))
 		}
 	}
 
@@ -417,15 +373,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, onLevel func(hop i
 		}
 	}
 	res.Plan = p.snapshotPlan()
-	for id, a := range res.Plan {
-		cur := p.views[p.idxOf[id]].Current
-		if !cur.Width.Valid() {
-			continue // first assignment ever: nothing switched away from
-		}
-		if cur.Number != a.Channel.Number || cur.Width != a.Channel.Width {
-			res.Switches++
-		}
-	}
+	res.Switches = p.switches(res.Plan)
 	m.netpBest.Set(milliNetP(bestScore))
 	m.switchesDone.Add(int64(res.Switches))
 	return res

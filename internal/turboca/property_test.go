@@ -1,12 +1,12 @@
-package turboca_test
+package turboca
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/spectrum"
-	"repro/internal/turboca"
 )
 
 // propertySeeds is the number of random networks the invariant suite
@@ -20,8 +20,8 @@ const propertySeeds = 120
 // even DFS current channels (legal residue of a regulatory change even
 // when AllowDFS is false). Sanitize is applied, as the service always
 // does before planning.
-func randomInput(r *rand.Rand) turboca.Input {
-	in := turboca.Input{Band: spectrum.Band5, AllowDFS: r.Intn(2) == 0}
+func randomInput(r *rand.Rand) Input {
+	in := Input{Band: spectrum.Band5, AllowDFS: r.Intn(2) == 0}
 	if r.Intn(8) == 0 {
 		in.Band = spectrum.Band2G4
 	}
@@ -34,7 +34,7 @@ func randomInput(r *rand.Rand) turboca.Input {
 
 	n := 4 + r.Intn(25)
 	for i := 0; i < n; i++ {
-		v := turboca.APView{
+		v := APView{
 			ID:          i,
 			MaxWidth:    widths[r.Intn(len(widths))],
 			HasClients:  r.Float64() < 0.7,
@@ -82,18 +82,18 @@ func randomInput(r *rand.Rand) turboca.Input {
 
 // incumbentPlan converts the input's on-air channels into a Plan, the
 // baseline RunNBO's accept-if-better loop scores against.
-func incumbentPlan(in turboca.Input) turboca.Plan {
-	p := turboca.Plan{}
+func incumbentPlan(in Input) Plan {
+	p := Plan{}
 	for i := range in.APs {
 		if in.APs[i].Current.Width.Valid() {
-			p[in.APs[i].ID] = turboca.Assignment{Channel: in.APs[i].Current}
+			p[in.APs[i].ID] = Assignment{Channel: in.APs[i].Current}
 		}
 	}
 	return p
 }
 
 // plansIdentical reports byte-identity of two plans including fallbacks.
-func plansIdentical(a, b turboca.Plan) bool {
+func plansIdentical(a, b Plan) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -118,7 +118,7 @@ func plansIdentical(a, b turboca.Plan) bool {
 // AP's own capability, DFS only when the network admits it, never DFS
 // when the AP has clients; staying put is always legal. DFS assignments
 // carry a non-DFS fallback.
-func checkLegality(t *testing.T, in turboca.Input, plan turboca.Plan) {
+func checkLegality(t *testing.T, in Input, plan Plan) {
 	t.Helper()
 	netMax := in.MaxWidth
 	if netMax == 0 {
@@ -198,32 +198,42 @@ func obsEqual(a, b deterministicObs) bool {
 //  4. a full-coverage plan re-evaluates (via NetP) to exactly the
 //     LogNetP the planner reported,
 //  5. results — plan, score, counters — are byte-identical across
-//     worker counts AND across the incremental/full-rescore scoring
-//     paths (Config.FullRescore is the debug oracle the incremental
-//     contribution cache must match bit for bit), and
-//  6. the deterministic slice of the obs snapshot (counters, NetP
+//     worker counts,
+//  6. after every NBO round, on every worker, the incremental score
+//     (rescore.go's contribution cache, however warm that worker's
+//     earlier rounds left it) is bitwise the full logNetP re-sum, and
+//  7. the deterministic slice of the obs snapshot (counters, NetP
 //     histogram quantiles) is identical across all those shapes.
 func TestPlanInvariants(t *testing.T) {
-	shapes := []struct {
-		workers int
-		full    bool
-	}{{1, false}, {3, false}, {8, false}, {1, true}, {8, true}}
 	for seed := int64(0); seed < propertySeeds; seed++ {
 		in := randomInput(rand.New(rand.NewSource(seed)))
-		base := turboca.NetP(turboca.DefaultConfig(), in, incumbentPlan(in))
+		base := NetP(DefaultConfig(), in, incumbentPlan(in))
 
-		var ref turboca.Result
+		var ref Result
 		var refObs deterministicObs
-		for wi, shape := range shapes {
-			workers := shape.workers
+		for wi, workers := range []int{1, 3, 8} {
 			reg := obs.NewRegistry()
-			cfg := turboca.DefaultConfig()
+			cfg := DefaultConfig()
 			cfg.Runs = 4
 			cfg.Workers = workers
-			cfg.FullRescore = shape.full
 			cfg.Obs = reg.Scope("turboca")
-			res := turboca.RunNBO(cfg, in, rand.New(rand.NewSource(seed*7919+1)), []int{1, 0})
+			var checked atomic.Int64
+			res := runNBO(cfg, in, rand.New(rand.NewSource(seed*7919+1)), []int{1, 0}, nboHooks{
+				onRound: func(wp *planner, score float64) {
+					checked.Add(1)
+					if full := wp.logNetP(); score != full {
+						t.Errorf("seed %d: workers=%d incremental score %v != full re-sum %v", seed, workers, score, full)
+					}
+				},
+			})
 			snap := obsSlice(reg)
+			// A missed metric key or an uncalled hook reads as zero and would
+			// let invariants 6 and 7 pass vacuously.
+			if want := int64(res.Rounds); want == 0 || checked.Load() != want ||
+				snap.rounds != want || snap.netpRound.Count != want || snap.passes != 1 {
+				t.Fatalf("seed %d: workers=%d: %d rounds, hook saw %d, metrics saw %d (histogram %d) in %d passes",
+					seed, workers, res.Rounds, checked.Load(), snap.rounds, snap.netpRound.Count, snap.passes)
+			}
 
 			if wi == 0 {
 				ref, refObs = res, snap
@@ -253,7 +263,7 @@ func TestPlanInvariants(t *testing.T) {
 						seed, res.Improved, res.LogNetP, base)
 				}
 				if res.Improved && len(res.Plan) == len(in.APs) {
-					if got := turboca.NetP(cfg, in, res.Plan); got != res.LogNetP {
+					if got := NetP(cfg, in, res.Plan); got != res.LogNetP {
 						t.Errorf("seed %d: full plan re-evaluates to %f, planner reported %f",
 							seed, got, res.LogNetP)
 					}
@@ -263,16 +273,16 @@ func TestPlanInvariants(t *testing.T) {
 
 			if res.LogNetP != ref.LogNetP || res.Rounds != ref.Rounds ||
 				res.Switches != ref.Switches || res.Improved != ref.Improved {
-				t.Errorf("seed %d: workers=%d full=%v result (%f, %d, %d, %v) != reference (%f, %d, %d, %v)",
-					seed, workers, shape.full, res.LogNetP, res.Rounds, res.Switches, res.Improved,
+				t.Errorf("seed %d: workers=%d result (%f, %d, %d, %v) != reference (%f, %d, %d, %v)",
+					seed, workers, res.LogNetP, res.Rounds, res.Switches, res.Improved,
 					ref.LogNetP, ref.Rounds, ref.Switches, ref.Improved)
 			}
 			if !plansIdentical(res.Plan, ref.Plan) {
-				t.Errorf("seed %d: workers=%d full=%v plan differs from reference", seed, workers, shape.full)
+				t.Errorf("seed %d: workers=%d plan differs from reference", seed, workers)
 			}
 			if !obsEqual(snap, refObs) {
-				t.Errorf("seed %d: workers=%d full=%v deterministic metrics differ from reference:\n%+v\nvs\n%+v",
-					seed, workers, shape.full, snap, refObs)
+				t.Errorf("seed %d: workers=%d deterministic metrics differ from reference:\n%+v\nvs\n%+v",
+					seed, workers, snap, refObs)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package turboca
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/spectrum"
@@ -265,6 +267,72 @@ func TestEvaluatorQuarantineSuperset(t *testing.T) {
 		}
 		if !found {
 			t.Fatalf("NBO assigned AP %d channel %v outside the evaluator's candidates", e.APID(i), a.Channel)
+		}
+	}
+}
+
+// TestLadderHasOneReading walks the admissible-channel ladder over every
+// width cap (including the zero cap of an input that skipped Sanitize),
+// with and without clients, under no, partial and every-non-DFS
+// quarantine. ACC's pick and the Evaluator's enumeration must come from
+// the same reading of the constraints: the pick is always a candidate, it
+// is quarantined only on the ladder's last rung, and the Evaluator offers
+// nothing beyond the cap that ACC could not itself fall back to.
+func TestLadderHasOneReading(t *testing.T) {
+	var below149, nonDFS map[int]bool = map[int]bool{}, map[int]bool{}
+	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
+		if c.Number < 149 {
+			below149[c.Number] = true
+		}
+		if !c.DFS {
+			nonDFS[c.Number] = true
+		}
+	}
+	quarantines := []struct {
+		name     string
+		blocked  map[int]bool
+		lastRung bool // every non-DFS channel is quarantined
+	}{{"none", nil, false}, {"partial", below149, false}, {"every non-DFS struck", nonDFS, true}}
+
+	for _, q := range quarantines {
+		for _, maxW := range []spectrum.Width{0, spectrum.W20, spectrum.W40, spectrum.W80, spectrum.W160} {
+			for _, hasClients := range []bool{false, true} {
+				// A NaN load (unsanitized telemetry) makes every deltaScore
+				// NaN; the pick must stay inside the same sets.
+				for _, load := range []float64{1.0, math.NaN()} {
+					name := fmt.Sprintf("%s cap=%v clients=%v load=%v", q.name, maxW, hasClients, load)
+					in := chainInput(3, spectrum.W160, load)
+					in.Blocked = q.blocked
+					for i := range in.APs {
+						in.APs[i].MaxWidth = maxW
+						in.APs[i].HasClients = hasClients
+					}
+					p := newPlanner(DefaultConfig(), in)
+					e := NewEvaluator(DefaultConfig(), in)
+					for i := range p.views {
+						pick := p.acc(i)
+						if pick == spectrum.None {
+							t.Fatalf("%s: acc(%d) found nothing", name, i)
+						}
+						member := false
+						for _, c := range e.Candidates(i) {
+							member = member || c == int(pick)
+							if c == Unassigned || c == e.OnAir(i) {
+								continue
+							}
+							if ch := e.Channel(c); ch.Width > maxW && (ch.Width != spectrum.W20 || ch.DFS) {
+								t.Errorf("%s: AP %d is offered %v, which ACC can never return", name, i, ch)
+							}
+						}
+						if !member {
+							t.Errorf("%s: acc(%d) = %v is not an Evaluator candidate", name, i, pick.Channel())
+						}
+						if touchesAny(pick.Channel(), q.blocked) && !(q.lastRung && (hasClients || maxW == 0)) {
+							t.Errorf("%s: acc(%d) = %v is quarantined above the last rung", name, i, pick.Channel())
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -40,12 +40,8 @@ func (p *planner) contribution(i int) float64 {
 // score returns ln NetP of the working state, bitwise identical to
 // logNetP at every call. Callers must only invoke it when no AP is marked
 // in p.ignore (the baseline and post-NBO states), so channelOf reflects
-// real assignments. Config.FullRescore routes every call through the full
-// re-sum instead — the debug oracle the property tests compare against.
+// real assignments.
 func (p *planner) score() float64 {
-	if p.cfg.FullRescore {
-		return p.logNetP()
-	}
 	n := len(p.views)
 	if p.contrib == nil {
 		p.contrib = make([]float64, n)

@@ -19,16 +19,9 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 	}
 
 	for i := range p.views {
-		cands := p.cands
-		if p.views[i].HasClients {
-			cands = p.candNoDFS
-		}
 		bestScore := math.Inf(-1)
 		best := spectrum.None
-		for _, c := range cands {
-			if p.blocked[c] || c.Channel().Width != fixedWidth {
-				continue
-			}
+		for _, c := range p.adm.exactly(p.views[i].HasClients, fixedWidth) {
 			// Isolated objective: only this AP's NodeP, evaluated against
 			// the working plan (earlier APs in the sequence keep their
 			// new channels; later ones their current).
@@ -47,14 +40,6 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 	}
 
 	res := Result{Plan: p.snapshotPlan(), LogNetP: p.logNetP(), Improved: true}
-	for id, a := range res.Plan {
-		cur := p.views[p.idxOf[id]].Current
-		if !cur.Width.Valid() {
-			continue // first assignment ever: nothing switched away from
-		}
-		if cur.Number != a.Channel.Number || cur.Width != a.Channel.Width {
-			res.Switches++
-		}
-	}
+	res.Switches = p.switches(res.Plan)
 	return res
 }

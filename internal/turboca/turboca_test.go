@@ -76,7 +76,7 @@ func TestZeroLoadAPIndifferent(t *testing.T) {
 	in := chainInput(1, spectrum.W80, 0)
 	in.APs[0].Load = 0
 	p := newPlanner(DefaultConfig(), in)
-	for _, c := range p.cands {
+	for _, c := range p.adm.open[0] {
 		if got := p.logNodeP(0, c); got != 0 {
 			t.Fatalf("zero-load NodeP = %f on %v", got, c.Channel())
 		}
