@@ -4,7 +4,8 @@
 # determinism contract is only meaningful if it is also data-race free),
 # the control-plane chaos suite under the race detector, the coverage
 # floor on the packet-path packages, a short fuzz smoke over the
-# checked-in corpora, and the separate bench/ module's own gate.
+# checked-in corpora, the separate bench/ module's own gate, and a small
+# slice of the figure runner through both of its front-ends.
 
 GO ?= go
 
@@ -26,9 +27,9 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-module gap loc
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-module figures gap loc
 
-verify: vet build test race chaos chaos-kill storm cover fuzz bench-module
+verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
 
 vet:
@@ -119,6 +120,15 @@ bench:
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	bash bench/run.sh -quick -repeats 2
+
+# The figure runner end to end through both front-ends: BenchmarkFigures
+# executed (not just compiled) on three cheap figures, whose metrics are
+# the numbers of internal/experiments/testdata/golden_cheap.md, and
+# cmd/experiments on a selection that needs the fleet, a backend and the
+# testbed; the Uplink report exits 1 if the agent acted on pure uplink.
+figures:
+	$(GO) test -run '^$$' -bench 'Figures/(Fig1|Table1|Fig7)$$' -benchtime 1x .
+	$(GO) run ./cmd/experiments -quick -only fig1,table1,fig7,uplink
 
 # Optimality-gap campaign (advisory, non-failing in verify): the exact
 # branch-and-bound oracle certifies NBO's NetP on every <=12-AP scenario

@@ -4,8 +4,22 @@ import (
 	"math/rand"
 
 	"repro/internal/backend"
+	"repro/internal/sim"
+	"repro/internal/spectrum"
+	"repro/internal/topo"
 	"repro/internal/turboca"
 )
+
+// plannerInput returns TurboCA's default options and the 5 GHz planner
+// input of sc at 13:00 — the midday snapshot the planner ablations and the
+// NBO micro-benchmarks plan against.
+func plannerInput(sc *topo.Scenario, engineSeed int64) (backend.Options, turboca.Input) {
+	opt := backend.DefaultOptions(backend.AlgTurboCA)
+	engine := sim.NewEngine(engineSeed)
+	be := backend.New(opt, sc, engine)
+	engine.RunUntil(13 * sim.Hour)
+	return opt, be.PlannerInput(spectrum.Band5)
+}
 
 // turbocaRun executes one RunNBO with the given hop schedule (and
 // optionally the uniform-pick ablation), returning log NetP.

@@ -73,11 +73,7 @@ func BenchmarkPerfMACSaturatedLink(b *testing.B) {
 }
 
 func BenchmarkPerfNBOMuseum(b *testing.B) {
-	sc := topo.Museum(3)
-	engine := sim.NewEngine(3)
-	be := backend.New(backend.DefaultOptions(backend.AlgTurboCA), sc, engine)
-	engine.RunUntil(13 * sim.Hour)
-	in := be.PlannerInput(spectrum.Band5)
+	_, in := plannerInput(topo.Museum(3), 3)
 	cfg := turboca.DefaultConfig()
 	rng := rand.New(rand.NewSource(4))
 	b.ResetTimer()
@@ -87,11 +83,7 @@ func BenchmarkPerfNBOMuseum(b *testing.B) {
 }
 
 func BenchmarkPerfNBOCampus(b *testing.B) {
-	sc := topo.Campus(3)
-	engine := sim.NewEngine(3)
-	be := backend.New(backend.DefaultOptions(backend.AlgTurboCA), sc, engine)
-	engine.RunUntil(13 * sim.Hour)
-	in := be.PlannerInput(spectrum.Band5)
+	_, in := plannerInput(topo.Campus(3), 3)
 	// The ~600-AP campus at several worker counts; each invocation gets a
 	// fresh rng from the same seed, so every count (and every iteration)
 	// produces the identical plan and the deltas are pure parallel speedup.

@@ -1,482 +1,48 @@
-// Package repro_test regenerates every table and figure in the paper's
-// evaluation as Go benchmarks. Each benchmark runs the corresponding
-// experiment (cached across benchmarks where several figures share one
-// run) and reports the headline numbers via b.ReportMetric, so
-// `go test -bench=. -benchmem` emits the reproduced values alongside
-// timing. cmd/experiments prints the same experiments as full tables.
+// Package repro_test exposes the paper's evaluation as Go benchmarks.
+// BenchmarkFigures ranges over internal/experiments' index — the same
+// runners, seed and parameters cmd/experiments prints as tables — and
+// reports each experiment's measured values via b.ReportMetric, so
 //
-// Index (see DESIGN.md §4):
+//	go test -run '^$' -bench 'Figures/Fig16$' -benchtime 1x .
 //
-//	Fig 1   BenchmarkFig1ClientCapabilities
-//	Fig 2   BenchmarkFig2UtilizationCDF
-//	Fig 3   BenchmarkFig3InterfererCDF
-//	Fig 4   BenchmarkFig4ACLatency
-//	Fig 5   BenchmarkFig5BitrateDistribution
-//	Tab 1   BenchmarkTable1ChannelWidths
-//	Fig 6   BenchmarkFig6APSnapshot
-//	Fig 7   BenchmarkFig7RSSIPDF
-//	Tab 2   BenchmarkTable2Usage
-//	Fig 8   BenchmarkFig8TCPLatencyCDF
-//	Fig 9   BenchmarkFig9BitrateEfficiency
-//	Fig 10  BenchmarkFig10LatencyGap
-//	Fig 14  BenchmarkFig14Cwnd
-//	Fig 15  BenchmarkFig15Aggregation
-//	Fig 16  BenchmarkFig16Throughput
-//	Fig 17  BenchmarkFig17Fairness
-//	Fig 18  BenchmarkFig18MultiAP
+// emits exactly the numbers of EXPERIMENTS.md's Fig 16 section. Sub-
+// benchmark names are the index IDs without spaces (Fig1 … Fig18, Table1,
+// Table2, Dense, Oracle, Density, Chaos, Uplink, Metrics); DESIGN.md §4 is
+// the per-experiment index. The ablations (DESIGN.md §5) follow.
 package repro_test
 
 import (
-	"sort"
-	"sync"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
-	"repro/internal/phy"
 	"repro/internal/sim"
-	"repro/internal/spectrum"
-	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/topo"
 )
 
-// ---------------------------------------------------------------------------
-// Shared fleet (Section 3 figures).
+// session is shared by every benchmark in the package, so figures that
+// read the same run (and the ablations' full-FastACK arm) simulate it once.
+var session = experiments.NewSession(experiments.Options{Seed: 42})
 
-var fleetOnce = onceValue(func() *fleet.Fleet {
-	return fleet.Generate(fleet.Options{Seed: 2017, Networks: 800})
-})
-
-// onceValue memoizes an expensive computation across benchmarks.
-func onceValue[T any](f func() T) func() T {
-	var once sync.Once
-	var v T
-	return func() T {
-		once.Do(func() { v = f() })
-		return v
-	}
-}
-
-func BenchmarkFig1ClientCapabilities(b *testing.B) {
-	const n = 100000
+// reportFigure runs e as a benchmark body and reports its values.
+func reportFigure(b *testing.B, e experiments.Experiment) {
+	var r experiments.Report
 	for i := 0; i < b.N; i++ {
-		c15 := fleet.CapabilityReport(fleet.Cohort2015, n, 1)
-		c17 := fleet.CapabilityReport(fleet.Cohort2017, n, 2)
-		b.ReportMetric(100*float64(c15.Count("802.11ac"))/n, "ac2015_%")
-		b.ReportMetric(100*float64(c17.Count("802.11ac"))/n, "ac2017_%")
-		b.ReportMetric(100*float64(c17.Count("2.4GHz-only"))/n, "24only2017_%")
-		b.ReportMetric(100*float64(c17.Count(">=2SS"))/n, "2ss2017_%")
+		r = e.Run(session)
 	}
-}
-
-func BenchmarkFig2UtilizationCDF(b *testing.B) {
-	f := fleetOnce()
-	for i := 0; i < b.N; i++ {
-		u24 := f.UtilizationCDF(spectrum.Band2G4, 10)
-		u5 := f.UtilizationCDF(spectrum.Band5, 10)
-		b.ReportMetric(100*u24.Median(), "util24_p50_%")
-		b.ReportMetric(100*u5.Median(), "util5_p50_%")
-		b.ReportMetric(100*u24.Percentile(90), "util24_p90_%")
-	}
-}
-
-func BenchmarkFig3InterfererCDF(b *testing.B) {
-	f := fleetOnce()
-	for i := 0; i < b.N; i++ {
-		i24 := f.InterfererCDF(spectrum.Band2G4, 10)
-		i5 := f.InterfererCDF(spectrum.Band5, 10)
-		b.ReportMetric(i24.Median(), "intf24_p50")
-		b.ReportMetric(i5.Median(), "intf5_p50")
-		b.ReportMetric(i24.Percentile(90), "intf24_p90")
-		b.ReportMetric(i5.Percentile(90), "intf5_p90")
-	}
-}
-
-// acStudyOnce caches the Fig 4 experiment (shared harness with
-// internal/experiments).
-type acResult struct {
-	meanMs map[phy.AccessCategory]float64
-	lossPc map[phy.AccessCategory]float64
-}
-
-var acStudyOnce = onceValue(func() acResult {
-	lat, loss := experiments.RunACStudy(experiments.Options{Seed: 40})
-	return acResult{meanMs: lat, lossPc: loss}
-})
-
-func BenchmarkFig4ACLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := acStudyOnce()
-		b.ReportMetric(r.meanMs[phy.ACVO], "VO_ms")
-		b.ReportMetric(r.meanMs[phy.ACVI], "VI_ms")
-		b.ReportMetric(r.meanMs[phy.ACBE], "BE_ms")
-		b.ReportMetric(r.meanMs[phy.ACBK], "BK_ms")
-		b.ReportMetric(r.lossPc[phy.ACBE], "BE_loss_%")
-		b.ReportMetric(r.lossPc[phy.ACBK], "BK_loss_%")
-	}
-}
-
-func BenchmarkFig5BitrateDistribution(b *testing.B) {
-	f := fleetOnce()
-	for i := 0; i < b.N; i++ {
-		s := f.BitrateDistribution(50000)
-		b.ReportMetric(s.Median(), "rate_p50_mbps")
-		b.ReportMetric(s.Percentile(90), "rate_p90_mbps")
-	}
-}
-
-func BenchmarkTable1ChannelWidths(b *testing.B) {
-	f := fleetOnce()
-	for i := 0; i < b.N; i++ {
-		all, large := f.WidthTable()
-		b.ReportMetric(100*all.Fraction("80MHz"), "all_80MHz_%")
-		b.ReportMetric(100*large.Fraction("80MHz"), "large_80MHz_%")
-		b.ReportMetric(100*large.Fraction("20MHz"), "large_20MHz_%")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Channel planning experiments (Section 4).
-
-// abRun holds one deployment A/B evaluation, shared by Table 2 and
-// Figs 8-9.
-type abRun struct {
-	dailyTB    map[backend.Algorithm][]float64 // per evaluated day
-	peakTB     map[backend.Algorithm][]float64 // best hour per day
-	latency    map[backend.Algorithm]*stats.Sample
-	efficiency map[backend.Algorithm]*stats.Sample
-	switches   map[backend.Algorithm]int
-}
-
-// runAB simulates days of a scenario under both algorithms, skipping the
-// first day (as §4.6.1 skips the first week).
-func runAB(build func(int64) *topo.Scenario, days int) abRun {
-	out := abRun{
-		dailyTB:    map[backend.Algorithm][]float64{},
-		peakTB:     map[backend.Algorithm][]float64{},
-		latency:    map[backend.Algorithm]*stats.Sample{},
-		efficiency: map[backend.Algorithm]*stats.Sample{},
-		switches:   map[backend.Algorithm]int{},
-	}
-	for _, alg := range []backend.Algorithm{backend.AlgReservedCA, backend.AlgTurboCA} {
-		sc := build(42)
-		engine := sim.NewEngine(1)
-		be := backend.New(backend.DefaultOptions(alg), sc, engine)
-		be.Start()
-		end := sim.Time(days) * sim.Day
-		engine.RunUntil(end)
-
-		usage := be.DB.Table("usage")
-		for day := 1; day < days; day++ {
-			from := sim.Time(day) * sim.Day
-			out.dailyTB[alg] = append(out.dailyTB[alg], usage.SumField("bytes", from, from+sim.Day)/1e12)
-			best := 0.0
-			for h := sim.Time(0); h < sim.Day; h += sim.Hour {
-				if v := usage.SumField("bytes", from+h, from+h+sim.Hour) / 1e12; v > best {
-					best = v
-				}
-			}
-			out.peakTB[alg] = append(out.peakTB[alg], best)
-		}
-		out.latency[alg] = be.DB.Table("tcp_latency").AggregateField("ms", sim.Day, end)
-		out.efficiency[alg] = be.DB.Table("bitrate_eff").AggregateField("eff", sim.Day, end)
-		out.switches[alg] = be.Switches()
-	}
-	return out
-}
-
-var museumAB = onceValue(func() abRun { return runAB(topo.Museum, 3) })
-var campusAB = onceValue(func() abRun { return runAB(topo.Campus, 3) })
-
-func meanStd(xs []float64) (mean, std float64) {
-	s := stats.NewSample(len(xs))
-	s.AddAll(xs...)
-	return s.Mean(), s.Stddev()
-}
-
-func BenchmarkTable2Usage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := museumAB()
-		c := campusAB()
-		mDailyR, mSigR := meanStd(m.dailyTB[backend.AlgReservedCA])
-		mDailyT, mSigT := meanStd(m.dailyTB[backend.AlgTurboCA])
-		mPeakR, _ := meanStd(m.peakTB[backend.AlgReservedCA])
-		mPeakT, _ := meanStd(m.peakTB[backend.AlgTurboCA])
-		cDailyR, _ := meanStd(c.dailyTB[backend.AlgReservedCA])
-		cDailyT, _ := meanStd(c.dailyTB[backend.AlgTurboCA])
-		cPeakR, _ := meanStd(c.peakTB[backend.AlgReservedCA])
-		cPeakT, _ := meanStd(c.peakTB[backend.AlgTurboCA])
-
-		b.ReportMetric(mDailyR, "MNet_daily_res_TB")
-		b.ReportMetric(mDailyT, "MNet_daily_turbo_TB")
-		b.ReportMetric(mSigR+mSigT, "MNet_sigma_sum_TB")
-		b.ReportMetric(100*(mPeakT-mPeakR)/mPeakR, "MNet_peak_gain_%")
-		b.ReportMetric(cDailyR, "UNet_daily_res_TB")
-		b.ReportMetric(cDailyT, "UNet_daily_turbo_TB")
-		b.ReportMetric(100*(cPeakT-cPeakR)/cPeakR, "UNet_peak_gain_%")
-	}
-}
-
-func BenchmarkFig8TCPLatencyCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := museumAB()
-		res := m.latency[backend.AlgReservedCA]
-		turbo := m.latency[backend.AlgTurboCA]
-		b.ReportMetric(res.Median(), "reserved_p50_ms")
-		b.ReportMetric(turbo.Median(), "turbo_p50_ms")
-		b.ReportMetric(100*(turbo.Median()-res.Median())/res.Median(), "p50_change_%")
-		// §4.6.2: the >400 ms tail is algorithm-independent.
-		b.ReportMetric(100*(1-res.CDF(400)), "reserved_tail400_%")
-		b.ReportMetric(100*(1-turbo.CDF(400)), "turbo_tail400_%")
-	}
-}
-
-func BenchmarkFig9BitrateEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		m := museumAB()
-		res := m.efficiency[backend.AlgReservedCA]
-		turbo := m.efficiency[backend.AlgTurboCA]
-		b.ReportMetric(res.Median(), "reserved_p50")
-		b.ReportMetric(turbo.Median(), "turbo_p50")
-		b.ReportMetric(100*(turbo.Median()-res.Median())/res.Median(), "p50_gain_%")
-	}
-}
-
-func BenchmarkFig6APSnapshot(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		sc := topo.Office(6)
-		engine := sim.NewEngine(6)
-		be := backend.New(backend.DefaultOptions(backend.AlgNone), sc, engine)
-		be.Start()
-		engine.RunUntil(sim.Day)
-		// Fig 6 plots one AP's day: usage and utilization move much
-		// faster than the client count.
-		key := sc.APs[0].Name
-		served := be.DB.Table("usage").FieldRange(key, "served", 0, sim.Day)
-		s := stats.NewSample(len(served))
-		for _, p := range served {
-			s.Add(p.V)
-		}
-		b.ReportMetric(s.Max(), "peak_served_mbps")
-		b.ReportMetric(s.Max()/(s.Mean()+1e-9), "burstiness")
-		util := be.DB.Table("utilization").AggregateField("util", 13*sim.Hour, 15*sim.Hour)
-		b.ReportMetric(100*util.Mean(), "afternoon_util_%")
-	}
-}
-
-func BenchmarkFig7RSSIPDF(b *testing.B) {
-	// RSSI distributions at peak vs non-peak hours are nearly identical
-	// even though usage more than doubles — the paper's argument that
-	// RSSI is a poor load/health indicator.
-	sc := topo.Museum(7)
-	m := backend.NewModel(sc, 7)
-	engine := sim.NewEngine(7)
-	for i := 0; i < b.N; i++ {
-		peak, off := stats.NewSample(4000), stats.NewSample(4000)
-		for j := 0; j < 4000; j++ {
-			peak.Add(m.SampleRSSI(engine.Rand()))
-			off.Add(m.SampleRSSI(engine.Rand()))
-		}
-		b.ReportMetric(peak.Median(), "rssi_peak_p50_dbm")
-		b.ReportMetric(off.Median(), "rssi_offpeak_p50_dbm")
-		peakUse := sc.DemandAt(sc.APs[0], 13*sim.Hour)
-		offUse := sc.DemandAt(sc.APs[0], 8*sim.Hour)
-		b.ReportMetric(peakUse/offUse, "usage_ratio")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// FastACK testbed experiments (Section 5).
-
-type tbResult struct {
-	aggregateMbps float64
-	perClient     []float64
-	meanAgg       float64
-	lat80211      float64
-	latTCP        float64
-	cwndFinal     []int
-}
-
-func runTestbed(mode testbed.Mode, clients int, mutate func(*testbed.Options)) tbResult {
-	opt := testbed.DefaultOptions()
-	opt.APModes = []testbed.Mode{mode}
-	opt.ClientsPerAP = clients
-	opt.BadHintRate = 0.015
-	if mutate != nil {
-		mutate(&opt)
-	}
-	tb := testbed.New(opt)
-	dur := 10 * sim.Second
-	tb.Run(dur)
-	res := tbResult{
-		meanAgg:  tb.AggAP[0].Mean(),
-		lat80211: tb.Lat80211.Mean(),
-		latTCP:   tb.LatTCP.Mean(),
-	}
-	for _, c := range tb.Clients {
-		g := c.GoodputMbps(dur)
-		res.perClient = append(res.perClient, g)
-		res.aggregateMbps += g
-	}
-	for _, snd := range tb.Senders {
-		if snd.TCP != nil {
-			res.cwndFinal = append(res.cwndFinal, snd.TCP.CwndSegments())
-		}
-	}
-	return res
-}
-
-type tbKey struct {
-	mode    testbed.Mode
-	clients int
-	variant string
-}
-
-var (
-	tbCacheMu sync.Mutex
-	tbCache   = map[tbKey]tbResult{}
-)
-
-func cachedTestbed(mode testbed.Mode, clients int, variant string, mutate func(*testbed.Options)) tbResult {
-	key := tbKey{mode, clients, variant}
-	tbCacheMu.Lock()
-	defer tbCacheMu.Unlock()
-	if r, ok := tbCache[key]; ok {
-		return r
-	}
-	r := runTestbed(mode, clients, mutate)
-	tbCache[key] = r
-	return r
-}
-
-func BenchmarkFig10LatencyGap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, n := range []int{5, 15, 25} {
-			r := cachedTestbed(testbed.Baseline, n, "", nil)
-			b.ReportMetric(r.lat80211, "l80211_"+itoa(n)+"_ms")
-			b.ReportMetric(r.latTCP, "ltcp_"+itoa(n)+"_ms")
+	for _, row := range r.Rows {
+		for _, v := range row.Values {
+			b.ReportMetric(v.V, v.Name)
 		}
 	}
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
-func BenchmarkFig14Cwnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := cachedTestbed(testbed.Baseline, 10, "", nil)
-		fast := cachedTestbed(testbed.FastACK, 10, "", nil)
-		b.ReportMetric(minMaxMean(base.cwndFinal).min, "base_cwnd_min")
-		b.ReportMetric(minMaxMean(base.cwndFinal).max, "base_cwnd_max")
-		b.ReportMetric(minMaxMean(fast.cwndFinal).min, "fast_cwnd_min")
-		b.ReportMetric(minMaxMean(fast.cwndFinal).max, "fast_cwnd_max")
-	}
-}
-
-type mmm struct{ min, max, mean float64 }
-
-func minMaxMean(xs []int) mmm {
-	if len(xs) == 0 {
-		return mmm{}
-	}
-	out := mmm{min: float64(xs[0]), max: float64(xs[0])}
-	sum := 0.0
-	for _, x := range xs {
-		v := float64(x)
-		if v < out.min {
-			out.min = v
-		}
-		if v > out.max {
-			out.max = v
-		}
-		sum += v
-	}
-	out.mean = sum / float64(len(xs))
-	return out
-}
-
-func BenchmarkFig15Aggregation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := cachedTestbed(testbed.Baseline, 30, "", nil)
-		fast := cachedTestbed(testbed.FastACK, 30, "", nil)
-		udp := cachedTestbed(testbed.Baseline, 30, "udp", func(o *testbed.Options) {
-			o.Traffic = testbed.UDPBulk
-			o.UDPRateMbps = 40
-		})
-		b.ReportMetric(base.meanAgg, "base_agg")
-		b.ReportMetric(fast.meanAgg, "fastack_agg")
-		b.ReportMetric(udp.meanAgg, "udp_agg")
-		b.ReportMetric(100*(fast.meanAgg-base.meanAgg)/base.meanAgg, "agg_gain_%")
-	}
-}
-
-func BenchmarkFig16Throughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		bestGain := 0.0
-		for _, n := range []int{5, 15, 30} {
-			base := cachedTestbed(testbed.Baseline, n, "", nil)
-			fast := cachedTestbed(testbed.FastACK, n, "", nil)
-			gain := 100 * (fast.aggregateMbps - base.aggregateMbps) / base.aggregateMbps
-			if gain > bestGain {
-				bestGain = gain
-			}
-			b.ReportMetric(base.aggregateMbps, "base_"+itoa(n)+"_mbps")
-			b.ReportMetric(fast.aggregateMbps, "fast_"+itoa(n)+"_mbps")
-		}
-		b.ReportMetric(bestGain, "max_gain_%")
-	}
-}
-
-func BenchmarkFig17Fairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		base := cachedTestbed(testbed.Baseline, 30, "", nil)
-		fast := cachedTestbed(testbed.FastACK, 30, "", nil)
-		b.ReportMetric(stats.JainFairness(base.perClient), "base_jain")
-		b.ReportMetric(stats.JainFairness(fast.perClient), "fast_jain")
-		b.ReportMetric(top80Jain(base.perClient), "base_top80_jain")
-		b.ReportMetric(top80Jain(fast.perClient), "fast_top80_jain")
-	}
-}
-
-func top80Jain(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return stats.JainFairness(s[len(s)/5:])
-}
-
-func BenchmarkFig18MultiAP(b *testing.B) {
-	cases := []struct {
-		name string
-		m2   testbed.Mode
-		m1   testbed.Mode
-	}{
-		{"bb", testbed.Baseline, testbed.Baseline},
-		{"bf", testbed.FastACK, testbed.Baseline},
-		{"ff", testbed.FastACK, testbed.FastACK},
-	}
-	for i := 0; i < b.N; i++ {
-		totals := map[string]float64{}
-		for _, tc := range cases {
-			r := cachedTestbed(tc.m1, 10, "multiap-"+tc.name, func(o *testbed.Options) {
-				o.APModes = []testbed.Mode{tc.m1, tc.m2}
-			})
-			totals[tc.name] = r.aggregateMbps
-			b.ReportMetric(r.aggregateMbps, tc.name+"_total_mbps")
-		}
-		b.ReportMetric(100*(totals["ff"]-totals["bb"])/totals["bb"], "ff_gain_%")
+func BenchmarkFigures(b *testing.B) {
+	for _, e := range experiments.Index {
+		b.Run(strings.ReplaceAll(e.ID, " ", ""), func(b *testing.B) { reportFigure(b, e) })
 	}
 }
 
@@ -485,50 +51,38 @@ func BenchmarkFig18MultiAP(b *testing.B) {
 
 func BenchmarkAblationFastACKNoSuppression(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		full := cachedTestbed(testbed.FastACK, 15, "", nil)
-		noSup := cachedTestbed(testbed.FastACK, 15, "nosup", func(o *testbed.Options) {
+		full := session.Testbed(testbed.FastACK, 15, "", nil)
+		noSup := session.Testbed(testbed.FastACK, 15, "nosup", func(o *testbed.Options) {
 			o.FastACK.DisableSuppression = true
 		})
-		b.ReportMetric(full.aggregateMbps, "full_mbps")
-		b.ReportMetric(noSup.aggregateMbps, "nosuppress_mbps")
+		b.ReportMetric(full.TotalMbps, "full_mbps")
+		b.ReportMetric(noSup.TotalMbps, "nosuppress_mbps")
 	}
 }
 
 func BenchmarkAblationFastACKNoCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		full := cachedTestbed(testbed.FastACK, 15, "", nil)
-		noCache := cachedTestbed(testbed.FastACK, 15, "nocache", func(o *testbed.Options) {
+		full := session.Testbed(testbed.FastACK, 15, "", nil)
+		noCache := session.Testbed(testbed.FastACK, 15, "nocache", func(o *testbed.Options) {
 			o.FastACK.DisableCache = true
 		})
-		b.ReportMetric(full.aggregateMbps, "full_mbps")
-		b.ReportMetric(noCache.aggregateMbps, "nocache_mbps")
+		b.ReportMetric(full.TotalMbps, "full_mbps")
+		b.ReportMetric(noCache.TotalMbps, "nocache_mbps")
 	}
 }
 
-func plannerInput(sc *topo.Scenario) (backend.Options, *backend.Backend) {
-	opt := backend.DefaultOptions(backend.AlgTurboCA)
-	engine := sim.NewEngine(9)
-	be := backend.New(opt, sc, engine)
-	engine.RunUntil(13 * sim.Hour)
-	return opt, be
-}
-
 func BenchmarkAblationNBOHops(b *testing.B) {
-	sc := topo.Museum(9)
-	opt, be := plannerInput(sc)
-	in := be.PlannerInput(spectrum.Band5)
+	opt, in := plannerInput(topo.Museum(9), 9)
 	for i := 0; i < b.N; i++ {
 		for _, hops := range [][]int{{0}, {1, 0}, {2, 1, 0}} {
 			res := turbocaRun(opt, in, hops, false)
-			b.ReportMetric(res, "logNetP_h"+itoa(len(hops)))
+			b.ReportMetric(res, "logNetP_h"+strconv.Itoa(len(hops)))
 		}
 	}
 }
 
 func BenchmarkAblationUniformPick(b *testing.B) {
-	sc := topo.Museum(10)
-	opt, be := plannerInput(sc)
-	in := be.PlannerInput(spectrum.Band5)
+	opt, in := plannerInput(topo.Museum(10), 9)
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(turbocaRun(opt, in, []int{1, 0}, false), "weighted_logNetP")
 		b.ReportMetric(turbocaRun(opt, in, []int{1, 0}, true), "uniform_logNetP")
@@ -538,9 +92,7 @@ func BenchmarkAblationUniformPick(b *testing.B) {
 func BenchmarkAblationSwitchPenalty(b *testing.B) {
 	// Without the penalty term, replanning a stable network churns
 	// channels; with it, the plan stays put (§4.3.1 stability).
-	sc := topo.Office(11)
-	opt, be := plannerInput(sc)
-	in := be.PlannerInput(spectrum.Band5)
+	opt, in := plannerInput(topo.Office(11), 9)
 	for i := 0; i < b.N; i++ {
 		b.ReportMetric(float64(turbocaSwitches(opt, in, 0.0)), "switches_nopenalty")
 		b.ReportMetric(float64(turbocaSwitches(opt, in, opt.Planner.SwitchPenalty)), "switches_penalty")
@@ -551,26 +103,21 @@ func BenchmarkAblationSwitchPenalty(b *testing.B) {
 // with and without the switch penalty, comparing total client outage
 // seconds (the §4.3.1 stability cost the penalty exists to bound).
 func BenchmarkAblationDisruption(b *testing.B) {
-	type outcome struct {
-		switches   int
-		disruption float64
-	}
-	runDay := func(penalty float64) outcome {
-		sc := topo.Office(13)
+	runDay := func(penalty float64) (switches int, disruption float64) {
 		engine := sim.NewEngine(13)
 		opt := backend.DefaultOptions(backend.AlgTurboCA)
 		opt.Planner.SwitchPenalty = penalty
-		be := backend.New(opt, sc, engine)
+		be := backend.New(opt, topo.Office(13), engine)
 		be.Start()
 		engine.RunUntil(sim.Day)
-		return outcome{switches: be.Switches(), disruption: be.DisruptionSeconds()}
+		return be.Switches(), be.DisruptionSeconds()
 	}
-	withPen := onceValue(func() outcome { return runDay(backend.DefaultOptions(backend.AlgTurboCA).Planner.SwitchPenalty) })
-	noPen := onceValue(func() outcome { return runDay(0) })
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(float64(withPen().switches), "switches_penalty")
-		b.ReportMetric(withPen().disruption, "disruption_s_penalty")
-		b.ReportMetric(float64(noPen().switches), "switches_nopenalty")
-		b.ReportMetric(noPen().disruption, "disruption_s_nopenalty")
+		switches, disruption := runDay(backend.DefaultOptions(backend.AlgTurboCA).Planner.SwitchPenalty)
+		b.ReportMetric(float64(switches), "switches_penalty")
+		b.ReportMetric(disruption, "disruption_s_penalty")
+		switches, disruption = runDay(0)
+		b.ReportMetric(float64(switches), "switches_nopenalty")
+		b.ReportMetric(disruption, "disruption_s_nopenalty")
 	}
 }

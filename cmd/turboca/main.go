@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/oracle"
@@ -172,54 +173,47 @@ func planOnce(build func(int64) *topo.Scenario, seed int64, workers int) {
 	}
 }
 
+// evalAB runs the §4.6 A/B through the figure runner's shared deployment
+// run, with this command's worker count, fault profile and RF traces, and
+// prints the two arms side by side.
 func evalAB(build func(int64) *topo.Scenario, days int, seed int64, workers int, prof *faults.Profile, rfTrace bool, reg *obs.Registry) {
-	d := sim.Time(days) * sim.Day
-	type result struct {
-		alg string
-		rep backend.NetworkReport
-		ctl backend.ControlStats
-	}
-	var results []result
-	for _, alg := range []backend.Algorithm{backend.AlgReservedCA, backend.AlgTurboCA} {
-		opt := backend.DefaultOptions(alg)
-		opt.Planner.Workers = workers
-		opt.Faults = prof
-		if rfTrace {
-			// Fresh Env per algorithm: the traces replay identically from
-			// the seed, while the (mutable) quarantine state stays private.
-			opt.RF = rfenv.NewEnv(
-				rfenv.NewTraceSet(seed, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions()), nil)
-		}
-		// Control() is read immediately after each run, before the next
-		// backend is built, so the shared serving registry still yields
-		// exact per-instance deltas.
-		opt.Obs = reg
-		engine := sim.NewEngine(seed)
-		be := backend.New(opt, build(seed), engine)
-		be.Start()
-		engine.RunUntil(d)
-		// Skip the first day for stabilization, as §4.6.1 skips the first
-		// week.
-		results = append(results, result{alg.String(), be.Report(sim.Day, d), be.Control()})
-	}
+	res := experiments.RunAB(experiments.AB{
+		Build: build, Seed: seed, EngineSeed: seed, Dur: sim.Time(days) * sim.Day,
+		Tune: func(opt *backend.Options) {
+			opt.Planner.Workers = workers
+			opt.Faults = prof
+			if rfTrace {
+				// Fresh Env per algorithm: the traces replay identically from
+				// the seed, while the (mutable) quarantine state stays private.
+				opt.RF = rfenv.NewEnv(
+					rfenv.NewTraceSet(seed, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions()), nil)
+			}
+			// Each arm's control stats are read before the next backend is
+			// built, so the shared serving registry still yields exact
+			// per-instance deltas.
+			opt.Obs = reg
+		},
+	})
+	arms := []experiments.ABArm{res.Reserved, res.Turbo}
 	fmt.Printf("%-12s %10s %12s %10s %9s\n", "algorithm", "usage(TB)", "latP50(ms)", "effP50", "switches")
-	for _, r := range results {
-		fmt.Printf("%-12s %10.3f %12.1f %10.3f %9d\n", r.alg,
-			r.rep.TotalUsageTB, r.rep.TCPLatencyP50, r.rep.BitrateEffP50, r.rep.Switches)
+	for _, a := range arms {
+		fmt.Printf("%-12s %10.3f %12.1f %10.3f %9d\n", a.Alg,
+			a.DailyTB.Sum(), a.Latency.Median(), a.Efficiency.Median(), a.Switches)
 	}
 	if prof != nil {
 		fmt.Printf("%-12s %8s %8s %8s %8s %8s %8s %8s\n", "control",
 			"dropped", "delayed", "corrupt", "rejected", "pushfail", "retries", "reconcile")
-		for _, r := range results {
-			fmt.Printf("%-12s %8d %8d %8d %8d %8d %8d %8d\n", r.alg,
-				r.ctl.PollsDropped, r.ctl.PollsDelayed, r.ctl.PollsCorrupted, r.ctl.PollsRejected,
-				r.ctl.PushesFailed, r.ctl.PushRetries, r.ctl.Reconciliations)
+		for _, a := range arms {
+			c := a.Control
+			fmt.Printf("%-12s %8d %8d %8d %8d %8d %8d %8d\n", a.Alg,
+				c.PollsDropped, c.PollsDelayed, c.PollsCorrupted, c.PollsRejected,
+				c.PushesFailed, c.PushRetries, c.Reconciliations)
 		}
 	}
-	if a, b := results[0].rep, results[1].rep; a.TotalUsageTB > 0 {
+	if a, b := res.Reserved, res.Turbo; a.DailyTB.Sum() > 0 {
 		fmt.Printf("usage %+0.1f%%, latency %+0.1f%%, efficiency %+0.1f%%\n",
-			100*(b.TotalUsageTB-a.TotalUsageTB)/a.TotalUsageTB,
-			100*(b.TCPLatencyP50-a.TCPLatencyP50)/a.TCPLatencyP50,
-			100*(b.BitrateEffP50-a.BitrateEffP50)/a.BitrateEffP50)
+			100*(b.DailyTB.Sum()-a.DailyTB.Sum())/a.DailyTB.Sum(),
+			100*(b.Latency.Median()-a.Latency.Median())/a.Latency.Median(),
+			100*(b.Efficiency.Median()-a.Efficiency.Median())/a.Efficiency.Median())
 	}
 }

@@ -12,40 +12,42 @@ package main
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/backend"
-	"repro/internal/radio"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
 )
 
-// scanEnv adapts the scenario to the scanning radio's
-// Environment interface: a dwell on channel c observes the external
-// interferers audible at the AP plus co-channel neighbor airtime.
-type scanEnv struct{ sc *topo.Scenario }
+// observation is what one dwell of an AP's dedicated scanning radio (§2.1)
+// sees on one 20 MHz channel.
+type observation struct {
+	util      float64         // busy fraction
+	neighbors map[int]float64 // overheard AP id -> RSSI dBm
+}
 
-func (e scanEnv) ObserveChannel(apID int, ch spectrum.Channel, t sim.Time) (float64, map[int]float64) {
-	sc := e.sc
-	ap := sc.APs[apID]
-	util := sc.ExternalUtilization(ap.Pos, ch.Band, ch.Number)
-	neigh := map[int]float64{}
+// observe dwells on ch from ap: the external interferers audible there
+// plus co-channel neighbor airtime.
+func observe(sc *topo.Scenario, ap *topo.AP, ch spectrum.Channel) observation {
+	o := observation{
+		util:      sc.ExternalUtilization(ap.Pos, ch.Band, ch.Number),
+		neighbors: map[int]float64{},
+	}
 	for _, n := range sc.NeighborsOf(ap) {
 		onChan := n.AP.Channel
 		if ch.Band == spectrum.Band2G4 {
 			onChan = n.AP.Channel24
 		}
 		if onChan.Overlaps(ch) {
-			neigh[n.AP.ID] = n.RSSIDBm
+			o.neighbors[n.AP.ID] = n.RSSIDBm
 			// A busy co-channel neighbor also shows up as busy air.
-			util += 0.05
+			o.util += 0.05
 		}
 	}
-	if util > 1 {
-		util = 1
-	}
-	return util, neigh
+	o.util = min(o.util, 1)
+	return o
 }
 
 func main() {
@@ -53,18 +55,28 @@ func main() {
 	engine := sim.NewEngine(21)
 	be := backend.New(backend.DefaultOptions(backend.AlgTurboCA), sc, engine)
 
-	// Attach a scanning radio to the AP we will watch. (The backend's
-	// long-horizon loop snapshots the same quantities analytically; the
-	// scanner shows the per-dwell mechanics of §2.1.)
+	// The watched AP's scanning radio: one 150 ms dwell per 20 MHz
+	// channel, both bands in turn, keeping the freshest observation of
+	// each. (The backend's long-horizon loop snapshots the same quantities
+	// analytically; this shows the per-dwell mechanics of §2.1.)
 	watched := sc.APs[4]
-	scanner := radio.NewScanner(watched.ID, scanEnv{sc})
-	scanner.Start(engine)
+	channels := slices.Concat(
+		spectrum.Channels(spectrum.Band2G4, spectrum.W20, true),
+		spectrum.Channels(spectrum.Band5, spectrum.W20, true))
+	latest := map[spectrum.Channel]observation{}
+	dwell := 0
+	engine.Ticker(150*sim.Millisecond, func(*sim.Engine) {
+		ch := channels[dwell%len(channels)]
+		dwell++
+		latest[ch] = observe(sc, watched, ch)
+	})
 
 	fmt.Printf("office: %d APs; watching %s at (%.0f,%.0f)\n",
 		len(sc.APs), watched.Name, watched.Pos.X, watched.Pos.Y)
 	fmt.Printf("%5s %9s %8s %12s %6s %s\n", "hour", "demand", "util", "channel", "busy36", "demand bar")
 
 	be.Start()
+	ch36, _ := spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
 	lastChan := watched.Channel
 	switches := 0
 	for hour := 0; hour < 24; hour++ {
@@ -76,14 +88,8 @@ func main() {
 			switches++
 			lastChan = watched.Channel
 		}
-		busy36 := 0.0
-		if ch, ok := spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20); ok {
-			if o, found := scanner.Observation(ch); found {
-				busy36 = o.Utilization
-			}
-		}
 		fmt.Printf("%4dh %7.1fMb %7.0f%% %12v %5.0f%% %s\n",
-			hour+1, demand, 100*perf.Utilization, watched.Channel, 100*busy36,
+			hour+1, demand, 100*perf.Utilization, watched.Channel, 100*latest[ch36].util,
 			strings.Repeat("#", int(demand/3)))
 	}
 
@@ -92,6 +98,13 @@ func main() {
 	lat := be.DB.Table("tcp_latency").AggregateField("ms", 0, 24*sim.Hour)
 	fmt.Printf("network TCP latency p50=%.1fms p90=%.1fms over %d samples\n",
 		lat.Median(), lat.Percentile(90), lat.N())
-	nr := scanner.NeighborReport(spectrum.Band5)
-	fmt.Printf("scanner heard %d distinct 5 GHz neighbors from %s\n", len(nr), watched.Name)
+	heard := map[int]bool{}
+	for ch, o := range latest {
+		if ch.Band == spectrum.Band5 {
+			for id := range o.neighbors {
+				heard[id] = true
+			}
+		}
+	}
+	fmt.Printf("scanner heard %d distinct 5 GHz neighbors from %s\n", len(heard), watched.Name)
 }

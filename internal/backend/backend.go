@@ -387,10 +387,6 @@ func (b *Backend) cancelled() bool {
 // baseline).
 func (b *Backend) Control() ControlStats { return b.ctl.read().sub(b.ctlBase) }
 
-// ObsRegistry exposes the registry this backend's metrics and spans land
-// on — Options.Obs when provided, otherwise the instance-private one.
-func (b *Backend) ObsRegistry() *obs.Registry { return b.obsReg }
-
 // PlannerInput snapshots the network into a turboca.Input for the band —
 // the data a real backend would have: neighbor reports, polled
 // utilization and usage, client mixes. Measured values come from the

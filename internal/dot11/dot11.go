@@ -90,15 +90,6 @@ type Header struct {
 	HasQoS bool
 }
 
-// headerLen returns the encoded header size.
-func (h *Header) headerLen() int {
-	n := 24
-	if h.HasQoS {
-		n += 2
-	}
-	return n
-}
-
 // Encode appends the wire form of the header.
 func (h *Header) Encode(b []byte) []byte {
 	fc := uint16(h.Type)<<2 | uint16(h.Subtype)<<4 // protocol version 0

@@ -28,21 +28,18 @@ func (o Options) gapBudget() oracle.Options {
 	return oracle.Options{MaxNodes: 100_000}
 }
 
-// OptimalityGap measures how far the paper's greedy NBO sits from the
+// optimalityGap measures how far the paper's greedy NBO sits from the
 // exact optimum on small topologies: for every scenario family and size,
 // the branch-and-bound oracle either proves the optimal NetP or returns a
 // certified upper bound, and NBO and ReservedCA are scored against it.
 // Gaps are reported in ln NetP (a gap of g means NBO's NetP is e^-g of
 // optimal). The paper never quantifies this — the campaign is this
 // repository's answer to "how good is the heuristic?".
-func OptimalityGap(opt Options) Report {
+func optimalityGap(s *Session, r *Report) {
+	opt := s.Opt
 	sizes := []int{6, 9, 12}
 	seeds := opt.gapSeeds()
-	rep := Report{
-		ID:    "Oracle",
-		Title: "NBO optimality gap vs exact branch-and-bound (ln NetP)",
-		Notes: fmt.Sprintf("%d seeds per (family, size); gap = oracle − NBO; reserved = oracle − ReservedCA(W20); unproven runs report against the certified bound.", seeds),
-	}
+	r.Notes = fmt.Sprintf("%d seeds per (family, size); gap = oracle − NBO; reserved = oracle − ReservedCA(W20); unproven runs report against the certified bound.", seeds)
 
 	var allGaps []float64
 	total, proven := 0, 0
@@ -64,27 +61,21 @@ func OptimalityGap(opt Options) Report {
 				}
 				allGaps = append(allGaps, g.BoundGap)
 			}
-			rep.Rows = append(rep.Rows, Row{
-				Metric:   fmt.Sprintf("%s n=%d: mean gap / worst gap / mean rca gap", kind, n),
-				Paper:    "n/a (not measured)",
-				Measured: f3(sumGap/float64(seeds)) + " / " + f3(worstBound) + " / " + f3(sumRCA/float64(seeds)),
-			})
+			name := fmt.Sprintf("%s_n%d_", kind, n)
+			r.Rows = append(r.Rows, Row{
+				fmt.Sprintf("%s n=%d: mean gap / worst gap / mean rca gap", kind, n),
+				"n/a (not measured)", "%.3f / %.3f / %.3f", []Value{
+					{name + "gap_mean", sumGap / float64(seeds)}, {name + "gap_worst", worstBound},
+					{name + "rca_gap_mean", sumRCA / float64(seeds)}}})
 		}
 	}
 
 	sort.Float64s(allGaps)
 	q := func(p float64) float64 { return allGaps[int(p*float64(len(allGaps)-1))] }
-	rep.Rows = append(rep.Rows,
-		Row{
-			Metric:   "gap distribution p50 / p90 / max",
-			Paper:    "n/a",
-			Measured: f3(q(0.50)) + " / " + f3(q(0.90)) + " / " + f3(allGaps[len(allGaps)-1]),
-		},
-		Row{
-			Metric:   "scenarios proven optimal",
-			Paper:    "n/a",
-			Measured: fmt.Sprintf("%d/%d", proven, total),
-		},
+	r.Rows = append(r.Rows,
+		Row{"gap distribution p50 / p90 / max", "n/a", "%.3f / %.3f / %.3f", []Value{
+			{"gap_p50", q(0.50)}, {"gap_p90", q(0.90)}, {"gap_max", allGaps[len(allGaps)-1]}}},
+		Row{"scenarios proven optimal", "n/a", "%.0f/%.0f", []Value{
+			{"proven", float64(proven)}, {"scenarios", float64(total)}}},
 	)
-	return rep
 }

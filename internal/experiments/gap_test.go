@@ -47,7 +47,7 @@ func TestGapCampaign(t *testing.T) {
 		}
 	}
 
-	rep := OptimalityGap(Options{Seed: 1, Quick: true})
+	rep := run(t, NewSession(Options{Seed: 1, Quick: true}), "oracle")[0]
 	if len(rep.Rows) < len(oracle.Kinds)*3+2 {
 		t.Errorf("campaign report has %d rows, want at least %d", len(rep.Rows), len(oracle.Kinds)*3+2)
 	}

@@ -55,7 +55,7 @@ type Roam struct {
 }
 
 // DataChaos is the canonical data-path stress profile used by the chaos
-// suite and cmd/fastackbench -chaos: 2% wired loss, 2% reorder, 1%
+// suite and cmd/experiments -only chaos: 2% wired loss, 2% reorder, 1%
 // duplication, 0.5% header corruption, and 5% of 50 ms block-ACK feedback
 // windows dark. Disconnects and roams are scenario-specific and left to
 // the caller.

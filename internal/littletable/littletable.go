@@ -394,12 +394,12 @@ func (t *Table) Range(key string, from, to sim.Time) []Row {
 }
 
 // search returns the [lo, hi) header range covering from <= at < to,
-// sorting first if needed.
+// sorting first if needed. An inverted window (to < from) is empty.
 func (s *series) search(from, to sim.Time) (int, int) {
 	s.ensureSorted()
 	lo := sort.Search(len(s.rows), func(i int) bool { return s.rows[i].at >= from })
 	hi := sort.Search(len(s.rows), func(i int) bool { return s.rows[i].at >= to })
-	return lo, hi
+	return lo, max(lo, hi)
 }
 
 // Latest returns the most recent row for key.

@@ -104,6 +104,11 @@ func TestAggregateAndSum(t *testing.T) {
 	if got := tb.SumField("v", 2, 3); got != 20 {
 		t.Fatalf("windowed sum = %v", got)
 	}
+	// An inverted window is empty, not a slice-bounds panic (a 6-hour run
+	// asked for "everything after the first day").
+	if n, sum, rows := tb.AggregateField("v", 3, 1).N(), tb.SumField("v", 3, 1), tb.Range("b", 3, 1); n != 0 || sum != 0 || len(rows) != 0 {
+		t.Fatalf("inverted window: %d samples, sum %v, %d rows", n, sum, len(rows))
+	}
 }
 
 func TestTrim(t *testing.T) {

@@ -178,9 +178,6 @@ func (s *Station) QueueDepth(ac phy.AccessCategory, dst StationID) int {
 	return s.queues[ac].depthFor(dst)
 }
 
-// QueuedBytes returns the total bytes queued in category ac.
-func (s *Station) QueuedBytes(ac phy.AccessCategory) int { return s.queues[ac].bytes }
-
 // hasTraffic reports whether any AC has queued frames.
 func (s *Station) hasTraffic() bool {
 	for _, q := range s.queues {

@@ -121,9 +121,6 @@ func (md *Medium) SNR(a, b StationID) float64 {
 	return md.defaultSNR
 }
 
-// Busy reports whether the medium is currently occupied.
-func (md *Medium) Busy() bool { return md.engine.Now() < md.busyUntil }
-
 // Utilization returns lifetime busy airtime as a fraction of elapsed time.
 func (md *Medium) Utilization() float64 {
 	now := md.engine.Now()

@@ -86,11 +86,6 @@ func BlockAckAirtimeUs() float64 {
 	return SIFSus + legacyFrameUs(BlockAckBytes)
 }
 
-// AckAirtimeUs is the duration of the SIFS + legacy ACK response.
-func AckAirtimeUs() float64 {
-	return SIFSus + legacyFrameUs(AckBytes)
-}
-
 // RTSCTSOverheadUs is the RTS + SIFS + CTS + SIFS exchange preceding data.
 func RTSCTSOverheadUs() float64 {
 	return legacyFrameUs(RTSBytes) + SIFSus + legacyFrameUs(CTSBytes) + SIFSus

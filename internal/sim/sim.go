@@ -129,10 +129,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still queued (including cancelled
-// events that have not yet been discarded).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it always indicates a logic error in a model.
 func (e *Engine) Schedule(at Time, fn func(*Engine)) *Event {

@@ -199,16 +199,6 @@ type planner struct {
 	seenGen  []int
 	gen      int
 	remBuf   []int
-
-	// Incremental rescoring state (rescore.go): the per-AP ln NodeP
-	// contribution from the previous score call, the channel it was
-	// computed on (unscored before the first call), and a gen-stamp
-	// marking APs whose channel changed this call. Lazily allocated;
-	// cloneScratch resets them so every clone owns its own cache.
-	contrib    []float64
-	scoredChan []spectrum.ID
-	chgGen     []int
-	met        *plannerMetrics
 }
 
 func newPlanner(cfg Config, in Input) *planner {
@@ -344,9 +334,6 @@ func (p *planner) cloneScratch() *planner {
 	cp.seenGen = make([]int, n)
 	cp.gen = 0
 	cp.remBuf = make([]int, 0, n)
-	cp.contrib = nil
-	cp.scoredChan = nil
-	cp.chgGen = nil
 	for i := range cp.assign {
 		cp.assign[i] = spectrum.None
 	}

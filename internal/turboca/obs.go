@@ -22,23 +22,16 @@ import (
 //	turboca.netp_round_m     −1000·ln NetP per round (lower is better);
 //	                         value histograms are deterministic per seed
 //	turboca.netp_best_m      gauge: −1000·ln NetP of the last accepted plan
-//	turboca.rescore_fresh    per-AP contributions recomputed by score()
-//	turboca.rescore_reused   per-AP contributions served from the cache
 //
 // Timing histograms (_us) depend on the host and are excluded from
 // determinism contracts; the NetP histograms record pure planner output
-// and snapshot identically for a given seed at any worker count. The
-// rescore_* counters are likewise excluded: cache warmth depends on which
-// worker clone evaluated which round, so their split (never their effect
-// on plans — scores are bitwise identical) varies with the worker count.
+// and snapshot identically for a given seed at any worker count.
 type plannerMetrics struct {
 	passes         *obs.Counter
 	rounds         *obs.Counter
 	roundsAccepted *obs.Counter
 	roundsRejected *obs.Counter
 	switchesDone   *obs.Counter
-	rescoreFresh   *obs.Counter
-	rescoreReused  *obs.Counter
 	passUS         *obs.Histogram
 	levelUS        *obs.Histogram
 	netpRound      *obs.Histogram
@@ -52,8 +45,6 @@ func metricsOn(scope *obs.Scope) *plannerMetrics {
 		roundsAccepted: scope.Counter("rounds_accepted"),
 		roundsRejected: scope.Counter("rounds_rejected"),
 		switchesDone:   scope.Counter("switches_planned"),
-		rescoreFresh:   scope.Counter("rescore_fresh"),
-		rescoreReused:  scope.Counter("rescore_reused"),
 		passUS:         scope.Histogram("pass_us", "µs"),
 		levelUS:        scope.Histogram("hop_level_us", "µs"),
 		netpRound:      scope.Histogram("netp_round_m", "-mlogNetP"),

@@ -258,9 +258,6 @@ func RunNBO(cfg Config, in Input, rng *rand.Rand, hops []int) Result {
 
 // nboHooks are runNBO's test hooks; each may be nil.
 type nboHooks struct {
-	// onRound observes a worker's planner right after it scored a round. It
-	// runs on the worker's goroutine.
-	onRound func(wp *planner, score float64)
 	// onLevel observes the working incumbent after each hop level's
 	// adoption step.
 	onLevel func(hop int, incumbent []spectrum.ID)
@@ -278,7 +275,6 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 	m.passes.Inc()
 
 	p := newPlanner(cfg, in)
-	p.met = m
 	runs := cfg.Runs
 	if runs <= 0 {
 		runs = 2 + len(in.APs)/100 // "proportional to the network size"
@@ -299,7 +295,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 	for i := range p.assign {
 		p.assign[i] = spectrum.None
 	}
-	bestScore := p.score()
+	bestScore := p.logNetP()
 	var bestAssign []spectrum.ID
 	improved := false
 	rounds := 0
@@ -320,10 +316,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 				for r := w; r < runs; r += workers {
 					rr := rand.New(rand.NewSource(roundSeed(base, li, r)))
 					wp.nbo(rr, h)
-					out[r] = roundOut{wp.score(), append([]spectrum.ID(nil), wp.assign...)}
-					if hooks.onRound != nil {
-						hooks.onRound(wp, out[r].score)
-					}
+					out[r] = roundOut{wp.logNetP(), append([]spectrum.ID(nil), wp.assign...)}
 				}
 			}(w)
 		}

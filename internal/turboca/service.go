@@ -241,18 +241,3 @@ func (s *Service) degraded(in Input, hops []int) bool {
 	}
 	return deep && in.StaleFraction() > s.MaxStaleFraction
 }
-
-// RadarEvent handles a DFS radar detection on an AP (§4.5.2): the AP must
-// vacate immediately to its pre-computed fallback channel. It returns the
-// channel the AP should move to and whether a fallback existed.
-func RadarEvent(plan Plan, apID int) (spectrum.Channel, bool) {
-	a, ok := plan[apID]
-	if !ok || !a.Channel.DFS {
-		return spectrum.Channel{}, false
-	}
-	if a.Fallback == nil {
-		return spectrum.Channel{}, false
-	}
-	plan[apID] = Assignment{Channel: *a.Fallback}
-	return *a.Fallback, true
-}

@@ -187,23 +187,6 @@ func TestDFSFallbackMaintained(t *testing.T) {
 	}
 }
 
-func TestRadarEvent(t *testing.T) {
-	dfs, _ := spectrum.ChannelAt(spectrum.Band5, 58, spectrum.W80)
-	fb, _ := spectrum.ChannelAt(spectrum.Band5, 42, spectrum.W80)
-	plan := Plan{7: {Channel: dfs, Fallback: &fb}}
-	got, ok := RadarEvent(plan, 7)
-	if !ok || got != fb {
-		t.Fatalf("radar move: %v %v", got, ok)
-	}
-	if plan[7].Channel != fb {
-		t.Fatal("plan not updated")
-	}
-	// Radar on a non-DFS assignment is a no-op.
-	if _, ok := RadarEvent(plan, 7); ok {
-		t.Fatal("radar on non-DFS channel should be refused")
-	}
-}
-
 func TestMaxWidthCap(t *testing.T) {
 	in := chainInput(4, spectrum.W40, 1.0)
 	res := RunNBO(DefaultConfig(), in, rng(), []int{0})
