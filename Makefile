@@ -27,7 +27,7 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench bench-module figures gap loc
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner bench-module figures gap loc
 
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
@@ -102,13 +102,23 @@ cover:
 # Go allows one -fuzz target per invocation, hence one line per target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/turboca
+	$(GO) test -run '^$$' -fuzz '^FuzzACCMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/turboca
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEthernet$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzAgentDatagram$$' -fuzztime $(FUZZTIME) ./internal/fastack
 
-# Planner scaling numbers (BenchmarkRunNBO sweeps Workers on ~600 APs).
+# Planner numbers: BenchmarkRunNBO sweeps Workers on ~600 APs,
+# BenchmarkPlannerPass is the one configuration README and obs.go quote.
 bench:
-	$(GO) test -run=NONE -bench=RunNBO -benchmem ./internal/turboca/...
+	$(GO) test -run=NONE -bench='RunNBO|PlannerPass' -benchmem ./internal/turboca/...
+
+# Where a dense pass spends its time: CPU-profiles BenchmarkPerfNBOStadium
+# (one ~200-AP bowl, hops {1,0}) and prints the top of the profile. Binary
+# and profile live in a temporary directory.
+profile-planner:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -run '^$$' -bench 'PerfNBOStadium$$' -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
+	$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof"
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so
 # `go build ./...` and `go test ./...` at the root never compile it. This

@@ -99,6 +99,19 @@ func BenchmarkPerfNBOCampus(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfNBOStadium is the dense case: one stadium bowl where every
+// AP hears dozens of others, so ACC's neighborhood walks dominate the pass
+// (`make profile-planner` profiles it).
+func BenchmarkPerfNBOStadium(b *testing.B) {
+	_, in := plannerInput(topo.Stadium(3), 3)
+	cfg := turboca.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		turboca.RunNBO(cfg, in, rand.New(rand.NewSource(4)), []int{1, 0})
+	}
+}
+
 func BenchmarkPerfModelEvaluate(b *testing.B) {
 	sc := topo.Campus(5)
 	m := backend.NewModel(sc, 5)

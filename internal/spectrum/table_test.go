@@ -106,6 +106,11 @@ func TestTableMatchesFirstPrinciples(t *testing.T) {
 				if got := id.AtWidth(s).Channel(); got != down {
 					t.Fatalf("%v.AtWidth(%d) = %v, want %v", c, s, got, down)
 				}
+				// The views below c nest, so the first one another channel
+				// overlaps decides the rest (turboca's accTerm relies on it).
+				if s < own && id.AtWidth(s).Mask()&^id.AtWidth(s+1).Mask() != 0 {
+					t.Fatalf("%v.AtWidth(%d) is not inside AtWidth(%d)", c, s, s+1)
+				}
 				down = Narrower(down)
 			}
 			for s := own; s < len(Widths); s++ {

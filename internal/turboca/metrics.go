@@ -181,7 +181,10 @@ type planner struct {
 	adm admissibleSets
 
 	// Precomputed per view:
-	loadShare [][4]float64 // usage share of clients by max-width slot
+	// load[i][cw][b] is load(b) under an assignment of width slot cw: the
+	// usage share of clients whose effective width slot is b, scaled by the
+	// AP's overall load so busy APs deviate more from NodeP = 1.
+	load [][4][4]float64
 	// extOf[i] is the worst external util per channel, indexed by ID and
 	// filled for the input band's range only.
 	extOf   [][]float64
@@ -191,6 +194,11 @@ type planner struct {
 	// Scratch state for one NBO pass.
 	assign []spectrum.ID // spectrum.None = unassigned in the working plan
 	ignore []bool
+
+	// accWalk's scratch: the AP's own contention by channel ID, and an
+	// entry per scored neighbor (sized by the largest degree).
+	accOwn   []float64
+	accTerms []accTerm
 
 	// Allocation-free scratch for hopGroup's BFS: membership is "stamp ==
 	// gen", so clearing between picks is a single counter increment.
@@ -208,26 +216,30 @@ func newPlanner(cfg Config, in Input) *planner {
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
-		adm:       newAdmissibleSets(in),
-		views:     make([]*APView, n),
-		idxOf:     make(map[int]int, n),
-		neigh:     make([][]int, n),
-		onAir:     make([]spectrum.ID, n),
-		current:   make([]spectrum.ID, n),
-		loadShare: make([][4]float64, n),
-		weight:    make([]float64, n),
-		penBase:   make([]float64, n),
-		assign:    make([]spectrum.ID, n),
-		ignore:    make([]bool, n),
-		eligGen:   make([]int, n),
-		seenGen:   make([]int, n),
-		remBuf:    make([]int, 0, n),
+		adm:     newAdmissibleSets(in),
+		views:   make([]*APView, n),
+		idxOf:   make(map[int]int, n),
+		neigh:   make([][]int, n),
+		onAir:   make([]spectrum.ID, n),
+		current: make([]spectrum.ID, n),
+		load:    make([][4][4]float64, n),
+		extOf:   make([][]float64, n),
+		weight:  make([]float64, n),
+		penBase: make([]float64, n),
+		assign:  make([]spectrum.ID, n),
+		ignore:  make([]bool, n),
+		eligGen: make([]int, n),
+		seenGen: make([]int, n),
+		remBuf:  make([]int, 0, n),
 	}
 	for i := range in.APs {
 		v := &in.APs[i]
 		p.views[i] = v
 		p.idxOf[v.ID] = i
 	}
+	lo, hi := spectrum.BandIDs(in.Band)
+	ext := make([]float64, n*int(hi))
+	maxDeg := 0
 	for i, v := range p.views {
 		// An AP that has never been assigned reports a zero-value Current,
 		// and unsanitized telemetry can carry one that is no channel of
@@ -247,26 +259,34 @@ func newPlanner(cfg Config, in Input) *planner {
 		for _, w := range spectrum.Widths {
 			total += v.WidthLoad[w]
 		}
+		var share [4]float64 // usage share of clients by max-width slot
 		if total > 0 {
 			for slot, w := range spectrum.Widths {
 				if s := v.WidthLoad[w]; s > 0 {
-					p.loadShare[i][slot] += s / total
+					share[slot] += s / total
 				}
 			}
 		} else {
-			p.loadShare[i][0] = 1
+			share[0] = 1
+		}
+		for cw := range p.load[i] {
+			at := &p.load[i][cw]
+			for s, sh := range share {
+				at[min(s, cw)] += sh // wider clients collapse onto the assigned width
+			}
+			for b := range at[:cw+1] {
+				at[b] *= v.Load
+			}
 		}
 		p.weight[i] = 0.2 + v.Load
 		p.penBase[i] = p.penaltyBase(v)
-	}
-	lo, hi := spectrum.BandIDs(in.Band)
-	p.extOf = make([][]float64, n)
-	for i, v := range p.views {
-		p.extOf[i] = make([]float64, hi)
+		p.extOf[i] = ext[i*int(hi) : (i+1)*int(hi) : (i+1)*int(hi)]
 		for c := lo; c < hi; c++ {
 			p.extOf[i][c] = p.extWorst(v, c.Sub20Numbers())
 		}
+		maxDeg = max(maxDeg, len(p.neigh[i]))
 	}
+	p.accOwn, p.accTerms = make([]float64, hi), make([]accTerm, maxDeg)
 	return p
 }
 
@@ -320,15 +340,17 @@ func (p *planner) penaltyBase(v *APView) float64 {
 }
 
 // cloneScratch returns a planner that shares every immutable table with p
-// (views, neigh, extOf, loadShare, weight, penBase, onAir, current)
-// but owns its own assign/ignore scratch state, so concurrent NBO rounds
-// can run on clones without synchronization. The shared current slice is
-// only mutated between hop levels, when no clone is running.
+// (views, neigh, extOf, load, weight, penBase, onAir, current)
+// but owns its own assign/ignore and ACC scratch state, so concurrent NBO
+// rounds can run on clones without synchronization. The shared current
+// slice is only mutated between hop levels, when no clone is running.
 func (p *planner) cloneScratch() *planner {
 	cp := *p
 	n := len(p.assign)
 	cp.assign = make([]spectrum.ID, n)
 	cp.ignore = make([]bool, n)
+	cp.accOwn = make([]float64, len(p.accOwn))
+	cp.accTerms = make([]accTerm, len(p.accTerms))
 	cp.groupBuf = nil
 	cp.eligGen = make([]int, n)
 	cp.seenGen = make([]int, n)
@@ -351,10 +373,10 @@ func (p *planner) channelOf(j int) spectrum.ID {
 	return p.current[j]
 }
 
-// airtime estimates the share of airtime view i can expect on sub-channel
-// sub: the idle share after external interference, divided among i and the
-// co-channel neighbors weighted by their load (§4.4.1).
-func (p *planner) airtime(i int, sub spectrum.ID) float64 {
+// contention sums the weights of i's neighbors whose channel under the
+// working state overlaps sub: the co-channel load i shares sub's airtime
+// with (§4.4.1).
+func (p *planner) contention(i int, sub spectrum.ID) float64 {
 	contention := 0.0
 	mask := sub.Mask()
 	for _, j := range p.neigh[i] {
@@ -363,59 +385,61 @@ func (p *planner) airtime(i int, sub spectrum.ID) float64 {
 			contention += p.weight[j]
 		}
 	}
-	idle := 1 - p.extOf[i][sub]
+	return contention
+}
+
+// levelTerm is one factor of NodeP in log form, load(b)·ln channel_metric
+// for i on channel c at width slot b:
+//
+//	channel_metric(c,b) = airtime(c,b)·capacity(c,b) − penalty_c
+//
+// with airtime the idle share after external interference divided among i
+// and its co-channel contention, and capacity width scaling times channel
+// quality after non-WiFi interference (§4.4.1). It is the formula's only
+// evaluation — logNodeP hands it contention(), ACC the same sum from its
+// own walk — and it rounds before the subtraction and before the add its
+// callers do, so no platform fuses either and the two agree to the bit.
+func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float64) float64 {
+	// The penalty anchors to the channel clients are actually on, not the
+	// working incumbent: adopting a best-so-far plan between hop levels must
+	// not erase the cost of leaving it. A first assignment disrupts nobody.
+	pen := 0.0
+	if p.onAir[i] != spectrum.None && c != p.onAir[i] {
+		pen = p.penBase[i]
+	}
+	ext := p.extOf[i][c.AtWidth(b)]
+	idle := 1 - ext
 	if idle < 0 {
 		idle = 0
 	}
-	return idle / (1 + contention)
-}
-
-// loadAtWidth returns load(b): the usage-weighted share of clients whose
-// effective width slot is bSlot given assignment width slot cwSlot, scaled
-// by the AP's overall load so busy APs deviate more from NodeP = 1.
-func (p *planner) loadAtWidth(i, bSlot, cwSlot int) float64 {
-	share := 0.0
-	for s := 0; s < 4; s++ {
-		eff := s
-		if eff > cwSlot {
-			eff = cwSlot // wider clients collapse onto the assigned width
-		}
-		if eff == bSlot {
-			share += p.loadShare[i][s]
-		}
+	capacity := widthFrac[b] * (1 - 0.5*ext)
+	metric := float64(idle/(1+contention)*capacity) - pen
+	if metric < p.cfg.MetricFloor {
+		metric = p.cfg.MetricFloor
 	}
-	return share * p.views[i].Load
+	return float64(load * math.Log(metric))
 }
 
 // logNodeP computes ln NodeP(i, c) under the working state:
 //
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
-//	channel_metric(c,b) = airtime(c,b)·capacity(c,b) − penalty_c
-func (p *planner) logNodeP(i int, c spectrum.ID) float64 {
-	pen := 0.0
-	// The penalty anchors to the channel clients are actually on (onAir),
-	// not the working incumbent: adopting a best-so-far plan between hop
-	// levels must not erase the cost of moving away from the real current
-	// channel, and a first assignment disrupts nobody.
-	if p.onAir[i] != spectrum.None && c != p.onAir[i] {
-		pen = p.penBase[i]
-	}
-	cwSlot := c.Channel().Width.Slot()
+func (p *planner) logNodeP(i int, c spectrum.ID) float64 { return p.nodeP(i, c, nil) }
+
+// nodeP is logNodeP with i's contention on a channel read from own, a row
+// indexed by ID, when the caller has one (ACC); nil walks the neighbors.
+func (p *planner) nodeP(i int, c spectrum.ID, own []float64) float64 {
+	cw := c.Channel().Width.Slot()
 	sum := 0.0
-	for b := 0; b <= cwSlot; b++ {
-		load := p.loadAtWidth(i, b, cwSlot)
+	for b := 0; b <= cw; b++ {
+		load := p.load[i][cw][b]
 		if load == 0 {
 			continue
 		}
-		sub := c.AtWidth(b)
-		// capacity: width scaling times channel quality after non-WiFi
-		// interference (§4.4.1).
-		capacity := widthFrac[b] * (1 - 0.5*p.extOf[i][sub])
-		metric := p.airtime(i, sub)*capacity - pen
-		if metric < p.cfg.MetricFloor {
-			metric = p.cfg.MetricFloor
+		if sub := c.AtWidth(b); own != nil {
+			sum += p.levelTerm(i, c, b, load, own[sub])
+		} else {
+			sum += p.levelTerm(i, c, b, load, p.contention(i, sub))
 		}
-		sum += load * math.Log(metric)
 	}
 	return sum
 }

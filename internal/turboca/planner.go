@@ -21,15 +21,15 @@ func (p *planner) acc(i int) spectrum.ID {
 	return p.bestByDelta(i, p.adm.ladder(p.views[i], p.current[i]))
 }
 
-// bestByDelta returns the member of cs with the highest deltaScore for i,
+// bestByDelta returns the member of cs with the highest accScore for i,
 // the first such in cs order, and spectrum.None only when cs is empty: if
 // no score compares (NaN loads on input that skipped Sanitize) the answer
 // is still a member of cs, its first.
 func (p *planner) bestByDelta(i int, cs []spectrum.ID) spectrum.ID {
-	bestScore := math.Inf(-1)
-	best := spectrum.None
+	terms := p.accWalk(i)
+	best, bestScore := spectrum.None, math.Inf(-1)
 	for _, c := range cs {
-		if s := p.deltaScore(i, c); s > bestScore || best == spectrum.None {
+		if s := p.accScore(i, c, terms); s > bestScore || best == spectrum.None {
 			bestScore = s
 			best = c
 		}
@@ -37,24 +37,114 @@ func (p *planner) bestByDelta(i int, cs []spectrum.ID) spectrum.ID {
 	return best
 }
 
-// deltaScore is the NetP contribution affected by assigning c to i: its
-// own NodeP plus the NodeP of every neighbor (whose airtime depends on
-// i's channel).
-func (p *planner) deltaScore(i int, c spectrum.ID) float64 {
-	prev := p.assign[i]
-	p.assign[i] = c
-	score := p.logNodeP(i, c)
+// accTerm is what one scored neighbor j adds to every candidate's score for
+// the AP under ACC (DESIGN §3.5). ln NodeP(j) depends on the candidate only
+// through which width levels of j's channel it overlaps, and those nest, so
+// the first level the candidate overlaps decides it.
+type accTerm struct {
+	self  bool       // j is the AP itself, a self-loop: its NodeP is the AP's own
+	n     int        // width levels of j's channel
+	mask  [4]uint64  // j's channel seen at each of them, narrow to wide
+	nodeP [5]float64 // ln NodeP(j) by the first level overlapped; [n] for none
+}
+
+// accWalk computes what i's candidate scores share, in one walk of neigh[i]:
+// i's own contention on every channel of the band (p.accOwn, read at a
+// candidate's AtWidth views) and an accTerm per scored neighbor. Every sum
+// receives the addends contention() would give it, in neigh order, so
+// accScore is the definition (refDeltaScore, acc_test.go) to the bit.
+func (p *planner) accWalk(i int) []accTerm {
+	lo, hi := spectrum.BandIDs(p.in.Band)
+	own, terms := p.accOwn, p.accTerms[:0]
+	clear(own)
 	for _, j := range p.neigh[i] {
-		if p.ignore[j] {
+		if j == i && !p.ignore[i] {
+			// A self-loop: holding the candidate, i overlaps every view of it.
+			for s := lo; s < hi; s++ {
+				own[s] += p.weight[i]
+			}
+			terms = append(terms, accTerm{self: true})
 			continue
 		}
-		nc := p.channelOf(j)
+		nc := p.channelOf(j) // none in ψ, i included
 		if nc == spectrum.None {
 			continue
 		}
-		score += p.logNodeP(j, nc)
+		for s, m := lo, nc.Mask(); s < hi; s++ {
+			if s.Mask()&m != 0 {
+				own[s] += p.weight[j]
+			}
+		}
+		terms = append(terms, p.neighborTerm(i, j, nc))
 	}
-	p.assign[i] = prev
+	return terms
+}
+
+// neighborTerm is the accTerm of i's neighbor j on channel nc: one walk of
+// neigh[j] sums j's contention at each width level of nc with and without i,
+// whose weight enters where contention() adds it when the candidate overlaps.
+func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
+	cw := nc.Channel().Width.Slot()
+	t := accTerm{n: cw + 1}
+	for b := 0; b <= cw; b++ {
+		t.mask[b] = nc.AtWidth(b).Mask()
+	}
+	var with, without [4]float64
+	for _, k := range p.neigh[j] {
+		if k == i && !p.ignore[i] {
+			for b := 0; b <= cw; b++ {
+				with[b] += p.weight[i]
+			}
+			continue
+		}
+		kc := p.channelOf(k)
+		if kc == spectrum.None || kc.Mask()&nc.Mask() == 0 {
+			continue
+		}
+		for b, m := 0, kc.Mask(); b <= cw; b++ {
+			if m&t.mask[b] != 0 {
+				with[b] += p.weight[k]
+				without[b] += p.weight[k]
+			}
+		}
+	}
+	// logNodeP's sum, once per level f the candidate's overlap can start at.
+	for b := 0; b <= cw; b++ {
+		load := p.load[j][cw][b]
+		if load == 0 {
+			continue
+		}
+		on := p.levelTerm(j, nc, b, load, with[b])
+		off := p.levelTerm(j, nc, b, load, without[b])
+		for f := range t.nodeP[:t.n+1] {
+			if b < f {
+				t.nodeP[f] += off
+			} else {
+				t.nodeP[f] += on
+			}
+		}
+	}
+	return t
+}
+
+// accScore is the NetP contribution affected by assigning c to i: its own
+// NodeP plus, in neigh[i] order, that of every neighbor (whose airtime
+// depends on i's channel). terms is accWalk(i)'s result.
+func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
+	own := p.nodeP(i, c, p.accOwn)
+	score, mask := own, c.Mask()
+	for k := range terms {
+		t := &terms[k]
+		if t.self {
+			score += own
+			continue
+		}
+		f := 0
+		for f < t.n && mask&t.mask[f] == 0 {
+			f++
+		}
+		score += t.nodeP[f]
+	}
 	return score
 }
 
@@ -313,8 +403,12 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 			go func(w int) {
 				defer wg.Done()
 				wp := p.cloneScratch()
+				// One generator per worker, re-seeded for its later rounds.
+				rr := rand.New(rand.NewSource(roundSeed(base, li, w)))
 				for r := w; r < runs; r += workers {
-					rr := rand.New(rand.NewSource(roundSeed(base, li, r)))
+					if r > w {
+						rr.Seed(roundSeed(base, li, r))
+					}
 					wp.nbo(rr, h)
 					out[r] = roundOut{wp.logNetP(), append([]spectrum.ID(nil), wp.assign...)}
 				}
