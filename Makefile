@@ -32,8 +32,12 @@ FUZZTIME = 5s
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
 
+# gofmt is part of vet: any file of the root module it would rewrite fails
+# the target, listed. (bench/ is a module of its own with its own gate.)
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l *.go cmd examples internal); \
+		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -275,10 +275,11 @@ type Backend struct {
 	// pure functions of the scenario's fixed geometry and population.
 	// PlannerInput copies the template and fills in only the measured
 	// fields, turning the per-pass snapshot from O(n²) neighbor geometry
-	// plus per-client walks into a memcpy. The template's maps and
-	// neighbor slices are shared across snapshots: Sanitize only ever
-	// mutates invalid entries, which a template built from in-repo
-	// generators never contains, and the planner treats views as
+	// plus per-client walks into a memcpy. The width mix is a value; the
+	// external-utilization row is the scenario's own (topo.ExternalRow)
+	// and, with the neighbor slice, is shared by every snapshot: Sanitize
+	// only ever writes an invalid entry, which neither contains
+	// (TestBackendInputsNeedNoRepair), and the planner treats views as
 	// read-only.
 	inputTmpl map[spectrum.Band][]turboca.APView
 }
@@ -403,11 +404,11 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 	}
 	if b.rf != nil && band == spectrum.Band5 {
 		// Hostile-RF overlays, sampled at snapshot time: the active NOP
-		// set (fresh maps each call — the planner and the digest may
-		// outlive this poll window) and the spectrum trace's current
-		// occupancy. Both are folded into Input.Digest, so a quarantine
+		// mask and the spectrum trace's current occupancy (a fresh row
+		// each call — the planner and the digest may outlive this poll
+		// window). Both are folded into Input.Digest, so a quarantine
 		// starting or expiring dirties an otherwise-skippable fast pass.
-		in.Blocked = b.rf.Q.BlockedSet(now)
+		in.Blocked = b.rf.Q.Mask(now)
 		if b.rf.Traces != nil {
 			in.ChannelNoise = b.rf.Traces.NoiseMap(now)
 		}
@@ -470,11 +471,11 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 		return tmpl
 	}
 	// The client width mix and the neighbor graph are band-independent;
-	// when the other band's template already exists, alias its maps and
-	// slices instead of rebuilding them. Planner views are read-only and
+	// when the other band's template already exists, take them from it
+	// instead of rebuilding them. Planner views are read-only and
 	// Sanitize's in-place neighbor rewrite preserves valid entries, so
-	// aliasing is safe — and it halves the template footprint, which
-	// matters when fleetd holds one backend per network resident.
+	// sharing the neighbor slices is safe — and halves what they cost
+	// fleetd, which holds one backend per network resident.
 	var donor []turboca.APView
 	for _, t := range b.inputTmpl {
 		donor = t
@@ -485,7 +486,7 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 			ID:           ap.ID,
 			MaxWidth:     minWidth(maxW, ap.MaxWidth),
 			CSAFraction:  csaFraction(ap),
-			ExternalUtil: b.externalUtilMap(ap, band),
+			ExternalUtil: b.Scenario.ExternalRow(ap, band),
 		}
 		if donor != nil {
 			v.WidthLoad = donor[i].WidthLoad
@@ -538,47 +539,37 @@ func normalizeLoad(mbps float64) float64 {
 }
 
 // widthLoad computes load(b): usage-weighted share of clients by max
-// width.
-func widthLoad(ap *topo.AP) map[spectrum.Width]float64 {
+// width, in Width.Slot order.
+func widthLoad(ap *topo.AP) [4]float64 {
+	var out [4]float64
 	if agg := ap.ClientAgg; agg != nil {
-		// Iterate widths in the fixed spectrum order, not map order: the
-		// float sum must be bitwise-stable across calls so telemetry
+		// Sum in the fixed spectrum order, not the aggregate's map order:
+		// the float sum must be bitwise-stable across calls so telemetry
 		// digests (turboca.Input.Digest) are reproducible.
 		total := 0.0
 		for _, w := range spectrum.Widths {
 			total += agg.WidthLoad[w]
 		}
 		if total == 0 {
-			return map[spectrum.Width]float64{spectrum.W20: 1}
+			return [4]float64{1}
 		}
-		out := map[spectrum.Width]float64{}
-		for _, w := range spectrum.Widths {
+		for slot, w := range spectrum.Widths {
 			if s := agg.WidthLoad[w]; s > 0 {
-				out[w] = s / total
+				out[slot] = s / total
 			}
 		}
 		return out
 	}
-	out := map[spectrum.Width]float64{}
 	total := 0.0
 	for _, c := range ap.Clients {
 		total += c.UsageWeight
 	}
 	if total == 0 {
-		return map[spectrum.Width]float64{spectrum.W20: 1}
+		return [4]float64{1}
 	}
 	for _, c := range ap.Clients {
-		out[c.MaxWidth] += c.UsageWeight / total
-	}
-	return out
-}
-
-func (b *Backend) externalUtilMap(ap *topo.AP, band spectrum.Band) map[int]float64 {
-	out := map[int]float64{}
-	for _, c := range spectrum.Channels(band, spectrum.W20, true) {
-		u := b.Scenario.ExternalUtilization(ap.Pos, band, c.Number)
-		if u > 0 {
-			out[c.Number] = u
+		if slot := c.MaxWidth.Slot(); slot >= 0 {
+			out[slot] += c.UsageWeight / total
 		}
 	}
 	return out

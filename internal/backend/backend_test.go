@@ -1,8 +1,10 @@
 package backend
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/rfenv"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
@@ -81,6 +83,65 @@ func TestPlannerInputFidelity(t *testing.T) {
 	}
 	if nightClients > len(inNight.APs)/4 {
 		t.Fatalf("%d/%d APs still have clients at 3 am", nightClients, len(inNight.APs))
+	}
+}
+
+// TestBackendInputsNeedNoRepair holds the input template's claim (see
+// Backend.inputTmpl) for every topology kind: Sanitize only ever writes an
+// invalid entry, and nothing a snapshot shares contains one. A snapshot on
+// either band needs zero repairs before the first poll, after it, and under
+// an active quarantine with trace noise; and after two full planning
+// invocations the scenario's external-utilization rows, aliased by every
+// one of those snapshots, hold exactly what they held before the first.
+func TestBackendInputsNeedNoRepair(t *testing.T) {
+	kinds := []struct {
+		name string
+		gen  func(int64) *topo.Scenario
+	}{
+		{"office", topo.Office}, {"school", topo.School}, {"hotel", topo.Hotel}, {"museum", topo.Museum},
+		{"mdu", topo.MDU}, {"campus", topo.Campus}, {"stadium", topo.Stadium},
+	}
+	bands := []spectrum.Band{spectrum.Band5, spectrum.Band2G4}
+	for _, k := range kinds {
+		sc := k.gen(3)
+		var before [][]float64
+		for _, ap := range sc.APs {
+			for _, band := range bands {
+				before = append(before, append([]float64(nil), sc.ExternalRow(ap, band)...))
+			}
+		}
+
+		engine := sim.NewEngine(3)
+		opt := DefaultOptions(AlgTurboCA)
+		opt.RF = rfenv.NewEnv(
+			rfenv.NewTraceSet(3, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions()),
+			[]rfenv.Storm{{At: 2*sim.Hour + 45*sim.Minute, LowSub: 52, HighSub: 64}})
+		b := New(opt, sc, engine)
+		b.StartManaged()
+		for _, at := range []sim.Time{0, 15 * sim.Minute, 3 * sim.Hour} {
+			engine.RunUntil(at)
+			for _, band := range bands {
+				in := b.PlannerInput(band)
+				if n := in.Sanitize(); n != 0 {
+					t.Fatalf("%s %v at %v: a backend-built input needed %d repairs", k.name, band, at, n)
+				}
+			}
+		}
+		if b.PlannerInput(spectrum.Band5).Blocked == 0 {
+			t.Fatalf("%s: no quarantine active at 3h; the storm case is not being checked", k.name)
+		}
+		b.Service.RunOnce([]int{1, 0})
+		b.Service.RunOnce([]int{0})
+		if n := b.Service.SanitizedTotal; n != 0 {
+			t.Fatalf("%s: planning sanitized %d entries of backend-built inputs", k.name, n)
+		}
+		for i, ap := range sc.APs {
+			for j, band := range bands {
+				if got := sc.ExternalRow(ap, band); !slices.Equal(got, before[2*i+j]) {
+					t.Fatalf("%s AP %d %v: external row %v, was %v before the first snapshot", k.name, ap.ID, band, got, before[2*i+j])
+				}
+			}
+		}
 	}
 }
 

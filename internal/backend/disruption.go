@@ -65,14 +65,11 @@ func (b *Backend) disruptionSeconds(ap *topo.AP, now sim.Time) float64 {
 	return total * activeFrac
 }
 
-// chargeSwitch records the disruption for one AP channel change.
+// chargeSwitch records the disruption for one AP channel change. 2.4 GHz
+// switches hit the CSA-less population hardest, which is exactly why the
+// planner's 2.4 GHz penalty is "very high" (§4.4.1); the same model applies
+// on both bands.
 func (b *Backend) chargeSwitch(ap *topo.AP, band spectrum.Band, now sim.Time) {
-	if band != spectrum.Band5 {
-		// 2.4 GHz switches hit the CSA-less population hardest, which is
-		// exactly why the planner's 2.4 GHz penalty is "very high"
-		// (§4.4.1); the same model applies.
-		_ = band
-	}
 	secs := b.disruptionSeconds(ap, now)
 	b.disruptionTotal += secs
 	if !b.Opt.DisableTelemetryHistory {

@@ -2,6 +2,7 @@ package backend
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/phy"
@@ -40,23 +41,10 @@ type Model struct {
 	// Cached per-width effective capacity (Mbps) for a typical client mix.
 	capByWidth map[spectrum.Width]float64
 
-	// neighbor cache: scenario geometry is static.
-	neighbors map[int][]topo.Neighbor
-
 	// lastEval memoizes Evaluate for one timestamp.
 	lastAt   sim.Time
 	lastPerf map[int]APPerf
 	dirty    bool
-
-	// extCache memoizes extUtilOn per (AP, channel): interferer geometry
-	// is static, so the value only depends on the assigned channel.
-	extCache map[extKey]float64
-}
-
-type extKey struct {
-	apID   int
-	number int
-	width  spectrum.Width
 }
 
 // NewModel builds a model over the scenario.
@@ -65,7 +53,6 @@ func NewModel(sc *topo.Scenario, seed int64) *Model {
 		sc:         sc,
 		rng:        sim.NewRNG(seed),
 		capByWidth: map[spectrum.Width]float64{},
-		neighbors:  map[int][]topo.Neighbor{},
 		dirty:      true,
 	}
 	// Effective MAC throughput for a representative mid-cell client
@@ -73,9 +60,6 @@ func NewModel(sc *topo.Scenario, seed int64) *Model {
 	for _, w := range spectrum.Widths {
 		r := phy.Rate{MCS: 7, NSS: 2, Width: w, GI: phy.SGI}
 		m.capByWidth[w] = phy.EffectiveMACThroughputMbps(r, 24, 1400)
-	}
-	for _, ap := range sc.APs {
-		m.neighbors[ap.ID] = sc.NeighborsOf(ap)
 	}
 	return m
 }
@@ -118,7 +102,7 @@ func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
 		ext := m.extUtilOn(ap, ap.Channel)
 
 		contention := 0.0 // neighbors' airtime demand on our channel
-		for _, n := range m.neighbors[ap.ID] {
+		for _, n := range sc.NeighborsOf(ap) {
 			if n.AP.Channel.Overlaps(ap.Channel) {
 				contention += airDemand[n.AP.ID]
 			}
@@ -160,21 +144,28 @@ func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
 	return perf
 }
 
+// extUtilOn is the worst external utilization across c's 20 MHz
+// sub-channels at ap: the scenario's static row read at the channel's mask
+// bits. A channel the US table does not have (malformed state on the air)
+// has no mask and keeps the definition over the numbers its width spans.
 func (m *Model) extUtilOn(ap *topo.AP, c spectrum.Channel) float64 {
-	key := extKey{apID: ap.ID, number: c.Number, width: c.Width}
-	if v, ok := m.extCache[key]; ok {
-		return v
-	}
 	worst := 0.0
-	for _, sub := range c.Sub20Numbers() {
-		if u := m.sc.ExternalUtilization(ap.Pos, c.Band, sub); u > worst {
-			worst = u
+	id, ok := spectrum.IDOf(c)
+	if !ok {
+		for _, sub := range c.Sub20Numbers() {
+			if u := m.sc.ExternalUtilization(ap.Pos, c.Band, sub); u > worst {
+				worst = u
+			}
+		}
+		return worst
+	}
+	if row := m.sc.ExternalRow(ap, c.Band); row != nil {
+		for mask := id.Mask(); mask != 0; mask &= mask - 1 {
+			if u := row[bits.TrailingZeros64(mask)]; u > worst {
+				worst = u
+			}
 		}
 	}
-	if m.extCache == nil {
-		m.extCache = map[extKey]float64{}
-	}
-	m.extCache[key] = worst
 	return worst
 }
 

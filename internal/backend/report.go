@@ -70,8 +70,6 @@ func (b *Backend) Report(from, to sim.Time) NetworkReport {
 	sort.Slice(per, func(i, j int) bool { return per[i].bytes > per[j].bytes })
 	for i := 0; i < len(per) && i < ReportTopN; i++ {
 		us := APUsage{Name: per[i].name, UsageGB: per[i].bytes / 1e9}
-		s := util.AggregateField("util", from, to)
-		_ = s
 		perUtil := 0.0
 		rows := util.Range(per[i].name, from, to)
 		if len(rows) > 0 {

@@ -285,7 +285,7 @@ func TestPlannerInputCarriesRF(t *testing.T) {
 	b.rf.Q.Strike([]int{100, 104, 108, 112}, engine.Now())
 	in2 := b.PlannerInput(spectrum.Band5)
 	for _, s := range []int{100, 104, 108, 112} {
-		if !in2.Blocked[s] {
+		if in2.Blocked&spectrum.Sub20Mask(spectrum.Band5, s) == 0 {
 			t.Fatalf("sub %d missing from Input.Blocked", s)
 		}
 	}
@@ -308,7 +308,7 @@ func TestPlannerInputCarriesRF(t *testing.T) {
 	}
 	// 2.4 GHz inputs must stay untouched: no quarantine, no noise.
 	in24 := b.PlannerInput(spectrum.Band2G4)
-	if len(in24.Blocked) != 0 || len(in24.ChannelNoise) != 0 {
+	if in24.Blocked != 0 || len(in24.ChannelNoise) != 0 {
 		t.Fatal("RF environment leaked into the 2.4 GHz input")
 	}
 }

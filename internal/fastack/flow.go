@@ -115,11 +115,11 @@ type flowState struct {
 
 	// Safety-guard state (guard.go).
 	gstate         GuardState
-	suspectAt      sim.Time   // entered Suspect
-	stormCount     int        // local retransmits since last client progress
-	debtProgressAt sim.Time   // last time the debt shrank (or was zero)
-	ackProgressAt  sim.Time   // last genuine client cumulative-ACK advance
-	bypassAt       sim.Time   // entered Bypass
+	suspectAt      sim.Time // entered Suspect
+	stormCount     int      // local retransmits since last client progress
+	debtProgressAt sim.Time // last time the debt shrank (or was zero)
+	ackProgressAt  sim.Time // last genuine client cumulative-ACK advance
+	bypassAt       sim.Time // entered Bypass
 	bypassReason   GuardReason
 	debtAtBypass   int64
 	evictBlocked   bool // cacheInsert refused to evict vouched bytes

@@ -104,9 +104,6 @@ func buildScenario(n *fleet.Network, seed int64) *topo.Scenario {
 			})
 		}
 	}
-	// The interference graph is static geometry; cache it so every poll
-	// and planner snapshot over this network reuses one O(n²) pass.
-	sc.CacheNeighbors()
 	return sc
 }
 

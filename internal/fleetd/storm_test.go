@@ -3,11 +3,13 @@ package fleetd
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/spectrum"
 )
 
 // Fleet-level hostile RF: the StormRF knob derives one correlated radar
@@ -134,5 +136,69 @@ func TestStormRFConfigDigest(t *testing.T) {
 	}
 	if mk(func(c *Config) { c.StormRF = true; c.StormHorizon = 2 * sim.Day }) == on {
 		t.Fatal("StormHorizon does not change the config digest")
+	}
+}
+
+// TestBackendInputsNeedNoRepair is the fleet half of the guard of the same
+// name in internal/backend, over what fleetd itself builds: every network
+// of a 12-network storm fleet (foreign APs as interferers, aggregated
+// clients, per-network traces, the fleet's storm schedule) snapshots inputs
+// that need zero repairs on either band at t = 0, 15 min and 3 h, and after
+// two more full planning invocations each scenario's external-utilization
+// rows hold what they held before its first snapshot.
+func TestBackendInputsNeedNoRepair(t *testing.T) {
+	c := New(Config{
+		Seed: 20170811, StormRF: true, StormsPerDay: 12, StormHorizon: sim.Day,
+		Obs: obs.NewRegistry(),
+	})
+	if err := c.AddFleet(fleet.Generate(fleet.Options{Seed: 20170811, Networks: 12, MaxAPs: 48})); err != nil {
+		t.Fatal(err)
+	}
+	bands := []spectrum.Band{spectrum.Band5, spectrum.Band2G4}
+	before := map[int][][]float64{}
+	rows := 0
+	for _, ns := range c.nets() {
+		ns.ensureBuilt()
+		for _, ap := range ns.sc.APs {
+			for _, band := range bands {
+				row := ns.sc.ExternalRow(ap, band)
+				before[ns.id] = append(before[ns.id], append([]float64(nil), row...))
+				if row != nil {
+					rows++
+				}
+			}
+		}
+	}
+	if len(before) != 12 || rows == 0 {
+		t.Fatalf("%d networks with %d external rows between them; the guard needs 12 and some", len(before), rows)
+	}
+	for _, at := range []sim.Time{0, 15 * sim.Minute, 3 * sim.Hour} {
+		if err := c.RunTo(at); err != nil {
+			t.Fatal(err)
+		}
+		for _, ns := range c.nets() {
+			for _, band := range bands {
+				in := ns.be.PlannerInput(band)
+				if n := in.Sanitize(); n != 0 {
+					t.Fatalf("network %d %v at %v: a backend-built input needed %d repairs", ns.id, band, at, n)
+				}
+			}
+		}
+	}
+	for _, ns := range c.nets() {
+		ns.be.Service.RunOnce([]int{1, 0})
+		ns.be.Service.RunOnce([]int{0})
+		if n := ns.be.Service.SanitizedTotal; n != 0 {
+			t.Fatalf("network %d: planning sanitized %d entries of backend-built inputs", ns.id, n)
+		}
+		i := 0
+		for _, ap := range ns.sc.APs {
+			for _, band := range bands {
+				if got := ns.sc.ExternalRow(ap, band); !slices.Equal(got, before[ns.id][i]) {
+					t.Fatalf("network %d AP %d %v: external row %v, was %v before the first snapshot", ns.id, ap.ID, band, got, before[ns.id][i])
+				}
+				i++
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -43,7 +44,6 @@ func randomNetwork(r *rand.Rand, maxAPs int) turboca.Input {
 			CSAFraction: r.Float64(),
 			Load:        r.Float64() * 8,
 			Utilization: r.Float64(),
-			WidthLoad:   map[spectrum.Width]float64{},
 		}
 		if in.Band == spectrum.Band2G4 {
 			v.MaxWidth = spectrum.W20
@@ -52,15 +52,15 @@ func randomNetwork(r *rand.Rand, maxAPs int) turboca.Input {
 			v.Current = currents[r.Intn(len(currents))]
 		}
 		for k := 1 + r.Intn(3); k > 0; k-- {
-			v.WidthLoad[widths[r.Intn(len(widths))]] = 0.05 + r.Float64()
+			v.WidthLoad[r.Intn(len(widths))] = 0.05 + r.Float64()
 		}
 		for k := r.Intn(4); k > 0; k-- {
-			c := currents[r.Intn(len(currents))]
+			id, _ := spectrum.IDOf(currents[r.Intn(len(currents))])
 			if v.ExternalUtil == nil {
-				v.ExternalUtil = map[int]float64{}
+				v.ExternalUtil = make([]float64, len(spectrum.Channels(in.Band, spectrum.W20, true)))
 			}
-			for _, sub := range c.Sub20Numbers() {
-				v.ExternalUtil[sub] = r.Float64()
+			for m := id.Mask(); m != 0; m &= m - 1 {
+				v.ExternalUtil[bits.TrailingZeros64(m)] = r.Float64()
 			}
 		}
 		in.APs = append(in.APs, v)

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/spectrum"
@@ -40,6 +41,7 @@ func Scenario(kind Kind, n int, r *rand.Rand) (turboca.Config, turboca.Input) {
 		MaxWidth: spectrum.W80,
 	}
 	currents := spectrum.AllChannels(spectrum.Band5, spectrum.W40, false)
+	sub20s := spectrum.Channels(spectrum.Band5, spectrum.W20, true)
 	for i := 0; i < n; i++ {
 		v := turboca.APView{
 			ID:          i,
@@ -48,22 +50,18 @@ func Scenario(kind Kind, n int, r *rand.Rand) (turboca.Config, turboca.Input) {
 			CSAFraction: r.Float64(),
 			Load:        0.2 + r.Float64()*4,
 			Utilization: r.Float64() * 0.8,
-			WidthLoad: map[spectrum.Width]float64{
-				spectrum.W20: 0.1 + r.Float64(),
-				spectrum.W40: r.Float64(),
-				spectrum.W80: r.Float64(),
-			},
+			WidthLoad:   [4]float64{0.1 + r.Float64(), r.Float64(), r.Float64()},
 		}
 		if r.Float64() < 0.6 {
 			v.Current = currents[r.Intn(len(currents))]
 		}
 		for k := r.Intn(3); k > 0; k-- {
-			c := currents[r.Intn(len(currents))]
+			id, _ := spectrum.IDOf(currents[r.Intn(len(currents))])
 			if v.ExternalUtil == nil {
-				v.ExternalUtil = map[int]float64{}
+				v.ExternalUtil = make([]float64, len(sub20s))
 			}
-			for _, sub := range c.Sub20Numbers() {
-				v.ExternalUtil[sub] = r.Float64() * 0.7
+			for m := id.Mask(); m != 0; m &= m - 1 {
+				v.ExternalUtil[bits.TrailingZeros64(m)] = r.Float64() * 0.7
 			}
 		}
 		in.APs = append(in.APs, v)

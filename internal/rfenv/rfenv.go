@@ -118,22 +118,6 @@ func (q *Quarantine) Blocked(c spectrum.Channel, t sim.Time) bool {
 	return Touches(c, q.Mask(t))
 }
 
-// BlockedSet returns the sub-channel numbers under an active NOP at t as
-// a set (the shape turboca.Input.Blocked carries), or nil when none are.
-func (q *Quarantine) BlockedSet(t sim.Time) map[int]bool {
-	mask := q.Mask(t)
-	if mask == 0 {
-		return nil
-	}
-	out := make(map[int]bool, bits.OnesCount64(mask))
-	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
-		if Touches(c, mask) {
-			out[c.Number] = true
-		}
-	}
-	return out
-}
-
 // Default5GHzChannels returns the 20 MHz channel numbers a trace set
 // covers by default: all 25 US 5 GHz channels (the 24 bondable ones plus
 // ch 165).

@@ -85,25 +85,44 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
-// TestNoiseMap checks the planner-facing view: only occupied channels
-// appear, nil when the band is quiet, and values match Occupancy.
+// TestNoiseMap checks the planner-facing view: a row by 5 GHz sub-channel
+// position whose every entry is that channel's Occupancy, nil exactly when
+// the band is quiet.
 func TestNoiseMap(t *testing.T) {
-	ts := rfenv.NewTraceSet(5, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions())
-	sawEntries := false
+	chans := rfenv.Default5GHzChannels()
+	ts := rfenv.NewTraceSet(5, chans, rfenv.DefaultTraceOptions())
+	sawEntries, sawQuiet := false, false
 	for at := sim.Time(0); at < 12*sim.Hour; at += 13 * sim.Minute {
-		m := ts.NoiseMap(at)
-		for ch, v := range m {
-			sawEntries = true
-			if v <= 0 || v > 1 {
-				t.Fatalf("noise map value %v out of (0,1]", v)
+		row := ts.NoiseMap(at)
+		if row == nil {
+			sawQuiet = true
+			for _, ch := range chans {
+				if got := ts.Occupancy(ch, at); got != 0 {
+					t.Fatalf("nil row at %v, but ch %d is occupied (%v)", at, ch, got)
+				}
 			}
-			if got := ts.Occupancy(ch, at); got != v {
-				t.Fatalf("map %v != occupancy %v", v, got)
-			}
+			continue
 		}
+		if len(row) != len(chans) {
+			t.Fatalf("row has %d entries, the band %d sub-channels", len(row), len(chans))
+		}
+		occupied := false
+		for i, v := range row {
+			if v < 0 || v > 1 {
+				t.Fatalf("noise row value %v out of [0,1]", v)
+			}
+			if got := ts.Occupancy(chans[i], at); got != v {
+				t.Fatalf("row[%d] = %v != ch %d occupancy %v", i, v, chans[i], got)
+			}
+			occupied = occupied || v > 0
+		}
+		if !occupied {
+			t.Fatalf("a quiet band at %v came back as a row of zeros, not nil", at)
+		}
+		sawEntries = true
 	}
-	if !sawEntries {
-		t.Fatal("12 hours with no occupied sample on any channel")
+	if !sawEntries || !sawQuiet {
+		t.Fatalf("12 hours: occupied sample seen %v, quiet band seen %v; want both", sawEntries, sawQuiet)
 	}
 }
 
@@ -261,22 +280,19 @@ func TestQuarantineBlockedDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestQuarantineBlockedSetAndExpiry(t *testing.T) {
+func TestQuarantineMaskAndExpiry(t *testing.T) {
 	q := rfenv.NewQuarantine()
-	q.Strike([]int{100, 104}, 0)
-	set := q.BlockedSet(sim.Minute)
-	if len(set) != 2 || !set[100] || !set[104] {
-		t.Fatalf("BlockedSet = %v, want {100,104}", set)
+	struck := q.Strike([]int{100, 104}, 0)
+	want := spectrum.Sub20Mask(spectrum.Band5, 100) | spectrum.Sub20Mask(spectrum.Band5, 104)
+	if struck != want || q.Mask(sim.Minute) != want {
+		t.Fatalf("Strike = %#x, Mask = %#x, want ch 100 and 104 (%#x)", struck, q.Mask(sim.Minute), want)
 	}
 	// Reading is free of side effects: asking about a later instant does
 	// not forget a window that is still open at an earlier one.
-	if set := q.BlockedSet(rfenv.NOPDuration); set != nil {
-		t.Fatalf("expired BlockedSet = %v, want nil", set)
-	}
 	if q.Mask(rfenv.NOPDuration) != 0 {
 		t.Fatal("Mask nonzero after expiry")
 	}
-	if len(q.BlockedSet(sim.Minute)) != 2 {
+	if q.Mask(sim.Minute) != want {
 		t.Fatal("reading the table after expiry dropped a window still open at an earlier instant")
 	}
 }

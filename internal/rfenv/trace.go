@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strconv"
 
 	"repro/internal/sim"
+	"repro/internal/spectrum"
 )
 
 // WACA-style spectrum traces (arXiv 2008.11978): per-channel occupancy
@@ -173,20 +175,23 @@ func boundedPareto(rng *rand.Rand, mean sim.Time, alpha float64) sim.Time {
 	return sim.Time(d)
 }
 
-// NoiseMap samples every channel at t and returns the occupied ones as
-// channel -> occupancy, or nil when the whole band is quiet. The result
-// is freshly allocated; callers may keep it.
-func (ts *TraceSet) NoiseMap(t sim.Time) map[int]float64 {
-	var m map[int]float64
+// NoiseMap samples every channel at t and returns the band's occupancy as
+// a 5 GHz sub-channel row — entry i is the channel of spectrum mask bit i,
+// the shape turboca.Input.ChannelNoise carries — or nil when the whole
+// band is quiet. A covered channel that is no US 5 GHz 20 MHz channel has
+// no entry. The result is freshly allocated; callers may keep it.
+func (ts *TraceSet) NoiseMap(t sim.Time) []float64 {
+	var row []float64
 	for _, ch := range ts.chans {
-		if o := ts.Occupancy(ch, t); o > 0 {
-			if m == nil {
-				m = make(map[int]float64)
+		bit := spectrum.Sub20Mask(spectrum.Band5, ch)
+		if o := ts.Occupancy(ch, t); o > 0 && bit != 0 {
+			if row == nil {
+				row = make([]float64, len(spectrum.Channels(spectrum.Band5, spectrum.W20, true)))
 			}
-			m[ch] = o
+			row[bits.TrailingZeros64(bit)] = o
 		}
 	}
-	return m
+	return row
 }
 
 // Step is one recorded-trace step: the channel holds Occ from the

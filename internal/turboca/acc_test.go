@@ -29,11 +29,31 @@ func (p *planner) refDeltaScore(i int, c spectrum.ID) float64 {
 	return score
 }
 
+// hostileRow draws a sub-channel row as no producer builds one: nil, cut
+// short of the band's subs channels or running past them, with NaN,
+// negative and over-unity entries among the runs of plausible ones.
+func hostileRow(r *rand.Rand, subs int) []float64 {
+	if r.Intn(3) == 0 {
+		return nil
+	}
+	row := make([]float64, r.Intn(subs+6))
+	for k := r.Intn(4); k > 0 && len(row) > 0; k-- {
+		for i, n := r.Intn(len(row)), 1<<r.Intn(4); n > 0 && i < len(row); i, n = i+1, n-1 {
+			row[i] = r.Float64() * 1.2
+			if r.Intn(12) == 0 {
+				row[i] = []float64{math.NaN(), math.Inf(1), -row[i]}[r.Intn(3)]
+			}
+		}
+	}
+	return row
+}
+
 // hostileInput is randomInput without Sanitize and with what Sanitize
 // would have removed: self-loops, duplicate, one-way and dangling
 // neighbor entries, APs with no or an off-band Current, zero width caps,
-// quarantined sub-channels and, on some seeds, NaN or infinite loads —
-// RunNBO, NetP and the Evaluator accept all of it.
+// quarantined sub-channels and mask bits beyond the band, rows of the
+// wrong length with invalid entries and, on some seeds, NaN or infinite
+// loads — RunNBO, NetP and the Evaluator accept all of it.
 func hostileInput(r *rand.Rand) Input {
 	in := Input{Band: spectrum.Band5, AllowDFS: r.Intn(2) == 0}
 	if r.Intn(8) == 0 {
@@ -42,11 +62,14 @@ func hostileInput(r *rand.Rand) Input {
 	widths := []spectrum.Width{0, spectrum.W20, spectrum.W40, spectrum.W80, spectrum.W160}
 	in.MaxWidth = widths[r.Intn(len(widths))]
 	currents := spectrum.AllChannels(in.Band, spectrum.W160, true)
+	subs := len(spectrum.Channels(in.Band, spectrum.W20, true))
 	if r.Intn(3) == 0 {
-		in.Blocked = map[int]bool{}
 		for k := 1 + r.Intn(6); k > 0; k-- {
-			in.Blocked[currents[r.Intn(len(currents))].Primary20()] = r.Intn(5) != 0
+			in.Blocked |= 1 << r.Intn(subs+8)
 		}
+	}
+	if r.Intn(3) == 0 {
+		in.ChannelNoise = hostileRow(r, subs)
 	}
 	badLoads := r.Intn(6) == 0
 
@@ -76,19 +99,9 @@ func hostileInput(r *rand.Rand) Input {
 			v.Current = spectrum.Channel{Band: spectrum.Band6, Number: 37, Width: spectrum.W20}
 		}
 		for k := r.Intn(4); k > 0; k-- {
-			if v.WidthLoad == nil {
-				v.WidthLoad = map[spectrum.Width]float64{}
-			}
-			v.WidthLoad[widths[1+r.Intn(4)]] = r.Float64()
+			v.WidthLoad[r.Intn(4)] = r.Float64()
 		}
-		for k := r.Intn(4); k > 0; k-- {
-			if v.ExternalUtil == nil {
-				v.ExternalUtil = map[int]float64{}
-			}
-			for _, sub := range currents[r.Intn(len(currents))].Sub20Numbers() {
-				v.ExternalUtil[sub] = r.Float64() * 1.2
-			}
-		}
+		v.ExternalUtil = hostileRow(r, subs)
 		in.APs = append(in.APs, v)
 	}
 	for i := 0; i < n; i++ {

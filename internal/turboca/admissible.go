@@ -29,7 +29,7 @@ import (
 // class is a prefix of a list and every arg-max over one breaks ties the
 // same way.
 type admissibleSets struct {
-	quarantined uint64 // spectrum mask of Input.Blocked
+	quarantined uint64 // Input.Blocked
 	// open[0] is every unquarantined channel of the band's plan; open[1]
 	// leaves out DFS channels, for APs with clients.
 	open [2][]spectrum.ID
@@ -42,12 +42,7 @@ type admissibleSets struct {
 }
 
 func newAdmissibleSets(in Input) admissibleSets {
-	var a admissibleSets
-	for s, on := range in.Blocked {
-		if on {
-			a.quarantined |= spectrum.Sub20Mask(in.Band, s)
-		}
-	}
+	a := admissibleSets{quarantined: in.Blocked}
 	maxW := in.MaxWidth
 	if maxW == 0 {
 		maxW = spectrum.W160

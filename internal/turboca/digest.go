@@ -2,18 +2,18 @@ package turboca
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 
 	"repro/internal/spectrum"
 )
 
 // Telemetry content digests. Digest hashes everything the planner reads
-// from an Input, in a fixed field order with map contents canonicalized,
-// so two inputs with equal digests are (up to 64-bit collision) the same
-// planning problem. The fleet layer uses this two ways: to derive
-// per-invocation RNG seeds — making every plan a pure function of what is
-// being planned — and to elide fast passes whose input provably matches a
-// run that already changed nothing (service.go's DirtySkip).
+// from an Input, in a fixed field order, so two inputs with equal digests
+// are (up to 64-bit collision) the same planning problem. The fleet layer
+// uses this two ways: to derive per-invocation RNG seeds — making every
+// plan a pure function of what is being planned — and to elide fast passes
+// whose input provably matches a run that already changed nothing
+// (service.go's DirtySkip).
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -40,18 +40,42 @@ func (d *digester) bool(v bool) {
 	}
 }
 
+// row folds a sub-channel row as the number-keyed table it stands for:
+// how many entries are non-zero, then each one's IEEE channel number and
+// value, ascending. Positions never enter the hash — like spectrum.IDs
+// they are a property of the build — and a zero entry is an absent one,
+// so a nil row, a short row and a row of zeros are the same nothing.
+func (d *digester) row(subs []spectrum.Channel, row []float64) {
+	row = row[:min(len(row), len(subs))]
+	n := 0
+	for _, u := range row {
+		if u != 0 {
+			n++
+		}
+	}
+	d.i64(int64(n))
+	for i, u := range row {
+		if u != 0 {
+			d.i64(int64(subs[i].Number))
+			d.f64(u)
+		}
+	}
+}
+
 // Digest returns an FNV-1a content hash of the planning input. Call it on
 // sanitized inputs: Sanitize canonicalizes the repairs (clamps, defaults)
-// that would otherwise make equal problems hash differently. Maps are
-// folded deterministically — WidthLoad in spectrum.Widths order,
-// ExternalUtil in sorted channel order.
+// that would otherwise make equal problems hash differently. Nothing here
+// depends on how the input is laid out in memory — rows and the blocked
+// mask hash as (channel number, value) lists — so the bytes are those the
+// number-keyed maps these fields once were hashed to (refDigest,
+// digest_test.go), and journals and checkpoints written then still match.
 func (in Input) Digest() uint64 {
 	d := &digester{h: fnvOffset64}
+	subs := spectrum.Channels(in.Band, spectrum.W20, true)
 	d.i64(int64(in.Band))
 	d.bool(in.AllowDFS)
 	d.i64(int64(in.MaxWidth))
 	d.i64(int64(len(in.APs)))
-	var extKeys []int
 	for i := range in.APs {
 		v := &in.APs[i]
 		d.i64(int64(v.ID))
@@ -66,49 +90,25 @@ func (in Input) Digest() uint64 {
 		d.f64(v.Utilization)
 		d.bool(v.Stale)
 		d.bool(v.Pinned)
-		for _, w := range spectrum.Widths {
-			d.f64(v.WidthLoad[w])
+		for _, s := range v.WidthLoad {
+			d.f64(s)
 		}
 		d.i64(int64(len(v.Neighbors)))
 		for _, id := range v.Neighbors {
 			d.i64(int64(id))
 		}
-		extKeys = extKeys[:0]
-		for ch := range v.ExternalUtil {
-			extKeys = append(extKeys, ch)
-		}
-		sort.Ints(extKeys)
-		d.i64(int64(len(extKeys)))
-		for _, ch := range extKeys {
-			d.i64(int64(ch))
-			d.f64(v.ExternalUtil[ch])
-		}
+		d.row(subs, v.ExternalUtil)
 	}
 	// Band-wide hostile-RF overlays. Both change what the planner may or
 	// would assign, so they must dirty the digest: a quarantine starting
 	// or expiring, or trace noise shifting, re-runs an otherwise-skippable
 	// fast pass.
-	var blockedKeys []int
-	for s := range in.Blocked {
-		if in.Blocked[s] {
-			blockedKeys = append(blockedKeys, s)
-		}
+	blocked := in.Blocked & (1<<len(subs) - 1)
+	d.i64(int64(bits.OnesCount64(blocked)))
+	for ; blocked != 0; blocked &= blocked - 1 {
+		d.i64(int64(subs[bits.TrailingZeros64(blocked)].Number))
 	}
-	sort.Ints(blockedKeys)
-	d.i64(int64(len(blockedKeys)))
-	for _, s := range blockedKeys {
-		d.i64(int64(s))
-	}
-	var noiseKeys []int
-	for ch := range in.ChannelNoise {
-		noiseKeys = append(noiseKeys, ch)
-	}
-	sort.Ints(noiseKeys)
-	d.i64(int64(len(noiseKeys)))
-	for _, ch := range noiseKeys {
-		d.i64(int64(ch))
-		d.f64(in.ChannelNoise[ch])
-	}
+	d.row(subs, in.ChannelNoise)
 	return d.h
 }
 

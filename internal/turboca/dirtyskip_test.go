@@ -29,16 +29,14 @@ func newSkipHarness(seed int64, dirtySkip bool) *skipHarness {
 		in := Input{Band: band, AllowDFS: true, MaxWidth: spectrum.W40}
 		for id := 0; id < skipHarnessAPs; id++ {
 			v := APView{
-				ID:          id,
-				Current:     h.cur[id],
-				MaxWidth:    spectrum.W40,
-				HasClients:  true,
-				CSAFraction: 0.8,
-				Load:        h.loads[id],
-				WidthLoad:   map[spectrum.Width]float64{spectrum.W20: 1},
-				ExternalUtil: map[int]float64{
-					36: 0.1 * float64(id%3),
-				},
+				ID:           id,
+				Current:      h.cur[id],
+				MaxWidth:     spectrum.W40,
+				HasClients:   true,
+				CSAFraction:  0.8,
+				Load:         h.loads[id],
+				WidthLoad:    [4]float64{1},
+				ExternalUtil: subRow(band, map[int]float64{36: 0.1 * float64(id%3)}),
 			}
 			if id > 0 {
 				v.Neighbors = append(v.Neighbors, id-1)
@@ -170,9 +168,9 @@ func TestDirtySkipProvablyIdentical(t *testing.T) {
 	}
 }
 
-// TestDigestCanonical pins the digest's determinism and sensitivity: maps
-// hash identically regardless of insertion order, and every planner-read
-// field perturbs the hash.
+// TestDigestCanonical pins the digest's determinism and sensitivity:
+// identical inputs hash identically, and every planner-read field perturbs
+// the hash.
 func TestDigestCanonical(t *testing.T) {
 	mk := func() Input {
 		return newSkipHarness(1, false).svc.Env(spectrum.Band5)
@@ -192,8 +190,8 @@ func TestDigestCanonical(t *testing.T) {
 		func(in *Input) { in.APs[0].Pinned = true },
 		func(in *Input) { in.APs[0].Utilization += 0.1 },
 		func(in *Input) { in.APs[0].CSAFraction -= 0.1 },
-		func(in *Input) { in.APs[0].ExternalUtil[40] = 0.5 },
-		func(in *Input) { in.APs[0].WidthLoad[spectrum.W40] = 0.5 },
+		func(in *Input) { in.APs[0].ExternalUtil[1] = 0.5 }, // ch 40
+		func(in *Input) { in.APs[0].WidthLoad[1] = 0.5 },
 		func(in *Input) { in.APs[0].Neighbors = in.APs[0].Neighbors[:0] },
 		func(in *Input) { in.APs[0].Current = in.APs[1].Current },
 		func(in *Input) { in.APs = in.APs[:len(in.APs)-1] },

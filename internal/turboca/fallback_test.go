@@ -21,7 +21,7 @@ func fallbackInput(current spectrum.Channel, hasClients bool) Input {
 		MaxWidth:   0, // malformed cap: every candidate is wider
 		HasClients: hasClients,
 		Load:       1,
-		WidthLoad:  map[spectrum.Width]float64{spectrum.W20: 1},
+		WidthLoad:  [4]float64{1},
 	}}}
 }
 

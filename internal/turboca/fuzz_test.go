@@ -15,7 +15,8 @@ import (
 // planning input — the adversarial shapes a degraded control plane can
 // hand the planner: duplicate and negative AP IDs, NaN/Inf metrics
 // (float fields are raw bit patterns), off-band channels, bogus widths,
-// dangling neighbor references.
+// dangling neighbor references, sub-channel rows shorter and longer than
+// the band, quarantine bits beyond it.
 func inputFromBytes(data []byte) turboca.Input {
 	pos := 0
 	u8 := func() byte {
@@ -32,6 +33,19 @@ func inputFromBytes(data []byte) turboca.Input {
 			raw[i] = u8()
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(raw[:]))
+	}
+	// row decodes up to two raw entries at positions up to 31: past the end
+	// of the 5 GHz row, and far past the 2.4 GHz one.
+	row := func() []float64 {
+		var out []float64
+		for n := int(u8() % 3); n > 0; n-- {
+			i := int(u8() % 32)
+			if i >= len(out) {
+				out = append(out, make([]float64, i+1-len(out))...)
+			}
+			out[i] = f64()
+		}
+		return out
 	}
 	band := spectrum.Band5
 	if u8()&1 == 1 {
@@ -64,19 +78,13 @@ func inputFromBytes(data []byte) turboca.Input {
 			v.Neighbors = append(v.Neighbors, int(int8(u8())))
 		}
 		for n := int(u8() % 3); n > 0; n-- {
-			if v.WidthLoad == nil {
-				v.WidthLoad = map[spectrum.Width]float64{}
-			}
-			v.WidthLoad[spectrum.Width(u8()%6)] = f64()
+			v.WidthLoad[u8()%4] = f64()
 		}
-		for n := int(u8() % 3); n > 0; n-- {
-			if v.ExternalUtil == nil {
-				v.ExternalUtil = map[int]float64{}
-			}
-			v.ExternalUtil[int(u8())] = f64()
-		}
+		v.ExternalUtil = row()
 		in.APs = append(in.APs, v)
 	}
+	in.Blocked = math.Float64bits(f64())
+	in.ChannelNoise = row()
 	return in
 }
 
@@ -94,12 +102,33 @@ func FuzzSanitize(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Rows and the mask are read by position; input that skipped
+		// Sanitize must not index outside them.
+		raw := inputFromBytes(data)
+		raw.Digest()
+		turboca.NetP(turboca.DefaultConfig(), raw, nil)
+
 		in := inputFromBytes(data)
 		if n := in.Sanitize(); n < 0 {
 			t.Fatalf("Sanitize returned negative fix count %d", n)
 		}
 		if n := in.Sanitize(); n != 0 {
 			t.Fatalf("Sanitize not idempotent: second pass applied %d fixes\n%+v", n, in)
+		}
+		subs := len(spectrum.Channels(in.Band, spectrum.W20, true))
+		checkRow := func(what string, row []float64) {
+			if len(row) > subs {
+				t.Fatalf("%s: %d entries on a band of %d sub-channels", what, len(row), subs)
+			}
+			for i, u := range row {
+				if math.IsNaN(u) || u < 0 || u > 1 {
+					t.Fatalf("%s: entry %d = %v out of [0,1]", what, i, u)
+				}
+			}
+		}
+		checkRow("channel noise", in.ChannelNoise)
+		if in.Blocked>>subs != 0 {
+			t.Fatalf("Blocked %#x keeps bits beyond the band's %d sub-channels", in.Blocked, subs)
 		}
 		seen := map[int]bool{}
 		for i := range in.APs {
@@ -126,19 +155,15 @@ func FuzzSanitize(f *testing.F) {
 					t.Fatalf("AP %d current channel %v survived: not a US channel of %v", v.ID, v.Current, in.Band)
 				}
 			}
-			if len(v.WidthLoad) == 0 {
+			if v.WidthLoad == ([4]float64{}) {
 				t.Fatalf("AP %d empty width-load mix", v.ID)
 			}
-			for w, s := range v.WidthLoad {
-				if !w.Valid() || math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-					t.Fatalf("AP %d width-load entry %v=%v survived", v.ID, w, s)
+			for slot, s := range v.WidthLoad {
+				if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+					t.Fatalf("AP %d width-load entry %d=%v survived", v.ID, slot, s)
 				}
 			}
-			for ch, u := range v.ExternalUtil {
-				if math.IsNaN(u) || u < 0 || u > 1 {
-					t.Fatalf("AP %d external util ch%d=%v out of [0,1]", v.ID, ch, u)
-				}
-			}
+			checkRow("external util", v.ExternalUtil)
 		}
 		for i := range in.APs {
 			for _, id := range in.APs[i].Neighbors {

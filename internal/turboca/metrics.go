@@ -12,6 +12,7 @@ package turboca
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/spectrum"
@@ -33,15 +34,16 @@ type APView struct {
 	// Load is the AP's traffic weight (normalized usage); it exponentiates
 	// channel_metric inside NodeP and weights NBO's random picks.
 	Load float64
-	// WidthLoad[b] is the usage share of clients whose maximum channel
-	// width is b. Clients wider than the AP's assignment collapse onto
-	// the assigned width at evaluation time.
-	WidthLoad map[spectrum.Width]float64
+	// WidthLoad[s] is the usage share of clients whose maximum channel
+	// width is spectrum.Widths[s] (Width.Slot). Clients wider than the
+	// AP's assignment collapse onto the assigned width at evaluation time.
+	WidthLoad [4]float64
 	// Neighbors lists AP IDs whose transmissions this AP can hear.
 	Neighbors []int
-	// ExternalUtil maps 20 MHz channel number -> non-network utilization
-	// fraction observed by the scanning radio.
-	ExternalUtil map[int]float64
+	// ExternalUtil is the non-network utilization fraction the scanning
+	// radio observes on each 20 MHz channel of the band, as a sub-channel
+	// row (see Input). Nil means none anywhere.
+	ExternalUtil []float64
 	// Utilization is the AP's current-channel total utilization, used for
 	// the §4.5.1 high-utilization penalty scaling.
 	Utilization float64
@@ -57,7 +59,12 @@ type APView struct {
 	Pinned bool
 }
 
-// Input is one band's planning problem.
+// Input is one band's planning problem. Everything it carries per 20 MHz
+// channel is indexed by sub-channel position: entry (or bit) i belongs to
+// spectrum.Channels(Band, W20, true)[i], the channel whose spectrum.ID
+// mask is bit i. A row shorter than the band reads as zero beyond its end
+// and nothing reads one beyond the band's; rows may be shared between
+// inputs, so only Sanitize, repairing an invalid entry, writes to one.
 type Input struct {
 	Band spectrum.Band
 	APs  []APView
@@ -65,16 +72,16 @@ type Input struct {
 	AllowDFS bool
 	// MaxWidth caps assignments network-wide (admin override, Table 1).
 	MaxWidth spectrum.Width
-	// Blocked lists 20 MHz sub-channel numbers under an active radar
+	// Blocked is the mask of 20 MHz sub-channels under an active radar
 	// non-occupancy period. Any candidate whose bonded width touches a
-	// blocked sub-channel is inadmissible this pass: the planner never
-	// assigns it, never keeps an AP on it, and never offers it as a DFS
-	// fallback. Nil means nothing is quarantined.
-	Blocked map[int]bool
-	// ChannelNoise is band-wide non-WiFi occupancy per 20 MHz channel
-	// number (e.g. sampled from a spectrum trace), added on top of each
-	// AP's own ExternalUtil observation and capped at 1.
-	ChannelNoise map[int]float64
+	// blocked sub-channel (ID.Mask intersects) is inadmissible this pass:
+	// the planner never assigns it, never keeps an AP on it, and never
+	// offers it as a DFS fallback.
+	Blocked uint64
+	// ChannelNoise is the band-wide non-WiFi occupancy sub-channel row
+	// (e.g. sampled from a spectrum trace), added on top of each AP's own
+	// ExternalUtil observation and capped at 1.
+	ChannelNoise []float64
 }
 
 // StaleFraction reports the share of APs planned from stale or pinned
@@ -252,17 +259,14 @@ func newPlanner(cfg Config, in Input) *planner {
 				p.neigh[i] = append(p.neigh[i], j)
 			}
 		}
-		// Sum in fixed width order, not map order: float addition is not
-		// associative, and a map-order sum makes two planners built from
-		// the same input disagree in the low bits of every NetP.
 		total := 0.0
-		for _, w := range spectrum.Widths {
-			total += v.WidthLoad[w]
+		for _, s := range v.WidthLoad {
+			total += s
 		}
 		var share [4]float64 // usage share of clients by max-width slot
 		if total > 0 {
-			for slot, w := range spectrum.Widths {
-				if s := v.WidthLoad[w]; s > 0 {
+			for slot, s := range v.WidthLoad {
+				if s > 0 {
 					share[slot] += s / total
 				}
 			}
@@ -282,7 +286,7 @@ func newPlanner(cfg Config, in Input) *planner {
 		p.penBase[i] = p.penaltyBase(v)
 		p.extOf[i] = ext[i*int(hi) : (i+1)*int(hi) : (i+1)*int(hi)]
 		for c := lo; c < hi; c++ {
-			p.extOf[i][c] = p.extWorst(v, c.Sub20Numbers())
+			p.extOf[i][c] = p.extWorst(v, c.Mask())
 		}
 		maxDeg = max(maxDeg, len(p.neigh[i]))
 	}
@@ -305,11 +309,12 @@ func (p *planner) idOf(c spectrum.Channel) spectrum.ID {
 // channel's bonded width, with band-wide trace noise stacked on top of
 // the AP's own observation (both are non-WiFi energy; their overlap is
 // unknowable, so add and cap — the pessimistic reading a scanning radio
-// would report).
-func (p *planner) extWorst(v *APView, subs []int) float64 {
+// would report). mask is the channel's ID.Mask.
+func (p *planner) extWorst(v *APView, mask uint64) float64 {
 	worst := 0.0
-	for _, s := range subs {
-		u := v.ExternalUtil[s] + p.in.ChannelNoise[s]
+	for ; mask != 0; mask &= mask - 1 {
+		s := bits.TrailingZeros64(mask)
+		u := rowAt(v.ExternalUtil, s) + rowAt(p.in.ChannelNoise, s)
 		if u > 1 {
 			u = 1
 		}
@@ -318,6 +323,15 @@ func (p *planner) extWorst(v *APView, subs []int) float64 {
 		}
 	}
 	return worst
+}
+
+// rowAt reads position s of a sub-channel row; a row that stops short of
+// s has nothing there.
+func rowAt(row []float64, s int) float64 {
+	if s < len(row) {
+		return row[s]
+	}
+	return 0
 }
 
 // penaltyBase computes the per-AP part of penalty_c (§4.4.1, §4.5.1).

@@ -67,18 +67,18 @@ func localOptimumInput() Input {
 	ch36, _ := spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
 	ch149, _ := spectrum.ChannelAt(spectrum.Band5, 149, spectrum.W20)
 	in := Input{Band: spectrum.Band5, AllowDFS: false, MaxWidth: spectrum.W20}
-	mk := func(id int, cur spectrum.Channel, ext map[int]float64) APView {
+	mk := func(id int, cur spectrum.Channel, ext []float64) APView {
 		return APView{
 			ID: id, Current: cur, MaxWidth: spectrum.W20, HasClients: true,
 			CSAFraction: 1, Load: 1,
-			WidthLoad:    map[spectrum.Width]float64{spectrum.W20: 1},
+			WidthLoad:    [4]float64{1},
 			Neighbors:    []int{1 - id},
 			ExternalUtil: ext,
 		}
 	}
 	in.APs = []APView{
-		mk(0, ch36, map[int]float64{}),
-		mk(1, ch149, map[int]float64{149: 0.9}),
+		mk(0, ch36, nil),
+		mk(1, ch149, subRow(spectrum.Band5, map[int]float64{149: 0.9})),
 	}
 	return in
 }
@@ -271,7 +271,7 @@ func input24(n int) Input {
 		v := APView{
 			ID: i, Current: ch6, MaxWidth: spectrum.W20, HasClients: true,
 			CSAFraction: 0.5, Load: 1,
-			WidthLoad: map[spectrum.Width]float64{spectrum.W20: 1},
+			WidthLoad: [4]float64{1},
 		}
 		if i > 0 {
 			v.Neighbors = append(v.Neighbors, i-1)

@@ -1,6 +1,7 @@
 package turboca
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -42,7 +43,6 @@ func randomInput(r *rand.Rand) Input {
 			Utilization: r.Float64(),
 			Stale:       r.Float64() < 0.1,
 			Pinned:      r.Float64() < 0.15,
-			WidthLoad:   map[spectrum.Width]float64{},
 		}
 		if in.Band == spectrum.Band2G4 {
 			v.MaxWidth = spectrum.W20
@@ -51,15 +51,15 @@ func randomInput(r *rand.Rand) Input {
 			v.Current = currents[r.Intn(len(currents))]
 		}
 		for k := 1 + r.Intn(3); k > 0; k-- {
-			v.WidthLoad[widths[r.Intn(len(widths))]] = 0.05 + r.Float64()
+			v.WidthLoad[r.Intn(len(widths))] = 0.05 + r.Float64()
 		}
 		for k := r.Intn(4); k > 0; k-- {
-			c := currents[r.Intn(len(currents))]
+			id, _ := spectrum.IDOf(currents[r.Intn(len(currents))])
 			if v.ExternalUtil == nil {
-				v.ExternalUtil = map[int]float64{}
+				v.ExternalUtil = make([]float64, len(spectrum.Channels(in.Band, spectrum.W20, true)))
 			}
-			for _, sub := range c.Sub20Numbers() {
-				v.ExternalUtil[sub] = r.Float64()
+			for m := id.Mask(); m != 0; m &= m - 1 {
+				v.ExternalUtil[bits.TrailingZeros64(m)] = r.Float64()
 			}
 		}
 		in.APs = append(in.APs, v)

@@ -11,18 +11,18 @@ import (
 // Quarantine threading through the planner (Input.Blocked) and the trace
 // interference term (Input.ChannelNoise).
 
-// blockSubs builds a Blocked set from sub-channel numbers.
-func blockSubs(subs ...int) map[int]bool {
-	m := make(map[int]bool, len(subs))
+// blockSubs builds a 5 GHz Blocked mask from sub-channel numbers.
+func blockSubs(subs ...int) uint64 {
+	var m uint64
 	for _, s := range subs {
-		m[s] = true
+		m |= spectrum.Sub20Mask(spectrum.Band5, s)
 	}
 	return m
 }
 
-func touchesAny(c spectrum.Channel, blocked map[int]bool) bool {
+func touchesAny(c spectrum.Channel, blocked uint64) bool {
 	for _, s := range c.Sub20Numbers() {
-		if blocked[s] {
+		if spectrum.Sub20Mask(c.Band, s)&blocked != 0 {
 			return true
 		}
 	}
@@ -60,10 +60,9 @@ func TestQuarantineDegradationLadder(t *testing.T) {
 	// Partial quarantine: everything except U-NII-3 (149-165). The chain
 	// sits on ch 42, now blocked; acc must choose a surviving channel.
 	in := chainInput(3, spectrum.W80, 1.0)
-	in.Blocked = map[int]bool{}
 	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
 		if c.Number < 149 {
-			in.Blocked[c.Number] = true
+			in.Blocked |= blockSubs(c.Number)
 		}
 	}
 	p := newPlanner(DefaultConfig(), in)
@@ -81,9 +80,8 @@ func TestQuarantineDegradationLadder(t *testing.T) {
 	// this (non-DFS channels are never struck), but the planner must still
 	// land on the deterministic narrowest floor instead of failing.
 	in2 := chainInput(3, spectrum.W80, 1.0)
-	in2.Blocked = map[int]bool{}
 	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
-		in2.Blocked[c.Number] = true
+		in2.Blocked |= blockSubs(c.Number)
 	}
 	p2 := newPlanner(DefaultConfig(), in2)
 	for i := range p2.views {
@@ -117,7 +115,7 @@ func TestChannelNoisePenalizesOccupiedChannels(t *testing.T) {
 	in := chainInput(1, spectrum.W80, 1.0)
 	noisy, _ := spectrum.ChannelAt(spectrum.Band5, 155, spectrum.W80)
 	quiet, _ := spectrum.ChannelAt(spectrum.Band5, 106, spectrum.W80)
-	in.ChannelNoise = map[int]float64{149: 0.7, 153: 0.7, 157: 0.7, 161: 0.7}
+	in.ChannelNoise = subRow(spectrum.Band5, map[int]float64{149: 0.7, 153: 0.7, 157: 0.7, 161: 0.7})
 	p := newPlanner(DefaultConfig(), in)
 	ni := p.idOf(noisy)
 	qi := p.idOf(quiet)
@@ -130,8 +128,8 @@ func TestChannelNoisePenalizesOccupiedChannels(t *testing.T) {
 // utilization saturates at 1 rather than overflowing the airtime model.
 func TestChannelNoiseCapsAtFullOccupancy(t *testing.T) {
 	in := chainInput(1, spectrum.W80, 1.0)
-	in.APs[0].ExternalUtil = map[int]float64{149: 0.8}
-	in.ChannelNoise = map[int]float64{149: 0.9}
+	in.APs[0].ExternalUtil = subRow(spectrum.Band5, map[int]float64{149: 0.8})
+	in.ChannelNoise = subRow(spectrum.Band5, map[int]float64{149: 0.9})
 	p := newPlanner(DefaultConfig(), in)
 	c, _ := spectrum.ChannelAt(spectrum.Band5, 149, spectrum.W20)
 	ci := p.idOf(c)
@@ -159,63 +157,61 @@ func TestDigestCoversQuarantineAndNoise(t *testing.T) {
 	}
 
 	n := chainInput(2, spectrum.W80, 1.0)
-	n.ChannelNoise = map[int]float64{36: 0.4}
+	n.ChannelNoise = subRow(spectrum.Band5, map[int]float64{36: 0.4})
 	if n.Digest() == d0 {
 		t.Fatal("ChannelNoise does not affect the digest")
 	}
 	n2 := chainInput(2, spectrum.W80, 1.0)
-	n2.ChannelNoise = map[int]float64{36: 0.5}
+	n2.ChannelNoise = subRow(spectrum.Band5, map[int]float64{36: 0.5})
 	if n2.Digest() == n.Digest() {
 		t.Fatal("noise level does not affect the digest")
 	}
 
-	// Map iteration order must not leak into the digest.
+	// How a row is laid out must not leak into the digest: one cut after
+	// its last entry, or running past the band, is the same table.
 	m1 := chainInput(2, spectrum.W80, 1.0)
-	m1.Blocked = blockSubs(52, 56, 60, 64, 100, 104)
-	m1.ChannelNoise = map[int]float64{36: 0.1, 40: 0.2, 149: 0.3}
+	m1.ChannelNoise = subRow(spectrum.Band5, map[int]float64{36: 0.1, 40: 0.2, 52: 0.3})
 	m2 := chainInput(2, spectrum.W80, 1.0)
-	m2.Blocked = blockSubs(104, 100, 64, 60, 56, 52)
-	m2.ChannelNoise = map[int]float64{149: 0.3, 40: 0.2, 36: 0.1}
-	if m1.Digest() != m2.Digest() {
-		t.Fatal("digest depends on map construction order")
+	m2.ChannelNoise = m1.ChannelNoise[:5] // ch 52 is the band's fifth channel
+	m3 := chainInput(2, spectrum.W80, 1.0)
+	m3.ChannelNoise = append(append([]float64(nil), m1.ChannelNoise...), 0.9, 0.9)
+	if m1.Digest() != m2.Digest() || m1.Digest() != m3.Digest() {
+		t.Fatal("digest depends on the row's length")
+	}
+	if m1.ChannelNoise = nil; m1.Digest() != d0 {
+		t.Fatal("a nil row does not digest as no noise")
 	}
 }
 
-// TestSanitizeQuarantineFields: sanitation canonicalizes false Blocked
-// entries away (so equivalent quarantine states digest identically) and
-// clamps noise into [0, 1].
+// TestSanitizeQuarantineFields: sanitation clears Blocked bits beyond the
+// band (so equivalent quarantine states digest identically), clamps noise
+// into [0, 1] and cuts an over-long row to the band without writing to it.
 func TestSanitizeQuarantineFields(t *testing.T) {
 	in := chainInput(1, spectrum.W80, 1.0)
-	in.Blocked = map[int]bool{52: true, 56: false}
-	in.ChannelNoise = map[int]float64{36: 1.7, 40: -0.2, 44: 0.5}
-	fixes := in.Sanitize()
-	if fixes == 0 {
-		t.Fatal("sanitize reported no fixes")
+	in.Blocked = blockSubs(52) | 1<<25 | 1<<63 // 5 GHz has sub-channels 0..24
+	long := append(subRow(spectrum.Band5, map[int]float64{36: 1.7, 40: -0.2, 44: 0.5, 48: math.NaN()}), -3, 7)
+	in.ChannelNoise = long
+	if fixes := in.Sanitize(); fixes != 5 { // stray bits, length, three entries
+		t.Fatalf("sanitize reported %d fixes, want 5", fixes)
 	}
-	if _, ok := in.Blocked[56]; ok {
-		t.Fatal("false Blocked entry survived sanitation")
+	if in.Blocked != blockSubs(52) {
+		t.Fatalf("Blocked = %#x, want only ch 52's bit", in.Blocked)
 	}
-	if !in.Blocked[52] {
-		t.Fatal("true Blocked entry lost")
+	if len(in.ChannelNoise) != 25 || long[25] != -3 || long[26] != 7 {
+		t.Fatalf("over-long row: len %d, surplus %v (want cut at 25, surplus untouched)", len(in.ChannelNoise), long[25:])
 	}
-	if in.ChannelNoise[36] != 1 {
-		t.Fatalf("over-unity noise = %v, want clamped to 1", in.ChannelNoise[36])
+	if got := in.ChannelNoise[:4]; got[0] != 1 || got[1] != 0 || got[2] != 0.5 || got[3] != 0 {
+		t.Fatalf("noise after sanitize = %v, want [1 0 0.5 0]", got)
 	}
-	if _, ok := in.ChannelNoise[40]; ok {
-		t.Fatal("negative noise entry survived sanitation")
-	}
-	if in.ChannelNoise[44] != 0.5 {
-		t.Fatal("valid noise entry mutated")
+	if fixes := in.Sanitize(); fixes != 0 {
+		t.Fatalf("second pass applied %d fixes", fixes)
 	}
 
-	// Canonical equivalence: {52: true, 56: false} digests like {52: true}.
-	a := chainInput(1, spectrum.W80, 1.0)
-	a.Blocked = map[int]bool{52: true, 56: false}
-	a.Sanitize()
+	// Canonical equivalence: stray bits digest like none.
 	b := chainInput(1, spectrum.W80, 1.0)
-	b.Blocked = map[int]bool{52: true}
-	b.Sanitize()
-	if a.Digest() != b.Digest() {
+	b.Blocked = blockSubs(52)
+	b.ChannelNoise = subRow(spectrum.Band5, map[int]float64{36: 1, 44: 0.5})
+	if in.Digest() != b.Digest() {
 		t.Fatal("equivalent quarantine states digest differently")
 	}
 }
@@ -279,20 +275,20 @@ func TestEvaluatorQuarantineSuperset(t *testing.T) {
 // is quarantined only on the ladder's last rung, and the Evaluator offers
 // nothing beyond the cap that ACC could not itself fall back to.
 func TestLadderHasOneReading(t *testing.T) {
-	var below149, nonDFS map[int]bool = map[int]bool{}, map[int]bool{}
+	var below149, nonDFS uint64
 	for _, c := range spectrum.Channels(spectrum.Band5, spectrum.W20, true) {
 		if c.Number < 149 {
-			below149[c.Number] = true
+			below149 |= blockSubs(c.Number)
 		}
 		if !c.DFS {
-			nonDFS[c.Number] = true
+			nonDFS |= blockSubs(c.Number)
 		}
 	}
 	quarantines := []struct {
 		name     string
-		blocked  map[int]bool
+		blocked  uint64
 		lastRung bool // every non-DFS channel is quarantined
-	}{{"none", nil, false}, {"partial", below149, false}, {"every non-DFS struck", nonDFS, true}}
+	}{{"none", 0, false}, {"partial", below149, false}, {"every non-DFS struck", nonDFS, true}}
 
 	for _, q := range quarantines {
 		for _, maxW := range []spectrum.Width{0, spectrum.W20, spectrum.W40, spectrum.W80, spectrum.W160} {

@@ -17,12 +17,14 @@ const maxSaneLoad = 64
 // dropped (first occurrence wins), NaN and negative loads are clamped,
 // utilization and CSA fractions are forced into [0, 1], neighbor
 // references to unknown APs and self-loops are removed, empty width-load
-// mixes default to all-20MHz, and a current channel that is not a US
-// channel of the input band is cleared to the zero Channel, the "never
-// assigned" state the planner already handles. It returns the number of corrections applied; a well-formed
-// input returns 0 and is left untouched.
+// mixes default to all-20MHz, a current channel that is not a US channel
+// of the input band is cleared to the zero Channel, the "never assigned"
+// state the planner already handles, and sub-channel rows and the blocked
+// mask are cut to the band (sanitizeRow). It returns the number of
+// corrections applied; a well-formed input returns 0 and is left untouched.
 func (in *Input) Sanitize() int {
 	fixes := 0
+	subs := len(spectrum.Channels(in.Band, spectrum.W20, true))
 
 	// Duplicate AP IDs: a doubled view would double-count the AP's NodeP
 	// and alias its neighbor edges.
@@ -54,14 +56,14 @@ func (in *Input) Sanitize() int {
 			}
 		}
 
-		for w, s := range v.WidthLoad {
-			if !w.Valid() || math.IsNaN(s) || math.IsInf(s, 0) || s <= 0 {
-				delete(v.WidthLoad, w)
+		for slot, s := range v.WidthLoad {
+			if math.IsNaN(s) || math.IsInf(s, 0) || s < 0 {
+				v.WidthLoad[slot] = 0
 				fixes++
 			}
 		}
-		if len(v.WidthLoad) == 0 {
-			v.WidthLoad = map[spectrum.Width]float64{spectrum.W20: 1}
+		if v.WidthLoad == ([4]float64{}) {
+			v.WidthLoad[0] = 1
 			fixes++
 		}
 
@@ -75,39 +77,41 @@ func (in *Input) Sanitize() int {
 		}
 		v.Neighbors = neigh
 
-		for ch, u := range v.ExternalUtil {
-			switch {
-			case math.IsNaN(u) || u < 0:
-				delete(v.ExternalUtil, ch)
-				fixes++
-			case u > 1:
-				v.ExternalUtil[ch] = 1
-				fixes++
-			}
-		}
+		v.ExternalUtil, fixes = sanitizeRow(v.ExternalUtil, subs, fixes)
 	}
 
 	// Band-wide trace noise obeys the same domain as ExternalUtil: a
 	// utilization fraction per 20 MHz channel.
-	for ch, u := range in.ChannelNoise {
-		switch {
-		case math.IsNaN(u) || u <= 0:
-			delete(in.ChannelNoise, ch)
-			fixes++
-		case u > 1:
-			in.ChannelNoise[ch] = 1
-			fixes++
-		}
-	}
-	// A false entry in Blocked means "not quarantined"; canonicalize it
-	// away so digests of equivalent quarantine states match.
-	for s, b := range in.Blocked {
-		if !b {
-			delete(in.Blocked, s)
-			fixes++
-		}
+	in.ChannelNoise, fixes = sanitizeRow(in.ChannelNoise, subs, fixes)
+	// A bit beyond the band's last sub-channel quarantines nothing.
+	if stray := in.Blocked >> subs << subs; stray != 0 {
+		in.Blocked &^= stray
+		fixes++
 	}
 	return fixes
+}
+
+// sanitizeRow forces a sub-channel row into its domain, a utilization
+// fraction for each of the band's subs 20 MHz channels: NaN and negative
+// entries become zero, entries above 1 become 1, and a row longer than the
+// band is resliced to it. The surplus is cut off, never written: rows are
+// shared between snapshots, and only an invalid entry may change under one.
+func sanitizeRow(row []float64, subs, fixes int) ([]float64, int) {
+	if len(row) > subs {
+		row = row[:subs:subs]
+		fixes++
+	}
+	for i, u := range row {
+		switch {
+		case math.IsNaN(u) || u < 0:
+			row[i] = 0
+			fixes++
+		case u > 1:
+			row[i] = 1
+			fixes++
+		}
+	}
+	return row, fixes
 }
 
 // clampField forces x into [lo, hi], mapping NaN to lo, and threads the

@@ -78,12 +78,14 @@ func TestSanitizeUnknownNeighbors(t *testing.T) {
 
 func TestSanitizeEmptyWidthLoad(t *testing.T) {
 	in := chainInput(3, spectrum.W80, 1.0)
-	in.APs[0].WidthLoad = nil
-	in.APs[1].WidthLoad = map[spectrum.Width]float64{spectrum.W40: math.NaN()}
-	(&in).Sanitize()
+	in.APs[0].WidthLoad = [4]float64{}
+	in.APs[1].WidthLoad = [4]float64{0, math.NaN(), -1, math.Inf(1)}
+	if fixes := (&in).Sanitize(); fixes != 5 { // an empty mix; three entries and the mix they leave
+		t.Fatalf("fixes = %d, want 5", fixes)
+	}
 	for i := 0; i < 2; i++ {
-		if w := in.APs[i].WidthLoad; len(w) != 1 || w[spectrum.W20] != 1 {
-			t.Fatalf("AP %d width load %v, want {W20: 1}", i, w)
+		if w := in.APs[i].WidthLoad; w != ([4]float64{1}) {
+			t.Fatalf("AP %d width load %v, want all 20 MHz", i, w)
 		}
 	}
 	planAfterSanitize(t, in)
@@ -104,19 +106,19 @@ func TestSanitizeUtilizationAndCSAClamped(t *testing.T) {
 
 func TestSanitizeExternalUtilAndOffBandCurrent(t *testing.T) {
 	in := chainInput(3, spectrum.W80, 1.0)
-	in.APs[0].ExternalUtil = map[int]float64{36: math.NaN(), 40: -1, 44: 2.0, 48: 0.5}
+	in.APs[0].ExternalUtil = subRow(spectrum.Band5, map[int]float64{36: math.NaN(), 40: -1, 44: 2.0, 48: 0.5})
 	in.APs[1].Current = spectrum.Channel{Band: spectrum.Band2G4, Number: 6, Width: spectrum.W20}
 	// On-band, valid width, but ch37 is no US channel.
 	in.APs[2].Current = spectrum.Channel{Band: spectrum.Band5, Number: 37, Width: spectrum.W20}
 	(&in).Sanitize()
-	ext := in.APs[0].ExternalUtil
-	if _, ok := ext[36]; ok {
+	ext := in.APs[0].ExternalUtil // ch 36, 40, 44, 48 are positions 0..3
+	if ext[0] != 0 {
 		t.Fatal("NaN external util survived")
 	}
-	if _, ok := ext[40]; ok {
+	if ext[1] != 0 {
 		t.Fatal("negative external util survived")
 	}
-	if ext[44] != 1 || ext[48] != 0.5 {
+	if ext[2] != 1 || ext[3] != 0.5 {
 		t.Fatalf("external util clamp: %v", ext)
 	}
 	if in.APs[1].Current != (spectrum.Channel{}) {

@@ -1,12 +1,23 @@
 package turboca
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
+
+// subRow builds band's sub-channel row from values keyed by 20 MHz channel
+// number, the way the tests name channels.
+func subRow(band spectrum.Band, byNumber map[int]float64) []float64 {
+	row := make([]float64, len(spectrum.Channels(band, spectrum.W20, true)))
+	for n, u := range byNumber {
+		row[bits.TrailingZeros64(spectrum.Sub20Mask(band, n))] = u
+	}
+	return row
+}
 
 // chainInput builds n APs in a line where consecutive APs are neighbors,
 // all on the same initial channel — the classic worst-case starting plan.
@@ -21,7 +32,7 @@ func chainInput(n int, maxW spectrum.Width, load float64) Input {
 			HasClients:  true,
 			CSAFraction: 0.8,
 			Load:        load,
-			WidthLoad:   map[spectrum.Width]float64{spectrum.W20: 0.3, spectrum.W40: 0.3, spectrum.W80: 0.4},
+			WidthLoad:   [4]float64{0.3, 0.3, 0.4},
 		}
 		if i > 0 {
 			v.Neighbors = append(v.Neighbors, i-1)
@@ -56,7 +67,7 @@ func TestNodePPenalizesCoChannelNeighbors(t *testing.T) {
 // supports wider widths, NodeP does not reward wider channels.
 func TestNodePWidthProperty(t *testing.T) {
 	in := chainInput(1, spectrum.W80, 1.0)
-	in.APs[0].WidthLoad = map[spectrum.Width]float64{spectrum.W20: 1} // 20 MHz-only clients
+	in.APs[0].WidthLoad = [4]float64{1} // 20 MHz-only clients
 	in.APs[0].Current, _ = spectrum.ChannelAt(spectrum.Band5, 36, spectrum.W20)
 	p := newPlanner(DefaultConfig(), in)
 	c20 := p.idOf(in.APs[0].Current)
@@ -122,22 +133,21 @@ func TestLocalOptimumEscape(t *testing.T) {
 	ch149, _ := spectrum.ChannelAt(spectrum.Band5, 149, spectrum.W20)
 	in := Input{Band: spectrum.Band5, AllowDFS: false, MaxWidth: spectrum.W20}
 	// An interferer sits near B on ch149 (B's current channel).
-	mk := func(id int, cur spectrum.Channel, ext map[int]float64) APView {
+	mk := func(id int, cur spectrum.Channel, ext []float64) APView {
 		return APView{
 			ID: id, Current: cur, MaxWidth: spectrum.W20, HasClients: true,
 			CSAFraction: 1, Load: 1,
-			WidthLoad:    map[spectrum.Width]float64{spectrum.W20: 1},
+			WidthLoad:    [4]float64{1},
 			Neighbors:    []int{1 - id},
 			ExternalUtil: ext,
 		}
 	}
+	// Per the paper, the interferer is near B only: A hears nothing on
+	// 149, B hears 0.9.
 	in.APs = []APView{
-		mk(0, ch36, map[int]float64{149: 0.9}),  // A: interference near it on 149
-		mk(1, ch149, map[int]float64{149: 0.9}), // B: stuck on the dirty 149
+		mk(0, ch36, nil),
+		mk(1, ch149, subRow(spectrum.Band5, map[int]float64{149: 0.9})), // B: stuck on the dirty 149
 	}
-	// Wait: per the paper, the interferer is near B only. Model that: A
-	// hears nothing on 149, B hears 0.9.
-	in.APs[0].ExternalUtil = map[int]float64{}
 
 	cfg := DefaultConfig()
 	cfg.Runs = 6
