@@ -10,10 +10,11 @@
 GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR:
-# the TCP packet path, where a silent regression corrupts traffic rather
-# than failing a build, plus the shared telemetry store and the fleet
-# control plane, whose determinism contracts live in their tests.
-COVER_PKGS  = ./internal/fastack ./internal/tcpstack ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle
+# the TCP packet path and the sequence-space containers under it, where a
+# silent regression corrupts traffic rather than failing a build, plus the
+# shared telemetry store and the fleet control plane, whose determinism
+# contracts live in their tests.
+COVER_PKGS  = ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle
 COVER_FLOOR = 75
 # The FastACK agent carries the safety guard and invariant checker; its
 # guard/chaos/fuzz test battery holds it to a stricter floor.
@@ -27,7 +28,7 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner bench-module figures gap loc
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed bench-module figures gap loc
 
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
@@ -110,6 +111,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEthernet$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzAgentDatagram$$' -fuzztime $(FUZZTIME) ./internal/fastack
+	$(GO) test -run '^$$' -fuzz '^FuzzRanges$$' -fuzztime $(FUZZTIME) ./internal/seqspace
 
 # Planner numbers: BenchmarkRunNBO sweeps Workers on ~600 APs,
 # BenchmarkPlannerPass is the one configuration README and obs.go quote.
@@ -123,6 +125,16 @@ profile-planner:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -run '^$$' -bench 'PerfNBOStadium$$' -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
 	$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof"
+
+# Where the data plane spends its time: CPU-profiles the steady state of
+# BENCHMARK.json's two testbed shapes (BenchmarkPerfTestbedDownlink,
+# BenchmarkPerfTestbedMixed), one profile each, and prints the top of both.
+profile-testbed:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	for shape in Downlink Mixed; do \
+		$(GO) test -run '^$$' -bench "PerfTestbed$$shape\$$" -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
+		$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof" || exit 1; \
+	done
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so
 # `go build ./...` and `go test ./...` at the root never compile it. This

@@ -12,6 +12,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
+	"repro/internal/testbed"
 	"repro/internal/topo"
 	"repro/internal/turboca"
 )
@@ -70,6 +71,46 @@ func BenchmarkPerfMACSaturatedLink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		engine.RunUntil(engine.Now() + 100*sim.Millisecond)
 	}
+}
+
+// benchTestbed drives one of BENCHMARK.json's two testbed shapes the way
+// bench/data.go does — invariant checker armed, the first simulated second
+// (handshakes, slow start, pools filling) outside the timer, then 100 ms
+// slices — so that a profile of it is a profile of that workload's steady
+// state (`make profile-testbed`).
+func benchTestbed(b *testing.B, shape func(*testbed.Options)) {
+	opt := testbed.DefaultOptions()
+	opt.Seed = 20170811
+	opt.FastACK.CheckInvariants = true
+	shape(&opt)
+	tb := testbed.New(opt)
+	tb.Run(sim.Second)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.Engine.RunUntil(tb.Engine.Now() + 100*sim.Millisecond)
+	}
+	b.ReportMetric(0.1*float64(b.N)/b.Elapsed().Seconds(), "sim_s/s")
+}
+
+// BenchmarkPerfTestbedDownlink is testbed_downlink: one FastACK AP, 30 bulk
+// downloads, 1.5 % bad hints (the Fig 16 shape).
+func BenchmarkPerfTestbedDownlink(b *testing.B) {
+	benchTestbed(b, func(o *testbed.Options) {
+		o.APModes = []testbed.Mode{testbed.FastACK}
+		o.ClientsPerAP = 30
+		o.BadHintRate = 0.015
+	})
+}
+
+// BenchmarkPerfTestbedMixed is testbed_mixed: a Baseline and a FastACK AP
+// contending, 10 clients each, a download and an upload per client.
+func BenchmarkPerfTestbedMixed(b *testing.B) {
+	benchTestbed(b, func(o *testbed.Options) {
+		o.APModes = []testbed.Mode{testbed.Baseline, testbed.FastACK}
+		o.ClientsPerAP = 10
+		o.Traffic = testbed.TCPBidirectional
+	})
 }
 
 func BenchmarkPerfNBOMuseum(b *testing.B) {

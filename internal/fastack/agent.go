@@ -19,6 +19,7 @@ package fastack
 
 import (
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -419,7 +420,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 	disp := Disposition{Forward: true}
 
 	switch {
-	case seqLT(seqIn, f.seqFack):
+	case seqspace.LT(seqIn, f.seqFack):
 		// (i) Spurious retransmission: already fast-ACKed. Drop — but
 		// re-ACK, the way the client itself would answer a duplicate
 		// segment. The retransmission means the sender missed the original
@@ -432,7 +433,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 		a.finishFlow(f)
 		return reack
 
-	case seqLT(seqIn, f.seqExp):
+	case seqspace.LT(seqIn, f.seqExp):
 		// (ii) End-to-end retransmission of data the AP has seen but the
 		// client has not acknowledged at the 802.11 layer. Forward with
 		// priority elevation.
@@ -446,9 +447,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 		// (iii) In order: cache, forward, advance expectations.
 		a.cacheInsert(f, d)
 		f.advanceExp(end)
-		if seqLT(f.seqHigh, end) {
-			f.seqHigh = end
-		}
+		f.seqHigh = seqspace.Max(f.seqHigh, end)
 		a.finishFlow(f)
 		return disp
 
@@ -467,9 +466,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 		}
 		a.stats.HolesDetected++
 		f.addAbove(seqIn, end)
-		if seqLT(f.seqHigh, end) {
-			f.seqHigh = end
-		}
+		f.seqHigh = seqspace.Max(f.seqHigh, end)
 		dup := a.buildAck(f, f.seqExp)
 		if f.clientSACKOK || f.clientWScale < 0 {
 			dup.TCP.SACK = append(dup.TCP.SACK, packet.SACKBlock{Left: seqIn, Right: end})
@@ -574,7 +571,7 @@ func (a *Agent) feedbackEvent(d *packet.Datagram, ok bool, disp *Disposition) *f
 	if f.gstate >= GuardBypass {
 		// No fast ACKs are generated in bypass. A MAC drop inside the debt
 		// range is still the agent's to repair.
-		if !ok && f.gstate != GuardPassThrough && seqLT(d.TCP.Seq, f.seqFack) {
+		if !ok && f.gstate != GuardPassThrough && seqspace.LT(d.TCP.Seq, f.seqFack) {
 			if cached := f.cacheLookup(d.TCP.Seq); cached != nil {
 				obsm.cacheHits.Inc()
 				a.stats.WirelessRedrives++
@@ -604,7 +601,7 @@ func (a *Agent) feedbackEvent(d *packet.Datagram, ok bool, disp *Disposition) *f
 		return nil
 	}
 
-	if end := d.TCP.Seq + uint32(d.PayloadLen); seqLT(f.seqExp, end) {
+	if end := d.TCP.Seq + uint32(d.PayloadLen); seqspace.LT(f.seqExp, end) {
 		// Feedback for bytes that never crossed the wire: the radio cannot
 		// have transmitted them, so the report is garbage (mangled header,
 		// stale feedback from a prior connection). Folding it in would
@@ -702,7 +699,7 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 	f.clientWindow = int(t.Window) << wscale
 
 	ack := t.Ack
-	if !a.cfg.Guard.Disable && seqLT(f.seqHigh, ack) {
+	if !a.cfg.Guard.Disable && seqspace.LT(f.seqHigh, ack) {
 		// Cumulative ACK beyond anything the sender has transmitted:
 		// header corruption. Forward it untouched — folding it into
 		// seq_TCP would poison the window and debt accounting.
@@ -719,7 +716,7 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 	}
 
 	switch {
-	case seqLT(f.seqTCP, ack):
+	case seqspace.LT(f.seqTCP, ack):
 		wasZero := f.zeroWindowSent
 		f.seqTCP = ack
 		f.cachePurge(ack)
@@ -739,7 +736,7 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 
 	case ack == f.lastClientAck:
 		f.dupAcksFromClient++
-		if seqLT(ack, f.seqFack) {
+		if seqspace.LT(ack, f.seqFack) {
 			// We vouched for this data with a fast ACK and the client
 			// disagrees: an inaccurate 802.11 ACK (§5.7).
 			a.stats.BadHints++
@@ -764,7 +761,7 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		f.lastClientAck = ack
 	}
 
-	if seqLT(f.seqFack, ack) {
+	if seqspace.LT(f.seqFack, ack) {
 		// The client acknowledged beyond our fast-ack point. Forward rather
 		// than lose information — and treat the cumulative ACK as ground
 		// truth for delivery: every byte below it reached the client, so the
@@ -779,10 +776,10 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		}
 		disp.Forward = true
 		heal := ack
-		if seqLT(f.seqExp, heal) {
+		if seqspace.LT(f.seqExp, heal) {
 			heal = f.seqExp // never past the wire frontier
 		}
-		if seqLT(f.seqFack, heal) {
+		if seqspace.LT(f.seqFack, heal) {
 			f.seqFack = heal
 			f.drainContiguous() // ride over q_seq entries the heal reconnected
 			a.stats.FeedbackHeals++
@@ -813,18 +810,18 @@ func (a *Agent) retransmitFromCache(disp *Disposition, f *flowState, ack uint32,
 	for _, blk := range sack {
 		for i := 0; i < f.cache.Len(); i++ {
 			c := f.cache.At(i)
-			if !(seqLT(c.seq, blk.Left) && seqLT(ack, c.end)) {
+			if !(seqspace.LT(c.Seq, blk.Left) && seqspace.LT(ack, segEnd(c))) {
 				continue
 			}
 			if queued >= maxPerEvent {
 				return queued
 			}
-			if covered(c.seq, sack) || c.seq == ack {
+			if covered(c.Seq, sack) || c.Seq == ack {
 				continue
 			}
 			a.stats.LocalRetransmits++
 			obsm.localRetransmits.Inc()
-			a.emitClient(disp, a.clone(c.dgram))
+			a.emitClient(disp, a.clone(c.V))
 			queued++
 		}
 	}
@@ -833,7 +830,7 @@ func (a *Agent) retransmitFromCache(disp *Disposition, f *flowState, ack uint32,
 
 func covered(seq uint32, sack []packet.SACKBlock) bool {
 	for _, b := range sack {
-		if seqLEQ(b.Left, seq) && seqLT(seq, b.Right) {
+		if seqspace.LEQ(b.Left, seq) && seqspace.LT(seq, b.Right) {
 			return true
 		}
 	}
@@ -952,7 +949,7 @@ func (a *Agent) Export(key packet.Flow) (ExportedFlow, bool) {
 		Guard: f.gstate, BypassAt: f.bypassAt, DebtAtBypass: f.debtAtBypass,
 	}
 	for i := 0; i < f.cache.Len(); i++ {
-		ex.Cache = append(ex.Cache, f.cache.At(i).dgram.Clone())
+		ex.Cache = append(ex.Cache, f.cache.At(i).V.Clone())
 	}
 	return ex, true
 }

@@ -370,7 +370,7 @@ func TestWirelessDropRedrive(t *testing.T) {
 		t.Fatalf("stats: %+v", h.a.Stats())
 	}
 	// The redrive is a clone, not the cached packet itself.
-	if disp.ToClient[0] == h.a.flows[d0.Flow()].cache.At(0).dgram {
+	if disp.ToClient[0] == h.a.flows[d0.Flow()].cache.At(0).V {
 		t.Fatal("redrive aliases the cache")
 	}
 }

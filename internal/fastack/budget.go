@@ -172,9 +172,8 @@ func (b *cacheBudget) reclaim(f *flowState) (evicted int, overrun bool) {
 			if v == f && v.cache.Len() == 1 {
 				break // the just-inserted entry
 			}
-			old := v.cache.At(0)
-			if v.debtBytes() > 0 && seqLT(v.seqTCP, old.end) && seqLT(old.seq, v.seqFack) {
-				break // vouched: this flow yields nothing more from the front
+			if v.vouched(v.cache.Front()) {
+				break // this flow yields nothing more from the front
 			}
 			v.releaseSeg(v.cache.PopFront())
 			evicted++

@@ -2,35 +2,22 @@ package fastack
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
-// seqLT reports a < b in 32-bit TCP sequence space.
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
+// cachedSeg is one retransmission-cache entry: a clone of the data segment,
+// filed under its sequence number.
+type cachedSeg = seqspace.Entry[*packet.Datagram]
 
-// seqLEQ reports a <= b in sequence space.
-func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
-
-// ackedSeg is one TCP segment acknowledged at the 802.11 layer but not yet
-// fast-ACKed: an entry of the paper's q_seq.
-type ackedSeg struct {
-	seq uint32
-	len int
-}
-
-// cachedSeg is one retransmission-cache entry.
-type cachedSeg struct {
-	seq   uint32
-	end   uint32
-	dgram *packet.Datagram
-}
+// segEnd returns the sequence number just past a cached segment's payload.
+func segEnd(c *cachedSeg) uint32 { return c.Seq + uint32(c.V.PayloadLen) }
 
 // flowState is the per-flow FastACK state, Table 3 of the paper:
 //
-//	holes_vec  TCP holes vector                         -> above (rangeSet)
+//	holes_vec  TCP holes vector                         -> above
 //	seq_high   highest TCP data seq seen                -> seqHigh
 //	seq_exp    expected TCP data seq from the sender    -> seqExp
 //	seq_fack   last fast-acked TCP data seq by the AP   -> seqFack
@@ -47,14 +34,16 @@ type flowState struct {
 	seqFack uint32
 	seqTCP  uint32
 
-	qSeq ring[ackedSeg] // sorted by seq, disjoint
+	// qSeq holds the segments acknowledged at the 802.11 layer but not yet
+	// fast-ACKed: payload length by sequence number.
+	qSeq seqspace.Window[int]
 
 	// above records byte ranges received from the sender beyond seqExp
 	// (the holes vector complement: the data we *do* have above a hole).
-	above []packet.SACKBlock
+	above seqspace.Ranges
 
-	// cache is the local retransmission cache, ordered by seq.
-	cache      ring[cachedSeg]
+	// cache is the local retransmission cache.
+	cache      seqspace.Window[*packet.Datagram]
 	cacheBytes int
 
 	// bud is the owning agent's shared cache budget / pool; nil for a
@@ -147,7 +136,7 @@ func (f *flowState) debtBytes() int {
 // re-seeded by the caller via initAt.
 func (f *flowState) resetForNewConnection() {
 	f.qSeq.Reset()
-	f.above = nil
+	f.above = seqspace.Ranges{}
 	f.releaseCache()
 	f.sawData = false
 	f.dupAcksFromClient = 0
@@ -197,34 +186,13 @@ func (f *flowState) advertisedWindow(queueBudget int) int {
 	return w
 }
 
-// qSeqSearch returns the first q_seq index whose seq is >= seq.
-func (f *flowState) qSeqSearch(seq uint32) int {
-	lo, hi := 0, f.qSeq.Len()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seqLT(f.qSeq.At(mid).seq, seq) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// enqueueAcked inserts an 802.11-acknowledged segment into q_seq, keeping
-// the queue sorted and dropping duplicates (MAC-layer retransmissions can
-// deliver the same MPDU's ACK twice). Block-ACK feedback is mostly
-// in-order, so the common case is a plain append at the back.
+// enqueueAcked inserts an 802.11-acknowledged segment into q_seq, dropping
+// duplicates (MAC-layer retransmissions can deliver the same MPDU's ACK
+// twice).
 func (f *flowState) enqueueAcked(seq uint32, length int) {
-	if n := f.qSeq.Len(); n == 0 || seqLT(f.qSeq.At(n-1).seq, seq) {
-		f.qSeq.PushBack(ackedSeg{seq: seq, len: length})
-		return
+	if l := f.qSeq.Put(seq); l != nil {
+		*l = length
 	}
-	i := f.qSeqSearch(seq)
-	if i < f.qSeq.Len() && f.qSeq.At(i).seq == seq {
-		return
-	}
-	f.qSeq.Insert(i, ackedSeg{seq: seq, len: length})
 }
 
 // drainContiguous pops entries off q_seq while they continue seq_fack,
@@ -234,24 +202,24 @@ func (f *flowState) enqueueAcked(seq uint32, length int) {
 // A-MPDU the block ACK covered.
 func (f *flowState) drainContiguous() (newFack uint32, segs int) {
 	for f.qSeq.Len() > 0 {
-		head := *f.qSeq.At(0)
-		if head.seq != f.seqFack {
+		head := *f.qSeq.Front()
+		if head.Seq != f.seqFack {
 			// Continuity broken: wait for the missing 802.11 ACK.
-			if seqLT(head.seq, f.seqFack) {
+			if seqspace.LT(head.Seq, f.seqFack) {
 				// Stale entry below the fast-ack point; discard.
 				f.qSeq.PopFront()
 				continue
 			}
 			break
 		}
-		if f.vouchNeedsCache && f.cacheLookup(head.seq) == nil {
+		if f.vouchNeedsCache && f.cacheLookup(head.Seq) == nil {
 			// Evicted before its feedback arrived: the agent cannot repair
 			// this segment, so it must not vouch for it. Stall here — the
 			// debt-stall guard will bypass the flow, whose remaining debt
 			// is still fully covered.
 			break
 		}
-		f.seqFack = head.seq + uint32(head.len)
+		f.seqFack = head.Seq + uint32(head.V)
 		f.qSeq.PopFront()
 		segs++
 	}
@@ -267,14 +235,21 @@ func (f *flowState) cloneDgram(d *packet.Datagram) *packet.Datagram {
 	return d.Clone()
 }
 
+// vouched reports whether a cached segment overlaps the fast-ACK debt range
+// [seq_TCP, seq_fack): bytes vouched for toward the sender, which this cache
+// is the only place to repair from and which are therefore never evicted.
+func (f *flowState) vouched(c *cachedSeg) bool {
+	return f.debtBytes() > 0 && seqspace.LT(f.seqTCP, segEnd(c)) && seqspace.LT(c.Seq, f.seqFack)
+}
+
 // releaseSeg returns an evicted/purged cache entry's bytes to the flow and
 // the shared budget, and its datagram to the pool.
 func (f *flowState) releaseSeg(s cachedSeg) {
-	n := int(s.end - s.seq)
+	n := s.V.PayloadLen
 	f.cacheBytes -= n
 	if f.bud != nil {
 		f.bud.used -= n
-		f.bud.pool.put(s.dgram)
+		f.bud.pool.put(s.V)
 		if f.cacheBytes == 0 {
 			f.bud.lruRemove(f)
 		}
@@ -288,35 +263,15 @@ func (f *flowState) releaseCache() {
 	}
 }
 
-// cacheSearch returns the first cache index whose seq is >= seq.
-func (f *flowState) cacheSearch(seq uint32) int {
-	lo, hi := 0, f.cache.Len()
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seqLT(f.cache.At(mid).seq, seq) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // cacheInsert stores a clone of the data packet for local retransmission.
 // Returns the evicted byte count if the per-flow cache limit forced
 // eviction.
 func (f *flowState) cacheInsert(d *packet.Datagram, limitBytes int) (evicted int) {
-	seq := d.TCP.Seq
-	end := seq + uint32(d.PayloadLen)
-	if n := f.cache.Len(); n == 0 || seqLT(f.cache.At(n-1).seq, seq) {
-		f.cache.PushBack(cachedSeg{seq: seq, end: end, dgram: f.cloneDgram(d)})
-	} else {
-		i := f.cacheSearch(seq)
-		if i < f.cache.Len() && f.cache.At(i).seq == seq {
-			return 0 // already cached (end-to-end retransmission)
-		}
-		f.cache.Insert(i, cachedSeg{seq: seq, end: end, dgram: f.cloneDgram(d)})
+	slot := f.cache.Put(d.TCP.Seq)
+	if slot == nil {
+		return 0 // already cached (end-to-end retransmission), or no place in the window
 	}
+	*slot = f.cloneDgram(d)
 	f.cacheBytes += d.PayloadLen
 	if f.bud != nil {
 		f.bud.used += d.PayloadLen
@@ -330,13 +285,13 @@ func (f *flowState) cacheInsert(d *packet.Datagram, limitBytes int) (evicted int
 		// they can ever be repaired from. The cache overruns its budget
 		// instead, and the blocked eviction is surfaced as a thrash
 		// signal for the guard.
-		old := *f.cache.At(0)
-		if f.debtBytes() > 0 && seqLT(f.seqTCP, old.end) && seqLT(old.seq, f.seqFack) {
+		if f.vouched(f.cache.Front()) {
 			f.evictBlocked = true
 			break
 		}
-		f.releaseSeg(f.cache.PopFront())
-		evicted += int(old.end - old.seq)
+		old := f.cache.PopFront()
+		f.releaseSeg(old)
+		evicted += old.V.PayloadLen
 	}
 	return evicted
 }
@@ -348,8 +303,7 @@ func (f *flowState) cacheInsert(d *packet.Datagram, limitBytes int) (evicted int
 func (f *flowState) cacheTrimToDebt() {
 	f.cachePurge(f.seqTCP)
 	for f.cache.Len() > 0 {
-		last := *f.cache.At(f.cache.Len() - 1)
-		if seqLT(last.seq, f.seqFack) {
+		if seqspace.LT(f.cache.At(f.cache.Len()-1).Seq, f.seqFack) {
 			break // starts inside the debt range: keep
 		}
 		f.releaseSeg(f.cache.PopBack())
@@ -358,16 +312,15 @@ func (f *flowState) cacheTrimToDebt() {
 
 // cachePurge drops cache entries fully acknowledged at or below ack.
 func (f *flowState) cachePurge(ack uint32) {
-	for f.cache.Len() > 0 && seqLEQ(f.cache.At(0).end, ack) {
+	for f.cache.Len() > 0 && seqspace.LEQ(segEnd(f.cache.Front()), ack) {
 		f.releaseSeg(f.cache.PopFront())
 	}
 }
 
 // cacheLookup returns the cached segment starting at seq, or nil.
 func (f *flowState) cacheLookup(seq uint32) *packet.Datagram {
-	i := f.cacheSearch(seq)
-	if i < f.cache.Len() && f.cache.At(i).seq == seq {
-		return f.cache.At(i).dgram
+	if d := f.cache.Find(seq); d != nil {
+		return *d
 	}
 	return nil
 }
@@ -377,43 +330,21 @@ func (f *flowState) cacheRange(left, right uint32) []*packet.Datagram {
 	var out []*packet.Datagram
 	for i := 0; i < f.cache.Len(); i++ {
 		c := f.cache.At(i)
-		if seqLT(c.seq, right) && seqLT(left, c.end) {
-			out = append(out, c.dgram)
+		if seqspace.LT(c.Seq, right) && seqspace.LT(left, segEnd(c)) {
+			out = append(out, c.V)
 		}
 	}
 	return out
 }
 
-// addAbove records a received byte range beyond seqExp and merges overlaps.
-func (f *flowState) addAbove(left, right uint32) {
-	f.above = append(f.above, packet.SACKBlock{Left: left, Right: right})
-	sort.Slice(f.above, func(i, j int) bool { return seqLT(f.above[i].Left, f.above[j].Left) })
-	merged := f.above[:0]
-	for _, b := range f.above {
-		if n := len(merged); n > 0 && seqLEQ(b.Left, merged[n-1].Right) {
-			if seqLT(merged[n-1].Right, b.Right) {
-				merged[n-1].Right = b.Right
-			}
-			continue
-		}
-		merged = append(merged, b)
-	}
-	f.above = merged
-}
+// addAbove records a received byte range beyond seqExp.
+func (f *flowState) addAbove(left, right uint32) { f.above.Add(left, right) }
 
 // advanceExp moves seqExp past end and then over any contiguous ranges
 // already received above it (hole filling).
 func (f *flowState) advanceExp(end uint32) {
-	if seqLT(f.seqExp, end) {
-		f.seqExp = end
-	}
-	for len(f.above) > 0 && seqLEQ(f.above[0].Left, f.seqExp) {
-		if seqLT(f.seqExp, f.above[0].Right) {
-			f.seqExp = f.above[0].Right
-		}
-		f.above = f.above[1:]
-	}
+	f.seqExp = f.above.Absorb(seqspace.Max(f.seqExp, end))
 }
 
 // hasHole reports whether upstream losses left gaps below seqHigh.
-func (f *flowState) hasHole() bool { return len(f.above) > 0 }
+func (f *flowState) hasHole() bool { return f.above.Len() > 0 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 )
 
 func seg(seq uint32, n int) *packet.Datagram {
@@ -26,7 +27,7 @@ func TestQuickQSeqSortedDisjoint(t *testing.T) {
 			present[s] = true
 		}
 		for i := 1; i < fl.qSeq.Len(); i++ {
-			if !seqLT(fl.qSeq.At(i-1).seq, fl.qSeq.At(i).seq) {
+			if !seqspace.LT(fl.qSeq.At(i-1).Seq, fl.qSeq.At(i).Seq) {
 				return false
 			}
 		}
@@ -60,7 +61,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 			return false
 		}
 		for i := 1; i < fl.cache.Len(); i++ {
-			if !seqLT(fl.cache.At(i-1).seq, fl.cache.At(i).seq) {
+			if !seqspace.LT(fl.cache.At(i-1).Seq, fl.cache.At(i).Seq) {
 				return false
 			}
 		}
@@ -68,10 +69,10 @@ func TestQuickCacheInvariants(t *testing.T) {
 		fl.cachePurge(purge)
 		for ci := 0; ci < fl.cache.Len(); ci++ {
 			c := fl.cache.At(ci)
-			if seqLT(c.seq, purge) && seqLEQ(c.end, purge) {
+			if seqspace.LT(c.Seq, purge) && seqspace.LEQ(segEnd(c), purge) {
 				return false // purged range still present
 			}
-			if d := fl.cacheLookup(c.seq); d == nil || d.TCP.Seq != c.seq {
+			if d := fl.cacheLookup(c.Seq); d == nil || d.TCP.Seq != c.Seq {
 				return false
 			}
 		}

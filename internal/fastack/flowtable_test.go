@@ -194,8 +194,8 @@ func TestCacheEvictionTable(t *testing.T) {
 				t.Fatalf("cache holds %d entries, want %d", f.cache.Len(), len(tc.wantSeqs))
 			}
 			for i, want := range tc.wantSeqs {
-				if f.cache.At(i).seq != want {
-					t.Errorf("cache[%d].seq = %d, want %d", i, f.cache.At(i).seq, want)
+				if f.cache.At(i).Seq != want {
+					t.Errorf("cache[%d].seq = %d, want %d", i, f.cache.At(i).Seq, want)
 				}
 			}
 		})

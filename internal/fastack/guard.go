@@ -2,6 +2,7 @@ package fastack
 
 import (
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -231,7 +232,7 @@ func (a *Agent) guardTrip(f *flowState, reason GuardReason) {
 	// never be fast-ACKed and the holes vector will never emulate another
 	// dup-ACK.
 	f.qSeq.Drop()
-	f.above = nil
+	f.above = seqspace.Ranges{}
 	f.stormCount = 0
 	f.dupAcksFromClient = 0
 	if f.debtBytes() == 0 {
@@ -261,7 +262,7 @@ func (a *Agent) guardDetach(f *flowState) {
 	}
 	f.cache.Drop()
 	f.qSeq.Drop()
-	f.above = nil
+	f.above = seqspace.Ranges{}
 	a.accountFlow(f)
 }
 
@@ -270,7 +271,7 @@ func (a *Agent) guardDetach(f *flowState) {
 // wild-ACK check and roam export); nothing is cached and no state machine
 // runs.
 func (a *Agent) bypassDownlink(f *flowState, end uint32) Disposition {
-	if f.gstate != GuardPassThrough && seqLT(f.seqHigh, end) {
+	if f.gstate != GuardPassThrough && seqspace.LT(f.seqHigh, end) {
 		f.seqHigh = end
 	}
 	a.finishFlow(f)
@@ -297,11 +298,11 @@ func (a *Agent) bypassUplinkAck(f *flowState, t *packet.TCP) Disposition {
 	f.clientWindow = int(t.Window) << wscale
 
 	ack := t.Ack
-	if seqLT(f.seqHigh, ack) {
+	if seqspace.LT(f.seqHigh, ack) {
 		return disp // wild ACK: forward, but never learn from it
 	}
 	switch {
-	case seqLT(f.seqTCP, ack):
+	case seqspace.LT(f.seqTCP, ack):
 		f.seqTCP = ack
 		f.cachePurge(ack)
 		f.dupAcksFromClient = 0
@@ -313,7 +314,7 @@ func (a *Agent) bypassUplinkAck(f *flowState, t *packet.TCP) Disposition {
 	case ack == f.lastClientAck:
 		f.dupAcksFromClient++
 		if f.dupAcksFromClient >= a.cfg.DupAckThreshold &&
-			seqLT(ack, f.seqFack) && !a.cfg.DisableCache {
+			seqspace.LT(ack, f.seqFack) && !a.cfg.DisableCache {
 			f.dupAcksFromClient = 0
 			if ack != f.lastRtxSeq || now-f.lastRtxAt >= a.cfg.RtxGuard {
 				f.lastRtxSeq = ack

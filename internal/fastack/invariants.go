@@ -1,6 +1,10 @@
 package fastack
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/seqspace"
+)
 
 // Runtime invariant checker (enabled by Config.CheckInvariants, used by
 // the chaos suite and the fuzz targets). It asserts the safety core the
@@ -39,7 +43,7 @@ func (a *Agent) checkFastAck(f *flowState, ackNo uint32, advBytes int) {
 	if !a.cfg.CheckInvariants {
 		return
 	}
-	if seqLT(f.seqExp, ackNo) {
+	if seqspace.LT(f.seqExp, ackNo) {
 		a.violate(f, "fast-ACK %d beyond wire frontier seq_exp=%d", ackNo, f.seqExp)
 	}
 	if cw := f.clientWindow; cw >= 0 && advBytes > cw {
@@ -52,10 +56,10 @@ func (a *Agent) checkFlow(f *flowState) {
 	if !a.cfg.CheckInvariants || !f.initialized {
 		return
 	}
-	if seqLT(f.seqExp, f.seqFack) {
+	if seqspace.LT(f.seqExp, f.seqFack) {
 		a.violate(f, "seq_fack=%d ahead of seq_exp=%d", f.seqFack, f.seqExp)
 	}
-	if seqLT(f.seqHigh, f.seqExp) {
+	if seqspace.LT(f.seqHigh, f.seqExp) {
 		a.violate(f, "seq_exp=%d ahead of seq_high=%d", f.seqExp, f.seqHigh)
 	}
 	if (f.gstate == GuardBypass || f.gstate == GuardDraining) && !a.cfg.DisableCache {
@@ -68,20 +72,20 @@ func (a *Agent) checkFlow(f *flowState) {
 // cacheCovers reports whether the cache, walked in seq order, covers every
 // byte of [left, right) with no gap.
 func (f *flowState) cacheCovers(left, right uint32) bool {
-	if !seqLT(left, right) {
+	if !seqspace.LT(left, right) {
 		return true
 	}
 	cur := left
 	for i := 0; i < f.cache.Len(); i++ {
 		c := f.cache.At(i)
-		if seqLEQ(c.end, cur) {
+		if seqspace.LEQ(segEnd(c), cur) {
 			continue
 		}
-		if seqLT(cur, c.seq) {
+		if seqspace.LT(cur, c.Seq) {
 			return false // gap before this entry
 		}
-		cur = c.end
-		if seqLEQ(right, cur) {
+		cur = segEnd(c)
+		if seqspace.LEQ(right, cur) {
 			return true
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -111,10 +112,10 @@ func TestSharedBudgetProperties(t *testing.T) {
 				if inserted != nil && bud.used > bud.limit {
 					for v := bud.lruHead; v != nil; v = v.lruNext {
 						old := v.cache.At(0)
-						vouched := v.debtBytes() > 0 && seqLT(v.seqTCP, old.end) && seqLT(old.seq, v.seqFack)
+						vouched := v.debtBytes() > 0 && seqspace.LT(v.seqTCP, segEnd(old)) && seqspace.LT(old.Seq, v.seqFack)
 						if !vouched && !(v == inserted && v.cache.Len() == 1) {
 							t.Fatalf("op %d: budget overrun (%d > %d) with evictable front seq=%d on %v",
-								op, bud.used, bud.limit, old.seq, v.flow)
+								op, bud.used, bud.limit, old.Seq, v.flow)
 						}
 					}
 				}
@@ -323,7 +324,7 @@ func (s *scenario) randomOp(rng *rand.Rand) *flowState {
 		case 1:
 			ack = f.nextSeq + 100000*uint32(rng.Intn(2)) // frontier or wild
 		default:
-			if st := s.h.a.flows[s.key(f)]; st != nil && seqLT(f.acked, st.seqFack) {
+			if st := s.h.a.flows[s.key(f)]; st != nil && seqspace.LT(f.acked, st.seqFack) {
 				span := st.seqFack - f.acked
 				ack = f.acked + uint32(rng.Int63n(int64(span))+1)
 			}
@@ -333,7 +334,7 @@ func (s *scenario) randomOp(rng *rand.Rand) *flowState {
 		a.TCP.Window = 4096
 		a.TCP.Ack = ack
 		s.h.a.HandleUplink(a)
-		if seqLT(f.acked, ack) && !seqLT(f.nextSeq, ack) {
+		if seqspace.LT(f.acked, ack) && !seqspace.LT(f.nextSeq, ack) {
 			f.acked = ack
 		}
 	case op < 18: // advance time; occasionally sweep

@@ -30,7 +30,6 @@ type MPDU struct {
 	AC         phy.AccessCategory
 	EnqueuedAt sim.Time // wire arrival at the transmitter (for 802.11 latency)
 	Retries    int
-	seq        uint64 // per-station monotonic, for debugging
 
 	// tidSeq is the 802.11 per-TID sequence number, assigned at first
 	// transmission attempt; the receiver's reorder buffer releases MSDUs
@@ -103,6 +102,16 @@ type backoffState struct {
 	counter int // remaining backoff slots; -1 = needs fresh draw
 }
 
+// fail doubles the contention window, up to the category's CWMax, after a
+// frame exchange that delivered nothing, and asks for a fresh draw.
+func (bs *backoffState) fail(ac phy.AccessCategory) {
+	bs.cw = bs.cw*2 + 1
+	if max := ac.EDCA().CWMax; bs.cw > max {
+		bs.cw = max
+	}
+	bs.counter = -1
+}
+
 // Station is one 802.11 transceiver attached to a Medium.
 type Station struct {
 	ID     StationID
@@ -111,7 +120,6 @@ type Station struct {
 
 	queues   [4]*acQueue // indexed by phy.AccessCategory
 	backoffs [4]backoffState
-	seq      uint64
 
 	rate map[StationID]*RateController // per-peer link adaptation
 
@@ -210,9 +218,7 @@ func (s *Station) Enqueue(d *packet.Datagram, dst StationID, ac phy.AccessCatego
 	m := &MPDU{
 		Dgram: d, Src: s.ID, Dst: dst, AC: ac,
 		EnqueuedAt: s.medium.engine.Now(),
-		seq:        s.seq,
 	}
-	s.seq++
 	if pool := s.cfg.SharedPoolLimit; pool > 0 && s.totalQueued() >= pool {
 		s.stats.Dropped++
 		s.stats.PoolDrops++
@@ -245,16 +251,9 @@ func (s *Station) Enqueue(d *packet.Datagram, dst StationID, ac phy.AccessCatego
 func (s *Station) FlushDst(dst StationID) int {
 	removed := 0
 	for _, q := range s.queues {
-		d := q.byDst[dst]
-		if d == nil {
-			continue
-		}
-		for d.len() > 0 {
-			m := d.popFront()
-			q.count--
-			q.bytes -= m.Dgram.WireLen()
-			removed++
-		}
+		n := q.depthFor(dst)
+		q.popFor(dst, n)
+		removed += n
 	}
 	return removed
 }
@@ -266,9 +265,7 @@ func (s *Station) EnqueueFront(d *packet.Datagram, dst StationID, ac phy.AccessC
 	m := &MPDU{
 		Dgram: d, Src: s.ID, Dst: dst, AC: ac,
 		EnqueuedAt: s.medium.engine.Now(),
-		seq:        s.seq,
 	}
-	s.seq++
 	s.queues[ac].requeueFront(m)
 	s.medium.kickContention()
 }

@@ -316,11 +316,7 @@ func (md *Medium) buildFrame(c contender) (dst StationID, rate phy.Rate, mpdus [
 	}
 	rc := c.st.rateFor(dst)
 	rate = rc.Select()
-	head := q.byDst[dst].peek(0)
-	headLen := 1500
-	if head != nil {
-		headLen = head.Dgram.WireLen()
-	}
+	headLen := (*q.byDst[dst].At(0)).Dgram.WireLen()
 	maxAgg := phy.MaxAggregateForRate(rate, headLen)
 	if rc.Probing() && maxAgg > MaxProbeAggregate {
 		maxAgg = MaxProbeAggregate
@@ -382,13 +378,7 @@ func (md *Medium) transmit(c contender, start sim.Time) {
 		for i := len(mpdus) - 1; i >= 0; i-- {
 			st0.queues[c.ac].requeueFront(mpdus[i])
 		}
-		bs := &st0.backoffs[c.ac]
-		p := c.ac.EDCA()
-		bs.cw = bs.cw*2 + 1
-		if bs.cw > p.CWMax {
-			bs.cw = p.CWMax
-		}
-		bs.counter = -1
+		st0.backoffs[c.ac].fail(c.ac)
 		md.engine.Schedule(rtsEnd, func(*sim.Engine) { md.kickContention() })
 		return
 	}
@@ -456,44 +446,16 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 		}
 	}
 
-	// Re-queue failures at the head in original order (pushFront reverses,
-	// so iterate from the back).
-	limit := perACRetryLimit(c.ac)
-	if st.cfg.RetryLimit > 0 {
-		limit = st.cfg.RetryLimit
-	}
-	for i := len(failed) - 1; i >= 0; i-- {
-		m := failed[i]
-		m.Retries++
-		if m.Retries > limit {
-			st.stats.Dropped++
-			// Advance the receiver's reorder window past the abandoned
-			// MPDU so held frames behind it are released (BAR semantics).
-			rx.reorderAdvance(st.ID, c.ac, m.tidSeq, now)
-			if st.OnDelivered != nil {
-				st.OnDelivered(m, false, now)
-			}
-			if st.OnDrop != nil {
-				st.OnDrop(m, now)
-			}
-			continue
-		}
-		st.queues[c.ac].requeueFront(m)
-	}
+	st.retry(failed, rx, c.ac, now)
 
 	st.rateFor(dst).Update(rate, len(mpdus), delivered)
 
-	bs := &st.backoffs[c.ac]
-	p := c.ac.EDCA()
-	if delivered > 0 {
-		bs.cw = p.CWMin
+	if bs := &st.backoffs[c.ac]; delivered > 0 {
+		bs.cw = c.ac.EDCA().CWMin
+		bs.counter = -1
 	} else {
-		bs.cw = bs.cw*2 + 1
-		if bs.cw > p.CWMax {
-			bs.cw = p.CWMax
-		}
+		bs.fail(c.ac)
 	}
-	bs.counter = -1
 
 	report := FrameReport{
 		At: start, Src: st.ID, Dst: dst, AC: c.ac, Rate: rate,
@@ -506,6 +468,35 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 		md.OnTransmit(report, mpdus)
 	}
 	md.kickContention()
+}
+
+// retry charges one failed attempt to each of failed (in transmit order):
+// an MPDU over its retry limit is dropped — the receiver's reorder window
+// advances past it so held frames behind it are released (BAR semantics),
+// then the transmitter's OnDelivered(false) and OnDrop fire — and the rest
+// go back on the head of the queue in their original order (a front insert
+// reverses, so iterate from the back).
+func (st *Station) retry(failed []*MPDU, rx *Station, ac phy.AccessCategory, now sim.Time) {
+	limit := perACRetryLimit(ac)
+	if st.cfg.RetryLimit > 0 {
+		limit = st.cfg.RetryLimit
+	}
+	for i := len(failed) - 1; i >= 0; i-- {
+		m := failed[i]
+		m.Retries++
+		if m.Retries > limit {
+			st.stats.Dropped++
+			rx.reorderAdvance(st.ID, ac, m.tidSeq, now)
+			if st.OnDelivered != nil {
+				st.OnDelivered(m, false, now)
+			}
+			if st.OnDrop != nil {
+				st.OnDrop(m, now)
+			}
+			continue
+		}
+		st.queues[ac].requeueFront(m)
+	}
 }
 
 // collide handles >= 2 winners transmitting simultaneously: every frame is
@@ -567,36 +558,9 @@ func (md *Medium) collide(winners []contender, start sim.Time) {
 			st.stats.Collisions++
 			st.stats.AirtimeUs += a.airUs
 
-			limit := perACRetryLimit(a.c.ac)
-			if st.cfg.RetryLimit > 0 {
-				limit = st.cfg.RetryLimit
-			}
-			for i := len(a.mpdus) - 1; i >= 0; i-- {
-				m := a.mpdus[i]
-				m.Retries++
-				if m.Retries > limit {
-					st.stats.Dropped++
-					md.stations[a.dst].reorderAdvance(st.ID, a.c.ac, m.tidSeq, now)
-					if st.OnDelivered != nil {
-						st.OnDelivered(m, false, now)
-					}
-					if st.OnDrop != nil {
-						st.OnDrop(m, now)
-					}
-					continue
-				}
-				st.queues[a.c.ac].requeueFront(m)
-			}
-
+			st.retry(a.mpdus, md.stations[a.dst], a.c.ac, now)
 			st.rateFor(a.dst).Update(a.rate, len(a.mpdus), 0)
-
-			bs := &st.backoffs[a.c.ac]
-			p := a.c.ac.EDCA()
-			bs.cw = bs.cw*2 + 1
-			if bs.cw > p.CWMax {
-				bs.cw = p.CWMax
-			}
-			bs.counter = -1
+			st.backoffs[a.c.ac].fail(a.c.ac)
 
 			if md.OnFrame != nil {
 				md.OnFrame(FrameReport{

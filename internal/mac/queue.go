@@ -1,88 +1,50 @@
 package mac
 
-// deque is a simple slice-backed double-ended queue of MPDUs. Head pops are
-// the hot path (building aggregates); front pushes happen on retry.
-type deque struct {
-	items []*MPDU
-}
+import "repro/internal/seqspace"
 
-func (d *deque) len() int { return len(d.items) }
-
-func (d *deque) pushBack(m *MPDU) { d.items = append(d.items, m) }
-
-func (d *deque) pushFront(m *MPDU) {
-	d.items = append(d.items, nil)
-	copy(d.items[1:], d.items)
-	d.items[0] = m
-}
-
-func (d *deque) popFront() *MPDU {
-	if len(d.items) == 0 {
-		return nil
-	}
-	m := d.items[0]
-	d.items[0] = nil
-	d.items = d.items[1:]
-	return m
-}
-
-func (d *deque) peek(i int) *MPDU {
-	if i >= len(d.items) {
-		return nil
-	}
-	return d.items[i]
-}
-
-// acQueue holds per-destination deques within one access category and
+// acQueue holds one deque per destination within one access category —
+// aggregates pop a deque's head, retries go back on at its head — and
 // serves destinations round-robin, mirroring the per-TID-per-STA queue
 // structure of real AP drivers. Round-robin among stations is what gives
 // CSMA its per-station (not per-packet) fairness.
 type acQueue struct {
-	byDst   map[StationID]*deque
+	byDst   map[StationID]*seqspace.Ring[*MPDU]
 	order   []StationID        // round-robin rotation, one entry per dst
 	inOrder map[StationID]bool // membership guard: rotation stays unique
 	next    int                // round-robin cursor
 	count   int                // total queued MPDUs
-	bytes   int                // total queued payload bytes
 }
 
 func newACQueue() *acQueue {
-	return &acQueue{byDst: map[StationID]*deque{}, inOrder: map[StationID]bool{}}
+	return &acQueue{byDst: map[StationID]*seqspace.Ring[*MPDU]{}, inOrder: map[StationID]bool{}}
 }
 
-// joinRotation adds dst to the round-robin exactly once. Without the
-// uniqueness guard, destinations whose queues drain and refill would
-// accumulate duplicate rotation slots and starve always-backlogged peers.
-func (q *acQueue) joinRotation(dst StationID) {
+// dequeFor returns dst's deque, creating it and joining dst to the
+// round-robin exactly once. Without the uniqueness guard, destinations
+// whose queues drain and refill would accumulate duplicate rotation slots
+// and starve always-backlogged peers.
+func (q *acQueue) dequeFor(dst StationID) *seqspace.Ring[*MPDU] {
+	d, ok := q.byDst[dst]
+	if !ok {
+		d = &seqspace.Ring[*MPDU]{}
+		q.byDst[dst] = d
+	}
 	if !q.inOrder[dst] {
 		q.inOrder[dst] = true
 		q.order = append(q.order, dst)
 	}
+	return d
 }
 
 func (q *acQueue) enqueue(m *MPDU) {
-	d, ok := q.byDst[m.Dst]
-	if !ok {
-		d = &deque{}
-		q.byDst[m.Dst] = d
-	}
-	q.joinRotation(m.Dst)
-	d.pushBack(m)
+	q.dequeFor(m.Dst).PushBack(m)
 	q.count++
-	q.bytes += m.Dgram.WireLen()
 }
 
 // requeueFront puts a failed MPDU back at the head of its destination deque.
 func (q *acQueue) requeueFront(m *MPDU) {
-	d, ok := q.byDst[m.Dst]
-	if !ok {
-		d = &deque{}
-		q.byDst[m.Dst] = d
-	}
-	q.joinRotation(m.Dst)
-	d.pushFront(m)
+	q.dequeFor(m.Dst).Insert(0, m)
 	q.count++
-	q.bytes += m.Dgram.WireLen()
 }
 
 // nextDst returns the next destination with queued traffic, advancing the
@@ -93,7 +55,7 @@ func (q *acQueue) nextDst() (StationID, bool) {
 			q.next = 0
 		}
 		dst := q.order[q.next]
-		if d := q.byDst[dst]; d != nil && d.len() > 0 {
+		if d := q.byDst[dst]; d != nil && d.Len() > 0 {
 			q.next++
 			return dst, true
 		}
@@ -106,42 +68,22 @@ func (q *acQueue) nextDst() (StationID, bool) {
 
 // popFor removes and returns up to max MPDUs destined for dst.
 func (q *acQueue) popFor(dst StationID, max int) []*MPDU {
-	d := q.byDst[dst]
-	if d == nil {
-		return nil
-	}
-	n := d.len()
+	n := q.depthFor(dst)
 	if n > max {
 		n = max
 	}
 	out := make([]*MPDU, 0, n)
 	for i := 0; i < n; i++ {
-		m := d.popFront()
-		q.count--
-		q.bytes -= m.Dgram.WireLen()
-		out = append(out, m)
+		out = append(out, q.byDst[dst].PopFront())
 	}
+	q.count -= n
 	return out
 }
 
 // depthFor returns the number of MPDUs queued for dst.
 func (q *acQueue) depthFor(dst StationID) int {
 	if d := q.byDst[dst]; d != nil {
-		return d.len()
+		return d.Len()
 	}
 	return 0
-}
-
-// dropTail removes the newest MPDU for dst (queue-limit enforcement) and
-// returns it, or nil.
-func (q *acQueue) dropTail(dst StationID) *MPDU {
-	d := q.byDst[dst]
-	if d == nil || d.len() == 0 {
-		return nil
-	}
-	m := d.items[d.len()-1]
-	d.items = d.items[:d.len()-1]
-	q.count--
-	q.bytes -= m.Dgram.WireLen()
-	return m
 }

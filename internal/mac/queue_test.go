@@ -18,62 +18,58 @@ func mkMPDU(dst StationID, n int) *MPDU {
 	}
 }
 
+// One destination's deque, driven the way the MAC drives it: enqueue at the
+// back, a retry at the front, aggregates popped from the front.
 func TestDequeOrder(t *testing.T) {
-	var d deque
+	q := newACQueue()
 	for i := 0; i < 5; i++ {
-		d.pushBack(mkMPDU(0, i+1))
+		q.enqueue(mkMPDU(0, i+1))
 	}
-	d.pushFront(mkMPDU(0, 99))
-	if d.len() != 6 {
-		t.Fatalf("len = %d", d.len())
+	q.requeueFront(mkMPDU(0, 99))
+	if q.depthFor(0) != 6 || q.count != 6 {
+		t.Fatalf("depth = %d, count = %d", q.depthFor(0), q.count)
 	}
-	if got := d.popFront(); got.Dgram.PayloadLen != 99 {
-		t.Fatalf("front = %d", got.Dgram.PayloadLen)
+	if got := q.popFor(0, 1); len(got) != 1 || got[0].Dgram.PayloadLen != 99 {
+		t.Fatalf("front = %v", got)
 	}
-	for i := 0; i < 5; i++ {
-		if got := d.popFront(); got.Dgram.PayloadLen != i+1 {
+	for i, got := range q.popFor(0, 64) {
+		if got.Dgram.PayloadLen != i+1 {
 			t.Fatalf("fifo broken at %d", i)
 		}
 	}
-	if d.popFront() != nil {
+	if q.depthFor(0) != 0 || q.count != 0 || len(q.popFor(0, 1)) != 0 {
 		t.Fatal("pop from empty")
 	}
 }
 
-// Property: under any interleaving of enqueue/requeue/pop operations, the
-// acQueue's count and bytes match the ground truth and the round-robin
-// rotation never contains duplicates.
+// Property: under any interleaving of enqueue/requeue/pop/flush operations,
+// the acQueue's count matches the ground truth and the round-robin rotation
+// never contains duplicates.
 func TestQuickACQueueInvariants(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := newACQueue()
-		count, bytes := 0, 0
+		count := 0
 		for _, op := range ops {
 			dst := StationID(op % 4)
 			switch op % 5 {
 			case 0, 1: // enqueue
-				m := mkMPDU(dst, int(op)+1)
-				q.enqueue(m)
+				q.enqueue(mkMPDU(dst, int(op)+1))
 				count++
-				bytes += m.Dgram.WireLen()
 			case 2: // requeue front
-				m := mkMPDU(dst, int(op)+1)
-				q.requeueFront(m)
+				q.requeueFront(mkMPDU(dst, int(op)+1))
 				count++
-				bytes += m.Dgram.WireLen()
 			case 3: // pop a burst for the next dst
 				if d, ok := q.nextDst(); ok {
-					for _, m := range q.popFor(d, 3) {
-						count--
-						bytes -= m.Dgram.WireLen()
-					}
+					count -= len(q.popFor(d, 3))
 				}
-			case 4: // drop tail
-				if m := q.dropTail(dst); m != nil {
-					count--
-					bytes -= m.Dgram.WireLen()
-				}
+			case 4: // flush one destination, as a roam does
+				count -= len(q.popFor(dst, q.depthFor(dst)))
 			}
-			if q.count != count || q.bytes != bytes {
+			total := 0
+			for d := range q.byDst {
+				total += q.depthFor(d)
+			}
+			if q.count != count || total != count {
 				return false
 			}
 			seen := map[StationID]bool{}

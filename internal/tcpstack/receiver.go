@@ -1,9 +1,8 @@
 package tcpstack
 
 import (
-	"sort"
-
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -31,7 +30,7 @@ type Receiver struct {
 	state    string // "listen", "established"
 	irs      uint32 // initial remote sequence
 	rcvNxt   uint32
-	ooo      []packet.SACKBlock // out-of-order ranges, sorted by Left
+	ooo      seqspace.Ranges // data buffered above a hole
 	oooBytes int
 
 	unackedSegs int
@@ -126,7 +125,7 @@ func (r *Receiver) handleData(t *packet.TCP, payloadLen int) {
 	end := seq + uint32(payloadLen)
 
 	switch {
-	case seqLEQ(end, r.rcvNxt):
+	case seqspace.LEQ(end, r.rcvNxt):
 		// Entirely old data: spurious retransmission. Re-ACK immediately.
 		r.stats.DupSegments++
 		r.sendAck(nil)
@@ -134,78 +133,43 @@ func (r *Receiver) handleData(t *packet.TCP, payloadLen int) {
 
 	case seq == r.rcvNxt:
 		// In-order: advance, absorb any contiguous out-of-order ranges.
-		r.deliverApp(payloadLen)
-		r.rcvNxt = end
-		r.absorbOOO()
+		r.advance(end)
 		r.unackedSegs++
-		if r.unackedSegs >= r.cfg.DelACKSegs || len(r.ooo) > 0 {
+		if r.unackedSegs >= r.cfg.DelACKSegs || r.ooo.Len() > 0 {
 			r.sendAck(nil)
 		} else {
 			r.armDelAck()
 		}
 
-	case seqLT(r.rcvNxt, seq):
+	case seqspace.LT(r.rcvNxt, seq):
 		// Hole: out-of-order arrival. Immediate duplicate ACK with SACK.
 		r.stats.OutOfOrder++
-		r.addOOO(seq, end, payloadLen)
+		if r.ooo.Add(seq, end) > 0 {
+			r.oooBytes += payloadLen
+		}
 		r.sendAck(&packet.SACKBlock{Left: seq, Right: end})
 
 	default:
 		// Partial overlap below rcvNxt: treat the new portion as in-order.
-		fresh := int(end - r.rcvNxt)
-		if fresh > 0 {
-			r.deliverApp(fresh)
-			r.rcvNxt = end
-			r.absorbOOO()
-		}
+		r.advance(end)
 		r.sendAck(nil)
 	}
+}
+
+// advance moves rcvNxt to end, then over every buffered range that is now
+// contiguous, and delivers the newly in-order bytes to the application.
+func (r *Receiver) advance(end uint32) {
+	held := r.ooo.Bytes()
+	nxt := r.ooo.Absorb(end)
+	r.oooBytes -= held - r.ooo.Bytes()
+	r.deliverApp(int(nxt - r.rcvNxt))
+	r.rcvNxt = nxt
 }
 
 func (r *Receiver) deliverApp(n int) {
 	r.stats.BytesReceived += int64(n)
 	if r.OnData != nil {
 		r.OnData(r.engine.Now(), n)
-	}
-}
-
-func (r *Receiver) addOOO(left, right uint32, payloadLen int) {
-	for _, b := range r.ooo {
-		if seqLEQ(b.Left, left) && seqLEQ(right, b.Right) {
-			return // duplicate of buffered data
-		}
-	}
-	r.ooo = append(r.ooo, packet.SACKBlock{Left: left, Right: right})
-	r.oooBytes += payloadLen
-	sort.Slice(r.ooo, func(i, j int) bool { return seqLT(r.ooo[i].Left, r.ooo[j].Left) })
-	// Merge adjacent/overlapping ranges.
-	merged := r.ooo[:0]
-	for _, b := range r.ooo {
-		if n := len(merged); n > 0 && seqLEQ(b.Left, merged[n-1].Right) {
-			if seqLT(merged[n-1].Right, b.Right) {
-				merged[n-1].Right = b.Right
-			}
-			continue
-		}
-		merged = append(merged, b)
-	}
-	r.ooo = merged
-}
-
-// absorbOOO advances rcvNxt over any now-contiguous buffered ranges.
-func (r *Receiver) absorbOOO() {
-	for len(r.ooo) > 0 && seqLEQ(r.ooo[0].Left, r.rcvNxt) {
-		b := r.ooo[0]
-		if seqLT(r.rcvNxt, b.Right) {
-			n := int(b.Right - r.rcvNxt)
-			r.deliverApp(n)
-			r.rcvNxt = b.Right
-		}
-		r.oooBytes -= int(b.Right - b.Left)
-		if r.oooBytes < 0 {
-			r.oooBytes = 0
-		}
-		r.ooo = r.ooo[1:]
 	}
 }
 
@@ -223,8 +187,8 @@ func (r *Receiver) sendAck(latest *packet.SACKBlock) {
 		if latest != nil {
 			ack.TCP.SACK = append(ack.TCP.SACK, *latest)
 		}
-		for i := len(r.ooo) - 1; i >= 0 && len(ack.TCP.SACK) < 4; i-- {
-			b := r.ooo[i]
+		for i := r.ooo.Len() - 1; i >= 0 && len(ack.TCP.SACK) < 4; i-- {
+			b := r.ooo.At(i)
 			if latest != nil && b == *latest {
 				continue
 			}

@@ -2,6 +2,7 @@ package tcpstack
 
 import (
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -43,12 +44,12 @@ type Sender struct {
 	srtt, rttvar sim.Time
 	rto          sim.Time
 	rtoTimer     *sim.Event
-	// sendTimes maps segment end-seq to transmit time for RTT sampling
-	// (Karn's rule: cleared on retransmission).
-	sendTimes map[uint32]sim.Time
+	// sent files the transmit time of every segment in flight under its
+	// end-seq, for RTT sampling (Karn's rule: removed on retransmission).
+	sent seqspace.Window[sim.Time]
 
 	// sacked tracks SACKed byte ranges beyond sndUna.
-	sacked rangeSet
+	sacked seqspace.Ranges
 
 	// cubic holds CUBIC state when cfg.Congestion == Cubic.
 	cubic cubicState
@@ -73,7 +74,6 @@ func NewSender(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, ou
 		state:      "idle",
 		iss:        1000,
 		rto:        sim.Second,
-		sendTimes:  map[uint32]sim.Time{},
 		peerWScale: 0,
 	}
 	s.cwnd = cfg.InitCwnd * cfg.MSS
@@ -191,9 +191,9 @@ func (s *Sender) sendSegment(seq uint32, isRetransmit bool) {
 	end := seq + uint32(s.cfg.MSS)
 	if isRetransmit {
 		s.stats.Retransmits++
-		delete(s.sendTimes, end) // Karn: no RTT sample from retransmits
-	} else {
-		s.sendTimes[end] = s.engine.Now()
+		s.sent.Remove(end) // Karn: no RTT sample from retransmits
+	} else if t := s.sent.Put(end); t != nil {
+		*t = s.engine.Now()
 	}
 	if s.rtoTimer == nil {
 		s.armRTO()
@@ -205,21 +205,21 @@ func (s *Sender) handleAck(t *packet.TCP) {
 	s.rwnd = int(t.Window) << s.peerWScale
 	if len(t.SACK) > 0 {
 		for _, b := range t.SACK {
-			s.sacked.add(b.Left, b.Right)
+			s.sacked.Add(b.Left, b.Right)
 		}
 	}
 
 	switch {
-	case seqLT(s.sndUna, ack): // new data acknowledged
+	case seqspace.LT(s.sndUna, ack): // new data acknowledged
 		acked := int(ack - s.sndUna)
 		s.stats.BytesAcked += int64(acked)
 		s.sampleRTT(ack)
 		s.sndUna = ack
-		s.sacked.trimBelow(ack)
+		s.sacked.TrimBelow(ack)
 		s.dupAcks = 0
 
 		if s.inRecovery {
-			if seqLT(ack, s.recover) {
+			if seqspace.LT(ack, s.recover) {
 				// Partial ACK: retransmit the next hole immediately.
 				s.retransmitHole()
 				// Deflate by the amount acked (NewReno partial-ACK rule).
@@ -310,27 +310,22 @@ func (s *Sender) enterFastRecovery() {
 // retransmitHole resends the first unSACKed segment at or above sndUna.
 func (s *Sender) retransmitHole() {
 	seq := s.sndUna
-	for s.cfg.SACK && s.sacked.contains(seq, seq+uint32(s.cfg.MSS)) {
+	for s.cfg.SACK && s.sacked.Contains(seq, seq+uint32(s.cfg.MSS)) {
 		seq += uint32(s.cfg.MSS)
-		if !seqLT(seq, s.sndNxt) {
+		if !seqspace.LT(seq, s.sndNxt) {
 			return
 		}
 	}
 	s.sendSegment(seq, true)
 }
 
+// sampleRTT retires the send times the new cumulative ACK covers and takes
+// an RTT sample when the ACK lands exactly on a segment boundary whose
+// (first) transmission is on record.
 func (s *Sender) sampleRTT(ack uint32) {
-	// Find an exact sample for the newly acked range; any end <= ack works.
-	t, ok := s.sendTimes[ack]
+	t, ok := s.sent.PopThrough(ack)
 	if !ok {
 		return
-	}
-	delete(s.sendTimes, ack)
-	// Drop older entries lazily to bound the map: remove ends below una.
-	for end := range s.sendTimes {
-		if seqLEQ(end, ack) {
-			delete(s.sendTimes, end)
-		}
 	}
 	rtt := s.engine.Now() - t
 	s.stats.RTTSamples++
@@ -419,53 +414,4 @@ func (s *Sender) notifyCwnd() {
 	if s.OnCwnd != nil {
 		s.OnCwnd(s.engine.Now(), s.cwnd)
 	}
-}
-
-// rangeSet tracks disjoint [left, right) uint32 sequence ranges.
-type rangeSet struct {
-	ranges []packet.SACKBlock
-}
-
-func (r *rangeSet) add(left, right uint32) {
-	if !seqLT(left, right) {
-		return
-	}
-	out := r.ranges[:0:0]
-	for _, b := range r.ranges {
-		if seqLT(right, b.Left) || seqLT(b.Right, left) {
-			out = append(out, b) // disjoint
-			continue
-		}
-		if seqLT(b.Left, left) {
-			left = b.Left
-		}
-		if seqLT(right, b.Right) {
-			right = b.Right
-		}
-	}
-	out = append(out, packet.SACKBlock{Left: left, Right: right})
-	r.ranges = out
-}
-
-func (r *rangeSet) contains(left, right uint32) bool {
-	for _, b := range r.ranges {
-		if seqLEQ(b.Left, left) && seqLEQ(right, b.Right) {
-			return true
-		}
-	}
-	return false
-}
-
-func (r *rangeSet) trimBelow(seq uint32) {
-	out := r.ranges[:0]
-	for _, b := range r.ranges {
-		if seqLEQ(b.Right, seq) {
-			continue
-		}
-		if seqLT(b.Left, seq) {
-			b.Left = seq
-		}
-		out = append(out, b)
-	}
-	r.ranges = out
 }

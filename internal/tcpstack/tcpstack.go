@@ -56,17 +56,3 @@ func DefaultConfig() Config {
 
 // Output is how an endpoint hands a datagram to the network.
 type Output func(d *packet.Datagram)
-
-// seqLT reports a < b in 32-bit sequence space.
-func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
-
-// seqLEQ reports a <= b in sequence space.
-func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }
-
-// seqMax returns the later of a, b in sequence space.
-func seqMax(a, b uint32) uint32 {
-	if seqLT(a, b) {
-		return b
-	}
-	return a
-}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -129,7 +130,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 		t.Fatalf("single loss caused an RTO: %+v", st)
 	}
 	// The receiver must have healed the hole: everything contiguous.
-	if got := p.r.RcvNxt(); seqLT(got, droppedSeq) {
+	if got := p.r.RcvNxt(); seqspace.LT(got, droppedSeq) {
 		t.Fatalf("receiver stuck at %d before dropped %d", got, droppedSeq)
 	}
 	if p.r.Stats().OutOfOrder == 0 {
@@ -304,14 +305,14 @@ func TestUDPSourceRate(t *testing.T) {
 }
 
 func TestSeqArithmetic(t *testing.T) {
-	if !seqLT(0xffffff00, 0x00000010) {
+	if !seqspace.LT(0xffffff00, 0x00000010) {
 		t.Fatal("wraparound comparison broken")
 	}
-	if seqLT(5, 5) || !seqLEQ(5, 5) {
+	if seqspace.LT(5, 5) || !seqspace.LEQ(5, 5) {
 		t.Fatal("equality cases")
 	}
-	if seqMax(10, 3) != 10 || seqMax(0xfffffff0, 5) != 5 {
-		t.Fatal("seqMax")
+	if seqspace.Max(10, 3) != 10 || seqspace.Max(0xfffffff0, 5) != 5 {
+		t.Fatal("Max")
 	}
 }
 

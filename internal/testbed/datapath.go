@@ -5,6 +5,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/packet"
 	"repro/internal/phy"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -147,42 +148,35 @@ func (c *Client) fromAir(m *mac.MPDU) {
 
 // trackTCPData records the AP-side forward time of a TCP data segment for
 // the paper's TCP-latency metric: "the interval between processing a TCP
-// data packet and processing the corresponding TCP ACK" (§4.6.2).
+// data packet and processing the corresponding TCP ACK" (§4.6.2). A
+// retransmission keeps the time of the first forward.
 func (ap *AP) trackTCPData(d *packet.Datagram) {
 	if d.TCP == nil || d.PayloadLen == 0 {
 		return
 	}
-	if len(ap.latPending) > 65536 {
-		return // bound memory under pathological loss
+	flow := d.Flow()
+	w := ap.unacked[flow]
+	if w == nil {
+		w = new(seqspace.Window[sim.Time])
+		ap.unacked[flow] = w
 	}
-	k := latKey{flow: d.Flow(), end: d.TCP.Seq + uint32(d.PayloadLen)}
-	if _, dup := ap.latPending[k]; !dup {
-		ap.latPending[k] = ap.tb.Engine.Now()
+	if t := w.Put(d.TCP.Seq + uint32(d.PayloadLen)); t != nil {
+		*t = ap.tb.Engine.Now()
 	}
 }
 
-// trackTCPAck matches a client TCP ACK against pending data segments.
+// trackTCPAck matches a client TCP ACK against the data segment it ends on
+// and retires every segment it covers: ACKs are cumulative, so the table
+// only ever holds what is in flight.
 func (ap *AP) trackTCPAck(d *packet.Datagram) {
 	if d.TCP == nil || !d.TCP.HasFlag(packet.FlagACK) || d.PayloadLen > 0 {
 		return
 	}
-	flow := d.Flow().Reverse()
-	k := latKey{flow: flow, end: d.TCP.Ack}
-	if t0, found := ap.latPending[k]; found {
-		if ap.tb.warmupDone {
-			ap.tb.LatTCP.Add((ap.tb.Engine.Now() - t0).Millis())
-		}
-		delete(ap.latPending, k)
+	w := ap.unacked[d.Flow().Reverse()]
+	if w == nil {
+		return
 	}
-	// Cumulative ACKs cover earlier segments too; sweep lazily when the
-	// table grows (cheap amortised cleanup).
-	if len(ap.latPending) > 4096 {
-		for kk := range ap.latPending {
-			if kk.flow == flow && seqLEQ(kk.end, d.TCP.Ack) {
-				delete(ap.latPending, kk)
-			}
-		}
+	if t0, ok := w.PopThrough(d.TCP.Ack); ok && ap.tb.warmupDone {
+		ap.tb.LatTCP.Add((ap.tb.Engine.Now() - t0).Millis())
 	}
 }
-
-func seqLEQ(a, b uint32) bool { return int32(a-b) <= 0 }

@@ -19,6 +19,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/pcap"
 	"repro/internal/phy"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
@@ -162,13 +163,10 @@ type AP struct {
 
 	clientsByAddr map[packet.IPv4Addr]*Client
 
-	// tcpLatency tracking (Fig 10 / §4.6.2): data seq end -> forward time.
-	latPending map[latKey]sim.Time
-}
-
-type latKey struct {
-	flow packet.Flow
-	end  uint32
+	// unacked is the TCP-latency probe (Fig 10 / §4.6.2): per downlink
+	// flow, the forward time of every data segment the client has not yet
+	// acknowledged, filed under the segment's end-seq.
+	unacked map[packet.Flow]*seqspace.Window[sim.Time]
 }
 
 // Client is one wireless station running a receiver endpoint.
@@ -232,16 +230,21 @@ type Testbed struct {
 	Senders []*Sender
 
 	// Measurement collectors (post-warmup).
-	Lat80211     *stats.Sample         // ms, AP downlink MPDU wire->802.11-ACK
-	LatTCP       *stats.Sample         // ms, AP data-forward -> corresponding TCP ACK seen
-	AggAP        map[int]*stats.Sample // per-AP A-MPDU sizes (downlink data frames)
-	AggPerClient map[int]*stats.Sample // per-client aggregate sizes
+	Lat80211     *stats.Sample   // ms, AP downlink MPDU wire->802.11-ACK
+	LatTCP       *stats.Sample   // ms, AP data-forward -> corresponding TCP ACK seen
+	AggAP        []*stats.Sample // per-AP A-MPDU sizes (downlink data frames), by AP index
+	AggPerClient []*stats.Sample // per-client aggregate sizes, by client index
 
 	// Faults counts injected data-path faults (zero without DataFaults).
 	Faults FaultCounters
 
 	dataInj    *faults.DataInjector
 	warmupDone bool
+
+	// apAt and clientAt resolve a mac.StationID to the AP or client that
+	// owns the station (nil for the other kind).
+	apAt     []*AP
+	clientAt []*Client
 }
 
 // FaultCounters tallies the data-path faults actually injected.
@@ -280,12 +283,10 @@ func New(opt Options) *Testbed {
 		}
 	}
 	tb := &Testbed{
-		Opt:          opt,
-		Engine:       sim.NewEngine(opt.Seed),
-		Lat80211:     stats.NewSample(4096),
-		LatTCP:       stats.NewSample(4096),
-		AggAP:        map[int]*stats.Sample{},
-		AggPerClient: map[int]*stats.Sample{},
+		Opt:      opt,
+		Engine:   sim.NewEngine(opt.Seed),
+		Lat80211: stats.NewSample(4096),
+		LatTCP:   stats.NewSample(4096),
 	}
 	tb.dataInj = faults.NewData(opt.DataFaults)
 	tb.Medium = mac.NewMedium(tb.Engine, 35)
@@ -298,7 +299,7 @@ func New(opt Options) *Testbed {
 		ap := &AP{
 			tb: tb, Index: i, Mode: mode,
 			clientsByAddr: map[packet.IPv4Addr]*Client{},
-			latPending:    map[latKey]sim.Time{},
+			unacked:       map[packet.Flow]*seqspace.Window[sim.Time]{},
 		}
 		ap.Station = tb.Medium.AddStation(mac.StationConfig{
 			Name: fmt.Sprintf("ap%d", i), NSS: opt.NSS, Width: opt.Width,
@@ -319,7 +320,7 @@ func New(opt Options) *Testbed {
 		st.OnReceive = func(m *mac.MPDU, now sim.Time) { ap.fromWireless(m) }
 		st.OnDelivered = func(m *mac.MPDU, ok bool, now sim.Time) { ap.onWirelessAck(m, ok, now) }
 		tb.APs = append(tb.APs, ap)
-		tb.AggAP[i] = stats.NewSample(4096)
+		tb.AggAP = append(tb.AggAP, stats.NewSample(4096))
 	}
 
 	clientIdx := 0
@@ -328,6 +329,14 @@ func New(opt Options) *Testbed {
 			tb.addClient(ap, clientIdx)
 			clientIdx++
 		}
+	}
+	n := len(tb.Medium.Stations())
+	tb.apAt, tb.clientAt = make([]*AP, n), make([]*Client, n)
+	for _, ap := range tb.APs {
+		tb.apAt[ap.Station.ID] = ap
+	}
+	for _, c := range tb.Clients {
+		tb.clientAt[c.Station.ID] = c
 	}
 	return tb
 }
@@ -350,7 +359,7 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 	c.Station.OnReceive = func(m *mac.MPDU, now sim.Time) { c.fromAir(m) }
 	ap.clientsByAddr[c.Addr] = c
 	tb.Clients = append(tb.Clients, c)
-	tb.AggPerClient[idx] = stats.NewSample(1024)
+	tb.AggPerClient = append(tb.AggPerClient, stats.NewSample(1024))
 
 	serverEP := packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(5000 + idx)}
 	clientEP := packet.Endpoint{Addr: c.Addr, Port: 80}
@@ -391,40 +400,42 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 	tb.Senders = append(tb.Senders, snd)
 }
 
-// wireToAP delivers a datagram from the wired sender to the AP after the
-// switch latency, applying any configured wired-side data faults to TCP
-// payload segments (handshake and pure-ACK control traffic is spared so a
-// chaos run still converges through connection setup).
-func (tb *Testbed) wireToAP(ap *AP, d *packet.Datagram) {
+// wire carries a datagram across the switch, in either direction: after the
+// one-way latency it is handed to deliver. TCP payload segments face the
+// configured wired-side data faults on the way, drawn at fault coordinate
+// coord; handshake and pure-ACK control traffic is spared so a chaos run
+// still converges through connection setup.
+func (tb *Testbed) wire(d *packet.Datagram, coord int, deliver func(*packet.Datagram)) {
 	tb.capture(d)
 	delay := tb.Opt.WiredDelay
 	if dj := tb.dataInj; dj != nil && d.TCP != nil && d.PayloadLen > 0 {
-		ci := clientIndexOf(d.IP.Dst)
 		seq := d.TCP.Seq
-		att := dj.SegmentArrival(ci, seq)
-		if dj.DropSegment(ci, seq, att) {
+		att := dj.SegmentArrival(coord, seq)
+		if dj.DropSegment(coord, seq, att) {
 			tb.Faults.WireDrops++
 			return
 		}
-		if dj.CorruptSegment(ci, seq, att) {
+		if dj.CorruptSegment(coord, seq, att) {
 			tb.Faults.WireCorrupts++
-			d = corruptSegment(d, dj.CorruptU32(ci, seq, 0, att))
+			d = corruptSegment(d, dj.CorruptU32(coord, seq, 0, att))
 		}
-		if extra, ok := dj.ReorderSegment(ci, seq, att); ok {
+		if extra, ok := dj.ReorderSegment(coord, seq, att); ok {
 			tb.Faults.WireReorders++
 			delay += extra
 		}
-		if dj.DuplicateSegment(ci, seq, att) {
+		if dj.DuplicateSegment(coord, seq, att) {
 			tb.Faults.WireDups++
 			dup := d.Clone()
-			tb.Engine.After(delay+50*sim.Microsecond, func(e *sim.Engine) {
-				ap.fromWire(dup)
-			})
+			tb.Engine.After(delay+50*sim.Microsecond, func(*sim.Engine) { deliver(dup) })
 		}
 	}
-	tb.Engine.After(delay, func(e *sim.Engine) {
-		ap.fromWire(d)
-	})
+	tb.Engine.After(delay, func(*sim.Engine) { deliver(d) })
+}
+
+// wireToAP delivers a datagram from the wired side to the AP's Ethernet
+// port. Its data segments draw faults at the destination client's index.
+func (tb *Testbed) wireToAP(ap *AP, d *packet.Datagram) {
+	tb.wire(d, clientIndexOf(d.IP.Dst), ap.fromWire)
 }
 
 // clientIndexOf recovers the client index from its 10.0.1.x address.
@@ -461,40 +472,11 @@ func (tb *Testbed) capture(d *packet.Datagram) {
 }
 
 // wireToSender delivers a datagram from the AP to the wired side. Uplink
-// *data* segments face the same wired fault classes downlink data does,
-// keyed by a direction-salted coordinate so the two directions draw
-// independent fault streams; ACK and control traffic is spared, as on the
-// downlink wire.
+// *data* segments face the same wired fault classes downlink data does, at
+// a direction-salted coordinate so the two directions draw independent
+// fault streams.
 func (tb *Testbed) wireToSender(d *packet.Datagram) {
-	tb.capture(d)
-	delay := tb.Opt.WiredDelay
-	if dj := tb.dataInj; dj != nil && d.TCP != nil && d.PayloadLen > 0 {
-		ci := faults.UplinkCoord(clientIndexOf(d.IP.Src))
-		seq := d.TCP.Seq
-		att := dj.SegmentArrival(ci, seq)
-		if dj.DropSegment(ci, seq, att) {
-			tb.Faults.WireDrops++
-			return
-		}
-		if dj.CorruptSegment(ci, seq, att) {
-			tb.Faults.WireCorrupts++
-			d = corruptSegment(d, dj.CorruptU32(ci, seq, 0, att))
-		}
-		if extra, ok := dj.ReorderSegment(ci, seq, att); ok {
-			tb.Faults.WireReorders++
-			delay += extra
-		}
-		if dj.DuplicateSegment(ci, seq, att) {
-			tb.Faults.WireDups++
-			dup := d.Clone()
-			tb.Engine.After(delay+50*sim.Microsecond, func(e *sim.Engine) {
-				tb.deliverToSender(dup)
-			})
-		}
-	}
-	tb.Engine.After(delay, func(e *sim.Engine) {
-		tb.deliverToSender(d)
-	})
+	tb.wire(d, faults.UplinkCoord(clientIndexOf(d.IP.Src)), tb.deliverToSender)
 }
 
 // deliverToSender routes on destination port: download senders listen on
@@ -649,21 +631,17 @@ func (tb *Testbed) UndrainedBypassedFlows() int {
 	return n
 }
 
-// onFrame feeds the aggregation collectors.
+// onFrame feeds the aggregation collectors with the AP's downlink frames.
 func (tb *Testbed) onFrame(fr mac.FrameReport) {
 	if !tb.warmupDone || fr.Collision {
 		return
 	}
-	for _, ap := range tb.APs {
-		if fr.Src == ap.Station.ID {
-			tb.AggAP[ap.Index].Add(float64(fr.AggSize))
-			for _, c := range tb.Clients {
-				if c.Station.ID == fr.Dst {
-					tb.AggPerClient[c.Index].Add(float64(fr.AggSize))
-					break
-				}
-			}
-			return
-		}
+	ap := tb.apAt[fr.Src]
+	if ap == nil {
+		return
+	}
+	tb.AggAP[ap.Index].Add(float64(fr.AggSize))
+	if c := tb.clientAt[fr.Dst]; c != nil {
+		tb.AggPerClient[c.Index].Add(float64(fr.AggSize))
 	}
 }
