@@ -27,11 +27,10 @@ type Receiver struct {
 	local  packet.Endpoint
 	remote packet.Endpoint
 
-	state    string // "listen", "established"
-	irs      uint32 // initial remote sequence
-	rcvNxt   uint32
-	ooo      seqspace.Ranges // data buffered above a hole
-	oooBytes int
+	state  string // "listen", "established"
+	irs    uint32 // initial remote sequence
+	rcvNxt uint32
+	ooo    seqspace.Ranges // data buffered above a hole
 
 	unackedSegs int
 	delAckTimer *sim.Event
@@ -64,7 +63,7 @@ func (r *Receiver) RcvNxt() uint32 { return r.rcvNxt }
 // drains in-order data instantly, so only out-of-order bytes occupy the
 // buffer.
 func (r *Receiver) window() int {
-	w := r.cfg.RcvBuf - r.oooBytes
+	w := r.cfg.RcvBuf - r.ooo.Bytes()
 	if w < 0 {
 		w = 0
 	}
@@ -144,9 +143,7 @@ func (r *Receiver) handleData(t *packet.TCP, payloadLen int) {
 	case seqspace.LT(r.rcvNxt, seq):
 		// Hole: out-of-order arrival. Immediate duplicate ACK with SACK.
 		r.stats.OutOfOrder++
-		if r.ooo.Add(seq, end) > 0 {
-			r.oooBytes += payloadLen
-		}
+		r.ooo.Add(seq, end)
 		r.sendAck(&packet.SACKBlock{Left: seq, Right: end})
 
 	default:
@@ -159,9 +156,7 @@ func (r *Receiver) handleData(t *packet.TCP, payloadLen int) {
 // advance moves rcvNxt to end, then over every buffered range that is now
 // contiguous, and delivers the newly in-order bytes to the application.
 func (r *Receiver) advance(end uint32) {
-	held := r.ooo.Bytes()
 	nxt := r.ooo.Absorb(end)
-	r.oooBytes -= held - r.ooo.Bytes()
 	r.deliverApp(int(nxt - r.rcvNxt))
 	r.rcvNxt = nxt
 }

@@ -371,3 +371,35 @@ func TestCubicBeatsRenoOnLongFatPipe(t *testing.T) {
 		t.Fatalf("cubic %d <= reno %d on a long fat pipe", cubic, reno)
 	}
 }
+
+// A segment that partially overlaps buffered out-of-order data occupies only
+// its new bytes, and once the hole fills the whole buffer is free again. The
+// receiver used to count the overlap twice and never give it back: after
+// [2000,3000), [2500,3500) and then the hole, it advertised 500 bytes short
+// for the rest of the connection.
+func TestOverlappingOutOfOrderFreesTheWholeWindow(t *testing.T) {
+	cfg := DefaultConfig()
+	var acks []*packet.Datagram
+	r := NewReceiver(sim.NewEngine(1), cfg, cliEP, srvEP, func(d *packet.Datagram) { acks = append(acks, d) })
+	syn := packet.NewTCPDatagram(srvEP, cliEP, 0)
+	syn.TCP.Seq = 999
+	syn.TCP.Flags = packet.FlagSYN
+	r.Deliver(syn)
+	full := acks[0].TCP.Window // the SYN-ACK advertises the empty buffer
+
+	deliver := func(seq uint32, n int) uint16 {
+		d := packet.NewTCPDatagram(srvEP, cliEP, n)
+		d.TCP.Seq = seq
+		d.TCP.Flags = packet.FlagACK
+		r.Deliver(d)
+		return acks[len(acks)-1].TCP.Window
+	}
+	deliver(2000, 1000)
+	if w := deliver(2500, 1000); w != uint16((cfg.RcvBuf-1500)>>cfg.WScale) {
+		t.Fatalf("1500 bytes buffered, advertised %d", int(w)<<cfg.WScale)
+	}
+	deliver(1000, 1000) // fills the hole; the ACK is delayed until the next segment
+	if w := deliver(3500, 1000); r.RcvNxt() != 4500 || w != full {
+		t.Fatalf("hole filled: rcvNxt %d, advertised %d of %d", r.RcvNxt(), int(w)<<cfg.WScale, int(full)<<cfg.WScale)
+	}
+}
