@@ -251,9 +251,7 @@ func (s *Station) Enqueue(d *packet.Datagram, dst StationID, ac phy.AccessCatego
 func (s *Station) FlushDst(dst StationID) int {
 	removed := 0
 	for _, q := range s.queues {
-		n := q.depthFor(dst)
-		q.popFor(dst, n)
-		removed += n
+		removed += len(q.popFor(dst, q.depthFor(dst)))
 	}
 	return removed
 }

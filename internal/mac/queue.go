@@ -68,13 +68,14 @@ func (q *acQueue) nextDst() (StationID, bool) {
 
 // popFor removes and returns up to max MPDUs destined for dst.
 func (q *acQueue) popFor(dst StationID, max int) []*MPDU {
-	n := q.depthFor(dst)
-	if n > max {
-		n = max
+	d := q.byDst[dst]
+	if d == nil {
+		return nil
 	}
+	n := min(d.Len(), max)
 	out := make([]*MPDU, 0, n)
 	for i := 0; i < n; i++ {
-		out = append(out, q.byDst[dst].PopFront())
+		out = append(out, d.PopFront())
 	}
 	q.count -= n
 	return out

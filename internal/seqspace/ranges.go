@@ -38,22 +38,18 @@ func (r *Ranges) Add(left, right uint32) int {
 	if !LT(left, right) {
 		return 0
 	}
-	// [i, j) is the run of held blocks the new one merges with; it starts
-	// at the insertion point, found from the back.
+	// [i, j) is the run of held blocks the new one merges with. It starts
+	// at the insertion point, found from the back, or one before it when
+	// that block reaches left.
 	i := len(r.b)
 	for i > 0 && LT(left, r.b[i-1].Left) {
 		i--
 	}
-	j := i
 	if i > 0 && LEQ(left, r.b[i-1].Right) {
 		i--
 		left = r.b[i].Left
 	}
-	held := 0
-	for k := i; k < j; k++ {
-		held += int(r.b[k].Right - r.b[k].Left)
-		right = Max(right, r.b[k].Right)
-	}
+	j, held := i, 0
 	for ; j < len(r.b) && LEQ(r.b[j].Left, right); j++ {
 		held += int(r.b[j].Right - r.b[j].Left)
 		right = Max(right, r.b[j].Right)

@@ -400,12 +400,18 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 	tb.Senders = append(tb.Senders, snd)
 }
 
+// wirePort is one end of the switch: an AP's Ethernet port, or the wired
+// hosts (the Testbed itself).
+type wirePort interface {
+	fromWire(d *packet.Datagram)
+}
+
 // wire carries a datagram across the switch, in either direction: after the
-// one-way latency it is handed to deliver. TCP payload segments face the
+// one-way latency it arrives at to. TCP payload segments face the
 // configured wired-side data faults on the way, drawn at fault coordinate
 // coord; handshake and pure-ACK control traffic is spared so a chaos run
 // still converges through connection setup.
-func (tb *Testbed) wire(d *packet.Datagram, coord int, deliver func(*packet.Datagram)) {
+func (tb *Testbed) wire(d *packet.Datagram, coord int, to wirePort) {
 	tb.capture(d)
 	delay := tb.Opt.WiredDelay
 	if dj := tb.dataInj; dj != nil && d.TCP != nil && d.PayloadLen > 0 {
@@ -426,16 +432,16 @@ func (tb *Testbed) wire(d *packet.Datagram, coord int, deliver func(*packet.Data
 		if dj.DuplicateSegment(coord, seq, att) {
 			tb.Faults.WireDups++
 			dup := d.Clone()
-			tb.Engine.After(delay+50*sim.Microsecond, func(*sim.Engine) { deliver(dup) })
+			tb.Engine.After(delay+50*sim.Microsecond, func(*sim.Engine) { to.fromWire(dup) })
 		}
 	}
-	tb.Engine.After(delay, func(*sim.Engine) { deliver(d) })
+	tb.Engine.After(delay, func(*sim.Engine) { to.fromWire(d) })
 }
 
 // wireToAP delivers a datagram from the wired side to the AP's Ethernet
 // port. Its data segments draw faults at the destination client's index.
 func (tb *Testbed) wireToAP(ap *AP, d *packet.Datagram) {
-	tb.wire(d, clientIndexOf(d.IP.Dst), ap.fromWire)
+	tb.wire(d, clientIndexOf(d.IP.Dst), ap)
 }
 
 // clientIndexOf recovers the client index from its 10.0.1.x address.
@@ -476,12 +482,13 @@ func (tb *Testbed) capture(d *packet.Datagram) {
 // a direction-salted coordinate so the two directions draw independent
 // fault streams.
 func (tb *Testbed) wireToSender(d *packet.Datagram) {
-	tb.wire(d, faults.UplinkCoord(clientIndexOf(d.IP.Src)), tb.deliverToSender)
+	tb.wire(d, faults.UplinkCoord(clientIndexOf(d.IP.Src)), tb)
 }
 
-// deliverToSender routes on destination port: download senders listen on
-// 10.0.0.1:5000+i, upload receivers on 10.0.0.1:20000+i.
-func (tb *Testbed) deliverToSender(d *packet.Datagram) {
+// fromWire handles a datagram arriving at the wired hosts. It routes on
+// destination port: download senders listen on 10.0.0.1:5000+i, upload
+// receivers on 10.0.0.1:20000+i.
+func (tb *Testbed) fromWire(d *packet.Datagram) {
 	if d.TCP == nil {
 		return
 	}
