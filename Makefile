@@ -10,11 +10,12 @@
 GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR:
-# the TCP packet path and the sequence-space containers under it, where a
-# silent regression corrupts traffic rather than failing a build, plus the
-# shared telemetry store and the fleet control plane, whose determinism
-# contracts live in their tests.
-COVER_PKGS  = ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle
+# the TCP packet path, the sequence-space containers under it and the event
+# queue under everything, where a silent regression corrupts traffic or
+# reorders a run rather than failing a build, plus the shared telemetry
+# store and the fleet control plane, whose determinism contracts live in
+# their tests.
+COVER_PKGS  = ./internal/sim ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle
 COVER_FLOOR = 75
 # The FastACK agent carries the safety guard and invariant checker; its
 # guard/chaos/fuzz test battery holds it to a stricter floor.
@@ -112,6 +113,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEthernet$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzAgentDatagram$$' -fuzztime $(FUZZTIME) ./internal/fastack
 	$(GO) test -run '^$$' -fuzz '^FuzzRanges$$' -fuzztime $(FUZZTIME) ./internal/seqspace
+	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # Planner numbers: BenchmarkRunNBO sweeps Workers on ~600 APs,
 # BenchmarkPlannerPass is the one configuration README and obs.go quote.
@@ -126,14 +128,20 @@ profile-planner:
 	$(GO) test -run '^$$' -bench 'PerfNBOStadium$$' -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
 	$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof"
 
-# Where the data plane spends its time: CPU-profiles the steady state of
-# BENCHMARK.json's two testbed shapes (BenchmarkPerfTestbedDownlink,
-# BenchmarkPerfTestbedMixed), one profile each, and prints the top of both.
+# Where the data plane spends its time and what it allocates: CPU-profiles
+# the steady state of BENCHMARK.json's two testbed shapes
+# (BenchmarkPerfTestbedDownlink, BenchmarkPerfTestbedMixed) and prints the
+# top of each, then the top allocation sites by object count from a second
+# run of the same shape (a memory profile taken in the CPU-profiled run
+# inflates mallocgc about threefold in the CPU profile).
 profile-testbed:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -c -o "$$d/repro.test" . && \
 	for shape in Downlink Mixed; do \
-		$(GO) test -run '^$$' -bench "PerfTestbed$$shape\$$" -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
-		$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof" || exit 1; \
+		"$$d/repro.test" -test.run '^$$' -test.bench "PerfTestbed$$shape\$$" -test.benchtime 3s -test.cpuprofile "$$d/cpu.prof" && \
+		$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof" && \
+		"$$d/repro.test" -test.run '^$$' -test.bench "PerfTestbed$$shape\$$" -test.benchtime 3s -test.memprofile "$$d/mem.prof" >/dev/null && \
+		$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_objects "$$d/repro.test" "$$d/mem.prof" || exit 1; \
 	done
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so

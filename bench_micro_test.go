@@ -73,6 +73,35 @@ func BenchmarkPerfMACSaturatedLink(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfSimRearm is the event queue under the retransmission-timeout
+// shape, which bench/'s sim.schedule_fire probe (schedule, fire, no timers)
+// does not have: a stream of events 100 µs apart, each re-arming one of 30
+// timers in turn to 200 ms out, so no timer ever fires. One op is one event
+// of the stream; "queued" is the queue's depth when the run ends (a queue
+// that kept a cancelled arming until its instant would hold 2,000).
+func BenchmarkPerfSimRearm(b *testing.B) {
+	e := sim.NewEngine(1)
+	timers := make([]*sim.Timer, 30)
+	for i := range timers {
+		timers[i] = e.NewTimer(func(*sim.Engine) { b.Fatal("timer fired") })
+	}
+	n := 0
+	var next func(*sim.Engine)
+	next = func(en *sim.Engine) {
+		timers[n%len(timers)].Reset(200 * sim.Millisecond)
+		n++
+		en.After(100*sim.Microsecond, next)
+	}
+	e.After(0, next)
+	e.RunUntil(sim.Second) // every timer armed, the queue at its working depth
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(e.Queued()), "queued")
+}
+
 // benchTestbed drives one of BENCHMARK.json's two testbed shapes the way
 // bench/data.go does — invariant checker armed, the first simulated second
 // (handshakes, slow start, pools filling) outside the timer, then 100 ms

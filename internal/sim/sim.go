@@ -8,10 +8,14 @@
 // Time is measured in integer microseconds from the start of the run. Events
 // scheduled for the same instant fire in the order they were scheduled, which
 // keeps runs reproducible for a fixed seed.
+//
+// The queue holds only events that will fire, by value. A scheduled event
+// cannot be taken back, so nothing keeps a handle to one; the few things
+// that are taken back (a retransmission timeout, a delayed ACK, a ticker)
+// own a Timer, which occupies at most one queue slot and leaves it on Stop.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -46,65 +50,147 @@ func (t Time) String() string {
 	}
 }
 
-// Event is a scheduled callback. The callback receives the engine so it can
-// schedule follow-on events.
-type Event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal timestamps
-	fn   func(*Engine)
-	dead bool
-	idx  int // heap index, -1 when not queued
+// event is one queue slot. t is set when the slot belongs to a Timer, whose
+// idx the queue keeps equal to the slot's position.
+type event struct {
+	at  Time
+	seq uint64 // tie-break: FIFO among equal timestamps
+	fn  func(*Engine)
+	t   *Timer
 }
 
-// At reports when the event fires.
-func (e *Event) At() Time { return e.at }
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (e *Event) Cancel() { e.dead = true }
+// eventHeap is a binary min-heap ordered by (at, seq). Sifting moves a hole
+// rather than swapping: each displaced event is written once. Binary by
+// measurement: a 4-ary layout was a fifth slower at 190 queued and at 5,000.
+type eventHeap []event
 
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e.dead }
-
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// set stores ev in slot i and tells its Timer, if it has one, where it is.
+func (h eventHeap) set(i int, ev event) {
+	h[i] = ev
+	if ev.t != nil {
+		ev.t.idx = i
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
+
+// up places ev at slot i or above, whichever ancestor it does not precede.
+func (h eventHeap) up(i int, ev event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&h[p]) {
+			break
+		}
+		h.set(i, h[p])
+		i = p
+	}
+	h.set(i, ev)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*h)
-	*h = append(*h, e)
+
+// down places ev at slot i or below, under no child that precedes it.
+func (h eventHeap) down(i int, ev event) {
+	for {
+		c := 2*i + 1 // the earlier of slot i's children
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&ev) {
+			break
+		}
+		h.set(i, h[c])
+		i = c
+	}
+	h.set(i, ev)
 }
-func (h *eventHeap) Pop() any {
+
+// fix places ev at slot i's position in the order, whichever way that is.
+func (h eventHeap) fix(i int, ev event) {
+	if i > 0 && ev.before(&h[(i-1)/2]) {
+		h.up(i, ev)
+	} else {
+		h.down(i, ev)
+	}
+}
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, event{})
+	h.up(len(*h)-1, ev)
+}
+
+// remove takes slot i out of the heap and returns what it held. The vacated
+// last slot is zeroed so the backing array does not keep a closure alive.
+func (h *eventHeap) remove(i int) event {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.idx = -1
-	*h = old[:n-1]
-	return e
+	ev, n := old[i], len(old)-1
+	last := old[n]
+	old[n] = event{}
+	*h = old[:n]
+	if i < n {
+		old[:n].fix(i, last)
+	}
+	if ev.t != nil {
+		ev.t.idx = -1
+	}
+	return ev
 }
+
+// Timer is a callback that can be armed, re-armed and stopped. It holds at
+// most one slot of the engine's queue: Stop removes it and Reset on a pending
+// timer moves it, so a timer that is re-armed on every packet costs the
+// queue one entry, not one per re-arm.
+type Timer struct {
+	e   *Engine
+	fn  func(*Engine)
+	idx int // queue slot, -1 when not pending
+}
+
+// NewTimer returns a stopped timer that runs fn when it expires.
+func (e *Engine) NewTimer(fn func(*Engine)) *Timer {
+	return &Timer{e: e, fn: fn, idx: -1}
+}
+
+// Reset arms the timer to expire delay from now, replacing any pending
+// expiry. It takes its place among same-instant events as an After called
+// at this point would.
+func (t *Timer) Reset(delay Time) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	e := t.e
+	ev := event{at: e.now + delay, seq: e.seq, fn: t.fn, t: t}
+	e.seq++
+	if t.idx >= 0 {
+		e.queue.fix(t.idx, ev)
+	} else {
+		e.queue.push(ev)
+	}
+}
+
+// Stop disarms the timer. Stopping a timer that is not pending is a no-op.
+func (t *Timer) Stop() {
+	if t.idx >= 0 {
+		t.e.queue.remove(t.idx)
+	}
+}
+
+// Pending reports whether the timer is armed and has not yet expired. It is
+// false from inside the timer's own callback.
+func (t *Timer) Pending() bool { return t.idx >= 0 }
 
 // Engine is a single-threaded discrete-event scheduler with a deterministic
 // random source. It is not safe for concurrent use; each simulation run owns
 // one Engine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	rng    *rand.Rand
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	queue eventHeap
+	rng   *rand.Rand
+	fired uint64
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -129,78 +215,55 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
+// Queued returns the number of events waiting to fire.
+func (e *Engine) Queued() int { return len(e.queue) }
+
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it always indicates a logic error in a model.
-func (e *Engine) Schedule(at Time, fn func(*Engine)) *Event {
+func (e *Engine) Schedule(at Time, fn func(*Engine)) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn, idx: -1}
+	e.queue.push(event{at: at, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
 }
 
 // After queues fn to run delay from now.
-func (e *Engine) After(delay Time, fn func(*Engine)) *Event {
+func (e *Engine) After(delay Time, fn func(*Engine)) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return e.Schedule(e.now+delay, fn)
+	e.Schedule(e.now+delay, fn)
 }
-
-// Halt stops the run loop after the currently executing event returns.
-func (e *Engine) Halt() { e.halted = true }
 
 // Step executes the next pending event, advancing the clock. It returns false
 // when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
-		e.fired++
-		ev.fn(e)
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	ev := e.queue.remove(0)
+	e.now = ev.at
+	e.fired++
+	ev.fn(e)
+	return true
 }
 
-// Run executes events until the queue drains or Halt is called.
+// Run executes events until the queue drains.
 func (e *Engine) Run() {
-	e.halted = false
-	for !e.halted && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock to
 // deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for !e.halted {
-		// Peek without popping.
-		next := e.peek()
-		if next == nil || next.at > deadline {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
 		e.now = deadline
 	}
-}
-
-func (e *Engine) peek() *Event {
-	for len(e.queue) > 0 {
-		if e.queue[0].dead {
-			heap.Pop(&e.queue)
-			continue
-		}
-		return e.queue[0]
-	}
-	return nil
 }
 
 // Ticker invokes fn every period until the returned stop function is called
@@ -209,23 +272,17 @@ func (e *Engine) Ticker(period Time, fn func(*Engine)) (stop func()) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	stopped := false
-	var tick func(*Engine)
-	var pending *Event
-	tick = func(en *Engine) {
-		if stopped {
-			return
-		}
+	stopped := false // set from inside fn, when the timer is not pending
+	var t *Timer
+	t = e.NewTimer(func(en *Engine) {
 		fn(en)
 		if !stopped {
-			pending = en.After(period, tick)
+			t.Reset(period)
 		}
-	}
-	pending = e.After(period, tick)
+	})
+	t.Reset(period)
 	return func() {
 		stopped = true
-		if pending != nil {
-			pending.Cancel()
-		}
+		t.Stop()
 	}
 }

@@ -33,7 +33,7 @@ type Receiver struct {
 	ooo    seqspace.Ranges // data buffered above a hole
 
 	unackedSegs int
-	delAckTimer *sim.Event
+	delAckTimer *sim.Timer
 
 	stats ReceiverStats
 
@@ -46,11 +46,17 @@ func NewReceiver(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, 
 	if cfg.MSS <= 0 {
 		cfg = DefaultConfig()
 	}
-	return &Receiver{
+	r := &Receiver{
 		engine: engine, cfg: cfg, out: out,
 		local: local, remote: remote,
 		state: "listen",
 	}
+	r.delAckTimer = engine.NewTimer(func(*sim.Engine) {
+		if r.unackedSegs > 0 {
+			r.sendAck(nil)
+		}
+	})
+	return r
 }
 
 // Stats returns a snapshot of the counters.
@@ -171,7 +177,7 @@ func (r *Receiver) deliverApp(n int) {
 // sendAck emits a cumulative ACK, optionally carrying SACK blocks: the
 // most recent block first, then up to two more recent holes.
 func (r *Receiver) sendAck(latest *packet.SACKBlock) {
-	r.cancelDelAck()
+	r.delAckTimer.Stop()
 	r.unackedSegs = 0
 	ack := packet.NewTCPDatagram(r.local, r.remote, 0)
 	ack.TCP.Seq = 2001
@@ -195,20 +201,7 @@ func (r *Receiver) sendAck(latest *packet.SACKBlock) {
 }
 
 func (r *Receiver) armDelAck() {
-	if r.delAckTimer != nil {
-		return
-	}
-	r.delAckTimer = r.engine.After(r.cfg.DelACKTime, func(e *sim.Engine) {
-		r.delAckTimer = nil
-		if r.unackedSegs > 0 {
-			r.sendAck(nil)
-		}
-	})
-}
-
-func (r *Receiver) cancelDelAck() {
-	if r.delAckTimer != nil {
-		r.delAckTimer.Cancel()
-		r.delAckTimer = nil
+	if !r.delAckTimer.Pending() {
+		r.delAckTimer.Reset(r.cfg.DelACKTime)
 	}
 }

@@ -43,7 +43,7 @@ type Sender struct {
 
 	srtt, rttvar sim.Time
 	rto          sim.Time
-	rtoTimer     *sim.Event
+	rtoTimer     *sim.Timer
 	// sent files the transmit time of every segment in flight under its
 	// end-seq, for RTT sampling (Karn's rule: removed on retransmission).
 	sent seqspace.Window[sim.Time]
@@ -79,6 +79,7 @@ func NewSender(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, ou
 	s.cwnd = cfg.InitCwnd * cfg.MSS
 	s.ssthresh = cfg.MaxCwnd * cfg.MSS
 	s.rwnd = 65535
+	s.rtoTimer = engine.NewTimer(func(*sim.Engine) { s.onTimeout() })
 	return s
 }
 
@@ -150,7 +151,7 @@ func (s *Sender) completeHandshake(t *packet.TCP) {
 	ack.TCP.Flags = packet.FlagACK
 	ack.TCP.Window = 65535
 	s.out(ack)
-	s.cancelRTO()
+	s.rtoTimer.Stop()
 	if s.OnEstablished != nil {
 		s.OnEstablished(s.engine.Now())
 	}
@@ -195,7 +196,7 @@ func (s *Sender) sendSegment(seq uint32, isRetransmit bool) {
 	} else if t := s.sent.Put(end); t != nil {
 		*t = s.engine.Now()
 	}
-	if s.rtoTimer == nil {
+	if !s.rtoTimer.Pending() {
 		s.armRTO()
 	}
 }
@@ -350,21 +351,11 @@ func (s *Sender) sampleRTT(ack uint32) {
 }
 
 func (s *Sender) armRTO() {
-	s.cancelRTO()
 	if s.flight() == 0 && s.state == "established" {
+		s.rtoTimer.Stop()
 		return
 	}
-	s.rtoTimer = s.engine.After(s.rto, func(e *sim.Engine) {
-		s.rtoTimer = nil
-		s.onTimeout()
-	})
-}
-
-func (s *Sender) cancelRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
-	}
+	s.rtoTimer.Reset(s.rto)
 }
 
 // onTimeout handles an RTO: the one loss path FastACK leaves to the end

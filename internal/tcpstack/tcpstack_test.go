@@ -221,6 +221,38 @@ func TestRTOWhenAllAcksLost(t *testing.T) {
 	}
 }
 
+// TestRTOBackoffRearmsFromCallback: a SYN that is never answered is resent
+// from inside the timeout callback, which re-arms the very timer that is
+// firing. The instants are the exponential backoff from the initial 1 s RTO
+// to MaxRTO, and between them exactly one timeout is queued.
+func TestRTOBackoffRearmsFromCallback(t *testing.T) {
+	engine := sim.NewEngine(3)
+	var syns []sim.Time
+	s := NewSender(engine, DefaultConfig(), srvEP, cliEP, func(d *packet.Datagram) {
+		if d.TCP.Flags != packet.FlagSYN {
+			t.Fatalf("sent flags %#x before the handshake", d.TCP.Flags)
+		}
+		syns = append(syns, engine.Now())
+		if engine.Queued() != 0 {
+			t.Fatalf("SYN at %v: %d events queued while the timeout fires", engine.Now(), engine.Queued())
+		}
+	})
+	s.Start()
+	engine.RunUntil(200 * sim.Second)
+	want := []sim.Time{0, 1, 3, 7, 15, 31, 63, 123, 183}
+	if len(syns) != len(want) {
+		t.Fatalf("SYNs at %v, want %d of them", syns, len(want))
+	}
+	for i, at := range want {
+		if syns[i] != at*sim.Second {
+			t.Fatalf("SYN %d at %v, want %v (all: %v)", i, syns[i], at*sim.Second, syns)
+		}
+	}
+	if engine.Queued() != 1 || engine.Fired() != uint64(len(want)-1) {
+		t.Fatalf("%d queued, %d fired; want the one pending timeout and %d firings", engine.Queued(), engine.Fired(), len(want)-1)
+	}
+}
+
 func TestDelayedAckCoalescing(t *testing.T) {
 	cfg := DefaultConfig()
 	p := newPipe(cfg, sim.Millisecond)
