@@ -13,9 +13,10 @@ GO ?= go
 # the TCP packet path, the sequence-space containers under it and the event
 # queue under everything, where a silent regression corrupts traffic or
 # reorders a run rather than failing a build, plus the shared telemetry
-# store and the fleet control plane, whose determinism contracts live in
+# store and the control plane — the fleet controller, and the backend,
+# planner and topology under it — whose determinism contracts live in
 # their tests.
-COVER_PKGS  = ./internal/sim ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle
+COVER_PKGS  = ./internal/sim ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle ./internal/backend ./internal/turboca ./internal/topo
 COVER_FLOOR = 75
 # The FastACK agent carries the safety guard and invariant checker; its
 # guard/chaos/fuzz test battery holds it to a stricter floor.
@@ -29,7 +30,7 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed bench-module figures gap loc
+.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed profile-fleet bench-module figures gap loc
 
 verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
@@ -143,6 +144,18 @@ profile-testbed:
 		"$$d/repro.test" -test.run '^$$' -test.bench "PerfTestbed$$shape\$$" -test.benchtime 3s -test.memprofile "$$d/mem.prof" >/dev/null && \
 		$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_objects "$$d/repro.test" "$$d/mem.prof" || exit 1; \
 	done
+
+# Where the fleet control plane spends its time and what it allocates:
+# profile-testbed's recipe for BenchmarkFleetd1000Networks (a thousand
+# networks from cold through their first passes) — the CPU profile's top
+# 20, then the top 10 allocation sites by object count from a second run.
+profile-fleet:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) test -c -o "$$d/fleetd.test" ./internal/fleetd && \
+	"$$d/fleetd.test" -test.run '^$$' -test.bench 'Fleetd1000Networks$$' -test.benchtime 2x -test.benchmem -test.cpuprofile "$$d/cpu.prof" && \
+	$(GO) tool pprof -top -nodecount 20 "$$d/fleetd.test" "$$d/cpu.prof" && \
+	"$$d/fleetd.test" -test.run '^$$' -test.bench 'Fleetd1000Networks$$' -test.benchtime 2x -test.memprofile "$$d/mem.prof" >/dev/null && \
+	$(GO) tool pprof -top -nodecount 10 -sample_index=alloc_objects "$$d/fleetd.test" "$$d/mem.prof"
 
 # The benchmark (bench/, BENCHMARK.json) is a Go module of its own, so
 # `go build ./...` and `go test ./...` at the root never compile it. This

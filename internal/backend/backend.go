@@ -242,18 +242,10 @@ type Backend struct {
 	switches        int
 	radarHit        int
 	disruptionTotal float64
-	fallbacks       map[int]spectrum.Channel // AP ID -> planner-provided DFS fallback
 
-	// reports holds the poller's last-known-good snapshot per AP, with
-	// an age stamp (see poll.go).
-	reports map[int]*apReport
-	// intended is the channel each AP should be on per band — the plan
-	// of record that push retries and the reconciler drive the network
-	// toward (see push.go).
-	intended map[spectrum.Band]map[int]turboca.Assignment
-	// retrying marks (band, AP) deliveries with a backoff retry in
-	// flight, so the reconciler does not double-push them.
-	retrying map[pushKey]bool
+	// rows is what the control plane keeps per AP, at the AP's position in
+	// Scenario.APs (which is its ID, see topo.Scenario).
+	rows []apRow
 	// ctl holds the control-plane counters on an obs registry; ctlBase is
 	// their value at construction, so Control() reports per-instance
 	// deltas (see obs.go).
@@ -266,7 +258,7 @@ type Backend struct {
 	// scheduler supervising this backend installs a per-pass context via
 	// SetPassContext so a stuck-pass watchdog can abort poll, push, and
 	// reconcile work mid-flight (see fleetd's supervision layer). A
-	// cancelled backend stops doing work but keeps its intent maps, so
+	// cancelled backend stops doing work but keeps its intent rows, so
 	// nothing is lost if the context is later replaced and work resumes.
 	ctx context.Context
 
@@ -278,10 +270,30 @@ type Backend struct {
 	// plus per-client walks into a memcpy. The width mix is a value; the
 	// external-utilization row is the scenario's own (topo.ExternalRow)
 	// and, with the neighbor slice, is shared by every snapshot: Sanitize
-	// only ever writes an invalid entry, which neither contains
-	// (TestBackendInputsNeedNoRepair), and the planner treats views as
-	// read-only.
+	// only ever writes an invalid row entry, which none contains
+	// (TestBackendInputsNeedNoRepair), never a neighbor slice, and the
+	// planner treats views as read-only.
 	inputTmpl map[spectrum.Band][]turboca.APView
+}
+
+// apRow is one AP's control-plane state. The per-band fields are indexed
+// by spectrum.Band: the backend manages 2.4 and 5 GHz.
+type apRow struct {
+	// report is the poller's last-known-good snapshot (poll.go), valid
+	// once reported.
+	report   apReport
+	reported bool
+	// intended[band], valid where has[band], is the channel the AP should
+	// be on — the plan of record that push retries and the reconciler
+	// drive the network toward (push.go).
+	intended [spectrum.Band5 + 1]turboca.Assignment
+	has      [spectrum.Band5 + 1]bool
+	// retrying[band] marks a delivery with a backoff retry in flight, so
+	// the reconciler does not double-push it.
+	retrying [spectrum.Band5 + 1]bool
+	// fallback is the planner-provided non-DFS fallback of the installed
+	// 5 GHz assignment, zero when it has none (radar.go consumes it).
+	fallback spectrum.Channel
 }
 
 // New wires a backend over a scenario.
@@ -307,10 +319,7 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 		rng:       sim.NewRNG(opt.Seed),
 		faults:    faults.New(opt.Faults),
 		rf:        opt.RF,
-		fallbacks: map[int]spectrum.Channel{},
-		reports:   map[int]*apReport{},
-		intended:  map[spectrum.Band]map[int]turboca.Assignment{},
-		retrying:  map[pushKey]bool{},
+		rows:      make([]apRow, len(sc.APs)),
 		obsReg:    reg,
 		ctl:       ctl,
 		ctlBase:   ctl.read(),
@@ -423,13 +432,14 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 		}
 		// Bootstrap values (no report yet): live model snapshot.
 		demand := b.Scenario.DemandAt(ap, now)
-		util := perf[ap.ID].Utilization
+		util := perf[i].Utilization
 		// Clients dissociate off-hours; that is when the deep NBO passes
 		// can migrate APs onto DFS channels without stranding anyone
 		// through a CAC (§4.5.2).
 		hasClients := ap.ClientCount() > 0 && demand > 0.15*ap.BaseDemandMbps
 		stale, pinned := false, false
-		if rep, ok := b.reports[ap.ID]; ok {
+		if row := &b.rows[i]; row.reported {
+			rep := &row.report
 			age := now - rep.At
 			b.ctl.pollAgeUS.Observe(int64(age))
 			switch {
@@ -472,10 +482,10 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 	}
 	// The client width mix and the neighbor graph are band-independent;
 	// when the other band's template already exists, take them from it
-	// instead of rebuilding them. Planner views are read-only and
-	// Sanitize's in-place neighbor rewrite preserves valid entries, so
-	// sharing the neighbor slices is safe — and halves what they cost
-	// fleetd, which holds one backend per network resident.
+	// instead of rebuilding them. The planner reads a neighbor slice in
+	// place and Sanitize replaces one it must repair, so sharing them is
+	// safe — and halves what they cost fleetd, which holds one backend
+	// per network resident.
 	var donor []turboca.APView
 	for _, t := range b.inputTmpl {
 		donor = t
@@ -493,8 +503,11 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 			v.Neighbors = donor[i].Neighbors
 		} else {
 			v.WidthLoad = widthLoad(ap)
-			for _, n := range b.Scenario.NeighborsOf(ap) {
-				v.Neighbors = append(v.Neighbors, n.AP.ID)
+			if ns := b.Scenario.NeighborsOf(ap); len(ns) > 0 {
+				v.Neighbors = make([]int, len(ns))
+				for k, n := range ns {
+					v.Neighbors[k] = n.AP.ID // its position
+				}
 			}
 		}
 		tmpl = append(tmpl, v)

@@ -224,22 +224,22 @@ func TestModelRationing(t *testing.T) {
 func TestModelMemoization(t *testing.T) {
 	sc := office(t)
 	m := NewModel(sc, 1)
-	a := m.Evaluate(sim.Hour)
-	b := m.Evaluate(sim.Hour)
-	if len(a) == 0 || len(b) == 0 {
-		t.Fatal("empty perf")
+	a := slices.Clone(m.Evaluate(sim.Hour))
+	if len(a) != len(sc.APs) {
+		t.Fatalf("%d rows for %d APs", len(a), len(sc.APs))
 	}
 	// Same time, no invalidation: identical (memoized) results.
-	for id := range a {
-		if a[id] != b[id] {
-			t.Fatal("memoized evaluation differs")
-		}
+	if !slices.Equal(a, m.Evaluate(sim.Hour)) {
+		t.Fatal("memoized evaluation differs")
 	}
-	// Channel change invalidates.
+	// Channel change invalidates: the AP that left the shared default
+	// channel for a clean one must read differently, in the same row.
 	ch155, _ := spectrum.ChannelAt(spectrum.Band5, 155, spectrum.W80)
 	sc.APs[0].Channel = ch155
 	m.Invalidate()
-	_ = m.Evaluate(sim.Hour) // must not panic and must recompute
+	if b := m.Evaluate(sim.Hour); b[0].Contention != 0 || a[0].Contention == 0 {
+		t.Fatalf("contention %v before the move, %v after: not recomputed", a[0].Contention, b[0].Contention)
+	}
 }
 
 func TestUplinkCapScalesServed(t *testing.T) {
@@ -331,8 +331,8 @@ func TestFallbacksTracked(t *testing.T) {
 			continue
 		}
 		dfsAssigned++
-		fb, ok := b.fallbacks[ap.ID]
-		if !ok {
+		fb := b.rows[ap.ID].fallback
+		if fb == (spectrum.Channel{}) {
 			t.Fatalf("AP %d on DFS %v without tracked fallback", ap.ID, ap.Channel)
 		}
 		if fb.DFS {

@@ -274,9 +274,8 @@ func TestChaosLastKnownGoodDecay(t *testing.T) {
 	if fresh.Load <= 0 {
 		t.Fatalf("no load at 10 am: %+v", fresh)
 	}
-	rep := b.reports[target.ID]
-	if rep == nil || rep.At != 10*sim.Hour {
-		t.Fatalf("last-known-good not at the poll tick: %+v", rep)
+	if row := b.rows[target.ID]; !row.reported || row.report.At != 10*sim.Hour {
+		t.Fatalf("last-known-good not at the poll tick: %+v", row)
 	}
 
 	// Age 10 min <= StaleAfter (15 min): still served from the report,
@@ -333,11 +332,10 @@ func TestChaosDelayedPollsStillLand(t *testing.T) {
 		t.Fatalf("delayed %d of %d polls, want all", ctl.PollsDelayed, ctl.PollsAttempted)
 	}
 	for _, ap := range sc.APs {
-		rep := b.reports[ap.ID]
-		if rep == nil {
+		if !b.rows[ap.ID].reported {
 			t.Fatalf("AP %d never delivered a report", ap.ID)
 		}
-		if rep.At < sim.Hour {
+		if rep := b.rows[ap.ID].report; rep.At < sim.Hour {
 			t.Fatalf("AP %d last-known-good stuck at %v", ap.ID, rep.At)
 		}
 		if n := b.DB.Table("usage").Len(ap.Name); n < 12 {

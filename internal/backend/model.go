@@ -41,10 +41,12 @@ type Model struct {
 	// Cached per-width effective capacity (Mbps) for a typical client mix.
 	capByWidth map[spectrum.Width]float64
 
-	// lastEval memoizes Evaluate for one timestamp.
-	lastAt   sim.Time
-	lastPerf map[int]APPerf
-	dirty    bool
+	// perf is Evaluate's result, by AP position, memoized for the
+	// timestamp lastAt until dirty; demand and airDemand are its scratch.
+	lastAt            sim.Time
+	perf              []APPerf
+	demand, airDemand []float64
+	dirty             bool
 }
 
 // NewModel builds a model over the scenario.
@@ -53,6 +55,9 @@ func NewModel(sc *topo.Scenario, seed int64) *Model {
 		sc:         sc,
 		rng:        sim.NewRNG(seed),
 		capByWidth: map[spectrum.Width]float64{},
+		perf:       make([]APPerf, len(sc.APs)),
+		demand:     make([]float64, len(sc.APs)),
+		airDemand:  make([]float64, len(sc.APs)),
 		dirty:      true,
 	}
 	// Effective MAC throughput for a representative mid-cell client
@@ -67,29 +72,29 @@ func NewModel(sc *topo.Scenario, seed int64) *Model {
 // Invalidate drops the memoized evaluation (after a channel change).
 func (m *Model) Invalidate() { m.dirty = true }
 
-// Evaluate computes APPerf for every AP at time t. Co-channel contention
-// is demand-weighted: a neighbor that overlaps any 20 MHz sub-channel of
-// the AP's assignment consumes a share of its airtime proportional to the
-// neighbor's own offered load (CSMA sharing, §4.1.2).
-func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
-	if !m.dirty && t == m.lastAt && m.lastPerf != nil {
-		return m.lastPerf
+// Evaluate computes APPerf for every AP at time t, in Scenario.APs order
+// (an AP's ID is its position). Co-channel contention is demand-weighted:
+// a neighbor that overlaps any 20 MHz sub-channel of the AP's assignment
+// consumes a share of its airtime proportional to the neighbor's own
+// offered load (CSMA sharing, §4.1.2). The result is the model's own row
+// and is valid until the next Evaluate, which overwrites it.
+func (m *Model) Evaluate(t sim.Time) []APPerf {
+	if !m.dirty && t == m.lastAt {
+		return m.perf
 	}
 	sc := m.sc
-	perf := make(map[int]APPerf, len(sc.APs))
+	perf, demand, airDemand := m.perf, m.demand, m.airDemand
 
 	// Pass 1: demand and normalized load per AP.
-	demand := make(map[int]float64, len(sc.APs))
-	for _, ap := range sc.APs {
-		demand[ap.ID] = sc.DemandAt(ap, t)
+	for i, ap := range sc.APs {
+		demand[i] = sc.DemandAt(ap, t)
 	}
 
 	// Pass 2: per-AP airtime demand (offered load as a fraction of the
 	// AP's own channel capacity, beacons included).
-	airDemand := make(map[int]float64, len(sc.APs))
-	for _, ap := range sc.APs {
+	for i, ap := range sc.APs {
 		cap5 := m.capByWidth[ap.Channel.Width]
-		airDemand[ap.ID] = 0.02 + demand[ap.ID]/math.Max(cap5, 1)
+		airDemand[i] = 0.02 + demand[i]/math.Max(cap5, 1)
 	}
 
 	// Pass 3: rationing. The airtime demanded on an AP's channel is its
@@ -97,7 +102,7 @@ func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
 	// sources. CSMA shares the medium roughly proportionally, so when
 	// the total exceeds 1 every participant is scaled back by it.
 	totalServed := 0.0
-	for _, ap := range sc.APs {
+	for i, ap := range sc.APs {
 		cap5 := m.capByWidth[ap.Channel.Width]
 		ext := m.extUtilOn(ap, ap.Channel)
 
@@ -107,17 +112,17 @@ func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
 				contention += airDemand[n.AP.ID]
 			}
 		}
-		total := ext + contention + airDemand[ap.ID]
+		total := ext + contention + airDemand[i]
 
 		scale := 1.0
 		if total > 1 {
 			scale = 1 / total
 		}
-		served := demand[ap.ID] * scale
-		share := airDemand[ap.ID] * scale
+		served := demand[i] * scale
+		share := airDemand[i] * scale
 
-		perf[ap.ID] = APPerf{
-			DemandMbps:   demand[ap.ID],
+		perf[i] = APPerf{
+			DemandMbps:   demand[i],
 			AirtimeShare: share,
 			CapacityMbps: cap5,
 			ServedMbps:   served,
@@ -132,14 +137,12 @@ func (m *Model) Evaluate(t sim.Time) map[int]APPerf {
 	// (Table 2: UNet's usage is bounded by the WAN).
 	if sc.UplinkMbps > 0 && totalServed > sc.UplinkMbps {
 		scale := sc.UplinkMbps / totalServed
-		for id, p := range perf {
-			p.ServedMbps *= scale
-			perf[id] = p
+		for i := range perf {
+			perf[i].ServedMbps *= scale
 		}
 	}
 
 	m.lastAt = t
-	m.lastPerf = perf
 	m.dirty = false
 	return perf
 }

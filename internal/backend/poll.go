@@ -12,7 +12,7 @@ import (
 // Hardened statistics collection. Each poll tick asks every AP for one
 // sample; the fault injector may drop the exchange, delay the report in
 // transit, or mangle its metric values. Whatever arrives intact becomes
-// the AP's last-known-good report (apReport), which is what the planner
+// the AP's last-known-good report (apRow.report), which is what the planner
 // input is built from — a lost poll never erases what we knew, it only
 // ages it.
 
@@ -61,6 +61,7 @@ func (b *Backend) Poll() {
 	now := b.Engine.Now()
 	perf := b.Model.Evaluate(now)
 	interval := b.Opt.PollInterval
+	keep := !b.Opt.DisableTelemetryHistory
 
 	for _, ap := range b.Scenario.APs {
 		// Supervision abort: a cancelled pass stops polling mid-fleet.
@@ -101,21 +102,21 @@ func (b *Backend) Poll() {
 			// passes can migrate APs onto DFS channels without stranding
 			// anyone through a CAC (§4.5.2).
 			hasClients: ap.ClientCount() > 0 && p.DemandMbps > 0.15*ap.BaseDemandMbps,
-			latencies:  make([]float64, n),
-			effs:       make([]float64, n),
 		}
 		// Latency and bit-rate observations are per-transmission in the
 		// real system, so busy APs and busy hours contribute
 		// proportionally more samples to the fleet distributions
-		// (Figs 8-9). Importance-weight by served traffic.
-		for i := 0; i < n; i++ {
-			s.latencies[i] = b.Model.SampleTCPLatency(p, b.rng)
-			s.effs[i] = b.Model.SampleBitrateEff(p, b.rng)
+		// (Figs 8-9). Importance-weight by served traffic. The draws
+		// consume b.rng whether or not history is kept (the stream must
+		// not depend on it); only then are they stored.
+		if keep {
+			s.latencies, s.effs = make([]float64, n), make([]float64, n)
 		}
-		if b.Opt.DisableTelemetryHistory {
-			// The draws above still consumed b.rng (the stream must not
-			// depend on whether history is kept); only the rows are dropped.
-			s.latencies, s.effs = nil, nil
+		for i := 0; i < n; i++ {
+			lat, eff := b.Model.SampleTCPLatency(p, b.rng), b.Model.SampleBitrateEff(p, b.rng)
+			if keep {
+				s.latencies[i], s.effs[i] = lat, eff
+			}
 		}
 		if d, ok := b.faults.DelayPoll(ap.ID, now); ok {
 			b.ctl.pollsDelayed.Inc()
@@ -161,10 +162,9 @@ func (b *Backend) ingest(s polledSample) {
 	}
 	// A delayed report may arrive after a fresher one already landed;
 	// last-known-good is ordered by sample time, not delivery time.
-	if rep, ok := b.reports[s.ap.ID]; !ok || s.at >= rep.At {
-		b.reports[s.ap.ID] = &apReport{
-			At: s.at, Demand: s.demand, Utilization: s.util, HasClients: s.hasClients,
-		}
+	if row := &b.rows[s.ap.ID]; !row.reported || s.at >= row.report.At {
+		row.report = apReport{At: s.at, Demand: s.demand, Utilization: s.util, HasClients: s.hasClients}
+		row.reported = true
 	}
 }
 
@@ -174,8 +174,8 @@ func saneMetric(v, hi float64) bool {
 }
 
 // ReportsDigest returns an FNV-1a content hash of the last-known-good
-// report table, folded in Scenario.APs order so the value is independent
-// of map iteration. The fleet durability layer records it in checkpoints
+// report rows, folded in Scenario.APs order with each AP's ID. The fleet
+// durability layer records it in checkpoints
 // as the telemetry-state anchor: two backends with equal digests have
 // byte-identical planner-visible telemetry.
 func (b *Backend) ReportsDigest() uint64 {
@@ -190,11 +190,11 @@ func (b *Backend) ReportsDigest() uint64 {
 			h *= prime64
 		}
 	}
-	for _, ap := range b.Scenario.APs {
-		rep, ok := b.reports[ap.ID]
-		if !ok {
+	for i, ap := range b.Scenario.APs {
+		if !b.rows[i].reported {
 			continue
 		}
+		rep := &b.rows[i].report
 		mix(uint64(ap.ID))
 		mix(uint64(rep.At))
 		mix(math.Float64bits(rep.Demand))

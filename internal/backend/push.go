@@ -11,7 +11,7 @@ import (
 )
 
 // Plan delivery. An accepted plan first becomes the intent of record
-// (b.intended); each AP whose on-air channel diverges from intent is then
+// (apRow.intended); each AP whose on-air channel diverges from intent is then
 // pushed. A failed push retries with bounded exponential backoff and
 // deterministic jitter for up to Opt.PushAttempts attempts — and within a
 // total-time cap (Opt.PushRetryTimeCap) measured from the chain's first
@@ -21,34 +21,23 @@ import (
 // Intent is re-read at every deferred delivery, so a newer plan always
 // supersedes a stale retry.
 
-// pushKey identifies one (band, AP) delivery for retry bookkeeping.
-type pushKey struct {
-	band spectrum.Band
-	ap   int
-}
-
 // applyPlan records plan as the intent of record for the band and pushes
 // it to each diverging AP, returning how many switches landed
 // immediately. Deferred deliveries (retries, reconciliations) credit
 // Service.SwitchesTotal themselves when they land, so partial
 // applications are never over-counted.
 func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.Result) int {
-	m := b.intended[band]
-	if m == nil {
-		m = map[int]turboca.Assignment{}
-		b.intended[band] = m
-	}
 	applied := 0
-	for _, ap := range b.Scenario.APs {
+	for i, ap := range b.Scenario.APs {
 		a, ok := plan[ap.ID]
 		if !ok {
 			continue
 		}
-		m[ap.ID] = a
+		b.rows[i].intended[band], b.rows[i].has[band] = a, true
 		if b.channelOn(ap, band) == a.Channel {
 			// Already there (e.g. a pinned AP planned in place) — just
 			// refresh the DFS fallback; no push needed.
-			b.noteFallback(ap.ID, band, a)
+			b.noteFallback(ap, band, a)
 			continue
 		}
 		if b.cancelled() {
@@ -87,8 +76,8 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, ch
 	if attempt+1 >= b.Opt.PushAttempts {
 		return
 	}
-	key := pushKey{band, ap.ID}
-	if b.retrying[key] {
+	row := &b.rows[ap.ID]
+	if row.retrying[band] {
 		return
 	}
 	d := b.Opt.PushRetryBase << uint(attempt)
@@ -100,18 +89,18 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, ch
 		b.ctl.retryCapHits.Inc()
 		return
 	}
-	b.retrying[key] = true
+	row.retrying[band] = true
 	b.ctl.pushRetries.Inc()
 	b.ctl.pushDelayUS.Observe(int64(d))
 	b.Engine.After(d, func(e *sim.Engine) {
-		delete(b.retrying, key)
+		row.retrying[band] = false
 		if b.cancelled() {
 			return
 		}
 		// Re-read intent: a newer plan, or a radar fallback, may have
 		// superseded the assignment this retry was armed for.
-		a, ok := b.intent(band, ap.ID)
-		if !ok || b.channelOn(ap, band) == a.Channel {
+		a := row.intended[band]
+		if !row.has[band] || b.channelOn(ap, band) == a.Channel {
 			return
 		}
 		if b.pushAP(ap, band, a, attempt+1, chainStart) && b.Service != nil {
@@ -127,7 +116,7 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, ch
 // quarantined 5 GHz assignment is refused outright. The upstream layers
 // (planner candidate filtering, strike-time intent retargeting) should
 // make this unreachable — any refusal is counted as a violation attempt
-// and the storm campaign asserts the count stays zero. The intent map is
+// and the storm campaign asserts the count stays zero. The intent is
 // left alone: the reconciler retries after expiry unless a newer plan
 // supersedes it first.
 func (b *Backend) installChannel(ap *topo.AP, band spectrum.Band, a turboca.Assignment) {
@@ -145,7 +134,7 @@ func (b *Backend) installChannel(ap *topo.AP, band spectrum.Band, a turboca.Assi
 		ap.Channel = a.Channel
 		changed = true
 	}
-	b.noteFallback(ap.ID, band, a)
+	b.noteFallback(ap, band, a)
 	if changed {
 		b.switches++
 		b.chargeSwitch(ap, band, b.Engine.Now())
@@ -165,16 +154,13 @@ func (b *Backend) Reconcile() {
 		sp.End()
 	}()
 	for _, band := range []spectrum.Band{spectrum.Band5, spectrum.Band2G4} {
-		m := b.intended[band]
-		if len(m) == 0 {
-			continue
-		}
-		for _, ap := range b.Scenario.APs {
+		for i, ap := range b.Scenario.APs {
 			if b.cancelled() {
 				return
 			}
-			a, ok := m[ap.ID]
-			if !ok || b.channelOn(ap, band) == a.Channel || b.retrying[pushKey{band, ap.ID}] {
+			row := &b.rows[i]
+			a := row.intended[band]
+			if !row.has[band] || b.channelOn(ap, band) == a.Channel || row.retrying[band] {
 				continue
 			}
 			b.ctl.reconciliations.Inc()
@@ -189,9 +175,8 @@ func (b *Backend) Reconcile() {
 // that channel — the control plane's eventual-consistency invariant.
 func (b *Backend) Converged() bool {
 	for _, band := range []spectrum.Band{spectrum.Band5, spectrum.Band2G4} {
-		m := b.intended[band]
-		for _, ap := range b.Scenario.APs {
-			if a, ok := m[ap.ID]; ok && b.channelOn(ap, band) != a.Channel {
+		for i, ap := range b.Scenario.APs {
+			if row := &b.rows[i]; row.has[band] && b.channelOn(ap, band) != row.intended[band].Channel {
 				return false
 			}
 		}
@@ -207,25 +192,10 @@ func (b *Backend) channelOn(ap *topo.AP, band spectrum.Band) spectrum.Channel {
 	return ap.Channel
 }
 
-// intent returns the intended assignment for (band, AP), if any.
-func (b *Backend) intent(band spectrum.Band, apID int) (turboca.Assignment, bool) {
-	m := b.intended[band]
-	if m == nil {
-		return turboca.Assignment{}, false
-	}
-	a, ok := m[apID]
-	return a, ok
-}
-
 // noteFallback tracks the planner-provided DFS fallback for 5 GHz
 // assignments (radar.go consumes it).
-func (b *Backend) noteFallback(apID int, band spectrum.Band, a turboca.Assignment) {
-	if band != spectrum.Band5 {
-		return
-	}
-	if a.Fallback != nil {
-		b.fallbacks[apID] = *a.Fallback
-	} else {
-		delete(b.fallbacks, apID)
+func (b *Backend) noteFallback(ap *topo.AP, band spectrum.Band, a turboca.Assignment) {
+	if band == spectrum.Band5 {
+		b.rows[ap.ID].fallback = a.Fallback
 	}
 }

@@ -105,20 +105,18 @@ func (b *Backend) strike(subs []int) {
 	now := b.Engine.Now()
 	struck := b.rf.Q.Strike(subs, now)
 	nop := b.rf.Q.Mask(now)
-	intended := b.intended[spectrum.Band5]
 	moved := false
-	for _, ap := range b.Scenario.APs {
+	for i, ap := range b.Scenario.APs {
+		row := &b.rows[i]
 		switch {
 		case rfenv.Touches(ap.Channel, struck):
 			b.ctl.radarStrikes.Inc()
 			b.vacate(ap, nop)
 			moved = true
-		case intended != nil:
-			if a, ok := intended[ap.ID]; ok && rfenv.Touches(a.Channel, struck) {
-				// The AP is not on the struck range but a pending push would
-				// put it there (a retry or reconcile in flight).
-				intended[ap.ID] = turboca.Assignment{Channel: b.fallbackFor(ap, nop)}
-			}
+		case row.has[spectrum.Band5] && rfenv.Touches(row.intended[spectrum.Band5].Channel, struck):
+			// The AP is not on the struck range but a pending push would
+			// put it there (a retry or reconcile in flight).
+			row.intended[spectrum.Band5] = turboca.Assignment{Channel: b.fallbackFor(ap, nop)}
 		}
 	}
 	if moved {
@@ -134,10 +132,8 @@ func (b *Backend) vacate(ap *topo.AP, nop uint64) {
 	fb := b.fallbackFor(ap, nop)
 	ap.Channel = fb
 	b.switches++
-	if m := b.intended[spectrum.Band5]; m != nil {
-		if _, ok := m[ap.ID]; ok {
-			m[ap.ID] = turboca.Assignment{Channel: fb}
-		}
+	if row := &b.rows[ap.ID]; row.has[spectrum.Band5] {
+		row.intended[spectrum.Band5] = turboca.Assignment{Channel: fb}
 	}
 }
 
@@ -148,7 +144,7 @@ func (b *Backend) vacate(ap *topo.AP, nop uint64) {
 // a random non-DFS channel outside nop (every active NOP window) at the
 // AP's width, narrowing until one exists.
 func (b *Backend) fallbackFor(ap *topo.AP, nop uint64) spectrum.Channel {
-	if fb, ok := b.fallbacks[ap.ID]; ok && fb.Width != 0 && !fb.DFS {
+	if fb := b.rows[ap.ID].fallback; fb.Width != 0 && !fb.DFS {
 		if !rfenv.Touches(fb, nop) {
 			return fb
 		}

@@ -202,10 +202,9 @@ func TestStormStrikeSemantics(t *testing.T) {
 	ch60, _ := spectrum.ChannelAt(spectrum.Band5, 60, spectrum.W20)
 	onAir, pending := sc.APs[0], sc.APs[1]
 	onAir.Channel = ch58
-	b.intended[spectrum.Band5] = map[int]turboca.Assignment{
-		onAir.ID:   {Channel: ch58},
-		pending.ID: {Channel: ch60},
-	}
+	intent := func(ap *topo.AP) *turboca.Assignment { return &b.rows[ap.ID].intended[spectrum.Band5] }
+	*intent(onAir), *intent(pending) = turboca.Assignment{Channel: ch58}, turboca.Assignment{Channel: ch60}
+	b.rows[onAir.ID].has[spectrum.Band5], b.rows[pending.ID].has[spectrum.Band5] = true, true
 
 	b.radarStorm(rfenv.Storm{At: engine.Now(), LowSub: 52, HighSub: 64})
 	now := engine.Now()
@@ -216,10 +215,10 @@ func TestStormStrikeSemantics(t *testing.T) {
 	if onAir.Channel.DFS {
 		t.Fatalf("radar fallback %v is DFS", onAir.Channel)
 	}
-	if got := b.intended[spectrum.Band5][onAir.ID].Channel; got != onAir.Channel {
+	if got := intent(onAir).Channel; got != onAir.Channel {
 		t.Fatalf("intent %v diverges from fallback %v — the reconciler would push the radar channel back", got, onAir.Channel)
 	}
-	if got := b.intended[spectrum.Band5][pending.ID].Channel; b.rf.Q.Blocked(got, now) {
+	if got := intent(pending).Channel; b.rf.Q.Blocked(got, now) {
 		t.Fatalf("pending intent still targets quarantined %v", got)
 	}
 	if got := b.Control().RadarStrikes; got != 1 {

@@ -228,35 +228,6 @@ func (a *Agent) DebtBytes() int64 { return a.bud.debtTotal }
 // O(1), like DebtBytes.
 func (a *Agent) UndrainedBypassedFlows() int { return a.bud.undrained }
 
-// debtBytesScan recomputes DebtBytes by full scan (equivalence tests).
-func (a *Agent) debtBytesScan() int64 {
-	var n int64
-	for _, f := range a.flows {
-		n += int64(f.debtBytes())
-	}
-	return n
-}
-
-// undrainedScan recomputes UndrainedBypassedFlows by full scan.
-func (a *Agent) undrainedScan() int {
-	n := 0
-	for _, f := range a.flows {
-		if (f.gstate == GuardBypass || f.gstate == GuardDraining) && f.debtBytes() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// sharedCacheScan recomputes SharedCacheBytes by full scan.
-func (a *Agent) sharedCacheScan() int {
-	n := 0
-	for _, f := range a.flows {
-		n += f.cacheBytes
-	}
-	return n
-}
-
 // accountFlow folds a flow's debt and undrained status into the running
 // agent-wide counters. Called after every mutation that can move
 // seq_TCP/seq_fack or the guard state; idempotent.

@@ -325,18 +325,6 @@ func (f *flowState) cacheLookup(seq uint32) *packet.Datagram {
 	return nil
 }
 
-// cacheRange returns cached segments overlapping [left, right).
-func (f *flowState) cacheRange(left, right uint32) []*packet.Datagram {
-	var out []*packet.Datagram
-	for i := 0; i < f.cache.Len(); i++ {
-		c := f.cache.At(i)
-		if seqspace.LT(c.Seq, right) && seqspace.LT(left, segEnd(c)) {
-			out = append(out, c.V)
-		}
-	}
-	return out
-}
-
 // addAbove records a received byte range beyond seqExp.
 func (f *flowState) addAbove(left, right uint32) { f.above.Add(left, right) }
 
@@ -345,6 +333,3 @@ func (f *flowState) addAbove(left, right uint32) { f.above.Add(left, right) }
 func (f *flowState) advanceExp(end uint32) {
 	f.seqExp = f.above.Absorb(seqspace.Max(f.seqExp, end))
 }
-
-// hasHole reports whether upstream losses left gaps below seqHigh.
-func (f *flowState) hasHole() bool { return f.above.Len() > 0 }

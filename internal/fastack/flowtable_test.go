@@ -7,6 +7,9 @@ import (
 	"repro/internal/packet"
 )
 
+// hasHole reports whether upstream losses left gaps below seqHigh.
+func (f *flowState) hasHole() bool { return f.above.Len() > 0 }
+
 // TestHoleHandlingTable drives the holes-vector machinery (addAbove /
 // advanceExp / hasHole) through named scenarios: each case applies a
 // sequence of out-of-order arrivals and hole fills and checks where
@@ -202,9 +205,12 @@ func TestCacheEvictionTable(t *testing.T) {
 	}
 }
 
-// TestCacheRange covers the SACK-repair lookup: overlap semantics on
-// half-open [left, right) ranges.
+// TestCacheRange covers the SACK-repair lookup where it lives, in
+// retransmitFromCache: a duplicate ACK at left whose lowest SACK edge is
+// right repairs the cached segments overlapping the half-open [left,
+// right), plus — SACK or no SACK — the segment starting at left itself.
 func TestCacheRange(t *testing.T) {
+	a := New(DefaultConfig(), nil)
 	f := &flowState{}
 	f.initAt(0)
 	for _, s := range []uint32{1000, 2000, 3000, 4000} {
@@ -218,18 +224,20 @@ func TestCacheRange(t *testing.T) {
 		{"full span", 1000, 5000, []uint32{1000, 2000, 3000, 4000}},
 		{"interior", 2000, 4000, []uint32{2000, 3000}},
 		{"partial overlap on both edges", 2500, 3500, []uint32{2000, 3000}},
-		{"empty window", 2000, 2000, nil},
+		{"empty window", 2000, 2000, []uint32{2000}}, // the ACKed segment alone
 		{"before all entries", 0, 1000, nil},
 		{"after all entries", 5000, 9000, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := f.cacheRange(tc.left, tc.right)
-			if len(got) != len(tc.want) {
-				t.Fatalf("cacheRange(%d, %d) returned %d segments, want %d",
-					tc.left, tc.right, len(got), len(tc.want))
+			a.cliScratch = a.cliScratch[:0]
+			var disp Disposition
+			sack := []packet.SACKBlock{{Left: tc.right, Right: tc.right + 1000}}
+			if n := a.retransmitFromCache(&disp, f, tc.left, sack); n != len(tc.want) || len(disp.ToClient) != n {
+				t.Fatalf("ack %d, SACK from %d: repaired %d segments (%d queued), want %d",
+					tc.left, tc.right, n, len(disp.ToClient), len(tc.want))
 			}
-			for i, d := range got {
+			for i, d := range disp.ToClient {
 				if d.TCP.Seq != tc.want[i] {
 					t.Errorf("segment %d: seq %d, want %d", i, d.TCP.Seq, tc.want[i])
 				}

@@ -10,6 +10,35 @@ import (
 	"repro/internal/sim"
 )
 
+// debtBytesScan recomputes DebtBytes by full scan, the definition its running counter is held to.
+func (a *Agent) debtBytesScan() int64 {
+	var n int64
+	for _, f := range a.flows {
+		n += int64(f.debtBytes())
+	}
+	return n
+}
+
+// undrainedScan recomputes UndrainedBypassedFlows by full scan.
+func (a *Agent) undrainedScan() int {
+	n := 0
+	for _, f := range a.flows {
+		if (f.gstate == GuardBypass || f.gstate == GuardDraining) && f.debtBytes() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sharedCacheScan recomputes SharedCacheBytes by full scan.
+func (a *Agent) sharedCacheScan() int {
+	n := 0
+	for _, f := range a.flows {
+		n += f.cacheBytes
+	}
+	return n
+}
+
 // TestSteadyStateZeroAllocs pins the tentpole guarantee as a tier-1 test,
 // not just a benchmark number: with 1k concurrent flows warmed up, the
 // steady-state segment lifecycle (HandleDownlink + HandleWirelessAck +

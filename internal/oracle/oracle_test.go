@@ -79,11 +79,24 @@ func randomNetwork(r *rand.Rand, maxAPs int) turboca.Input {
 	return in
 }
 
-// permuted returns a deep-enough copy of in with its AP slice shuffled.
+// permuted returns a deep-enough copy of in with its AP slice shuffled and
+// every neighbor entry, a position, following its view to where it went.
 func permuted(in turboca.Input, r *rand.Rand) turboca.Input {
+	order := r.Perm(len(in.APs)) // order[new] = old
+	moved := make([]int, len(order))
+	for to, from := range order {
+		moved[from] = to
+	}
 	out := in
-	out.APs = append([]turboca.APView(nil), in.APs...)
-	r.Shuffle(len(out.APs), func(i, j int) { out.APs[i], out.APs[j] = out.APs[j], out.APs[i] })
+	out.APs = make([]turboca.APView, len(order))
+	for to, from := range order {
+		v := in.APs[from]
+		v.Neighbors = append([]int(nil), v.Neighbors...)
+		for k, j := range v.Neighbors {
+			v.Neighbors[k] = moved[j]
+		}
+		out.APs[to] = v
+	}
 	return out
 }
 
@@ -92,14 +105,7 @@ func plansIdentical(a, b turboca.Plan) bool {
 		return false
 	}
 	for id, aa := range a {
-		ba, ok := b[id]
-		if !ok || aa.Channel != ba.Channel {
-			return false
-		}
-		switch {
-		case aa.Fallback == nil && ba.Fallback == nil:
-		case aa.Fallback != nil && ba.Fallback != nil && *aa.Fallback == *ba.Fallback:
-		default:
+		if ba, ok := b[id]; !ok || aa != ba {
 			return false
 		}
 	}

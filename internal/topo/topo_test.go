@@ -336,3 +336,45 @@ func TestRenderPlan(t *testing.T) {
 		t.Fatalf("only %d APs rendered", glyphs)
 	}
 }
+
+// TestStaticPictureByPosition: the interference graph and the external
+// rows are tables indexed by AP position, which is the AP's ID — every
+// row is the definition evaluated at that AP, and a scenario whose IDs are
+// not positions is refused when either table is built, by index.
+func TestStaticPictureByPosition(t *testing.T) {
+	sc := Office(5)
+	for _, band := range []spectrum.Band{spectrum.Band5, spectrum.Band2G4} {
+		subs := spectrum.Channels(band, spectrum.W20, true)
+		for _, ap := range sc.APs {
+			row := sc.ExternalRow(ap, band)
+			for i, c := range subs {
+				want := sc.ExternalUtilization(ap.Pos, band, c.Number)
+				if got := rowAt(row, i); got != want {
+					t.Fatalf("AP %d %v ch%d: row has %v, definition %v", ap.ID, band, c.Number, got, want)
+				}
+			}
+		}
+	}
+	for _, build := range []func(*Scenario){
+		func(s *Scenario) { s.NeighborsOf(s.APs[0]) },
+		func(s *Scenario) { s.ExternalRow(s.APs[0], spectrum.Band5) },
+	} {
+		bad := Office(5)
+		bad.APs[3], bad.APs[4] = bad.APs[4], bad.APs[3]
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "APs[3].ID = 4") {
+					t.Fatalf("IDs out of position: recovered %q, want a panic naming APs[3]", msg)
+				}
+			}()
+			build(bad)
+		}()
+	}
+}
+
+func rowAt(row []float64, i int) float64 {
+	if row == nil {
+		return 0
+	}
+	return row[i]
+}

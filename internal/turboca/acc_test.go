@@ -49,8 +49,9 @@ func hostileRow(r *rand.Rand, subs int) []float64 {
 }
 
 // hostileInput is randomInput without Sanitize and with what Sanitize
-// would have removed: self-loops, duplicate, one-way and dangling
-// neighbor entries, APs with no or an off-band Current, zero width caps,
+// would have removed: self-loops, doubled, one-way and dangling (one past
+// the last position) neighbor entries, views sharing an ID, APs with no or
+// an off-band Current, zero width caps,
 // quarantined sub-channels and mask bits beyond the band, rows of the
 // wrong length with invalid entries and, on some seeds, NaN or infinite
 // loads — RunNBO, NetP and the Evaluator accept all of it.
@@ -86,7 +87,7 @@ func hostileInput(r *rand.Rand) Input {
 		}
 		switch {
 		case r.Intn(12) == 0:
-			v.ID = r.Intn(n) // a duplicate ID: the later view takes the edges
+			v.ID = r.Intn(n) // a duplicate ID: a label, every view keeps its own edges
 		case r.Intn(10) == 0:
 			v.Load = 0
 		case badLoads && r.Intn(4) == 0:
@@ -106,7 +107,7 @@ func hostileInput(r *rand.Rand) Input {
 	}
 	for i := 0; i < n; i++ {
 		for k := r.Intn(5); k > 0; k-- {
-			j := r.Intn(n + 1) // n dangles; j == i is a self-loop
+			j := r.Intn(n + 1) // position n dangles; j == i is a self-loop
 			in.APs[i].Neighbors = append(in.APs[i].Neighbors, j)
 			if j < n && r.Intn(4) != 0 { // else a one-way edge
 				in.APs[j].Neighbors = append(in.APs[j].Neighbors, i)

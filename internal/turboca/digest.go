@@ -67,8 +67,9 @@ func (d *digester) row(subs []spectrum.Channel, row []float64) {
 // that would otherwise make equal problems hash differently. Nothing here
 // depends on how the input is laid out in memory — rows and the blocked
 // mask hash as (channel number, value) lists — so the bytes are those the
-// number-keyed maps these fields once were hashed to (refDigest,
-// digest_test.go), and journals and checkpoints written then still match.
+// number-keyed maps and ID-keyed neighbor lists these fields once were
+// hashed to (refDigest, digest_test.go), and journals and checkpoints
+// written then still match.
 func (in Input) Digest() uint64 {
 	d := &digester{h: fnvOffset64}
 	subs := spectrum.Channels(in.Band, spectrum.W20, true)
@@ -93,9 +94,14 @@ func (in Input) Digest() uint64 {
 		for _, s := range v.WidthLoad {
 			d.f64(s)
 		}
+		// A neighbor folds as its view's ID, not as where the view sits; an
+		// entry that is no position (Sanitize drops it) folds as itself.
 		d.i64(int64(len(v.Neighbors)))
-		for _, id := range v.Neighbors {
-			d.i64(int64(id))
+		for _, j := range v.Neighbors {
+			if uint(j) < uint(len(in.APs)) {
+				j = in.APs[j].ID
+			}
+			d.i64(int64(j))
 		}
 		d.row(subs, v.ExternalUtil)
 	}

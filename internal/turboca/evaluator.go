@@ -7,8 +7,8 @@ import (
 	"repro/internal/spectrum"
 )
 
-// Evaluator exposes the planner's exact NodeP/NetP machinery over dense AP
-// indexes to external exhaustive searchers (internal/oracle). It wraps the
+// Evaluator exposes the planner's exact NodeP/NetP machinery, by AP
+// position, to external exhaustive searchers (internal/oracle). It wraps the
 // same planner NBO evaluates with — same spectrum table IDs, same
 // index-ordered summation — so a score computed here is bitwise comparable
 // to RunNBO's LogNetP and to NetP() on the same (canonically ordered)
@@ -63,7 +63,7 @@ func NewEvaluator(cfg Config, in Input) *Evaluator {
 // NumAPs returns the problem size.
 func (e *Evaluator) NumAPs() int { return len(e.p.views) }
 
-// APID maps a dense index back to the AP's ID.
+// APID returns the label of the AP at position i.
 func (e *Evaluator) APID(i int) int { return e.p.views[i].ID }
 
 // Load returns an AP's traffic weight.
@@ -72,7 +72,7 @@ func (e *Evaluator) Load(i int) float64 { return e.p.views[i].Load }
 // Pinned reports whether the AP is frozen on its current channel.
 func (e *Evaluator) Pinned(i int) bool { return e.p.views[i].Pinned }
 
-// Neighbors returns AP i's dense neighbor indexes. The slice is shared
+// Neighbors returns the positions of AP i's neighbors. The slice is shared
 // state — callers must not mutate it.
 func (e *Evaluator) Neighbors(i int) []int { return e.p.neigh[i] }
 
@@ -117,12 +117,25 @@ func (e *Evaluator) Plan() Plan { return e.p.snapshotPlan() }
 
 // CanonicalInput returns in with its APs sorted by ID (a copy; the
 // argument is untouched). Evaluation order — and therefore the low bits of
-// every float summation — follows dense index order, so two callers that
+// every float summation — follows position order, so two callers that
 // canonicalize first agree bitwise no matter how their AP slices were
-// permuted. Neighbor lists are per-AP and unaffected by the sort.
+// permuted. Neighbor lists keep their order and are renumbered to the
+// sorted positions (repairNeighbors: in a slice of their own).
 func CanonicalInput(in Input) Input {
+	order := make([]int, len(in.APs)) // order[new] = old
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return in.APs[order[a]].ID < in.APs[order[b]].ID })
+	moved := make([]int, len(order)) // moved[old] = new
+	for to, from := range order {
+		moved[from] = to
+	}
 	out := in
-	out.APs = append([]APView(nil), in.APs...)
-	sort.SliceStable(out.APs, func(a, b int) bool { return out.APs[a].ID < out.APs[b].ID })
+	out.APs = make([]APView, len(order))
+	for to, from := range order {
+		out.APs[to] = in.APs[from]
+		out.APs[to].Neighbors, _ = repairNeighbors(in.APs[from].Neighbors, -1, len(order), moved)
+	}
 	return out
 }

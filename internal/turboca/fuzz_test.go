@@ -15,8 +15,9 @@ import (
 // planning input — the adversarial shapes a degraded control plane can
 // hand the planner: duplicate and negative AP IDs, NaN/Inf metrics
 // (float fields are raw bit patterns), off-band channels, bogus widths,
-// dangling neighbor references, sub-channel rows shorter and longer than
-// the band, quarantine bits beyond it.
+// neighbor entries that are no position (negative, or past the last view),
+// sub-channel rows shorter and longer than the band, quarantine bits
+// beyond it.
 func inputFromBytes(data []byte) turboca.Input {
 	pos := 0
 	u8 := func() byte {
@@ -166,12 +167,12 @@ func FuzzSanitize(f *testing.F) {
 			checkRow("external util", v.ExternalUtil)
 		}
 		for i := range in.APs {
-			for _, id := range in.APs[i].Neighbors {
-				if id == in.APs[i].ID {
-					t.Fatalf("AP %d self-loop neighbor survived", id)
+			for _, j := range in.APs[i].Neighbors {
+				if j == i {
+					t.Fatalf("AP at %d: self-loop neighbor survived", i)
 				}
-				if !seen[id] {
-					t.Fatalf("AP %d dangling neighbor %d survived", in.APs[i].ID, id)
+				if j < 0 || j >= len(in.APs) {
+					t.Fatalf("AP at %d: neighbor %d, no position among %d views, survived", i, j, len(in.APs))
 				}
 			}
 		}

@@ -68,7 +68,7 @@ func planLines(p turboca.Plan) string {
 	for _, id := range ids {
 		a := p[id]
 		fb := "none"
-		if a.Fallback != nil {
+		if a.Channel.DFS { // a DFS assignment with no fallback prints the zero Channel
 			fb = a.Fallback.String()
 		}
 		fmt.Fprintf(&b, "ap=%d %v fallback=%s\n", id, a.Channel, fb)

@@ -5,9 +5,11 @@
 // DFS/CSA practical rules (§4.5), and the prior-generation baseline
 // ReservedCA (§4.6.1) it is evaluated against.
 //
-// Evaluation hot paths use spectrum table IDs and dense AP indexing so a
-// 600-AP campus plans in milliseconds; the exported API speaks AP IDs and
-// spectrum.Channel values.
+// An AP is its position in Input.APs: neighbor lists hold positions and
+// every table the planner builds is a row in that order, next to the
+// spectrum table IDs it uses for channels, so a 600-AP campus plans in
+// milliseconds. APView.ID is a label the planner never resolves: it keys
+// the exported Plan, is folded by Digest and deduplicated by Sanitize.
 package turboca
 
 import (
@@ -23,6 +25,7 @@ import (
 // width/usage mix, neighbor reports, and per-20MHz-channel external
 // (non-network) utilization.
 type APView struct {
+	// ID labels the AP towards the caller: the key of its Plan entry.
 	ID       int
 	Current  spectrum.Channel
 	MaxWidth spectrum.Width
@@ -38,7 +41,9 @@ type APView struct {
 	// width is spectrum.Widths[s] (Width.Slot). Clients wider than the
 	// AP's assignment collapse onto the assigned width at evaluation time.
 	WidthLoad [4]float64
-	// Neighbors lists AP IDs whose transmissions this AP can hear.
+	// Neighbors lists the APs whose transmissions this AP can hear, as
+	// positions in Input.APs. The slice may be shared between inputs: the
+	// planner reads it in place and Sanitize replaces one it has to repair.
 	Neighbors []int
 	// ExternalUtil is the non-network utilization fraction the scanning
 	// radio observes on each 20 MHz channel of the band, as a sub-channel
@@ -143,13 +148,14 @@ func DefaultConfig() Config {
 }
 
 // Assignment is one AP's planned channel, with a non-DFS fallback
-// maintained whenever the primary sits on a DFS channel (§4.5.2).
+// maintained whenever the primary sits on a DFS channel (§4.5.2). The
+// zero Fallback is none: the channel is not DFS, or nothing qualified.
 type Assignment struct {
 	Channel  spectrum.Channel
-	Fallback *spectrum.Channel
+	Fallback spectrum.Channel
 }
 
-// Plan maps AP ID to assignment.
+// Plan maps AP ID (APView.ID) to assignment.
 type Plan map[int]Assignment
 
 // Clone deep-copies a plan.
@@ -165,15 +171,16 @@ func (p Plan) Clone() Plan {
 // to 160 MHz.
 var widthFrac = [4]float64{0.125, 0.25, 0.5, 1.0}
 
-// planner carries the immutable problem plus dense indexes used by every
-// evaluation.
+// planner carries the immutable problem plus the per-AP rows, in Input.APs
+// order, used by every evaluation.
 type planner struct {
 	cfg Config
 	in  Input
 
 	views []*APView
-	idxOf map[int]int // AP ID -> dense index
-	neigh [][]int     // dense neighbor indices
+	// neigh[i] is views[i].Neighbors itself, or, when the input skipped
+	// Sanitize, a copy without the entries that are no position.
+	neigh [][]int
 	// onAir is the AP's real current channel (spectrum.None when the AP
 	// has no assignment yet): the switch-penalty anchor and the baseline
 	// for switch counting. Never mutated.
@@ -225,7 +232,6 @@ func newPlanner(cfg Config, in Input) *planner {
 		cfg: cfg, in: in,
 		adm:     newAdmissibleSets(in),
 		views:   make([]*APView, n),
-		idxOf:   make(map[int]int, n),
 		neigh:   make([][]int, n),
 		onAir:   make([]spectrum.ID, n),
 		current: make([]spectrum.ID, n),
@@ -240,9 +246,7 @@ func newPlanner(cfg Config, in Input) *planner {
 		remBuf:  make([]int, 0, n),
 	}
 	for i := range in.APs {
-		v := &in.APs[i]
-		p.views[i] = v
-		p.idxOf[v.ID] = i
+		p.views[i] = &in.APs[i]
 	}
 	lo, hi := spectrum.BandIDs(in.Band)
 	ext := make([]float64, n*int(hi))
@@ -254,11 +258,7 @@ func newPlanner(cfg Config, in Input) *planner {
 		p.onAir[i] = p.idOf(v.Current)
 		p.current[i] = p.onAir[i]
 		p.assign[i] = spectrum.None
-		for _, nid := range v.Neighbors {
-			if j, ok := p.idxOf[nid]; ok {
-				p.neigh[i] = append(p.neigh[i], j)
-			}
-		}
+		p.neigh[i], _ = repairNeighbors(v.Neighbors, -1, n, nil)
 		total := 0.0
 		for _, s := range v.WidthLoad {
 			total += s
@@ -376,7 +376,7 @@ func (p *planner) cloneScratch() *planner {
 	return &cp
 }
 
-// channelOf resolves a dense AP index's channel under the working state.
+// channelOf resolves AP j's channel under the working state.
 func (p *planner) channelOf(j int) spectrum.ID {
 	if p.ignore[j] {
 		return spectrum.None
@@ -478,12 +478,10 @@ func (p *planner) logNetP() float64 {
 
 // loadAssign installs a Plan map into the scratch assignment state.
 func (p *planner) loadAssign(plan Plan) {
-	for i := range p.assign {
+	for i, v := range p.views {
 		p.assign[i] = spectrum.None
 		p.ignore[i] = false
-	}
-	for id, a := range plan {
-		if i, ok := p.idxOf[id]; ok {
+		if a, ok := plan[v.ID]; ok {
 			p.assign[i] = p.idOf(a.Channel)
 		}
 	}

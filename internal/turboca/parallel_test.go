@@ -15,14 +15,7 @@ func planEqual(a, b Plan) bool {
 		return false
 	}
 	for id, aa := range a {
-		ba, ok := b[id]
-		if !ok || aa.Channel != ba.Channel {
-			return false
-		}
-		switch {
-		case aa.Fallback == nil && ba.Fallback == nil:
-		case aa.Fallback != nil && ba.Fallback != nil && *aa.Fallback == *ba.Fallback:
-		default:
+		if ba, ok := b[id]; !ok || aa != ba {
 			return false
 		}
 	}

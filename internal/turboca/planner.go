@@ -10,8 +10,8 @@ import (
 	"repro/internal/spectrum"
 )
 
-// acc — AP Channel Calculation (§4.4.2) — picks the channel for dense AP
-// index i that maximizes NetP, considering only i and its neighbors (the
+// acc — AP Channel Calculation (§4.4.2) — picks the channel for AP i
+// that maximizes NetP, considering only i and its neighbors (the
 // only NodeP values a single-AP change can affect). APs currently marked
 // in p.ignore (the paper's ψ) are treated as if they had no channel, which
 // lets NBO escape locally optimal plans by presuming upcoming changes.
@@ -152,8 +152,8 @@ func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
 // when a radar event forces an immediate move (§4.5.2). Quarantined
 // channels are excluded — a fallback that lands inside an active NOP window
 // is exactly the violation the fallback exists to avoid. Returns the zero
-// Channel when nothing qualifies; the backend then draws its own
-// quarantine-aware fallback.
+// Channel, Assignment.Fallback's none, when nothing qualifies; the backend
+// then draws its own quarantine-aware fallback.
 func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 	best := p.bestByDelta(i, p.adm.upTo(true, p.views[i].MaxWidth))
 	if best == spectrum.None {
@@ -280,8 +280,7 @@ func (p *planner) snapshotPlan() Plan {
 		}
 		a := Assignment{Channel: c.Channel()}
 		if a.Channel.DFS {
-			fb := p.bestNonDFSFallback(i)
-			a.Fallback = &fb
+			a.Fallback = p.bestNonDFSFallback(i)
 		}
 		plan[v.ID] = a
 	}
@@ -291,9 +290,10 @@ func (p *planner) snapshotPlan() Plan {
 // switches counts the APs plan moves off their reported Current channel.
 func (p *planner) switches(plan Plan) int {
 	n := 0
-	for id, a := range plan {
-		cur := p.views[p.idxOf[id]].Current
-		if !cur.Width.Valid() {
+	for _, v := range p.views {
+		a, ok := plan[v.ID]
+		cur := v.Current
+		if !ok || !cur.Width.Valid() {
 			continue // first assignment ever: nothing switched away from
 		}
 		if cur.Number != a.Channel.Number || cur.Width != a.Channel.Width {

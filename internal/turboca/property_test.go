@@ -97,14 +97,7 @@ func plansIdentical(a, b Plan) bool {
 		return false
 	}
 	for id, aa := range a {
-		ba, ok := b[id]
-		if !ok || aa.Channel != ba.Channel {
-			return false
-		}
-		switch {
-		case aa.Fallback == nil && ba.Fallback == nil:
-		case aa.Fallback != nil && ba.Fallback != nil && *aa.Fallback == *ba.Fallback:
-		default:
+		if ba, ok := b[id]; !ok || aa != ba {
 			return false
 		}
 	}
@@ -147,10 +140,10 @@ func checkLegality(t *testing.T, in Input, plan Plan) {
 			}
 		}
 		if a.Channel.DFS {
-			if a.Fallback == nil {
+			if a.Fallback == (spectrum.Channel{}) {
 				t.Errorf("AP %d on DFS channel %v without a fallback", v.ID, a.Channel)
 			} else if a.Fallback.DFS {
-				t.Errorf("AP %d fallback %v is itself DFS", v.ID, *a.Fallback)
+				t.Errorf("AP %d fallback %v is itself DFS", v.ID, a.Fallback)
 			}
 		}
 	}

@@ -41,8 +41,8 @@ func TestNBORespectsQuarantine(t *testing.T) {
 		if touchesAny(a.Channel, in.Blocked) {
 			t.Fatalf("AP %d assigned %v inside the quarantine", id, a.Channel)
 		}
-		if a.Fallback != nil && touchesAny(*a.Fallback, in.Blocked) {
-			t.Fatalf("AP %d fallback %v inside the quarantine", id, *a.Fallback)
+		if touchesAny(a.Fallback, in.Blocked) {
+			t.Fatalf("AP %d fallback %v inside the quarantine", id, a.Fallback)
 		}
 	}
 	// Every AP must still get a plan — quarantine narrows, never fails.

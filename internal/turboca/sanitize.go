@@ -14,9 +14,10 @@ const maxSaneLoad = 64
 
 // Sanitize validates and repairs a planning input in place, so malformed
 // telemetry cannot silently corrupt NodeP/NetP: duplicate AP IDs are
-// dropped (first occurrence wins), NaN and negative loads are clamped,
-// utilization and CSA fractions are forced into [0, 1], neighbor
-// references to unknown APs and self-loops are removed, empty width-load
+// dropped (first occurrence wins, and takes the edges that pointed at the
+// others), NaN and negative loads are clamped, utilization and CSA
+// fractions are forced into [0, 1], neighbor entries that are no position
+// in APs and self-loops are removed, empty width-load
 // mixes default to all-20MHz, a current channel that is not a US channel
 // of the input band is cleared to the zero Channel, the "never assigned"
 // state the planner already handles, and sub-channel rows and the blocked
@@ -26,16 +27,31 @@ func (in *Input) Sanitize() int {
 	fixes := 0
 	subs := len(spectrum.Channels(in.Band, spectrum.W20, true))
 
-	// Duplicate AP IDs: a doubled view would double-count the AP's NodeP
-	// and alias its neighbor edges.
-	seen := make(map[int]bool, len(in.APs))
+	// Duplicate AP IDs: a doubled view would double-count the AP's NodeP.
+	// The one place an ID is resolved to a position: seen is where each
+	// kept ID sits, and moved, once a view has been dropped, where every
+	// original position went — a dropped view's to the first of its ID.
+	n := len(in.APs)
+	seen := make(map[int]int, n)
+	var moved []int
 	kept := in.APs[:0]
 	for i := range in.APs {
-		if seen[in.APs[i].ID] {
+		first, dup := seen[in.APs[i].ID]
+		if dup {
+			if moved == nil {
+				moved = make([]int, n)
+				for k := range moved[:i] {
+					moved[k] = k
+				}
+			}
+			moved[i] = first
 			fixes++
 			continue
 		}
-		seen[in.APs[i].ID] = true
+		seen[in.APs[i].ID] = len(kept)
+		if moved != nil {
+			moved[i] = len(kept)
+		}
 		kept = append(kept, in.APs[i])
 	}
 	in.APs = kept
@@ -67,16 +83,8 @@ func (in *Input) Sanitize() int {
 			fixes++
 		}
 
-		neigh := v.Neighbors[:0]
-		for _, id := range v.Neighbors {
-			if id == v.ID || !seen[id] {
-				fixes++
-				continue
-			}
-			neigh = append(neigh, id)
-		}
-		v.Neighbors = neigh
-
+		ns, dropped := repairNeighbors(v.Neighbors, i, n, moved)
+		v.Neighbors, fixes = ns, fixes+dropped
 		v.ExternalUtil, fixes = sanitizeRow(v.ExternalUtil, subs, fixes)
 	}
 
@@ -89,6 +97,31 @@ func (in *Input) Sanitize() int {
 		fixes++
 	}
 	return fixes
+}
+
+// repairNeighbors returns a neighbor list without its entries that are no
+// position among n views and, after renumbering through moved (nil:
+// nothing moved), without those equal to self (-1 keeps self-loops), and
+// how many it dropped. Lists are shared between snapshots: one that needs
+// no repair is returned as it came, one that does is rebuilt, never in place.
+func repairNeighbors(ns []int, self, n int, moved []int) (out []int, dropped int) {
+	out, own := ns, false
+	for k, j := range ns {
+		drop := uint(j) >= uint(n)
+		if !drop && moved != nil {
+			j = moved[j]
+		}
+		drop = drop || j == self
+		if !own && (drop || j != ns[k]) {
+			out, own = append(make([]int, 0, len(ns)), ns[:k]...), true
+		}
+		if drop {
+			dropped++
+		} else if own {
+			out = append(out, j)
+		}
+	}
+	return out, dropped
 }
 
 // sanitizeRow forces a sub-channel row into its domain, a utilization

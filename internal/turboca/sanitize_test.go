@@ -2,6 +2,7 @@ package turboca
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/spectrum"
@@ -66,12 +67,12 @@ func TestSanitizeDuplicateIDs(t *testing.T) {
 
 func TestSanitizeUnknownNeighbors(t *testing.T) {
 	in := chainInput(3, spectrum.W80, 1.0)
-	in.APs[0].Neighbors = append(in.APs[0].Neighbors, 999, 0) // unknown + self-loop
-	(&in).Sanitize()
-	for _, id := range in.APs[0].Neighbors {
-		if id == 999 || id == 0 {
-			t.Fatalf("neighbor %d survived sanitize", id)
-		}
+	in.APs[0].Neighbors = append(in.APs[0].Neighbors, 999, -1, 0) // no positions + self-loop
+	if fixes := (&in).Sanitize(); fixes != 3 {
+		t.Fatalf("fixes = %d, want 3", fixes)
+	}
+	if got := in.APs[0].Neighbors; !slices.Equal(got, []int{1}) {
+		t.Fatalf("neighbors %v survived sanitize, want [1]", got)
 	}
 	planAfterSanitize(t, in)
 }
