@@ -10,13 +10,14 @@
 GO ?= go
 
 # Packages whose statement coverage must stay at or above COVER_FLOOR:
-# the TCP packet path, the sequence-space containers under it and the event
-# queue under everything, where a silent regression corrupts traffic or
-# reorders a run rather than failing a build, plus the shared telemetry
+# the TCP packet path, the MAC and the testbed that wires them, the
+# sequence-space containers under it and the event queue under everything,
+# where a silent regression corrupts traffic or reorders a run rather than
+# failing a build, plus the shared telemetry
 # store and the control plane — the fleet controller, and the backend,
 # planner and topology under it — whose determinism contracts live in
 # their tests.
-COVER_PKGS  = ./internal/sim ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle ./internal/backend ./internal/turboca ./internal/topo
+COVER_PKGS  = ./internal/sim ./internal/mac ./internal/testbed ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle ./internal/backend ./internal/turboca ./internal/topo
 COVER_FLOOR = 75
 # The FastACK agent carries the safety guard and invariant checker; its
 # guard/chaos/fuzz test battery holds it to a stricter floor.
@@ -56,12 +57,14 @@ race:
 # the race detector (poll delivery, retries, and planning interleave).
 # Plus the data-path chaos acceptance suite: seeded DataChaos campaigns
 # over the FastACK testbed (guard lifecycle, invariants, drain-to-zero,
-# goodput floors) and the fastack guard/fuzz-regression tests. -short
-# keeps the campaign to a dozen seeds under -race; `go test
-# ./internal/testbed` runs all 100.
+# goodput floors) and the fastack guard/fuzz-regression tests, and the MAC
+# under them, whose tables grow while callbacks run. -short keeps the
+# campaign to a dozen seeds under -race; `go test ./internal/testbed` runs
+# all 100.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestPollInterval' ./internal/backend/...
 	$(GO) test -race ./internal/faults/...
+	$(GO) test -race ./internal/mac
 	$(GO) test -race -short -run 'TestChaos|TestDataChaos|TestRoaming|TestUplink|TestBidirectional' ./internal/testbed/...
 	$(GO) test -race -run 'TestGuard|TestSweep|TestRST|TestExportImport|TestInvariant|TestClientAckHeal|TestSpurious|FuzzAgentDatagram' ./internal/fastack/...
 

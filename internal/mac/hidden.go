@@ -21,24 +21,17 @@ import (
 // SetHearing declares whether a hears b (and symmetric by default).
 // Unset pairs default to audible.
 func (md *Medium) SetHearing(a, b StationID, audible bool) {
-	if md.hearing == nil {
-		md.hearing = map[[2]StationID]bool{}
-	}
-	md.hearing[linkKey(a, b)] = audible
+	md.partial = true
+	md.pairRow(a, b).deaf = !audible
 }
 
 // hears reports whether a and b are within carrier-sense range.
 func (md *Medium) hears(a, b StationID) bool {
-	if a == b {
+	if a == b || !md.partial {
 		return true
 	}
-	if md.hearing == nil {
-		return true
-	}
-	if v, ok := md.hearing[linkKey(a, b)]; ok {
-		return v
-	}
-	return true
+	row := md.pairRowIfAny(a, b)
+	return row == nil || !row.deaf
 }
 
 // navUntil returns the time until which st must defer: the later of the
@@ -53,8 +46,7 @@ func (md *Medium) navUntil(st *Station) sim.Time {
 }
 
 // occupy marks the air busy for every station that hears src, for the
-// exchange ending at end. Returns the set of stations that did NOT hear
-// it (potential hidden interferers).
+// exchange ending at end.
 func (md *Medium) occupy(src StationID, end sim.Time) {
 	for _, other := range md.stations {
 		if md.hears(src, other.ID) {

@@ -9,6 +9,11 @@
 // property, per §5.1 of the paper, is that aggregate sizes emerge from
 // queue depth at transmit opportunity: a TCP sender that is poorly clocked
 // leaves shallow queues and therefore small aggregates.
+//
+// A StationID is a station's position in its Medium and its one identity
+// here: everything kept per peer, per (peer, TID) or per pair of stations
+// is a row at the peer's ID (peerRow, acQueue.byDst), grown on first
+// contact, and nothing is a map keyed by station (DESIGN.md §3.9).
 package mac
 
 import (
@@ -112,6 +117,22 @@ func (bs *backoffState) fail(ac phy.AccessCategory) {
 	bs.counter = -1
 }
 
+// peerRow is one station's state about one peer. The zero row is a peer
+// never heard from: no rate controller yet, sequence numbers at 0 in both
+// directions, nothing held, default SNR, audible.
+type peerRow struct {
+	rate  *RateController // link adaptation toward the peer, made on first use
+	txSeq [4]uint32       // next per-TID sequence number toward the peer, by AC
+	rx    [4]reorderBuf   // reorder buffers for frames from the peer, by AC
+
+	// State of the pair, which is symmetric and so stored once: in the
+	// higher-numbered station's row for the lower-numbered one (Medium.pairRow).
+	// APs attach first, so a client's table is as long as there are APs.
+	snr    float64
+	hasSNR bool // false: the medium's default SNR
+	deaf   bool // SetHearing(a, b, false): out of carrier-sense range
+}
+
 // Station is one 802.11 transceiver attached to a Medium.
 type Station struct {
 	ID     StationID
@@ -121,13 +142,9 @@ type Station struct {
 	queues   [4]*acQueue // indexed by phy.AccessCategory
 	backoffs [4]backoffState
 
-	rate map[StationID]*RateController // per-peer link adaptation
-
-	// tidCounters assigns transmit-side per-TID sequence numbers (keyed by
-	// destination peer + AC); reorder holds the receive-side buffers
-	// (keyed by source peer + AC).
-	tidCounters map[tidKey]uint32
-	reorder     map[tidKey]*reorderBuf
+	// peers is what the station keeps about every other station, one row
+	// per peer at the peer's StationID, grown on first contact (see peer).
+	peers []peerRow
 
 	// Carrier-sense state: physBusyUntil is raised by audible
 	// transmissions and interferers; navBusyUntil by overheard RTS/CTS
@@ -268,10 +285,21 @@ func (s *Station) EnqueueFront(d *packet.Datagram, dst StationID, ac phy.AccessC
 	s.medium.kickContention()
 }
 
+// peer returns s's row for id, growing the table to id+1 on first contact.
+// The pointer is good until the table next grows, and any OnReceive,
+// OnDelivered or OnDrop callback may reach a new peer and grow it: no
+// caller holds a row across a callback.
+func (s *Station) peer(id StationID) *peerRow {
+	for int(id) >= len(s.peers) {
+		s.peers = append(s.peers, peerRow{})
+	}
+	return &s.peers[id]
+}
+
 // rateFor returns (creating if needed) the rate controller toward peer.
 func (s *Station) rateFor(peer StationID) *RateController {
-	rc, ok := s.rate[peer]
-	if !ok {
+	row := s.peer(peer)
+	if row.rate == nil {
 		snr := s.medium.SNR(s.ID, peer)
 		width := s.cfg.Width
 		if pw := s.medium.stations[peer].cfg.Width; pw < width {
@@ -281,8 +309,7 @@ func (s *Station) rateFor(peer StationID) *RateController {
 		if pn := s.medium.stations[peer].cfg.NSS; pn < nss {
 			nss = pn
 		}
-		rc = NewRateController(nss, width, s.cfg.GI, snr, s.medium.engine.Rand())
-		s.rate[peer] = rc
+		row.rate = NewRateController(nss, width, s.cfg.GI, snr, s.medium.engine.Rand())
 	}
-	return rc
+	return row.rate
 }

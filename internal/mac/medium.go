@@ -36,16 +36,16 @@ type Medium struct {
 	engine   *sim.Engine
 	stations []*Station
 
-	snr        map[[2]StationID]float64
-	defaultSNR float64
+	defaultSNR float64 // of any pair without a SetSNR
 
 	busyUntil         sim.Time
 	contentionPending bool
 
-	// hearing is the optional audibility matrix (nil = everyone hears
-	// everyone); activeTx tracks in-flight transmissions for hidden-node
-	// interference checks. See hidden.go.
-	hearing  map[[2]StationID]bool
+	// partial is set once SetHearing has been called: until then everyone
+	// hears everyone and hears answers without looking at a row. activeTx
+	// tracks in-flight transmissions for hidden-node interference checks.
+	// See hidden.go.
+	partial  bool
 	activeTx []activeTxRecord
 
 	stats MediumStats
@@ -63,7 +63,6 @@ type Medium struct {
 func NewMedium(engine *sim.Engine, defaultSNR float64) *Medium {
 	return &Medium{
 		engine:     engine,
-		snr:        map[[2]StationID]float64{},
 		defaultSNR: defaultSNR,
 	}
 }
@@ -83,10 +82,9 @@ func (md *Medium) AddStation(cfg StationConfig) *Station {
 		ID:     StationID(len(md.stations)),
 		cfg:    cfg,
 		medium: md,
-		rate:   map[StationID]*RateController{},
 	}
 	for i := range st.queues {
-		st.queues[i] = newACQueue()
+		st.queues[i] = new(acQueue)
 	}
 	for ac := range st.backoffs {
 		st.backoffs[ac] = backoffState{cw: phy.AccessCategory(ac).EDCA().CWMin, counter: -1}
@@ -101,22 +99,33 @@ func (md *Medium) Station(id StationID) *Station { return md.stations[id] }
 // Stations returns all attached stations.
 func (md *Medium) Stations() []*Station { return md.stations }
 
-func linkKey(a, b StationID) [2]StationID {
-	if a > b {
-		a, b = b, a
+// pairRow returns the one row that holds the symmetric state of a and b —
+// the higher-numbered station's row for the lower-numbered — making it if
+// no one has yet.
+func (md *Medium) pairRow(a, b StationID) *peerRow {
+	return md.stations[max(a, b)].peer(min(a, b))
+}
+
+// pairRowIfAny is pairRow for readers: nil, meaning every default, when
+// the table was never grown that far.
+func (md *Medium) pairRowIfAny(a, b StationID) *peerRow {
+	rows, lo := md.stations[max(a, b)].peers, min(a, b)
+	if int(lo) >= len(rows) {
+		return nil
 	}
-	return [2]StationID{a, b}
+	return &rows[lo]
 }
 
 // SetSNR sets the symmetric link SNR between two stations in dB.
 func (md *Medium) SetSNR(a, b StationID, snrDB float64) {
-	md.snr[linkKey(a, b)] = snrDB
+	row := md.pairRow(a, b)
+	row.snr, row.hasSNR = snrDB, true
 }
 
 // SNR returns the link SNR between two stations.
 func (md *Medium) SNR(a, b StationID) float64 {
-	if v, ok := md.snr[linkKey(a, b)]; ok {
-		return v
+	if row := md.pairRowIfAny(a, b); row != nil && row.hasSNR {
+		return row.snr
 	}
 	return md.defaultSNR
 }
@@ -324,14 +333,11 @@ func (md *Medium) buildFrame(c contender) (dst StationID, rate phy.Rate, mpdus [
 	mpdus = q.popFor(dst, maxAgg)
 	// Assign per-TID sequence numbers at first transmission attempt;
 	// retried MPDUs keep theirs.
-	if c.st.tidCounters == nil {
-		c.st.tidCounters = map[tidKey]uint32{}
-	}
-	tk := tidKey{src: dst, ac: c.ac} // keyed by peer on the tx side
+	next := &c.st.peer(dst).txSeq[c.ac]
 	for _, m := range mpdus {
 		if !m.tidSeqSet {
-			m.tidSeq = c.st.tidCounters[tk]
-			c.st.tidCounters[tk]++
+			m.tidSeq = *next
+			*next++
 			m.tidSeqSet = true
 		}
 	}

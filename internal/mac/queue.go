@@ -8,29 +8,31 @@ import "repro/internal/seqspace"
 // structure of real AP drivers. Round-robin among stations is what gives
 // CSMA its per-station (not per-packet) fairness.
 type acQueue struct {
-	byDst   map[StationID]*seqspace.Ring[*MPDU]
-	order   []StationID        // round-robin rotation, one entry per dst
-	inOrder map[StationID]bool // membership guard: rotation stays unique
-	next    int                // round-robin cursor
-	count   int                // total queued MPDUs
+	byDst []dstQueue  // by destination StationID, grown on demand (dequeFor)
+	order []StationID // round-robin rotation, one entry per dst
+	next  int         // round-robin cursor
+	count int         // total queued MPDUs
 }
 
-func newACQueue() *acQueue {
-	return &acQueue{byDst: map[StationID]*seqspace.Ring[*MPDU]{}, inOrder: map[StationID]bool{}}
+// dstQueue is one destination's deque and whether the destination is in
+// the rotation — the membership guard that keeps the rotation unique.
+type dstQueue struct {
+	seqspace.Ring[*MPDU]
+	inOrder bool
 }
 
-// dequeFor returns dst's deque, creating it and joining dst to the
-// round-robin exactly once. Without the uniqueness guard, destinations
-// whose queues drain and refill would accumulate duplicate rotation slots
-// and starve always-backlogged peers.
-func (q *acQueue) dequeFor(dst StationID) *seqspace.Ring[*MPDU] {
-	d, ok := q.byDst[dst]
-	if !ok {
-		d = &seqspace.Ring[*MPDU]{}
-		q.byDst[dst] = d
+// dequeFor returns dst's deque, growing the table to dst+1 and joining dst
+// to the round-robin exactly once. Without the uniqueness guard,
+// destinations whose queues drain and refill would accumulate duplicate
+// rotation slots and starve always-backlogged peers. The pointer is good
+// until the table next grows.
+func (q *acQueue) dequeFor(dst StationID) *dstQueue {
+	for int(dst) >= len(q.byDst) {
+		q.byDst = append(q.byDst, dstQueue{})
 	}
-	if !q.inOrder[dst] {
-		q.inOrder[dst] = true
+	d := &q.byDst[dst]
+	if !d.inOrder {
+		d.inOrder = true
 		q.order = append(q.order, dst)
 	}
 	return d
@@ -55,23 +57,23 @@ func (q *acQueue) nextDst() (StationID, bool) {
 			q.next = 0
 		}
 		dst := q.order[q.next]
-		if d := q.byDst[dst]; d != nil && d.Len() > 0 {
+		if q.byDst[dst].Len() > 0 {
 			q.next++
 			return dst, true
 		}
 		// Destination drained; drop it from the rotation.
 		q.order = append(q.order[:q.next], q.order[q.next+1:]...)
-		delete(q.inOrder, dst)
+		q.byDst[dst].inOrder = false
 	}
 	return 0, false
 }
 
 // popFor removes and returns up to max MPDUs destined for dst.
 func (q *acQueue) popFor(dst StationID, max int) []*MPDU {
-	d := q.byDst[dst]
-	if d == nil {
+	if int(dst) >= len(q.byDst) {
 		return nil
 	}
+	d := &q.byDst[dst]
 	n := min(d.Len(), max)
 	out := make([]*MPDU, 0, n)
 	for i := 0; i < n; i++ {
@@ -83,8 +85,8 @@ func (q *acQueue) popFor(dst StationID, max int) []*MPDU {
 
 // depthFor returns the number of MPDUs queued for dst.
 func (q *acQueue) depthFor(dst StationID) int {
-	if d := q.byDst[dst]; d != nil {
-		return d.Len()
+	if int(dst) >= len(q.byDst) {
+		return 0
 	}
-	return 0
+	return q.byDst[dst].Len()
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/packet"
 	"repro/internal/phy"
+	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -21,7 +22,7 @@ func mkMPDU(dst StationID, n int) *MPDU {
 // One destination's deque, driven the way the MAC drives it: enqueue at the
 // back, a retry at the front, aggregates popped from the front.
 func TestDequeOrder(t *testing.T) {
-	q := newACQueue()
+	q := new(acQueue)
 	for i := 0; i < 5; i++ {
 		q.enqueue(mkMPDU(0, i+1))
 	}
@@ -42,47 +43,161 @@ func TestDequeOrder(t *testing.T) {
 	}
 }
 
-// Property: under any interleaving of enqueue/requeue/pop/flush operations,
-// the acQueue's count matches the ground truth and the round-robin rotation
-// never contains duplicates.
+// refACQueue is the map-backed queue acQueue replaced, kept as the
+// reference its slices are held to: one deque per destination and the
+// rotation's membership guard, both keyed by StationID.
+type refACQueue struct {
+	byDst   map[StationID]*seqspace.Ring[*MPDU]
+	order   []StationID
+	inOrder map[StationID]bool
+	next    int
+	count   int
+}
+
+func newRefACQueue() *refACQueue {
+	return &refACQueue{byDst: map[StationID]*seqspace.Ring[*MPDU]{}, inOrder: map[StationID]bool{}}
+}
+
+func (q *refACQueue) dequeFor(dst StationID) *seqspace.Ring[*MPDU] {
+	d, ok := q.byDst[dst]
+	if !ok {
+		d = &seqspace.Ring[*MPDU]{}
+		q.byDst[dst] = d
+	}
+	if !q.inOrder[dst] {
+		q.inOrder[dst] = true
+		q.order = append(q.order, dst)
+	}
+	return d
+}
+
+func (q *refACQueue) enqueue(m *MPDU) {
+	q.dequeFor(m.Dst).PushBack(m)
+	q.count++
+}
+
+func (q *refACQueue) requeueFront(m *MPDU) {
+	q.dequeFor(m.Dst).Insert(0, m)
+	q.count++
+}
+
+func (q *refACQueue) nextDst() (StationID, bool) {
+	for len(q.order) > 0 {
+		if q.next >= len(q.order) {
+			q.next = 0
+		}
+		dst := q.order[q.next]
+		if d := q.byDst[dst]; d != nil && d.Len() > 0 {
+			q.next++
+			return dst, true
+		}
+		q.order = append(q.order[:q.next], q.order[q.next+1:]...)
+		delete(q.inOrder, dst)
+	}
+	return 0, false
+}
+
+func (q *refACQueue) popFor(dst StationID, max int) []*MPDU {
+	d := q.byDst[dst]
+	if d == nil {
+		return nil
+	}
+	n := min(d.Len(), max)
+	out := make([]*MPDU, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, d.PopFront())
+	}
+	q.count -= n
+	return out
+}
+
+func (q *refACQueue) depthFor(dst StationID) int {
+	if d := q.byDst[dst]; d != nil {
+		return d.Len()
+	}
+	return 0
+}
+
+// Property: under any interleaving of enqueue/requeue/pop/flush operations
+// the acQueue does what the map-backed queue it replaced does — the same
+// destination from nextDst, the same MPDUs from popFor, the same depths and
+// count after every step — its count matches the ground truth, and the
+// round-robin rotation never contains duplicates. Destinations run to 40,
+// so the table grows in the middle of a string, and depths are read for
+// destinations the table has never reached.
 func TestQuickACQueueInvariants(t *testing.T) {
-	f := func(ops []uint8) bool {
-		q := newACQueue()
-		count := 0
-		for _, op := range ops {
-			dst := StationID(op % 4)
-			switch op % 5 {
-			case 0, 1: // enqueue
-				q.enqueue(mkMPDU(dst, int(op)+1))
-				count++
-			case 2: // requeue front
-				q.requeueFront(mkMPDU(dst, int(op)+1))
-				count++
-			case 3: // pop a burst for the next dst
-				if d, ok := q.nextDst(); ok {
-					count -= len(q.popFor(d, 3))
-				}
-			case 4: // flush one destination, as a roam does
-				count -= len(q.popFor(dst, q.depthFor(dst)))
-			}
-			total := 0
-			for d := range q.byDst {
-				total += q.depthFor(d)
-			}
-			if q.count != count || total != count {
+	const dsts = 40
+	same := func(a, b []*MPDU) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if a[i] != b[i] {
 				return false
-			}
-			seen := map[StationID]bool{}
-			for _, id := range q.order {
-				if seen[id] {
-					return false // duplicate rotation slot
-				}
-				seen[id] = true
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	f := func(ops []uint16) bool {
+		q, ref := new(acQueue), newRefACQueue()
+		count := 0
+		for _, op := range ops {
+			dst := StationID(op / 5 % dsts)
+			switch op % 5 {
+			case 0, 1: // enqueue
+				m := mkMPDU(dst, int(op)+1)
+				q.enqueue(m)
+				ref.enqueue(m)
+				count++
+			case 2: // requeue front
+				m := mkMPDU(dst, int(op)+1)
+				q.requeueFront(m)
+				ref.requeueFront(m)
+				count++
+			case 3: // pop a burst for the next dst
+				d, ok := q.nextDst()
+				rd, rok := ref.nextDst()
+				if d != rd || ok != rok {
+					return false
+				}
+				if ok {
+					got := q.popFor(d, 3)
+					if !same(got, ref.popFor(d, 3)) {
+						return false
+					}
+					count -= len(got)
+				}
+			case 4: // flush one destination, as a roam does
+				got := q.popFor(dst, q.depthFor(dst))
+				if !same(got, ref.popFor(dst, ref.depthFor(dst))) {
+					return false
+				}
+				count -= len(got)
+			}
+			total := 0
+			for d := StationID(0); d < dsts; d++ {
+				if q.depthFor(d) != ref.depthFor(d) {
+					return false
+				}
+				total += q.depthFor(d)
+			}
+			if q.count != count || ref.count != count || total != count {
+				return false
+			}
+			seen := map[StationID]bool{}
+			for i, id := range q.order {
+				if seen[id] || id != ref.order[i] {
+					return false // duplicate rotation slot, or another rotation
+				}
+				seen[id] = true
+			}
+			if len(q.order) != len(ref.order) || len(q.byDst) > dsts {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, MaxCountScale: 0}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,42 +16,38 @@ import (
 // Without this buffer, per-subframe losses inside an A-MPDU would surface
 // as packet reordering to TCP and trigger spurious fast retransmits —
 // something real 802.11 hides completely.
+//
+// The zero buffer expects sequence 0 and holds nothing: sequence counters
+// start at zero on the transmit side, and the first MPDU of a TID may
+// itself arrive out of order — or never, when it exhausts its retries — if
+// an earlier subframe failed. Buffers live in the receiver's row for the
+// transmitter (peerRow.rx), so there is no "buffer that does not exist
+// yet" for an early advance to miss.
 type reorderBuf struct {
 	next uint32
-	held map[uint32]*MPDU
-}
-
-type tidKey struct {
-	src StationID
-	ac  phy.AccessCategory
+	held map[uint32]*MPDU // made on the first arrival
 }
 
 // reorderDeliver accepts an in-flight MPDU at the receiver and releases
 // any in-order run to OnReceive.
 func (s *Station) reorderDeliver(m *MPDU, now sim.Time) {
-	if s.reorder == nil {
-		s.reorder = map[tidKey]*reorderBuf{}
-	}
-	key := tidKey{src: m.Src, ac: m.AC}
-	rb, ok := s.reorder[key]
-	if !ok {
-		// Sequence counters start at zero on the transmit side, so a new
-		// buffer always expects zero: the first MPDU of a TID may itself
-		// arrive out of order if an earlier subframe failed.
-		rb = &reorderBuf{next: 0, held: map[uint32]*MPDU{}}
-		s.reorder[key] = rb
-	}
+	rb := &s.peer(m.Src).rx[m.AC]
 	if m.tidSeq < rb.next {
 		// Duplicate of something already released; drop silently.
 		return
 	}
+	if rb.held == nil {
+		rb.held = map[uint32]*MPDU{}
+	}
 	rb.held[m.tidSeq] = m
-	s.reorderFlush(rb, now)
+	s.reorderFlush(m.Src, m.AC, now)
 }
 
-// reorderFlush releases the contiguous run starting at rb.next.
-func (s *Station) reorderFlush(rb *reorderBuf, now sim.Time) {
+// reorderFlush releases the contiguous run starting at the buffer's next.
+// OnReceive may grow s.peers, so the buffer is looked up again each turn.
+func (s *Station) reorderFlush(src StationID, ac phy.AccessCategory, now sim.Time) {
 	for {
+		rb := &s.peers[src].rx[ac]
 		m, ok := rb.held[rb.next]
 		if !ok {
 			return
@@ -68,17 +64,11 @@ func (s *Station) reorderFlush(rb *reorderBuf, now sim.Time) {
 // flushes: the transmitter gave up on tidSeq, so the receiver must not
 // wait for it (802.11 BAR semantics).
 func (s *Station) reorderAdvance(src StationID, ac phy.AccessCategory, droppedSeq uint32, now sim.Time) {
-	if s.reorder == nil {
-		return
-	}
-	rb, ok := s.reorder[tidKey{src: src, ac: ac}]
-	if !ok {
-		return
-	}
 	// Release, in order, everything held below the new window start: the
 	// transmitter will never fill those gaps, but data already received
 	// must still reach the upper layer.
-	for seq := rb.next; seq <= droppedSeq; seq++ {
+	for seq := s.peer(src).rx[ac].next; seq <= droppedSeq; seq++ {
+		rb := &s.peers[src].rx[ac]
 		if m, held := rb.held[seq]; held {
 			delete(rb.held, seq)
 			if s.OnReceive != nil {
@@ -86,8 +76,8 @@ func (s *Station) reorderAdvance(src StationID, ac phy.AccessCategory, droppedSe
 			}
 		}
 	}
-	if rb.next <= droppedSeq {
+	if rb := &s.peers[src].rx[ac]; rb.next <= droppedSeq {
 		rb.next = droppedSeq + 1
 	}
-	s.reorderFlush(rb, now)
+	s.reorderFlush(src, ac, now)
 }

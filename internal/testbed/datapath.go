@@ -26,8 +26,8 @@ func acForDatagram(d *packet.Datagram) phy.AccessCategory {
 
 // fromWire handles a downlink datagram arriving on the AP's Ethernet port.
 func (ap *AP) fromWire(d *packet.Datagram) {
-	c, ok := ap.clientsByAddr[d.IP.Dst]
-	if !ok {
+	c := ap.client(d.IP.Dst)
+	if c == nil {
 		return // not one of ours (e.g. other AP's client): switch floods away
 	}
 	ac := acForDatagram(d)
@@ -58,7 +58,7 @@ func (ap *AP) route(disp fastack.Disposition, c *Client, ac phy.AccessCategory) 
 	for _, down := range disp.ToClient {
 		// Cache re-drives go to the head of the queue: they fill holes the
 		// client is stalled on.
-		if cc, ok := ap.clientsByAddr[down.IP.Dst]; ok {
+		if cc := ap.client(down.IP.Dst); cc != nil {
 			ap.Station.EnqueueFront(down, cc.Station.ID, ac)
 		}
 	}
@@ -72,8 +72,8 @@ func (ap *AP) onWirelessAck(m *mac.MPDU, ok bool, now sim.Time) {
 	if ap.Agent == nil {
 		return
 	}
-	c, found := ap.clientsByAddr[m.Dgram.IP.Dst]
-	if found && ap.tb.dataInj.DropBAFeedback(c.Index, now) {
+	c := ap.client(m.Dgram.IP.Dst)
+	if c != nil && ap.tb.dataInj.DropBAFeedback(c.Index, now) {
 		// The block-ACK feedback never reaches the agent: the frame's fate
 		// over the air is unchanged (the client got or did not get it), but
 		// the fast-ACK pipeline goes blind for the loss burst.
@@ -81,7 +81,7 @@ func (ap *AP) onWirelessAck(m *mac.MPDU, ok bool, now sim.Time) {
 		return
 	}
 	disp := ap.Agent.HandleWirelessAck(m.Dgram, ok)
-	if found {
+	if c != nil {
 		ap.route(disp, c, m.AC)
 	}
 }
@@ -90,8 +90,8 @@ func (ap *AP) onWirelessAck(m *mac.MPDU, ok bool, now sim.Time) {
 // client data headed for the wire.
 func (ap *AP) fromWireless(m *mac.MPDU) {
 	d := m.Dgram
-	if c, found := ap.clientsByAddr[d.IP.Src]; found &&
-		ap.tb.dataInj.Disconnected(c.Index, ap.tb.Engine.Now()) {
+	c := ap.client(d.IP.Src)
+	if c != nil && ap.tb.dataInj.Disconnected(c.Index, ap.tb.Engine.Now()) {
 		// The client's uplink is dead (roam gap, interference shadow):
 		// frames transmit but nothing the client says reaches the AP. The
 		// fault is mode-independent — a Baseline AP loses the same ACKs.
@@ -105,7 +105,7 @@ func (ap *AP) fromWireless(m *mac.MPDU) {
 		return
 	}
 	disp := ap.Agent.HandleUplink(d)
-	if c, found := ap.clientsByAddr[d.IP.Src]; found {
+	if c != nil {
 		ap.route(disp, c, phy.ACBE)
 	}
 	if disp.Forward {
@@ -154,15 +154,23 @@ func (ap *AP) trackTCPData(d *packet.Datagram) {
 	if d.TCP == nil || d.PayloadLen == 0 {
 		return
 	}
-	flow := d.Flow()
-	w := ap.unacked[flow]
-	if w == nil {
-		w = new(seqspace.Window[sim.Time])
-		ap.unacked[flow] = w
+	if w := ap.probe(d.Flow()); w != nil {
+		if t := w.Put(d.TCP.Seq + uint32(d.PayloadLen)); t != nil {
+			*t = ap.tb.Engine.Now()
+		}
 	}
-	if t := w.Put(d.TCP.Seq + uint32(d.PayloadLen)); t != nil {
-		*t = ap.tb.Engine.Now()
+}
+
+// probe returns the latency-probe window of the client that flow is the
+// download of, or nil when it is no client's download. The probe follows
+// downloads only: an upload's handshake ACK (client:81 → server:20000+i)
+// must find nothing to retire.
+func (ap *AP) probe(flow packet.Flow) *seqspace.Window[sim.Time] {
+	i := clientIndexOf(flow.Dst.Addr)
+	if i < 0 || i >= len(ap.unacked) || flow != downloadFlow(i) {
+		return nil
 	}
+	return &ap.unacked[i]
 }
 
 // trackTCPAck matches a client TCP ACK against the data segment it ends on
@@ -172,7 +180,7 @@ func (ap *AP) trackTCPAck(d *packet.Datagram) {
 	if d.TCP == nil || !d.TCP.HasFlag(packet.FlagACK) || d.PayloadLen > 0 {
 		return
 	}
-	w := ap.unacked[d.Flow().Reverse()]
+	w := ap.probe(d.Flow().Reverse())
 	if w == nil {
 		return
 	}

@@ -32,9 +32,7 @@ func (tb *Testbed) Roam(clientIdx, toAP int) error {
 	// are flushed: the distribution system now delivers through the
 	// roam-to AP, and anything lost in the gap is covered by the
 	// transferred retransmission cache (or the sender's SACK recovery).
-	delete(from.clientsByAddr, c.Addr)
 	from.Station.FlushDst(c.Station.ID)
-	to.clientsByAddr[c.Addr] = c
 	c.AP = to
 	tb.Medium.SetSNR(to.Station.ID, c.Station.ID, c.SNR)
 
@@ -44,17 +42,9 @@ func (tb *Testbed) Roam(clientIdx, toAP int) error {
 	// the client, so the roam-to agent should inherit what the roam-from
 	// agent learned about it).
 	if from.Agent != nil && to.Agent != nil {
-		flows := []packet.Flow{{
-			Proto: packet.ProtoTCP,
-			Src:   packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(5000 + c.Index)},
-			Dst:   packet.Endpoint{Addr: c.Addr, Port: 80},
-		}}
+		flows := []packet.Flow{downloadFlow(c.Index)}
 		if c.Uplink != nil {
-			flows = append(flows, packet.Flow{
-				Proto: packet.ProtoTCP,
-				Src:   packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(20000 + c.Index)},
-				Dst:   packet.Endpoint{Addr: c.Addr, Port: uplinkClientPort},
-			})
+			flows = append(flows, uploadFlow(c.Index))
 		}
 		for _, flow := range flows {
 			ex, ok := from.Agent.Export(flow)

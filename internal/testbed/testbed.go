@@ -63,9 +63,41 @@ const (
 	TCPBidirectional
 )
 
-// uplinkClientPort is the client-side port of upload flows; the wired
-// server side listens on 20000+clientIndex (see wireToSender routing).
-const uplinkClientPort = 81
+// The addressing plan. One wired server, 10.0.0.1, terminates every flow;
+// client i is 10.0.1.0+i. Its download runs server:5000+i → client:80 and
+// its upload client:81 → server:20000+i, so the client's address or the
+// server's port alone names the client.
+const (
+	serverAddr       = 0x0a000001
+	clientAddrBase   = 0x0a000100
+	downServerPort   = 5000
+	downClientPort   = 80
+	upServerPort     = 20000
+	uplinkClientPort = 81
+)
+
+// downloadFlow and uploadFlow are client i's two flows in the direction the
+// server sends them — the download's data, the upload's ACK stream — which
+// is the direction an AP's agent files both under. Dst is the client's
+// endpoint.
+func downloadFlow(i int) packet.Flow { return planFlow(i, downServerPort, downClientPort) }
+func uploadFlow(i int) packet.Flow   { return planFlow(i, upServerPort, uplinkClientPort) }
+
+func planFlow(i, serverPort int, clientPort uint16) packet.Flow {
+	return packet.Flow{
+		Proto: packet.ProtoTCP,
+		Src:   packet.Endpoint{Addr: packet.IPv4AddrFromUint32(serverAddr), Port: uint16(serverPort + i)},
+		Dst:   packet.Endpoint{Addr: packet.IPv4AddrFromUint32(clientAddrBase + uint32(i)), Port: clientPort},
+	}
+}
+
+// clientIndexOf is the plan's inverse: the client index a 10.0.1.x address
+// stands for. Any other address gives an index no client has — one below
+// 10.0.1.0 wraps to a huge one — so callers bounds-check it.
+func clientIndexOf(a packet.IPv4Addr) int {
+	v := uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
+	return int(v - clientAddrBase)
+}
 
 // Options configures a testbed run.
 type Options struct {
@@ -161,12 +193,20 @@ type AP struct {
 	Station *mac.Station
 	Agent   *fastack.Agent // nil for Baseline
 
-	clientsByAddr map[packet.IPv4Addr]*Client
+	// unacked is the TCP-latency probe (Fig 10 / §4.6.2): per client, by
+	// index, the forward time of every segment of its download the client
+	// has not yet acknowledged, filed under the segment's end-seq.
+	unacked []seqspace.Window[sim.Time]
+}
 
-	// unacked is the TCP-latency probe (Fig 10 / §4.6.2): per downlink
-	// flow, the forward time of every data segment the client has not yet
-	// acknowledged, filed under the segment's end-seq.
-	unacked map[packet.Flow]*seqspace.Window[sim.Time]
+// client returns the client with address addr if it is associated with ap,
+// nil otherwise: another AP's client, one that has roamed away, no client.
+func (ap *AP) client(addr packet.IPv4Addr) *Client {
+	i := clientIndexOf(addr)
+	if i < 0 || i >= len(ap.tb.Clients) || ap.tb.Clients[i].AP != ap {
+		return nil
+	}
+	return ap.tb.Clients[i]
 }
 
 // Client is one wireless station running a receiver endpoint.
@@ -296,11 +336,7 @@ func New(opt Options) *Testbed {
 	}
 
 	for i, mode := range opt.APModes {
-		ap := &AP{
-			tb: tb, Index: i, Mode: mode,
-			clientsByAddr: map[packet.IPv4Addr]*Client{},
-			unacked:       map[packet.Flow]*seqspace.Window[sim.Time]{},
-		}
+		ap := &AP{tb: tb, Index: i, Mode: mode}
 		ap.Station = tb.Medium.AddStation(mac.StationConfig{
 			Name: fmt.Sprintf("ap%d", i), NSS: opt.NSS, Width: opt.Width,
 			GI: phy.SGI, IsAP: true,
@@ -334,6 +370,7 @@ func New(opt Options) *Testbed {
 	tb.apAt, tb.clientAt = make([]*AP, n), make([]*Client, n)
 	for _, ap := range tb.APs {
 		tb.apAt[ap.Station.ID] = ap
+		ap.unacked = make([]seqspace.Window[sim.Time], len(tb.Clients))
 	}
 	for _, c := range tb.Clients {
 		tb.clientAt[c.Station.ID] = c
@@ -347,22 +384,18 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 	if opt.SNRMax > opt.SNRMin {
 		snr += tb.Engine.Rand().Float64() * (opt.SNRMax - opt.SNRMin)
 	}
-	c := &Client{
-		tb: tb, Index: idx, AP: ap, SNR: snr,
-		Addr: packet.IPv4AddrFromUint32(0x0a000100 + uint32(idx)), // 10.0.1.x
-	}
+	down, up := downloadFlow(idx), uploadFlow(idx)
+	c := &Client{tb: tb, Index: idx, AP: ap, SNR: snr, Addr: down.Dst.Addr}
 	c.Station = tb.Medium.AddStation(mac.StationConfig{
 		Name: fmt.Sprintf("c%d", idx), NSS: opt.NSS, Width: opt.Width,
 		GI: phy.SGI, TxDelay: opt.ClientTxDelay,
 	})
 	tb.Medium.SetSNR(ap.Station.ID, c.Station.ID, snr)
 	c.Station.OnReceive = func(m *mac.MPDU, now sim.Time) { c.fromAir(m) }
-	ap.clientsByAddr[c.Addr] = c
 	tb.Clients = append(tb.Clients, c)
 	tb.AggPerClient = append(tb.AggPerClient, stats.NewSample(1024))
 
-	serverEP := packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(5000 + idx)}
-	clientEP := packet.Endpoint{Addr: c.Addr, Port: 80}
+	serverEP, clientEP := down.Src, down.Dst
 	snd := &Sender{Client: c}
 	switch opt.Traffic {
 	case UDPBulk:
@@ -388,8 +421,7 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 		// wired server endpoint terminates it. Uplink data rides the
 		// client's station queue like its ACKs; the server's pure-ACK
 		// stream crosses the AP as ordinary (payload-free) downlink.
-		upCli := packet.Endpoint{Addr: c.Addr, Port: uplinkClientPort}
-		upSrv := packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(20000 + idx)}
+		upCli, upSrv := up.Dst, up.Src
 		c.Uplink = tcpstack.NewSender(tb.Engine, opt.TCP, upCli, upSrv, func(d *packet.Datagram) {
 			c.Station.Enqueue(d, c.AP.Station.ID, phy.ACBE)
 		})
@@ -444,12 +476,6 @@ func (tb *Testbed) wireToAP(ap *AP, d *packet.Datagram) {
 	tb.wire(d, clientIndexOf(d.IP.Dst), ap)
 }
 
-// clientIndexOf recovers the client index from its 10.0.1.x address.
-func clientIndexOf(a packet.IPv4Addr) int {
-	v := uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-	return int(v - 0x0a000100)
-}
-
 // corruptSegment returns a clone of d with its TCP sequence number mangled
 // the way a corrupted-but-checksum-colliding header presents: a jump far
 // beyond the receive window, a fallback below it, or bit garbage. The
@@ -486,19 +512,18 @@ func (tb *Testbed) wireToSender(d *packet.Datagram) {
 }
 
 // fromWire handles a datagram arriving at the wired hosts. It routes on
-// destination port: download senders listen on 10.0.0.1:5000+i, upload
-// receivers on 10.0.0.1:20000+i.
+// destination port: of the sending client's two flows, the upload's
+// receiver or the download's sender.
 func (tb *Testbed) fromWire(d *packet.Datagram) {
-	if d.TCP == nil {
+	i := clientIndexOf(d.IP.Src)
+	if d.TCP == nil || i < 0 || i >= len(tb.Senders) {
 		return
 	}
-	if i := int(d.TCP.DstPort) - 20000; i >= 0 && i < len(tb.Senders) && tb.Senders[i].UpRX != nil {
-		tb.Senders[i].UpRX.Deliver(d)
-		return
-	}
-	i := int(d.TCP.DstPort) - 5000
-	if i >= 0 && i < len(tb.Senders) && tb.Senders[i].TCP != nil {
-		tb.Senders[i].TCP.Deliver(d)
+	switch snd, port := tb.Senders[i], d.TCP.DstPort; {
+	case snd.UpRX != nil && port == uploadFlow(i).Src.Port:
+		snd.UpRX.Deliver(d)
+	case snd.TCP != nil && port == downloadFlow(i).Src.Port:
+		snd.TCP.Deliver(d)
 	}
 }
 
@@ -513,11 +538,9 @@ func (tb *Testbed) Run(duration sim.Time) {
 			s := snd.TCP
 			tb.Engine.Schedule(sim.Time(i)*sim.Millisecond, func(e *sim.Engine) { s.Start() })
 		case opt.Traffic == UDPBulk:
-			c := snd.Client
-			serverEP := packet.Endpoint{Addr: packet.IPv4AddrFromUint32(0x0a000001), Port: uint16(5000 + c.Index)}
-			clientEP := packet.Endpoint{Addr: c.Addr, Port: 80}
-			ap := c.AP
-			snd.UDP = tcpstack.NewUDPSource(tb.Engine, serverEP, clientEP, tcpstack.MSS, opt.UDPRateMbps,
+			down := downloadFlow(snd.Client.Index)
+			ap := snd.Client.AP
+			snd.UDP = tcpstack.NewUDPSource(tb.Engine, down.Src, down.Dst, tcpstack.MSS, opt.UDPRateMbps,
 				func(d *packet.Datagram) { tb.wireToAP(ap, d) })
 		}
 		if up := snd.Client.Uplink; up != nil {
