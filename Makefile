@@ -57,8 +57,10 @@ race:
 # the race detector (poll delivery, retries, and planning interleave).
 # Plus the data-path chaos acceptance suite: seeded DataChaos campaigns
 # over the FastACK testbed (guard lifecycle, invariants, drain-to-zero,
-# goodput floors) and the fastack guard/fuzz-regression tests, and the MAC
-# under them, whose tables grow while callbacks run. -short keeps the
+# goodput floors) and the fastack guard/fuzz-regression tests — the guard
+# golden trace and the client-ACK walk held to its pre-merge reference
+# among them — and the MAC under them, whose tables grow while callbacks
+# run. -short keeps the
 # campaign to a dozen seeds under -race; `go test ./internal/testbed` runs
 # all 100.
 chaos:
@@ -66,7 +68,7 @@ chaos:
 	$(GO) test -race ./internal/faults/...
 	$(GO) test -race ./internal/mac
 	$(GO) test -race -short -run 'TestChaos|TestDataChaos|TestRoaming|TestUplink|TestBidirectional' ./internal/testbed/...
-	$(GO) test -race -run 'TestGuard|TestSweep|TestRST|TestExportImport|TestInvariant|TestClientAckHeal|TestSpurious|FuzzAgentDatagram' ./internal/fastack/...
+	$(GO) test -race -run 'TestGuard|TestGoldenGuardTrace|TestUplinkMatchesReference|TestSweep|TestRST|TestExportImport|TestInvariant|TestClientAckHeal|TestSpurious|FuzzAgentDatagram' ./internal/fastack/...
 
 # Crash-safety campaign for the fleet control plane: seeded SIGKILLs at
 # durable-write instants over a 600-network fleet (half tearing the

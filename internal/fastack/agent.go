@@ -11,6 +11,13 @@
 // inject toward the sender or the client. The testbed package wires it
 // between the wired port and the MAC layer of an AP.
 //
+// Every TCP flow is fast-ACKed from its first downlink data segment
+// (footnote 10's "mark all flows"). Each kind of event takes one path in
+// every safety-guard state (guard.go): it passes the guard's gate, then
+// the state decides along the path what the agent may do — for a client's
+// pure ACK, whether it is suppressed, which duplicates are repaired,
+// whether repairs feed the storm detector and whether the drain applies.
+//
 // The hot path is allocation-free in steady state: cache entries and
 // generated ACKs come from a per-agent datagram pool, per-flow queues are
 // ring buffers, and Disposition inject slices are scratch buffers owned by
@@ -23,7 +30,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes the agent.
+// Config tunes the agent; New gives zero fields their production default.
 type Config struct {
 	// CacheLimitBytes bounds the per-flow retransmission cache. Zero
 	// means the default of 4 MiB (a full receive window).
@@ -50,17 +57,12 @@ type Config struct {
 	// AP's own tx-descriptor pool, which would turn the fast-ACK
 	// pipeline's pressure into tail drops. Zero disables the clamp.
 	FlowQueueBudget int
-	// MarkAllFlows fast-acks every TCP flow when true (footnote 10 of the
-	// paper). When false, only flows that have carried MinFlowBytes of
-	// downlink payload are promoted.
-	MarkAllFlows bool
-	MinFlowBytes int
 	// IdleExpiry is how long a flow may be quiet before Sweep drops its
 	// state.
 	IdleExpiry sim.Time
 
-	// Guard tunes the per-flow safety state machine (guard.go). The zero
-	// value enables it with production defaults.
+	// Guard tunes the per-flow safety state machine (guard.go), which is
+	// always on; zero fields take production defaults.
 	Guard GuardConfig
 	// CheckInvariants enables the runtime invariant checker
 	// (invariants.go): every violation counts into
@@ -86,8 +88,6 @@ func DefaultConfig() Config {
 		SharedCacheBudgetBytes: 64 << 20,
 		DupAckThreshold:        2,
 		RtxGuard:               15 * sim.Millisecond,
-		MarkAllFlows:           true,
-		MinFlowBytes:           64 << 10,
 		IdleExpiry:             5 * sim.Minute,
 	}
 }
@@ -255,20 +255,13 @@ func (a *Agent) finishFlow(f *flowState) {
 	a.checkFlow(f)
 }
 
-// removeFlow releases a flow's cache to the shared accounting and pool,
+// removeFlow releases a flow's packets to the shared accounting and pool,
 // unwinds its running-counter contributions, and deletes it.
 func (a *Agent) removeFlow(key packet.Flow, f *flowState) {
-	f.releaseCache()
-	a.bud.lruRemove(f)
-	f.cache.Drop()
-	f.qSeq.Drop()
-	if f.acctDebt != 0 {
-		a.bud.debtTotal -= f.acctDebt
-		f.acctDebt = 0
-	}
+	f.dropPackets(false)
+	a.bud.debtTotal -= f.acctDebt
 	if f.acctUndrained {
 		a.bud.undrained--
-		f.acctUndrained = false
 	}
 	delete(a.flows, key)
 }
@@ -303,8 +296,7 @@ func (a *Agent) Recycle(d *packet.Datagram) { a.bud.pool.put(d) }
 func (a *Agent) flowFor(key packet.Flow) *flowState {
 	f, ok := a.flows[key]
 	if !ok {
-		f = &flowState{flow: key, senderWScale: -1, clientWScale: -1, bud: a.bud,
-			vouchNeedsCache: !a.cfg.DisableCache}
+		f = &flowState{flow: key, clientWScale: -1, bud: a.bud, vouchNeedsCache: !a.cfg.DisableCache}
 		a.flows[key] = f
 		a.stats.FlowsTracked++
 	}
@@ -321,16 +313,12 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 	t := d.TCP
 	key := d.Flow()
 
-	// Handshake: learn the sender's window scale and seed pointers. A SYN
-	// on an already-tracked 5-tuple is a new connection incarnation: any
-	// cached segments, q_seq entries, holes, or guard verdicts from the
-	// previous one would poison the new stream, so they are discarded.
+	// Handshake: seed the pointers. A SYN on an already-tracked 5-tuple is
+	// a new connection incarnation: any cached segments, q_seq entries,
+	// holes, or guard verdicts from the previous one would poison the new
+	// stream, so they are discarded.
 	if t.HasFlag(packet.FlagSYN) {
 		f := a.flowFor(key)
-		f.senderWScale = 0
-		if t.WindowScale >= 0 {
-			f.senderWScale = t.WindowScale
-		}
 		f.resetForNewConnection()
 		f.initAt(t.Seq + 1)
 		a.accountFlow(f)
@@ -338,15 +326,16 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 	}
 	if t.HasFlag(packet.FlagRST) {
 		if f, ok := a.flows[key]; ok {
-			if f.debtBytes() > 0 && !a.cfg.Guard.Disable {
+			switch {
+			case f.debtBytes() == 0:
+				a.removeFlow(key, f)
+			case f.gstate < GuardBypass:
 				// The flow still carries fast-ACK debt: the sender believes
 				// [seq_TCP, seq_fack) delivered and will never resend it. If
 				// the RST is spurious (or injected), dropping the cache now
 				// would strand the client; drain first, and let Sweep's
 				// DrainExpiry reap the state if the connection really died.
 				a.guardTrip(f, GuardReasonRST)
-			} else {
-				a.removeFlow(key, f)
 			}
 		}
 		return forwardOnly
@@ -358,21 +347,6 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 	f := a.flowFor(key)
 	f.lastFastAckAt = a.now()
 	f.sawData = true
-
-	// Flow selection (footnote 10): below the promotion threshold the
-	// packet passes through untouched and no state machine runs. The
-	// sequence pointers keep following the stream so promotion can start
-	// cleanly mid-flow.
-	if !a.cfg.MarkAllFlows && !f.promoted {
-		f.bytesSeen += int64(d.PayloadLen)
-		if f.bytesSeen < int64(a.cfg.MinFlowBytes) {
-			f.initAt(t.Seq + uint32(d.PayloadLen)) // track the frontier
-			a.accountFlow(f)
-			return forwardOnly
-		}
-		f.promoted = true
-	}
-
 	if !f.initialized {
 		f.initAt(t.Seq) // mid-flow adoption
 	}
@@ -380,12 +354,15 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 	seqIn := t.Seq
 	end := seqIn + uint32(d.PayloadLen)
 
-	if f.gstate >= GuardBypass {
-		return a.bypassDownlink(f, end)
-	}
-	a.guardTick(f)
-	if f.gstate >= GuardBypass { // stalled debt tripped just now
-		return a.bypassDownlink(f, end)
+	if a.bypassed(f) {
+		// Pure forwarding. Only seq_high keeps following the stream (it
+		// bounds the wild-ACK check and roam export); nothing is cached
+		// and no state machine runs.
+		if f.gstate != GuardPassThrough && seqspace.LT(f.seqHigh, end) {
+			f.seqHigh = end
+		}
+		a.finishFlow(f)
+		return forwardOnly
 	}
 
 	disp := Disposition{Forward: true}
@@ -427,7 +404,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 		// the hole, emulate the client's duplicate ACK (with SACK when
 		// supported) so the sender repairs it early (§5.5.3), then treat
 		// the packet as (iii).
-		if !a.cfg.Guard.Disable && seqIn-f.seqExp > a.cfg.Guard.MaxSeqJump {
+		if seqIn-f.seqExp > a.cfg.Guard.MaxSeqJump {
 			// A hole this wide is not congestion, it is a mangled header.
 			// Forward the packet untouched — adopting the garbage sequence
 			// into the holes vector or the cache would corrupt the flow.
@@ -536,25 +513,11 @@ func (a *Agent) feedbackEvent(d *packet.Datagram, ok bool, disp *Disposition) *f
 	if !tracked || !f.initialized || !f.sawData {
 		return nil
 	}
-	if !a.cfg.MarkAllFlows && !f.promoted {
-		return nil // not fast-acked yet (footnote 10 gating)
-	}
-	if f.gstate >= GuardBypass {
-		// No fast ACKs are generated in bypass. A MAC drop inside the debt
-		// range is still the agent's to repair.
-		if !ok && f.gstate != GuardPassThrough && seqspace.LT(d.TCP.Seq, f.seqFack) {
-			if cached := f.cacheLookup(d.TCP.Seq); cached != nil {
-				obsm.cacheHits.Inc()
-				a.stats.WirelessRedrives++
-				a.emitClient(disp, a.clone(cached))
-			} else {
-				obsm.cacheMisses.Inc()
-			}
-		}
-		return nil
-	}
-	a.guardTick(f)
-	if f.gstate >= GuardBypass {
+	// No fast ACKs are generated in bypass, but a MAC drop inside the debt
+	// range of a flow that was already bypassed is still the agent's to
+	// repair.
+	owed := !ok && (f.gstate == GuardBypass || f.gstate == GuardDraining) && seqspace.LT(d.TCP.Seq, f.seqFack)
+	if a.bypassed(f) && !owed {
 		return nil
 	}
 	if !ok {
@@ -562,12 +525,8 @@ func (a *Agent) feedbackEvent(d *packet.Datagram, ok bool, disp *Disposition) *f
 		// transfer continues without waiting for the sender's RTO; if the
 		// link stays bad, no fast ACKs advance and the sender times out,
 		// which is the desired §5.5.1 fallback.
-		if cached := f.cacheLookup(d.TCP.Seq); cached != nil {
-			obsm.cacheHits.Inc()
+		if a.redrive(disp, f, d.TCP.Seq) {
 			a.stats.WirelessRedrives++
-			a.emitClient(disp, a.clone(cached))
-		} else {
-			obsm.cacheMisses.Inc()
 		}
 		return nil
 	}
@@ -604,8 +563,8 @@ func (a *Agent) drainFastAck(f *flowState, disp *Disposition) {
 }
 
 // HandleUplink processes a packet travelling wireless -> wired (client to
-// sender). Pure ACKs for fast-acked flows are suppressed; duplicate ACKs
-// trigger local retransmission from the cache.
+// sender). A client's pure ACK takes one walk in every guard state; the
+// state decides what the walk may do (see below).
 func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 	if d.TCP == nil {
 		return forwardOnly
@@ -620,12 +579,9 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		// Client's half of the handshake: learn its window scaling and
 		// SACK capability.
 		f = a.flowFor(key)
-		f.clientWScale = 0
-		if t.WindowScale >= 0 {
-			f.clientWScale = t.WindowScale
-		}
+		f.clientWScale = max(t.WindowScale, 0)
 		f.clientSACKOK = t.SACKPermitted
-		f.clientWindow = int(t.Window) << f.clientWScale
+		f.clientWindow = int(t.Window) << f.wscale()
 		return forwardOnly
 	}
 	if !tracked || !f.initialized || t.HasFlag(packet.FlagRST) || t.HasFlag(packet.FlagFIN) || d.PayloadLen > 0 {
@@ -639,52 +595,40 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		// client's own upload. Window advertisements are still learned
 		// passively so the first fast ACK after data does appear clamps
 		// against fresh knowledge.
-		if wscale := f.clientWScale; wscale >= 0 {
-			f.clientWindow = int(t.Window) << wscale
-		} else {
-			f.clientWindow = int(t.Window)
-		}
+		f.clientWindow = int(t.Window) << f.wscale()
 		return forwardOnly
 	}
-	if !a.cfg.MarkAllFlows && !f.promoted {
-		// Unpromoted flows keep their native end-to-end ACK loop.
-		return forwardOnly
-	}
-	if !t.HasFlag(packet.FlagACK) {
+	if !t.HasFlag(packet.FlagACK) || (a.bypassed(f) && f.gstate == GuardPassThrough) {
 		return forwardOnly
 	}
 
-	if f.gstate >= GuardBypass {
-		return a.bypassUplinkAck(f, t)
+	// A pure client ACK. An Active or Suspect flow impersonates the
+	// client's receiver: it suppresses the ACK, repairs any duplicate ACK
+	// from the cache, feeds those repairs to the storm detector, reopens a
+	// clamped window and heals lost 802.11 feedback. A Bypass or Draining
+	// flow forwards every ACK and only makes good on its debt [seq_TCP,
+	// seq_fack): it repairs duplicate ACKs below seq_fack, moves to
+	// Draining on client progress, re-drives a stalled debt head and
+	// detaches into PassThrough once the debt is repaid.
+	active := f.gstate < GuardBypass
+	now := a.now()
+	if !active {
+		f.lastFastAckAt = now // drain liveness for Sweep
 	}
-	a.guardTick(f)
-	if f.gstate >= GuardBypass { // stalled debt tripped just now
-		return a.bypassUplinkAck(f, t)
-	}
-
-	// Pure TCP ACK from the client.
-	wscale := f.clientWScale
-	if wscale < 0 {
-		wscale = 0
-	}
-	f.clientWindow = int(t.Window) << wscale
+	f.clientWindow = int(t.Window) << f.wscale()
 
 	ack := t.Ack
-	if !a.cfg.Guard.Disable && seqspace.LT(f.seqHigh, ack) {
+	if seqspace.LT(f.seqHigh, ack) {
 		// Cumulative ACK beyond anything the sender has transmitted:
 		// header corruption. Forward it untouched — folding it into
 		// seq_TCP would poison the window and debt accounting.
-		a.guardSoftAnomaly(f, GuardReasonWildAck)
-		a.finishFlow(f)
+		if active {
+			a.guardSoftAnomaly(f, GuardReasonWildAck)
+			a.finishFlow(f)
+		}
 		return forwardOnly
 	}
-	var disp Disposition // suppress by default (Forward=false)
-	if a.cfg.DisableSuppression {
-		disp.Forward = true
-	} else {
-		a.stats.ClientAcksDropped++
-		obsm.clientAcksDropped.Inc()
-	}
+	disp := Disposition{Forward: !active || a.cfg.DisableSuppression}
 
 	switch {
 	case seqspace.LT(f.seqTCP, ack):
@@ -693,10 +637,13 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		f.cachePurge(ack)
 		f.dupAcksFromClient = 0
 		f.lastClientAck = ack
-		f.debtProgressAt = a.now()
-		f.ackProgressAt = a.now()
+		f.debtProgressAt = now
+		f.ackProgressAt = now
 		f.stormCount = 0 // forward progress: not a retransmit storm
-		if wasZero && f.advertisedWindow(a.cfg.FlowQueueBudget) >= lowWindowBytes {
+		if f.gstate == GuardBypass {
+			f.gstate = GuardDraining
+		}
+		if active && wasZero && f.advertisedWindow(a.cfg.FlowQueueBudget) >= lowWindowBytes {
 			// The sender was window-limited on our clamped advertisement;
 			// release it now that the client drained (§5.5.2).
 			up := a.buildAck(f, f.seqFack)
@@ -707,32 +654,45 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 
 	case ack == f.lastClientAck:
 		f.dupAcksFromClient++
-		if seqspace.LT(ack, f.seqFack) {
+		if active && seqspace.LT(ack, f.seqFack) {
 			// We vouched for this data with a fast ACK and the client
 			// disagrees: an inaccurate 802.11 ACK (§5.7).
 			a.stats.BadHints++
 		}
-		if f.dupAcksFromClient >= a.cfg.DupAckThreshold {
+		// A bypassed flow repairs only below seq_fack: the sender believes
+		// those bytes delivered and will never resend them.
+		if f.dupAcksFromClient >= a.cfg.DupAckThreshold && (active || seqspace.LT(ack, f.seqFack)) {
 			f.dupAcksFromClient = 0
 			if a.cfg.DisableCache {
 				// Ablation: no cache, so the sender must repair — let its
 				// dup-ACK through even under suppression.
 				disp.Forward = true
-			} else {
-				now := a.now()
-				if ack != f.lastRtxSeq || now-f.lastRtxAt >= a.cfg.RtxGuard {
-					f.lastRtxSeq = ack
-					f.lastRtxAt = now
-					n := a.retransmitFromCache(&disp, f, ack, t.SACK)
+			} else if f.rtxDue(ack, now, a.cfg.RtxGuard) {
+				if n := a.retransmitFromCache(&disp, f, ack, t.SACK); active {
 					a.guardNoteRetransmits(f, n)
 				}
 			}
 		}
 	default:
 		f.lastClientAck = ack
+		if !active {
+			f.dupAcksFromClient = 0
+		}
 	}
 
-	if seqspace.LT(f.seqFack, ack) {
+	if !active {
+		// Drain belt: if the debt head stops moving (e.g. the local repair
+		// itself was lost over the air), proactively redrive it, once per
+		// stall timeout.
+		if f.debtBytes() > 0 && !a.cfg.DisableCache &&
+			now-f.debtProgressAt > a.cfg.Guard.DebtStallTimeout && f.rtxDue(f.seqTCP, now, a.cfg.RtxGuard) {
+			f.debtProgressAt = now
+			a.retransmitFromCache(&disp, f, f.seqTCP, nil)
+		}
+		if f.debtBytes() == 0 {
+			a.guardDetach(f)
+		}
+	} else if seqspace.LT(f.seqFack, ack) {
 		// The client acknowledged beyond our fast-ack point. Forward rather
 		// than lose information — and treat the cumulative ACK as ground
 		// truth for delivery: every byte below it reached the client, so the
@@ -741,10 +701,6 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		// wedges seq_fack forever: fast ACKs stop, q_seq grows without
 		// bound, and the queue-budget clamp (budget − (seq_high − seq_fack))
 		// goes negative so every generated ACK advertises a zero window.
-		if !a.cfg.DisableSuppression {
-			a.stats.ClientAcksDropped--
-			obsm.clientAcksDropped.Add(-1)
-		}
 		disp.Forward = true
 		heal := ack
 		if seqspace.LT(f.seqExp, heal) {
@@ -755,29 +711,40 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 			f.drainContiguous() // ride over q_seq entries the heal reconnected
 			a.stats.FeedbackHeals++
 		}
+	} else if !a.cfg.DisableSuppression {
+		a.stats.ClientAcksDropped++
+		obsm.clientAcksDropped.Inc()
 	}
 	a.finishFlow(f)
 	return disp
+}
+
+// redrive re-injects the cached segment at seq toward the client and
+// reports whether it was cached. Every cache re-drive — a MAC drop's, a
+// duplicate ACK's, the drain belt's — counts its hit or miss here.
+func (a *Agent) redrive(disp *Disposition, f *flowState, seq uint32) bool {
+	c := f.cacheLookup(seq)
+	if c == nil {
+		obsm.cacheMisses.Inc()
+		return false
+	}
+	obsm.cacheHits.Inc()
+	a.emitClient(disp, a.clone(c))
+	return true
 }
 
 // retransmitFromCache appends clones of cached segments the client is
 // missing to disp.ToClient: the segment at ack, plus any holes implied by
 // SACK blocks, bounded per invocation so one duplicate ACK cannot flood
 // the air. Returns how many segments were queued.
-func (a *Agent) retransmitFromCache(disp *Disposition, f *flowState, ack uint32, sack []packet.SACKBlock) int {
+func (a *Agent) retransmitFromCache(disp *Disposition, f *flowState, ack uint32, sack []packet.SACKBlock) (queued int) {
 	const maxPerEvent = 16
-	queued := 0
-	if d := f.cacheLookup(ack); d != nil {
-		obsm.cacheHits.Inc()
-		a.stats.LocalRetransmits++
-		obsm.localRetransmits.Inc()
-		a.emitClient(disp, a.clone(d))
+	if a.redrive(disp, f, ack) {
 		queued++
-	} else {
-		obsm.cacheMisses.Inc()
 	}
 	// SACK-based: retransmit cached data between ack and the lowest SACK
 	// edge that is not covered by any block.
+sacked:
 	for _, blk := range sack {
 		for i := 0; i < f.cache.Len(); i++ {
 			c := f.cache.At(i)
@@ -785,17 +752,17 @@ func (a *Agent) retransmitFromCache(disp *Disposition, f *flowState, ack uint32,
 				continue
 			}
 			if queued >= maxPerEvent {
-				return queued
+				break sacked
 			}
 			if covered(c.Seq, sack) || c.Seq == ack {
 				continue
 			}
-			a.stats.LocalRetransmits++
-			obsm.localRetransmits.Inc()
 			a.emitClient(disp, a.clone(c.V))
 			queued++
 		}
 	}
+	a.stats.LocalRetransmits += int64(queued)
+	obsm.localRetransmits.Add(int64(queued))
 	return queued
 }
 
@@ -821,13 +788,9 @@ func (a *Agent) buildAck(f *flowState, ackNo uint32) *packet.Datagram {
 	d.TCP.DstPort = f.flow.Src.Port
 	d.TCP.Ack = ackNo
 	d.TCP.Flags = packet.FlagACK
-	wscale := f.clientWScale
-	if wscale < 0 {
-		wscale = 0
-	}
 	advBytes := f.advertisedWindow(a.cfg.FlowQueueBudget)
 	obsm.advWindow.Observe(int64(advBytes))
-	adv := advBytes >> wscale
+	adv := advBytes >> f.wscale()
 	if adv > 65535 {
 		adv = 65535
 	}
@@ -857,7 +820,7 @@ func (a *Agent) Sweep() int {
 		if idle <= a.cfg.IdleExpiry {
 			continue
 		}
-		if f.debtBytes() > 0 && !a.cfg.Guard.Disable {
+		if f.debtBytes() > 0 {
 			if f.gstate < GuardBypass {
 				a.guardTrip(f, GuardReasonIdleDebt)
 			}

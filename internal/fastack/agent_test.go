@@ -549,43 +549,40 @@ func TestDuplicateWirelessAckIgnored(t *testing.T) {
 	}
 }
 
+// TestFlowSelectionThreshold pins footnote 10's "mark all flows", the only
+// flow selection the agent has: every TCP flow is fast-ACKed and its
+// client's ACKs suppressed from its first data segment — with or without a
+// handshake seen.
 func TestFlowSelectionThreshold(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MarkAllFlows = false
-	cfg.MinFlowBytes = 3 * segLen
-	h := newHarness(cfg)
+	h := newHarness(DefaultConfig())
 	h.handshake(t)
-
-	// Below the threshold: pure forwarding, no fast ACKs, no ACK
-	// suppression.
-	d0, d1 := data(1000), data(2000)
-	for _, d := range []*packet.Datagram{d0, d1} {
-		disp := h.a.HandleDownlink(d)
-		if !disp.Forward || disp.Elevate || len(disp.ToSender) > 0 {
-			t.Fatalf("unpromoted flow mangled: %+v", disp)
-		}
+	d0 := data(1000)
+	if disp := h.a.HandleDownlink(d0); !disp.Forward || disp.Elevate || len(disp.ToSender) != 0 {
+		t.Fatalf("first segment: %+v", disp)
 	}
-	if disp := h.a.HandleWirelessAck(d0, true); len(disp.ToSender) != 0 {
-		t.Fatalf("fast ACK before promotion: %+v", disp)
+	if disp := h.a.HandleWirelessAck(d0, true); len(disp.ToSender) != 1 || disp.ToSender[0].TCP.Ack != 2000 {
+		t.Fatalf("first segment not fast-ACKed: %+v", disp)
 	}
-	if disp := h.a.HandleUplink(clientAck(3000, 4096)); !disp.Forward {
-		t.Fatal("client ACK suppressed before promotion")
+	if disp := h.a.HandleUplink(clientAck(2000, 4096)); disp.Forward {
+		t.Fatal("client ACK for the first segment not suppressed")
 	}
 
-	// Crossing the threshold promotes the flow mid-stream.
-	d2, d3 := data(3000), data(4000)
-	h.a.HandleDownlink(d2)
-	h.a.HandleDownlink(d3)
-	if disp := h.a.HandleWirelessAck(d3, true); len(disp.ToSender) == 0 {
-		// d3 is the first cached/promoted segment at the frontier... the
-		// promotion happened at d2, so d2's ACK must fast-ack first.
-		disp2 := h.a.HandleWirelessAck(d2, true)
-		if len(disp2.ToSender) == 0 {
-			t.Fatal("no fast ACKs after promotion")
-		}
+	// A flow adopted mid-stream is selected just the same.
+	srv, cli := benchEPs(1)
+	mid := packet.NewTCPDatagram(srv, cli, segLen)
+	mid.TCP.Seq = 777000
+	mid.TCP.Flags = packet.FlagACK | packet.FlagPSH
+	h.a.HandleDownlink(mid)
+	if disp := h.a.HandleWirelessAck(mid, true); len(disp.ToSender) != 1 || disp.ToSender[0].TCP.Ack != 778000 {
+		t.Fatalf("adopted flow's first segment not fast-ACKed: %+v", disp)
 	}
-	// Suppression engages after promotion.
-	if disp := h.a.HandleUplink(clientAck(4000, 4096)); disp.Forward {
-		t.Fatal("client ACK not suppressed after promotion")
+	up := packet.NewTCPDatagram(cli, srv, 0)
+	up.TCP.Flags = packet.FlagACK
+	up.TCP.Ack = 778000
+	if disp := h.a.HandleUplink(up); disp.Forward {
+		t.Fatal("adopted flow's client ACK not suppressed")
+	}
+	if s := h.a.Stats(); s.FastAcksSent != 2 || s.ClientAcksDropped != 2 || s.FlowsTracked != 2 {
+		t.Fatalf("stats: %+v", s)
 	}
 }

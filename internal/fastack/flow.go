@@ -46,9 +46,7 @@ type flowState struct {
 	cache      seqspace.Window[*packet.Datagram]
 	cacheBytes int
 
-	// bud is the owning agent's shared cache budget / pool; nil for a
-	// standalone flowState (unit tests), in which case every cache method
-	// degrades to plain per-flow behavior with heap clones.
+	// bud is the owning agent's shared cache budget and datagram pool.
 	bud              *cacheBudget
 	lruPrev, lruNext *flowState // intrusive links in bud's eviction order
 	inLRU            bool
@@ -68,7 +66,7 @@ type flowState struct {
 	// arrived must never be vouched for afterward, because the agent could
 	// not repair it. The drain stalls at the evicted segment instead; the
 	// debt-stall detector then degrades the flow into bypass, which is
-	// safe. Standalone flowState unit tests leave it false.
+	// safe.
 	vouchNeedsCache bool
 
 	// sawData records whether this connection incarnation has carried
@@ -80,8 +78,7 @@ type flowState struct {
 
 	// Client-side knowledge for window rewriting (§5.5.2).
 	clientWindow      int // last advertised rx_win in bytes (unscaled)
-	clientWScale      int
-	senderWScale      int
+	clientWScale      int // -1 until the client's SYN-ACK is seen
 	clientSACKOK      bool
 	initialized       bool
 	lastFastAckAt     sim.Time
@@ -94,13 +91,6 @@ type flowState struct {
 	// (an A-MPDU landing behind a hole produces one dup-ACK per subframe).
 	lastRtxSeq uint32
 	lastRtxAt  sim.Time
-
-	// Flow-selection state (footnote 10): when MarkAllFlows is false, a
-	// flow is only promoted to fast-acking after it has carried
-	// MinFlowBytes of downlink payload — short flows are not worth the
-	// state.
-	bytesSeen int64
-	promoted  bool
 
 	// Safety-guard state (guard.go).
 	gstate         GuardState
@@ -160,6 +150,19 @@ func (f *flowState) initAt(seq uint32) {
 	f.seqTCP = seq
 	f.seqHigh = seq
 	f.initialized = true
+}
+
+// wscale is the client's window-scale shift: 0 until its SYN-ACK is seen.
+func (f *flowState) wscale() int { return max(f.clientWScale, 0) }
+
+// rtxDue reports whether the hole at seq may be redriven at now under the
+// local-retransmission guard, and if so claims the guard window for it.
+func (f *flowState) rtxDue(seq uint32, now, guard sim.Time) bool {
+	if seq == f.lastRtxSeq && now-f.lastRtxAt < guard {
+		return false
+	}
+	f.lastRtxSeq, f.lastRtxAt = seq, now
+	return true
 }
 
 // outstandingBytes is out_bytes = seq_high − seq_TCP: everything the client
@@ -226,15 +229,6 @@ func (f *flowState) drainContiguous() (newFack uint32, segs int) {
 	return f.seqFack, segs
 }
 
-// cloneDgram copies a datagram for the cache or a retransmission: pooled
-// when the flow belongs to an agent, a plain heap clone otherwise.
-func (f *flowState) cloneDgram(d *packet.Datagram) *packet.Datagram {
-	if f.bud != nil {
-		return f.bud.pool.clone(d)
-	}
-	return d.Clone()
-}
-
 // vouched reports whether a cached segment overlaps the fast-ACK debt range
 // [seq_TCP, seq_fack): bytes vouched for toward the sender, which this cache
 // is the only place to repair from and which are therefore never evicted.
@@ -243,16 +237,15 @@ func (f *flowState) vouched(c *cachedSeg) bool {
 }
 
 // releaseSeg returns an evicted/purged cache entry's bytes to the flow and
-// the shared budget, and its datagram to the pool.
+// the shared budget, and its datagram to the pool; a flow whose cache
+// bytes reach 0 leaves the budget's eviction order.
 func (f *flowState) releaseSeg(s cachedSeg) {
 	n := s.V.PayloadLen
 	f.cacheBytes -= n
-	if f.bud != nil {
-		f.bud.used -= n
-		f.bud.pool.put(s.V)
-		if f.cacheBytes == 0 {
-			f.bud.lruRemove(f)
-		}
+	f.bud.used -= n
+	f.bud.pool.put(s.V)
+	if f.cacheBytes == 0 {
+		f.bud.lruRemove(f)
 	}
 }
 
@@ -260,6 +253,27 @@ func (f *flowState) releaseSeg(s cachedSeg) {
 func (f *flowState) releaseCache() {
 	for f.cache.Len() > 0 {
 		f.releaseSeg(f.cache.PopFront())
+	}
+}
+
+// dropPackets releases the packet state a flow no longer needs — the one
+// teardown of a bypass, a detach and a removal. q_seq and the holes vector
+// always go: nothing will be fast-ACKed or hole-ACKed again. With keepDebt
+// (bypass) the cache shrinks to exactly the debt range — bytes below
+// seq_TCP are acknowledged, bytes at or above seq_fack are still the
+// sender's end-to-end responsibility (we never vouched for them) —
+// otherwise it goes entirely, backing array and all.
+func (f *flowState) dropPackets(keepDebt bool) {
+	f.qSeq.Drop()
+	f.above = seqspace.Ranges{}
+	if !keepDebt {
+		f.releaseCache()
+		f.cache.Drop()
+		return
+	}
+	f.cachePurge(f.seqTCP)
+	for f.cache.Len() > 0 && !seqspace.LT(f.cache.At(f.cache.Len()-1).Seq, f.seqFack) {
+		f.releaseSeg(f.cache.PopBack())
 	}
 }
 
@@ -271,12 +285,10 @@ func (f *flowState) cacheInsert(d *packet.Datagram, limitBytes int) (evicted int
 	if slot == nil {
 		return 0 // already cached (end-to-end retransmission), or no place in the window
 	}
-	*slot = f.cloneDgram(d)
+	*slot = f.bud.pool.clone(d)
 	f.cacheBytes += d.PayloadLen
-	if f.bud != nil {
-		f.bud.used += d.PayloadLen
-		f.bud.touch(f)
-	}
+	f.bud.used += d.PayloadLen
+	f.bud.touch(f)
 	for limitBytes > 0 && f.cacheBytes > limitBytes && f.cache.Len() > 1 {
 		// Evict the oldest (lowest seq): it is the most likely to have
 		// been delivered already. But never a segment overlapping the
@@ -294,20 +306,6 @@ func (f *flowState) cacheInsert(d *packet.Datagram, limitBytes int) (evicted int
 		evicted += old.V.PayloadLen
 	}
 	return evicted
-}
-
-// cacheTrimToDebt shrinks the cache to exactly the debt range: entries
-// fully acknowledged by the client and entries at or above seq_fack
-// (never vouched for) are dropped. Entered on bypass, when the cache's
-// only remaining job is making good on [seq_TCP, seq_fack).
-func (f *flowState) cacheTrimToDebt() {
-	f.cachePurge(f.seqTCP)
-	for f.cache.Len() > 0 {
-		if seqspace.LT(f.cache.At(f.cache.Len()-1).Seq, f.seqFack) {
-			break // starts inside the debt range: keep
-		}
-		f.releaseSeg(f.cache.PopBack())
-	}
 }
 
 // cachePurge drops cache entries fully acknowledged at or below ack.

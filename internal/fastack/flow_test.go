@@ -8,6 +8,10 @@ import (
 	"repro/internal/seqspace"
 )
 
+// newTestFlow is a flow with a budget of its own, for driving flowState
+// directly.
+func newTestFlow() *flowState { return &flowState{bud: &cacheBudget{}} }
+
 func seg(seq uint32, n int) *packet.Datagram {
 	d := packet.NewTCPDatagram(serverEP, clientEP, n)
 	d.TCP.Seq = seq
@@ -18,7 +22,7 @@ func seg(seq uint32, n int) *packet.Datagram {
 // sorted and disjoint, and drainContiguous never advances past a gap.
 func TestQuickQSeqSortedDisjoint(t *testing.T) {
 	f := func(raw []uint8) bool {
-		fl := &flowState{}
+		fl := newTestFlow()
 		fl.initAt(0)
 		present := map[uint32]bool{}
 		for _, r := range raw {
@@ -48,7 +52,7 @@ func TestQuickQSeqSortedDisjoint(t *testing.T) {
 // find exactly the inserted, unpurged segments.
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(inserts []uint8, purgeAt uint8) bool {
-		fl := &flowState{}
+		fl := newTestFlow()
 		fl.initAt(0)
 		const limit = 10 * 100
 		live := map[uint32]bool{}
@@ -88,7 +92,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 // to their start, seqExp lands at the end of the merged contiguous run.
 func TestQuickHoleAbsorption(t *testing.T) {
 	f := func(raw []uint8) bool {
-		fl := &flowState{}
+		fl := newTestFlow()
 		fl.initAt(1000)
 		received := map[uint32]bool{}
 		for _, r := range raw {
@@ -110,7 +114,7 @@ func TestQuickHoleAbsorption(t *testing.T) {
 }
 
 func TestAdvertisedWindowClamps(t *testing.T) {
-	fl := &flowState{}
+	fl := newTestFlow()
 	fl.initAt(0)
 	fl.clientWindow = 1000
 	fl.seqHigh = 600

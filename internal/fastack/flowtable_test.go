@@ -76,7 +76,7 @@ func TestHoleHandlingTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &flowState{}
+			f := newTestFlow()
 			f.initAt(1000)
 			for _, a := range tc.above {
 				f.addAbove(a.left, a.right)
@@ -116,7 +116,7 @@ func TestAdvertisedWindowTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &flowState{}
+			f := newTestFlow()
 			f.initAt(0)
 			f.clientWindow = tc.clientWindow
 			f.seqTCP = tc.seqTCP
@@ -183,7 +183,7 @@ func TestCacheEvictionTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &flowState{}
+			f := newTestFlow()
 			f.initAt(0)
 			for _, in := range tc.inserts {
 				if got := f.cacheInsert(seg(in.seq, in.n), tc.limit); got != in.evicted {
@@ -211,7 +211,7 @@ func TestCacheEvictionTable(t *testing.T) {
 // right), plus — SACK or no SACK — the segment starting at left itself.
 func TestCacheRange(t *testing.T) {
 	a := New(DefaultConfig(), nil)
-	f := &flowState{}
+	f := newTestFlow()
 	f.initAt(0)
 	for _, s := range []uint32{1000, 2000, 3000, 4000} {
 		f.cacheInsert(seg(s, 1000), 0)

@@ -2,7 +2,6 @@ package fastack
 
 import (
 	"repro/internal/packet"
-	"repro/internal/seqspace"
 	"repro/internal/sim"
 )
 
@@ -27,6 +26,11 @@ import (
 // cumulative ACKs catch up to seq_fack; then the flow detaches cleanly
 // into pass-through. There is deliberately no Bypass → Active recovery: a
 // flow that wobbled once runs end-to-end TCP for the rest of its life.
+//
+// The state is data on the agent's one path per event: every event passes
+// the gate (bypassed), then reads the state to decide what it may do. Only
+// Active and Suspect flows are tripped: the detectors run where the gate
+// let such a flow through, RST and Sweep check.
 
 // GuardState is a flow's position in the safety state machine.
 type GuardState uint8
@@ -92,11 +96,9 @@ var guardReasons = []GuardReason{
 	GuardReasonIdleDebt,
 }
 
-// GuardConfig tunes the safety guard. The zero value enables the guard
-// with production defaults; set Disable to recover the unguarded agent.
+// GuardConfig tunes the safety guard; zero fields take production
+// defaults.
 type GuardConfig struct {
-	// Disable turns the guard off entirely (ablation / regression runs).
-	Disable bool
 	// StormThreshold is how many locally retransmitted segments, with zero
 	// client ACK progress in between, constitute a retransmit storm.
 	// Healthy §5.7 bad-hint repair advances the client's ACK every burst;
@@ -144,12 +146,14 @@ func (a *Agent) FlowGuardState(key packet.Flow) (GuardState, bool) {
 	return f.gstate, true
 }
 
-// guardTick runs the time-based detectors on every event touching an
-// Active or Suspect flow: Suspect decays back to Active after a clean
-// window, and stalled debt trips Bypass.
-func (a *Agent) guardTick(f *flowState) {
-	if a.cfg.Guard.Disable || f.gstate >= GuardBypass {
-		return
+// bypassed is the guard's gate, passed by every downlink segment, 802.11
+// feedback report and client ACK on a flow before the agent acts for it.
+// On an Active or Suspect flow it runs the time-based detectors — Suspect
+// decays back to Active after a clean window, stalled debt trips Bypass —
+// and it reports whether the flow is (now) bypassed.
+func (a *Agent) bypassed(f *flowState) bool {
+	if f.gstate >= GuardBypass {
+		return true
 	}
 	now := a.now()
 	if f.gstate == GuardSuspect && now-f.suspectAt > a.cfg.Guard.SuspectWindow {
@@ -160,6 +164,7 @@ func (a *Agent) guardTick(f *flowState) {
 	} else if now-f.debtProgressAt > a.cfg.Guard.DebtStallTimeout {
 		a.guardTrip(f, GuardReasonDebtStall)
 	}
+	return f.gstate >= GuardBypass
 }
 
 // guardSoftAnomaly records one suspicious-but-survivable observation. The
@@ -170,9 +175,6 @@ func (a *Agent) guardTick(f *flowState) {
 // untouched and loses nothing); anomalies on a progress-free stream mean
 // the agent's model of the flow can no longer be trusted.
 func (a *Agent) guardSoftAnomaly(f *flowState, reason GuardReason) {
-	if a.cfg.Guard.Disable || f.gstate >= GuardBypass {
-		return
-	}
 	now := a.now()
 	switch f.gstate {
 	case GuardActive:
@@ -202,22 +204,17 @@ func (a *Agent) guardSoftAnomaly(f *flowState, reason GuardReason) {
 // segments. The counter resets whenever the client's cumulative ACK
 // advances, so only progress-free redriving accumulates.
 func (a *Agent) guardNoteRetransmits(f *flowState, n int) {
-	if a.cfg.Guard.Disable || n == 0 || f.gstate >= GuardBypass {
-		return
-	}
 	f.stormCount += n
 	if f.stormCount >= a.cfg.Guard.StormThreshold {
 		a.guardTrip(f, GuardReasonStorm)
 	}
 }
 
-// guardTrip moves a flow into Bypass (or straight to PassThrough when it
-// carries no debt). From here the agent generates no fast ACKs and
-// suppresses nothing; it keeps serving [seq_TCP, seq_fack) from the cache.
+// guardTrip moves an Active or Suspect flow into Bypass (or straight to
+// PassThrough when it carries no debt). From here the agent generates no
+// fast ACKs and suppresses nothing; it keeps serving [seq_TCP, seq_fack)
+// from the cache.
 func (a *Agent) guardTrip(f *flowState, reason GuardReason) {
-	if a.cfg.Guard.Disable || f.gstate >= GuardBypass {
-		return
-	}
 	now := a.now()
 	f.bypassAt = now
 	f.bypassReason = reason
@@ -228,24 +225,15 @@ func (a *Agent) guardTrip(f *flowState, reason GuardReason) {
 		c.Inc()
 	}
 	obsm.guardDebtBytes.Observe(f.debtAtBypass)
-	// The fast-ACK pipeline state is dead weight now: q_seq entries will
-	// never be fast-ACKed and the holes vector will never emulate another
-	// dup-ACK.
-	f.qSeq.Drop()
-	f.above = seqspace.Ranges{}
+	f.gstate = GuardBypass
 	f.stormCount = 0
 	f.dupAcksFromClient = 0
-	if f.debtBytes() == 0 {
-		f.gstate = GuardBypass
+	if f.debtAtBypass == 0 {
 		a.guardDetach(f)
 		return
 	}
-	f.gstate = GuardBypass
 	f.debtProgressAt = now
-	// Shrink the cache to exactly the debt range: bytes below seq_TCP are
-	// acknowledged, bytes at or above seq_fack are still the sender's
-	// end-to-end responsibility (we never vouched for them).
-	f.cacheTrimToDebt()
+	f.dropPackets(true)
 	a.finishFlow(f)
 }
 
@@ -256,91 +244,6 @@ func (a *Agent) guardDetach(f *flowState) {
 	obsm.guardDrained.Inc()
 	obsm.guardDrainMs.Observe(int64((a.now() - f.bypassAt) / sim.Millisecond))
 	f.gstate = GuardPassThrough
-	f.releaseCache()
-	if f.bud != nil {
-		f.bud.lruRemove(f)
-	}
-	f.cache.Drop()
-	f.qSeq.Drop()
-	f.above = seqspace.Ranges{}
+	f.dropPackets(false)
 	a.accountFlow(f)
-}
-
-// bypassDownlink handles sender→client traffic for a bypassed flow: pure
-// forwarding. Only seq_high keeps following the stream (it bounds the
-// wild-ACK check and roam export); nothing is cached and no state machine
-// runs.
-func (a *Agent) bypassDownlink(f *flowState, end uint32) Disposition {
-	if f.gstate != GuardPassThrough && seqspace.LT(f.seqHigh, end) {
-		f.seqHigh = end
-	}
-	a.finishFlow(f)
-	return forwardOnly
-}
-
-// bypassUplinkAck handles a pure client ACK for a bypassed flow. The ACK
-// always reaches the sender (no suppression). While debt remains, the
-// agent watches the client's cumulative ACK: progress purges the cache and
-// moves Bypass → Draining; a duplicate-ACK hole *inside the debt range* is
-// repaired locally, because the sender believes those bytes delivered and
-// will never resend them; debt gone detaches the flow.
-func (a *Agent) bypassUplinkAck(f *flowState, t *packet.TCP) Disposition {
-	disp := forwardOnly
-	if f.gstate == GuardPassThrough {
-		return disp
-	}
-	now := a.now()
-	f.lastFastAckAt = now // drain liveness for Sweep
-	wscale := f.clientWScale
-	if wscale < 0 {
-		wscale = 0
-	}
-	f.clientWindow = int(t.Window) << wscale
-
-	ack := t.Ack
-	if seqspace.LT(f.seqHigh, ack) {
-		return disp // wild ACK: forward, but never learn from it
-	}
-	switch {
-	case seqspace.LT(f.seqTCP, ack):
-		f.seqTCP = ack
-		f.cachePurge(ack)
-		f.dupAcksFromClient = 0
-		f.lastClientAck = ack
-		f.debtProgressAt = now
-		if f.gstate == GuardBypass {
-			f.gstate = GuardDraining
-		}
-	case ack == f.lastClientAck:
-		f.dupAcksFromClient++
-		if f.dupAcksFromClient >= a.cfg.DupAckThreshold &&
-			seqspace.LT(ack, f.seqFack) && !a.cfg.DisableCache {
-			f.dupAcksFromClient = 0
-			if ack != f.lastRtxSeq || now-f.lastRtxAt >= a.cfg.RtxGuard {
-				f.lastRtxSeq = ack
-				f.lastRtxAt = now
-				a.retransmitFromCache(&disp, f, ack, t.SACK)
-			}
-		}
-	default:
-		f.lastClientAck = ack
-		f.dupAcksFromClient = 0
-	}
-
-	// Drain belt: if the debt head stops moving (e.g. the local repair
-	// itself was lost over the air), proactively redrive it.
-	if f.debtBytes() > 0 && !a.cfg.DisableCache &&
-		now-f.debtProgressAt > a.cfg.Guard.DebtStallTimeout {
-		if f.seqTCP != f.lastRtxSeq || now-f.lastRtxAt >= a.cfg.RtxGuard {
-			f.lastRtxSeq = f.seqTCP
-			f.lastRtxAt = now
-			f.debtProgressAt = now // one belt redrive per stall timeout
-			a.retransmitFromCache(&disp, f, f.seqTCP, nil)
-		}
-	}
-	if f.debtBytes() == 0 {
-		a.guardDetach(f)
-	}
-	a.finishFlow(f)
-	return disp
 }

@@ -461,19 +461,34 @@ func TestInvariantCheckerFires(t *testing.T) {
 	}
 }
 
+// TestGuardDisableRestoresLegacyLifecycle pins the RST life cycle the guard
+// gives every flow (it can no longer be disabled): an RST on a debt-free
+// flow discards it, an RST on a flow with debt drains it first.
 func TestGuardDisableRestoresLegacyLifecycle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Guard.Disable = true
-	h := newHarness(cfg)
-	buildDebt(t, h)
-
-	// With the guard off, RST discards the flow debt or not — the
-	// pre-guard contract.
-	rst := data(4000)
+	h := newHarness(guardConfig())
+	h.handshake(t)
+	h.a.HandleDownlink(data(1000))
+	h.a.HandleWirelessAck(data(1000), true)
+	h.a.HandleUplink(clientAck(2000, 2048)) // debt repaid
+	rst := data(2000)
 	rst.TCP.Flags = packet.FlagRST
 	rst.PayloadLen = 0
 	h.a.HandleDownlink(rst)
 	if _, ok := h.a.flows[flowKey()]; ok {
-		t.Fatal("disabled guard must not retain RST flows")
+		t.Fatal("RST kept a debt-free flow")
+	}
+
+	h = newHarness(guardConfig())
+	buildDebt(t, h)
+	h.a.HandleDownlink(rst)
+	if st, ok := h.a.FlowGuardState(flowKey()); !ok || st != GuardBypass {
+		t.Fatalf("RST with debt: state %v (tracked %v), want bypass", st, ok)
+	}
+	h.a.HandleUplink(clientAck(4000, 2048))
+	if st, _ := h.a.FlowGuardState(flowKey()); st != GuardPassThrough {
+		t.Fatalf("state = %v after the client caught up, want passthrough", st)
+	}
+	if v := h.a.Violations(); len(v) != 0 {
+		t.Fatalf("invariant violations: %v", v)
 	}
 }
