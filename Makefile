@@ -13,7 +13,7 @@ GO ?= go
 # the TCP packet path, the MAC and the testbed that wires them, the
 # sequence-space containers under it and the event queue under everything,
 # where a silent regression corrupts traffic or reorders a run rather than
-# failing a build, plus the shared telemetry
+# failing a build, plus the backend's telemetry
 # store and the control plane — the fleet controller, and the backend,
 # planner and topology under it — whose determinism contracts live in
 # their tests.

@@ -1,7 +1,7 @@
 // Command fleetd drives a synthesized fleet of networks through the
 // fleet control plane (internal/fleetd): one process, one priority
-// cadence scheduler, thousands of per-network TurboCA control planes,
-// batched telemetry ingest into a shared store, and a fleet-wide
+// cadence scheduler, thousands of per-network TurboCA control planes
+// (dirty-skip always on), an hourly progress line, and a fleet-wide
 // snapshot report at the end.
 //
 // With -store the controller runs crash-safe: every mutation is
@@ -46,7 +46,6 @@ func run() int {
 	seed := flag.Int64("seed", 2017, "fleet synthesis and control-plane seed")
 	budget := flag.Int("budget", 0, "max planning passes per scheduler tick; excess sheds deepest-first (0 = unlimited)")
 	chaos := flag.Bool("chaos", false, "inject the default chaos fault profile into every network's control path")
-	noSkip := flag.Bool("no-dirty-skip", false, "disable dirty-driven elision of provably no-op fast passes (results are identical either way)")
 	adaptive := flag.Bool("adaptive", false, "churn-driven adaptive cadence: stable networks stretch their schedule up to 8x, volatile ones snap back to base")
 	storm := flag.Bool("storm", false, "hostile RF: fleet-correlated DFS radar storms plus per-network spectrum occupancy traces; struck sub-channels serve a 30-minute non-occupancy period")
 	stormsPerDay := flag.Float64("storms-per-day", 2, "expected correlated radar storms per day (requires -storm)")
@@ -69,7 +68,6 @@ func run() int {
 		Seed:             *seed,
 		Workers:          *workers,
 		MaxPassesPerTick: *budget,
-		DisableDirtySkip: *noSkip,
 		AdaptiveCadence:  *adaptive,
 		StormRF:          *storm,
 		StormsPerDay:     *stormsPerDay,

@@ -74,9 +74,8 @@ type Options struct {
 	// DirtySkip lets the planning service elide fast (i=0) passes whose
 	// telemetry digest matches the last provably no-op pass (see
 	// turboca.Service.DirtySkip — skipping is exact, never heuristic).
-	// Off by default for standalone backends; fleetd enables it
-	// fleet-wide, where steady-state networks make most fast passes
-	// no-ops.
+	// Off by default for standalone backends; fleetd always enables it,
+	// since steady-state networks make most fast passes no-ops.
 	DirtySkip bool
 	// RadarEventsPerDay injects DFS radar detections across the network
 	// at this mean rate (0 disables; see radar.go).
@@ -147,7 +146,7 @@ type Options struct {
 	// every rng draw still happens so all downstream streams are
 	// byte-identical with history on or off. fleetd sets this — at fleet
 	// scale the history rows dominate per-network resident memory, and
-	// fleet reporting runs off the shared fleet store instead.
+	// nothing in the fleet reads them.
 	DisableTelemetryHistory bool
 }
 

@@ -118,9 +118,7 @@ func mix(seed int64, ap, kind, salt, attempt int, at sim.Time) uint64 {
 	z ^= 0x94d049bb133111eb * uint64(uint32(salt)+1)
 	z += 0xd6e8feb86659fd93 * uint64(uint32(attempt)+1)
 	z ^= uint64(at) * 0x2545f4914f6cdd1d
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return sim.Mix64(z)
 }
 
 // uniform maps a decision's hash to [0, 1).

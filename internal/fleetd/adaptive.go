@@ -20,7 +20,7 @@ import (
 // Safety bounds: the multiplier is clamped to [1, adaptMaxMult]; the
 // stretched schedule still flows through the scheduler's tick budget
 // (MaxPassesPerTick shedding and degraded-mode demotion apply unchanged);
-// and every controller decision happens in the serial ingest section in
+// and every controller decision happens in the tick's serial section in
 // ascending network-ID order off journaled pass results, so snapshots
 // stay byte-identical across worker settings and journal replay.
 const (

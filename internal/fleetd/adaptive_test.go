@@ -53,7 +53,7 @@ func TestAdaptiveCadenceEscalation(t *testing.T) {
 	}
 }
 
-// The adaptive controller's decisions run in the serial ingest section in
+// The adaptive controller's decisions run in the tick's serial section in
 // ascending network-ID order, so the determinism contract extends to it:
 // snapshots AND canonical checkpoint bytes are byte-identical for every
 // worker count.

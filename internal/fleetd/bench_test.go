@@ -11,8 +11,8 @@ import (
 )
 
 // BenchmarkFleetd1000Networks measures one full i=0 fleet pass: every
-// network of a 1000-network synthetic fleet polls, plans, and ingests
-// telemetry over one 15-minute cadence window. Deeper cadences are
+// network of a 1000-network synthetic fleet polls and plans over one
+// 15-minute cadence window. Deeper cadences are
 // disabled so each iteration is exactly one fleet-wide i=0 sweep.
 func BenchmarkFleetd1000Networks(b *testing.B) {
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: 1000})
@@ -33,7 +33,6 @@ func BenchmarkFleetd1000Networks(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(aps), "aps")
-	b.ReportMetric(float64(c.met.ingestRows.Value())/float64(b.N), "rows/op")
 }
 
 // benchFleetScale is the fleet-scale benchmark body: register a fleet,

@@ -3,13 +3,12 @@
 // the production shape of the paper's system, where TurboCA runs
 // centrally over the whole Meraki fleet (§4.4.4) rather than per site.
 //
-// The architecture has four moving parts:
+// The architecture has three moving parts:
 //
 //   - A registry of per-network control planes. Each network
 //     wraps today's backend.Backend — private simulation engine, private
-//     telemetry store, private RNG streams, optionally a private chaos
-//     profile — built from a seed derived from (controller seed, network
-//     ID) alone.
+//     RNG streams, optionally a private chaos profile — built from a seed
+//     derived from (controller seed, network ID) alone.
 //
 //   - A priority cadence scheduler: a deadline min-heap with one entry
 //     per (network, cadence level), honoring the paper's multi-cadence
@@ -24,12 +23,9 @@
 //     execution cannot perturb results: a fleet snapshot is byte-identical
 //     for any -workers setting.
 //
-//   - Batched telemetry ingest: each pass emits its network's telemetry
-//     as row batches that land in a shared littletable.DB via
-//     Table.InsertBatch (one lock round-trip per network per table), in
-//     ascending network-ID order at the tick barrier. Fleet-wide
-//     aggregation (Snapshot) then runs Section 3-style percentile queries
-//     across networks over that store.
+// A pass brings back only what the tick's serial section reads (objective
+// values and churn counts); the controller keeps no telemetry store of its
+// own. Snapshot reads the networks' current state directly.
 package fleetd
 
 import (
@@ -45,7 +41,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/littletable"
 	"repro/internal/obs"
 	"repro/internal/rfenv"
 	"repro/internal/sim"
@@ -71,13 +66,6 @@ type Config struct {
 	// deadline tick than this, the excess is shed, deepest level first.
 	// 0 means unlimited.
 	MaxPassesPerTick int
-	// DisableDirtySkip turns off the planning service's dirty-driven fast
-	// passes. Fleetd enables turboca.Service.DirtySkip by default: on a
-	// steady-state fleet most i=0 passes are provable no-op replays, and
-	// skipping them is exact — snapshots are byte-identical either way
-	// (the invariant TestSnapshotInvariantAcrossWorkers pins).
-	// Deep (i>0) passes are never skipped.
-	DisableDirtySkip bool
 	// AdaptiveCadence enables the churn-driven cadence controller (see
 	// adaptive.go): networks whose NetP has stopped moving stretch their
 	// schedule by doubling steps up to 8x the base cadence, and any sign
@@ -88,20 +76,14 @@ type Config struct {
 	// differs from a fixed-cadence fleet's (fewer passes run), so the flag
 	// is folded into the config digest.
 	AdaptiveCadence bool
-	// Retention bounds both the shared fleet store and every per-network
-	// telemetry DB to a trailing window (default 24 h; negative disables).
-	// The fleet control plane only ever reads recent telemetry, and at
-	// 100k networks the per-network history dominates resident memory, so
-	// the fleet default is much tighter than a standalone backend's 14
-	// days.
-	Retention sim.Time
 	// Backend is the per-network control-plane template. Seed is
 	// overridden per network; a non-nil Faults profile is cloned with a
 	// per-network seed; Obs is overridden with the controller's registry
 	// (per-network private registries would dominate resident memory at
-	// fleet scale); per-network telemetry history is disabled (the fleet
-	// store is the reporting surface). Zero value means backend defaults
-	// with AlgTurboCA.
+	// fleet scale); DirtySkip is always on (on a steady-state fleet most
+	// i=0 passes are provable no-op replays, so skipping them is exact);
+	// per-network telemetry history is disabled (nothing in the fleet
+	// reads it). Zero value means backend defaults with AlgTurboCA.
 	Backend backend.Options
 	// Obs receives the controller's own "fleetd" scope (default
 	// obs.Default()).
@@ -164,9 +146,6 @@ func (c Config) withDefaults() Config {
 	if c.Obs == nil {
 		c.Obs = obs.Default()
 	}
-	if c.Retention == 0 {
-		c.Retention = 24 * sim.Hour
-	}
 	if c.StormRF {
 		if c.StormsPerDay == 0 {
 			c.StormsPerDay = 2
@@ -182,7 +161,9 @@ func (c Config) withDefaults() Config {
 // config record, so a journal is never replayed under a configuration
 // that would reconstruct different state. Workers/Obs and the
 // wall-clock knobs are deliberately excluded: they never affect state
-// bytes.
+// bytes. Two slots hold constants — a 24 h telemetry window and a 0
+// dirty-skip-off flag, settings the controller no longer has — so the
+// digest, and with it which journals Open accepts, stays what it was.
 func (c Config) digest() uint64 {
 	h := fnv.New64a()
 	wr := func(vs ...int64) {
@@ -192,12 +173,7 @@ func (c Config) digest() uint64 {
 		}
 	}
 	wr(c.Seed, int64(c.Fast), int64(c.Mid), int64(c.Deep),
-		int64(c.MaxPassesPerTick), int64(c.Retention), int64(c.CheckpointEvery))
-	if c.DisableDirtySkip {
-		wr(1)
-	} else {
-		wr(0)
-	}
+		int64(c.MaxPassesPerTick), int64(24*sim.Hour), int64(c.CheckpointEvery), 0)
 	if c.AdaptiveCadence {
 		wr(1)
 	} else {
@@ -286,7 +262,6 @@ type Controller struct {
 	reg   map[int]*netState
 	sched scheduler
 	now   sim.Time
-	db    *littletable.DB
 	met   *metrics
 
 	// Durability (nil store = ephemeral controller, PR 1-6 behavior).
@@ -311,7 +286,7 @@ type Controller struct {
 // New builds an empty controller; register networks with Add or AddFleet.
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	c := &Controller{cfg: cfg, reg: map[int]*netState{}, db: littletable.NewDB(), met: metricsOn(cfg.Obs)}
+	c := &Controller{cfg: cfg, reg: map[int]*netState{}, met: metricsOn(cfg.Obs)}
 	c.proc = faults.NewProc(cfg.Proc)
 	c.wallNow = time.Now
 	if cfg.StormRF {
@@ -319,9 +294,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.CheckpointEvery > 0 {
 		c.nextCkptAt = cfg.CheckpointEvery
-	}
-	if cfg.Retention > 0 {
-		c.db.SetRetention(cfg.Retention)
 	}
 	return c
 }
@@ -350,17 +322,13 @@ func (c *Controller) appendRecord(r jrec) error {
 	return nil
 }
 
-// DB exposes the shared fleet telemetry store for ad-hoc Section 3-style
-// queries.
-func (c *Controller) DB() *littletable.DB { return c.db }
-
 // Now returns the fleet clock.
 func (c *Controller) Now() sim.Time { return c.now }
 
 // SkippedFastPasses reports how many fast band-invocations the planning
 // services elided as provable no-ops (the fleetd.skipped_i0 counter on
 // this controller's registry). Deliberately not part of Snapshot: a
-// snapshot is byte-identical whether or not skipping is enabled.
+// skipped pass leaves every snapshot byte where running it would.
 func (c *Controller) SkippedFastPasses() int64 { return c.met.skippedI0.Value() }
 
 // Len returns the number of registered (non-removed) networks.
@@ -381,10 +349,7 @@ func (c *Controller) get(id int) *netState {
 // network ID alone (splitmix64-style), so registration order and
 // worker count cannot perturb any network's behavior.
 func netSeed(seed int64, id int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(sim.Mix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(id+1)))
 }
 
 // AddFleet registers every network of a synthesized fleet. Registration
@@ -451,13 +416,12 @@ func (c *Controller) buildNet(n *fleet.Network, opt NetOptions) *netState {
 	// perturb results.
 	bopt.Obs = c.cfg.Obs
 	bopt.Planner.Obs = nil // derive from the shared registry's turboca scope
-	bopt.DirtySkip = !c.cfg.DisableDirtySkip
-	bopt.Retention = c.cfg.Retention
-	// Per-network report history is the standalone Report API's data; the
-	// fleet control plane reports off the shared fleet store instead, so
-	// keeping per-AP history rows resident in every network would only
-	// burn memory (see backend.Options.DisableTelemetryHistory — planning
-	// and rng streams are unaffected).
+	bopt.DirtySkip = true
+	// Per-network report history is the standalone Report API's data and
+	// nothing in the fleet reads it, so keeping per-AP history rows
+	// resident in every network would only burn memory (see
+	// backend.Options.DisableTelemetryHistory — planning and rng streams
+	// are unaffected).
 	bopt.DisableTelemetryHistory = true
 	if bopt.Faults != nil {
 		prof := *bopt.Faults
@@ -587,12 +551,12 @@ type passJob struct {
 	// demoted marks a deep job executed at i=0 under degraded mode; its
 	// deep intent is re-queued at the degraded deferral, never dropped.
 	demoted bool
+	// res is what the job's worker brought back; nil when the job was shed.
+	res *passResult
 }
 
-// passResult is what a worker brings back to the serial ingest section.
+// passResult is what a worker brings back to the tick's serial section.
 type passResult struct {
-	apRows    []littletable.Row
-	passRow   littletable.Row
 	logNetP5  float64
 	logNetP24 float64
 	// improved counts band-invocations within this pass whose planner
@@ -610,7 +574,7 @@ type passResult struct {
 	// having run it.
 	skipped int
 	// faulted marks a pass that panicked or blew its watchdog deadline;
-	// the serial section quarantines its network and ingests nothing.
+	// the serial section quarantines its network and reads nothing else.
 	faulted bool
 }
 
@@ -668,8 +632,7 @@ func (c *Controller) runTo(end sim.Time) error {
 // (deepest level wins, shallower ones coalesce into it), demote deep
 // work under degradation, shed the excess beyond the pass budget
 // deepest-first, execute survivors on the worker pool under supervision,
-// then ingest their telemetry and reschedule — both in ascending
-// network-ID order.
+// then account, adapt and reschedule in ascending network-ID order.
 func (c *Controller) runTick(t sim.Time, due []passEntry) error {
 	tickStart := c.wallNow()
 	c.met.duePerTick.Observe(int64(len(due)))
@@ -769,61 +732,42 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) error {
 
 	// Execute surviving passes on the bounded worker pool, each under
 	// panic/watchdog supervision. Each job only touches its own network's
-	// state; results return by index.
-	results := make([]*passResult, len(run))
+	// state and its own result.
 	dispatched := time.Now()
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.cfg.Workers)
-	for i, j := range run {
+	for _, j := range run {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, j *passJob) {
+		go func(j *passJob) {
 			defer func() { <-sem; wg.Done() }()
 			c.met.schedLagUS.Observe(time.Since(dispatched).Microseconds())
 			passStart := time.Now()
-			results[i] = c.executePassSupervised(t, j)
+			j.res = c.executePassSupervised(t, j)
 			c.met.passUS.Observe(time.Since(passStart).Microseconds())
-		}(i, j)
+		}(j)
 	}
 	wg.Wait()
 
-	// Serial section: account, batch-ingest, reschedule — in the jobs'
-	// (ascending-ID) order for run+shed alike, so the shared DB's
-	// contents and every counter are independent of worker interleaving.
-	// A faulted pass quarantines its network here and contributes nothing.
-	ingestStart := time.Now()
-	byJob := map[*passJob]*passResult{}
-	for i, j := range run {
-		byJob[j] = results[i]
-	}
-	passTab := c.db.Table("fleet_pass")
-	apTab := c.db.Table("fleet_ap")
+	// Serial section: account, adapt, reschedule — in the jobs'
+	// (ascending-ID) order for run+shed alike, so every counter and
+	// controller decision is independent of worker interleaving. A shed
+	// job only reschedules; a faulted pass quarantines its network and
+	// contributes nothing.
 	for _, j := range jobs {
-		res, ok := byJob[j]
-		if !ok || res == nil {
-			continue // shed this tick
-		}
-		if res.faulted {
-			c.quarantine(j.ns)
-			continue
-		}
-		j.ns.passes[j.level]++
-		c.met.passesRun[j.level].Inc()
-		c.met.skippedI0.Add(int64(res.skipped))
-		if c.cfg.AdaptiveCadence {
-			// Serial, ascending-ID, before the reschedule loop below — so
-			// the controller's decision is worker-count independent and this
-			// tick's own levels already re-arm at the new multiplier.
-			c.adaptObserve(t, j, res)
-		}
-		passTab.InsertBatch(j.ns.key, []littletable.Row{res.passRow})
-		apTab.InsertBatch(j.ns.key, res.apRows)
-		c.met.ingestRows.Add(int64(1 + len(res.apRows)))
-	}
-	c.met.ingestUS.Observe(time.Since(ingestStart).Microseconds())
-	for _, j := range jobs {
-		if j.ns.quarantined {
-			continue
+		if res := j.res; res != nil {
+			if res.faulted {
+				c.quarantine(j.ns)
+				continue
+			}
+			j.ns.passes[j.level]++
+			c.met.passesRun[j.level].Inc()
+			c.met.skippedI0.Add(int64(res.skipped))
+			if c.cfg.AdaptiveCadence {
+				// Before this job's reschedule, so its own levels already
+				// re-arm at the new multiplier.
+				c.adaptObserve(t, j, res)
+			}
 		}
 		for _, level := range j.levels {
 			period := j.ns.cadence[level]
@@ -863,53 +807,22 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) error {
 
 // executePass advances one network's control plane to the tick instant
 // (running its polls, push retries, radar events, and reconciliation in
-// its private engine) and runs the planning pass for the job's level,
-// then snapshots the network's telemetry for ingest.
+// its private engine) and runs the planning pass for the job's level.
 func (c *Controller) executePass(t sim.Time, j *passJob) *passResult {
 	ns := j.ns
 	ns.ensureBuilt()
+	svc := ns.be.Service
 	radarBefore := ns.be.RadarEvents()
 	ns.engine.RunUntil(t)
-	skipBefore := ns.be.Service.SkippedTotal
-	impBefore := ns.be.Service.ImprovedTotal
-	ns.be.Service.RunOnce(levelHops[j.level])
-	skipped := ns.be.Service.SkippedTotal - skipBefore
-	improved := ns.be.Service.ImprovedTotal - impBefore
-	radar := ns.be.RadarEvents() - radarBefore
-
-	logNetP5 := ns.be.Service.LastLogNetP[spectrum.Band5]
-	converged := 0.0
-	if ns.be.Converged() {
-		converged = 1
+	skipBefore, impBefore := svc.SkippedTotal, svc.ImprovedTotal
+	svc.RunOnce(levelHops[j.level])
+	return &passResult{
+		logNetP5:  svc.LastLogNetP[spectrum.Band5],
+		logNetP24: svc.LastLogNetP[spectrum.Band2G4],
+		improved:  svc.ImprovedTotal - impBefore,
+		radar:     ns.be.RadarEvents() - radarBefore,
+		skipped:   svc.SkippedTotal - skipBefore,
 	}
-	logNetP24 := ns.be.Service.LastLogNetP[spectrum.Band2G4]
-	res := &passResult{
-		logNetP5:  logNetP5,
-		logNetP24: logNetP24,
-		improved:  improved,
-		radar:     radar,
-		skipped:   skipped,
-		passRow: littletable.Row{At: t, Fields: map[string]float64{
-			"lognetp5":  logNetP5,
-			"lognetp24": logNetP24,
-			"switches":  float64(ns.be.Switches()),
-			"converged": converged,
-			"level":     float64(j.level),
-			"degraded":  float64(ns.be.Service.DegradedTotal),
-		}},
-	}
-	perf := ns.be.Model.Evaluate(t)
-	res.apRows = make([]littletable.Row, 0, len(ns.sc.APs))
-	for _, ap := range ns.sc.APs {
-		p := perf[ap.ID]
-		res.apRows = append(res.apRows, littletable.Row{At: t, Fields: map[string]float64{
-			"ap":     float64(ap.ID),
-			"util":   p.Utilization,
-			"served": p.ServedMbps,
-			"demand": p.DemandMbps,
-		}})
-	}
-	return res
 }
 
 // syncEngines advances every network's engine to the fleet clock on the

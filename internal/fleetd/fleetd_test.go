@@ -1,6 +1,7 @@
 package fleetd
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
+	"repro/internal/stats"
 )
 
 // testNetwork synthesizes a small hand-built network (bypassing
@@ -36,6 +38,76 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.cfg.Backend.Planner.MetricFloor == 0 {
 		t.Fatal("planner config not defaulted")
+	}
+}
+
+// The config digest decides which journals Open accepts, so it must not
+// move when a setting that never reached state bytes is removed: both
+// values were recorded before the telemetry-window and dirty-skip-off
+// settings left Config.
+func TestConfigDigestStable(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{}, 0x510cc86020c97505},
+		{Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}, 0x6308c920312de455},
+	} {
+		if got := New(tc.cfg).cfg.digest(); got != tc.want {
+			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)
+		}
+	}
+}
+
+// Snapshot.Util summarizes Model.Evaluate(Now) over every built,
+// unquarantined network in network-ID then AP order; a quarantined or
+// not-yet-built network contributes nothing. Taking it perturbs no state:
+// a twin that snapshots every tick ends on the same checkpoint bytes.
+func TestSnapshotUtil(t *testing.T) {
+	f := fleet.Generate(fleet.Options{Seed: 31, Networks: 5, MaxAPs: 8})
+	mk := func() *Controller {
+		c := New(Config{Seed: 31, Workers: 2, Fast: 15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1, Obs: obs.NewRegistry()})
+		c.AddFleet(f)
+		return c
+	}
+	plain, watched := mk(), mk()
+	if u := watched.Snapshot().Util; u.N != 0 {
+		t.Fatalf("unbuilt fleet summarizes %d APs", u.N)
+	}
+	for tick := 0; tick < 8; tick++ {
+		plain.Run(15 * sim.Minute)
+		watched.Run(15 * sim.Minute)
+		watched.Snapshot()
+	}
+	if !bytes.Equal(plain.CheckpointBytes(), watched.CheckpointBytes()) {
+		t.Fatal("snapshotting every tick changed the checkpoint bytes")
+	}
+
+	c := plain
+	q := c.get(f.Networks[1].ID)
+	c.quarantine(q)
+	if err := c.Add(testNetwork(100, 3), NetOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if q.be == nil || c.get(100).be != nil {
+		t.Fatal("want one built quarantined network and one unbuilt one")
+	}
+	want := stats.NewSample(0)
+	for _, n := range f.Networks { // generated in ascending ID order
+		if n.ID == q.id {
+			continue
+		}
+		for _, p := range c.get(n.ID).be.Model.Evaluate(c.Now()) {
+			want.Add(p.Utilization)
+		}
+	}
+	snap := c.Snapshot()
+	got := snap.Util
+	if got.N != snap.TotalAPs-q.apCount-3 {
+		t.Fatalf("Util.N = %d, want the APs of built, unquarantined networks", got.N)
+	}
+	if !reflect.DeepEqual(got, want.Summarize()) {
+		t.Fatalf("Util = %+v, want %+v", got, want.Summarize())
 	}
 }
 
@@ -156,27 +228,17 @@ func TestRemovedNetworkNeverFires(t *testing.T) {
 }
 
 // The determinism contract: same seed and network set produce a
-// byte-identical snapshot for every worker count — and for
-// either dirty-skip setting, since a skipped fast pass is a provable
-// replay of the pass it elides.
+// byte-identical snapshot for every worker count.
 func TestSnapshotInvariantAcrossWorkers(t *testing.T) {
 	f := fleet.Generate(fleet.Options{Seed: 42, Networks: 6})
-	shapes := []struct {
-		workers int
-		noskip  bool
-	}{
-		{1, false}, {8, true}, {2, false}, {2, true},
-	}
 	var base Snapshot
 	var baseText string
-	for i, shape := range shapes {
-		reg := obs.NewRegistry()
+	for i, workers := range []int{1, 8, 2} {
 		c := New(Config{
 			Seed:    99,
-			Workers: shape.workers,
+			Workers: workers,
 			Fast:    15 * sim.Minute, Mid: 45 * sim.Minute, Deep: -1,
-			DisableDirtySkip: shape.noskip,
-			Obs:              reg,
+			Obs: obs.NewRegistry(),
 		})
 		c.AddFleet(f)
 		if c.Len() != 6 {
@@ -184,26 +246,22 @@ func TestSnapshotInvariantAcrossWorkers(t *testing.T) {
 		}
 		c.Run(45 * sim.Minute)
 		snap := c.Snapshot()
-		if shape.noskip && c.SkippedFastPasses() != 0 {
-			t.Fatalf("DisableDirtySkip controller skipped %d passes", c.SkippedFastPasses())
-		}
 		if i == 0 {
 			base, baseText = snap, snap.String()
 			if snap.Passes[levelFast] == 0 || snap.Passes[levelMid] == 0 {
 				t.Fatalf("no passes ran: %v", snap.Passes)
 			}
 			if snap.Util.N == 0 {
-				t.Fatal("no AP telemetry ingested into the fleet DB")
+				t.Fatal("snapshot summarizes no AP utilization")
 			}
 			continue
 		}
 		if !reflect.DeepEqual(snap, base) {
-			t.Fatalf("snapshot with workers=%d noskip=%v diverged:\n%s\nvs base\n%s",
-				shape.workers, shape.noskip, snap.String(), baseText)
+			t.Fatalf("snapshot with workers=%d diverged:\n%s\nvs base\n%s",
+				workers, snap.String(), baseText)
 		}
 		if snap.String() != baseText {
-			t.Fatalf("snapshot text diverged for workers=%d noskip=%v",
-				shape.workers, shape.noskip)
+			t.Fatalf("snapshot text diverged for workers=%d", workers)
 		}
 	}
 }
@@ -248,8 +306,8 @@ func TestRunFiresDistinctInstantsInOneCall(t *testing.T) {
 // Dirty-skip must actually pay off on a steady-state fleet: once plans
 // converge and telemetry digests stop changing (the flat overnight load
 // window), well over half of the fast band-invocations are elided — the
-// tentpole's scaling claim. The passes themselves still run and ingest at
-// the fleetd level; only the planner invocation inside is skipped.
+// tentpole's scaling claim. The passes themselves still run at the fleetd
+// level; only the planner invocation inside is skipped.
 func TestDirtySkipRateSteadyState(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{Seed: 21, Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: reg})

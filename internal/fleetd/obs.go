@@ -16,15 +16,12 @@ import "repro/internal/obs"
 //	                         composition: every deep pass ends in i=0)
 //	fleetd.removed_dropped   heap entries dropped because their network
 //	                         was removed
-//	fleetd.ingest_rows       telemetry rows batch-ingested into the
-//	                         shared fleet DB
 //	fleetd.due_per_tick      passes due at one scheduler tick
 //	fleetd.shed_per_tick     passes shed at one scheduler tick
 //	fleetd.sched_lag_us      wall µs a dispatched pass waited for a
 //	                         worker (scheduler lag under load)
 //	fleetd.pass_us           wall µs per executed pass (engine advance +
-//	                         planning + telemetry collection)
-//	fleetd.ingest_us         wall µs per per-tick batched ingest section
+//	                         planning)
 //
 // Durability and supervision (PR 7):
 //
@@ -56,12 +53,10 @@ type metrics struct {
 	passesShed     [numLevels]*obs.Counter
 	coalesced      *obs.Counter
 	removedDropped *obs.Counter
-	ingestRows     *obs.Counter
 	duePerTick     *obs.Histogram
 	shedPerTick    *obs.Histogram
 	schedLagUS     *obs.Histogram
 	passUS         *obs.Histogram
-	ingestUS       *obs.Histogram
 
 	journalRecords  *obs.Counter
 	ckptCommits     *obs.Counter
@@ -87,12 +82,10 @@ func metricsOn(reg *obs.Registry) *metrics {
 		skippedI0:      s.Counter("skipped_i0"),
 		coalesced:      s.Counter("coalesced"),
 		removedDropped: s.Counter("removed_dropped"),
-		ingestRows:     s.Counter("ingest_rows"),
 		duePerTick:     s.Histogram("due_per_tick", "passes"),
 		shedPerTick:    s.Histogram("shed_per_tick", "passes"),
 		schedLagUS:     s.Histogram("sched_lag_us", "µs"),
 		passUS:         s.Histogram("pass_us", "µs"),
-		ingestUS:       s.Histogram("ingest_us", "µs"),
 
 		journalRecords:  s.Counter("journal_records"),
 		ckptCommits:     s.Counter("ckpt_commits"),

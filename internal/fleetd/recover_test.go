@@ -279,12 +279,6 @@ func TestOpenRejectsConfigMismatch(t *testing.T) {
 	if _, err := Open(bad, store); err == nil {
 		t.Fatal("Open accepted a journal written under a different seed")
 	}
-	bad = cfg
-	bad.Obs = obs.NewRegistry()
-	bad.DisableDirtySkip = true
-	if _, err := Open(bad, store); err == nil {
-		t.Fatal("Open accepted a journal written under different dirty-skip policy")
-	}
 }
 
 // TestOpenTruncatesTornTail: a torn final record is dropped, truncated

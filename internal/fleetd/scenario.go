@@ -31,7 +31,7 @@ const (
 	maxModeledInterferers = 64
 )
 
-// netKey is the network's row key in the shared fleet DB and its name in
+// netKey is the network's row key in checkpoints and its name in
 // reports.
 func netKey(id int) string { return fmt.Sprintf("net%05d", id) }
 

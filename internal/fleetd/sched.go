@@ -37,20 +37,23 @@ type passEntry struct {
 	level int
 }
 
+// before is the scheduler's total order: (at, id, level).
+func (a passEntry) before(b passEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.id != b.id {
+		return a.id < b.id
+	}
+	return a.level < b.level
+}
+
 type passHeap []passEntry
 
-func (h passHeap) Len() int { return len(h) }
-func (h passHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	if h[i].id != h[j].id {
-		return h[i].id < h[j].id
-	}
-	return h[i].level < h[j].level
-}
-func (h passHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *passHeap) Push(x any)   { *h = append(*h, x.(passEntry)) }
+func (h passHeap) Len() int           { return len(h) }
+func (h passHeap) Less(i, j int) bool { return h[i].before(h[j]) }
+func (h passHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *passHeap) Push(x any)        { *h = append(*h, x.(passEntry)) }
 func (h *passHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -66,15 +69,6 @@ type scheduler struct {
 }
 
 func (s *scheduler) push(e passEntry) { heap.Push(&s.h, e) }
-
-// next returns the earliest deadline without popping, and whether one
-// exists.
-func (s *scheduler) next() (sim.Time, bool) {
-	if len(s.h) == 0 {
-		return 0, false
-	}
-	return s.h[0].at, true
-}
 
 // popDue pops every entry sharing the earliest deadline, provided that
 // deadline is <= maxAt. Entries come back sorted by (id, level) — the
@@ -96,15 +90,7 @@ func (s *scheduler) popDue(maxAt sim.Time) (sim.Time, []passEntry) {
 // order — the canonical dump checkpoints serialise.
 func (s *scheduler) entries() []passEntry {
 	out := append([]passEntry(nil), s.h...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].at != out[j].at {
-			return out[i].at < out[j].at
-		}
-		if out[i].id != out[j].id {
-			return out[i].id < out[j].id
-		}
-		return out[i].level < out[j].level
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].before(out[j]) })
 	return out
 }
 

@@ -40,8 +40,8 @@ func TestSchedulerTieOrderIsInsertionIndependent(t *testing.T) {
 				t.Fatalf("push order %v: due[%d] = %+v, want %+v", order, i, due[i], want[i])
 			}
 		}
-		if next, ok := s.next(); !ok || next != at+sim.Hour {
-			t.Fatalf("later entry lost: next=%v ok=%v", next, ok)
+		if rest := s.entries(); len(rest) != 1 || rest[0].at != at+sim.Hour {
+			t.Fatalf("later entry lost: pending %+v", rest)
 		}
 	}
 }

@@ -52,7 +52,8 @@ type Snapshot struct {
 
 	// LogNetP5 summarizes the per-network 5 GHz objective across networks
 	// that have completed at least one pass; Util summarizes the modeled
-	// per-AP utilization rows ingested into the shared fleet DB.
+	// utilization of every AP of every built, unquarantined network at the
+	// snapshot instant (backend.Model.Evaluate at Now).
 	LogNetP5 stats.Summary
 	Util     stats.Summary
 }
@@ -62,7 +63,7 @@ type Snapshot struct {
 // in-flight passes would be writing.
 func (c *Controller) Snapshot() Snapshot {
 	var snap Snapshot
-	logNetP := stats.NewSample(0)
+	logNetP, util := stats.NewSample(0), stats.NewSample(0)
 	for _, ns := range c.nets() {
 		st := NetworkStatus{
 			ID:        ns.id,
@@ -84,6 +85,9 @@ func (c *Controller) Snapshot() Snapshot {
 			st.Converged = ns.be.Converged()
 			st.Switches = ns.be.Switches()
 			st.Degraded = ns.be.Service.DegradedTotal
+			for _, p := range ns.be.Model.Evaluate(c.now) {
+				util.Add(p.Utilization)
+			}
 		}
 		if ns.quarantined {
 			st.Converged = false
@@ -104,9 +108,7 @@ func (c *Controller) Snapshot() Snapshot {
 		}
 	}
 	snap.LogNetP5 = logNetP.Summarize()
-	// Section 3-style fleet query over the shared store: the modeled
-	// utilization distribution across every AP pass ingested so far.
-	snap.Util = c.db.Table("fleet_ap").AggregateField("util", 0, c.now+1).Summarize()
+	snap.Util = util.Summarize()
 	return snap
 }
 

@@ -14,11 +14,11 @@ import (
 // through the context the backend's poll/push/reconcile loops honor.
 //
 // A faulted pass contributes nothing to the tick's serial section: no
-// telemetry rows, no counters, no reschedule. Its network's engine and
-// backend freeze wherever the fault stopped them, the scheduler drops
-// every pending deadline for it, and syncEngines skips it from then on —
-// so a quarantined network cannot perturb any other network's plan bytes,
-// which the chaos tests pin exactly.
+// counters, no adaptive-cadence observation, no reschedule. Its network's
+// engine and backend freeze wherever the fault stopped them, the
+// scheduler drops every pending deadline for it, and syncEngines skips it
+// from then on — so a quarantined network cannot perturb any other
+// network's plan bytes, which the chaos tests pin exactly.
 
 // executePassSupervised wraps one worker-pool pass with panic isolation
 // and the stuck-pass watchdog. It never lets a pass take down the
@@ -74,7 +74,7 @@ func (c *Controller) executePassSupervised(t sim.Time, j *passJob) (res *passRes
 }
 
 // quarantine isolates a faulted network: no future deadlines, no engine
-// syncs, no further ingest. Its registry entry remains so snapshots and
+// syncs, no further passes. Its registry entry remains so snapshots and
 // the worst-networks report show the quarantine.
 func (c *Controller) quarantine(ns *netState) {
 	ns.quarantined = true

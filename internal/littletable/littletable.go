@@ -7,10 +7,10 @@
 //
 // Storage is columnar (struct-of-arrays): a series keeps one flat
 // []float64 of field values plus a compact header per row pointing at an
-// interned field schema. A fleet DB ingesting millions of rows pays ~20
+// interned field schema. A DB ingesting millions of rows pays ~20
 // bytes of header and 8 bytes per field instead of a map[string]float64
 // per row; the handful of distinct field sets a table ever sees (usage,
-// utilization, pass summaries…) are interned once per table and shared by
+// utilization, latency samples…) are interned once per table and shared by
 // every row.
 package littletable
 
@@ -92,10 +92,10 @@ func (s *series) value(r crow, field string) (float64, bool) {
 //
 // A Table is safe for concurrent use: every accessor takes the table
 // lock. Single-writer callers (one simulation engine feeding one DB) pay
-// an uncontended mutex; multi-writer callers — internal/fleetd's worker
-// pool ingesting per-network telemetry into one shared DB — should
-// prefer InsertBatch, which amortizes the lock, the sort check, the
-// retention pass, and the store metrics over a whole batch of rows.
+// an uncontended mutex; multi-writer callers (several goroutines feeding
+// one DB) should prefer InsertBatch, which amortizes the lock, the sort
+// check, the retention pass, and the store metrics over a whole batch of
+// rows.
 // Read methods (Range, Latest) return freshly materialized rows that do
 // not alias internal storage.
 type Table struct {
@@ -133,9 +133,8 @@ type Table struct {
 const pruneBatch = 64
 
 // DB is a collection of named tables. Table lookup and the retention
-// setting are guarded by the DB lock, so independent goroutines (e.g. the
-// fleetd ingest path) may resolve tables concurrently; row access is
-// guarded per table.
+// setting are guarded by the DB lock, so independent goroutines may
+// resolve tables concurrently; row access is guarded per table.
 type DB struct {
 	mu        sync.RWMutex
 	tables    map[string]*Table
@@ -243,8 +242,7 @@ func (t *Table) Insert(key string, at sim.Time, fields map[string]float64) {
 // InsertBatch appends a batch of rows for key, taking the table lock once
 // and deferring the sort check, the amortized retention pass, and the
 // store metrics to a single pass over the batch. This is the bulk-ingest
-// path: a poller delivering one AP's whole sample set, or fleetd draining
-// a network's per-pass telemetry into the shared fleet DB, pays one lock
+// path: a poller delivering one AP's whole sample set pays one lock
 // round-trip instead of len(rows).
 //
 // Rows need not be sorted among themselves or against existing rows;

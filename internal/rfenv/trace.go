@@ -118,10 +118,7 @@ func NewTraceSet(seed int64, chans []int, opt TraceOptions) *TraceSet {
 // traceSeed mixes (seed, channel) with the same SplitMix64 finalizer the
 // rest of the tree uses for derived streams.
 func traceSeed(seed int64, ch int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(ch+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(sim.Mix64(uint64(seed) + 0x9e3779b97f4a7c15*uint64(ch+1)))
 }
 
 // Channels returns the covered channel numbers, sorted. Callers must not

@@ -17,7 +17,12 @@ type splitmix64 struct{ state uint64 }
 
 func (s *splitmix64) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	return Mix64(s.state)
+}
+
+// Mix64 is the SplitMix64 finalizer, shared by this source and by every
+// derived seed and fault-decision hash.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
 
@@ -126,12 +127,7 @@ func (in Input) Digest() uint64 {
 // it cannot perturb any other invocation's stream.
 func invocationSeed(seed int64, band spectrum.Band, hops []int, digest uint64) int64 {
 	z := uint64(seed) ^ 0x9e3779b97f4a7c15
-	mix := func(v uint64) {
-		z ^= v
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		z ^= z >> 31
-	}
+	mix := func(v uint64) { z = sim.Mix64(z ^ v) }
 	mix(uint64(band) + 1)
 	mix(uint64(len(hops)))
 	for _, h := range hops {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
 
@@ -322,10 +323,7 @@ type Result struct {
 // sequence of plans a seed produces is independent of how rounds are
 // scheduled across workers.
 func roundSeed(base int64, level, round int) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*uint64(uint32(level)+1) + 0xbf58476d1ce4e5b9*uint64(uint32(round)+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(sim.Mix64(uint64(base) + 0x9e3779b97f4a7c15*uint64(uint32(level)+1) + 0xbf58476d1ce4e5b9*uint64(uint32(round)+1)))
 }
 
 // RunNBO executes the paper's accept-if-better loop: several NBO rounds at
