@@ -1,7 +1,8 @@
 # Tier-1 verification for builders and CI. `make verify` is the gate every
-# change must pass: vet, build, the full test suite, the turboca
-# concurrency tests under the race detector (the parallel NBO engine's
-# determinism contract is only meaningful if it is also data-race free),
+# change must pass: vet, build, the full test suite, the data plane's
+# allocation budgets, the turboca concurrency tests under the race detector
+# (the parallel NBO engine's determinism contract is only meaningful if it
+# is also data-race free),
 # the control-plane chaos suite under the race detector, the coverage
 # floor on the packet-path packages, a short fuzz smoke over the
 # checked-in corpora, the separate bench/ module's own gate, and a small
@@ -31,9 +32,9 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed profile-fleet bench-module figures gap loc
+.PHONY: verify vet build test allocs race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed profile-fleet bench-module figures gap loc
 
-verify: vet build test race chaos chaos-kill storm cover fuzz bench-module figures
+verify: vet build test allocs race chaos chaos-kill storm cover fuzz bench-module figures
 	-$(MAKE) gap
 
 # gofmt is part of vet: any file of the root module it would rewrite fails
@@ -48,6 +49,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Allocation budgets of the data plane: the FastACK agent's steady-state
+# segment lifecycle at zero allocations, and the testbed_downlink shape under
+# its ceiling of allocations per simulated second. Both skip under -race.
+allocs:
+	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fastack
+	$(GO) test -count=1 -run '^TestDataPlaneAllocCeiling$$' ./internal/testbed
 
 race:
 	$(GO) test -race ./internal/turboca/...

@@ -28,7 +28,9 @@ type dgramPool struct {
 func (p *dgramPool) get() *packet.Datagram {
 	n := len(p.free)
 	if n == 0 {
-		return &packet.Datagram{TCP: &packet.TCP{WindowScale: -1}}
+		d := packet.NewTCPDatagram(packet.Endpoint{}, packet.Endpoint{}, 0) // one object
+		d.IP = packet.IPv4{}
+		return d
 	}
 	d := p.free[n-1]
 	p.free[n-1] = nil

@@ -50,6 +50,13 @@ type Medium struct {
 
 	stats MediumStats
 
+	// Scratch of one contention round, truncated at its start: nothing in
+	// them outlives the round (transmit copies its contender, collide builds
+	// its own attempts). failed is completeFrame's, read by retry only.
+	cs, winners, group []contender
+	used               []bool
+	failed             []*MPDU
+
 	// OnFrame, if set, receives a report for every frame exchange.
 	OnFrame func(FrameReport)
 	// OnTransmit, if set, receives the concrete MPDU list of every
@@ -202,7 +209,7 @@ func (md *Medium) contend(e *sim.Engine) {
 	md.contentionPending = false
 	now := md.engine.Now()
 
-	var cs []contender
+	cs := md.cs[:0]
 	var nextFree sim.Time = -1
 	for _, st := range md.stations {
 		if !st.hasTraffic() {
@@ -231,6 +238,7 @@ func (md *Medium) contend(e *sim.Engine) {
 			})
 		}
 	}
+	md.cs = cs
 	if len(cs) == 0 {
 		if nextFree >= 0 {
 			md.contentionPending = true
@@ -252,7 +260,7 @@ func (md *Medium) contend(e *sim.Engine) {
 		return true
 	}
 
-	var winners []contender
+	winners := md.winners[:0]
 	minDelay := math.Inf(1)
 	for _, c := range cs {
 		if proceeds(c) {
@@ -262,6 +270,7 @@ func (md *Medium) contend(e *sim.Engine) {
 			}
 		}
 	}
+	md.winners = winners
 	// Losers freeze: decrement by the slots that elapsed after their AIFS
 	// before someone they can hear seized the air.
 	for _, c := range cs {
@@ -287,12 +296,13 @@ func (md *Medium) contend(e *sim.Engine) {
 	// Partition winners into audible collision groups: same bid AND
 	// mutually audible -> classic collision. Everything else transmits
 	// independently (possibly overlapping as hidden terminals).
-	used := make([]bool, len(winners))
+	used := append(md.used[:0], make([]bool, len(winners))...)
+	md.used = used
 	for i, c := range winners {
 		if used[i] {
 			continue
 		}
-		group := []contender{c}
+		group := append(md.group[:0], c)
 		used[i] = true
 		for j := i + 1; j < len(winners); j++ {
 			if used[j] {
@@ -304,6 +314,7 @@ func (md *Medium) contend(e *sim.Engine) {
 				used[j] = true
 			}
 		}
+		md.group = group
 		start := now + usToTime(c.accessDelayUs)
 		if len(group) == 1 {
 			md.transmit(c, start)
@@ -432,10 +443,17 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 		hiddenFrac = float64(md.hiddenOverlap(st.ID, dst, start, now)) / dur
 	}
 
+	// rate and snr are fixed for the frame, so PER moves only with an
+	// MPDU's length: recompute it only when the length changes. The same
+	// function on the same arguments gives the same bits.
 	delivered := 0
-	var failed []*MPDU
+	failed := md.failed[:0]
+	perLen, perLast := -1, 0.0
 	for _, m := range mpdus {
-		per := rate.PER(snr, m.Dgram.WireLen())
+		if n := m.Dgram.WireLen(); n != perLen {
+			perLen, perLast = n, rate.PER(snr, n)
+		}
+		per := perLast
 		if hiddenFrac > 0 && md.engine.Rand().Float64() < hiddenFrac {
 			per = 1
 		}
@@ -452,7 +470,9 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 		}
 	}
 
+	md.failed = failed
 	st.retry(failed, rx, c.ac, now)
+	clear(failed) // hold no MPDU past its frame
 
 	st.rateFor(dst).Update(rate, len(mpdus), delivered)
 

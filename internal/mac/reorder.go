@@ -29,11 +29,21 @@ type reorderBuf struct {
 }
 
 // reorderDeliver accepts an in-flight MPDU at the receiver and releases
-// any in-order run to OnReceive.
+// any in-order run to OnReceive. An MPDU that is the one the window waits
+// for goes straight up: nothing is ever held at next (every operation ends
+// with a flush), so holding it would only insert and delete the same key.
 func (s *Station) reorderDeliver(m *MPDU, now sim.Time) {
 	rb := &s.peer(m.Src).rx[m.AC]
 	if m.tidSeq < rb.next {
 		// Duplicate of something already released; drop silently.
+		return
+	}
+	if m.tidSeq == rb.next {
+		rb.next++
+		if s.OnReceive != nil {
+			s.OnReceive(m, now)
+		}
+		s.reorderFlush(m.Src, m.AC, now)
 		return
 	}
 	if rb.held == nil {

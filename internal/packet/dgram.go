@@ -18,25 +18,41 @@ type Datagram struct {
 	Payload    []byte
 }
 
+// A datagram and its transport header are made as one object: they live
+// and die together, and a datagram is made per packet.
+type (
+	tcpDatagram struct {
+		d Datagram
+		t TCP
+	}
+	udpDatagram struct {
+		d Datagram
+		u UDP
+	}
+)
+
 // NewTCPDatagram builds a TCP datagram between src and dst.
 func NewTCPDatagram(src, dst Endpoint, payloadLen int) *Datagram {
-	t := NewTCP()
-	t.SrcPort = src.Port
-	t.DstPort = dst.Port
-	return &Datagram{
+	b := &tcpDatagram{t: NewTCP()}
+	b.t.SrcPort = src.Port
+	b.t.DstPort = dst.Port
+	b.d = Datagram{
 		IP:         IPv4{TTL: 64, Protocol: ProtoTCP, Src: src.Addr, Dst: dst.Addr},
-		TCP:        &t,
+		TCP:        &b.t,
 		PayloadLen: payloadLen,
 	}
+	return &b.d
 }
 
 // NewUDPDatagram builds a UDP datagram between src and dst.
 func NewUDPDatagram(src, dst Endpoint, payloadLen int) *Datagram {
-	return &Datagram{
+	b := &udpDatagram{u: UDP{SrcPort: src.Port, DstPort: dst.Port}}
+	b.d = Datagram{
 		IP:         IPv4{TTL: 64, Protocol: ProtoUDP, Src: src.Addr, Dst: dst.Addr},
-		UDP:        &UDP{SrcPort: src.Port, DstPort: dst.Port},
+		UDP:        &b.u,
 		PayloadLen: payloadLen,
 	}
+	return &b.d
 }
 
 // Flow returns the transport flow key of the datagram.
@@ -75,18 +91,25 @@ func (d *Datagram) WireLen() int {
 // Clone returns a deep copy, used by retransmission caches so that later
 // header rewrites (e.g. window clamping) do not mutate cached packets.
 func (d *Datagram) Clone() *Datagram {
-	out := &Datagram{IP: d.IP, PayloadLen: d.PayloadLen}
-	if d.TCP != nil {
-		t := *d.TCP
+	var out *Datagram
+	switch {
+	case d.TCP != nil:
+		b := &tcpDatagram{t: *d.TCP}
 		if len(d.TCP.SACK) > 0 {
-			t.SACK = append([]SACKBlock(nil), d.TCP.SACK...)
+			b.t.SACK = append([]SACKBlock(nil), d.TCP.SACK...)
 		}
-		out.TCP = &t
+		out, b.d.TCP = &b.d, &b.t
+	case d.UDP != nil:
+		b := &udpDatagram{u: *d.UDP}
+		out, b.d.UDP = &b.d, &b.u
+	default:
+		out = new(Datagram)
 	}
-	if d.UDP != nil {
+	if d.TCP != nil && d.UDP != nil { // not well formed, but copied whole
 		u := *d.UDP
 		out.UDP = &u
 	}
+	out.IP, out.PayloadLen = d.IP, d.PayloadLen
 	if d.Payload != nil {
 		out.Payload = append([]byte(nil), d.Payload...)
 	}

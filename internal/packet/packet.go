@@ -96,8 +96,15 @@ func (e Endpoint) String() string { return fmt.Sprintf("%v:%d", e.Addr, e.Port) 
 
 // Flow identifies a unidirectional transport flow. It is hashable and
 // usable as a map key, like gopacket's Flow.
+//
+// pad fills the byte Go would otherwise leave between Proto and Src, so a
+// Flow is 14 bytes with no hole and the runtime compares and hashes it as
+// plain memory rather than field by field. It is named because a blank
+// field would be skipped by ==, which makes the struct no longer plain
+// memory; nothing outside this package can set it, so it is always zero.
 type Flow struct {
 	Proto    uint8 // IP protocol number
+	pad      uint8
 	Src, Dst Endpoint
 }
 

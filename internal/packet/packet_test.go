@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEthernetRoundTrip(t *testing.T) {
@@ -193,6 +194,57 @@ func TestFlowKeys(t *testing.T) {
 	m := map[Flow]int{f: 1, r: 2}
 	if m[f] != 1 || m[r] != 2 {
 		t.Fatal("map keying broken")
+	}
+}
+
+// A Flow is plain memory: 14 bytes, no hole, the pad byte zero in every
+// key the package makes, so the runtime hashes and compares it whole.
+// Every key keeps the fields it had before the pad.
+func TestFlowIsPlainMemory(t *testing.T) {
+	if n := unsafe.Sizeof(Flow{}); n != 14 {
+		t.Fatalf("Sizeof(Flow) = %d, want 14", n)
+	}
+	if off := unsafe.Offsetof(Flow{}.Src); off != 2 {
+		t.Fatalf("Src at offset %d, want 2: the pad no longer fills the hole after Proto", off)
+	}
+	src := Endpoint{Addr: IPv4Addr{10, 0, 0, 1}, Port: 5000}
+	dst := Endpoint{Addr: IPv4Addr{10, 0, 1, 5}, Port: 80}
+	bare := &Datagram{IP: IPv4{Src: src.Addr, Dst: dst.Addr}}
+	for _, c := range []struct {
+		name string
+		got  Flow
+		want Flow
+	}{
+		{"tcp", NewTCPDatagram(src, dst, 1).Flow(), Flow{Proto: ProtoTCP, Src: src, Dst: dst}},
+		{"udp", NewUDPDatagram(src, dst, 1).Flow(), Flow{Proto: ProtoUDP, Src: src, Dst: dst}},
+		{"ip", bare.Flow(), Flow{Src: Endpoint{Addr: src.Addr}, Dst: Endpoint{Addr: dst.Addr}}},
+		{"reverse", NewTCPDatagram(src, dst, 1).Flow().Reverse(), Flow{Proto: ProtoTCP, Src: dst, Dst: src}},
+	} {
+		if c.got.pad != 0 {
+			t.Fatalf("%s: pad byte %d", c.name, c.got.pad)
+		}
+		if c.got != c.want || c.got.Proto != c.want.Proto || c.got.Src != c.want.Src || c.got.Dst != c.want.Dst {
+			t.Fatalf("%s: key %v, want %v", c.name, c.got, c.want)
+		}
+	}
+}
+
+// A datagram and its transport header are one allocation, made or cloned.
+func TestDatagramIsOneObject(t *testing.T) {
+	src, dst := Endpoint{Port: 1}, Endpoint{Port: 2}
+	tcp, udp := NewTCPDatagram(src, dst, 10), NewUDPDatagram(src, dst, 10)
+	for _, c := range []struct {
+		name string
+		make func() *Datagram
+	}{
+		{"NewTCPDatagram", func() *Datagram { return NewTCPDatagram(src, dst, 10) }},
+		{"NewUDPDatagram", func() *Datagram { return NewUDPDatagram(src, dst, 10) }},
+		{"Clone of TCP", tcp.Clone},
+		{"Clone of UDP", udp.Clone},
+	} {
+		if n := testing.AllocsPerRun(100, func() { c.make() }); n != 1 {
+			t.Errorf("%s: %v allocations, want 1", c.name, n)
+		}
 	}
 }
 

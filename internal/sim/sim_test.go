@@ -414,12 +414,15 @@ func (q *refQueue) Stop(j int) {
 }
 func (q *refQueue) Pending(j int) bool { return q.handles[j] != nil }
 
-// firing is one executed callback: when, the seq its arming drew, and which
-// (plain events count up from 0 in scheduling order, timer j is -1-j).
+// firing is one executed callback: when, the seq its arming drew, which
+// (plain events count up from 0 in scheduling order, timer j is -1-j), and
+// which timers were pending as it began — right after its pop, so Pending is
+// compared after every pop, not only after every operation.
 type firing struct {
-	at  Time
-	seq uint64
-	id  int
+	at      Time
+	seq     uint64
+	id      int
+	pending uint8
 }
 
 // driver applies one operation string to one queue and logs what fires.
@@ -442,7 +445,7 @@ func (d *driver) schedule(at Time, act byte) {
 	d.ids++
 	d.lastAt = at
 	d.q.Schedule(at, func() {
-		d.log = append(d.log, firing{d.q.Now(), seq, id})
+		d.log = append(d.log, firing{d.q.Now(), seq, id, d.pendingMask()})
 		d.inside(act, -1)
 	})
 }
@@ -454,10 +457,20 @@ func (d *driver) reset(j int, delay Time, act byte) {
 }
 
 func (d *driver) fire(j int) {
-	d.log = append(d.log, firing{d.q.Now(), d.armSeq[j], -1 - j})
+	d.log = append(d.log, firing{d.q.Now(), d.armSeq[j], -1 - j, d.pendingMask()})
 	act := d.act[j]
 	d.act[j] = 0 // a timer that re-arms itself does so once
 	d.inside(act, j)
+}
+
+func (d *driver) pendingMask() uint8 {
+	var m uint8
+	for j := 0; j < refTimers; j++ {
+		if d.q.Pending(j) {
+			m |= 1 << j
+		}
+	}
+	return m
 }
 
 // inside is what a callback does while it is the firing event; self is the
@@ -494,8 +507,12 @@ func (d *driver) inside(act byte, self int) {
 func (d *driver) op(k, a, b byte) {
 	j, delay := int(a)%refTimers, queueDelays[int(a)/refTimers%len(queueDelays)]
 	switch k % 10 {
-	case 0, 1:
+	case 0:
 		d.schedule(d.q.Now()+delay, b)
+	case 1: // a burst, so that pops walk a heap several levels deep
+		for i := 0; i <= int(a%32); i++ {
+			d.schedule(d.q.Now()+queueDelays[(int(a)+i)%len(queueDelays)], b)
+		}
 	case 2: // at the same instant as the last arming, if that is still ahead
 		d.schedule(max(d.lastAt, d.q.Now()), b)
 	case 3, 4:
@@ -585,9 +602,11 @@ func runQueueOps(t *testing.T, ops []byte) {
 // TestQueueMatchesReference: random operation strings — Schedule at now, at
 // equal timestamps and far out; Reset on stopped and pending timers to
 // earlier, later and equal instants; Stop pending, stopped and twice; all of
-// those again from inside firing callbacks; Step and RunUntil — fire the same
-// (at, seq, id) sequence on the value-event queue as on the pointer queue
-// with its dead flag, with the same clock and Fired() after every operation.
+// those again from inside firing callbacks; bursts that deepen the heap; Step
+// and RunUntil — fire the same (at, seq, id) sequence on the value-event
+// queue, whose pop works bottom up, as on the pointer queue with its dead
+// flag, with the same timers pending after every pop and the same clock and
+// Fired() after every operation.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))

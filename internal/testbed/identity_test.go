@@ -3,6 +3,7 @@ package testbed
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -129,5 +130,29 @@ func TestLatencyProbeFollowsDownloadsOnly(t *testing.T) {
 	below.Dst.Addr = packet.IPv4Addr{10, 0, 0, 200}
 	if ap.probe(beyond) != nil || ap.probe(below) != nil {
 		t.Fatal("a flow to no client matched a window")
+	}
+}
+
+// The plan's flow keys are the ones the agent and the probe always filed
+// flows under, now with Flow's pad byte zero: client i's download is
+// 10.0.0.1:5000+i → 10.0.1.i:80, the Flow of a datagram the server sends on
+// it, and the reverse of the client's ACKs' Flow.
+func TestDownloadFlowKeys(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		srv := packet.Endpoint{Addr: packet.IPv4Addr{10, 0, 0, 1}, Port: uint16(5000 + i)}
+		cli := packet.Endpoint{Addr: packet.IPv4Addr{10, 0, 1, byte(i)}, Port: 80}
+		f := downloadFlow(i)
+		if f.Proto != packet.ProtoTCP || f.Src != srv || f.Dst != cli {
+			t.Fatalf("client %d: download flow %v, want %v->%v/6", i, f, srv, cli)
+		}
+		if d := packet.NewTCPDatagram(srv, cli, 1448).Flow(); d != f {
+			t.Fatalf("client %d: data segment's flow %v, plan's %v", i, d, f)
+		}
+		if a := packet.NewTCPDatagram(cli, srv, 0).Flow().Reverse(); a != f {
+			t.Fatalf("client %d: reversed ACK flow %v, plan's %v", i, a, f)
+		}
+		if raw := unsafe.Slice((*byte)(unsafe.Pointer(&f)), unsafe.Sizeof(f)); raw[1] != 0 {
+			t.Fatalf("client %d: pad byte %d", i, raw[1])
+		}
 	}
 }
