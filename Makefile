@@ -50,12 +50,14 @@ build:
 test:
 	$(GO) test ./...
 
-# Allocation budgets of the data plane: the FastACK agent's steady-state
-# segment lifecycle at zero allocations, and the testbed_downlink shape under
-# its ceiling of allocations per simulated second. Both skip under -race.
+# Allocation budgets: the FastACK agent's steady-state segment lifecycle at
+# zero allocations and the testbed_downlink shape under its ceiling of
+# allocations per simulated second (both skip under -race), and building the
+# fleet_converge shape's 64 networks and planner inputs under its ceiling.
 allocs:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fastack
 	$(GO) test -count=1 -run '^TestDataPlaneAllocCeiling$$' ./internal/testbed
+	$(GO) test -count=1 -run '^TestFleetSetupAllocCeiling$$' ./internal/fleetd
 
 race:
 	$(GO) test -race ./internal/turboca/...

@@ -35,13 +35,14 @@ func observe(sc *topo.Scenario, ap *topo.AP, ch spectrum.Channel) observation {
 		util:      sc.ExternalUtilization(ap.Pos, ch.Band, ch.Number),
 		neighbors: map[int]float64{},
 	}
-	for _, n := range sc.NeighborsOf(ap) {
-		onChan := n.AP.Channel
+	for _, j := range sc.NeighborsOf(ap) {
+		n := sc.APs[j]
+		onChan := n.Channel
 		if ch.Band == spectrum.Band2G4 {
-			onChan = n.AP.Channel24
+			onChan = n.Channel24
 		}
 		if onChan.Overlaps(ch) {
-			o.neighbors[n.AP.ID] = n.RSSIDBm
+			o.neighbors[j] = sc.LinkRSSIDBm(ap, n)
 			// A busy co-channel neighbor also shows up as busy air.
 			o.util += 0.05
 		}

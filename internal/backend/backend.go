@@ -263,14 +263,13 @@ type Backend struct {
 
 	// inputTmpl caches the static part of each band's planner input — ID,
 	// width cap, client mix, external interference, neighbor lists — all
-	// pure functions of the scenario's fixed geometry and population.
-	// PlannerInput copies the template and fills in only the measured
-	// fields, turning the per-pass snapshot from O(n²) neighbor geometry
-	// plus per-client walks into a memcpy. The width mix is a value; the
-	// external-utilization row is the scenario's own (topo.ExternalRow)
-	// and, with the neighbor slice, is shared by every snapshot: Sanitize
-	// only ever writes an invalid row entry, which none contains
-	// (TestBackendInputsNeedNoRepair), never a neighbor slice, and the
+	// read from the scenario's static picture. PlannerInput copies the
+	// template and fills in only the measured fields, so a snapshot is a
+	// memcpy. The width mix is a value; the external-utilization row
+	// (topo.ExternalRow) and the neighbor row (topo.NeighborsOf) are the
+	// scenario's own, shared by every snapshot: Sanitize only ever writes
+	// an invalid row entry, which none contains
+	// (TestBackendInputsNeedNoRepair), never a neighbor row, and the
 	// planner treats views as read-only.
 	inputTmpl map[spectrum.Band][]turboca.APView
 }
@@ -435,7 +434,7 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 		// Clients dissociate off-hours; that is when the deep NBO passes
 		// can migrate APs onto DFS channels without stranding anyone
 		// through a CAC (§4.5.2).
-		hasClients := ap.ClientCount() > 0 && demand > 0.15*ap.BaseDemandMbps
+		hasClients := ap.Mix.Count > 0 && demand > 0.15*ap.BaseDemandMbps
 		stale, pinned := false, false
 		if row := &b.rows[i]; row.reported {
 			rep := &row.report
@@ -472,44 +471,24 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 }
 
 // inputTemplate returns (building on first use) the band's static APView
-// skeleton, in Scenario.APs order. Geometry, client populations, and
-// interferers never change after scenario generation, so everything here
-// is computed exactly once per (backend, band).
+// skeleton, in Scenario.APs order: the scenario's static picture read in
+// place. The width mix is the AP's own value, and the neighbor row and
+// external-utilization row are the scenario's, aliased by both bands'
+// templates and every snapshot copied from them.
 func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turboca.APView {
 	if tmpl, ok := b.inputTmpl[band]; ok {
 		return tmpl
 	}
-	// The client width mix and the neighbor graph are band-independent;
-	// when the other band's template already exists, take them from it
-	// instead of rebuilding them. The planner reads a neighbor slice in
-	// place and Sanitize replaces one it must repair, so sharing them is
-	// safe — and halves what they cost fleetd, which holds one backend
-	// per network resident.
-	var donor []turboca.APView
-	for _, t := range b.inputTmpl {
-		donor = t
-	}
 	tmpl := make([]turboca.APView, 0, len(b.Scenario.APs))
-	for i, ap := range b.Scenario.APs {
-		v := turboca.APView{
+	for _, ap := range b.Scenario.APs {
+		tmpl = append(tmpl, turboca.APView{
 			ID:           ap.ID,
 			MaxWidth:     minWidth(maxW, ap.MaxWidth),
-			CSAFraction:  csaFraction(ap),
+			CSAFraction:  csaFraction(&ap.Mix),
+			WidthLoad:    ap.Mix.WidthLoad,
 			ExternalUtil: b.Scenario.ExternalRow(ap, band),
-		}
-		if donor != nil {
-			v.WidthLoad = donor[i].WidthLoad
-			v.Neighbors = donor[i].Neighbors
-		} else {
-			v.WidthLoad = widthLoad(ap)
-			if ns := b.Scenario.NeighborsOf(ap); len(ns) > 0 {
-				v.Neighbors = make([]int, len(ns))
-				for k, n := range ns {
-					v.Neighbors[k] = n.AP.ID // its position
-				}
-			}
-		}
-		tmpl = append(tmpl, v)
+			Neighbors:    b.Scenario.NeighborsOf(ap),
+		})
 	}
 	b.inputTmpl[band] = tmpl
 	return tmpl
@@ -522,23 +501,13 @@ func minWidth(a, bw spectrum.Width) spectrum.Width {
 	return bw
 }
 
-func csaFraction(ap *topo.AP) float64 {
-	if agg := ap.ClientAgg; agg != nil {
-		if agg.Count == 0 {
-			return 1
-		}
-		return float64(agg.CSACount) / float64(agg.Count)
-	}
-	if len(ap.Clients) == 0 {
+// csaFraction is the share of m's clients that honor CSAs; an AP without
+// clients strands nobody by switching.
+func csaFraction(m *topo.ClientMix) float64 {
+	if m.Count == 0 {
 		return 1
 	}
-	n := 0
-	for _, c := range ap.Clients {
-		if c.SupportsCSA {
-			n++
-		}
-	}
-	return float64(n) / float64(len(ap.Clients))
+	return float64(m.CSACount) / float64(m.Count)
 }
 
 // normalizeLoad maps Mbps demand to the planner's load weight scale.
@@ -548,43 +517,6 @@ func normalizeLoad(mbps float64) float64 {
 		l = 4
 	}
 	return l
-}
-
-// widthLoad computes load(b): usage-weighted share of clients by max
-// width, in Width.Slot order.
-func widthLoad(ap *topo.AP) [4]float64 {
-	var out [4]float64
-	if agg := ap.ClientAgg; agg != nil {
-		// Sum in the fixed spectrum order, not the aggregate's map order:
-		// the float sum must be bitwise-stable across calls so telemetry
-		// digests (turboca.Input.Digest) are reproducible.
-		total := 0.0
-		for _, w := range spectrum.Widths {
-			total += agg.WidthLoad[w]
-		}
-		if total == 0 {
-			return [4]float64{1}
-		}
-		for slot, w := range spectrum.Widths {
-			if s := agg.WidthLoad[w]; s > 0 {
-				out[slot] = s / total
-			}
-		}
-		return out
-	}
-	total := 0.0
-	for _, c := range ap.Clients {
-		total += c.UsageWeight
-	}
-	if total == 0 {
-		return [4]float64{1}
-	}
-	for _, c := range ap.Clients {
-		if slot := c.MaxWidth.Slot(); slot >= 0 {
-			out[slot] += c.UsageWeight / total
-		}
-	}
-	return out
 }
 
 func (b *Backend) runReservedCA() {

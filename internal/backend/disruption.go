@@ -24,40 +24,21 @@ const (
 // disruptionSeconds estimates the total client outage caused by switching
 // ap's channel now.
 func (b *Backend) disruptionSeconds(ap *topo.AP, now sim.Time) float64 {
-	if ap.ClientCount() == 0 {
+	m := &ap.Mix
+	if m.Count == 0 {
 		return 0
-	}
-	// Device-class counts come from whichever client representation the
-	// AP carries. The aggregate preserves the per-client walk exactly:
-	// the same mobile/laptop partition, and — because every rescan term
-	// is an integer number of seconds, so float addition is associative
-	// here — the same total; the rng below is drawn exactly once per
-	// CSA-capable client either way, keeping the stream bit-identical.
-	csa, mobile, laptop := 0, 0, 0
-	if agg := ap.ClientAgg; agg != nil {
-		csa, mobile, laptop = agg.CSACount, agg.NonCSAMobile, agg.NonCSALaptop
-	} else {
-		for i, c := range ap.Clients {
-			switch {
-			case c.SupportsCSA:
-				csa++
-			case i%2 == 0:
-				// Half the population behaves like mobile devices.
-				mobile++
-			default:
-				laptop++
-			}
-		}
 	}
 	// Clients present only in proportion to the current load.
 	activeFrac := 0.0
 	if ap.BaseDemandMbps > 0 {
 		activeFrac = b.Scenario.DemandAt(ap, now) / ap.BaseDemandMbps
 	}
-	total := float64(mobile)*mobileRescan.Seconds() + float64(laptop)*laptopRescan.Seconds()
+	// Half the non-CSA population behaves like mobile devices (the mix's
+	// device-class split).
+	total := float64(m.NonCSAMobile)*mobileRescan.Seconds() + float64(m.NonCSALaptop)*laptopRescan.Seconds()
 	// CSA-capable clients still occasionally miss the beacons (§4.3.1:
 	// "beacons might be missed even by clients that do support CSAs").
-	for i := 0; i < csa; i++ {
+	for i := 0; i < m.CSACount; i++ {
 		if b.rng.Float64() < 0.05 {
 			total += laptopRescan.Seconds()
 		}

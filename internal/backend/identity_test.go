@@ -29,9 +29,9 @@ func refEvaluate(m *Model, t sim.Time) map[int]APPerf {
 		cap5 := m.capByWidth[ap.Channel.Width]
 		ext := m.extUtilOn(ap, ap.Channel)
 		contention := 0.0
-		for _, n := range sc.NeighborsOf(ap) {
-			if n.AP.Channel.Overlaps(ap.Channel) {
-				contention += airDemand[n.AP.ID]
+		for _, j := range sc.NeighborsOf(ap) {
+			if n := sc.APs[j]; n.Channel.Overlaps(ap.Channel) {
+				contention += airDemand[n.ID]
 			}
 		}
 		total := ext + contention + airDemand[ap.ID]
@@ -119,6 +119,35 @@ func TestEvaluateMatchesReference(t *testing.T) {
 		if k.name == "unet" && capped == 0 {
 			t.Fatalf("the WAN cap never bit on %s: the uplink scale went unchecked", k.name)
 		}
+	}
+}
+
+// TestTemplatesAliasNeighborRows: both bands' input templates hold the
+// scenario's own neighbor rows — the same backing array, no copy — and so
+// does every snapshot copied from them.
+func TestTemplatesAliasNeighborRows(t *testing.T) {
+	sc := topo.Office(11)
+	b := New(DefaultOptions(AlgTurboCA), sc, sim.NewEngine(11))
+	t5, t24 := b.inputTemplate(spectrum.Band5, spectrum.W80), b.inputTemplate(spectrum.Band2G4, spectrum.W20)
+	in := b.PlannerInput(spectrum.Band5)
+	edges := 0
+	for i, ap := range sc.APs {
+		row := sc.NeighborsOf(ap)
+		if len(row) == 0 {
+			continue
+		}
+		edges += len(row)
+		for _, ns := range [][]int{t5[i].Neighbors, t24[i].Neighbors, in.APs[i].Neighbors} {
+			if len(ns) != len(row) || &ns[0] != &row[0] {
+				t.Fatalf("AP %d: neighbors %v are not the scenario's row %v", i, ns, row)
+			}
+		}
+		if t5[i].WidthLoad != ap.Mix.WidthLoad || t24[i].WidthLoad != ap.Mix.WidthLoad {
+			t.Fatalf("AP %d: template width mix %v / %v, AP's %v", i, t5[i].WidthLoad, t24[i].WidthLoad, ap.Mix.WidthLoad)
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no AP hears another; nothing was checked")
 	}
 }
 

@@ -107,9 +107,9 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 		ext := m.extUtilOn(ap, ap.Channel)
 
 		contention := 0.0 // neighbors' airtime demand on our channel
-		for _, n := range sc.NeighborsOf(ap) {
-			if n.AP.Channel.Overlaps(ap.Channel) {
-				contention += airDemand[n.AP.ID]
+		for _, j := range sc.NeighborsOf(ap) {
+			if sc.APs[j].Channel.Overlaps(ap.Channel) {
+				contention += airDemand[j]
 			}
 		}
 		total := ext + contention + airDemand[i]

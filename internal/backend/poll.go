@@ -97,11 +97,11 @@ func (b *Backend) Poll() {
 			demand: demand, util: util,
 			served:      p.ServedMbps,
 			servedBytes: p.ServedMbps * 1e6 / 8 * interval.Seconds(),
-			clients:     float64(ap.ClientCount()),
+			clients:     float64(ap.Mix.Count),
 			// Clients dissociate off-hours; that is when the deep NBO
 			// passes can migrate APs onto DFS channels without stranding
 			// anyone through a CAC (§4.5.2).
-			hasClients: ap.ClientCount() > 0 && p.DemandMbps > 0.15*ap.BaseDemandMbps,
+			hasClients: ap.Mix.Count > 0 && p.DemandMbps > 0.15*ap.BaseDemandMbps,
 		}
 		// Latency and bit-rate observations are per-transmission in the
 		// real system, so busy APs and busy hours contribute

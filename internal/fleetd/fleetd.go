@@ -59,8 +59,8 @@ type Config struct {
 	// Results are identical for any value.
 	Workers int
 	// Fast, Mid, Deep are the default cadences for the three pass levels
-	// (defaults 15 min, 3 h, 24 h; the §4.4.4 schedule). Negative
-	// disables a level fleet-wide.
+	// (defaults turboca.FastCadence, MidCadence, DeepCadence: the §4.4.4
+	// schedule). Negative disables a level fleet-wide.
 	Fast, Mid, Deep sim.Time
 	// MaxPassesPerTick is the overload budget: when more passes share a
 	// deadline tick than this, the excess is shed, deepest level first.
@@ -122,13 +122,13 @@ func (c Config) withDefaults() Config {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Fast == 0 {
-		c.Fast = 15 * sim.Minute
+		c.Fast = turboca.FastCadence
 	}
 	if c.Mid == 0 {
-		c.Mid = 3 * sim.Hour
+		c.Mid = turboca.MidCadence
 	}
 	if c.Deep == 0 {
-		c.Deep = 24 * sim.Hour
+		c.Deep = turboca.DeepCadence
 	}
 	if c.Backend.Algorithm == backend.AlgNone {
 		// An all-zero template means "production defaults" (TurboCA, DFS

@@ -20,10 +20,10 @@ import (
 // registration order or worker count.
 
 const (
-	// maxModeledClients caps the per-AP client snapshot handed to the
-	// planner. The paper's planner only consumes the capability/usage
-	// *mixture*, which stabilizes well below the observed 338-client
-	// maximum; capping keeps a million-AP fleet's memory bounded.
+	// maxModeledClients caps the clients drawn per AP. The paper's planner
+	// only consumes the capability/usage *mixture*, which stabilizes well
+	// below the observed 338-client maximum; capping keeps a million-AP
+	// fleet's build time bounded.
 	maxModeledClients = 48
 	// maxModeledInterferers caps the foreign-AP interferer set per
 	// network: external utilization queries scan interferers linearly,
@@ -40,6 +40,9 @@ func buildScenario(n *fleet.Network, seed int64) *topo.Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := topo.NewScenario(netKey(n.ID), seed^0x5ce9a510)
 	caps := fleet.Cohort2017
+	// One AP's client draw: the backend reads only its mix, so per-network
+	// resident memory does not scale with client count.
+	var clients []topo.ClientInfo
 	for i, fap := range n.APs {
 		ap := &topo.AP{
 			ID:       i,
@@ -56,26 +59,21 @@ func buildScenario(n *fleet.Network, seed int64) *topo.Scenario {
 			BaseDemandMbps: 6 + 90*fap.Util5 + 1.2*float64(minInt(fap.MaxClients, 50)) + 8*rng.Float64(),
 		}
 		nClients := minInt(fap.MaxClients, maxModeledClients)
+		clients = clients[:0]
 		for j := 0; j < nClients; j++ {
 			c := caps.Sample(rng)
 			w := c.MaxWidth
 			if !c.VHT && w > spectrum.W40 {
 				w = spectrum.W40
 			}
-			ap.Clients = append(ap.Clients, topo.ClientInfo{
+			clients = append(clients, topo.ClientInfo{
 				MaxWidth:    w,
 				NSS:         c.NSS,
 				SupportsCSA: rng.Float64() < 0.7,
 				UsageWeight: 0.2 + rng.ExpFloat64(),
 			})
 		}
-		// The backend only ever reads the client *mixture*; fold the slice
-		// into its aggregate and drop it, so per-network resident memory
-		// does not scale with client count. Aggregating after all draws
-		// keeps the rng stream (and thus every derived value) identical to
-		// the slice-carrying construction.
-		ap.ClientAgg = topo.AggregateClients(ap.Clients)
-		ap.Clients = nil
+		ap.Mix = topo.MixOf(clients)
 		sc.APs = append(sc.APs, ap)
 	}
 	for i, fap := range n.Foreign {

@@ -84,6 +84,7 @@ func Generate(opt ScenarioOptions) *Scenario {
 	nonDFS80 := spectrum.Channels(spectrum.Band5, spectrum.W80, false)
 	ch24 := spectrum.Channels(spectrum.Band2G4, spectrum.W20, true)
 
+	var clients []ClientInfo // one AP's draw, folded into its Mix
 	for i := 0; i < opt.APCount; i++ {
 		pos := placeAP(rng, opt, i)
 		ap := &AP{
@@ -99,9 +100,11 @@ func Generate(opt ScenarioOptions) *Scenario {
 			BaseDemandMbps: opt.DemandMbps * (0.5 + rng.Float64()),
 		}
 		nClients := 1 + rng.Intn(2*opt.MeanClients)
+		clients = clients[:0]
 		for j := 0; j < nClients; j++ {
-			ap.Clients = append(ap.Clients, capabilityMix(rng))
+			clients = append(clients, capabilityMix(rng))
 		}
+		ap.Mix = MixOf(clients)
 		s.APs = append(s.APs, ap)
 	}
 

@@ -38,44 +38,55 @@ type ClientInfo struct {
 	UsageWeight float64
 }
 
-// ClientAggregate is the planning-relevant summary of an AP's client
-// population: everything the backend reads from the client list, folded
-// into a handful of scalars. At fleet scale the per-client structs
-// dominate per-network resident memory, so scenarios may aggregate their
-// clients once (AggregateClients) and drop the slice; every consumer
-// branches on ClientAgg first.
-type ClientAggregate struct {
+// ClientMix is everything planning reads about an AP's associated
+// clients, folded once when the scenario is built (MixOf): the per-client
+// list itself is never kept.
+type ClientMix struct {
 	// Count is the number of associated clients.
 	Count int
 	// CSACount is how many support Channel Switch Announcements.
 	CSACount int
 	// NonCSAMobile / NonCSALaptop partition the non-CSA clients by the
-	// disruption model's device-class rule (a non-CSA client at an even
-	// slice index counts as mobile, odd as laptop), preserving the exact
-	// counts the per-client walk would produce.
+	// disruption model's device-class rule: a non-CSA client at an even
+	// index of the list counts as mobile, at an odd one as laptop.
 	NonCSAMobile int
 	NonCSALaptop int
-	// WidthLoad is total UsageWeight by client max width.
-	WidthLoad map[spectrum.Width]float64
+	// WidthLoad is load(b) (§4.4.1), by spectrum.Width.Slot: each client
+	// adds its share of the total UsageWeight to its max width's slot, in
+	// list order. No clients or no usage reads as all 20 MHz.
+	WidthLoad [4]float64
 }
 
-// AggregateClients folds a client slice into its planning summary.
-func AggregateClients(clients []ClientInfo) *ClientAggregate {
-	agg := &ClientAggregate{Count: len(clients), WidthLoad: map[spectrum.Width]float64{}}
+// MixOf folds a client list into its mix.
+func MixOf(clients []ClientInfo) ClientMix {
+	m := ClientMix{Count: len(clients)}
+	total := 0.0
 	for i, c := range clients {
-		if c.SupportsCSA {
-			agg.CSACount++
-		} else if i%2 == 0 {
-			agg.NonCSAMobile++
-		} else {
-			agg.NonCSALaptop++
+		switch {
+		case c.SupportsCSA:
+			m.CSACount++
+		case i%2 == 0:
+			m.NonCSAMobile++
+		default:
+			m.NonCSALaptop++
 		}
-		agg.WidthLoad[c.MaxWidth] += c.UsageWeight
+		total += c.UsageWeight
 	}
-	return agg
+	if total == 0 {
+		m.WidthLoad[0] = 1
+		return m
+	}
+	for _, c := range clients {
+		if slot := c.MaxWidth.Slot(); slot >= 0 {
+			m.WidthLoad[slot] += c.UsageWeight / total
+		}
+	}
+	return m
 }
 
-// AP is one access point in a planning scenario.
+// AP is one access point in a planning scenario: its static picture (the
+// client mix, and through Scenario its neighbor row and external rows) is
+// fixed when the scenario is built; only the channels change.
 type AP struct {
 	ID   int // the AP's position in Scenario.APs
 	Name string
@@ -87,25 +98,11 @@ type AP struct {
 	Channel spectrum.Channel
 	// Channel24 is the current 2.4 GHz assignment.
 	Channel24 spectrum.Channel
-	// Clients currently associated (snapshot; regenerated by load model).
-	// Memory-conscious scenarios (fleetd) aggregate this into ClientAgg
-	// and leave it nil.
-	Clients []ClientInfo
-	// ClientAgg, when non-nil, replaces Clients as the source of client
-	// statistics. Consumers must prefer it over the slice.
-	ClientAgg *ClientAggregate
+	// Mix summarizes the associated clients.
+	Mix ClientMix
 	// BaseDemandMbps is the AP's peak traffic demand, shaped over the day
 	// by the scenario's load curve.
 	BaseDemandMbps float64
-}
-
-// ClientCount returns the number of associated clients from whichever
-// representation the AP carries.
-func (ap *AP) ClientCount() int {
-	if ap.ClientAgg != nil {
-		return ap.ClientAgg.Count
-	}
-	return len(ap.Clients)
 }
 
 // Interferer is a non-network RF source (neighboring building's WiFi,
@@ -141,7 +138,8 @@ type Scenario struct {
 	// The static RF picture: what follows from AP and interferer geometry
 	// alone, computed once on first use and never invalidated — finish the
 	// AP and interferer populations before asking for either part.
-	graph   [][]Neighbor                    // NeighborsOf, by AP position
+	nbrOff  []int                           // NeighborsOf: row i is nbrs[nbrOff[i]:nbrOff[i+1]]
+	nbrs    []int                           // every row's positions, end to end
 	extRows [spectrum.Band6 + 1][][]float64 // ExternalRow, by band then AP position
 }
 
@@ -173,42 +171,35 @@ func NewScenario(name string, seed int64) *Scenario {
 // Rand exposes the scenario's deterministic random source.
 func (s *Scenario) Rand() *rand.Rand { return s.rng }
 
-// Neighbor is one edge of the interference graph: an AP within carrier-sense
-// range, with its predicted RSSI — an entry of a neighbor report.
-type Neighbor struct {
-	AP      *AP
-	RSSIDBm float64
+// LinkRSSIDBm is the predicted 5 GHz RSSI between two APs, either way
+// round: the signal strength a neighbor report carries.
+func (s *Scenario) LinkRSSIDBm(a, b *AP) float64 {
+	d := a.Pos.Dist(b.Pos)
+	return phy.DefaultAPTxPowerDBm + 2*phy.DefaultAntennaGainDBi - s.Prop.PathLossDB(spectrum.Band5, d, wallsFor(d))
 }
 
-// NeighborsOf returns the APs within carrier-sense range of ap, in
-// Scenario.APs order: a shared, read-only row of the interference graph,
-// which is pure geometry and so is built whole on the first call — one
-// O(n²) pass however many polls and planner snapshots follow.
-func (s *Scenario) NeighborsOf(ap *AP) []Neighbor {
-	if s.graph == nil {
+// NeighborsOf returns the positions of the APs ap hears — within
+// carrier-sense range and above the carrier-sense threshold — in ascending
+// order: a shared, read-only row of the interference graph. The graph is
+// pure geometry, so it is built whole on the first call, one O(n²) pass
+// into one table however many polls and planner snapshots follow. A row's
+// capacity ends where it does, so appending to one copies it.
+func (s *Scenario) NeighborsOf(ap *AP) []int {
+	if s.nbrOff == nil {
 		s.checkPositions()
-		s.graph = make([][]Neighbor, len(s.APs))
+		s.nbrOff = make([]int, 1, len(s.APs)+1)
 		for i, a := range s.APs {
-			var out []Neighbor
-			for _, other := range s.APs {
-				if other.ID == a.ID {
+			for j, other := range s.APs {
+				if j == i || a.Pos.Dist(other.Pos) > s.CSRangeM || s.LinkRSSIDBm(a, other) < phy.CarrierSenseThresholdDBm {
 					continue
 				}
-				d := a.Pos.Dist(other.Pos)
-				if d > s.CSRangeM {
-					continue
-				}
-				loss := s.Prop.PathLossDB(spectrum.Band5, d, wallsFor(d))
-				rssi := phy.DefaultAPTxPowerDBm + 2*phy.DefaultAntennaGainDBi - loss
-				if rssi < phy.CarrierSenseThresholdDBm {
-					continue
-				}
-				out = append(out, Neighbor{AP: other, RSSIDBm: rssi})
+				s.nbrs = append(s.nbrs, j)
 			}
-			s.graph[i] = out
+			s.nbrOff = append(s.nbrOff, len(s.nbrs))
 		}
 	}
-	return s.graph[ap.ID]
+	lo, hi := s.nbrOff[ap.ID], s.nbrOff[ap.ID+1]
+	return s.nbrs[lo:hi:hi]
 }
 
 // wallsFor estimates interior wall crossings from distance in an office.

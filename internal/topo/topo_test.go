@@ -1,9 +1,12 @@
 package topo
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
@@ -20,7 +23,7 @@ func TestGenerateBasics(t *testing.T) {
 		if ap.Channel.Width == 0 || ap.Channel24.Width == 0 {
 			t.Fatalf("AP %d missing channels", ap.ID)
 		}
-		if len(ap.Clients) == 0 {
+		if ap.Mix.Count == 0 {
 			t.Fatalf("AP %d has no clients", ap.ID)
 		}
 	}
@@ -52,25 +55,74 @@ func TestDeterminism(t *testing.T) {
 func TestNeighborsSymmetricAndBounded(t *testing.T) {
 	sc := Office(3)
 	for _, ap := range sc.APs {
-		for _, n := range sc.NeighborsOf(ap) {
-			if n.AP.ID == ap.ID {
+		for _, j := range sc.NeighborsOf(ap) {
+			if j == ap.ID {
 				t.Fatal("self neighbor")
 			}
-			if ap.Pos.Dist(n.AP.Pos) > sc.CSRangeM {
+			if ap.Pos.Dist(sc.APs[j].Pos) > sc.CSRangeM {
 				t.Fatal("neighbor beyond CS range")
 			}
 			// Symmetry: if A hears B, B hears A (same path loss model).
-			found := false
-			for _, back := range sc.NeighborsOf(n.AP) {
-				if back.AP.ID == ap.ID {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("asymmetric neighbor relation %d<->%d", ap.ID, n.AP.ID)
+			if !slices.Contains(sc.NeighborsOf(sc.APs[j]), ap.ID) {
+				t.Fatalf("asymmetric neighbor relation %d<->%d", ap.ID, j)
 			}
 		}
+	}
+}
+
+// refNeighbors is the interference graph by its definition, O(n²) per
+// call: every other AP in carrier-sense range whose predicted RSSI reaches
+// the carrier-sense threshold, in position order.
+func refNeighbors(sc *Scenario, ap *AP) []int {
+	var out []int
+	for j, other := range sc.APs {
+		if j == ap.ID {
+			continue
+		}
+		d := ap.Pos.Dist(other.Pos)
+		if d > sc.CSRangeM {
+			continue
+		}
+		loss := sc.Prop.PathLossDB(spectrum.Band5, d, int(d/12))
+		if phy.DefaultAPTxPowerDBm+2*phy.DefaultAntennaGainDBi-loss < phy.CarrierSenseThresholdDBm {
+			continue
+		}
+		out = append(out, j)
+	}
+	return out
+}
+
+// checkNeighborTable holds sc's neighbor table to refNeighbors row by row
+// and checks that each row is capacity-clamped: appending to one leaves the
+// next row as it was.
+func checkNeighborTable(t *testing.T, sc *Scenario) {
+	t.Helper()
+	edges := 0
+	for i, ap := range sc.APs {
+		row := sc.NeighborsOf(ap)
+		if want := refNeighbors(sc, ap); !slices.Equal(row, want) {
+			t.Fatalf("%s AP %d: row %v, definition %v", sc.Name, i, row, want)
+		}
+		edges += len(row)
+		if i+1 == len(sc.APs) {
+			continue
+		}
+		next := slices.Clone(sc.NeighborsOf(sc.APs[i+1]))
+		_ = append(row, -1)
+		if got := sc.NeighborsOf(sc.APs[i+1]); !slices.Equal(got, next) {
+			t.Fatalf("%s: appending to AP %d's row rewrote AP %d's: %v, was %v", sc.Name, i, i+1, got, next)
+		}
+	}
+	if edges == 0 {
+		t.Fatalf("%s: no AP hears another; the table is not being checked", sc.Name)
+	}
+}
+
+// TestNeighborTableMatchesDefinition: Office, Campus and Stadium, whose
+// graphs run from a few to dozens of neighbors per AP.
+func TestNeighborTableMatchesDefinition(t *testing.T) {
+	for _, sc := range []*Scenario{Office(3), Campus(3), Stadium(3)} {
+		checkNeighborTable(t, sc)
 	}
 }
 
@@ -261,17 +313,15 @@ func TestDenseScenarioDensity(t *testing.T) {
 }
 
 func TestClientCapabilityMix(t *testing.T) {
-	sc := Generate(ScenarioOptions{Seed: 9, APCount: 200, MeanClients: 10})
+	rng := rand.New(rand.NewSource(9))
 	var total, wide, twoSS int
-	for _, ap := range sc.APs {
-		for _, c := range ap.Clients {
-			total++
-			if c.MaxWidth >= spectrum.W80 {
-				wide++
-			}
-			if c.NSS >= 2 {
-				twoSS++
-			}
+	for ; total < 2000; total++ {
+		c := capabilityMix(rng)
+		if c.MaxWidth >= spectrum.W80 {
+			wide++
+		}
+		if c.NSS >= 2 {
+			twoSS++
 		}
 	}
 	wf := float64(wide) / float64(total)

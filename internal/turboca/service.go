@@ -19,20 +19,23 @@ type EnvironmentFn func(band spectrum.Band) Input
 // directly, so partial applications are never over-counted.
 type ApplyFn func(band spectrum.Band, plan Plan, res Result) (switched int)
 
-// Service is TurboCA's run-time schedule (§4.4.4): NBO with i=0 every 15
-// minutes, i=1 then i=0 every 3 hours, and i=2,1,0 once a day. Every
-// schedule ends with i=0, which guarantees NetP does not regress; the
-// deeper hop limits escape local optima at most once per their period.
+// The §4.4.4 cadences of the three schedules.
+const (
+	FastCadence = 15 * sim.Minute // i=0
+	MidCadence  = 3 * sim.Hour    // i=1, then i=0
+	DeepCadence = 24 * sim.Hour   // i=2, 1, then 0
+)
+
+// Service is TurboCA's run-time schedule (§4.4.4): NBO with i=0 every
+// FastCadence, i=1 then i=0 every MidCadence, and i=2,1,0 every
+// DeepCadence. Every schedule ends with i=0, which guarantees NetP does not
+// regress; the deeper hop limits escape local optima at most once per
+// their period.
 type Service struct {
 	Cfg   Config
 	Env   EnvironmentFn
 	Apply ApplyFn
 	Bands []spectrum.Band
-
-	// Periods are configurable for accelerated simulation.
-	Fast sim.Time // i=0 cadence (default 15 min)
-	Mid  sim.Time // i=1,0 cadence (default 3 h)
-	Deep sim.Time // i=2,1,0 cadence (default 24 h)
 
 	// MaxStaleFraction is the service's degradation guard: when more than
 	// this fraction of a band's APs is planned from stale or pinned
@@ -84,14 +87,11 @@ type Service struct {
 	LastLogNetP    map[spectrum.Band]float64
 }
 
-// NewService builds a service with the paper's default cadences.
+// NewService builds a service planning both bands.
 func NewService(cfg Config, env EnvironmentFn, apply ApplyFn, seed int64) *Service {
 	return &Service{
 		Cfg: cfg, Env: env, Apply: apply,
 		Bands:       []spectrum.Band{spectrum.Band5, spectrum.Band2G4},
-		Fast:        15 * sim.Minute,
-		Mid:         3 * sim.Hour,
-		Deep:        24 * sim.Hour,
 		seed:        seed,
 		lastNoop:    map[spectrum.Band]uint64{},
 		LastLogNetP: map[spectrum.Band]float64{},
@@ -117,9 +117,9 @@ func (s *Service) SkipMemos() map[spectrum.Band]uint64 {
 // schedule composition.
 func (s *Service) Start(engine *sim.Engine) {
 	s.stops = append(s.stops,
-		engine.Ticker(s.Fast, func(e *sim.Engine) { s.RunOnce([]int{0}) }),
-		engine.Ticker(s.Mid, func(e *sim.Engine) { s.RunOnce([]int{1, 0}) }),
-		engine.Ticker(s.Deep, func(e *sim.Engine) { s.RunOnce([]int{2, 1, 0}) }),
+		engine.Ticker(FastCadence, func(e *sim.Engine) { s.RunOnce([]int{0}) }),
+		engine.Ticker(MidCadence, func(e *sim.Engine) { s.RunOnce([]int{1, 0}) }),
+		engine.Ticker(DeepCadence, func(e *sim.Engine) { s.RunOnce([]int{2, 1, 0}) }),
 	)
 }
 
