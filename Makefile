@@ -52,12 +52,15 @@ test:
 
 # Allocation budgets: the FastACK agent's steady-state segment lifecycle at
 # zero allocations and the testbed_downlink shape under its ceiling of
-# allocations per simulated second (both skip under -race), and building the
-# fleet_converge shape's 64 networks and planner inputs under its ceiling.
+# allocations per simulated second (both skip under -race), building the
+# fleet_converge shape's 64 networks and planner inputs under its ceiling,
+# and one dense planner pass (BenchmarkPerfNBOStadium's input) under its
+# ceiling, so no per-ACC allocation creeps into the two-hop walk.
 allocs:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fastack
 	$(GO) test -count=1 -run '^TestDataPlaneAllocCeiling$$' ./internal/testbed
 	$(GO) test -count=1 -run '^TestFleetSetupAllocCeiling$$' ./internal/fleetd
+	$(GO) test -count=1 -run '^TestPlannerPassAllocCeiling$$' ./internal/turboca
 
 race:
 	$(GO) test -race ./internal/turboca/...
@@ -132,10 +135,14 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRanges$$' -fuzztime $(FUZZTIME) ./internal/seqspace
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 
-# Planner numbers: BenchmarkRunNBO sweeps Workers on ~600 APs,
-# BenchmarkPlannerPass is the one configuration README and obs.go quote.
+# Planner numbers with spread: BenchmarkRunNBO sweeps Workers on ~600 APs,
+# BenchmarkPlannerPass is the one configuration README and obs.go quote, and
+# BenchmarkPerfNBOStadium is the dense case; six runs of each. A shared or
+# virtualised host drifts between runs, so compare two commits by the
+# medians of alternating parent/head runs of this target (ROADMAP aim 1),
+# never one run of each.
 bench:
-	$(GO) test -run=NONE -bench='RunNBO|PlannerPass' -benchmem ./internal/turboca/...
+	$(GO) test -run=NONE -bench='RunNBO|PlannerPass|PerfNBOStadium' -count 6 -benchmem . ./internal/turboca/...
 
 # Where a dense pass spends its time: CPU-profiles BenchmarkPerfNBOStadium
 # (one ~200-AP bowl, hops {1,0}) and prints the top of the profile. Binary

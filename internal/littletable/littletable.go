@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -132,13 +133,13 @@ type Table struct {
 // observe the overshoot of a table that has gone quiet.
 const pruneBatch = 64
 
-// DB is a collection of named tables. Table lookup and the retention
-// setting are guarded by the DB lock, so independent goroutines may
-// resolve tables concurrently; row access is guarded per table.
+// DB is a collection of named tables. Table lookup is guarded by the DB
+// lock and the retention setting is atomic, so independent goroutines may
+// resolve tables and insert concurrently; row access is guarded per table.
 type DB struct {
 	mu        sync.RWMutex
 	tables    map[string]*Table
-	retention sim.Time
+	retention atomic.Int64 // a sim.Time
 }
 
 // NewDB returns an empty store.
@@ -148,18 +149,10 @@ func NewDB() *DB { return &DB{tables: map[string]*Table{}} }
 // (newest insert - window) are pruned during inserts and before reads.
 // Zero or negative disables retention. The window applies to tables
 // created before or after the call.
-func (db *DB) SetRetention(window sim.Time) {
-	db.mu.Lock()
-	db.retention = window
-	db.mu.Unlock()
-}
+func (db *DB) SetRetention(window sim.Time) { db.retention.Store(int64(window)) }
 
 // Retention returns the configured trailing window (0 = unlimited).
-func (db *DB) Retention() sim.Time {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.retention
-}
+func (db *DB) Retention() sim.Time { return sim.Time(db.retention.Load()) }
 
 // Table returns (creating if needed) the named table.
 func (db *DB) Table(name string) *Table {

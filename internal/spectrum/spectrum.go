@@ -237,6 +237,9 @@ var tbl struct {
 	// bond containing c — or the widest one that exists, where the US
 	// plan stops short of slot s (ch165, 6 GHz ch117).
 	ladder [numChannels][numSlots]ID
+	// firstOverlap[a][c] is the narrowest width slot s, up to a's own, at
+	// which ladder[a][s] overlaps c, or a's own slot + 1 when none does.
+	firstOverlap [numChannels][numChannels]uint8
 }
 
 func init() {
@@ -305,6 +308,18 @@ func init() {
 			tbl.ladder[id][s] = at
 		}
 	}
+
+	for a := range tbl.firstOverlap {
+		own := tbl.chans[a].Width.Slot()
+		lo, hi := BandIDs(tbl.chans[a].Band)
+		for c := range tbl.firstOverlap[a] {
+			f := 0
+			for f <= own && (ID(c) < lo || ID(c) >= hi || tbl.mask[tbl.ladder[a][f]]&tbl.mask[c] == 0) {
+				f++
+			}
+			tbl.firstOverlap[a][c] = uint8(f)
+		}
+	}
 }
 
 // IDOf returns the table ID of the US channel with c's band, number and
@@ -346,6 +361,12 @@ func (id ID) Mask() uint64 { return tbl.mask[id] }
 // is wider — the widest such bond that exists if the US plan has none at
 // s (ch165 stays 20 MHz at every slot).
 func (id ID) AtWidth(s int) ID { return tbl.ladder[id][s] }
+
+// FirstOverlap returns the narrowest width slot s, up to id's own, at
+// which id.AtWidth(s) overlaps c, or id's own slot + 1 when c does not
+// overlap id (a channel of another band never does). The views of id up to
+// its own width nest, so c overlaps exactly those from s on.
+func (id ID) FirstOverlap(c ID) int { return int(tbl.firstOverlap[id][c]) }
 
 // Sub20Mask returns the Mask bit of 20 MHz channel number n on band, or 0
 // when n is not a US 20 MHz channel there.

@@ -128,6 +128,46 @@ func TestTableMatchesFirstPrinciples(t *testing.T) {
 	}
 }
 
+// TestFirstOverlapIsTheMaskLoop holds the overlap table to the loop it
+// replaced, over every pair of channels of every band: the first width
+// slot, up to a's own, whose view of a intersects c's mask. Because the
+// views nest, c overlaps (in MHz) exactly the views from that slot on, so
+// a walk of [FirstOverlap, own] visits the slots the loop's mask tests
+// would have passed; a channel of another band overlaps none.
+func TestFirstOverlapIsTheMaskLoop(t *testing.T) {
+	for _, band := range allBands {
+		lo, hi := BandIDs(band)
+		for a := lo; a < hi; a++ {
+			own := a.Channel().Width.Slot()
+			for c := lo; c < hi; c++ {
+				f := 0
+				for f <= own && a.AtWidth(f).Mask()&c.Mask() == 0 {
+					f++
+				}
+				if got := a.FirstOverlap(c); got != f {
+					t.Fatalf("%v.FirstOverlap(%v) = %d, mask loop gives %d", a.Channel(), c.Channel(), got, f)
+				}
+				for s := 0; s <= own; s++ {
+					if got, want := a.AtWidth(s).Channel().Overlaps(c.Channel()), s >= f; got != want {
+						t.Fatalf("%v at slot %d overlaps %v = %v, want %v (first overlap %d)", a.Channel(), s, c.Channel(), got, want, f)
+					}
+				}
+			}
+			for _, other := range allBands {
+				if other == band {
+					continue
+				}
+				olo, ohi := BandIDs(other)
+				for c := olo; c < ohi; c++ {
+					if got := a.FirstOverlap(c); got != own+1 {
+						t.Fatalf("%v.FirstOverlap(%v) = %d across bands, want %d", a.Channel(), c.Channel(), got, own+1)
+					}
+				}
+			}
+		}
+	}
+}
+
 func contains(haystack, needles []int) bool {
 	set := map[int]bool{}
 	for _, h := range haystack {

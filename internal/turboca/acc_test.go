@@ -1,6 +1,7 @@
 package turboca
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,20 +14,40 @@ import (
 // the NodeP of every neighbor that has a channel, each by its own walk.
 func (p *planner) refDeltaScore(i int, c spectrum.ID) float64 {
 	prev := p.assign[i]
-	p.assign[i] = c
+	p.setAssign(i, c)
 	score := p.logNodeP(i, c)
 	for _, j := range p.neigh[i] {
 		if p.ignore[j] {
 			continue
 		}
-		nc := p.channelOf(j)
+		nc := p.on[j]
 		if nc == spectrum.None {
 			continue
 		}
 		score += p.logNodeP(j, nc)
 	}
-	p.assign[i] = prev
+	p.setAssign(i, prev)
 	return score
+}
+
+// rowDrift reports the first j whose on[j] is not what neighbors see of j
+// by the rule: none while j is in ψ, else its assignment if it has one,
+// else its incumbent.
+func rowDrift(p *planner) error {
+	for j := range p.on {
+		want := p.current[j]
+		switch {
+		case p.ignore[j]:
+			want = spectrum.None
+		case p.assign[j] != spectrum.None:
+			want = p.assign[j]
+		}
+		if p.on[j] != want {
+			return fmt.Errorf("on[%d] = %d, the rule gives %d (assign %d, ψ %v, current %d)",
+				j, p.on[j], want, p.assign[j], p.ignore[j], p.current[j])
+		}
+	}
+	return nil
 }
 
 // hostileRow draws a sub-channel row as no producer builds one: nil, cut
@@ -121,12 +142,13 @@ func hostileInput(r *rand.Rand) Input {
 }
 
 // checkACCMatchesReference draws a hostile input and a series of working
-// states from seed and, for every AP in every state, holds ACC to its
-// definition: each candidate of the ladder scores bit-for-bit what
-// refDeltaScore gives it, so the picks agree, and scoring leaves assign
-// and ignore as it found them. Only two NaNs may differ in their bits:
-// which operand's payload the sum of two NaNs keeps is the compiler's
-// choice of operand order, and no comparison can tell.
+// states from seed, written through the planner's writers in a random
+// order, and holds the resolved row to its rule in every state and, for
+// every AP, ACC to its definition: each candidate of the ladder scores
+// bit-for-bit what refDeltaScore gives it, so the picks agree, and scoring
+// leaves assign and ignore as it found them. Only two NaNs may differ in
+// their bits: which operand's payload the sum of two NaNs keeps is the
+// compiler's choice of operand order, and no comparison can tell.
 func checkACCMatchesReference(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	p := newPlanner(DefaultConfig(), hostileInput(r)).cloneScratch()
@@ -135,13 +157,21 @@ func checkACCMatchesReference(t *testing.T, seed int64) {
 	n := len(p.views)
 	for state := 0; state < 25; state++ {
 		for j := 0; j < n; j++ {
-			p.assign[j], p.ignore[j] = spectrum.None, r.Intn(5) == 0
-			if r.Intn(3) != 0 {
-				p.assign[j] = anyID()
+			for _, w := range r.Perm(3) {
+				switch {
+				case w == 0:
+					p.setIgnore(j, r.Intn(5) == 0)
+				case w == 1 && r.Intn(3) != 0:
+					p.setAssign(j, anyID())
+				case w == 1:
+					p.setAssign(j, spectrum.None)
+				case r.Intn(8) == 0: // a level's adoption step moved the incumbent
+					p.setCurrent(j, anyID())
+				}
 			}
-			if r.Intn(8) == 0 { // a level's adoption step moved the incumbent
-				p.current[j] = anyID()
-			}
+		}
+		if err := rowDrift(p); err != nil {
+			t.Fatalf("seed %d state %d: %v", seed, state, err)
 		}
 		assign := append([]spectrum.ID(nil), p.assign...)
 		ignore := append([]bool(nil), p.ignore...)
@@ -172,6 +202,9 @@ func checkACCMatchesReference(t *testing.T, seed int64) {
 				t.Fatalf("seed %d state %d: scoring wrote the working state of AP %d", seed, state, j)
 			}
 		}
+		if err := rowDrift(p); err != nil {
+			t.Fatalf("seed %d state %d, after scoring: %v", seed, state, err)
+		}
 	}
 }
 
@@ -189,6 +222,62 @@ func FuzzACCMatchesReference(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkACCMatchesReference)
+}
+
+// checkingSource is a random source that holds a planner's resolved row to
+// its rule before every draw. nbo draws right after each ACC pick (the
+// next load-weighted pick, or the next seed), so the draws see every state
+// an ACC pick leaves, the ψ markings and each round's reset.
+type checkingSource struct {
+	rand.Source
+	p     *planner
+	t     *testing.T
+	where string
+	draws int
+}
+
+func (s *checkingSource) Int63() int64 {
+	s.draws++
+	if err := rowDrift(s.p); err != nil {
+		s.t.Fatalf("%s, draw %d: %v", s.where, s.draws, err)
+	}
+	return s.Source.Int63()
+}
+
+// TestResolvedRowThroughRounds holds the resolved row to its rule over
+// whole NBO rounds, on sanitized and hostile input at every hop level, with
+// the shared incumbent moved between levels as runNBO's adoption moves it:
+// after every ACC pick and at the end of every round, on[j] is the rule's
+// value for every j.
+func TestResolvedRowThroughRounds(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		in := randomInput(r)
+		if seed%2 == 1 {
+			in = hostileInput(r)
+		}
+		p := newPlanner(DefaultConfig(), in)
+		p.cfg.UniformPick = seed%3 == 0
+		wp := p.cloneScratch()
+		src := &checkingSource{Source: rand.NewSource(seed), p: wp, t: t}
+		for li, h := range []int{2, 1, 0} {
+			for round := 0; round < 3; round++ {
+				src.where = fmt.Sprintf("seed %d hop %d round %d", seed, h, round)
+				wp.nbo(rand.New(src), h)
+				if err := rowDrift(wp); err != nil {
+					t.Fatalf("%s, at its end: %v", src.where, err)
+				}
+			}
+			for i, c := range wp.assign {
+				if c != spectrum.None && (i+li)%2 == 0 {
+					p.setCurrent(i, c) // adoption, as between runNBO's levels
+				}
+			}
+		}
+		if src.draws == 0 {
+			t.Fatalf("seed %d: nbo drew nothing; the row was never checked", seed)
+		}
+	}
 }
 
 // TestACCDoesNotAllocate pins ACC's scratch to the clone: once a round has

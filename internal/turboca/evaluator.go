@@ -46,10 +46,10 @@ const Unassigned = int(spectrum.None)
 // checks).
 func NewEvaluator(cfg Config, in Input) *Evaluator {
 	p := newPlanner(cfg, in)
-	// Clear the incumbent layer: channelOf must reflect only what the
-	// caller has assigned. onAir is untouched (penalty anchoring).
+	// Clear the incumbent layer: neighbors must see only what the caller
+	// has assigned. onAir is untouched (penalty anchoring).
 	for i := range p.current {
-		p.current[i] = spectrum.None
+		p.setCurrent(i, spectrum.None)
 	}
 	e := &Evaluator{p: p, cands: make([][]int, len(p.views))}
 	for i, v := range p.views {
@@ -89,7 +89,7 @@ func (e *Evaluator) OnAir(i int) int { return int(e.p.onAir[i]) }
 func (e *Evaluator) Channel(c int) spectrum.Channel { return spectrum.ID(c).Channel() }
 
 // Assign sets AP i's working channel (Unassigned clears it).
-func (e *Evaluator) Assign(i, c int) { e.p.assign[i] = spectrum.ID(c) }
+func (e *Evaluator) Assign(i, c int) { e.p.setAssign(i, spectrum.ID(c)) }
 
 // NodeP returns ln NodeP(i, c) under the current working assignment: the
 // exact per-AP term logNetP would sum for i if it held channel c. For
@@ -100,9 +100,9 @@ func (e *Evaluator) NodeP(i, c int) float64 {
 		return e.p.views[i].Load * math.Log(e.p.cfg.MetricFloor)
 	}
 	prev := e.p.assign[i]
-	e.p.assign[i] = spectrum.ID(c)
+	e.p.setAssign(i, spectrum.ID(c))
 	v := e.p.logNodeP(i, spectrum.ID(c))
-	e.p.assign[i] = prev
+	e.p.setAssign(i, prev)
 	return v
 }
 

@@ -205,9 +205,13 @@ type planner struct {
 	weight  []float64 // contention weight this AP exerts on neighbors
 	penBase []float64 // switch penalty before channel comparison
 
-	// Scratch state for one NBO pass.
+	// Scratch state for one NBO pass. Only the writers below write assign,
+	// ignore and current, and each re-resolves on: what neighbors see of
+	// AP j, spectrum.None while j is in ψ (ignore), else assign[j] if set,
+	// else current[j].
 	assign []spectrum.ID // spectrum.None = unassigned in the working plan
 	ignore []bool
+	on     []spectrum.ID
 
 	// accWalk's scratch: the AP's own contention by channel ID, and an
 	// entry per scored neighbor (sized by the largest degree).
@@ -233,18 +237,19 @@ func newPlanner(cfg Config, in Input) *planner {
 		adm:     newAdmissibleSets(in),
 		views:   make([]*APView, n),
 		neigh:   make([][]int, n),
-		onAir:   make([]spectrum.ID, n),
-		current: make([]spectrum.ID, n),
 		load:    make([][4][4]float64, n),
 		extOf:   make([][]float64, n),
 		weight:  make([]float64, n),
 		penBase: make([]float64, n),
-		assign:  make([]spectrum.ID, n),
 		ignore:  make([]bool, n),
 		eligGen: make([]int, n),
 		seenGen: make([]int, n),
 		remBuf:  make([]int, 0, n),
 	}
+	ids := make([]spectrum.ID, 4*n)
+	p.onAir, p.current = ids[:n:n], ids[n:2*n:2*n]
+	p.assign, p.on = ids[2*n:3*n:3*n], ids[3*n:]
+	p.unassignAll()
 	for i := range in.APs {
 		p.views[i] = &in.APs[i]
 	}
@@ -256,8 +261,7 @@ func newPlanner(cfg Config, in Input) *planner {
 		// and unsanitized telemetry can carry one that is no channel of
 		// this band: both are "unassigned".
 		p.onAir[i] = p.idOf(v.Current)
-		p.current[i] = p.onAir[i]
-		p.assign[i] = spectrum.None
+		p.setCurrent(i, p.onAir[i])
 		p.neigh[i], _ = repairNeighbors(v.Neighbors, -1, n, nil)
 		total := 0.0
 		for _, s := range v.WidthLoad {
@@ -355,13 +359,16 @@ func (p *planner) penaltyBase(v *APView) float64 {
 
 // cloneScratch returns a planner that shares every immutable table with p
 // (views, neigh, extOf, load, weight, penBase, onAir, current)
-// but owns its own assign/ignore and ACC scratch state, so concurrent NBO
+// but owns its own assign/ignore/on and ACC scratch state, so concurrent NBO
 // rounds can run on clones without synchronization. The shared current
-// slice is only mutated between hop levels, when no clone is running.
+// slice is only mutated between hop levels, when no clone is running. The
+// clone's working state is unset: nbo's reset resolves it from current
+// before every round.
 func (p *planner) cloneScratch() *planner {
 	cp := *p
 	n := len(p.assign)
-	cp.assign = make([]spectrum.ID, n)
+	ids := make([]spectrum.ID, 2*n)
+	cp.assign, cp.on = ids[:n:n], ids[n:]
 	cp.ignore = make([]bool, n)
 	cp.accOwn = make([]float64, len(p.accOwn))
 	cp.accTerms = make([]accTerm, len(p.accTerms))
@@ -370,21 +377,31 @@ func (p *planner) cloneScratch() *planner {
 	cp.seenGen = make([]int, n)
 	cp.gen = 0
 	cp.remBuf = make([]int, 0, n)
-	for i := range cp.assign {
-		cp.assign[i] = spectrum.None
-	}
 	return &cp
 }
 
-// channelOf resolves AP j's channel under the working state.
-func (p *planner) channelOf(j int) spectrum.ID {
-	if p.ignore[j] {
-		return spectrum.None
+// The working state's writers: every write to assign, ignore and current
+// goes through one of them, and each re-resolves on for what it wrote.
+func (p *planner) setAssign(i int, c spectrum.ID)  { p.assign[i] = c; p.resolve(i) }
+func (p *planner) setIgnore(i int, psi bool)       { p.ignore[i] = psi; p.resolve(i) }
+func (p *planner) setCurrent(i int, c spectrum.ID) { p.current[i] = c; p.resolve(i) }
+
+// unassignAll clears the working plan and ψ: every AP shows its incumbent.
+func (p *planner) unassignAll() {
+	for i := range p.assign {
+		p.assign[i], p.ignore[i], p.on[i] = spectrum.None, false, p.current[i]
 	}
-	if p.assign[j] != spectrum.None {
-		return p.assign[j]
+}
+
+func (p *planner) resolve(i int) {
+	switch {
+	case p.ignore[i]:
+		p.on[i] = spectrum.None
+	case p.assign[i] != spectrum.None:
+		p.on[i] = p.assign[i]
+	default:
+		p.on[i] = p.current[i]
 	}
-	return p.current[j]
 }
 
 // contention sums the weights of i's neighbors whose channel under the
@@ -394,7 +411,7 @@ func (p *planner) contention(i int, sub spectrum.ID) float64 {
 	contention := 0.0
 	mask := sub.Mask()
 	for _, j := range p.neigh[i] {
-		nc := p.channelOf(j)
+		nc := p.on[j]
 		if nc != spectrum.None && mask&nc.Mask() != 0 {
 			contention += p.weight[j]
 		}
@@ -466,7 +483,7 @@ func (p *planner) nodeP(i int, c spectrum.ID, own []float64) float64 {
 func (p *planner) logNetP() float64 {
 	sum := 0.0
 	for i := range p.views {
-		c := p.channelOf(i)
+		c := p.on[i]
 		if c == spectrum.None {
 			sum += p.views[i].Load * math.Log(p.cfg.MetricFloor)
 			continue
@@ -478,11 +495,10 @@ func (p *planner) logNetP() float64 {
 
 // loadAssign installs a Plan map into the scratch assignment state.
 func (p *planner) loadAssign(plan Plan) {
+	p.unassignAll()
 	for i, v := range p.views {
-		p.assign[i] = spectrum.None
-		p.ignore[i] = false
 		if a, ok := plan[v.ID]; ok {
-			p.assign[i] = p.idOf(a.Channel)
+			p.setAssign(i, p.idOf(a.Channel))
 		}
 	}
 }

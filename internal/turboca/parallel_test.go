@@ -88,9 +88,6 @@ func oldBestNetP(cfg Config, in Input, seed int64, hops []int) float64 {
 	if runs <= 0 {
 		runs = 2 + len(in.APs)/100
 	}
-	for i := range p.assign {
-		p.assign[i] = spectrum.None
-	}
 	best := p.logNetP()
 	for li, h := range hops {
 		for r := 0; r < runs; r++ {

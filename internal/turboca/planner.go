@@ -41,12 +41,11 @@ func (p *planner) bestByDelta(i int, cs []spectrum.ID) spectrum.ID {
 // accTerm is what one scored neighbor j adds to every candidate's score for
 // the AP under ACC (DESIGN §3.5). ln NodeP(j) depends on the candidate only
 // through which width levels of j's channel it overlaps, and those nest, so
-// the first level the candidate overlaps decides it.
+// the first level the candidate overlaps (nc.FirstOverlap) decides it.
 type accTerm struct {
-	self  bool       // j is the AP itself, a self-loop: its NodeP is the AP's own
-	n     int        // width levels of j's channel
-	mask  [4]uint64  // j's channel seen at each of them, narrow to wide
-	nodeP [5]float64 // ln NodeP(j) by the first level overlapped; [n] for none
+	self  bool        // j is the AP itself, a self-loop: its NodeP is the AP's own
+	nc    spectrum.ID // j's channel
+	nodeP [5]float64  // ln NodeP(j) by the first level overlapped; past nc's width for none
 }
 
 // accWalk computes what i's candidate scores share, in one walk of neigh[i]:
@@ -67,7 +66,7 @@ func (p *planner) accWalk(i int) []accTerm {
 			terms = append(terms, accTerm{self: true})
 			continue
 		}
-		nc := p.channelOf(j) // none in ψ, i included
+		nc := p.on[j] // none in ψ, i included
 		if nc == spectrum.None {
 			continue
 		}
@@ -86,10 +85,7 @@ func (p *planner) accWalk(i int) []accTerm {
 // whose weight enters where contention() adds it when the candidate overlaps.
 func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 	cw := nc.Channel().Width.Slot()
-	t := accTerm{n: cw + 1}
-	for b := 0; b <= cw; b++ {
-		t.mask[b] = nc.AtWidth(b).Mask()
-	}
+	t := accTerm{nc: nc}
 	var with, without [4]float64
 	for _, k := range p.neigh[j] {
 		if k == i && !p.ignore[i] {
@@ -98,15 +94,14 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 			}
 			continue
 		}
-		kc := p.channelOf(k)
-		if kc == spectrum.None || kc.Mask()&nc.Mask() == 0 {
+		kc := p.on[k]
+		if kc == spectrum.None {
 			continue
 		}
-		for b, m := 0, kc.Mask(); b <= cw; b++ {
-			if m&t.mask[b] != 0 {
-				with[b] += p.weight[k]
-				without[b] += p.weight[k]
-			}
+		// k overlaps nc's levels from the first it overlaps up to nc itself.
+		for b, w := nc.FirstOverlap(kc), p.weight[k]; b <= cw; b++ {
+			with[b] += w
+			without[b] += w
 		}
 	}
 	// logNodeP's sum, once per level f the candidate's overlap can start at.
@@ -117,7 +112,7 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 		}
 		on := p.levelTerm(j, nc, b, load, with[b])
 		off := p.levelTerm(j, nc, b, load, without[b])
-		for f := range t.nodeP[:t.n+1] {
+		for f := range t.nodeP[:cw+2] {
 			if b < f {
 				t.nodeP[f] += off
 			} else {
@@ -133,18 +128,14 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 // depends on i's channel). terms is accWalk(i)'s result.
 func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
 	own := p.nodeP(i, c, p.accOwn)
-	score, mask := own, c.Mask()
+	score := own
 	for k := range terms {
 		t := &terms[k]
 		if t.self {
 			score += own
 			continue
 		}
-		f := 0
-		for f < t.n && mask&t.mask[f] == 0 {
-			f++
-		}
-		score += t.nodeP[f]
+		score += t.nodeP[t.nc.FirstOverlap(c)]
 	}
 	return score
 }
@@ -169,18 +160,14 @@ func (p *planner) bestNonDFSFallback(i int) spectrum.Channel {
 // group is (re)planned. Picks on line 8 are weighted by AP load so heavily
 // loaded APs plan first and get the cleaner channels.
 func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
-	n := len(p.views)
-	for i := 0; i < n; i++ {
-		p.assign[i] = spectrum.None
-		p.ignore[i] = false
-	}
+	p.unassignAll()
 	remaining := p.remBuf[:0]
-	for i := 0; i < n; i++ {
+	for i := range p.views {
 		// A pinned AP (stale/offline telemetry, §4.5-style caution) is
 		// pre-assigned its current channel and never enters ψ: neighbors
 		// always see it where it really is, and no pass can move it.
 		if p.views[i].Pinned && p.current[i] != spectrum.None {
-			p.assign[i] = p.current[i]
+			p.setAssign(i, p.current[i])
 			continue
 		}
 		remaining = append(remaining, i)
@@ -194,7 +181,7 @@ func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
 		// Line 5: group = seed + APs within hopLimit hops, unassigned.
 		group := p.hopGroup(seed, hopLimit, remaining)
 		for _, g := range group {
-			p.ignore[g] = true // ψ: presume these will change
+			p.setIgnore(g, true) // ψ: presume these will change
 		}
 		// Line 6: S <- S - Sgroup. Group members are exactly the remaining
 		// APs currently marked in ψ.
@@ -212,8 +199,8 @@ func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
 			gi := p.pickLoadWeighted(rng, group)
 			m := group[gi]
 			group = append(group[:gi], group[gi+1:]...)
-			p.ignore[m] = false
-			p.assign[m] = p.acc(m)
+			p.setIgnore(m, false)
+			p.setAssign(m, p.acc(m))
 		}
 	}
 }
@@ -376,13 +363,11 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 	}
 	base := rng.Int63()
 
-	// Baseline: current channels as-is. Never-assigned APs score at their
+	// Baseline: current channels as-is (newPlanner leaves every AP
+	// unassigned; rounds run on clones). Never-assigned APs score at their
 	// NodeP floor (see logNetP), so any round that gives them a channel
 	// beats the baseline on their account rather than being penalized for
 	// disturbing a fictitious perfect score.
-	for i := range p.assign {
-		p.assign[i] = spectrum.None
-	}
 	bestScore := p.logNetP()
 	var bestAssign []spectrum.ID
 	improved := false
@@ -440,7 +425,7 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 		if bestAssign != nil {
 			for i, c := range bestAssign {
 				if c != spectrum.None {
-					p.current[i] = c
+					p.setCurrent(i, c)
 				}
 			}
 		}
@@ -450,12 +435,8 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 	}
 
 	res := Result{LogNetP: bestScore, Improved: improved, Rounds: rounds}
-	if bestAssign != nil {
-		copy(p.assign, bestAssign)
-	} else {
-		for i := range p.assign {
-			p.assign[i] = spectrum.None
-		}
+	for i, c := range bestAssign { // none: p is still all unassigned
+		p.setAssign(i, c)
 	}
 	res.Plan = p.snapshotPlan()
 	res.Switches = p.switches(res.Plan)

@@ -25,9 +25,9 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 			// Isolated objective: only this AP's NodeP, evaluated against
 			// the working plan (earlier APs in the sequence keep their
 			// new channels; later ones their current).
-			p.assign[i] = c
+			p.setAssign(i, c)
 			score := p.logNodeP(i, c)
-			p.assign[i] = spectrum.None
+			p.setAssign(i, spectrum.None)
 			if score > bestScore {
 				bestScore = score
 				best = c
@@ -36,7 +36,7 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 		if best == spectrum.None {
 			best = p.current[i] // no candidate at the fixed width
 		}
-		p.assign[i] = best
+		p.setAssign(i, best)
 	}
 
 	res := Result{Plan: p.snapshotPlan(), LogNetP: p.logNetP(), Improved: true}
