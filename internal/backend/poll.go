@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/littletable"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -151,14 +150,8 @@ func (b *Backend) ingest(s polledSample) {
 		// The per-transmission samples land as one batch per table: one
 		// lock round-trip for the AP's whole sample set instead of one per
 		// sample.
-		latRows := make([]littletable.Row, len(s.latencies))
-		effRows := make([]littletable.Row, len(s.effs))
-		for i := range s.latencies {
-			latRows[i] = littletable.Row{At: s.at, Fields: map[string]float64{"ms": s.latencies[i]}}
-			effRows[i] = littletable.Row{At: s.at, Fields: map[string]float64{"eff": s.effs[i]}}
-		}
-		b.DB.Table("tcp_latency").InsertBatch(key, latRows)
-		b.DB.Table("bitrate_eff").InsertBatch(key, effRows)
+		b.DB.Table("tcp_latency").InsertSamples(key, s.at, "ms", s.latencies)
+		b.DB.Table("bitrate_eff").InsertSamples(key, s.at, "eff", s.effs)
 	}
 	// A delayed report may arrive after a fresher one already landed;
 	// last-known-good is ordered by sample time, not delivery time.

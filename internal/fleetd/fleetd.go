@@ -158,7 +158,9 @@ func (c Config) withDefaults() Config {
 // wall-clock knobs are deliberately excluded: they never affect state
 // bytes. Two slots hold constants — a 24 h telemetry window and a 0
 // dirty-skip-off flag, settings the controller no longer has — so the
-// digest, and with it which journals Open accepts, stays what it was.
+// digest, and with it which journals Open accepts, stays what it was. The
+// last holds turboca.Format: a journal written under another planner
+// format would diverge at its first checkpoint, so Open refuses it up front.
 func (c Config) digest() uint64 {
 	h := fnv.New64a()
 	wr := func(vs ...int64) {
@@ -179,6 +181,7 @@ func (c Config) digest() uint64 {
 	} else {
 		wr(0)
 	}
+	wr(turboca.Format)
 	return h.Sum64()
 }
 

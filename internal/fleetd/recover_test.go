@@ -385,6 +385,34 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 	}
 }
 
+// preGridConfig's digest was 0x6308c920312de455 before turboca.Format
+// was folded into it.
+var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
+
+// TestOpenRefusesPreGridJournal: a journal written before contention went
+// on the planner's integer grid replays into other ln NetP bits and would
+// fail at its first checkpoint. Its config record carries the pre-grid
+// digest, so Open refuses it up front with the config-digest error, and
+// accepts the same records under the current digest.
+func TestOpenRefusesPreGridJournal(t *testing.T) {
+	opt := testFleet(29, 3).Opt
+	for _, digest := range []uint64{0x6308c920312de455, preGridConfig.withDefaults().digest()} {
+		store := NewMemStore(nil)
+		store.journal.Write(journalBytes(t,
+			jrec{Op: opConfig, Digest: digest},
+			jrec{Op: opAddFleet, Fleet: &opt},
+			jrec{Op: opAdvance, To: int64(30 * sim.Minute)},
+		))
+		cfg := preGridConfig
+		cfg.Obs = obs.NewRegistry()
+		_, err := Open(cfg, store)
+		if pre := digest == 0x6308c920312de455; pre != (err != nil) ||
+			pre && !strings.Contains(err.Error(), "journal config digest 0x6308c920312de455 does not match") {
+			t.Fatalf("Open of a journal with digest %#x: err = %v", digest, err)
+		}
+	}
+}
+
 // TestOpenRejectsConfigMismatch: a journal must not replay under a
 // configuration that would rebuild different state.
 func TestOpenRejectsConfigMismatch(t *testing.T) {

@@ -1,7 +1,9 @@
 package littletable
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -171,5 +173,56 @@ func BenchmarkInsertBatch(b *testing.B) {
 		}
 		tab.InsertBatch("k", buf)
 		tab.Trim(at + sim.Minute)
+	}
+}
+
+// TestInsertSamplesMatchesBatch: InsertSamples and InsertValue store what
+// InsertBatch of one-field maps and Insert of a one-field map store — the
+// same rows, values and order, under shared schemas, with retention and
+// out-of-order times among them — so Save writes the same bytes and reads
+// agree.
+func TestInsertSamplesMatchesBatch(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	direct, mapped := NewDB(), NewDB()
+	direct.SetRetention(40 * sim.Second)
+	mapped.SetRetention(40 * sim.Second)
+	for op := 0; op < 400; op++ {
+		key, at := fmt.Sprint("ap", r.Intn(3)), sim.Time(r.Intn(120))*sim.Second
+		field := []string{"ms", "eff", "v"}[r.Intn(3)]
+		switch r.Intn(3) {
+		case 0:
+			vals := make([]float64, r.Intn(5))
+			rows := make([]Row, len(vals))
+			for i := range vals {
+				vals[i] = r.Float64()
+				rows[i] = Row{At: at, Fields: map[string]float64{field: vals[i]}}
+			}
+			direct.Table("t").InsertSamples(key, at, field, vals)
+			mapped.Table("t").InsertBatch(key, rows)
+		case 1:
+			v := r.Float64()
+			direct.Table("t").InsertValue(key, at, field, v)
+			mapped.Table("t").Insert(key, at, map[string]float64{field: v})
+		default:
+			fields := map[string]float64{"ms": r.Float64(), "v": r.Float64()}
+			direct.Table("t").Insert(key, at, fields)
+			mapped.Table("t").Insert(key, at, fields)
+		}
+		if op%50 == 49 {
+			a, b := direct.Table("t").Range(key, 0, sim.Hour), mapped.Table("t").Range(key, 0, sim.Hour)
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("op %d: %s reads\n%v\nwant\n%v", op, key, a, b)
+			}
+		}
+	}
+	var a, b bytes.Buffer
+	if err := direct.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := mapped.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("InsertSamples/InsertValue saved other bytes than InsertBatch/Insert")
 	}
 }

@@ -331,7 +331,57 @@ func (t *Table) pruneOnReadLocked() {
 
 // InsertValue appends a single-field row.
 func (t *Table) InsertValue(key string, at sim.Time, field string, v float64) {
-	t.Insert(key, at, map[string]float64{field: v})
+	start := time.Now()
+	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
+	obsm.rowsInserted.Inc()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.appendValuesLocked(key, at, field, []float64{v})
+	t.maybePruneLocked(1)
+}
+
+// InsertSamples appends one single-field row per value, all at at, in
+// order, under one lock: InsertBatch's path for a sample set, without a
+// map per row.
+func (t *Table) InsertSamples(key string, at sim.Time, field string, vals []float64) {
+	if len(vals) == 0 {
+		return
+	}
+	start := time.Now()
+	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
+	obsm.rowsInserted.Add(int64(len(vals)))
+	obsm.batchRows.Observe(int64(len(vals)))
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.appendValuesLocked(key, at, field, vals)
+	t.maybePruneLocked(len(vals))
+}
+
+// appendValuesLocked is appendLocked for single-field rows at one time,
+// interning the one-field schema directly. Caller holds t.mu.
+func (t *Table) appendValuesLocked(key string, at sim.Time, field string, vals []float64) {
+	s, ok := t.byKey[key]
+	if !ok {
+		s = &series{}
+		t.byKey[key] = s
+	}
+	if n := len(s.rows); n > 0 && at < s.rows[n-1].at {
+		s.unsorted = true
+	}
+	t.maxAt = max(t.maxAt, at)
+	sc := t.lastSchema
+	if sc == nil || len(sc.names) != 1 || sc.names[0] != field {
+		// A one-field set's interning key is the field name itself.
+		if sc, ok = t.schemas[field]; !ok {
+			sc = &rowSchema{names: []string{field}, idx: map[string]int{field: 0}}
+			t.schemas[field] = sc
+		}
+		t.lastSchema = sc
+	}
+	for _, v := range vals {
+		s.rows = append(s.rows, crow{at: at, schema: sc, off: int32(len(s.vals))})
+		s.vals = append(s.vals, v)
+	}
 }
 
 // Keys returns every key with at least one row, sorted.

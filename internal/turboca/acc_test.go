@@ -1,6 +1,7 @@
 package turboca
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -9,13 +10,51 @@ import (
 	"repro/internal/spectrum"
 )
 
+// contention sums the weights of i's neighbors whose channel under the
+// working state overlaps sub, in neigh order: the co-channel load i shares
+// sub's airtime with (§4.4.1), by definition.
+func (p *planner) contention(i int, sub spectrum.ID) float64 {
+	contention := 0.0
+	mask := sub.Mask()
+	for _, j := range p.neigh[i] {
+		nc := p.on[j]
+		if nc != spectrum.None && mask&nc.Mask() != 0 {
+			contention += p.weight[j]
+		}
+	}
+	return contention
+}
+
+// refLogNodeP is ln NodeP(i, c) by definition: every level's contention by
+// its own walk of neigh[i], whatever i holds.
+func (p *planner) refLogNodeP(i int, c spectrum.ID) float64 {
+	cw := c.Channel().Width.Slot()
+	sum := 0.0
+	for b := 0; b <= cw; b++ {
+		if load := p.load[i][cw][b]; load != 0 {
+			sum += p.levelTerm(i, c, b, load, p.contention(i, c.AtWidth(b)))
+		}
+	}
+	return sum
+}
+
+// nodePAt is the planner's ln NodeP(i, c): c put on i through the writers
+// and read from i's kept row, as the Evaluator and ReservedCA score.
+func nodePAt(p *planner, i int, c spectrum.ID) float64 {
+	prev := p.assign[i]
+	p.setAssign(i, c)
+	v := p.logNodeP(i)
+	p.setAssign(i, prev)
+	return v
+}
+
 // refDeltaScore is ACC's score by definition — the planner's scoring path
 // until accWalk/accScore factored it: put c on i, then sum i's NodeP and
 // the NodeP of every neighbor that has a channel, each by its own walk.
 func (p *planner) refDeltaScore(i int, c spectrum.ID) float64 {
 	prev := p.assign[i]
 	p.setAssign(i, c)
-	score := p.logNodeP(i, c)
+	score := p.refLogNodeP(i, c)
 	for _, j := range p.neigh[i] {
 		if p.ignore[j] {
 			continue
@@ -24,7 +63,7 @@ func (p *planner) refDeltaScore(i int, c spectrum.ID) float64 {
 		if nc == spectrum.None {
 			continue
 		}
-		score += p.logNodeP(j, nc)
+		score += p.refLogNodeP(j, nc)
 	}
 	p.setAssign(i, prev)
 	return score
@@ -45,6 +84,35 @@ func rowDrift(p *planner) error {
 		if p.on[j] != want {
 			return fmt.Errorf("on[%d] = %d, the rule gives %d (assign %d, ψ %v, current %d)",
 				j, p.on[j], want, p.assign[j], p.ignore[j], p.current[j])
+		}
+	}
+	return nil
+}
+
+// levelDrift reports the first j whose kept level row is not a fresh
+// integer walk of neigh[j] by mask tests, and the first whose logNodeP is
+// not its definition's.
+func levelDrift(p *planner) error {
+	for j, nc := range p.on {
+		var want [4]int64
+		if nc != spectrum.None {
+			for b := 0; b <= nc.Channel().Width.Slot(); b++ {
+				mask := nc.AtWidth(b).Mask()
+				for _, k := range p.neigh[j] {
+					if kc := p.on[k]; kc != spectrum.None && mask&kc.Mask() != 0 {
+						want[b] += p.wq[k]
+					}
+				}
+			}
+		}
+		if p.lvl[j].q != want {
+			return fmt.Errorf("lvl[%d] = %v, a walk of %v on %d gives %v", j, p.lvl[j].q, p.neigh[j], nc, want)
+		}
+		if nc == spectrum.None {
+			continue
+		}
+		if got, ref := p.logNodeP(j), p.refLogNodeP(j, nc); math.Float64bits(got) != math.Float64bits(ref) && !(math.IsNaN(got) && math.IsNaN(ref)) {
+			return fmt.Errorf("logNodeP(%d) = %v, by definition %v", j, got, ref)
 		}
 	}
 	return nil
@@ -170,7 +238,7 @@ func checkACCMatchesReference(t *testing.T, seed int64) {
 				}
 			}
 		}
-		if err := rowDrift(p); err != nil {
+		if err := errors.Join(rowDrift(p), levelDrift(p)); err != nil {
 			t.Fatalf("seed %d state %d: %v", seed, state, err)
 		}
 		assign := append([]spectrum.ID(nil), p.assign...)
@@ -202,7 +270,7 @@ func checkACCMatchesReference(t *testing.T, seed int64) {
 				t.Fatalf("seed %d state %d: scoring wrote the working state of AP %d", seed, state, j)
 			}
 		}
-		if err := rowDrift(p); err != nil {
+		if err := errors.Join(rowDrift(p), levelDrift(p)); err != nil {
 			t.Fatalf("seed %d state %d, after scoring: %v", seed, state, err)
 		}
 	}
@@ -238,7 +306,7 @@ type checkingSource struct {
 
 func (s *checkingSource) Int63() int64 {
 	s.draws++
-	if err := rowDrift(s.p); err != nil {
+	if err := errors.Join(rowDrift(s.p), levelDrift(s.p)); err != nil {
 		s.t.Fatalf("%s, draw %d: %v", s.where, s.draws, err)
 	}
 	return s.Source.Int63()
@@ -264,7 +332,7 @@ func TestResolvedRowThroughRounds(t *testing.T) {
 			for round := 0; round < 3; round++ {
 				src.where = fmt.Sprintf("seed %d hop %d round %d", seed, h, round)
 				wp.nbo(rand.New(src), h)
-				if err := rowDrift(wp); err != nil {
+				if err := errors.Join(rowDrift(wp), levelDrift(wp)); err != nil {
 					t.Fatalf("%s, at its end: %v", src.where, err)
 				}
 			}
@@ -292,5 +360,79 @@ func TestACCDoesNotAllocate(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Fatalf("acc allocates %v times per call on a warm clone", allocs)
+	}
+}
+
+// TestContentionGridExact holds the grid to its bound: on a clique whose
+// every list has the most entries the planner reads, each of them a
+// neighbor at maxSaneLoad (or an infinite load, clamped), contention() —
+// float adds in neigh order — equals the kept integer sum times the quantum
+// bit for bit, on one shared channel, where every sum is the largest there
+// is, and on channels drawn at random. quantize maps what no sane load
+// gives as its comment says.
+func TestContentionGridExact(t *testing.T) {
+	for _, tc := range []struct{ x, want float64 }{
+		{math.NaN(), 0},
+		{math.Inf(1), maxWeightQ},
+		{math.Inf(-1), -maxWeightQ},
+		{1e300, maxWeightQ},
+		{-1e300, -maxWeightQ},
+		{0.2 - 1, -math.Round(0.8 / quantum)},
+		{0.2 + maxSaneLoad, math.Round((0.2 + maxSaneLoad) / quantum)},
+		{3 * quantum, 3},
+		{-2.5 * quantum, -3}, // half away from zero
+	} {
+		if got := quantize(tc.x); float64(got) != tc.want {
+			t.Errorf("quantize(%v) = %d, want %v", tc.x, got, tc.want)
+		}
+	}
+
+	const aps = 17 // every list repeats each of the other 16 APs 1024 times
+	for _, load := range []float64{maxSaneLoad, math.Inf(1)} {
+		in := Input{Band: spectrum.Band5, AllowDFS: true, MaxWidth: spectrum.W160}
+		for i := 0; i < aps; i++ {
+			v := APView{ID: i, MaxWidth: spectrum.W160, Load: load, WidthLoad: [4]float64{1, 1, 1, 1}}
+			for len(v.Neighbors) < maxNeighbors {
+				for j := 0; j < aps; j++ {
+					if j != i {
+						v.Neighbors = append(v.Neighbors, j)
+					}
+				}
+			}
+			v.Neighbors = append(v.Neighbors, (i+1)%aps) // one past the most: not read
+			in.APs = append(in.APs, v)
+		}
+		p := newPlanner(DefaultConfig(), in)
+		lo, hi := spectrum.BandIDs(in.Band)
+		wide := spectrum.AllChannels(in.Band, spectrum.W160, true)
+		shared, _ := spectrum.IDOf(wide[0])
+		r := rand.New(rand.NewSource(1))
+		for round := 0; round < 4; round++ {
+			for i := range p.views {
+				c := shared
+				if round > 0 {
+					c = lo + spectrum.ID(r.Intn(int(hi-lo)))
+				}
+				p.setAssign(i, c)
+			}
+			if err := levelDrift(p); err != nil {
+				t.Fatalf("load %v round %d: %v", load, round, err)
+			}
+			for j, nc := range p.on {
+				if len(p.neigh[j]) != maxNeighbors {
+					t.Fatalf("AP %d reads %d neighbor entries, want %d", j, len(p.neigh[j]), maxNeighbors)
+				}
+				for b := 0; b <= nc.Channel().Width.Slot(); b++ {
+					q := p.lvl[j].q[b]
+					if round == 0 && (q != maxNeighbors*p.wq[j] || q >= 1<<53) {
+						t.Fatalf("load %v: AP %d level %d keeps %d quanta, want %d × %d below 2⁵³", load, j, b, q, maxNeighbors, p.wq[j])
+					}
+					got, want := p.contention(j, nc.AtWidth(b)), float64(q)*quantum
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("load %v round %d AP %d level %d: contention %v, kept %d quanta = %v", load, round, j, b, got, q, want)
+					}
+				}
+			}
+		}
 	}
 }

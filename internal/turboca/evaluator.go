@@ -101,7 +101,7 @@ func (e *Evaluator) NodeP(i, c int) float64 {
 	}
 	prev := e.p.assign[i]
 	e.p.setAssign(i, spectrum.ID(c))
-	v := e.p.logNodeP(i, spectrum.ID(c))
+	v := e.p.logNodeP(i)
 	e.p.setAssign(i, prev)
 	return v
 }

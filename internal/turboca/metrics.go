@@ -15,6 +15,7 @@ package turboca
 import (
 	"math"
 	"math/bits"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/spectrum"
@@ -202,16 +203,23 @@ type planner struct {
 	// extOf[i] is the worst external util per channel, indexed by ID and
 	// filled for the input band's range only.
 	extOf   [][]float64
-	weight  []float64 // contention weight this AP exerts on neighbors
+	wq      []int64   // contention weight this AP exerts on neighbors, in quanta
+	weight  []float64 // the same weight as a float: float64(wq[i]) * quantum
 	penBase []float64 // switch penalty before channel comparison
+	// rev[revOff[x]:revOff[x+1]] lists every j whose neigh[j] holds x, once
+	// per entry, in ascending j; mult[nbrOff[i]+k] is how many times i
+	// appears in neigh[neigh[i][k]]. One allocation, never written after
+	// newPlanner.
+	revOff, rev, nbrOff, mult []int
 
 	// Scratch state for one NBO pass. Only the writers below write assign,
 	// ignore and current, and each re-resolves on: what neighbors see of
 	// AP j, spectrum.None while j is in ψ (ignore), else assign[j] if set,
-	// else current[j].
+	// else current[j]. resolve keeps lvl in step with on.
 	assign []spectrum.ID // spectrum.None = unassigned in the working plan
 	ignore []bool
 	on     []spectrum.ID
+	lvl    []levelRow
 
 	// accWalk's scratch: the AP's own contention by channel ID, and an
 	// entry per scored neighbor (sized by the largest degree).
@@ -234,22 +242,24 @@ func newPlanner(cfg Config, in Input) *planner {
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
-		adm:     newAdmissibleSets(in),
-		views:   make([]*APView, n),
-		neigh:   make([][]int, n),
-		load:    make([][4][4]float64, n),
-		extOf:   make([][]float64, n),
-		weight:  make([]float64, n),
-		penBase: make([]float64, n),
-		ignore:  make([]bool, n),
-		eligGen: make([]int, n),
-		seenGen: make([]int, n),
-		remBuf:  make([]int, 0, n),
+		adm:    newAdmissibleSets(in),
+		views:  make([]*APView, n),
+		neigh:  make([][]int, n),
+		load:   make([][4][4]float64, n),
+		extOf:  make([][]float64, n),
+		wq:     make([]int64, n),
+		ignore: make([]bool, n),
+		lvl:    newLevelRows(n),
 	}
+	floats := make([]float64, 2*n)
+	p.weight, p.penBase = floats[:n:n], floats[n:]
+	p.bfsScratch()
 	ids := make([]spectrum.ID, 4*n)
+	for k := range ids {
+		ids[k] = spectrum.None // nothing on the air yet: every level row is zero
+	}
 	p.onAir, p.current = ids[:n:n], ids[n:2*n:2*n]
 	p.assign, p.on = ids[2*n:3*n:3*n], ids[3*n:]
-	p.unassignAll()
 	for i := range in.APs {
 		p.views[i] = &in.APs[i]
 	}
@@ -261,8 +271,10 @@ func newPlanner(cfg Config, in Input) *planner {
 		// and unsanitized telemetry can carry one that is no channel of
 		// this band: both are "unassigned".
 		p.onAir[i] = p.idOf(v.Current)
-		p.setCurrent(i, p.onAir[i])
 		p.neigh[i], _ = repairNeighbors(v.Neighbors, -1, n, nil)
+		if len(p.neigh[i]) > maxNeighbors {
+			p.neigh[i] = p.neigh[i][:maxNeighbors:maxNeighbors]
+		}
 		total := 0.0
 		for _, s := range v.WidthLoad {
 			total += s
@@ -286,7 +298,8 @@ func newPlanner(cfg Config, in Input) *planner {
 				at[b] *= v.Load
 			}
 		}
-		p.weight[i] = 0.2 + v.Load
+		p.wq[i] = quantize(0.2 + v.Load)
+		p.weight[i] = float64(p.wq[i]) * quantum
 		p.penBase[i] = p.penaltyBase(v)
 		p.extOf[i] = ext[i*int(hi) : (i+1)*int(hi) : (i+1)*int(hi)]
 		for c := lo; c < hi; c++ {
@@ -295,7 +308,46 @@ func newPlanner(cfg Config, in Input) *planner {
 		maxDeg = max(maxDeg, len(p.neigh[i]))
 	}
 	p.accOwn, p.accTerms = make([]float64, hi), make([]accTerm, maxDeg)
+	p.buildAdjacency()
+	for i := range p.views {
+		p.setCurrent(i, p.onAir[i])
+	}
 	return p
+}
+
+// buildAdjacency fills revOff, rev, nbrOff and mult from neigh.
+func (p *planner) buildAdjacency() {
+	n, e := len(p.neigh), 0
+	for _, ns := range p.neigh {
+		e += len(ns)
+	}
+	tbl := make([]int, 2*(n+1+e))
+	p.revOff, p.rev = tbl[:n+1:n+1], tbl[n+1:n+1+e:n+1+e]
+	p.nbrOff, p.mult = tbl[n+1+e:2*(n+1)+e:2*(n+1)+e], tbl[2*(n+1)+e:]
+	for _, ns := range p.neigh {
+		for _, x := range ns {
+			p.revOff[x+1]++
+		}
+	}
+	for x := range n {
+		p.revOff[x+1] += p.revOff[x]
+	}
+	at := p.nbrOff[:n] // fill cursors, until nbrOff gets its own values
+	copy(at, p.revOff)
+	for j, ns := range p.neigh {
+		for _, x := range ns {
+			p.rev[at[x]] = j
+			at[x]++
+		}
+	}
+	p.nbrOff[0] = 0
+	for i, ns := range p.neigh {
+		p.nbrOff[i+1] = p.nbrOff[i] + len(ns)
+		listers := p.rev[p.revOff[i]:p.revOff[i+1]]
+		for k, j := range ns {
+			p.mult[p.nbrOff[i]+k] = sort.SearchInts(listers, j+1) - sort.SearchInts(listers, j)
+		}
+	}
 }
 
 // idOf resolves a channel from outside the planner (an AP's Current, a
@@ -358,26 +410,32 @@ func (p *planner) penaltyBase(v *APView) float64 {
 }
 
 // cloneScratch returns a planner that shares every immutable table with p
-// (views, neigh, extOf, load, weight, penBase, onAir, current)
-// but owns its own assign/ignore/on and ACC scratch state, so concurrent NBO
-// rounds can run on clones without synchronization. The shared current
-// slice is only mutated between hop levels, when no clone is running. The
-// clone's working state is unset: nbo's reset resolves it from current
-// before every round.
+// (views, neigh, extOf, load, wq, weight, penBase, the adjacency tables,
+// onAir, current) but owns its own assign/ignore/on/lvl and ACC scratch
+// state, so concurrent NBO rounds can run on clones without
+// synchronization. The shared current slice is only mutated between hop
+// levels, when no clone is running. The clone starts with nothing
+// assigned; nbo's reset resolves it again before every round.
 func (p *planner) cloneScratch() *planner {
 	cp := *p
 	n := len(p.assign)
 	ids := make([]spectrum.ID, 2*n)
 	cp.assign, cp.on = ids[:n:n], ids[n:]
 	cp.ignore = make([]bool, n)
+	cp.lvl = newLevelRows(n)
 	cp.accOwn = make([]float64, len(p.accOwn))
 	cp.accTerms = make([]accTerm, len(p.accTerms))
-	cp.groupBuf = nil
-	cp.eligGen = make([]int, n)
-	cp.seenGen = make([]int, n)
-	cp.gen = 0
-	cp.remBuf = make([]int, 0, n)
+	cp.bfsScratch()
+	cp.unassignAll()
 	return &cp
+}
+
+// bfsScratch gives p its own nbo and hopGroup scratch, in one allocation.
+func (p *planner) bfsScratch() {
+	n := len(p.views)
+	ints := make([]int, 3*n)
+	p.eligGen, p.seenGen, p.remBuf = ints[:n:n], ints[n:2*n:2*n], ints[2*n:2*n]
+	p.groupBuf, p.gen = nil, 0
 }
 
 // The working state's writers: every write to assign, ignore and current
@@ -386,37 +444,139 @@ func (p *planner) setAssign(i int, c spectrum.ID)  { p.assign[i] = c; p.resolve(
 func (p *planner) setIgnore(i int, psi bool)       { p.ignore[i] = psi; p.resolve(i) }
 func (p *planner) setCurrent(i int, c spectrum.ID) { p.current[i] = c; p.resolve(i) }
 
-// unassignAll clears the working plan and ψ: every AP shows its incumbent.
+// unassignAll clears the working plan and ψ: every AP shows its incumbent,
+// and every level row is rebuilt.
 func (p *planner) unassignAll() {
 	for i := range p.assign {
 		p.assign[i], p.ignore[i], p.on[i] = spectrum.None, false, p.current[i]
 	}
-}
-
-func (p *planner) resolve(i int) {
-	switch {
-	case p.ignore[i]:
-		p.on[i] = spectrum.None
-	case p.assign[i] != spectrum.None:
-		p.on[i] = p.assign[i]
-	default:
-		p.on[i] = p.current[i]
+	for i := range p.lvl {
+		p.levels(i)
 	}
 }
 
-// contention sums the weights of i's neighbors whose channel under the
-// working state overlaps sub: the co-channel load i shares sub's airtime
-// with (§4.4.1).
-func (p *planner) contention(i int, sub spectrum.ID) float64 {
-	contention := 0.0
-	mask := sub.Mask()
-	for _, j := range p.neigh[i] {
+// resolve re-resolves on[x] and, when it moved, moves x's weight across
+// the level rows of every AP that lists x and rebuilds x's own row.
+func (p *planner) resolve(x int) {
+	was, now := p.on[x], p.current[x]
+	switch {
+	case p.ignore[x]:
+		now = spectrum.None
+	case p.assign[x] != spectrum.None:
+		now = p.assign[x]
+	}
+	if now == was {
+		return
+	}
+	p.on[x] = now
+	w := p.wq[x]
+	for _, j := range p.rev[p.revOff[x]:p.revOff[x+1]] {
 		nc := p.on[j]
-		if nc != spectrum.None && mask&nc.Mask() != 0 {
-			contention += p.weight[j]
+		if nc == spectrum.None || j == x {
+			continue
+		}
+		q, cw := &p.lvl[j].q, nc.Channel().Width.Slot()
+		if was != spectrum.None {
+			for b := nc.FirstOverlap(was); b <= cw; b++ {
+				q[b] -= w
+			}
+		}
+		if now != spectrum.None {
+			for b := nc.FirstOverlap(now); b <= cw; b++ {
+				q[b] += w
+			}
 		}
 	}
-	return contention
+	p.levels(x)
+}
+
+// Contention lives on a grid (DESIGN §3.5): every weight is a whole number
+// of quanta and no neighbor list sums to 2⁵³ quanta, so every float sum of
+// weights is exact, whatever its order, and equals its int64 twin.
+const (
+	quantum = 0x1p-32
+	// maxNeighbors is the most entries of one neighbor list the planner
+	// reads.
+	maxNeighbors = 1 << 14
+	// maxWeightQ bounds a weight's magnitude in quanta (just under 128,
+	// above any sane 0.2 + Load), so maxNeighbors of them stay below 2⁵³.
+	maxWeightQ = 1<<53/maxNeighbors - 1
+)
+
+// Format numbers the planner's arithmetic: a plan or ln NetP recorded under
+// one format replays bit for bit only under the same one. Format 1 puts
+// contention on the grid.
+const Format = 1
+
+// quantize puts a contention weight on the grid: x rounded to the nearest
+// whole number of quanta, NaN as 0, and anything beyond ±maxWeightQ quanta
+// (±Inf included) clamped there. A negative weight, which only a negative
+// load on unsanitized input gives, keeps its sign.
+func quantize(x float64) int64 {
+	switch q := math.Round(x / quantum); {
+	case q != q:
+		return 0
+	case q > maxWeightQ:
+		return maxWeightQ
+	case q < -maxWeightQ:
+		return -maxWeightQ
+	default:
+		return int64(q)
+	}
+}
+
+// levelRow is AP j's kept contention: q[b] is the quanta of the neigh[j]
+// entries whose on overlaps on[j].AtWidth(b), each entry counted as often
+// as it appears; levels past on[j]'s width, and all of them while on[j] is
+// none, are zero. memo[b] holds levelTerm at level b for the last channel
+// and quanta it was asked for.
+type levelRow struct {
+	q    [4]int64
+	memo [4]levelMemo
+}
+
+type levelMemo struct {
+	nc spectrum.ID
+	q  int64
+	v  float64
+}
+
+// newLevelRows returns n zero level rows with empty memos.
+func newLevelRows(n int) []levelRow {
+	rows := make([]levelRow, n)
+	for j := range rows {
+		for b := range rows[j].memo {
+			rows[j].memo[b].nc = spectrum.None
+		}
+	}
+	return rows
+}
+
+// levels rebuilds lvl[x] by one walk of neigh[x].
+func (p *planner) levels(x int) {
+	var q [4]int64
+	if nc := p.on[x]; nc != spectrum.None {
+		cw := nc.Channel().Width.Slot()
+		for _, k := range p.neigh[x] {
+			if kc := p.on[k]; kc != spectrum.None {
+				for b := nc.FirstOverlap(kc); b <= cw; b++ {
+					q[b] += p.wq[k]
+				}
+			}
+		}
+	}
+	p.lvl[x].q = q
+}
+
+// storedTerm is levelTerm for j on nc at level b with j's kept contention
+// lvl[j].q[b], memoised per (j, level) on the channel and the quanta. All
+// other inputs are fixed by j, nc and b, so the memo is exact.
+func (p *planner) storedTerm(j int, nc spectrum.ID, b int, load float64) float64 {
+	q, m := p.lvl[j].q[b], &p.lvl[j].memo[b]
+	if m.nc != nc || m.q != q {
+		*m = levelMemo{nc, q, p.levelTerm(j, nc, b, load, float64(q)*quantum)}
+	}
+	return m.v
 }
 
 // levelTerm is one factor of NodeP in log form, load(b)·ln channel_metric
@@ -427,9 +587,10 @@ func (p *planner) contention(i int, sub spectrum.ID) float64 {
 // with airtime the idle share after external interference divided among i
 // and its co-channel contention, and capacity width scaling times channel
 // quality after non-WiFi interference (§4.4.1). It is the formula's only
-// evaluation — logNodeP hands it contention(), ACC the same sum from its
-// own walk — and it rounds before the subtraction and before the add its
-// callers do, so no platform fuses either and the two agree to the bit.
+// evaluation — logNodeP and ACC hand it kept level sums, accNodeP a sum
+// from accWalk's row, all on the grid — and it rounds before the
+// subtraction and before the add its callers do, so no platform fuses
+// either and every caller agrees with the definition to the bit.
 func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float64) float64 {
 	// The penalty anchors to the channel clients are actually on, not the
 	// working incumbent: adopting a best-so-far plan between hop levels must
@@ -451,25 +612,30 @@ func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float6
 	return float64(load * math.Log(metric))
 }
 
-// logNodeP computes ln NodeP(i, c) under the working state:
+// logNodeP computes ln NodeP(i, on[i]) under the working state, from i's
+// kept level row:
 //
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
-func (p *planner) logNodeP(i int, c spectrum.ID) float64 { return p.nodeP(i, c, nil) }
-
-// nodeP is logNodeP with i's contention on a channel read from own, a row
-// indexed by ID, when the caller has one (ACC); nil walks the neighbors.
-func (p *planner) nodeP(i int, c spectrum.ID, own []float64) float64 {
+func (p *planner) logNodeP(i int) float64 {
+	c := p.on[i]
 	cw := c.Channel().Width.Slot()
 	sum := 0.0
 	for b := 0; b <= cw; b++ {
-		load := p.load[i][cw][b]
-		if load == 0 {
-			continue
+		if load := p.load[i][cw][b]; load != 0 {
+			sum += p.storedTerm(i, c, b, load)
 		}
-		if sub := c.AtWidth(b); own != nil {
-			sum += p.levelTerm(i, c, b, load, own[sub])
-		} else {
-			sum += p.levelTerm(i, c, b, load, p.contention(i, sub))
+	}
+	return sum
+}
+
+// accNodeP is ln NodeP(i, c) with i's contention read from accWalk's row
+// p.accOwn, at c's AtWidth views.
+func (p *planner) accNodeP(i int, c spectrum.ID) float64 {
+	cw := c.Channel().Width.Slot()
+	sum := 0.0
+	for b := 0; b <= cw; b++ {
+		if load := p.load[i][cw][b]; load != 0 {
+			sum += p.levelTerm(i, c, b, load, p.accOwn[c.AtWidth(b)])
 		}
 	}
 	return sum
@@ -488,7 +654,7 @@ func (p *planner) logNetP() float64 {
 			sum += p.views[i].Load * math.Log(p.cfg.MetricFloor)
 			continue
 		}
-		sum += p.logNodeP(i, c)
+		sum += p.logNodeP(i)
 	}
 	return sum
 }

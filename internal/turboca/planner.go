@@ -51,13 +51,14 @@ type accTerm struct {
 // accWalk computes what i's candidate scores share, in one walk of neigh[i]:
 // i's own contention on every channel of the band (p.accOwn, read at a
 // candidate's AtWidth views) and an accTerm per scored neighbor. Every sum
-// receives the addends contention() would give it, in neigh order, so
-// accScore is the definition (refDeltaScore, acc_test.go) to the bit.
+// is on the grid, so accScore is the definition (refDeltaScore,
+// acc_test.go) to the bit.
 func (p *planner) accWalk(i int) []accTerm {
 	lo, hi := spectrum.BandIDs(p.in.Band)
 	own, terms := p.accOwn, p.accTerms[:0]
 	clear(own)
-	for _, j := range p.neigh[i] {
+	mult := p.mult[p.nbrOff[i]:p.nbrOff[i+1]]
+	for k, j := range p.neigh[i] {
 		if j == i && !p.ignore[i] {
 			// A self-loop: holding the candidate, i overlaps every view of it.
 			for s := lo; s < hi; s++ {
@@ -75,34 +76,27 @@ func (p *planner) accWalk(i int) []accTerm {
 				own[s] += p.weight[j]
 			}
 		}
-		terms = append(terms, p.neighborTerm(i, j, nc))
+		terms = append(terms, p.neighborTerm(i, j, nc, int64(mult[k])))
 	}
 	return terms
 }
 
-// neighborTerm is the accTerm of i's neighbor j on channel nc: one walk of
-// neigh[j] sums j's contention at each width level of nc with and without i,
-// whose weight enters where contention() adds it when the candidate overlaps.
-func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
+// neighborTerm is the accTerm of i's neighbor j on channel nc, where i
+// appears m times in neigh[j]. j's contention at each width level of nc
+// without i is its kept row less i's weight where on[i] overlaps; with i
+// it is that plus i's weight at every level, as a candidate that overlaps
+// a level overlaps it. At every level one of the two is the kept row.
+func (p *planner) neighborTerm(i, j int, nc spectrum.ID, m int64) accTerm {
 	cw := nc.Channel().Width.Slot()
 	t := accTerm{nc: nc}
-	var with, without [4]float64
-	for _, k := range p.neigh[j] {
-		if k == i && !p.ignore[i] {
-			for b := 0; b <= cw; b++ {
-				with[b] += p.weight[i]
-			}
-			continue
+	kept := p.lvl[j].q
+	without, wi := kept, m*p.wq[i]
+	if c := p.on[i]; c != spectrum.None {
+		for b := nc.FirstOverlap(c); b <= cw; b++ {
+			without[b] -= wi
 		}
-		kc := p.on[k]
-		if kc == spectrum.None {
-			continue
-		}
-		// k overlaps nc's levels from the first it overlaps up to nc itself.
-		for b, w := nc.FirstOverlap(kc), p.weight[k]; b <= cw; b++ {
-			with[b] += w
-			without[b] += w
-		}
+	} else if p.ignore[i] {
+		wi = 0 // a member of ψ is invisible even holding the candidate
 	}
 	// logNodeP's sum, once per level f the candidate's overlap can start at.
 	for b := 0; b <= cw; b++ {
@@ -110,8 +104,13 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 		if load == 0 {
 			continue
 		}
-		on := p.levelTerm(j, nc, b, load, with[b])
-		off := p.levelTerm(j, nc, b, load, without[b])
+		on := p.storedTerm(j, nc, b, load)
+		off := on
+		if with := without[b] + wi; with != kept[b] {
+			on = p.levelTerm(j, nc, b, load, float64(with)*quantum)
+		} else if without[b] != kept[b] {
+			off = p.levelTerm(j, nc, b, load, float64(without[b])*quantum)
+		}
 		for f := range t.nodeP[:cw+2] {
 			if b < f {
 				t.nodeP[f] += off
@@ -127,7 +126,7 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID) accTerm {
 // NodeP plus, in neigh[i] order, that of every neighbor (whose airtime
 // depends on i's channel). terms is accWalk(i)'s result.
 func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
-	own := p.nodeP(i, c, p.accOwn)
+	own := p.accNodeP(i, c)
 	score := own
 	for k := range terms {
 		t := &terms[k]
@@ -180,18 +179,24 @@ func (p *planner) nbo(rng *rand.Rand, hopLimit int) {
 
 		// Line 5: group = seed + APs within hopLimit hops, unassigned.
 		group := p.hopGroup(seed, hopLimit, remaining)
-		for _, g := range group {
-			p.setIgnore(g, true) // ψ: presume these will change
-		}
-		// Line 6: S <- S - Sgroup. Group members are exactly the remaining
-		// APs currently marked in ψ.
-		kept := remaining[:0]
-		for _, r := range remaining {
-			if !p.ignore[r] {
-				kept = append(kept, r)
+		if len(group) == 1 {
+			// A group of one leaves ψ before anything reads ψ: skip the
+			// round trip, and line 6 removes just the seed.
+			remaining = append(remaining[:pick], remaining[pick+1:]...)
+		} else {
+			for _, g := range group {
+				p.setIgnore(g, true) // ψ: presume these will change
 			}
+			// Line 6: S <- S - Sgroup. Group members are exactly the
+			// remaining APs currently marked in ψ.
+			kept := remaining[:0]
+			for _, r := range remaining {
+				if !p.ignore[r] {
+					kept = append(kept, r)
+				}
+			}
+			remaining = kept
 		}
-		remaining = kept
 
 		// Lines 7-11: drain the group, load-weighted; each planned AP
 		// leaves ψ so later picks see its new channel.

@@ -119,8 +119,8 @@ func TestChannelNoisePenalizesOccupiedChannels(t *testing.T) {
 	p := newPlanner(DefaultConfig(), in)
 	ni := p.idOf(noisy)
 	qi := p.idOf(quiet)
-	if p.logNodeP(0, ni) >= p.logNodeP(0, qi) {
-		t.Fatalf("noisy channel scored %f >= quiet %f", p.logNodeP(0, ni), p.logNodeP(0, qi))
+	if nodePAt(p, 0, ni) >= nodePAt(p, 0, qi) {
+		t.Fatalf("noisy channel scored %f >= quiet %f", nodePAt(p, 0, ni), nodePAt(p, 0, qi))
 	}
 }
 

@@ -26,7 +26,7 @@ func RunReservedCA(cfg Config, in Input, fixedWidth spectrum.Width) Result {
 			// the working plan (earlier APs in the sequence keep their
 			// new channels; later ones their current).
 			p.setAssign(i, c)
-			score := p.logNodeP(i, c)
+			score := p.logNodeP(i)
 			p.setAssign(i, spectrum.None)
 			if score > bestScore {
 				bestScore = score

@@ -56,8 +56,8 @@ func TestNodePPenalizesCoChannelNeighbors(t *testing.T) {
 	// AP0's NodeP on the shared channel must be worse than on a clean
 	// one (before any penalty: both differ from... same IS current, so
 	// clean pays the switch penalty yet must still win).
-	onShared := p.logNodeP(0, same)
-	onClean := p.logNodeP(0, cleanIdx)
+	onShared := nodePAt(p, 0, same)
+	onClean := nodePAt(p, 0, cleanIdx)
 	if onClean <= onShared {
 		t.Fatalf("clean channel %f <= shared %f", onClean, onShared)
 	}
@@ -76,7 +76,7 @@ func TestNodePWidthProperty(t *testing.T) {
 	// The 80 MHz assignment covers the same primary; with only-20MHz
 	// clients its NodeP must not beat staying at 20 MHz (it also pays a
 	// switch penalty).
-	if p.logNodeP(0, i80) > p.logNodeP(0, c20) {
+	if nodePAt(p, 0, i80) > nodePAt(p, 0, c20) {
 		t.Fatal("NodeP increased for wider channel despite 20MHz-only clients")
 	}
 }
@@ -88,7 +88,7 @@ func TestZeroLoadAPIndifferent(t *testing.T) {
 	in.APs[0].Load = 0
 	p := newPlanner(DefaultConfig(), in)
 	for _, c := range p.adm.open[0] {
-		if got := p.logNodeP(0, c); got != 0 {
+		if got := nodePAt(p, 0, c); got != 0 {
 			t.Fatalf("zero-load NodeP = %f on %v", got, c.Channel())
 		}
 	}
