@@ -19,7 +19,7 @@ func (p *planner) contention(i int, sub spectrum.ID) float64 {
 	for _, j := range p.neigh[i] {
 		nc := p.on[j]
 		if nc != spectrum.None && mask&nc.Mask() != 0 {
-			contention += p.weight[j]
+			contention += float64(p.wq[j]) * quantum
 		}
 	}
 	return contention

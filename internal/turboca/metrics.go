@@ -204,7 +204,6 @@ type planner struct {
 	// filled for the input band's range only.
 	extOf   [][]float64
 	wq      []int64   // contention weight this AP exerts on neighbors, in quanta
-	weight  []float64 // the same weight as a float: float64(wq[i]) * quantum
 	penBase []float64 // switch penalty before channel comparison
 	// rev[revOff[x]:revOff[x+1]] lists every j whose neigh[j] holds x, once
 	// per entry, in ascending j; mult[nbrOff[i]+k] is how many times i
@@ -223,7 +222,7 @@ type planner struct {
 
 	// accWalk's scratch: the AP's own contention by channel ID, and an
 	// entry per scored neighbor (sized by the largest degree).
-	accOwn   []float64
+	accOwn   []int64
 	accTerms []accTerm
 
 	// Allocation-free scratch for hopGroup's BFS: membership is "stamp ==
@@ -242,17 +241,16 @@ func newPlanner(cfg Config, in Input) *planner {
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
-		adm:    newAdmissibleSets(in),
-		views:  make([]*APView, n),
-		neigh:  make([][]int, n),
-		load:   make([][4][4]float64, n),
-		extOf:  make([][]float64, n),
-		wq:     make([]int64, n),
-		ignore: make([]bool, n),
-		lvl:    newLevelRows(n),
+		adm:     newAdmissibleSets(in),
+		views:   make([]*APView, n),
+		neigh:   make([][]int, n),
+		load:    make([][4][4]float64, n),
+		extOf:   make([][]float64, n),
+		wq:      make([]int64, n),
+		penBase: make([]float64, n),
+		ignore:  make([]bool, n),
+		lvl:     newLevelRows(n),
 	}
-	floats := make([]float64, 2*n)
-	p.weight, p.penBase = floats[:n:n], floats[n:]
 	p.bfsScratch()
 	ids := make([]spectrum.ID, 4*n)
 	for k := range ids {
@@ -299,7 +297,6 @@ func newPlanner(cfg Config, in Input) *planner {
 			}
 		}
 		p.wq[i] = quantize(0.2 + v.Load)
-		p.weight[i] = float64(p.wq[i]) * quantum
 		p.penBase[i] = p.penaltyBase(v)
 		p.extOf[i] = ext[i*int(hi) : (i+1)*int(hi) : (i+1)*int(hi)]
 		for c := lo; c < hi; c++ {
@@ -307,7 +304,7 @@ func newPlanner(cfg Config, in Input) *planner {
 		}
 		maxDeg = max(maxDeg, len(p.neigh[i]))
 	}
-	p.accOwn, p.accTerms = make([]float64, hi), make([]accTerm, maxDeg)
+	p.accOwn, p.accTerms = make([]int64, hi), make([]accTerm, maxDeg)
 	p.buildAdjacency()
 	for i := range p.views {
 		p.setCurrent(i, p.onAir[i])
@@ -322,27 +319,24 @@ func (p *planner) buildAdjacency() {
 		e += len(ns)
 	}
 	tbl := make([]int, 2*(n+1+e))
-	p.revOff, p.rev = tbl[:n+1:n+1], tbl[n+1:n+1+e:n+1+e]
-	p.nbrOff, p.mult = tbl[n+1+e:2*(n+1)+e:2*(n+1)+e], tbl[2*(n+1)+e:]
-	for _, ns := range p.neigh {
-		for _, x := range ns {
-			p.revOff[x+1]++
-		}
-	}
-	for x := range n {
-		p.revOff[x+1] += p.revOff[x]
-	}
-	at := p.nbrOff[:n] // fill cursors, until nbrOff gets its own values
-	copy(at, p.revOff)
-	for j, ns := range p.neigh {
-		for _, x := range ns {
-			p.rev[at[x]] = j
-			at[x]++
-		}
-	}
-	p.nbrOff[0] = 0
+	p.revOff, p.nbrOff = tbl[:n+1:n+1], tbl[n+1:2*(n+1):2*(n+1)]
+	p.rev, p.mult = tbl[2*(n+1):2*(n+1)+e:2*(n+1)+e], tbl[2*(n+1)+e:]
 	for i, ns := range p.neigh {
 		p.nbrOff[i+1] = p.nbrOff[i] + len(ns)
+		for _, x := range ns {
+			p.revOff[x]++
+		}
+	}
+	for x := 1; x <= n; x++ {
+		p.revOff[x] += p.revOff[x-1] // the end of x's run, until the fill
+	}
+	for j := n - 1; j >= 0; j-- { // backwards, so each run ascends
+		for _, x := range p.neigh[j] {
+			p.revOff[x]--
+			p.rev[p.revOff[x]] = j
+		}
+	}
+	for i, ns := range p.neigh {
 		listers := p.rev[p.revOff[i]:p.revOff[i+1]]
 		for k, j := range ns {
 			p.mult[p.nbrOff[i]+k] = sort.SearchInts(listers, j+1) - sort.SearchInts(listers, j)
@@ -410,7 +404,7 @@ func (p *planner) penaltyBase(v *APView) float64 {
 }
 
 // cloneScratch returns a planner that shares every immutable table with p
-// (views, neigh, extOf, load, wq, weight, penBase, the adjacency tables,
+// (views, neigh, extOf, load, wq, penBase, the adjacency tables,
 // onAir, current) but owns its own assign/ignore/on/lvl and ACC scratch
 // state, so concurrent NBO rounds can run on clones without
 // synchronization. The shared current slice is only mutated between hop
@@ -423,7 +417,7 @@ func (p *planner) cloneScratch() *planner {
 	cp.assign, cp.on = ids[:n:n], ids[n:]
 	cp.ignore = make([]bool, n)
 	cp.lvl = newLevelRows(n)
-	cp.accOwn = make([]float64, len(p.accOwn))
+	cp.accOwn = make([]int64, len(p.accOwn))
 	cp.accTerms = make([]accTerm, len(p.accTerms))
 	cp.bfsScratch()
 	cp.unassignAll()
@@ -469,35 +463,30 @@ func (p *planner) resolve(x int) {
 		return
 	}
 	p.on[x] = now
-	w := p.wq[x]
 	for _, j := range p.rev[p.revOff[x]:p.revOff[x+1]] {
-		nc := p.on[j]
-		if nc == spectrum.None || j == x {
-			continue
-		}
-		q, cw := &p.lvl[j].q, nc.Channel().Width.Slot()
-		if was != spectrum.None {
-			for b := nc.FirstOverlap(was); b <= cw; b++ {
-				q[b] -= w
-			}
-		}
-		if now != spectrum.None {
-			for b := nc.FirstOverlap(now); b <= cw; b++ {
-				q[b] += w
-			}
+		if nc := p.on[j]; nc != spectrum.None && j != x {
+			shift(&p.lvl[j].q, nc, was, -p.wq[x])
+			shift(&p.lvl[j].q, nc, now, p.wq[x])
 		}
 	}
 	p.levels(x)
+}
+
+// shift adds w to the levels of nc that c overlaps (none when c is none).
+func shift(q *[4]int64, nc, c spectrum.ID, w int64) {
+	if c != spectrum.None {
+		for b, cw := nc.FirstOverlap(c), nc.Channel().Width.Slot(); b <= cw; b++ {
+			q[b] += w
+		}
+	}
 }
 
 // Contention lives on a grid (DESIGN §3.5): every weight is a whole number
 // of quanta and no neighbor list sums to 2⁵³ quanta, so every float sum of
 // weights is exact, whatever its order, and equals its int64 twin.
 const (
-	quantum = 0x1p-32
-	// maxNeighbors is the most entries of one neighbor list the planner
-	// reads.
-	maxNeighbors = 1 << 14
+	quantum      = 0x1p-32
+	maxNeighbors = 1 << 14 // the most entries of a neighbor list the planner reads
 	// maxWeightQ bounds a weight's magnitude in quanta (just under 128,
 	// above any sane 0.2 + Load), so maxNeighbors of them stay below 2⁵³.
 	maxWeightQ = 1<<53/maxNeighbors - 1
@@ -513,16 +502,11 @@ const Format = 1
 // (±Inf included) clamped there. A negative weight, which only a negative
 // load on unsanitized input gives, keeps its sign.
 func quantize(x float64) int64 {
-	switch q := math.Round(x / quantum); {
-	case q != q:
+	q := math.Round(x / quantum)
+	if q != q {
 		return 0
-	case q > maxWeightQ:
-		return maxWeightQ
-	case q < -maxWeightQ:
-		return -maxWeightQ
-	default:
-		return int64(q)
 	}
+	return int64(max(-maxWeightQ, min(q, maxWeightQ)))
 }
 
 // levelRow is AP j's kept contention: q[b] is the quanta of the neigh[j]
@@ -532,13 +516,11 @@ func quantize(x float64) int64 {
 // and quanta it was asked for.
 type levelRow struct {
 	q    [4]int64
-	memo [4]levelMemo
-}
-
-type levelMemo struct {
-	nc spectrum.ID
-	q  int64
-	v  float64
+	memo [4]struct {
+		nc spectrum.ID
+		q  int64
+		v  float64
+	}
 }
 
 // newLevelRows returns n zero level rows with empty memos.
@@ -556,13 +538,8 @@ func newLevelRows(n int) []levelRow {
 func (p *planner) levels(x int) {
 	var q [4]int64
 	if nc := p.on[x]; nc != spectrum.None {
-		cw := nc.Channel().Width.Slot()
 		for _, k := range p.neigh[x] {
-			if kc := p.on[k]; kc != spectrum.None {
-				for b := nc.FirstOverlap(kc); b <= cw; b++ {
-					q[b] += p.wq[k]
-				}
-			}
+			shift(&q, nc, p.on[k], p.wq[k])
 		}
 	}
 	p.lvl[x].q = q
@@ -574,7 +551,7 @@ func (p *planner) levels(x int) {
 func (p *planner) storedTerm(j int, nc spectrum.ID, b int, load float64) float64 {
 	q, m := p.lvl[j].q[b], &p.lvl[j].memo[b]
 	if m.nc != nc || m.q != q {
-		*m = levelMemo{nc, q, p.levelTerm(j, nc, b, load, float64(q)*quantum)}
+		m.nc, m.q, m.v = nc, q, p.levelTerm(j, nc, b, load, float64(q)*quantum)
 	}
 	return m.v
 }
@@ -612,30 +589,25 @@ func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float6
 	return float64(load * math.Log(metric))
 }
 
-// logNodeP computes ln NodeP(i, on[i]) under the working state, from i's
-// kept level row:
+// logNodeP computes ln NodeP(i, on[i]) under the working state.
+func (p *planner) logNodeP(i int) float64 { return p.nodeP(i, p.on[i], nil) }
+
+// nodeP is ln NodeP(i, c),
 //
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
-func (p *planner) logNodeP(i int) float64 {
-	c := p.on[i]
+//
+// with i's contention read from own, accWalk's row indexed by ID, when the
+// caller has one (ACC), or else from i's kept level row, so c is on[i].
+func (p *planner) nodeP(i int, c spectrum.ID, own []int64) float64 {
 	cw := c.Channel().Width.Slot()
 	sum := 0.0
 	for b := 0; b <= cw; b++ {
-		if load := p.load[i][cw][b]; load != 0 {
+		switch load := p.load[i][cw][b]; {
+		case load == 0:
+		case own != nil:
+			sum += p.levelTerm(i, c, b, load, float64(own[c.AtWidth(b)])*quantum)
+		default:
 			sum += p.storedTerm(i, c, b, load)
-		}
-	}
-	return sum
-}
-
-// accNodeP is ln NodeP(i, c) with i's contention read from accWalk's row
-// p.accOwn, at c's AtWidth views.
-func (p *planner) accNodeP(i int, c spectrum.ID) float64 {
-	cw := c.Channel().Width.Slot()
-	sum := 0.0
-	for b := 0; b <= cw; b++ {
-		if load := p.load[i][cw][b]; load != 0 {
-			sum += p.levelTerm(i, c, b, load, p.accOwn[c.AtWidth(b)])
 		}
 	}
 	return sum

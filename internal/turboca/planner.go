@@ -62,7 +62,7 @@ func (p *planner) accWalk(i int) []accTerm {
 		if j == i && !p.ignore[i] {
 			// A self-loop: holding the candidate, i overlaps every view of it.
 			for s := lo; s < hi; s++ {
-				own[s] += p.weight[i]
+				own[s] += p.wq[i]
 			}
 			terms = append(terms, accTerm{self: true})
 			continue
@@ -73,7 +73,7 @@ func (p *planner) accWalk(i int) []accTerm {
 		}
 		for s, m := lo, nc.Mask(); s < hi; s++ {
 			if s.Mask()&m != 0 {
-				own[s] += p.weight[j]
+				own[s] += p.wq[j]
 			}
 		}
 		terms = append(terms, p.neighborTerm(i, j, nc, int64(mult[k])))
@@ -91,11 +91,8 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID, m int64) accTerm {
 	t := accTerm{nc: nc}
 	kept := p.lvl[j].q
 	without, wi := kept, m*p.wq[i]
-	if c := p.on[i]; c != spectrum.None {
-		for b := nc.FirstOverlap(c); b <= cw; b++ {
-			without[b] -= wi
-		}
-	} else if p.ignore[i] {
+	shift(&without, nc, p.on[i], -wi)
+	if p.ignore[i] {
 		wi = 0 // a member of ψ is invisible even holding the candidate
 	}
 	// logNodeP's sum, once per level f the candidate's overlap can start at.
@@ -126,7 +123,7 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID, m int64) accTerm {
 // NodeP plus, in neigh[i] order, that of every neighbor (whose airtime
 // depends on i's channel). terms is accWalk(i)'s result.
 func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
-	own := p.accNodeP(i, c)
+	own := p.nodeP(i, c, p.accOwn)
 	score := own
 	for k := range terms {
 		t := &terms[k]
