@@ -564,7 +564,7 @@ func (p *planner) storedTerm(j int, nc spectrum.ID, b int, load float64) float64
 // with airtime the idle share after external interference divided among i
 // and its co-channel contention, and capacity width scaling times channel
 // quality after non-WiFi interference (§4.4.1). It is the formula's only
-// evaluation — logNodeP and ACC hand it kept level sums, accNodeP a sum
+// evaluation — logNodeP and ACC hand it kept level sums, nodeP for ACC a sum
 // from accWalk's row, all on the grid — and it rounds before the
 // subtraction and before the add its callers do, so no platform fuses
 // either and every caller agrees with the definition to the bit.
