@@ -220,8 +220,8 @@ type planner struct {
 	on     []spectrum.ID
 	lvl    []levelRow
 
-	// accWalk's scratch: the AP's own contention by channel ID, and an
-	// entry per scored neighbor (sized by the largest degree).
+	// accWalk's scratch: the AP's own contention by channel ID, in quanta,
+	// and an entry per scored neighbor (sized by the largest degree).
 	accOwn   []int64
 	accTerms []accTerm
 
