@@ -93,7 +93,7 @@ chaos:
 # campaign to 8 seeds under
 # -race; plain `go test ./internal/fleetd` runs all 50.
 chaos-kill:
-	$(GO) test -race -short -run 'TestChaosKillCampaign|TestRestartEquivalence|TestCleanRestart|TestDegraded|TestOpenTruncates|TestOpenRejects|TestPanicQuarantine|TestWatchdog|TestRealSIGKILL' ./internal/fleetd
+	$(GO) test -race -short -run 'TestChaosKillCampaign|TestRestartEquivalence|TestCleanRestart|TestFailedCheckpointChangesNothing|TestOpenTruncates|TestOpenRejects|TestPanicQuarantine|TestWatchdog|TestRealSIGKILL' ./internal/fleetd
 
 # Hostile-RF survival campaign under the race detector: the campus storm
 # acceptance run (correlated DFS sweeps + spectrum-trace interference,

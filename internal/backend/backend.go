@@ -483,7 +483,7 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 	for _, ap := range b.Scenario.APs {
 		tmpl = append(tmpl, turboca.APView{
 			ID:           ap.ID,
-			MaxWidth:     minWidth(maxW, ap.MaxWidth),
+			MaxWidth:     min(maxW, ap.MaxWidth),
 			CSAFraction:  csaFraction(&ap.Mix),
 			WidthLoad:    ap.Mix.WidthLoad,
 			ExternalUtil: b.Scenario.ExternalRow(ap, band),
@@ -492,13 +492,6 @@ func (b *Backend) inputTemplate(band spectrum.Band, maxW spectrum.Width) []turbo
 	}
 	b.inputTmpl[band] = tmpl
 	return tmpl
-}
-
-func minWidth(a, bw spectrum.Width) spectrum.Width {
-	if a < bw {
-		return a
-	}
-	return bw
 }
 
 // csaFraction is the share of m's clients that honor CSAs; an AP without

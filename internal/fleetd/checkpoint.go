@@ -2,39 +2,59 @@ package fleetd
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 
-	"repro/internal/littletable"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
 
-// Checkpoints. A checkpoint renders the controller's durable state —
-// registry membership, scheduler deadlines, per-network pass accounting,
-// planner objectives, dirty-skip memos, and last-known-good telemetry
-// digests — into littletable tables and serialises them with the store's
-// deterministic Save order. The blob is therefore a canonical byte string
-// of the fleet's state: two controllers are equivalent iff their
-// checkpoint bytes are equal, which is exactly the invariant the restart
-// property test and the kill-chaos campaign pin.
+// Checkpoints. A checkpoint renders the controller's durable state as one
+// JSON document (encoding/json over fixed structs, the journal's codec):
+// the fleet clock, the next checkpoint instant, the seed, the config
+// digest, one row per network in ascending ID order and the scheduler's
+// pending entries in their total order. A network's row is its snapshot
+// row (status) plus what no snapshot shows: whether it is built, its
+// cadences, the adaptive controller's state, the reports digest and the
+// dirty-skip memos. uint64s encode as exact integers and floats as their
+// shortest round-tripping form, so the blob is a canonical byte string of
+// the fleet's state: two controllers are equivalent iff their checkpoint
+// bytes are equal, which is exactly the invariant the restart property
+// test and the kill-chaos campaign pin.
 //
 // Checkpoints are NOT replay shortcuts: recovery always replays the
 // journal from the beginning (per-network engines cannot be serialised;
 // determinism reconstructs them exactly). A stored checkpoint instead
 // verifies the replay — when the replayed clock passes the instant the
 // blob was committed at, the recomputed bytes must match it exactly.
-//
-// uint64 digests do not fit littletable's float64 fields exactly, so
-// they are split into hi/lo 32-bit halves (each exactly representable).
 
-// ckptEpoch is the upper time bound used when dumping checkpoint tables.
-const ckptEpoch = sim.Time(1) << 62
+// ckptFormat numbers the checkpoint encoding (1 was a littletable row
+// dump). The config digest folds it: a journal's ckpt records digest
+// bytes of one encoding, so Open refuses a journal written under another.
+const ckptFormat = 2
 
-// putU64 splits a uint64 across two exactly-representable float fields.
-func putU64(f map[string]float64, name string, v uint64) {
-	f[name+"_hi"] = float64(v >> 32)
-	f[name+"_lo"] = float64(v & 0xffffffff)
+// ckptState is the checkpoint document; Now leads so ckptClock can read it.
+type ckptState struct {
+	Now, NextCkptAt sim.Time
+	Seed            int64
+	Config          uint64
+	Networks        []ckptNet
+	Sched           [][3]int64 // (at, id, level) in scheduler order
+}
+
+// ckptNet is one network's checkpoint row.
+type ckptNet struct {
+	NetworkStatus
+	Built             bool
+	Cadence           [numLevels]sim.Time
+	Mult, Calm        int
+	EWMA              float64
+	LastNP5, LastNP24 float64
+	HavePass          bool
+	// Reports and Memos are planner-derived: zero unless live.
+	Reports uint64
+	Memos   map[spectrum.Band]uint64
 }
 
 // fnvBytes is FNV-1a over a byte slice (checkpoint content digests).
@@ -51,109 +71,50 @@ func fnvBytes(data []byte) uint64 {
 // canonical checkpoint blob. Callers must be in the serial control-loop
 // context (no passes in flight).
 func (c *Controller) checkpointBytes() []byte {
-	db := littletable.NewDB()
-
-	quarantined := 0
-	netTab := db.Table("ckpt_net")
+	st := ckptState{Now: c.now, NextCkptAt: c.nextCkptAt, Seed: c.cfg.Seed, Config: c.cfg.digest()}
 	for _, ns := range c.nets() {
-		if ns.quarantined {
-			quarantined++
+		row := ckptNet{
+			NetworkStatus: status(ns),
+			Built:         ns.build == nil,
+			Cadence:       ns.cadence,
+			Mult:          ns.mult,
+			Calm:          ns.calm,
+			EWMA:          ns.ewma,
+			LastNP5:       ns.lastNP5,
+			LastNP24:      ns.lastNP24,
+			HavePass:      ns.havePass,
 		}
-		f := map[string]float64{
-			"id":        float64(ns.id),
-			"aps":       float64(ns.apCount),
-			"built":     boolField(ns.build == nil),
-			"quar":      boolField(ns.quarantined),
-			"coalesced": float64(ns.coalesced),
+		if be := ns.live(); be != nil {
+			row.Reports = be.ReportsDigest()
+			row.Memos = be.Service.SkipMemos()
 		}
-		for level := 0; level < numLevels; level++ {
-			f["passes_"+levelName(level)] = float64(ns.passes[level])
-			f["shed_"+levelName(level)] = float64(ns.shed[level])
-			f["cad_"+levelName(level)] = float64(ns.cadence[level])
-		}
-		// Adaptive-cadence controller state (defaults when the controller
-		// is off). Two fleets that ran the same passes but diverged in
-		// cadence accounting must not compare checkpoint-equal.
-		f["mult"] = float64(ns.mult)
-		f["ewma"] = ns.ewma
-		f["calm"] = float64(ns.calm)
-		f["lastnp5"] = ns.lastNP5
-		f["lastnp24"] = ns.lastNP24
-		f["havepass"] = boolField(ns.havePass)
-		// A quarantined network's backend froze mid-fault (a wedged pass
-		// aborts at a wall-clock-dependent point), so its planner-visible
-		// state is excluded from the canonical bytes; the flag and the
-		// scheduler-side accounting above remain.
-		if ns.be != nil && !ns.quarantined {
-			f["switches"] = float64(ns.be.Switches())
-			f["converged"] = boolField(ns.be.Converged())
-			f["lognetp5"] = ns.be.Service.LastLogNetP[spectrum.Band5]
-			f["lognetp24"] = ns.be.Service.LastLogNetP[spectrum.Band2G4]
-			f["degraded"] = float64(ns.be.Service.DegradedTotal)
-			putU64(f, "reports", ns.be.ReportsDigest())
-			memos := ns.be.Service.SkipMemos()
-			if d, ok := memos[spectrum.Band5]; ok {
-				putU64(f, "memo5", d)
-				f["memo5_set"] = 1
-			}
-			if d, ok := memos[spectrum.Band2G4]; ok {
-				putU64(f, "memo24", d)
-				f["memo24_set"] = 1
-			}
-		}
-		netTab.Insert(ns.key, c.now, f)
+		st.Networks = append(st.Networks, row)
 	}
-
-	// The deg_* slots held a degraded mode the controller no longer has;
-	// they stay, at 0, so checkpoint bytes stay what they were.
-	meta := map[string]float64{
-		"now":         float64(c.now),
-		"networks":    float64(c.Len()),
-		"next_ckpt":   float64(c.nextCkptAt),
-		"deg_active":  0,
-		"deg_fails":   0,
-		"deg_retry":   0,
-		"quarantined": float64(quarantined),
-	}
-	putU64(meta, "seed", uint64(c.cfg.Seed))
-	putU64(meta, "cfg", c.cfg.digest())
-	db.Table("ckpt_meta").Insert("fleet", c.now, meta)
-
-	schedTab := db.Table("ckpt_sched")
 	for _, e := range c.sched.entries() {
-		schedTab.Insert(netKey(e.id), e.at, map[string]float64{"level": float64(e.level)})
+		st.Sched = append(st.Sched, [3]int64{int64(e.at), int64(e.id), int64(e.level)})
 	}
-
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		// Save to a bytes.Buffer cannot fail; keep the invariant loud.
+	data, err := json.Marshal(&st)
+	if err != nil {
+		// Only a NaN or an infinity can fail here; keep that loud.
 		panic(fmt.Sprintf("fleetd: checkpoint render: %v", err))
 	}
-	return buf.Bytes()
-}
-
-func boolField(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	return data
 }
 
 // CheckpointBytes exposes the canonical state blob (tests compare it
 // between a recovered controller and its uncrashed twin).
 func (c *Controller) CheckpointBytes() []byte { return c.checkpointBytes() }
 
-// ckptClock extracts the commit clock embedded in a checkpoint blob.
+// ckptClock reads the commit clock of a stored checkpoint blob.
 func ckptClock(data []byte) (sim.Time, error) {
-	db := littletable.NewDB()
-	if err := db.Load(bytes.NewReader(data)); err != nil {
+	var h struct{ Now *sim.Time }
+	if err := json.Unmarshal(data, &h); err != nil {
 		return 0, fmt.Errorf("fleetd: stored checkpoint unreadable: %w", err)
 	}
-	rows := db.Table("ckpt_meta").Range("fleet", 0, ckptEpoch)
-	if len(rows) == 0 {
-		return 0, errors.New("fleetd: stored checkpoint has no ckpt_meta row")
+	if h.Now == nil {
+		return 0, errors.New("fleetd: stored checkpoint has no clock")
 	}
-	return sim.Time(rows[0].Fields["now"]), nil
+	return *h.Now, nil
 }
 
 // errCkptFailed marks a checkpoint commit the store refused (anything but

@@ -156,11 +156,9 @@ func (c Config) withDefaults() Config {
 // config record, so a journal is never replayed under a configuration
 // that would reconstruct different state. Workers/Obs and the
 // wall-clock knobs are deliberately excluded: they never affect state
-// bytes. Two slots hold constants — a 24 h telemetry window and a 0
-// dirty-skip-off flag, settings the controller no longer has — so the
-// digest, and with it which journals Open accepts, stays what it was. The
-// last holds turboca.Format: a journal written under another planner
-// format would diverge at its first checkpoint, so Open refuses it up front.
+// bytes. The last two slots hold turboca.Format and ckptFormat: a journal
+// written under another planner or checkpoint format would diverge at its
+// first checkpoint, so Open refuses it up front.
 func (c Config) digest() uint64 {
 	h := fnv.New64a()
 	wr := func(vs ...int64) {
@@ -170,7 +168,7 @@ func (c Config) digest() uint64 {
 		}
 	}
 	wr(c.Seed, int64(c.Fast), int64(c.Mid), int64(c.Deep),
-		int64(c.MaxPassesPerTick), int64(24*sim.Hour), int64(c.CheckpointEvery), 0)
+		int64(c.MaxPassesPerTick), int64(c.CheckpointEvery))
 	if c.AdaptiveCadence {
 		wr(1)
 	} else {
@@ -181,7 +179,7 @@ func (c Config) digest() uint64 {
 	} else {
 		wr(0)
 	}
-	wr(turboca.Format)
+	wr(turboca.Format, ckptFormat)
 	return h.Sum64()
 }
 

@@ -43,16 +43,15 @@ func TestConfigDefaults(t *testing.T) {
 
 // The config digest decides which journals Open accepts, so it must not
 // move when a setting that never reached state bytes is removed: both
-// values fold turboca.Format 1, and were recorded before the
-// telemetry-window and dirty-skip-off settings left Config (their
-// pre-grid values are in TestOpenRefusesPreGridJournal).
+// values fold turboca.Format 1 and ckptFormat 2 (earlier values of
+// preGridConfig's are in TestOpenRefusesPreGridJournal).
 func TestConfigDigestStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0x85c84e0acd98e154},
-		{preGridConfig, 0x2f2bfc1f5aa64004},
+		{Config{}, 0x368b3a934932d24},
+		{preGridConfig, 0xf4fbdfe1b342deb4},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)

@@ -3,6 +3,7 @@ package fleetd
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -261,12 +262,12 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-// TestDegradedModeDeterminism: a failed checkpoint changes nothing. With
-// half the periodic commits failing, the fleet's snapshot and state bytes
-// equal a fault-free fleet's at every advance target, and the journal
-// holds no trace of the failures. A crashed run under the same failures
-// still converges to its twin.
-func TestDegradedModeDeterminism(t *testing.T) {
+// TestFailedCheckpointChangesNothing: with half the periodic commits
+// failing, the fleet's snapshot and state bytes equal a fault-free
+// fleet's at every advance target, and the journal holds no trace of the
+// failures. A crashed run under the same failures still converges to its
+// twin.
+func TestFailedCheckpointChangesNothing(t *testing.T) {
 	cfg := testConfig(53)
 	cfg.Mid = 2 * sim.Hour
 	cfg.CheckpointEvery = 30 * sim.Minute
@@ -386,17 +387,20 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 }
 
 // preGridConfig's digest was 0x6308c920312de455 before turboca.Format
-// was folded into it.
+// was folded into it, and 0x2f2bfc1f5aa64004 before ckptFormat was.
 var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
 
 // TestOpenRefusesPreGridJournal: a journal written before contention went
-// on the planner's integer grid replays into other ln NetP bits and would
-// fail at its first checkpoint. Its config record carries the pre-grid
-// digest, so Open refuses it up front with the config-digest error, and
-// accepts the same records under the current digest.
+// on the planner's integer grid replays into other ln NetP bits, and one
+// written before checkpoints were JSON rows digests other checkpoint
+// bytes; either would fail at its first checkpoint. Its config record
+// carries an earlier digest, so Open refuses it up front with the
+// config-digest error, and accepts the same records under the current
+// digest.
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
-	for _, digest := range []uint64{0x6308c920312de455, preGridConfig.withDefaults().digest()} {
+	current := preGridConfig.withDefaults().digest()
+	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, current} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: digest},
@@ -406,8 +410,8 @@ func TestOpenRefusesPreGridJournal(t *testing.T) {
 		cfg := preGridConfig
 		cfg.Obs = obs.NewRegistry()
 		_, err := Open(cfg, store)
-		if pre := digest == 0x6308c920312de455; pre != (err != nil) ||
-			pre && !strings.Contains(err.Error(), "journal config digest 0x6308c920312de455 does not match") {
+		refused := fmt.Sprintf("journal config digest %#x does not match", digest)
+		if old := digest != current; old != (err != nil) || old && !strings.Contains(err.Error(), refused) {
 			t.Fatalf("Open of a journal with digest %#x: err = %v", digest, err)
 		}
 	}

@@ -49,16 +49,16 @@ func buildScenario(n *fleet.Network, seed int64) *topo.Scenario {
 			Name:     fmt.Sprintf("%s-ap%03d", sc.Name, i),
 			Pos:      topo.Point{X: fap.X, Y: fap.Y},
 			MaxWidth: radioWidth(fap),
-			NSS:      maxInt(fap.Chains, 1),
+			NSS:      max(fap.Chains, 1),
 			// The fleet generator's assignment is the incumbent plan the
 			// controller must improve on.
 			Channel:   fap.Channel5,
 			Channel24: fap.Channel24,
 			// Demand scales with the AP's observed 5 GHz utilization and
 			// client density: a busy, dense AP offers more load.
-			BaseDemandMbps: 6 + 90*fap.Util5 + 1.2*float64(minInt(fap.MaxClients, 50)) + 8*rng.Float64(),
+			BaseDemandMbps: 6 + 90*fap.Util5 + 1.2*float64(min(fap.MaxClients, 50)) + 8*rng.Float64(),
 		}
-		nClients := minInt(fap.MaxClients, maxModeledClients)
+		nClients := min(fap.MaxClients, maxModeledClients)
 		clients = clients[:0]
 		for j := 0; j < nClients; j++ {
 			c := caps.Sample(rng)
@@ -115,18 +115,4 @@ func radioWidth(ap *fleet.AP) spectrum.Width {
 	default:
 		return spectrum.W20
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,8 +2,10 @@ package fleetd
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"repro/internal/backend"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
 )
@@ -30,10 +32,8 @@ type NetworkStatus struct {
 	// guard downgraded to i=0.
 	Degraded int
 	// Quarantined marks a network isolated after a faulted pass (panic or
-	// watchdog cancellation). Its planner-derived fields read as zero: the
-	// fault froze its backend at a wall-clock-dependent point, so those
-	// values are not deterministic and are excluded here exactly as they
-	// are from checkpoint bytes.
+	// watchdog cancellation). Its planner-derived fields read as zero (see
+	// netState.live).
 	Quarantined bool
 }
 
@@ -58,6 +58,45 @@ type Snapshot struct {
 	Util     stats.Summary
 }
 
+// live returns the network's backend if its planner-derived state is
+// deterministic, else nil. A quarantined network's backend froze mid-fault
+// (a wedged pass aborts at a wall-clock-dependent point), so nothing
+// derived from it reaches a snapshot or checkpoint bytes; an unbuilt
+// network has no backend yet.
+func (ns *netState) live() *backend.Backend {
+	if ns.quarantined {
+		return nil
+	}
+	return ns.be
+}
+
+// status builds one network's row, the one row Snapshot aggregates and
+// every checkpoint carries.
+func status(ns *netState) NetworkStatus {
+	st := NetworkStatus{
+		ID:        ns.id,
+		Key:       ns.key,
+		APs:       ns.apCount,
+		Passes:    ns.passes,
+		Shed:      ns.shed,
+		Coalesced: ns.coalesced,
+		// A network the scheduler has not touched yet (lazy build
+		// pending) has run nothing and diverged from nothing; it reads as
+		// a converged zero row, exactly like a built network before its
+		// first pass. A quarantined one reads as unconverged.
+		Converged:   !ns.quarantined,
+		Quarantined: ns.quarantined,
+	}
+	if be := ns.live(); be != nil {
+		st.LogNetP5 = be.Service.LastLogNetP[spectrum.Band5]
+		st.LogNetP24 = be.Service.LastLogNetP[spectrum.Band2G4]
+		st.Converged = be.Converged()
+		st.Switches = be.Switches()
+		st.Degraded = be.Service.DegradedTotal
+	}
+	return st
+}
+
 // Snapshot captures the fleet's current state. Call it from the control
 // loop (after Run returns); it reads per-network planner state that
 // in-flight passes would be writing.
@@ -65,32 +104,13 @@ func (c *Controller) Snapshot() Snapshot {
 	var snap Snapshot
 	logNetP, util := stats.NewSample(0), stats.NewSample(0)
 	for _, ns := range c.nets() {
-		st := NetworkStatus{
-			ID:        ns.id,
-			Key:       ns.key,
-			APs:       ns.apCount,
-			Passes:    ns.passes,
-			Shed:      ns.shed,
-			Coalesced: ns.coalesced,
-			// A network the scheduler has not touched yet (lazy build
-			// pending) has run nothing and diverged from nothing; it reads
-			// as a converged zero row, exactly like a built network before
-			// its first pass.
-			Converged:   true,
-			Quarantined: ns.quarantined,
-		}
-		if ns.be != nil && !ns.quarantined {
-			st.LogNetP5 = ns.be.Service.LastLogNetP[spectrum.Band5]
-			st.LogNetP24 = ns.be.Service.LastLogNetP[spectrum.Band2G4]
-			st.Converged = ns.be.Converged()
-			st.Switches = ns.be.Switches()
-			st.Degraded = ns.be.Service.DegradedTotal
-			for _, p := range ns.be.Model.Evaluate(c.now) {
+		st := status(ns)
+		if be := ns.live(); be != nil {
+			for _, p := range be.Model.Evaluate(c.now) {
 				util.Add(p.Utilization)
 			}
 		}
-		if ns.quarantined {
-			st.Converged = false
+		if st.Quarantined {
 			snap.QuarantinedNets++
 		}
 		snap.Networks = append(snap.Networks, st)
@@ -150,34 +170,17 @@ func (s Snapshot) worstNetworks(n int) []NetworkStatus {
 			planned = append(planned, st)
 		}
 	}
-	rank := func(st NetworkStatus) int {
-		if st.Quarantined {
-			return 0
+	sort.Slice(planned, func(i, j int) bool {
+		a, b := planned[i], planned[j]
+		if a.Quarantined != b.Quarantined {
+			return a.Quarantined
 		}
-		return 1
-	}
-	// Selection by repeated minimum keeps this dependency-free and the
-	// order fully deterministic.
-	var out []NetworkStatus
-	for len(out) < n && len(planned) > 0 {
-		best := 0
-		for i, st := range planned {
-			b := planned[best]
-			if rank(st) != rank(b) {
-				if rank(st) < rank(b) {
-					best = i
-				}
-				continue
-			}
-			if st.LogNetP5 < b.LogNetP5 ||
-				(st.LogNetP5 == b.LogNetP5 && st.ID < b.ID) {
-				best = i
-			}
+		if a.LogNetP5 != b.LogNetP5 {
+			return a.LogNetP5 < b.LogNetP5
 		}
-		out = append(out, planned[best])
-		planned = append(planned[:best], planned[best+1:]...)
-	}
-	return out
+		return a.ID < b.ID
+	})
+	return planned[:min(n, len(planned))]
 }
 
 func (s Snapshot) String() string {

@@ -121,10 +121,18 @@ func (s *DirStore) CommitCheckpoint(data []byte) error {
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("fleetd: checkpoint rename: %w", err)
 	}
-	// Sync the directory so the rename itself is durable.
-	if d, err := os.Open(s.dir); err == nil {
-		d.Sync()
-		d.Close()
+	// Sync the directory so the rename itself is durable; a commit whose
+	// rename may not survive a crash is a failed commit.
+	d, err := os.Open(s.dir)
+	if err != nil {
+		return fmt.Errorf("fleetd: checkpoint dir open: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("fleetd: checkpoint dir sync: %w", err)
 	}
 	return nil
 }
