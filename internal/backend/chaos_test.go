@@ -357,11 +357,11 @@ func TestPollIntervalDefaultedWithoutStart(t *testing.T) {
 	}
 	engine.RunUntil(13 * sim.Hour) // business hours: traffic flows
 	b.Poll()
-	row, ok := b.DB.Table("usage").Latest(sc.APs[0].Name)
-	if !ok {
+	rows := b.DB.Table("usage").Range(sc.APs[0].Name, 0, engine.Now()+1)
+	if len(rows) == 0 {
 		t.Fatal("no usage row")
 	}
-	if row.Field("bytes") <= 0 {
+	if row := rows[len(rows)-1]; row.Field("bytes") <= 0 {
 		t.Fatalf("served bytes = %f with a defaulted poll interval", row.Field("bytes"))
 	}
 }

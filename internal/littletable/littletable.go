@@ -2,8 +2,9 @@
 // LittleTable (Rhea et al., SIGMOD '17), the database the Meraki backend
 // uses to hold per-AP statistics (§2.2). It stores rows clustered by
 // (table, key) and ordered by timestamp, and supports the access patterns
-// the backend needs: time-ordered appends, time-range scans, latest-value
-// lookups, downsampling, and retention trimming.
+// the backend needs: time-ordered appends, time-range scans, fleet-wide
+// field aggregation, and retention trimming. It keeps everything in
+// memory: there is no persistence and no downsampling.
 //
 // Storage is columnar (struct-of-arrays): a series keeps one flat
 // []float64 of field values plus a compact header per row pointing at an
@@ -15,7 +16,6 @@
 package littletable
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -97,13 +97,11 @@ func (s *series) value(r crow, field string) (float64, bool) {
 // one DB) should prefer InsertBatch, which amortizes the lock, the sort
 // check, the retention pass, and the store metrics over a whole batch of
 // rows.
-// Read methods (Range, Latest) return freshly materialized rows that do
-// not alias internal storage.
+// Range returns freshly materialized rows that do not alias internal
+// storage.
 type Table struct {
-	mu     sync.Mutex
-	name   string
-	byKey  map[string]*series
-	nowRef func() sim.Time
+	mu    sync.Mutex
+	byKey map[string]*series
 
 	// Schema interning: every distinct sorted field set a row ever used,
 	// keyed by its joined names, plus the last schema seen — consecutive
@@ -167,21 +165,9 @@ func (db *DB) Table(name string) *Table {
 	if t, ok = db.tables[name]; ok {
 		return t
 	}
-	t = &Table{name: name, byKey: map[string]*series{}, schemas: map[string]*rowSchema{}, db: db}
+	t = &Table{byKey: map[string]*series{}, schemas: map[string]*rowSchema{}, db: db}
 	db.tables[name] = t
 	return t
-}
-
-// TableNames returns all table names in sorted order.
-func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // schemaFor interns the field set of one row. The fast path — the same
@@ -443,19 +429,6 @@ func (s *series) search(from, to sim.Time) (int, int) {
 	return lo, max(lo, hi)
 }
 
-// Latest returns the most recent row for key.
-func (t *Table) Latest(key string) (Row, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.pruneOnReadLocked()
-	s, ok := t.byKey[key]
-	if !ok || len(s.rows) == 0 {
-		return Row{}, false
-	}
-	s.ensureSorted()
-	return s.materialize(s.rows[len(s.rows)-1]), true
-}
-
 // FieldSeries extracts one field across a time range as (time, value) pairs.
 type Point struct {
 	At sim.Time
@@ -481,32 +454,6 @@ func (t *Table) FieldRange(key, field string, from, to sim.Time) []Point {
 			out = append(out, Point{At: r.at, V: v})
 		}
 	}
-	return out
-}
-
-// Downsample buckets the named field over [from, to) into fixed-width
-// windows, averaging within each bucket. Buckets with no data are skipped.
-func (t *Table) Downsample(key, field string, from, to, bucket sim.Time) []Point {
-	if bucket <= 0 {
-		panic("littletable: bucket must be positive")
-	}
-	var out []Point
-	var acc stats.Welford
-	bucketStart := from
-	flush := func() {
-		if acc.N() > 0 {
-			out = append(out, Point{At: bucketStart, V: acc.Mean()})
-		}
-		acc = stats.Welford{}
-	}
-	for _, p := range t.FieldRange(key, field, from, to) {
-		for p.At >= bucketStart+bucket {
-			flush()
-			bucketStart += bucket
-		}
-		acc.Add(p.V)
-	}
-	flush()
 	return out
 }
 
@@ -551,13 +498,8 @@ func (t *Table) SumField(field string, from, to sim.Time) float64 {
 	return sum
 }
 
-// Trim discards rows older than cutoff for all keys (retention).
-func (t *Table) Trim(cutoff sim.Time) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.trimLocked(cutoff)
-}
-
+// trimLocked discards rows older than cutoff for all keys (retention).
+// Caller holds t.mu.
 func (t *Table) trimLocked(cutoff sim.Time) int {
 	removed := 0
 	for _, s := range t.byKey {
@@ -596,14 +538,4 @@ func (s *series) compact() {
 	}
 	s.vals = vals
 	s.dead = 0
-}
-
-func (t *Table) String() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rows := 0
-	for _, s := range t.byKey {
-		rows += len(s.rows)
-	}
-	return fmt.Sprintf("table %s: %d keys, %d rows", t.name, len(t.byKey), rows)
 }

@@ -153,9 +153,6 @@ func TestRetentionQuietTableAllReadPaths(t *testing.T) {
 	if pts := build().FieldRange("k", "v", 0, sim.Hour); len(pts) != 6 || pts[0].At != 6*sim.Minute {
 		t.Errorf("FieldRange served %d points starting at %v, want 6 from 6m", len(pts), pts[0].At)
 	}
-	if row, ok := build().Latest("k"); !ok || row.At != 11*sim.Minute {
-		t.Errorf("Latest = (%v, %v), want row at 11m", row.At, ok)
-	}
 	if s := build().AggregateField("v", 0, sim.Hour); s.N() != 6 {
 		t.Errorf("AggregateField saw %d values, want 6", s.N())
 	}
