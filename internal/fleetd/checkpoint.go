@@ -29,9 +29,9 @@ import (
 // verifies the replay — when the replayed clock passes the instant the
 // blob was committed at, the recomputed bytes must match it exactly.
 
-// ckptFormat numbers the checkpoint encoding (1 was a littletable row
-// dump). The config digest folds it: a journal's ckpt records digest
-// bytes of one encoding, so Open refuses a journal written under another.
+// ckptFormat numbers the checkpoint encoding. The config digest folds it:
+// a journal's ckpt records digest bytes of one encoding, so Open refuses a
+// journal written under another.
 const ckptFormat = 2
 
 // ckptState is the checkpoint document; Now leads so ckptClock can read it.

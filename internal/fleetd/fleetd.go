@@ -231,7 +231,8 @@ type netState struct {
 
 	// quarantined marks a network whose pass faulted (panic or watchdog
 	// cancellation): it is dropped from the scheduler, skipped by engine
-	// syncs, and its backend-derived state is excluded from checkpoints.
+	// syncs, and its backend-derived state is excluded from snapshot rows
+	// and checkpoints (live).
 	quarantined bool
 }
 
