@@ -102,6 +102,49 @@ func BenchmarkPerfSimRearm(b *testing.B) {
 	b.ReportMetric(float64(e.Queued()), "queued")
 }
 
+// BenchmarkPerfSimLine is the queue under the switch wire's shape: every
+// 100 µs a burst of 32 items is sent at one instant with a fixed 500 µs
+// delay and one of 30 timers is re-armed 200 ms out, so the timers stay
+// pending. One op is one delivered item. "line" sends the bursts down a
+// sim.Line, whose next item takes the root slot in place; "after" sends the
+// same bursts through After, a closure and a sift through the heap each.
+func BenchmarkPerfSimLine(b *testing.B) {
+	const burst, delay = 32, 500 * sim.Microsecond
+	for _, mode := range []string{"line", "after"} {
+		b.Run(mode, func(b *testing.B) {
+			e := sim.NewEngine(1)
+			delivered := 0
+			deliver := func(int) { delivered++ }
+			send := sim.NewLine(e, delay, deliver).Push
+			if mode == "after" {
+				send = func(v int) { e.After(delay, func(*sim.Engine) { deliver(v) }) }
+			}
+			timers := make([]*sim.Timer, 30)
+			for i := range timers {
+				timers[i] = e.NewTimer(func(*sim.Engine) { b.Fatal("timer fired") })
+			}
+			n := 0
+			var next func(*sim.Engine)
+			next = func(en *sim.Engine) {
+				for i := 0; i < burst; i++ {
+					send(i)
+				}
+				timers[n%len(timers)].Reset(200 * sim.Millisecond)
+				n++
+				en.After(100*sim.Microsecond, next)
+			}
+			e.After(0, next)
+			e.RunUntil(sim.Second) // the queue and the line at their working depth
+			b.ReportAllocs()
+			b.ResetTimer()
+			for delivered = 0; delivered < b.N; {
+				e.Step()
+			}
+			b.ReportMetric(float64(e.Queued()), "queued")
+		})
+	}
+}
+
 // benchTestbed drives one of BENCHMARK.json's two testbed shapes the way
 // bench/data.go does — invariant checker armed, the first simulated second
 // (handshakes, slow start, pools filling) outside the timer, then 100 ms

@@ -13,6 +13,8 @@
 // cannot be taken back, so nothing keeps a handle to one; the few things
 // that are taken back (a retransmission timeout, a delayed ACK, a ticker)
 // own a Timer, which occupies at most one queue slot and leaves it on Stop.
+// Items that all wait one fixed delay (a wire, a host stack) ride a Line,
+// which likewise holds one slot, for its head.
 package sim
 
 import (
@@ -51,7 +53,8 @@ func (t Time) String() string {
 }
 
 // event is one queue slot. t is set when the slot belongs to a Timer, whose
-// idx the queue keeps equal to the slot's position.
+// idx the queue keeps equal to the slot's position. fn is nil when the slot
+// is a Line's head: t is then the line's slot timer, whose fn delivers it.
 type event struct {
 	at  Time
 	seq uint64 // tie-break: FIFO among equal timestamps
@@ -140,6 +143,17 @@ func (h eventHeap) fix(i int, ev event) {
 	}
 }
 
+// replaceTop puts ev in the root slot. ev stays there when it precedes both
+// children, as a Line's next item usually does (it is due at the instant the
+// one before it was); otherwise it sifts down.
+func (h eventHeap) replaceTop(ev event) {
+	if n := len(h); (n < 2 || ev.before(&h[1])) && (n < 3 || ev.before(&h[2])) {
+		h.set(0, ev)
+		return
+	}
+	h.down(0, ev)
+}
+
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, event{})
 	h.up(len(*h)-1, ev)
@@ -212,6 +226,7 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	queue eventHeap
+	lined int // items waiting in Lines behind their heads
 	rng   *rand.Rand
 	fired uint64
 }
@@ -238,8 +253,9 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Queued returns the number of events waiting to fire.
-func (e *Engine) Queued() int { return len(e.queue) }
+// Queued returns the number of events waiting to fire, each item waiting in
+// a Line among them.
+func (e *Engine) Queued() int { return len(e.queue) + e.lined }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it always indicates a logic error in a model.
@@ -265,10 +281,13 @@ func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.queue.remove(0)
-	e.now = ev.at
+	e.now = e.queue[0].at
 	e.fired++
-	ev.fn(e)
+	if top := &e.queue[0]; top.fn == nil {
+		top.t.fn(e) // a Line's head: the line hands its slot on itself
+		return true
+	}
+	e.queue.remove(0).fn(e)
 	return true
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -338,13 +339,14 @@ func (e *refEngine) peek() *refEvent {
 }
 
 // queue is what the comparison drives: either engine plus refTimers timers
-// addressed by number.
+// and refLines lines addressed by number.
 type queue interface {
 	Now() Time
 	Fired() uint64
-	nextSeq() uint64 // the seq the next Schedule or Reset will draw
+	nextSeq() uint64 // the seq the next Schedule, Reset or Push will draw
 	live() int       // events queued that will fire
 	Schedule(at Time, fn func())
+	Push(l int, fn func())
 	Reset(j int, delay Time)
 	Stop(j int)
 	Pending(j int) bool
@@ -352,11 +354,16 @@ type queue interface {
 	RunUntil(Time)
 }
 
-const refTimers = 4
+const refTimers, refLines = 4, 2
+
+// lineDelays are the fixed delays of the lines, one of them a delay that
+// plain events and timers draw too.
+var lineDelays = [refLines]Time{0, 10}
 
 type newQueue struct {
 	*Engine
 	timers [refTimers]*Timer
+	lines  [refLines]*Line[func()]
 }
 
 func newNewQueue(fire func(j int)) *newQueue {
@@ -365,12 +372,16 @@ func newNewQueue(fire func(j int)) *newQueue {
 		j := j
 		q.timers[j] = q.NewTimer(func(*Engine) { fire(j) })
 	}
+	for l := range q.lines {
+		q.lines[l] = NewLine(q.Engine, lineDelays[l], func(fn func()) { fn() })
+	}
 	return q
 }
 
 func (q *newQueue) nextSeq() uint64             { return q.seq }
-func (q *newQueue) live() int                   { return len(q.queue) }
+func (q *newQueue) live() int                   { return q.Queued() }
 func (q *newQueue) Schedule(at Time, fn func()) { q.Engine.Schedule(at, func(*Engine) { fn() }) }
+func (q *newQueue) Push(l int, fn func())       { q.lines[l].Push(fn) }
 func (q *newQueue) Reset(j int, delay Time)     { q.timers[j].Reset(delay) }
 func (q *newQueue) Stop(j int)                  { q.timers[j].Stop() }
 func (q *newQueue) Pending(j int) bool          { return q.timers[j].Pending() }
@@ -399,6 +410,11 @@ func (q *refQueue) live() int {
 func (q *refQueue) Schedule(at Time, fn func()) {
 	q.refEngine.Schedule(at, func(*refEngine) { fn() })
 }
+
+// Push is what a line stands for: an After of the line's delay.
+func (q *refQueue) Push(l int, fn func()) {
+	q.After(lineDelays[l], func(*refEngine) { fn() })
+}
 func (q *refQueue) Reset(j int, delay Time) {
 	q.Stop(j)
 	q.handles[j] = q.After(delay, func(*refEngine) {
@@ -415,7 +431,8 @@ func (q *refQueue) Stop(j int) {
 func (q *refQueue) Pending(j int) bool { return q.handles[j] != nil }
 
 // firing is one executed callback: when, the seq its arming drew, which
-// (plain events count up from 0 in scheduling order, timer j is -1-j), and
+// (plain events and line items count up from 0 in arming order, timer j is
+// -1-j), and
 // which timers were pending as it began — right after its pop, so Pending is
 // compared after every pop, not only after every operation.
 type firing struct {
@@ -440,15 +457,21 @@ type driver struct {
 
 var queueDelays = [...]Time{0, 0, 1, 1, 2, 3, 5, 10, 10, 40, 200, 200, 1000, 200 * Millisecond, 1 << 40}
 
-func (d *driver) schedule(at Time, act byte) {
+// event returns the callback of a plain event or line item armed now for
+// instant at, which logs itself under the next id and then performs act.
+func (d *driver) event(at Time, act byte) func() {
 	id, seq := d.ids, d.q.nextSeq()
 	d.ids++
 	d.lastAt = at
-	d.q.Schedule(at, func() {
+	return func() {
 		d.log = append(d.log, firing{d.q.Now(), seq, id, d.pendingMask()})
 		d.inside(act, -1)
-	})
+	}
 }
+
+func (d *driver) schedule(at Time, act byte) { d.q.Schedule(at, d.event(at, act)) }
+
+func (d *driver) push(l int, act byte) { d.q.Push(l, d.event(d.q.Now()+lineDelays[l], act)) }
 
 func (d *driver) reset(j int, delay Time, act byte) {
 	d.act[j], d.armSeq[j], d.due[j] = act, d.q.nextSeq(), d.q.Now()+delay
@@ -479,6 +502,8 @@ func (d *driver) inside(act byte, self int) {
 	arg := int(act >> 3)
 	j, delay := arg%refTimers, queueDelays[arg%len(queueDelays)]
 	switch act % 8 {
+	case 1: // onto a line, the one being delivered among them
+		d.push(arg%refLines, 0)
 	case 2:
 		d.schedule(d.q.Now()+delay, 0)
 	case 3:
@@ -506,7 +531,7 @@ func (d *driver) inside(act byte, self int) {
 // op applies one three-byte operation from outside any callback.
 func (d *driver) op(k, a, b byte) {
 	j, delay := int(a)%refTimers, queueDelays[int(a)/refTimers%len(queueDelays)]
-	switch k % 10 {
+	switch k % 12 {
 	case 0:
 		d.schedule(d.q.Now()+delay, b)
 	case 1: // a burst, so that pops walk a heap several levels deep
@@ -532,11 +557,20 @@ func (d *driver) op(k, a, b byte) {
 		}
 	case 9:
 		d.q.RunUntil(d.q.Now() + delay)
+	case 10:
+		d.push(int(a)%refLines, b)
+	case 11: // a burst onto one line, or alternating between the two
+		l, alt := int(a)%refLines, int(a>>1)&1
+		for i := 0; i <= int(a>>2)%16; i++ {
+			d.push((l+alt*i)%refLines, b)
+		}
 	}
 }
 
 // checkQueue asserts the structure the queue promises: heap order, every
-// timer's idx naming its own slot or -1, no slot without a callback.
+// timer's idx naming its own slot or -1, no slot without a callback, a slot
+// for each line exactly while it holds items, at its head's (at, seq), and
+// every other item counted as lined.
 func checkQueue(t *testing.T, q *newQueue) {
 	t.Helper()
 	h := q.queue
@@ -544,7 +578,7 @@ func checkQueue(t *testing.T, q *newQueue) {
 		if i > 0 && h[i].before(&h[(i-1)/2]) {
 			t.Fatalf("heap order broken at slot %d", i)
 		}
-		if h[i].fn == nil {
+		if h[i].fn == nil && (h[i].t == nil || h[i].t.fn == nil) {
 			t.Fatalf("slot %d holds no callback", i)
 		}
 		if h[i].t != nil && h[i].t.idx != i {
@@ -558,6 +592,27 @@ func checkQueue(t *testing.T, q *newQueue) {
 	}
 	if spare := h[len(h):cap(h)]; len(spare) > 0 && !isZero(spare[0]) {
 		t.Fatal("vacated slot not zeroed")
+	}
+	lined := 0
+	for l, ln := range q.lines {
+		if (ln.slot.idx >= 0) != (ln.n > 0) {
+			t.Fatalf("line %d holds %d items and slot %d", l, ln.n, ln.slot.idx)
+		}
+		if ln.n == 0 {
+			continue
+		}
+		lined += ln.n - 1
+		if head, ev := ln.ring[ln.head], h[ln.slot.idx]; ev.fn != nil || ev.at != head.at || ev.seq != head.seq {
+			t.Fatalf("line %d: slot at %v seq %d, head at %v seq %d", l, ev.at, ev.seq, head.at, head.seq)
+		}
+		for i := ln.n; i < len(ln.ring); i++ {
+			if it := ln.ring[(ln.head+i)%len(ln.ring)]; it.at != 0 || it.seq != 0 || it.v != nil {
+				t.Fatalf("line %d: vacated ring slot not zeroed", l)
+			}
+		}
+	}
+	if lined != q.lined {
+		t.Fatalf("lines hold %d items behind their heads, engine counts %d", lined, q.lined)
 	}
 }
 
@@ -600,13 +655,15 @@ func runQueueOps(t *testing.T, ops []byte) {
 }
 
 // TestQueueMatchesReference: random operation strings — Schedule at now, at
-// equal timestamps and far out; Reset on stopped and pending timers to
-// earlier, later and equal instants; Stop pending, stopped and twice; all of
-// those again from inside firing callbacks; bursts that deepen the heap; Step
-// and RunUntil — fire the same (at, seq, id) sequence on the value-event
-// queue, whose pop works bottom up, as on the pointer queue with its dead
-// flag, with the same timers pending after every pop and the same clock and
-// Fired() after every operation.
+// equal timestamps and far out; Push onto two lines of different delays,
+// one item or a burst; Reset on stopped and pending timers to earlier, later
+// and equal instants; Stop pending, stopped and twice; all of those again
+// from inside firing callbacks and line deliveries; bursts that deepen the
+// heap; Step and RunUntil — fire the same (at, seq, id) sequence on the
+// value-event queue, whose pop works bottom up and whose lines hold one slot
+// each, as on the pointer queue with its dead flag, where a push is an
+// After, with the same timers pending after every pop and the same clock,
+// Fired() and Queued() after every operation.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -622,7 +679,18 @@ func TestQueueMatchesReference(t *testing.T) {
 // The cases the random strings reach only by chance, spelled out.
 func TestQueueDirectedCases(t *testing.T) {
 	const selfRearm0, stopPeers, stopRearmAdd = 5, 6, 7 | 3<<3
+	const push0, push1, reset0In10 = 1, 1 | 1<<3, 3 | 8<<3
 	for name, ops := range map[string][]byte{
+		// items on both lines and a plain event, all due at 10µs
+		"two lines, two delays": {10, 1, 0, 10, 0, 0, 10, 1, 0, 2, 0, 0, 10, 0, 0, 9, 4 * 9, 0},
+		// each line's items push onto that line from inside their delivery
+		"line pushes from its delivery": {10, 0, push0, 10, 0, push0, 10, 1, push1, 10, 1, push1, 9, 4 * 9, 0},
+		// a lone item refills its own line at the instant it empties it, behind
+		// a plain event that was already due then
+		"line empties and refills": {10, 0, push0, 2, 0, 0, 7, 0, 0, 7, 0, 0, 7, 0, 0, 10, 0, 0, 8, 3, 0},
+		// timers reset to a line's instant, stopped there and re-armed from
+		// inside a delivery, around a burst of items due at that instant
+		"timers at a line's instants": {10, 1, 0, 5, 0, 0, 11, 1 | 3<<2, stopPeers, 5, 1, 0, 5, 2, 0, 6, 2, 0, 10, 1, reset0In10, 9, 4 * 9, 0},
 		// timers 0..3 all due at the same instant; the first to fire stops the rest
 		"timer stops peers due now": {3, 0 + 4*7, stopPeers, 5, 1, 0, 5, 2, 0, 5, 3, stopPeers, 9, 4 * 9, 0},
 		// a timer re-arming itself with zero delay from its own callback
@@ -647,6 +715,7 @@ func FuzzQueue(f *testing.F) {
 	f.Add([]byte{3, 28, 6, 5, 1, 0, 5, 2, 0, 5, 3, 6, 9, 36, 0})
 	f.Add([]byte{0, 0, 2, 0, 4, 3, 3, 1, 5, 7, 0, 0, 7, 0, 0, 9, 40, 0})
 	f.Add([]byte{3, 0, 63, 3, 1, 63, 2, 0, 23, 6, 0, 1, 8, 3, 0, 9, 52, 0})
+	f.Add([]byte{10, 0, 1, 11, 7, 9, 5, 0, 0, 10, 1, 6, 8, 3, 0, 9, 36, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*2000 {
 			return
@@ -664,10 +733,15 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(i), fn)
 	}
+	ln := NewLine(e, 3, func(int) {})
+	for i := 0; i < 64; i++ {
+		ln.Push(i)
+	}
 	e.Run()
 	tm := e.NewTimer(fn)
 	for name, f := range map[string]func(){
 		"Schedule+Step":      func() { e.After(1, fn); e.Step() },
+		"Push+Step":          func() { ln.Push(1); e.Step() },
 		"Reset stopped+Stop": func() { tm.Reset(5); tm.Stop() },
 		"Reset pending":      func() { tm.Reset(5); tm.Reset(9); tm.Reset(2) },
 		"Reset+Step":         func() { tm.Reset(1); e.Step() },
@@ -675,6 +749,30 @@ func TestScheduleFireZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s: %v allocs, want 0", name, n)
 		}
+	}
+}
+
+// A Line's items count as events waiting to fire until they are delivered,
+// and each delivery as one event fired, in (at, seq) order with the rest.
+func TestLineQueuedAndFired(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	ln := NewLine(e, 5, func(v int) { got = append(got, v) })
+	for i := 0; i < 3; i++ {
+		ln.Push(i)
+	}
+	e.After(5, func(*Engine) { got = append(got, -1) })
+	if e.Queued() != 4 {
+		t.Fatalf("Queued() = %d with three items lined and one event, want 4", e.Queued())
+	}
+	e.Step()
+	if e.Queued() != 3 || e.Fired() != 1 {
+		t.Fatalf("after one step: Queued() = %d, Fired() = %d; want 3, 1", e.Queued(), e.Fired())
+	}
+	e.Run()
+	if e.Queued() != 0 || e.Fired() != 4 || e.Now() != 5 || !slices.Equal(got, []int{0, 1, 2, -1}) {
+		t.Fatalf("Queued() = %d, Fired() = %d, now %v, order %v; want 0, 4, 5µs, [0 1 2 -1]",
+			e.Queued(), e.Fired(), e.Now(), got)
 	}
 }
 
