@@ -149,6 +149,10 @@ type Station struct {
 	// slab is the chunk the station's next MPDU is cut from (see newMPDU).
 	slab []MPDU
 
+	// txLine carries enqueued frames through the TxDelay host-stack wait;
+	// nil without a TxDelay. Stations with equal delays share one.
+	txLine *sim.Line[*MPDU]
+
 	// Carrier-sense state: physBusyUntil is raised by audible
 	// transmissions and interferers; navBusyUntil by overheard RTS/CTS
 	// exchanges (virtual carrier sense, §4.1.2).
@@ -251,11 +255,8 @@ func (s *Station) Enqueue(d *packet.Datagram, dst StationID, ac phy.AccessCatego
 		}
 		return false
 	}
-	if s.cfg.TxDelay > 0 {
-		s.medium.engine.After(s.cfg.TxDelay, func(e *sim.Engine) {
-			q.enqueue(m)
-			s.medium.kickContention()
-		})
+	if s.txLine != nil {
+		s.txLine.Push(m)
 		return true
 	}
 	q.enqueue(m)

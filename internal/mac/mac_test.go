@@ -402,3 +402,47 @@ func TestUtilizationTracksLoad(t *testing.T) {
 		t.Fatalf("saturated utilization = %.2f", u)
 	}
 }
+
+// Stations with equal TxDelays share one host-stack line, and a frame
+// joins its station's queue, and contends, only once that delay has
+// passed; until then the engine counts it as queued.
+func TestTxDelayLines(t *testing.T) {
+	md := newTestMedium(45)
+	ap := md.AddStation(stationCfg("ap"))
+	withDelay := func(name string, d sim.Time) *Station {
+		cfg := stationCfg(name)
+		cfg.TxDelay = d
+		return md.AddStation(cfg)
+	}
+	a := withDelay("a", 2*sim.Millisecond)
+	b := withDelay("b", 2*sim.Millisecond)
+	c := withDelay("c", 3*sim.Millisecond)
+	if ap.txLine != nil || a.txLine == nil || a.txLine != b.txLine || a.txLine == c.txLine || len(md.txLines) != 2 {
+		t.Fatalf("lines: ap %p, a %p, b %p, c %p, medium holds %d; want none for ap, a and b sharing one, c its own",
+			ap.txLine, a.txLine, b.txLine, c.txLine, len(md.txLines))
+	}
+	got := make([]sim.Time, len(md.Stations()))
+	ap.OnReceive = func(m *MPDU, now sim.Time) { got[m.Src] = now }
+	clients := []*Station{c, b, a}
+	for _, st := range clients {
+		if !st.Enqueue(dgram(1400), ap.ID, phy.ACBE) {
+			t.Fatalf("%s: enqueue rejected", st.Name())
+		}
+	}
+	e := md.Engine()
+	if e.Queued() != len(clients) {
+		t.Fatalf("Queued() = %d with %d frames in host stacks", e.Queued(), len(clients))
+	}
+	e.RunUntil(2*sim.Millisecond - 1)
+	for _, st := range clients {
+		if n := st.QueueDepth(phy.ACBE, ap.ID); n != 0 || got[st.ID] != 0 {
+			t.Fatalf("%s: %d queued, received at %v before its TxDelay passed", st.Name(), n, got[st.ID])
+		}
+	}
+	e.Run()
+	for _, st := range clients {
+		if d := st.Config().TxDelay; got[st.ID] < d || got[st.ID] >= d+sim.Millisecond {
+			t.Fatalf("%s: received at %v, want within a millisecond after its TxDelay %v", st.Name(), got[st.ID], d)
+		}
+	}
+}

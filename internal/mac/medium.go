@@ -1,8 +1,9 @@
 package mac
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/phy"
 	"repro/internal/sim"
@@ -50,6 +51,13 @@ type Medium struct {
 
 	stats MediumStats
 
+	// contendFn is contend bound once, so a round's scheduling allocates
+	// nothing.
+	contendFn func(*sim.Engine)
+
+	// txLines holds one line per distinct TxDelay (see Station.txLine).
+	txLines []*sim.Line[*MPDU]
+
 	// Scratch of one contention round, truncated at its start: nothing in
 	// them outlives the round (transmit copies its contender, collide builds
 	// its own attempts). failed is completeFrame's, read by retry only.
@@ -68,10 +76,12 @@ type Medium struct {
 // NewMedium creates an empty collision domain. defaultSNR is used for any
 // link without an explicit SetSNR.
 func NewMedium(engine *sim.Engine, defaultSNR float64) *Medium {
-	return &Medium{
+	md := &Medium{
 		engine:     engine,
 		defaultSNR: defaultSNR,
 	}
+	md.contendFn = md.contend
+	return md
 }
 
 // Engine returns the underlying simulation engine.
@@ -96,8 +106,33 @@ func (md *Medium) AddStation(cfg StationConfig) *Station {
 	for ac := range st.backoffs {
 		st.backoffs[ac] = backoffState{cw: phy.AccessCategory(ac).EDCA().CWMin, counter: -1}
 	}
+	if cfg.TxDelay > 0 {
+		st.txLine = md.txLine(cfg.TxDelay)
+	}
 	md.stations = append(md.stations, st)
 	return st
+}
+
+// txLine returns the line that holds frames for delay before they join
+// their station's queue, making it on first use. One line per delay rather
+// than per station: a ring keeps its peak length, and one shared ring peaks
+// no higher than per-station rings summed.
+func (md *Medium) txLine(delay sim.Time) *sim.Line[*MPDU] {
+	for _, l := range md.txLines {
+		if l.Delay() == delay {
+			return l
+		}
+	}
+	l := sim.NewLine(md.engine, delay, md.afterTxDelay)
+	md.txLines = append(md.txLines, l)
+	return l
+}
+
+// afterTxDelay queues a frame whose host-stack wait is over and kicks
+// contention.
+func (md *Medium) afterTxDelay(m *MPDU) {
+	md.stations[m.Src].queues[m.AC].enqueue(m)
+	md.kickContention()
 }
 
 // Station returns the station with the given ID.
@@ -187,7 +222,7 @@ func (md *Medium) kickContention() {
 		return
 	}
 	md.contentionPending = true
-	md.engine.Schedule(md.engine.Now(), md.contend)
+	md.engine.Schedule(md.engine.Now(), md.contendFn)
 }
 
 type contender struct {
@@ -242,7 +277,7 @@ func (md *Medium) contend(e *sim.Engine) {
 	if len(cs) == 0 {
 		if nextFree >= 0 {
 			md.contentionPending = true
-			md.engine.Schedule(nextFree, md.contend)
+			md.engine.Schedule(nextFree, md.contendFn)
 		}
 		return // idle; next Enqueue kicks us again
 	}
@@ -289,8 +324,8 @@ func (md *Medium) contend(e *sim.Engine) {
 
 	// Process winners in bid order so earlier transmissions register
 	// before later ones check the receiver's air (CTS suppression).
-	sort.Slice(winners, func(i, j int) bool {
-		return winners[i].accessDelayUs < winners[j].accessDelayUs
+	slices.SortFunc(winners, func(a, b contender) int {
+		return cmp.Compare(a.accessDelayUs, b.accessDelayUs)
 	})
 
 	// Partition winners into audible collision groups: same bid AND

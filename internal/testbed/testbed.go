@@ -281,6 +281,10 @@ type Testbed struct {
 	dataInj    *faults.DataInjector
 	warmupDone bool
 
+	// wireLine carries every datagram that crosses the switch in exactly
+	// WiredDelay; only a reordered one takes a delay of its own.
+	wireLine *sim.Line[wired]
+
 	// apAt and clientAt resolve a mac.StationID to the AP or client that
 	// owns the station (nil for the other kind).
 	apAt     []*AP
@@ -329,6 +333,7 @@ func New(opt Options) *Testbed {
 		LatTCP:   stats.NewSample(4096),
 	}
 	tb.dataInj = faults.NewData(opt.DataFaults)
+	tb.wireLine = sim.NewLine(tb.Engine, opt.WiredDelay, func(w wired) { w.to.fromWire(w.d) })
 	tb.Medium = mac.NewMedium(tb.Engine, 35)
 	tb.Medium.OnFrame = tb.onFrame
 	if opt.AirCapture != nil {
@@ -438,6 +443,12 @@ type wirePort interface {
 	fromWire(d *packet.Datagram)
 }
 
+// wired is a datagram on its way across the switch.
+type wired struct {
+	d  *packet.Datagram
+	to wirePort
+}
+
 // wire carries a datagram across the switch, in either direction: after the
 // one-way latency it arrives at to. TCP payload segments face the
 // configured wired-side data faults on the way, drawn at fault coordinate
@@ -445,7 +456,7 @@ type wirePort interface {
 // still converges through connection setup.
 func (tb *Testbed) wire(d *packet.Datagram, coord int, to wirePort) {
 	tb.capture(d)
-	delay := tb.Opt.WiredDelay
+	delay := tb.wireLine.Delay()
 	if dj := tb.dataInj; dj != nil && d.TCP != nil && d.PayloadLen > 0 {
 		seq := d.TCP.Seq
 		att := dj.SegmentArrival(coord, seq)
@@ -467,7 +478,11 @@ func (tb *Testbed) wire(d *packet.Datagram, coord int, to wirePort) {
 			tb.Engine.After(delay+50*sim.Microsecond, func(*sim.Engine) { to.fromWire(dup) })
 		}
 	}
-	tb.Engine.After(delay, func(*sim.Engine) { to.fromWire(d) })
+	if delay != tb.wireLine.Delay() {
+		tb.Engine.After(delay, func(*sim.Engine) { to.fromWire(d) })
+		return
+	}
+	tb.wireLine.Push(wired{d, to})
 }
 
 // wireToAP delivers a datagram from the wired side to the AP's Ethernet
