@@ -8,8 +8,8 @@ import "fmt"
 // a line is already in the queue's (at, seq) order and only its head needs
 // a queue slot. A line holds at most one slot, as a Timer does. Delivering
 // the head hands that slot to the next item, in place when the next item
-// still precedes the root's children, so the engine's pop order is the
-// merge of the heap with the line heads that the heap alone would give.
+// still precedes the root's children. The engine pops the same order it
+// would if every item had its own slot.
 type Line[T any] struct {
 	slot  Timer // the head's queue slot; slot.fn delivers the head
 	delay Time

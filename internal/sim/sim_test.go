@@ -356,8 +356,8 @@ type queue interface {
 
 const refTimers, refLines = 4, 2
 
-// lineDelays are the fixed delays of the lines, one of them a delay that
-// plain events and timers draw too.
+// lineDelays are the fixed delays of the lines, both among those plain
+// events and timers draw.
 var lineDelays = [refLines]Time{0, 10}
 
 type newQueue struct {
