@@ -102,7 +102,7 @@ chaos-kill:
 # and the fleet-correlated StormRF determinism tests.
 storm:
 	$(GO) test -race -run 'TestStorm|TestInstallChannelRefusesNOP|TestPlannerInputCarriesRF' ./internal/backend
-	$(GO) test -race -run 'TestStormRF|TestStormRadar' ./internal/fleetd
+	$(GO) test -race -run 'TestStormRF' ./internal/fleetd
 	$(GO) test -race ./internal/rfenv
 
 # Coverage floor: fails if any of COVER_PKGS drops below COVER_FLOOR%

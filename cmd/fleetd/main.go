@@ -46,7 +46,6 @@ func run() int {
 	seed := flag.Int64("seed", 2017, "fleet synthesis and control-plane seed")
 	budget := flag.Int("budget", 0, "max planning passes per scheduler tick; excess sheds deepest-first (0 = unlimited)")
 	chaos := flag.Bool("chaos", false, "inject the default chaos fault profile into every network's control path")
-	adaptive := flag.Bool("adaptive", false, "churn-driven adaptive cadence: stable networks stretch their schedule up to 8x, volatile ones snap back to base")
 	storm := flag.Bool("storm", false, "hostile RF: fleet-correlated DFS radar storms plus per-network spectrum occupancy traces; struck sub-channels serve a 30-minute non-occupancy period")
 	stormsPerDay := flag.Float64("storms-per-day", 2, "expected correlated radar storms per day (requires -storm)")
 	storeDir := flag.String("store", "", "durability directory (journal + checkpoints); restart replays the journal and resumes where the last process stopped")
@@ -68,7 +67,6 @@ func run() int {
 		Seed:             *seed,
 		Workers:          *workers,
 		MaxPassesPerTick: *budget,
-		AdaptiveCadence:  *adaptive,
 		StormRF:          *storm,
 		StormsPerDay:     *stormsPerDay,
 		PassDeadline:     *passDeadline,
@@ -164,9 +162,6 @@ func hourLine(c *fleetd.Controller) string {
 		s.ConvergedNets, len(s.Networks), s.TotalSwitches, s.LogNetP5.P50)
 	if s.QuarantinedNets > 0 {
 		line += fmt.Sprintf(" quarantined=%d", s.QuarantinedNets)
-	}
-	if st, esc := c.AdaptiveStretched(), c.AdaptiveEscalated(); st > 0 || esc > 0 {
-		line += fmt.Sprintf(" stretched=%d escalated=%d", st, esc)
 	}
 	return line + "\n"
 }

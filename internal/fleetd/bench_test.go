@@ -1,9 +1,9 @@
 package fleetd
 
 import (
-	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -13,7 +13,10 @@ import (
 // BenchmarkFleetd1000Networks measures one full i=0 fleet pass: every
 // network of a 1000-network synthetic fleet polls and plans over one
 // 15-minute cadence window. Deeper cadences are
-// disabled so each iteration is exactly one fleet-wide i=0 sweep.
+// disabled so each iteration is exactly one fleet-wide i=0 sweep. The
+// first window, which builds all 1000 networks, runs before the timer
+// starts and is reported as cold_ms, so the timed loop (and allocs/op)
+// sees the steady state for any b.N.
 func BenchmarkFleetd1000Networks(b *testing.B) {
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: 1000})
 	// A private registry: the pass counter checked below must start at 0
@@ -24,15 +27,19 @@ func BenchmarkFleetd1000Networks(b *testing.B) {
 	for _, n := range f.Networks {
 		aps += len(n.APs)
 	}
+	cold := time.Now()
+	c.Run(15 * sim.Minute)
+	coldMS := float64(time.Since(cold).Microseconds()) / 1e3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Run(15 * sim.Minute)
-		if got := int(c.met.passesRun[levelFast].Value()); got != 1000*(i+1) {
-			b.Fatalf("iteration %d: %d i=0 passes, want %d", i, got, 1000*(i+1))
+		if got := int(c.met.passesRun[levelFast].Value()); got != 1000*(i+2) {
+			b.Fatalf("iteration %d: %d i=0 passes, want %d", i, got, 1000*(i+2))
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(aps), "aps")
+	b.ReportMetric(coldMS, "cold_ms")
 }
 
 // benchFleetScale is the fleet-scale benchmark body: register a fleet,
@@ -90,52 +97,6 @@ func benchFleetScale(b *testing.B, networks int) {
 // at 10k networks.
 func BenchmarkFleetd10kNetworks(b *testing.B) {
 	benchFleetScale(b, 10_000)
-}
-
-// BenchmarkFleetdAdaptiveCadence runs twin 200-network fleets — fixed
-// §4.4.4 cadence vs Config.AdaptiveCadence — over ten simulated hours
-// and reports the planning passes the adaptive controller saved at equal
-// final fleet NetP (the saved% / netpΔ% pair). The timed
-// loop then measures steady-state fleet sweeps on the adaptive twin,
-// where most networks coast at a stretched cadence.
-func BenchmarkFleetdAdaptiveCadence(b *testing.B) {
-	const networks = 200
-	const horizon = 10 * sim.Hour
-	twin := func(adaptive bool) (*Controller, Snapshot) {
-		f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: networks})
-		c := New(Config{
-			Seed: 1, Fast: 15 * sim.Minute, Mid: 3 * sim.Hour, Deep: -1,
-			AdaptiveCadence: adaptive, Obs: obs.NewRegistry(),
-		})
-		c.AddFleet(f)
-		c.Run(horizon)
-		return c, c.Snapshot()
-	}
-	_, fixed := twin(false)
-	ac, adapted := twin(true)
-
-	passes := func(s Snapshot) float64 {
-		total := 0
-		for _, n := range s.Passes {
-			total += n
-		}
-		return float64(total)
-	}
-	savedPct := 100 * (passes(fixed) - passes(adapted)) / passes(fixed)
-	netpDeltaPct := 0.0
-	if fixed.LogNetP5.P50 != 0 {
-		netpDeltaPct = 100 * math.Abs(adapted.LogNetP5.P50-fixed.LogNetP5.P50) / math.Abs(fixed.LogNetP5.P50)
-	}
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ac.Run(15 * sim.Minute)
-	}
-	b.StopTimer()
-	b.ReportMetric(savedPct, "saved%")
-	b.ReportMetric(netpDeltaPct, "netpΔ%")
-	b.ReportMetric(float64(ac.AdaptiveStretched()), "stretched")
-	b.ReportMetric(float64(ac.AdaptiveEscalated()), "escalated")
 }
 
 // BenchmarkFleetd100kNetworks is the 100k-network smoke: skipped under

@@ -16,8 +16,7 @@ import (
 // digest, one row per network in ascending ID order and the scheduler's
 // pending entries in their total order. A network's row is its snapshot
 // row (status) plus what no snapshot shows: whether it is built, its
-// cadences, the adaptive controller's state, the reports digest and the
-// dirty-skip memos. uint64s encode as exact integers and floats as their
+// cadences, the reports digest and the dirty-skip memos. uint64s encode as exact integers and floats as their
 // shortest round-tripping form, so the blob is a canonical byte string of
 // the fleet's state: two controllers are equivalent iff their checkpoint
 // bytes are equal, which is exactly the invariant the restart property
@@ -32,7 +31,7 @@ import (
 // ckptFormat numbers the checkpoint encoding. The config digest folds it:
 // a journal's ckpt records digest bytes of one encoding, so Open refuses a
 // journal written under another.
-const ckptFormat = 2
+const ckptFormat = 3
 
 // ckptState is the checkpoint document; Now leads so ckptClock can read it.
 type ckptState struct {
@@ -46,12 +45,8 @@ type ckptState struct {
 // ckptNet is one network's checkpoint row.
 type ckptNet struct {
 	NetworkStatus
-	Built             bool
-	Cadence           [numLevels]sim.Time
-	Mult, Calm        int
-	EWMA              float64
-	LastNP5, LastNP24 float64
-	HavePass          bool
+	Built   bool
+	Cadence [numLevels]sim.Time
 	// Reports and Memos are planner-derived: zero unless live.
 	Reports uint64
 	Memos   map[spectrum.Band]uint64
@@ -77,12 +72,6 @@ func (c *Controller) checkpointBytes() []byte {
 			NetworkStatus: status(ns),
 			Built:         ns.build == nil,
 			Cadence:       ns.cadence,
-			Mult:          ns.mult,
-			Calm:          ns.calm,
-			EWMA:          ns.ewma,
-			LastNP5:       ns.lastNP5,
-			LastNP24:      ns.lastNP24,
-			HavePass:      ns.havePass,
 		}
 		if be := ns.live(); be != nil {
 			row.Reports = be.ReportsDigest()

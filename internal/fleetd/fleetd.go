@@ -23,9 +23,8 @@
 //     execution cannot perturb results: a fleet snapshot is byte-identical
 //     for any -workers setting.
 //
-// A pass brings back only what the tick's serial section reads (objective
-// values and churn counts); the controller keeps no telemetry store of its
-// own. Snapshot reads the networks' current state directly.
+// A pass brings back only what the tick's serial section reads (its
+// dirty-skip count); the controller keeps no telemetry store of its own. Snapshot reads the networks' current state directly.
 package fleetd
 
 import (
@@ -44,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rfenv"
 	"repro/internal/sim"
-	"repro/internal/spectrum"
 	"repro/internal/topo"
 	"repro/internal/turboca"
 )
@@ -66,16 +64,6 @@ type Config struct {
 	// deadline tick than this, the excess is shed, deepest level first.
 	// 0 means unlimited.
 	MaxPassesPerTick int
-	// AdaptiveCadence enables the churn-driven cadence controller (see
-	// adaptive.go): networks whose NetP has stopped moving stretch their
-	// schedule by doubling steps up to 8x the base cadence, and any sign
-	// of volatility (a planner improvement, a radar detection, or NetP
-	// churn above the EWMA threshold) snaps them back to 1x and pulls their pending deadlines
-	// forward. Off by default; snapshots remain byte-identical across
-	// worker settings either way, but an adaptive fleet's snapshot
-	// differs from a fixed-cadence fleet's (fewer passes run), so the flag
-	// is folded into the config digest.
-	AdaptiveCadence bool
 	// Backend is the per-network control-plane template. Seed is
 	// overridden per network; a non-nil Faults profile is cloned with a
 	// per-network seed; Obs is overridden with the controller's registry
@@ -169,11 +157,6 @@ func (c Config) digest() uint64 {
 	}
 	wr(c.Seed, int64(c.Fast), int64(c.Mid), int64(c.Deep),
 		int64(c.MaxPassesPerTick), int64(c.CheckpointEvery))
-	if c.AdaptiveCadence {
-		wr(1)
-	} else {
-		wr(0)
-	}
 	if c.StormRF {
 		wr(1, int64(math.Float64bits(c.StormsPerDay)), int64(c.StormHorizon))
 	} else {
@@ -217,17 +200,6 @@ type netState struct {
 	passes    [numLevels]int
 	shed      [numLevels]int
 	coalesced int
-
-	// Adaptive-cadence accounting (Config.AdaptiveCadence; adaptive.go).
-	// All written in the serial tick section only; mult starts at 1 and
-	// stays there when the controller is off, so the reschedule arithmetic
-	// is shared between modes.
-	mult     int     // cadence multiplier, power of two in [1, adaptMaxMult]
-	ewma     float64 // EWMA of relative NetP movement per executed pass
-	calm     int     // consecutive quiet observations since the last reset
-	lastNP5  float64 // previous pass's 5 GHz objective
-	lastNP24 float64 // previous pass's 2.4 GHz objective
-	havePass bool    // lastNP* hold a real observation
 
 	// quarantined marks a network whose pass faulted (panic or watchdog
 	// cancellation): it is dropped from the scheduler, skipped by engine
@@ -425,7 +397,6 @@ func (c *Controller) buildNet(n *fleet.Network, opt NetOptions) *netState {
 		id:      n.ID,
 		key:     netKey(n.ID),
 		apCount: len(n.APs),
-		mult:    1,
 	}
 	ns.build = func() {
 		ns.sc = buildScenario(n, seed)
@@ -526,7 +497,7 @@ func (c *Controller) setCadence(id int, opt NetOptions) bool {
 				c.sched.dropLevel(id, level)
 			}
 		default:
-			at := c.now + period*ns.cadenceMult()
+			at := c.now + period
 			if !c.sched.reschedule(id, level, at) {
 				c.sched.push(passEntry{at: at, id: id, level: level})
 			}
@@ -547,17 +518,6 @@ type passJob struct {
 
 // passResult is what a worker brings back to the tick's serial section.
 type passResult struct {
-	logNetP5  float64
-	logNetP24 float64
-	// improved counts band-invocations within this pass whose planner
-	// accepted a strictly better plan — the adaptive controller's
-	// volatility signal.
-	improved int
-	// radar counts radar detections (single events or storm sweeps) the
-	// network absorbed since its previous pass. Storm-driven vacates are
-	// churn by definition, so the adaptive controller treats any nonzero
-	// value as volatility even before NetP movement shows up.
-	radar int
 	// skipped counts band-invocations within this pass the planning
 	// service elided as provable no-ops (dirty-skip). Observability only:
 	// a skipped invocation leaves every planner-visible byte identical to
@@ -619,7 +579,7 @@ func (c *Controller) runTo(end sim.Time) error {
 // runTick resolves one deadline instant: group due entries per network
 // (deepest level wins, shallower ones coalesce into it), shed the excess
 // beyond the pass budget deepest-first, execute survivors on the worker
-// pool under supervision, then account, adapt and reschedule in ascending
+// pool under supervision, then account and reschedule in ascending
 // network-ID order.
 func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	c.met.duePerTick.Observe(int64(len(due)))
@@ -692,11 +652,10 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	}
 	wg.Wait()
 
-	// Serial section: account, adapt, reschedule — in the jobs'
-	// (ascending-ID) order for run+shed alike, so every counter and
-	// controller decision is independent of worker interleaving. A shed
-	// job only reschedules; a faulted pass quarantines its network and
-	// contributes nothing.
+	// Serial section: account, reschedule — in the jobs' (ascending-ID)
+	// order for run+shed alike, so every counter and deadline is
+	// independent of worker interleaving. A shed job only reschedules; a
+	// faulted pass quarantines its network and contributes nothing.
 	for _, j := range jobs {
 		if res := j.res; res != nil {
 			if res.faulted {
@@ -706,18 +665,13 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 			j.ns.passes[j.level]++
 			c.met.passesRun[j.level].Inc()
 			c.met.skippedI0.Add(int64(res.skipped))
-			if c.cfg.AdaptiveCadence {
-				// Before this job's reschedule, so its own levels already
-				// re-arm at the new multiplier.
-				c.adaptObserve(t, j, res)
-			}
 		}
 		for _, level := range j.levels {
 			period := j.ns.cadence[level]
 			if period <= 0 {
 				continue
 			}
-			c.sched.push(passEntry{at: t + period*j.ns.cadenceMult(), id: j.ns.id, level: level})
+			c.sched.push(passEntry{at: t + period, id: j.ns.id, level: level})
 		}
 	}
 }
@@ -729,17 +683,10 @@ func (c *Controller) executePass(t sim.Time, j *passJob) *passResult {
 	ns := j.ns
 	ns.ensureBuilt()
 	svc := ns.be.Service
-	radarBefore := ns.be.RadarEvents()
 	ns.engine.RunUntil(t)
-	skipBefore, impBefore := svc.SkippedTotal, svc.ImprovedTotal
+	skipBefore := svc.SkippedTotal
 	svc.RunOnce(levelHops[j.level])
-	return &passResult{
-		logNetP5:  svc.LastLogNetP[spectrum.Band5],
-		logNetP24: svc.LastLogNetP[spectrum.Band2G4],
-		improved:  svc.ImprovedTotal - impBefore,
-		radar:     ns.be.RadarEvents() - radarBefore,
-		skipped:   svc.SkippedTotal - skipBefore,
-	}
+	return &passResult{skipped: svc.SkippedTotal - skipBefore}
 }
 
 // syncEngines advances every network's engine to the fleet clock on the

@@ -43,15 +43,15 @@ func TestConfigDefaults(t *testing.T) {
 
 // The config digest decides which journals Open accepts, so it must not
 // move when a setting that never reached state bytes is removed: both
-// values fold turboca.Format 1 and ckptFormat 2 (earlier values of
+// values fold turboca.Format 1 and ckptFormat 3 (earlier values of
 // preGridConfig's are in TestOpenRefusesPreGridJournal).
 func TestConfigDigestStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0x368b3a934932d24},
-		{preGridConfig, 0xf4fbdfe1b342deb4},
+		{Config{}, 0x74c513adc2f29f85},
+		{preGridConfig, 0x8bb253e895b8a295},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)
@@ -228,12 +228,14 @@ func TestRemovedNetworkNeverFires(t *testing.T) {
 }
 
 // The determinism contract: same seed and network set produce a
-// byte-identical snapshot for every worker count.
+// byte-identical snapshot and byte-identical checkpoint bytes for every
+// worker count, both right after the first mid pass and four hours in.
 func TestSnapshotInvariantAcrossWorkers(t *testing.T) {
 	f := fleet.Generate(fleet.Options{Seed: 42, Networks: 6})
-	var base Snapshot
-	var baseText string
-	for i, workers := range []int{1, 8, 2} {
+	horizons := []sim.Time{45 * sim.Minute, 4 * sim.Hour}
+	var base []Snapshot
+	var baseCkpt [][]byte
+	for i, workers := range []int{1, 8, 2, 4} {
 		c := New(Config{
 			Seed:    99,
 			Workers: workers,
@@ -244,24 +246,31 @@ func TestSnapshotInvariantAcrossWorkers(t *testing.T) {
 		if c.Len() != 6 {
 			t.Fatalf("Len = %d, want 6", c.Len())
 		}
-		c.Run(45 * sim.Minute)
-		snap := c.Snapshot()
-		if i == 0 {
-			base, baseText = snap, snap.String()
-			if snap.Passes[levelFast] == 0 || snap.Passes[levelMid] == 0 {
-				t.Fatalf("no passes ran: %v", snap.Passes)
+		for h, at := range horizons {
+			if err := c.RunTo(at); err != nil {
+				t.Fatal(err)
 			}
-			if snap.Util.N == 0 {
-				t.Fatal("snapshot summarizes no AP utilization")
+			snap, ckpt := c.Snapshot(), c.CheckpointBytes()
+			if i == 0 {
+				if snap.Passes[levelFast] == 0 || snap.Passes[levelMid] == 0 {
+					t.Fatalf("no passes ran by %v: %v", at, snap.Passes)
+				}
+				if snap.Util.N == 0 {
+					t.Fatal("snapshot summarizes no AP utilization")
+				}
+				base, baseCkpt = append(base, snap), append(baseCkpt, ckpt)
+				continue
 			}
-			continue
-		}
-		if !reflect.DeepEqual(snap, base) {
-			t.Fatalf("snapshot with workers=%d diverged:\n%s\nvs base\n%s",
-				workers, snap.String(), baseText)
-		}
-		if snap.String() != baseText {
-			t.Fatalf("snapshot text diverged for workers=%d", workers)
+			if !reflect.DeepEqual(snap, base[h]) {
+				t.Fatalf("snapshot at %v with workers=%d diverged:\n%s\nvs base\n%s",
+					at, workers, snap.String(), base[h].String())
+			}
+			if snap.String() != base[h].String() {
+				t.Fatalf("snapshot text at %v diverged for workers=%d", at, workers)
+			}
+			if !bytes.Equal(ckpt, baseCkpt[h]) {
+				t.Fatalf("checkpoint bytes at %v diverged for workers=%d", at, workers)
+			}
 		}
 	}
 }

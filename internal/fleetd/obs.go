@@ -35,15 +35,6 @@ import "repro/internal/obs"
 //	fleetd.pass_panics       panicking passes caught by the supervisor
 //	fleetd.watchdog_cancels  stuck passes cancelled past their deadline
 //	fleetd.quarantined       networks quarantined after a faulted pass
-//
-// Adaptive cadence (Config.AdaptiveCadence; adaptive.go):
-//
-//	fleetd.adapt_stretched   schedule-stretch decisions (multiplier
-//	                         doublings after a calm streak)
-//	fleetd.adapt_escalated   volatility escalations (multiplier snapped
-//	                         back to 1x)
-//	fleetd.adapt_pulled      pending deadlines pulled forward by an
-//	                         escalation
 type metrics struct {
 	networks       *obs.Gauge
 	passesRun      [numLevels]*obs.Counter
@@ -64,10 +55,6 @@ type metrics struct {
 	passPanics      *obs.Counter
 	watchdogCancels *obs.Counter
 	quarantined     *obs.Counter
-
-	adaptStretched *obs.Counter
-	adaptEscalated *obs.Counter
-	adaptPulled    *obs.Counter
 }
 
 func metricsOn(reg *obs.Registry) *metrics {
@@ -90,10 +77,6 @@ func metricsOn(reg *obs.Registry) *metrics {
 		passPanics:      s.Counter("pass_panics"),
 		watchdogCancels: s.Counter("watchdog_cancels"),
 		quarantined:     s.Counter("quarantined"),
-
-		adaptStretched: s.Counter("adapt_stretched"),
-		adaptEscalated: s.Counter("adapt_escalated"),
-		adaptPulled:    s.Counter("adapt_pulled"),
 	}
 	for level := 0; level < numLevels; level++ {
 		m.passesRun[level] = s.Counter("passes_" + levelName(level))

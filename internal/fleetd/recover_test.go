@@ -387,20 +387,23 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 }
 
 // preGridConfig's digest was 0x6308c920312de455 before turboca.Format
-// was folded into it, and 0x2f2bfc1f5aa64004 before ckptFormat was.
+// was folded into it, 0x2f2bfc1f5aa64004 before ckptFormat was, and
+// 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried the adaptive
+// cadence controller's state.
 var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
 
 // TestOpenRefusesPreGridJournal: a journal written before contention went
 // on the planner's integer grid replays into other ln NetP bits, and one
-// written before checkpoints were JSON rows digests other checkpoint
-// bytes; either would fail at its first checkpoint. Its config record
+// written before checkpoints were JSON rows, or while their rows carried
+// adaptive cadence state, digests other checkpoint bytes; any of them
+// would fail at its first checkpoint. Its config record
 // carries an earlier digest, so Open refuses it up front with the
 // config-digest error, and accepts the same records under the current
 // digest.
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()
-	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, current} {
+	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, current} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: digest},

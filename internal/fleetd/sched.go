@@ -122,16 +122,6 @@ func (s *scheduler) dropLevel(id, level int) bool {
 	return false
 }
 
-// when reports the pending deadline for (id, level).
-func (s *scheduler) when(id, level int) (sim.Time, bool) {
-	for i := range s.h {
-		if s.h[i].id == id && s.h[i].level == level {
-			return s.h[i].at, true
-		}
-	}
-	return 0, false
-}
-
 // dropNetwork removes every pending entry for a network (after Remove),
 // so a removed network costs nothing even if its deadlines were far out.
 func (s *scheduler) dropNetwork(id int) int {

@@ -6,6 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
+// when reports the pending deadline for (id, level).
+func (s *scheduler) when(id, level int) (sim.Time, bool) {
+	for i := range s.h {
+		if s.h[i].id == id && s.h[i].level == level {
+			return s.h[i].at, true
+		}
+	}
+	return 0, false
+}
+
 // Two networks sharing a deadline must resolve in ascending (id, level)
 // order no matter how their entries were pushed.
 func TestSchedulerTieOrderIsInsertionIndependent(t *testing.T) {

@@ -123,18 +123,24 @@ func (s *DirStore) CommitCheckpoint(data []byte) error {
 	}
 	// Sync the directory so the rename itself is durable; a commit whose
 	// rename may not survive a crash is a failed commit.
-	d, err := os.Open(s.dir)
+	if err := syncDir(s.dir); err != nil {
+		return fmt.Errorf("fleetd: checkpoint dir sync: %w", err)
+	}
+	return nil
+}
+
+// syncDir opens and fsyncs a directory. It is a variable so a test can
+// make the sync fail, which no file mode does for root.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("fleetd: checkpoint dir open: %w", err)
+		return err
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("fleetd: checkpoint dir sync: %w", err)
-	}
-	return nil
+	return err
 }
 
 func (s *DirStore) Checkpoint() ([]byte, bool, error) {

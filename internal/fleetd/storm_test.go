@@ -13,15 +13,13 @@ import (
 )
 
 // Fleet-level hostile RF: the StormRF knob derives one correlated radar
-// schedule from the fleet seed, every network's backend survives it with
-// zero NOP-invariant trips, and the adaptive controller treats the storm
-// volatility as churn.
+// schedule from the fleet seed, and every network's backend survives it
+// with zero NOP-invariant trips.
 
 func TestStormRFFleetCorrelated(t *testing.T) {
 	c := New(Config{
 		Seed: 5, StormRF: true, StormsPerDay: 24, StormHorizon: sim.Day,
-		Fast: 15 * sim.Minute, Mid: -1, Deep: -1,
-		AdaptiveCadence: true, Obs: obs.NewRegistry(),
+		Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: obs.NewRegistry(),
 	})
 	for id := 0; id < 3; id++ {
 		if err := c.Add(testNetwork(id, 6), NetOptions{}); err != nil {
@@ -51,36 +49,6 @@ func TestStormRFFleetCorrelated(t *testing.T) {
 	}
 }
 
-// TestStormRadarCountsAsChurn: a radar-bearing pass is volatility by
-// definition — it snaps a stretched network back to base cadence even
-// when NetP has not moved yet (the vacated APs re-plan on the next pass,
-// not this one).
-func TestStormRadarCountsAsChurn(t *testing.T) {
-	c := New(Config{
-		Seed: 17, Fast: 15 * sim.Minute, Mid: -1, Deep: -1,
-		AdaptiveCadence: true, Obs: obs.NewRegistry(),
-	})
-	if err := c.Add(testNetwork(0, 4), NetOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	c.Run(6 * sim.Hour) // quiet network: the multiplier climbs
-	ns := c.get(0)
-	if ns.mult < 2 {
-		t.Fatalf("quiet network never stretched: mult=%d", ns.mult)
-	}
-	pre := c.AdaptiveEscalated()
-	// A pass that absorbed a radar sweep but saw identical NetP.
-	c.adaptObserve(c.now, &passJob{ns: ns}, &passResult{
-		radar: 1, logNetP5: ns.lastNP5, logNetP24: ns.lastNP24,
-	})
-	if ns.mult != 1 {
-		t.Fatalf("radar pass left mult=%d, want snap back to 1", ns.mult)
-	}
-	if c.AdaptiveEscalated() == pre {
-		t.Fatal("radar pass did not count as an escalation")
-	}
-}
-
 // TestStormRFSnapshotInvariance: the storm path inherits the determinism
 // contract — snapshots and checkpoint bytes are byte-identical across
 // worker counts.
@@ -93,8 +61,7 @@ func TestStormRFSnapshotInvariance(t *testing.T) {
 			Seed:    99,
 			Workers: workers,
 			StormRF: true, StormsPerDay: 12, StormHorizon: sim.Day,
-			Fast: 15 * sim.Minute, Mid: -1, Deep: -1,
-			AdaptiveCadence: true, Obs: obs.NewRegistry(),
+			Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: obs.NewRegistry(),
 		})
 		if err := c.AddFleet(f); err != nil {
 			t.Fatal(err)

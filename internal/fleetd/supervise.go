@@ -14,7 +14,7 @@ import (
 // through the context the backend's poll/push/reconcile loops honor.
 //
 // A faulted pass contributes nothing to the tick's serial section: no
-// counters, no adaptive-cadence observation, no reschedule. Its network's
+// counters, no reschedule. Its network's
 // engine and backend freeze wherever the fault stopped them, the
 // scheduler drops every pending deadline for it, and syncEngines skips it
 // from then on — so a quarantined network cannot perturb any other
