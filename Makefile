@@ -170,8 +170,9 @@ profile-testbed:
 
 # Where the fleet control plane spends its time and what it allocates:
 # profile-testbed's recipe for BenchmarkFleetd1000Networks (a thousand
-# networks from cold through their first passes) — the CPU profile's top
-# 20, then the top 10 allocation sites by object count from a second run.
+# networks from cold until their plans converge, then two steady sweeps)
+# — the CPU profile's top 20, then the top 10 allocation sites by object
+# count from a second run.
 profile-fleet:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -c -o "$$d/fleetd.test" ./internal/fleetd && \
