@@ -24,7 +24,8 @@
 //     for any -workers setting.
 //
 // A pass brings back only what the tick's serial section reads (its
-// dirty-skip count); the controller keeps no telemetry store of its own. Snapshot reads the networks' current state directly.
+// dirty-skip count); the controller keeps no telemetry store of its own.
+// Snapshot reads the networks' current state directly.
 package fleetd
 
 import (

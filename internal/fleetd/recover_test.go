@@ -388,15 +388,15 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 
 // preGridConfig's digest was 0x6308c920312de455 before turboca.Format
 // was folded into it, 0x2f2bfc1f5aa64004 before ckptFormat was, and
-// 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried the adaptive
-// cadence controller's state.
+// 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried a since
+// deleted cadence multiplier and its controller state.
 var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
 
 // TestOpenRefusesPreGridJournal: a journal written before contention went
 // on the planner's integer grid replays into other ln NetP bits, and one
 // written before checkpoints were JSON rows, or while their rows carried
-// adaptive cadence state, digests other checkpoint bytes; any of them
-// would fail at its first checkpoint. Its config record
+// a cadence multiplier, digests other checkpoint bytes; any of them would
+// fail at its first checkpoint. Its config record
 // carries an earlier digest, so Open refuses it up front with the
 // config-digest error, and accepts the same records under the current
 // digest.
