@@ -56,17 +56,42 @@ func (a Algorithm) String() string {
 	return "None"
 }
 
-// Options configures a backend instance. Zero fields are defaulted by New
-// (see withDefaults), so every consumer — Start's tickers, Poll's byte
-// accounting, the staleness thresholds — sees the same resolved values.
+// The control plane's timing and thresholds. They are constants: the
+// paper runs its control plane on fixed periods, and no caller varies them.
+const (
+	// pollInterval is the statistics collection cadence.
+	pollInterval = 5 * sim.Minute
+	// ReconcileInterval is the cadence at which intended-vs-actual plan
+	// divergence is detected and re-pushed.
+	ReconcileInterval = 15 * sim.Minute
+	// staleAfter is the last-known-good report age beyond which an AP is
+	// planned from decayed data.
+	staleAfter = 3 * pollInterval
+	// pinAfter is the report age beyond which a stale AP is pinned to its
+	// current channel instead of replanned — an AP unheard-from for that
+	// long probably cannot receive a push either.
+	pinAfter = 2 * staleAfter
+	// pushRetryBase is the first retry delay after a failed plan push;
+	// attempts back off exponentially, each delay stretched by up to
+	// pushRetryJitter of itself, for at most pushAttempts total attempts
+	// per delivery. The reconciliation loop catches anything that
+	// outlives the retry budget.
+	pushRetryBase   = 30 * sim.Second
+	pushRetryJitter = 0.5
+	pushAttempts    = 5
+	// retention bounds the telemetry DB to a trailing window so multi-week
+	// simulations do not grow tables unboundedly.
+	retention = 14 * sim.Day
+	// reservedCAInterval and reservedCAWidth are the baseline's
+	// re-evaluation period and fixed channel width (§4.6.1).
+	reservedCAInterval = 5 * sim.Hour
+	reservedCAWidth    = spectrum.W20
+)
+
+// Options configures a backend instance; New uses every field as given.
 type Options struct {
-	Seed         int64
-	Algorithm    Algorithm
-	PollInterval sim.Time // statistics collection cadence (default 5 min)
-	// ReservedCAInterval is the baseline's re-evaluation period (5 h).
-	ReservedCAInterval sim.Time
-	// ReservedCAWidth is the baseline's fixed channel width.
-	ReservedCAWidth spectrum.Width
+	Seed      int64
+	Algorithm Algorithm
 	// Planner carries TurboCA tunables.
 	Planner turboca.Config
 	// AllowDFS admits DFS channels on 5 GHz.
@@ -101,44 +126,6 @@ type Options struct {
 	// unless Planner.Obs is set explicitly.
 	Obs *obs.Registry
 
-	// StaleAfter is the last-known-good report age beyond which an AP is
-	// planned from decayed data (default 3 poll intervals).
-	StaleAfter sim.Time
-	// PinAfter is the report age beyond which a stale AP is pinned to
-	// its current channel instead of replanned — an AP unheard-from for
-	// that long probably cannot receive a push either (default
-	// 2×StaleAfter).
-	PinAfter sim.Time
-	// MaxStaleFraction degrades deep NBO passes (i>0) to i=0 when more
-	// than this fraction of a band's APs is stale (default 0.5; >= 1
-	// disables).
-	MaxStaleFraction float64
-
-	// PushRetryBase is the first retry delay after a failed plan push;
-	// attempts back off exponentially with deterministic jitter, capped
-	// at PushRetryMax, for at most PushAttempts total attempts per
-	// delivery. The reconciliation loop catches anything that outlives
-	// the retry budget.
-	PushRetryBase sim.Time // default 30 s
-	PushRetryMax  sim.Time // default 8 min
-	PushAttempts  int      // default 5
-	// PushRetryTimeCap bounds the total sim time one delivery's retry
-	// chain may span from its first attempt: a retry that would land
-	// beyond the cap is abandoned to the reconciler instead of scheduled.
-	// Without it a long backoff chain can outlive the pass (and the
-	// scheduler tick) that started it. The default (30 min) exceeds the
-	// worst-case chain under the default attempt budget, so it only bites
-	// when configured tighter. Negative disables.
-	PushRetryTimeCap sim.Time
-	// ReconcileInterval is the cadence at which intended-vs-actual plan
-	// divergence is detected and re-pushed (default 15 min).
-	ReconcileInterval sim.Time
-
-	// Retention bounds the telemetry DB to a trailing window so
-	// multi-week simulations do not grow tables unboundedly (default
-	// 14 days; negative disables).
-	Retention sim.Time
-
 	// DisableTelemetryHistory skips the per-AP history tables (usage,
 	// utilization, tcp_latency, bitrate_eff, disruption) that back the
 	// Report API. Planning is unaffected: the planner consumes the
@@ -150,56 +137,14 @@ type Options struct {
 	DisableTelemetryHistory bool
 }
 
-// DefaultOptions returns the production cadences.
+// DefaultOptions returns the production configuration.
 func DefaultOptions(alg Algorithm) Options {
 	return Options{
 		Seed:      7,
 		Algorithm: alg,
 		Planner:   turboca.DefaultConfig(),
 		AllowDFS:  true,
-	}.withDefaults()
-}
-
-// withDefaults resolves every zero field to its production value — the
-// single place interval and threshold defaults live.
-func (o Options) withDefaults() Options {
-	if o.PollInterval <= 0 {
-		o.PollInterval = 5 * sim.Minute
 	}
-	if o.ReservedCAInterval <= 0 {
-		o.ReservedCAInterval = 5 * sim.Hour
-	}
-	if o.ReservedCAWidth == 0 {
-		o.ReservedCAWidth = spectrum.W20
-	}
-	if o.StaleAfter <= 0 {
-		o.StaleAfter = 3 * o.PollInterval
-	}
-	if o.PinAfter <= 0 {
-		o.PinAfter = 2 * o.StaleAfter
-	}
-	if o.MaxStaleFraction <= 0 {
-		o.MaxStaleFraction = 0.5
-	}
-	if o.PushRetryBase <= 0 {
-		o.PushRetryBase = 30 * sim.Second
-	}
-	if o.PushRetryMax <= 0 {
-		o.PushRetryMax = 8 * sim.Minute
-	}
-	if o.PushAttempts <= 0 {
-		o.PushAttempts = 5
-	}
-	if o.PushRetryTimeCap == 0 {
-		o.PushRetryTimeCap = 30 * sim.Minute
-	}
-	if o.ReconcileInterval <= 0 {
-		o.ReconcileInterval = 15 * sim.Minute
-	}
-	if o.Retention == 0 {
-		o.Retention = 14 * sim.Day
-	}
-	return o
 }
 
 // ControlStats counts control-plane events: what the fault layer did to
@@ -296,7 +241,6 @@ type apRow struct {
 
 // New wires a backend over a scenario.
 func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
-	opt = opt.withDefaults()
 	reg := opt.Obs
 	if reg == nil {
 		// A private registry per instance keeps Control() deltas exact no
@@ -324,13 +268,10 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 		inputTmpl: map[spectrum.Band][]turboca.APView{},
 		ctx:       context.Background(),
 	}
-	if opt.Retention > 0 {
-		b.DB.SetRetention(opt.Retention)
-	}
+	b.DB.SetRetention(retention)
 	b.Model = NewModel(sc, opt.Seed^0x5eed)
 	if opt.Algorithm == AlgTurboCA {
 		b.Service = turboca.NewService(opt.Planner, b.PlannerInput, b.applyPlan, opt.Seed)
-		b.Service.MaxStaleFraction = opt.MaxStaleFraction
 		b.Service.DirtySkip = opt.DirtySkip
 	}
 	return b
@@ -343,7 +284,7 @@ func (b *Backend) Start() {
 	case AlgTurboCA:
 		b.Service.Start(b.Engine)
 	case AlgReservedCA:
-		b.Engine.Ticker(b.Opt.ReservedCAInterval, func(e *sim.Engine) { b.runReservedCA() })
+		b.Engine.Ticker(reservedCAInterval, func(e *sim.Engine) { b.runReservedCA() })
 	}
 }
 
@@ -354,10 +295,10 @@ func (b *Backend) Start() {
 // internal/fleetd drives thousands of these per process off one
 // fleet-wide priority cadence heap.
 func (b *Backend) StartManaged() {
-	b.Engine.Ticker(b.Opt.PollInterval, func(e *sim.Engine) { b.Poll() })
+	b.Engine.Ticker(pollInterval, func(e *sim.Engine) { b.Poll() })
 	b.startRadar()
 	if b.Opt.Algorithm != AlgNone {
-		b.Engine.Ticker(b.Opt.ReconcileInterval, func(e *sim.Engine) { b.Reconcile() })
+		b.Engine.Ticker(ReconcileInterval, func(e *sim.Engine) { b.Reconcile() })
 	}
 }
 
@@ -399,7 +340,7 @@ func (b *Backend) Control() ControlStats { return b.ctl.read().sub(b.ctlBase) }
 // the data a real backend would have: neighbor reports, polled
 // utilization and usage, client mixes. Measured values come from the
 // poller's last-known-good reports; an AP whose report has aged past
-// StaleAfter is planned from decayed data, and one past PinAfter is
+// staleAfter is planned from decayed data, and one past pinAfter is
 // pinned to its current channel. APs that have never reported (e.g. a
 // planner invoked before the first poll tick) fall back to a
 // provisioning-time model snapshot.
@@ -441,9 +382,9 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 			age := now - rep.At
 			b.ctl.pollAgeUS.Observe(int64(age))
 			switch {
-			case age <= b.Opt.StaleAfter:
+			case age <= staleAfter:
 				demand, util, hasClients = rep.Demand, rep.Utilization, rep.HasClients
-			case age >= b.Opt.PinAfter:
+			case age >= pinAfter:
 				// Too old to trust at all: plan around the AP where it
 				// is. It likely cannot receive a push anyway.
 				pinned, stale = true, true
@@ -455,7 +396,7 @@ func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 				// keep its client picture conservative.
 				stale = true
 				b.ctl.staleViews.Inc()
-				decay := math.Exp(-float64(age-b.Opt.StaleAfter) / float64(b.Opt.StaleAfter))
+				decay := math.Exp(-float64(age-staleAfter) / float64(staleAfter))
 				demand, util = rep.Demand*decay, rep.Utilization*decay
 				hasClients = rep.HasClients
 			}
@@ -516,7 +457,7 @@ func (b *Backend) runReservedCA() {
 	for _, band := range []spectrum.Band{spectrum.Band5, spectrum.Band2G4} {
 		in := b.PlannerInput(band)
 		(&in).Sanitize()
-		w := b.Opt.ReservedCAWidth
+		w := reservedCAWidth
 		if band == spectrum.Band2G4 {
 			w = spectrum.W20
 		}

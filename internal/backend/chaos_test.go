@@ -84,7 +84,7 @@ func TestChaosCampusConvergence(t *testing.T) {
 	faulted.Service.Stop()
 	deadline := horizon
 	for i := 0; i < 12 && !faulted.Converged(); i++ {
-		deadline += faulted.Opt.ReconcileInterval
+		deadline += ReconcileInterval
 		faulted.Engine.RunUntil(deadline)
 	}
 	if !faulted.Converged() {
@@ -153,6 +153,22 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestRetryChainEndsWithinFastCadence: a delivery's longest backoff chain
+// (every retry delay at its jitter ceiling) ends before the next i=0 pass
+// and the next reconcile tick, so no retry outlives the pass that started
+// it and the chain needs no time cap of its own.
+func TestRetryChainEndsWithinFastCadence(t *testing.T) {
+	var chain sim.Time
+	for attempt := 0; attempt+1 < pushAttempts; attempt++ {
+		d := pushRetryBase << uint(attempt)
+		chain += d + sim.Time(float64(d)*pushRetryJitter)
+	}
+	if chain >= turboca.FastCadence || chain >= ReconcileInterval {
+		t.Fatalf("longest retry chain %v does not end before the %v fast cadence and %v reconcile period",
+			chain, turboca.FastCadence, ReconcileInterval)
+	}
+}
+
 // TestChaosOfflineWindowReconciled pins the retry/reconcile contract on
 // a single AP: pushes during its outage fail and exhaust the retry
 // budget; the first reconcile pass after the AP returns lands the plan.
@@ -176,11 +192,11 @@ func TestChaosOfflineWindowReconciled(t *testing.T) {
 	// (30s+60s+2m+4m ≈ 7.5 min of retries, all offline).
 	engine.RunUntil(110 * sim.Minute)
 	ctl := b.Control()
-	if want := b.Opt.PushAttempts; ctl.PushesAttempted != want {
-		t.Fatalf("attempts = %d, want %d", ctl.PushesAttempted, want)
+	if ctl.PushesAttempted != pushAttempts {
+		t.Fatalf("attempts = %d, want %d", ctl.PushesAttempted, pushAttempts)
 	}
-	if ctl.PushRetries != b.Opt.PushAttempts-1 {
-		t.Fatalf("retries = %d, want %d", ctl.PushRetries, b.Opt.PushAttempts-1)
+	if ctl.PushRetries != pushAttempts-1 {
+		t.Fatalf("retries = %d, want %d", ctl.PushRetries, pushAttempts-1)
 	}
 	if b.Converged() {
 		t.Fatal("converged while the AP was unreachable")
@@ -209,8 +225,8 @@ func TestChaosStaleDegradesDeepPasses(t *testing.T) {
 	}
 	opt.Faults = prof
 	b := New(opt, sc, engine)
-	b.Engine.Ticker(b.Opt.PollInterval, func(e *sim.Engine) { b.Poll() })
-	engine.RunUntil(2 * sim.Hour) // an hour of silence: age 60m >= PinAfter 30m
+	b.Engine.Ticker(pollInterval, func(e *sim.Engine) { b.Poll() })
+	engine.RunUntil(2 * sim.Hour) // an hour of silence: age 60m >= pinAfter 30m
 
 	in := b.PlannerInput(spectrum.Band5)
 	if f := in.StaleFraction(); f != 1 {
@@ -278,7 +294,7 @@ func TestChaosLastKnownGoodDecay(t *testing.T) {
 		t.Fatalf("last-known-good not at the poll tick: %+v", row)
 	}
 
-	// Age 10 min <= StaleAfter (15 min): still served from the report,
+	// Age 10 min <= staleAfter (15 min): still served from the report,
 	// undecayed.
 	engine.RunUntil(10*sim.Hour + 10*sim.Minute)
 	if v := view(); v.Stale || v.Pinned || v.Load != fresh.Load {
@@ -299,7 +315,7 @@ func TestChaosLastKnownGoodDecay(t *testing.T) {
 		t.Fatal("StaleViews counter did not advance")
 	}
 
-	// Age 40 min >= PinAfter (30 min): pinned to the current channel.
+	// Age 40 min >= pinAfter (30 min): pinned to the current channel.
 	engine.RunUntil(10*sim.Hour + 40*sim.Minute)
 	pinnedViews := b.Control().PinnedViews
 	if v := view(); !v.Pinned || !v.Stale {
@@ -345,16 +361,14 @@ func TestChaosDelayedPollsStillLand(t *testing.T) {
 }
 
 // TestPollIntervalDefaultedWithoutStart is the regression test for the
-// served-bytes bug: Poll used to read Opt.PollInterval directly, so a
-// backend whose options left it zero (and that never ran Start) recorded
-// zero bytes for every sample. Defaults are now resolved once in New.
+// served-bytes bug: Poll used to read a poll-interval option directly, so
+// a backend whose options left it zero (and that never ran Start)
+// recorded zero bytes for every sample. The interval is now a constant,
+// so a Poll with no Start and zero-valued options still serves bytes.
 func TestPollIntervalDefaultedWithoutStart(t *testing.T) {
 	sc := topo.Office(11)
 	engine := sim.NewEngine(1)
 	b := New(Options{Seed: 1, Algorithm: AlgNone, Planner: turboca.DefaultConfig()}, sc, engine)
-	if b.Opt.PollInterval != 5*sim.Minute {
-		t.Fatalf("PollInterval = %v, want 5m", b.Opt.PollInterval)
-	}
 	engine.RunUntil(13 * sim.Hour) // business hours: traffic flows
 	b.Poll()
 	rows := b.DB.Table("usage").Range(sc.APs[0].Name, 0, engine.Now()+1)
@@ -362,6 +376,6 @@ func TestPollIntervalDefaultedWithoutStart(t *testing.T) {
 		t.Fatal("no usage row")
 	}
 	if row := rows[len(rows)-1]; row.Field("bytes") <= 0 {
-		t.Fatalf("served bytes = %f with a defaulted poll interval", row.Field("bytes"))
+		t.Fatalf("served bytes = %f without Start", row.Field("bytes"))
 	}
 }

@@ -38,7 +38,6 @@ type ctlMetrics struct {
 	staleViews      *obs.Counter
 	pinnedViews     *obs.Counter
 	ctxAborts       *obs.Counter
-	retryCapHits    *obs.Counter
 
 	radarStorms         *obs.Counter
 	radarStrikes        *obs.Counter
@@ -68,7 +67,6 @@ func ctlMetricsOn(reg *obs.Registry) *ctlMetrics {
 		staleViews:      s.Counter("stale_views"),
 		pinnedViews:     s.Counter("pinned_views"),
 		ctxAborts:       s.Counter("ctx_aborts"),
-		retryCapHits:    s.Counter("retry_cap_hits"),
 
 		radarStorms:         s.Counter("radar_storms"),
 		radarStrikes:        s.Counter("radar_strikes"),

@@ -59,7 +59,6 @@ func (b *Backend) Poll() {
 	}()
 	now := b.Engine.Now()
 	perf := b.Model.Evaluate(now)
-	interval := b.Opt.PollInterval
 	keep := !b.Opt.DisableTelemetryHistory
 
 	for _, ap := range b.Scenario.APs {
@@ -95,7 +94,7 @@ func (b *Backend) Poll() {
 			ap: ap, at: now,
 			demand: demand, util: util,
 			served:      p.ServedMbps,
-			servedBytes: p.ServedMbps * 1e6 / 8 * interval.Seconds(),
+			servedBytes: p.ServedMbps * 1e6 / 8 * pollInterval.Seconds(),
 			clients:     float64(ap.Mix.Count),
 			// Clients dissociate off-hours; that is when the deep NBO
 			// passes can migrate APs onto DFS channels without stranding

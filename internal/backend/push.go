@@ -12,12 +12,12 @@ import (
 
 // Plan delivery. An accepted plan first becomes the intent of record
 // (apRow.intended); each AP whose on-air channel diverges from intent is then
-// pushed. A failed push retries with bounded exponential backoff and
-// deterministic jitter for up to Opt.PushAttempts attempts — and within a
-// total-time cap (Opt.PushRetryTimeCap) measured from the chain's first
-// attempt, so one delivery's backoff can never outlive the pass that
-// started it. Anything that exhausts either budget — or diverges later,
-// e.g. a radar fallback — is caught by the periodic Reconcile pass.
+// pushed. A failed push retries with exponential backoff and deterministic
+// jitter for up to pushAttempts attempts; the longest chain ends well
+// inside one ReconcileInterval (TestRetryChainEndsWithinFastCadence), so
+// one delivery's backoff never outlives the pass that started it.
+// Anything that exhausts the budget — or diverges later, e.g. a radar
+// fallback — is caught by the periodic Reconcile pass.
 // Intent is re-read at every deferred delivery, so a newer plan always
 // supersedes a stale retry.
 
@@ -43,7 +43,7 @@ func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.R
 		if b.cancelled() {
 			return applied
 		}
-		if b.pushAP(ap, band, a, 0, b.Engine.Now()) {
+		if b.pushAP(ap, band, a, 0) {
 			applied++
 		}
 	}
@@ -51,15 +51,13 @@ func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.R
 }
 
 // pushAP attempts one configuration push. On failure it arms the backoff
-// retry chain and reports false. chainStart is the sim time of the
-// chain's first attempt (attempt 0); the retry-time cap is measured from
-// it.
-func (b *Backend) pushAP(ap *topo.AP, band spectrum.Band, a turboca.Assignment, attempt int, chainStart sim.Time) bool {
+// retry chain and reports false.
+func (b *Backend) pushAP(ap *topo.AP, band spectrum.Band, a turboca.Assignment, attempt int) bool {
 	now := b.Engine.Now()
 	b.ctl.pushesAttempted.Inc()
 	if b.faults.Offline(ap.ID, now) || b.faults.FailPush(ap.ID, int(band), now, attempt) {
 		b.ctl.pushesFailed.Inc()
-		b.scheduleRetry(ap, band, attempt, chainStart)
+		b.scheduleRetry(ap, band, attempt)
 		return false
 	}
 	b.installChannel(ap, band, a)
@@ -67,28 +65,20 @@ func (b *Backend) pushAP(ap *topo.AP, band spectrum.Band, a turboca.Assignment, 
 }
 
 // scheduleRetry arms the next delivery attempt: delay doubles from
-// Opt.PushRetryBase, capped at Opt.PushRetryMax, plus up to 50%
-// deterministic jitter so a burst of failures does not retry in
-// lockstep. When the attempt budget is exhausted — or the next attempt
-// would land beyond Opt.PushRetryTimeCap from the chain's first attempt —
-// the chain stops and the reconciler owns the divergence.
-func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, chainStart sim.Time) {
-	if attempt+1 >= b.Opt.PushAttempts {
+// pushRetryBase, plus up to pushRetryJitter of itself in deterministic
+// jitter so a burst of failures does not retry in lockstep. When the
+// attempt budget is exhausted the chain stops and the reconciler owns the
+// divergence.
+func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int) {
+	if attempt+1 >= pushAttempts {
 		return
 	}
 	row := &b.rows[ap.ID]
 	if row.retrying[band] {
 		return
 	}
-	d := b.Opt.PushRetryBase << uint(attempt)
-	if d > b.Opt.PushRetryMax {
-		d = b.Opt.PushRetryMax
-	}
-	d += sim.Time(float64(d) * 0.5 * b.faults.Jitter(ap.ID, int(band), attempt, b.Engine.Now()))
-	if cap := b.Opt.PushRetryTimeCap; cap >= 0 && b.Engine.Now()+d-chainStart > cap {
-		b.ctl.retryCapHits.Inc()
-		return
-	}
+	d := pushRetryBase << uint(attempt)
+	d += sim.Time(float64(d) * pushRetryJitter * b.faults.Jitter(ap.ID, int(band), attempt, b.Engine.Now()))
 	row.retrying[band] = true
 	b.ctl.pushRetries.Inc()
 	b.ctl.pushDelayUS.Observe(int64(d))
@@ -103,7 +93,7 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int, ch
 		if !row.has[band] || b.channelOn(ap, band) == a.Channel {
 			return
 		}
-		if b.pushAP(ap, band, a, attempt+1, chainStart) && b.Service != nil {
+		if b.pushAP(ap, band, a, attempt+1) && b.Service != nil {
 			b.Service.SwitchesTotal++
 		}
 	})
@@ -164,7 +154,7 @@ func (b *Backend) Reconcile() {
 				continue
 			}
 			b.ctl.reconciliations.Inc()
-			if b.pushAP(ap, band, a, 0, b.Engine.Now()) && b.Service != nil {
+			if b.pushAP(ap, band, a, 0) && b.Service != nil {
 				b.Service.SwitchesTotal++
 			}
 		}

@@ -129,7 +129,7 @@ func TestStormCampaignSurvival(t *testing.T) {
 	b.Service.Stop()
 	deadline := horizon
 	for i := 0; i < 12 && !b.Converged(); i++ {
-		deadline += b.Opt.ReconcileInterval
+		deadline += ReconcileInterval
 		b.Engine.RunUntil(deadline)
 	}
 	if !b.Converged() {

@@ -10,15 +10,31 @@ import (
 	"repro/internal/sim"
 )
 
+// converge runs 15-minute windows on a fleet of networks that has run its
+// cold window until one window dirty-skips every band-invocation, and
+// returns how many windows the fleet has run, the cold one included. Each
+// window until then is cheaper than the last, so a benchmark that timed
+// from the cold window on would report per-op numbers that depend on b.N.
+func converge(b *testing.B, c *Controller, networks int) int {
+	warm := 1
+	for converged := false; !converged; warm++ {
+		if warm == 48 {
+			b.Fatal("fleet still planning after 12 simulated hours")
+		}
+		skipped := c.SkippedFastPasses()
+		c.Run(15 * sim.Minute)
+		converged = c.SkippedFastPasses()-skipped == int64(2*networks)
+	}
+	return warm
+}
+
 // BenchmarkFleetd1000Networks measures one full i=0 fleet pass: every
 // network of a 1000-network synthetic fleet polls and plans over one
 // 15-minute cadence window. Deeper cadences are disabled so each
 // iteration is exactly one fleet-wide i=0 sweep. Nothing before the timer
 // counts per op: the first window builds all 1000 networks and is
-// reported as cold_ms, and later windows run until one dirty-skips every
-// band-invocation (warm_windows counts all of them). Each window until
-// then is cheaper than the last, so timing from the cold window on would
-// make allocs/op depend on b.N.
+// reported as cold_ms, and later windows run until the fleet converges
+// (converge; warm_windows counts all of them).
 func BenchmarkFleetd1000Networks(b *testing.B) {
 	const networks = 1000
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: networks})
@@ -33,15 +49,7 @@ func BenchmarkFleetd1000Networks(b *testing.B) {
 	cold := time.Now()
 	c.Run(15 * sim.Minute)
 	coldMS := float64(time.Since(cold).Microseconds()) / 1e3
-	warm := 1
-	for converged := false; !converged; warm++ {
-		if warm == 48 {
-			b.Fatal("fleet still planning after 12 simulated hours")
-		}
-		skipped := c.SkippedFastPasses()
-		c.Run(15 * sim.Minute)
-		converged = c.SkippedFastPasses()-skipped == 2*networks
-	}
+	warm := converge(b, c, networks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Run(15 * sim.Minute)
@@ -56,10 +64,11 @@ func BenchmarkFleetd1000Networks(b *testing.B) {
 }
 
 // benchFleetScale is the fleet-scale benchmark body: register a fleet,
-// run one warm-up cadence window (which lazily builds every network and
-// converges most plans), measure steady-state resident bytes/network, and
-// then time whole fleet-wide i=0 sweeps. Deeper cadences are disabled so
-// each iteration is exactly networks i=0 passes.
+// run the cold window (which lazily builds every network) and then
+// windows until the fleet converges (converge), measure steady-state
+// resident bytes/network, and then time whole fleet-wide i=0 sweeps.
+// Deeper cadences are disabled so each iteration is exactly networks i=0
+// passes.
 func benchFleetScale(b *testing.B, networks int) {
 	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: networks})
 	runtime.GC()
@@ -69,7 +78,8 @@ func benchFleetScale(b *testing.B, networks int) {
 	reg := obs.NewRegistry()
 	c := New(Config{Seed: 1, Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: reg})
 	c.AddFleet(f)
-	c.Run(15 * sim.Minute) // build + first pass: the steady state
+	c.Run(15 * sim.Minute) // build + first pass
+	warm := converge(b, c, networks)
 
 	runtime.GC()
 	var after runtime.MemStats
@@ -98,6 +108,7 @@ func benchFleetScale(b *testing.B, networks int) {
 	b.ReportMetric(passesPerSec, "passes/sec")
 	b.ReportMetric(100*skipRate, "skip%")
 	b.ReportMetric(allocsPerPass, "allocs/pass")
+	b.ReportMetric(float64(warm), "warm_windows")
 	// Supervision health: a nonzero value means the bench itself tripped
 	// the panic-recovery or watchdog machinery — a regression to chase.
 	if q, p, w := c.met.quarantined.Value(), c.met.passPanics.Value(), c.met.watchdogCancels.Value(); q+p+w != 0 {

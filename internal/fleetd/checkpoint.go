@@ -15,8 +15,8 @@ import (
 // the fleet clock, the next checkpoint instant, the seed, the config
 // digest, one row per network in ascending ID order and the scheduler's
 // pending entries in their total order. A network's row is its snapshot
-// row (status) plus what no snapshot shows: whether it is built, its
-// cadences, the reports digest and the dirty-skip memos. uint64s encode
+// row (status) plus what no snapshot shows: whether it is built, the
+// reports digest and the dirty-skip memos. uint64s encode
 // as exact integers and floats as their shortest round-tripping form, so
 // the blob is a canonical byte string of the fleet's state: two
 // controllers are equivalent iff their checkpoint bytes are equal, which
@@ -32,7 +32,7 @@ import (
 // ckptFormat numbers the checkpoint encoding. The config digest folds it:
 // a journal's ckpt records digest bytes of one encoding, so Open refuses a
 // journal written under another.
-const ckptFormat = 3
+const ckptFormat = 4
 
 // ckptState is the checkpoint document; Now leads so ckptClock can read it.
 type ckptState struct {
@@ -46,8 +46,7 @@ type ckptState struct {
 // ckptNet is one network's checkpoint row.
 type ckptNet struct {
 	NetworkStatus
-	Built   bool
-	Cadence [numLevels]sim.Time
+	Built bool
 	// Reports and Memos are planner-derived: zero unless live.
 	Reports uint64
 	Memos   map[spectrum.Band]uint64
@@ -72,7 +71,6 @@ func (c *Controller) checkpointBytes() []byte {
 		row := ckptNet{
 			NetworkStatus: status(ns),
 			Built:         ns.build == nil,
-			Cadence:       ns.cadence,
 		}
 		if be := ns.live(); be != nil {
 			row.Reports = be.ReportsDigest()

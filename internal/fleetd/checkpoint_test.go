@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"container/heap"
 	"errors"
 	"strings"
 	"testing"
@@ -47,7 +48,6 @@ func TestCheckpointBytesCoverDurableState(t *testing.T) {
 		{"passes", func(_ *Controller, ns, _ *netState) { ns.passes[levelMid]++ }},
 		{"shed", func(_ *Controller, ns, _ *netState) { ns.shed[levelDeep]++ }},
 		{"coalesced", func(_ *Controller, ns, _ *netState) { ns.coalesced++ }},
-		{"cadence", func(_ *Controller, ns, _ *netState) { ns.cadence[levelFast]++ }},
 		{"quarantined's passes", func(_ *Controller, _, ns *netState) { ns.passes[levelFast]++ }},
 		{"logNetP5", func(_ *Controller, ns, _ *netState) { ns.be.Service.LastLogNetP[spectrum.Band5] -= 1e-12 }},
 		{"logNetP24", func(_ *Controller, ns, _ *netState) { ns.be.Service.LastLogNetP[spectrum.Band2G4] -= 1e-12 }},
@@ -57,8 +57,12 @@ func TestCheckpointBytesCoverDurableState(t *testing.T) {
 			ns.be.Service.RunOnce(levelHops[levelDeep])
 		}},
 		{"deadline", func(c *Controller, ns, _ *netState) {
-			at, _ := c.sched.when(ns.id, levelMid)
-			c.sched.reschedule(ns.id, levelMid, at+1)
+			for i, e := range c.sched.h {
+				if e.id == ns.id && e.level == levelMid {
+					c.sched.h[i].at++
+					heap.Fix(&c.sched.h, i)
+				}
+			}
 		}},
 		{"now", func(c *Controller, _, _ *netState) { c.now++ }},
 		{"nextCkptAt", func(c *Controller, _, _ *netState) { c.nextCkptAt++ }},

@@ -167,13 +167,6 @@ func (c Config) digest() uint64 {
 	return h.Sum64()
 }
 
-// NetOptions customizes one network's registration.
-type NetOptions struct {
-	// Fast, Mid, Deep override the controller's cadences for this
-	// network: 0 inherits, negative disables the level.
-	Fast, Mid, Deep sim.Time
-}
-
 // netState is one registered network's control plane plus its scheduling
 // accounting. The backend/engine/scenario are touched only by the single
 // worker executing this network's pass (ticks never run a network twice);
@@ -191,7 +184,6 @@ type NetOptions struct {
 type netState struct {
 	id      int
 	key     string
-	cadence [numLevels]sim.Time // 0 = disabled
 	apCount int
 	build   func() // non-nil until first ensureBuilt
 	sc      *topo.Scenario
@@ -231,8 +223,11 @@ type Controller struct {
 	mu    sync.RWMutex
 	reg   map[int]*netState
 	sched scheduler
-	now   sim.Time
-	met   *metrics
+	// cadence is Config.Fast/Mid/Deep by level, 0 where disabled: every
+	// network runs the same schedule.
+	cadence [numLevels]sim.Time
+	now     sim.Time
+	met     *metrics
 
 	// Durability (nil store = ephemeral controller, PR 1-6 behavior).
 	// storms is the fleet-correlated radar schedule (Config.StormRF),
@@ -254,6 +249,9 @@ type Controller struct {
 func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg, reg: map[int]*netState{}, met: metricsOn(cfg.Obs)}
+	for level, period := range [numLevels]sim.Time{cfg.Fast, cfg.Mid, cfg.Deep} {
+		c.cadence[level] = max(period, 0)
+	}
 	c.proc = faults.NewProc(cfg.Proc)
 	if cfg.StormRF {
 		c.storms = rfenv.StormSchedule(cfg.Seed, cfg.StormHorizon, cfg.StormsPerDay)
@@ -336,7 +334,7 @@ func (c *Controller) AddFleet(f *fleet.Fleet) error {
 			}
 		} else {
 			for _, n := range f.Networks {
-				if err := c.appendRecord(jrec{Op: opAdd, Net: n, Opt: &NetOptions{}}); err != nil {
+				if err := c.appendRecord(jrec{Op: opAdd, Net: n}); err != nil {
 					return err
 				}
 			}
@@ -348,29 +346,29 @@ func (c *Controller) AddFleet(f *fleet.Fleet) error {
 
 func (c *Controller) addFleet(f *fleet.Fleet) {
 	for _, n := range f.Networks {
-		c.register(c.buildNet(n, NetOptions{}))
+		c.add(n)
 	}
 }
 
-// Add registers one network with optional per-network cadence overrides,
-// journaling the intent (network inlined) when a store is attached.
-func (c *Controller) Add(n *fleet.Network, opt NetOptions) error {
-	if err := c.appendRecord(jrec{Op: opAdd, Net: n, Opt: &opt}); err != nil {
+// Add registers one network on the controller's cadences, journaling the
+// intent (network inlined) when a store is attached.
+func (c *Controller) Add(n *fleet.Network) error {
+	if err := c.appendRecord(jrec{Op: opAdd, Net: n}); err != nil {
 		return err
 	}
-	c.add(n, opt)
+	c.add(n)
 	return nil
 }
 
-func (c *Controller) add(n *fleet.Network, opt NetOptions) {
-	c.register(c.buildNet(n, opt))
+func (c *Controller) add(n *fleet.Network) {
+	c.register(c.buildNet(n))
 }
 
 // buildNet prepares a network's registration shell and its deferred
 // control-plane constructor: scenario, engine, backend, chaos clone —
 // everything derived from netSeed, so the build runs identically whenever
 // it fires.
-func (c *Controller) buildNet(n *fleet.Network, opt NetOptions) *netState {
+func (c *Controller) buildNet(n *fleet.Network) *netState {
 	seed := netSeed(c.cfg.Seed, n.ID)
 	bopt := c.cfg.Backend
 	bopt.Seed = seed
@@ -413,21 +411,7 @@ func (c *Controller) buildNet(n *fleet.Network, opt NetOptions) *netState {
 		ns.be = backend.New(bopt, ns.sc, ns.engine)
 		ns.be.StartManaged()
 	}
-	ns.cadence[levelFast] = resolveCadence(opt.Fast, c.cfg.Fast)
-	ns.cadence[levelMid] = resolveCadence(opt.Mid, c.cfg.Mid)
-	ns.cadence[levelDeep] = resolveCadence(opt.Deep, c.cfg.Deep)
 	return ns
-}
-
-func resolveCadence(override, def sim.Time) sim.Time {
-	v := def
-	if override != 0 {
-		v = override
-	}
-	if v < 0 {
-		return 0 // disabled
-	}
-	return v
 }
 
 // register inserts the network and seeds its deadlines at now+cadence.
@@ -436,7 +420,7 @@ func (c *Controller) register(ns *netState) {
 	c.reg[ns.id] = ns
 	c.mu.Unlock()
 	c.met.networks.Add(1)
-	for level, period := range ns.cadence {
+	for level, period := range c.cadence {
 		if period > 0 {
 			c.sched.push(passEntry{at: c.now + period, id: ns.id, level: level})
 		}
@@ -444,8 +428,8 @@ func (c *Controller) register(ns *netState) {
 }
 
 // Remove deregisters a network. It never fires again: its pending heap
-// entries are dropped immediately, and any entry that survives (e.g.
-// pushed by a concurrent reschedule) is discarded on pop. Returns false
+// entries are dropped immediately, and any entry that survives is
+// discarded on pop. Returns false
 // if the network is unknown (the journal still records the intent:
 // removing an unknown ID replays as the same no-op).
 func (c *Controller) Remove(id int) bool {
@@ -468,51 +452,12 @@ func (c *Controller) remove(id int) bool {
 	return true
 }
 
-// SetCadence re-parameterizes one registered network's cadences between
-// ticks: 0 inherits the controller default, negative disables the level.
-// Each affected level's pending heap entry is moved in place — replaced,
-// never duplicated — so a cadence change cannot make a level fire twice;
-// a newly enabled level arms at now+period, a disabled one is dropped.
-// The intent is journaled ahead of the mutation, like Add/Remove. Returns
-// false for an unknown or quarantined network (the journal still records
-// the intent; replay repeats the same no-op).
-func (c *Controller) SetCadence(id int, opt NetOptions) bool {
-	if err := c.appendRecord(jrec{Op: opCadence, ID: id, Opt: &opt}); err != nil {
-		return false
-	}
-	return c.setCadence(id, opt)
-}
-
-func (c *Controller) setCadence(id int, opt NetOptions) bool {
-	ns := c.get(id)
-	if ns == nil || ns.quarantined {
-		return false
-	}
-	for level, override := range [numLevels]sim.Time{opt.Fast, opt.Mid, opt.Deep} {
-		old := ns.cadence[level]
-		period := resolveCadence(override, [numLevels]sim.Time{c.cfg.Fast, c.cfg.Mid, c.cfg.Deep}[level])
-		ns.cadence[level] = period
-		switch {
-		case period <= 0:
-			if old > 0 {
-				c.sched.dropLevel(id, level)
-			}
-		default:
-			at := c.now + period
-			if !c.sched.reschedule(id, level, at) {
-				c.sched.push(passEntry{at: at, id: id, level: level})
-			}
-		}
-	}
-	return true
-}
-
 // passJob is one network's work at a tick: the deepest due level plus
 // every shallower level it subsumes.
 type passJob struct {
 	ns     *netState
 	level  int   // deepest due level; its hop schedule runs
-	levels []int // all due levels (deepest included), for rescheduling
+	levels []int // all due levels (deepest included), each re-armed
 	// res is what the job's worker brought back; nil when the job was shed.
 	res *passResult
 }
@@ -580,8 +525,8 @@ func (c *Controller) runTo(end sim.Time) error {
 // runTick resolves one deadline instant: group due entries per network
 // (deepest level wins, shallower ones coalesce into it), shed the excess
 // beyond the pass budget deepest-first, execute survivors on the worker
-// pool under supervision, then account and reschedule in ascending
-// network-ID order.
+// pool under supervision, then account and push the next deadlines in
+// ascending network-ID order.
 func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	c.met.duePerTick.Observe(int64(len(due)))
 
@@ -591,7 +536,7 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	for _, e := range due {
 		ns := c.get(e.id)
 		if ns == nil {
-			// Removed after this entry was pushed: drop, never reschedule.
+			// Removed after this entry was pushed: drop, never re-arm.
 			c.met.removedDropped.Inc()
 			continue
 		}
@@ -653,9 +598,9 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	}
 	wg.Wait()
 
-	// Serial section: account, reschedule — in the jobs' (ascending-ID)
+	// Serial section: account, re-arm — in the jobs' (ascending-ID)
 	// order for run+shed alike, so every counter and deadline is
-	// independent of worker interleaving. A shed job only reschedules; a
+	// independent of worker interleaving. A shed job only re-arms; a
 	// faulted pass quarantines its network and contributes nothing.
 	for _, j := range jobs {
 		if res := j.res; res != nil {
@@ -668,7 +613,7 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 			c.met.skippedI0.Add(int64(res.skipped))
 		}
 		for _, level := range j.levels {
-			period := j.ns.cadence[level]
+			period := c.cadence[level]
 			if period <= 0 {
 				continue
 			}

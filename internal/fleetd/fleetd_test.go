@@ -43,15 +43,15 @@ func TestConfigDefaults(t *testing.T) {
 
 // The config digest decides which journals Open accepts, so it must not
 // move when a setting that never reached state bytes is removed: both
-// values fold turboca.Format 1 and ckptFormat 3 (earlier values of
+// values fold turboca.Format 1 and ckptFormat 4 (earlier values of
 // preGridConfig's are in TestOpenRefusesPreGridJournal).
 func TestConfigDigestStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0x74c513adc2f29f85},
-		{preGridConfig, 0x8bb253e895b8a295},
+		{Config{}, 0x74bae1adc2e9f60a},
+		{preGridConfig, 0x8ba821e895aff91a},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)
@@ -86,7 +86,7 @@ func TestSnapshotUtil(t *testing.T) {
 	c := plain
 	q := c.get(f.Networks[1].ID)
 	c.quarantine(q)
-	if err := c.Add(testNetwork(100, 3), NetOptions{}); err != nil {
+	if err := c.Add(testNetwork(100, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if q.be == nil || c.get(100).be != nil {
@@ -116,7 +116,7 @@ func TestSnapshotUtil(t *testing.T) {
 func TestCoalesceDeepestLevelWins(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{Seed: 3, Fast: 10 * sim.Minute, Mid: 10 * sim.Minute, Deep: -1, Obs: reg})
-	c.Add(testNetwork(0, 3), NetOptions{})
+	c.Add(testNetwork(0, 3))
 	c.Run(10 * sim.Minute)
 
 	snap := c.Snapshot()
@@ -138,53 +138,75 @@ func TestCoalesceDeepestLevelWins(t *testing.T) {
 	}
 }
 
-// Overload sheds deep passes first: with three networks due at one tick at
-// levels i0, i1, i2 and a budget of 2, the i2 pass is shed; with a budget
-// of 1 only the i0 pass survives.
+// Overload sheds deep passes first. Networks registered at 0, 20 and 30
+// minutes on 10/20/40-minute cadences fall due at 40 minutes at levels
+// i2, i1 and i0 (each deepest level subsuming the shallower ones due with
+// it); with a budget of 2 the i2 pass is shed, with a budget of 1 only the
+// i0 pass survives. Counts are the change across that one tick.
 func TestOverloadShedsDeepestFirst(t *testing.T) {
-	build := func(budget int, reg *obs.Registry) *Controller {
-		c := New(Config{Seed: 5, MaxPassesPerTick: budget, Obs: reg})
-		c.Add(testNetwork(0, 2), NetOptions{Fast: 10 * sim.Minute, Mid: -1, Deep: -1})
-		c.Add(testNetwork(1, 2), NetOptions{Fast: -1, Mid: 10 * sim.Minute, Deep: -1})
-		c.Add(testNetwork(2, 2), NetOptions{Fast: -1, Mid: -1, Deep: 10 * sim.Minute})
-		return c
-	}
-
-	reg := obs.NewRegistry()
-	c := build(2, reg)
-	c.Run(10 * sim.Minute)
-	snap := c.Snapshot()
-	if snap.Passes != [numLevels]int{1, 1, 0} {
-		t.Fatalf("budget 2: passes = %v, want [1 1 0]", snap.Passes)
-	}
-	if snap.Shed != [numLevels]int{0, 0, 1} {
-		t.Fatalf("budget 2: shed = %v, want [0 0 1]", snap.Shed)
-	}
-	for level, want := range map[string]int64{"i0": 0, "i1": 0, "i2": 1} {
-		if got := reg.Counter("fleetd.shed_" + level).Value(); got != want {
-			t.Fatalf("budget 2: fleetd.shed_%s = %d, want %d", level, got, want)
+	sub := func(a, b [numLevels]int) [numLevels]int {
+		for i := range a {
+			a[i] -= b[i]
 		}
+		return a
+	}
+	// tick registers the three networks, runs to just before the shared
+	// 40-minute tick, and returns the controller with the snapshot
+	// deltas and shed-counter deltas across that tick.
+	tick := func(budget int) (*Controller, [numLevels]int, [numLevels]int, [numLevels]int64) {
+		reg := obs.NewRegistry()
+		c := New(Config{Seed: 5, Fast: 10 * sim.Minute, Mid: 20 * sim.Minute, Deep: 40 * sim.Minute,
+			MaxPassesPerTick: budget, Obs: reg})
+		c.Add(testNetwork(0, 2))
+		c.Run(20 * sim.Minute)
+		c.Add(testNetwork(1, 2))
+		c.Run(10 * sim.Minute)
+		c.Add(testNetwork(2, 2))
+		before := c.Snapshot()
+		var shedBefore [numLevels]int64
+		for level := range shedBefore {
+			shedBefore[level] = reg.Counter("fleetd.shed_" + levelName(level)).Value()
+		}
+		c.Run(10 * sim.Minute)
+		after := c.Snapshot()
+		var shed [numLevels]int64
+		for level := range shed {
+			shed[level] = reg.Counter("fleetd.shed_"+levelName(level)).Value() - shedBefore[level]
+		}
+		return c, sub(after.Passes, before.Passes), sub(after.Shed, before.Shed), shed
 	}
 
-	reg = obs.NewRegistry()
-	c = build(1, reg)
-	c.Run(10 * sim.Minute)
-	snap = c.Snapshot()
-	if snap.Passes != [numLevels]int{1, 0, 0} {
-		t.Fatalf("budget 1: passes = %v, want [1 0 0]", snap.Passes)
+	_, passes, shed, counters := tick(2)
+	if passes != [numLevels]int{1, 1, 0} {
+		t.Fatalf("budget 2: passes = %v, want [1 1 0]", passes)
 	}
-	if snap.Shed != [numLevels]int{0, 1, 1} {
-		t.Fatalf("budget 1: shed = %v, want [0 1 1]", snap.Shed)
+	if shed != [numLevels]int{0, 0, 1} {
+		t.Fatalf("budget 2: shed = %v, want [0 0 1]", shed)
 	}
-	if got := reg.Counter("fleetd.passes_i0").Value(); got != 1 {
-		t.Fatalf("budget 1: fleetd.passes_i0 = %d, want 1", got)
+	if counters != [numLevels]int64{0, 0, 1} {
+		t.Fatalf("budget 2: fleetd.shed_i0/i1/i2 = %v, want [0 0 1]", counters)
 	}
 
-	// A shed pass is rescheduled, not dropped: the next tick sheds again
-	// under the same pressure, so the counter keeps growing.
-	c.Run(10 * sim.Minute)
-	if got := c.Snapshot().Shed; got != [numLevels]int{0, 2, 2} {
-		t.Fatalf("after second tick: shed = %v, want [0 2 2]", got)
+	c, passes, shed, counters := tick(1)
+	if passes != [numLevels]int{1, 0, 0} {
+		t.Fatalf("budget 1: passes = %v, want [1 0 0]", passes)
+	}
+	if shed != [numLevels]int{0, 1, 1} || counters != [numLevels]int64{0, 1, 1} {
+		t.Fatalf("budget 1: shed = %v, counters %v, want [0 1 1]", shed, counters)
+	}
+	if got := c.Snapshot().Networks[2].Passes[levelFast]; got != 1 {
+		t.Fatalf("budget 1: the i0 network ran %d passes, want 1", got)
+	}
+
+	// A shed pass is re-armed, not dropped: each shed level is pending
+	// again one period after the tick.
+	for _, want := range []struct {
+		id, level int
+		at        sim.Time
+	}{{0, levelDeep, 80 * sim.Minute}, {1, levelMid, 60 * sim.Minute}} {
+		if at, ok := c.sched.when(want.id, want.level); !ok || at != want.at {
+			t.Fatalf("shed net %d %s pending at %v (%v), want %v", want.id, levelName(want.level), at, ok, want.at)
+		}
 	}
 }
 
@@ -194,8 +216,8 @@ func TestOverloadShedsDeepestFirst(t *testing.T) {
 func TestRemovedNetworkNeverFires(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{Seed: 7, Fast: 10 * sim.Minute, Mid: -1, Deep: -1, Obs: reg})
-	c.Add(testNetwork(0, 2), NetOptions{})
-	c.Add(testNetwork(1, 2), NetOptions{})
+	c.Add(testNetwork(0, 2))
+	c.Add(testNetwork(1, 2))
 	c.Run(10 * sim.Minute)
 
 	if !c.Remove(1) {
@@ -293,22 +315,24 @@ func TestBuildScenarioDeterministic(t *testing.T) {
 	}
 }
 
-// Two networks on coprime cadences produce due instants that fall
-// strictly inside one Run window (7,11,14,21,22 minutes); Run's popDue
-// loop must fire every one of them, not just the first. Regression guard
-// for the scheduler-drain audit: a Run that resolved only one deadline
-// instant per call would undercount both networks here.
+// Two networks registered three minutes apart on a 10-minute cadence
+// produce due instants that fall strictly inside one Run window (10, 13,
+// 20, 23, 30 minutes); Run's popDue loop must fire every one of them, not
+// just the first. Regression guard for the scheduler-drain audit: a Run
+// that resolved only one deadline instant per call would undercount both
+// networks here.
 func TestRunFiresDistinctInstantsInOneCall(t *testing.T) {
-	c := New(Config{Seed: 13, Mid: -1, Deep: -1})
-	c.Add(testNetwork(0, 2), NetOptions{Fast: 7 * sim.Minute})
-	c.Add(testNetwork(1, 2), NetOptions{Fast: 11 * sim.Minute})
-	c.Run(22 * sim.Minute)
+	c := New(Config{Seed: 13, Fast: 10 * sim.Minute, Mid: -1, Deep: -1})
+	c.Add(testNetwork(0, 2))
+	c.Run(3 * sim.Minute)
+	c.Add(testNetwork(1, 2))
+	c.Run(27 * sim.Minute)
 	snap := c.Snapshot()
 	if got := snap.Networks[0].Passes[levelFast]; got != 3 {
-		t.Fatalf("net 0 ran %d fast passes in one Run(22m), want 3 (t=7,14,21m)", got)
+		t.Fatalf("net 0 ran %d fast passes in one Run(27m), want 3 (t=10,20,30m)", got)
 	}
 	if got := snap.Networks[1].Passes[levelFast]; got != 2 {
-		t.Fatalf("net 1 ran %d fast passes in one Run(22m), want 2 (t=11,22m)", got)
+		t.Fatalf("net 1 ran %d fast passes in one Run(27m), want 2 (t=13,23m)", got)
 	}
 }
 
@@ -374,12 +398,14 @@ func TestLazyBuildDefersConstruction(t *testing.T) {
 }
 
 // Fleet clock semantics: Run advances Now by exactly d and leaves every
-// network's engine synced to it.
+// network's engine synced to it, including one whose first deadline lies
+// past the run's end (never planned, still polled).
 func TestRunSyncsClocks(t *testing.T) {
 	c := New(Config{Seed: 11, Fast: 10 * sim.Minute, Mid: -1, Deep: -1})
-	c.Add(testNetwork(0, 2), NetOptions{})
-	c.Add(testNetwork(1, 2), NetOptions{Fast: -1}) // never planned, still polled
-	c.Run(25 * sim.Minute)
+	c.Add(testNetwork(0, 2))
+	c.Run(20 * sim.Minute)
+	c.Add(testNetwork(1, 2)) // first deadline at 30m
+	c.Run(5 * sim.Minute)
 	if c.Now() != 25*sim.Minute {
 		t.Fatalf("Now = %v, want 25m", c.Now())
 	}
@@ -387,5 +413,8 @@ func TestRunSyncsClocks(t *testing.T) {
 		if ns.engine.Now() != 25*sim.Minute {
 			t.Fatalf("net %d engine at %v, want 25m", ns.id, ns.engine.Now())
 		}
+	}
+	if p := c.get(1).passes; p != [numLevels]int{} {
+		t.Fatalf("net 1 planned before its first deadline: passes %v", p)
 	}
 }

@@ -26,9 +26,6 @@ import (
 //	          re-runs fleet.Generate, so 10k networks cost one record).
 //	add       one hand-built network, inlined (fleet.Network JSON).
 //	remove    network deregistration.
-//	cadence   per-network cadence re-parameterization (ID + NetOptions):
-//	          SetCadence between ticks, replayed through the same
-//	          replace-in-place scheduler path.
 //	advance   RunTo target clock, written ahead of the run. Replaying an
 //	          advance re-executes every pass it covered.
 //	ckpt      a checkpoint committed at clock To with the given content
@@ -36,8 +33,10 @@ import (
 //	          writes nothing.
 //	shutdown  clean shutdown marker (Close, after a final checkpoint).
 //
-// Journals from before degraded mode was removed may hold demote and
-// ckptfail records; Open refuses them rather than replay them.
+// Retired ops: journals from before degraded mode was removed may hold
+// demote and ckptfail records, and journals from before per-network
+// cadences were removed may hold cadence records; Open refuses all three
+// rather than replay them.
 //
 // Each record carries its 1-based sequence number and a CRC32 over its
 // own encoding with the CRC field zeroed. The decoder drops a torn or
@@ -48,7 +47,6 @@ const (
 	opAddFleet = "addfleet"
 	opAdd      = "add"
 	opRemove   = "remove"
-	opCadence  = "cadence"
 	opAdvance  = "advance"
 	opCkpt     = "ckpt"
 	opShutdown = "shutdown"
@@ -63,7 +61,6 @@ type jrec struct {
 	ID     int            `json:"id,omitempty"`
 	Fleet  *fleet.Options `json:"fleet,omitempty"`
 	Net    *fleet.Network `json:"net,omitempty"`
-	Opt    *NetOptions    `json:"opt,omitempty"`
 	Digest uint64         `json:"digest,omitempty"`
 	CRC    uint32         `json:"crc"`
 }

@@ -35,7 +35,7 @@ func sampleRecords() []jrec {
 	return []jrec{
 		{Op: opConfig, Digest: 0xdeadbeefcafe},
 		{Op: opAddFleet, Fleet: &opt},
-		{Op: opAdd, Net: net, Opt: &NetOptions{Fast: 60}},
+		{Op: opAdd, Net: net},
 		{Op: opAdvance, To: 900_000_000},
 		{Op: opCkpt, To: 1_800_000_000, Digest: ^uint64(0)},
 		{Op: opRemove, ID: 3},
@@ -68,8 +68,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if recs[1].Fleet == nil || recs[1].Fleet.Networks != 12 || recs[1].Fleet.MaxAPs != 5 {
 		t.Fatalf("addfleet options did not round-trip: %+v", recs[1].Fleet)
 	}
-	if recs[2].Net == nil || recs[2].Net.ID != 3 || recs[2].Opt == nil || recs[2].Opt.Fast != 60 {
-		t.Fatalf("add record did not round-trip: net=%+v opt=%+v", recs[2].Net, recs[2].Opt)
+	if recs[2].Net == nil || recs[2].Net.ID != 3 {
+		t.Fatalf("add record did not round-trip: net=%+v", recs[2].Net)
 	}
 }
 

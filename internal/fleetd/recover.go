@@ -122,21 +122,10 @@ func Open(cfg Config, store Store) (*Controller, error) {
 			if r.Net == nil {
 				return nil, fmt.Errorf("fleetd: journal add record %d has no network", r.Seq)
 			}
-			opt := NetOptions{}
-			if r.Opt != nil {
-				opt = *r.Opt
-			}
-			c.add(r.Net, opt)
+			c.add(r.Net)
 		case opRemove:
 			c.replayPop()
 			c.remove(r.ID)
-		case opCadence:
-			c.replayPop()
-			opt := NetOptions{}
-			if r.Opt != nil {
-				opt = *r.Opt
-			}
-			c.setCadence(r.ID, opt)
 		case opAdvance:
 			c.replayPop()
 			if err := c.runTo(sim.Time(r.To)); err != nil {
@@ -151,8 +140,9 @@ func Open(cfg Config, store Store) (*Controller, error) {
 		case opShutdown:
 			c.replayPop()
 		default:
-			// Includes the retired demote/ckptfail records: replaying one
-			// without its degraded mode would rebuild different state.
+			// Includes the retired demote/ckptfail/cadence records:
+			// replaying one without its mechanism would rebuild different
+			// state.
 			return nil, fmt.Errorf("fleetd: unexpected journal record %q at seq %d", r.Op, r.Seq)
 		}
 	}

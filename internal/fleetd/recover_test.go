@@ -365,12 +365,13 @@ func TestCheckpointCommitFailureCounted(t *testing.T) {
 }
 
 // TestOpenRefusesRetiredRecords: a journal from before degraded mode was
-// removed, holding a demote or ckptfail record, is refused with an error
-// naming the record — never replayed into different state.
+// removed, holding a demote or ckptfail record, or from before per-network
+// cadences were removed, holding a cadence record, is refused with an
+// error naming the record — never replayed into different state.
 func TestOpenRefusesRetiredRecords(t *testing.T) {
 	cfg := testConfig(23)
 	opt := testFleet(23, 4).Opt
-	for _, op := range []string{"demote", "ckptfail"} {
+	for _, op := range []string{"demote", "ckptfail", "cadence"} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: cfg.withDefaults().digest()},
@@ -387,23 +388,25 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 }
 
 // preGridConfig's digest was 0x6308c920312de455 before turboca.Format
-// was folded into it, 0x2f2bfc1f5aa64004 before ckptFormat was, and
+// was folded into it, 0x2f2bfc1f5aa64004 before ckptFormat was,
 // 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried a since
-// deleted cadence multiplier and its controller state.
+// deleted cadence multiplier and its controller state, and
+// 0x8bb253e895b8a295 under ckptFormat 3, whose rows carried per-network
+// cadences.
 var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
 
 // TestOpenRefusesPreGridJournal: a journal written before contention went
 // on the planner's integer grid replays into other ln NetP bits, and one
 // written before checkpoints were JSON rows, or while their rows carried
-// a cadence multiplier, digests other checkpoint bytes; any of them would
-// fail at its first checkpoint. Its config record
-// carries an earlier digest, so Open refuses it up front with the
+// a cadence multiplier or per-network cadences, digests other checkpoint
+// bytes; any of them would fail at its first checkpoint. Its config
+// record carries an earlier digest, so Open refuses it up front with the
 // config-digest error, and accepts the same records under the current
 // digest.
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()
-	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, current} {
+	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, 0x8bb253e895b8a295, current} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: digest},

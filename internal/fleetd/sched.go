@@ -94,34 +94,6 @@ func (s *scheduler) entries() []passEntry {
 	return out
 }
 
-// reschedule moves the pending entry for (id, level) to a new deadline in
-// place — the entry is replaced, never duplicated, so a cadence change
-// between ticks cannot make a level fire twice. Returns false when no
-// entry for the pair is pending (popped but not yet rescheduled, or the
-// level is disabled).
-func (s *scheduler) reschedule(id, level int, at sim.Time) bool {
-	for i := range s.h {
-		if s.h[i].id == id && s.h[i].level == level {
-			s.h[i].at = at
-			heap.Fix(&s.h, i)
-			return true
-		}
-	}
-	return false
-}
-
-// dropLevel removes the pending entry for one (network, level) pair —
-// disabling a single cadence level without touching the others.
-func (s *scheduler) dropLevel(id, level int) bool {
-	for i := range s.h {
-		if s.h[i].id == id && s.h[i].level == level {
-			heap.Remove(&s.h, i)
-			return true
-		}
-	}
-	return false
-}
-
 // dropNetwork removes every pending entry for a network (after Remove),
 // so a removed network costs nothing even if its deadlines were far out.
 func (s *scheduler) dropNetwork(id int) int {

@@ -70,64 +70,8 @@ func TestSchedulerPopDueRespectsHorizon(t *testing.T) {
 	}
 }
 
-// A cadence change between ticks moves the pending entry in place: the
-// heap never gains a duplicate for the pair, the new deadline wins the
-// pop order, and a pair with no pending entry reports the miss so the
-// caller can push a fresh entry instead.
-func TestSchedulerRescheduleReplacesInPlace(t *testing.T) {
-	var s scheduler
-	s.push(passEntry{at: 10 * sim.Minute, id: 0, level: levelFast})
-	s.push(passEntry{at: 3 * sim.Hour, id: 0, level: levelMid})
-	s.push(passEntry{at: 10 * sim.Minute, id: 1, level: levelFast})
-
-	if !s.reschedule(0, levelFast, 2*sim.Minute) {
-		t.Fatal("reschedule of a pending entry = false")
-	}
-	if got := len(s.entries()); got != 3 {
-		t.Fatalf("heap has %d entries after reschedule, want 3 (replaced, not duplicated)", got)
-	}
-	if at, ok := s.when(0, levelFast); !ok || at != 2*sim.Minute {
-		t.Fatalf("when(0, fast) = %v, %v; want 2m, true", at, ok)
-	}
-	at, due := s.popDue(sim.Day)
-	if at != 2*sim.Minute || len(due) != 1 || due[0].id != 0 || due[0].level != levelFast {
-		t.Fatalf("rescheduled entry did not pop first: at=%v due=%+v", at, due)
-	}
-	// Once popped the pair has no pending entry: reschedule must miss.
-	if s.reschedule(0, levelFast, sim.Hour) {
-		t.Fatal("reschedule of a popped entry = true")
-	}
-	if s.reschedule(0, levelDeep, sim.Hour) {
-		t.Fatal("reschedule of a never-scheduled level = true")
-	}
-	if _, due := s.popDue(2 * sim.Minute); due != nil {
-		t.Fatalf("phantom entries remain: %+v", due)
-	}
-}
-
-func TestSchedulerDropLevelAndWhen(t *testing.T) {
-	var s scheduler
-	for id := 0; id < 3; id++ {
-		s.push(passEntry{at: 10 * sim.Minute, id: id, level: levelFast})
-		s.push(passEntry{at: 3 * sim.Hour, id: id, level: levelMid})
-	}
-	if !s.dropLevel(1, levelMid) {
-		t.Fatal("dropLevel of a pending entry = false")
-	}
-	if s.dropLevel(1, levelMid) {
-		t.Fatal("second dropLevel = true")
-	}
-	if _, ok := s.when(1, levelMid); ok {
-		t.Fatal("dropped level still pending")
-	}
-	if at, ok := s.when(1, levelFast); !ok || at != 10*sim.Minute {
-		t.Fatalf("sibling level perturbed by dropLevel: %v, %v", at, ok)
-	}
-	if got := len(s.entries()); got != 5 {
-		t.Fatalf("heap has %d entries, want 5", got)
-	}
-}
-
+// dropNetwork removes every level of one network and leaves the others'
+// deadlines pending where they were.
 func TestSchedulerDropNetwork(t *testing.T) {
 	var s scheduler
 	for id := 0; id < 4; id++ {
@@ -139,6 +83,15 @@ func TestSchedulerDropNetwork(t *testing.T) {
 	}
 	if got := s.dropNetwork(2); got != 0 {
 		t.Fatalf("second dropNetwork removed %d entries, want 0", got)
+	}
+	if _, ok := s.when(2, levelMid); ok {
+		t.Fatal("dropped network still pending")
+	}
+	if at, ok := s.when(1, levelMid); !ok || at != 3*sim.Hour {
+		t.Fatalf("sibling network perturbed by dropNetwork: %v, %v", at, ok)
+	}
+	if got := len(s.entries()); got != 6 {
+		t.Fatalf("heap has %d entries, want 6", got)
 	}
 	for {
 		_, due := s.popDue(sim.Day)

@@ -22,7 +22,7 @@ func TestStormRFFleetCorrelated(t *testing.T) {
 		Fast: 15 * sim.Minute, Mid: -1, Deep: -1, Obs: obs.NewRegistry(),
 	})
 	for id := 0; id < 3; id++ {
-		if err := c.Add(testNetwork(id, 6), NetOptions{}); err != nil {
+		if err := c.Add(testNetwork(id, 6)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -14,11 +14,11 @@ import (
 // through the context the backend's poll/push/reconcile loops honor.
 //
 // A faulted pass contributes nothing to the tick's serial section: no
-// counters, no reschedule. Its network's
-// engine and backend freeze wherever the fault stopped them, the
-// scheduler drops every pending deadline for it, and syncEngines skips it
-// from then on — so a quarantined network cannot perturb any other
-// network's plan bytes, which the chaos tests pin exactly.
+// counters, no next deadline. Its network's engine and backend freeze
+// wherever the fault stopped them, the scheduler drops every pending
+// deadline for it, and syncEngines skips it from then on — so a
+// quarantined network cannot perturb any other network's plan bytes,
+// which the chaos tests pin exactly.
 
 // executePassSupervised wraps one worker-pool pass with panic isolation
 // and the stuck-pass watchdog. It never lets a pass take down the

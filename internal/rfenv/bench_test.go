@@ -61,7 +61,7 @@ func BenchmarkRFEnv(b *testing.B) {
 			at := engine.Now()
 			rounds := 0
 			for {
-				at += be.Opt.ReconcileInterval
+				at += backend.ReconcileInterval
 				engine.RunUntil(at)
 				if at > 3*sim.Hour+30*sim.Minute && be.Converged() && be.Service.RunsTotal > preRuns {
 					break

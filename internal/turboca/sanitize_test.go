@@ -187,7 +187,6 @@ func TestStaleFractionAndDegradation(t *testing.T) {
 		return cp
 	}, nil, 5)
 	svc.Bands = []spectrum.Band{spectrum.Band5}
-	svc.MaxStaleFraction = 0.5
 	svc.RunOnce([]int{2, 1, 0})
 	if svc.DegradedTotal != 1 {
 		t.Fatalf("DegradedTotal = %d, want 1", svc.DegradedTotal)

@@ -37,13 +37,6 @@ type Service struct {
 	Apply ApplyFn
 	Bands []spectrum.Band
 
-	// MaxStaleFraction is the service's degradation guard: when more than
-	// this fraction of a band's APs is planned from stale or pinned
-	// telemetry, the deep (i>0) passes of an invocation are skipped and
-	// only the safe i=0 refinement runs — don't make bold moves on data
-	// you don't trust. 0 or >= 1 disables the guard.
-	MaxStaleFraction float64
-
 	// DirtySkip enables provable replay elision for fast-only passes: an
 	// invocation whose hop schedule is exactly [0] and whose sanitized
 	// input digest equals the band's previous executed invocation — which
@@ -167,7 +160,7 @@ func (s *Service) RunOnce(hops []int) {
 		// or neighbor edges to APs that fell out of the snapshot.
 		s.SanitizedTotal += in.Sanitize()
 		jobHops := hops
-		if s.degraded(in, hops) {
+		if degraded(in, hops) {
 			jobHops = []int{0}
 			s.DegradedTotal++
 		}
@@ -225,13 +218,16 @@ func fastOnly(hops []int) bool {
 	return len(hops) == 1 && hops[0] == 0
 }
 
+// maxStaleFraction is the service's degradation guard: when more than
+// this fraction of a band's APs is planned from stale or pinned telemetry,
+// the deep (i>0) passes of an invocation are skipped and only the safe
+// i=0 refinement runs — don't make bold moves on data you don't trust.
+const maxStaleFraction = 0.5
+
 // degraded reports whether an invocation's deep passes must be skipped
 // for this input: the guard only bites when the schedule actually carries
-// a deep (i>0) pass and the stale share exceeds the configured bound.
-func (s *Service) degraded(in Input, hops []int) bool {
-	if s.MaxStaleFraction <= 0 || s.MaxStaleFraction >= 1 {
-		return false
-	}
+// a deep (i>0) pass and the stale share exceeds maxStaleFraction.
+func degraded(in Input, hops []int) bool {
 	deep := false
 	for _, h := range hops {
 		if h > 0 {
@@ -239,5 +235,5 @@ func (s *Service) degraded(in Input, hops []int) bool {
 			break
 		}
 	}
-	return deep && in.StaleFraction() > s.MaxStaleFraction
+	return deep && in.StaleFraction() > maxStaleFraction
 }
