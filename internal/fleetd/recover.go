@@ -73,6 +73,18 @@ func Open(cfg Config, store Store) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The config record is checked before a torn tail is truncated, so a
+	// journal this configuration refuses is left as it was. (A record of
+	// an older format may fail its CRC here: a retired field no longer
+	// decodes into jrec.)
+	if len(recs) > 0 {
+		if recs[0].Op != opConfig {
+			return nil, fmt.Errorf("fleetd: journal does not start with a config record (got %q)", recs[0].Op)
+		}
+		if recs[0].Digest != cfg.digest() {
+			return nil, fmt.Errorf("fleetd: journal config digest %#x does not match configuration %#x", recs[0].Digest, cfg.digest())
+		}
+	}
 	if torn {
 		c.met.tornDropped.Inc()
 		if err := store.Truncate(int64(cleanLen)); err != nil {
@@ -86,12 +98,6 @@ func Open(cfg Config, store Store) (*Controller, error) {
 		return c, nil
 	}
 
-	if recs[0].Op != opConfig {
-		return nil, fmt.Errorf("fleetd: journal does not start with a config record (got %q)", recs[0].Op)
-	}
-	if recs[0].Digest != cfg.digest() {
-		return nil, fmt.Errorf("fleetd: journal config digest %#x does not match configuration %#x", recs[0].Digest, cfg.digest())
-	}
 	if data, ok, err := store.Checkpoint(); err != nil {
 		return nil, err
 	} else if ok {

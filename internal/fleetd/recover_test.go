@@ -401,8 +401,8 @@ var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, Checkpo
 // a cadence multiplier or per-network cadences, digests other checkpoint
 // bytes; any of them would fail at its first checkpoint. Its config
 // record carries an earlier digest, so Open refuses it up front with the
-// config-digest error, and accepts the same records under the current
-// digest.
+// config-digest error, leaving the journal as it was even when its tail
+// is torn, and accepts the same records under the current digest.
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()
@@ -413,12 +413,17 @@ func TestOpenRefusesPreGridJournal(t *testing.T) {
 			jrec{Op: opAddFleet, Fleet: &opt},
 			jrec{Op: opAdvance, To: int64(30 * sim.Minute)},
 		))
+		store.journal.WriteString(`{"seq":4,"op":"add"`) // torn tail
+		written := bytes.Clone(store.journal.Bytes())
 		cfg := preGridConfig
 		cfg.Obs = obs.NewRegistry()
 		_, err := Open(cfg, store)
 		refused := fmt.Sprintf("journal config digest %#x does not match", digest)
 		if old := digest != current; old != (err != nil) || old && !strings.Contains(err.Error(), refused) {
 			t.Fatalf("Open of a journal with digest %#x: err = %v", digest, err)
+		}
+		if digest != current && !bytes.Equal(store.journal.Bytes(), written) {
+			t.Fatalf("Open of a refused journal with digest %#x rewrote it", digest)
 		}
 	}
 }
