@@ -16,7 +16,7 @@
 //     deadline resolve in ascending network-ID order; when a tick's due
 //     passes exceed the configured budget, deep passes shed first (i=2,
 //     then i=1, then i=0) — the same "don't do expensive work under
-//     pressure" policy as the backend's MaxStaleFraction degradation.
+//     pressure" policy as the planner's stale-input degradation.
 //
 //   - A bounded worker pool that executes one tick's surviving passes
 //     concurrently. Networks are mutually independent, so parallel
@@ -57,9 +57,9 @@ type Config struct {
 	// Workers bounds concurrently executing passes (default GOMAXPROCS).
 	// Results are identical for any value.
 	Workers int
-	// Fast, Mid, Deep are the default cadences for the three pass levels
-	// (defaults turboca.FastCadence, MidCadence, DeepCadence: the §4.4.4
-	// schedule). Negative disables a level fleet-wide.
+	// Fast, Mid, Deep are every network's cadences for the three pass
+	// levels (defaults turboca.FastCadence, MidCadence, DeepCadence: the
+	// §4.4.4 schedule). Negative disables a level fleet-wide.
 	Fast, Mid, Deep sim.Time
 	// MaxPassesPerTick is the overload budget: when more passes share a
 	// deadline tick than this, the excess is shed, deepest level first.

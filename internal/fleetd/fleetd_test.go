@@ -130,7 +130,7 @@ func TestCoalesceDeepestLevelWins(t *testing.T) {
 	if got := reg.Counter("fleetd.coalesced").Value(); got != 1 {
 		t.Fatalf("fleetd.coalesced = %d, want 1", got)
 	}
-	// Both levels reschedule independently: the next 10-minute tick
+	// Both levels re-arm independently: the next 10-minute tick
 	// coalesces again.
 	c.Run(10 * sim.Minute)
 	if st := c.Snapshot().Networks[0]; st.Passes[levelMid] != 2 || st.Coalesced != 2 {
