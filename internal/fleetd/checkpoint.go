@@ -16,12 +16,11 @@ import (
 // digest, one row per network in ascending ID order and the scheduler's
 // pending entries in their total order. A network's row is its snapshot
 // row (status) plus what no snapshot shows: whether it is built, the
-// reports digest and the dirty-skip memos. uint64s encode
-// as exact integers and floats as their shortest round-tripping form, so
-// the blob is a canonical byte string of the fleet's state: two
-// controllers are equivalent iff their checkpoint bytes are equal, which
-// is exactly the invariant the restart property test and the kill-chaos
-// campaign pin.
+// reports digest and the dirty-skip memos. uint64s encode as exact
+// integers and floats as their shortest round-tripping form, so the blob
+// is a canonical byte string of the fleet's state: two controllers are
+// equivalent iff their checkpoint bytes are equal, which is exactly the
+// invariant the restart property test and the kill-chaos campaign pin.
 //
 // Checkpoints are NOT replay shortcuts: recovery always replays the
 // journal from the beginning (per-network engines cannot be serialised;

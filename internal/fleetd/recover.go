@@ -74,9 +74,9 @@ func Open(cfg Config, store Store) (*Controller, error) {
 		return nil, err
 	}
 	// The config record is checked before a torn tail is truncated, so a
-	// journal this configuration refuses is left as it was. (A record of
-	// an older format may fail its CRC here: a retired field no longer
-	// decodes into jrec.)
+	// journal this configuration refuses is left as it was: a final record
+	// of an older format can read as torn, because a retired field no
+	// longer decodes into jrec and its CRC fails.
 	if len(recs) > 0 {
 		if recs[0].Op != opConfig {
 			return nil, fmt.Errorf("fleetd: journal does not start with a config record (got %q)", recs[0].Op)
