@@ -197,8 +197,11 @@ bench-module:
 # the numbers of internal/experiments/testdata/golden_cheap.md, and
 # cmd/experiments on a selection that needs the fleet, a backend and the
 # testbed; the Uplink report exits 1 if the agent acted on pure uplink.
+# Then the ablation benchmarks, once each: the only code outside tests
+# that sets the ablation knobs of fastack.Config and turboca.Config.
 figures:
 	$(GO) test -run '^$$' -bench 'Figures/(Fig1|Table1|Fig7)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Ablation' -benchtime 1x .
 	$(GO) run ./cmd/experiments -quick -only fig1,table1,fig7,uplink
 
 # Optimality-gap campaign (advisory, non-failing in verify): the exact

@@ -94,8 +94,6 @@ type Options struct {
 	Algorithm Algorithm
 	// Planner carries TurboCA tunables.
 	Planner turboca.Config
-	// AllowDFS admits DFS channels on 5 GHz.
-	AllowDFS bool
 	// DirtySkip lets the planning service elide fast (i=0) passes whose
 	// telemetry digest matches the last provably no-op pass (see
 	// turboca.Service.DirtySkip — skipping is exact, never heuristic).
@@ -143,7 +141,6 @@ func DefaultOptions(alg Algorithm) Options {
 		Seed:      7,
 		Algorithm: alg,
 		Planner:   turboca.DefaultConfig(),
-		AllowDFS:  true,
 	}
 }
 
@@ -343,10 +340,10 @@ func (b *Backend) Control() ControlStats { return b.ctl.read().sub(b.ctlBase) }
 // staleAfter is planned from decayed data, and one past pinAfter is
 // pinned to its current channel. APs that have never reported (e.g. a
 // planner invoked before the first poll tick) fall back to a
-// provisioning-time model snapshot.
+// provisioning-time model snapshot. DFS channels are always admitted.
 func (b *Backend) PlannerInput(band spectrum.Band) turboca.Input {
 	now := b.Engine.Now()
-	in := turboca.Input{Band: band, AllowDFS: b.Opt.AllowDFS, MaxWidth: spectrum.W80}
+	in := turboca.Input{Band: band, AllowDFS: true, MaxWidth: spectrum.W80}
 	if band == spectrum.Band2G4 {
 		in.MaxWidth = spectrum.W20
 	}

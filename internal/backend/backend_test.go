@@ -307,7 +307,7 @@ func TestRadarEventsForceFallback(t *testing.T) {
 		t.Skip("no DFS assignments this seed")
 	}
 	engine.RunUntil(30 * sim.Hour)
-	if b.RadarEvents() == 0 {
+	if b.radarHit == 0 {
 		t.Fatal("no radar events at 200/day over a day")
 	}
 	// Every radar hit must have landed the AP on a non-DFS channel at

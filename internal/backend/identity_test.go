@@ -184,8 +184,8 @@ func TestTelemetryHistoryOffSameStreams(t *testing.T) {
 	if on.Switches() != off.Switches() || on.Control() != off.Control() {
 		t.Fatalf("history changed the run: %d switches %+v\nvs %d switches %+v", on.Switches(), on.Control(), off.Switches(), off.Control())
 	}
-	if on.Control().PollsDelayed == 0 || on.Control().PollsRejected == 0 || on.RadarEvents() == 0 {
-		t.Fatalf("the run never delayed or rejected a poll or struck radar: %+v, %d radar", on.Control(), on.RadarEvents())
+	if on.Control().PollsDelayed == 0 || on.Control().PollsRejected == 0 || on.radarHit == 0 {
+		t.Fatalf("the run never delayed or rejected a poll or struck radar: %+v, %d radar", on.Control(), on.radarHit)
 	}
 	for _, band := range []spectrum.Band{spectrum.Band5, spectrum.Band2G4} {
 		if a, b := on.Service.LastLogNetP[band], off.Service.LastLogNetP[band]; a != b {

@@ -196,7 +196,3 @@ func (b *Backend) checkNOP() {
 		}
 	}
 }
-
-// RadarEvents reports how many radar detections were injected (single
-// events and storm sweeps both count once).
-func (b *Backend) RadarEvents() int { return b.radarHit }

@@ -170,9 +170,9 @@ func TestStormDeterminism(t *testing.T) {
 	if b1.Control() != b2.Control() {
 		t.Fatalf("control stats diverge:\n%+v\n%+v", b1.Control(), b2.Control())
 	}
-	if b1.Switches() != b2.Switches() || b1.RadarEvents() != b2.RadarEvents() {
+	if b1.Switches() != b2.Switches() || b1.radarHit != b2.radarHit {
 		t.Fatalf("switches/radar diverge: %d/%d vs %d/%d",
-			b1.Switches(), b1.RadarEvents(), b2.Switches(), b2.RadarEvents())
+			b1.Switches(), b1.radarHit, b2.Switches(), b2.radarHit)
 	}
 	for band, v := range b1.Service.LastLogNetP {
 		if b2.Service.LastLogNetP[band] != v {

@@ -75,9 +75,11 @@ type Config struct {
 	// sender instead of dropping them: the sender then sees dup-ACK
 	// storms for data it believes acknowledged.
 	DisableSuppression bool
-	// DisableCache turns off the local retransmission cache: duplicate
-	// ACKs are forwarded so the sender repairs end-to-end (§5.5.1 asks
-	// "why not let the TCP sender handle these retransmissions?").
+	// DisableCache turns off the local retransmission cache and forwards
+	// the client's duplicate ACKs (§5.5.1 asks "why not let the TCP
+	// sender handle these retransmissions?"). The sender cannot: it was
+	// already fast-ACKed past the bytes those dup-ACKs ask for, so a
+	// flow's first bad hint stalls it for good (DESIGN §5).
 	DisableCache bool
 }
 
@@ -404,7 +406,7 @@ func (a *Agent) HandleDownlink(d *packet.Datagram) Disposition {
 		// the hole, emulate the client's duplicate ACK (with SACK when
 		// supported) so the sender repairs it early (§5.5.3), then treat
 		// the packet as (iii).
-		if seqIn-f.seqExp > a.cfg.Guard.MaxSeqJump {
+		if seqIn-f.seqExp > maxSeqJump {
 			// A hole this wide is not congestion, it is a mangled header.
 			// Forward the packet untouched — adopting the garbage sequence
 			// into the holes vector or the cache would corrupt the flow.
@@ -664,8 +666,8 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		if f.dupAcksFromClient >= a.cfg.DupAckThreshold && (active || seqspace.LT(ack, f.seqFack)) {
 			f.dupAcksFromClient = 0
 			if a.cfg.DisableCache {
-				// Ablation: no cache, so the sender must repair — let its
-				// dup-ACK through even under suppression.
+				// Ablation: no cache to repair from, so let the dup-ACK
+				// through to the sender even under suppression.
 				disp.Forward = true
 			} else if f.rtxDue(ack, now, a.cfg.RtxGuard) {
 				if n := a.retransmitFromCache(&disp, f, ack, t.SACK); active {

@@ -96,6 +96,17 @@ var guardReasons = []GuardReason{
 	GuardReasonIdleDebt,
 }
 
+// The guard's fixed thresholds.
+const (
+	// suspectWindow: a second soft anomaly within this window of the first
+	// trips Bypass; a clean window returns the flow to Active.
+	suspectWindow = 250 * sim.Millisecond
+	// maxSeqJump is the largest credible gap between seq_exp and an
+	// arriving downlink sequence; anything larger is treated as header
+	// corruption, not an upstream hole.
+	maxSeqJump = 16 << 20
+)
+
 // GuardConfig tunes the safety guard; zero fields take production
 // defaults.
 type GuardConfig struct {
@@ -107,13 +118,6 @@ type GuardConfig struct {
 	// DebtStallTimeout bypasses a flow whose debt (fast-ACK'd bytes the
 	// client has not acknowledged) makes no progress for this long.
 	DebtStallTimeout sim.Time
-	// SuspectWindow: a second soft anomaly within this window of the first
-	// trips Bypass; a clean window returns the flow to Active.
-	SuspectWindow sim.Time
-	// MaxSeqJump is the largest credible gap between seq_exp and an
-	// arriving downlink sequence; anything larger is treated as header
-	// corruption, not an upstream hole.
-	MaxSeqJump uint32
 	// DrainExpiry is how long past IdleExpiry Sweep retains an idle flow
 	// that still carries debt before giving up on the drain.
 	DrainExpiry sim.Time
@@ -125,12 +129,6 @@ func (g *GuardConfig) applyDefaults() {
 	}
 	if g.DebtStallTimeout == 0 {
 		g.DebtStallTimeout = 1500 * sim.Millisecond
-	}
-	if g.SuspectWindow == 0 {
-		g.SuspectWindow = 250 * sim.Millisecond
-	}
-	if g.MaxSeqJump == 0 {
-		g.MaxSeqJump = 16 << 20
 	}
 	if g.DrainExpiry == 0 {
 		g.DrainExpiry = sim.Minute
@@ -156,7 +154,7 @@ func (a *Agent) bypassed(f *flowState) bool {
 		return true
 	}
 	now := a.now()
-	if f.gstate == GuardSuspect && now-f.suspectAt > a.cfg.Guard.SuspectWindow {
+	if f.gstate == GuardSuspect && now-f.suspectAt > suspectWindow {
 		f.gstate = GuardActive
 	}
 	if f.debtBytes() == 0 {
@@ -183,14 +181,14 @@ func (a *Agent) guardSoftAnomaly(f *flowState, reason GuardReason) {
 		a.stats.GuardSuspects++
 		obsm.guardSuspects.Inc()
 	case GuardSuspect:
-		if now-f.suspectAt > a.cfg.Guard.SuspectWindow {
+		if now-f.suspectAt > suspectWindow {
 			// The earlier anomaly aged out; this one starts a fresh window.
 			f.suspectAt = now
 			a.stats.GuardSuspects++
 			obsm.guardSuspects.Inc()
 			return
 		}
-		if now-f.ackProgressAt <= a.cfg.Guard.SuspectWindow {
+		if now-f.ackProgressAt <= suspectWindow {
 			// Still delivering: stay Suspect instead of giving up FastACK
 			// for good on what is so far survivable noise.
 			f.suspectAt = now

@@ -132,7 +132,7 @@ func TestGuardWildAckSuspectThenBypass(t *testing.T) {
 	buildDebt(t, h)
 	f := h.a.flows[flowKey()]
 	// No client progress for a full suspect window: anomalies now escalate.
-	h.now += h.a.cfg.Guard.SuspectWindow + 50*sim.Millisecond
+	h.now += suspectWindow + 50*sim.Millisecond
 
 	// A cumulative ACK far beyond seq_high is corruption: forwarded, but
 	// never folded into the flow state.
@@ -165,7 +165,7 @@ func TestGuardSuspectDecaysToActive(t *testing.T) {
 		t.Fatalf("state = %v, want suspect", st)
 	}
 	// A clean suspect window clears the verdict; fast-acking continues.
-	h.now += h.a.cfg.Guard.SuspectWindow + sim.Millisecond
+	h.now += suspectWindow + sim.Millisecond
 	h.a.HandleUplink(clientAck(2000, 2048))
 	if st, _ := h.a.FlowGuardState(flowKey()); st != GuardActive {
 		t.Fatalf("state = %v, want active", st)
@@ -204,11 +204,11 @@ func TestGuardSeqJumpAnomaly(t *testing.T) {
 	h := newHarness(guardConfig())
 	buildDebt(t, h)
 	// No client progress for a full suspect window: anomalies now escalate.
-	h.now += h.a.cfg.Guard.SuspectWindow + 50*sim.Millisecond
+	h.now += suspectWindow + 50*sim.Millisecond
 
 	// A sequence an implausible distance past seq_exp is treated as a
 	// mangled header, not an upstream hole: forwarded untouched.
-	jump := data(4000 + h.a.cfg.Guard.MaxSeqJump + 1)
+	jump := data(4000 + maxSeqJump + 1)
 	disp := h.a.HandleDownlink(jump)
 	if !disp.Forward || len(disp.ToSender) != 0 {
 		t.Fatalf("seq jump handling: %+v", disp)

@@ -216,7 +216,7 @@ func refGuardTick(a *Agent, f *flowState) {
 		return
 	}
 	now := a.now()
-	if f.gstate == GuardSuspect && now-f.suspectAt > a.cfg.Guard.SuspectWindow {
+	if f.gstate == GuardSuspect && now-f.suspectAt > suspectWindow {
 		f.gstate = GuardActive
 	}
 	if f.debtBytes() == 0 {
@@ -341,7 +341,7 @@ func diffConfig(seed int64) Config {
 // with the same random scripts — in-order, reordered, lost, retransmitted
 // and mangled downlink segments; OK and dropped 802.11 feedback;
 // progressing, duplicate, SACKed, stale, wild, wrapped and healing client
-// ACKs; the clock stepped past RtxGuard, SuspectWindow and
+// ACKs; the clock stepped past RtxGuard, suspectWindow and
 // DebtStallTimeout; RSTs, restarts, sweeps and roams — one answering
 // client ACKs with HandleUplink, the other with refHandleUplink. After
 // every step the dispositions, Stats, each flow's Export and guard state,
@@ -482,7 +482,7 @@ func diffOp(rng *rand.Rand, a *Agent, fl *diffFlow, cfg Config) (string, func(*h
 		}
 		seq := fl.sent[rng.Intn(len(fl.sent))]
 		return fmt.Sprintf("downlink %d again", seq), down(fl.seg(seq))
-	case op < 36: // a mangled sequence: past MaxSeqJump, or half the space out
+	case op < 36: // a mangled sequence: past maxSeqJump, or half the space out
 		seq := fl.next + 16<<20 + uint32(rng.Intn(4))*segLen
 		if rng.Intn(2) == 0 {
 			seq = fl.next + 1<<31 - uint32(rng.Intn(4))*segLen
@@ -548,7 +548,7 @@ func diffOp(rng *rand.Rand, a *Agent, fl *diffFlow, cfg Config) (string, func(*h
 			d.TCP.Flags = 0
 		}
 		return "uplink not a pure ack", up(d)
-	case op < 94: // time: a few ms, an RtxGuard, a SuspectWindow or a debt stall
+	case op < 94: // time: a few ms, an RtxGuard, a suspectWindow or a debt stall
 		dt := []sim.Time{sim.Millisecond, 5 * sim.Millisecond, 16 * sim.Millisecond,
 			260 * sim.Millisecond, 1600 * sim.Millisecond}[rng.Intn(5)]
 		return fmt.Sprintf("clock +%v", dt), func(h *harness, _ func(*packet.Datagram) Disposition) string {

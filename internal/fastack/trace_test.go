@@ -272,12 +272,12 @@ func TestGoldenGuardTrace(t *testing.T) {
 	}
 	r.wirelessAck(dataB(1000), true)
 	r.wirelessAck(dataB(2000), true)
-	h.now += g.SuspectWindow + 50*sim.Millisecond
-	r.downlink(data(6000 + g.MaxSeqJump + 1))
-	r.downlink(dataB(3000 + g.MaxSeqJump + 1))
+	h.now += suspectWindow + 50*sim.Millisecond
+	r.downlink(data(6000 + maxSeqJump + 1))
+	r.downlink(dataB(3000 + maxSeqJump + 1))
 	h.now += 10 * sim.Millisecond
 	r.uplink(clientAck(6000+5_000_000, 2048))
-	r.downlink(dataB(3000 + g.MaxSeqJump + 1))
+	r.downlink(dataB(3000 + maxSeqJump + 1))
 	tripA := h.now
 
 	// 2. Bypass. A's client misses 1000 and 2000 but holds 3000: the

@@ -120,12 +120,9 @@ func (c Config) withDefaults() Config {
 		c.Deep = turboca.DeepCadence
 	}
 	if c.Backend.Algorithm == backend.AlgNone {
-		// An all-zero template means "production defaults" (TurboCA, DFS
-		// admitted, paper cadences), not "no algorithm".
+		// An all-zero template means "production defaults" (TurboCA and
+		// its planner tunables), not "no algorithm".
 		c.Backend = backend.DefaultOptions(backend.AlgTurboCA)
-	}
-	if c.Backend.Planner.MetricFloor == 0 {
-		c.Backend.Planner = turboca.DefaultConfig()
 	}
 	if c.Obs == nil {
 		c.Obs = obs.Default()

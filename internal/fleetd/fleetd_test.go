@@ -10,6 +10,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
+	"repro/internal/turboca"
 )
 
 // testNetwork synthesizes a small hand-built network (bypassing
@@ -36,8 +37,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.cfg.Fast != 15*sim.Minute || c.cfg.Mid != 3*sim.Hour || c.cfg.Deep != 24*sim.Hour {
 		t.Fatalf("default cadences = %v/%v/%v", c.cfg.Fast, c.cfg.Mid, c.cfg.Deep)
 	}
-	if c.cfg.Backend.Planner.MetricFloor == 0 {
-		t.Fatal("planner config not defaulted")
+	if c.cfg.Backend.Planner != turboca.DefaultConfig() {
+		t.Fatalf("planner config not defaulted: %+v", c.cfg.Backend.Planner)
 	}
 }
 

@@ -44,31 +44,18 @@ type GapOptions struct {
 	Solve Options
 	// Seed drives NBO's randomized rounds (deterministic per seed).
 	Seed int64
-	// Hops is NBO's refinement schedule (nil = [2, 1, 0], the backend's
-	// production schedule).
-	Hops []int
-	// ReservedWidth is the static allocation's fixed width (zero =
-	// spectrum.W20, the backend default).
-	ReservedWidth spectrum.Width
 }
 
 // Gap runs the oracle, NBO, and ReservedCA on one scenario and reports the
-// optimality gap. The input is canonicalized once so all three see APs in
-// the same dense order and every score is bitwise comparable.
+// optimality gap. NBO runs the backend's daily schedule, hops [2, 1, 0],
+// and ReservedCA its fixed 20 MHz width. The input is canonicalized once
+// so all three see APs in the same dense order and every score is bitwise
+// comparable.
 func Gap(cfg turboca.Config, in turboca.Input, opt GapOptions) GapResult {
 	in = turboca.CanonicalInput(in)
-	hops := opt.Hops
-	if hops == nil {
-		hops = []int{2, 1, 0}
-	}
-	width := opt.ReservedWidth
-	if width == 0 {
-		width = spectrum.W20
-	}
-
 	orc := Solve(cfg, in, opt.Solve)
-	nbo := turboca.RunNBO(cfg, in, rand.New(rand.NewSource(opt.Seed)), hops)
-	rca := turboca.RunReservedCA(cfg, in, width)
+	nbo := turboca.RunNBO(cfg, in, rand.New(rand.NewSource(opt.Seed)), []int{2, 1, 0})
+	rca := turboca.RunReservedCA(cfg, in, spectrum.W20)
 
 	g := GapResult{
 		Bound:        orc.Bound,

@@ -322,36 +322,3 @@ func (c *Counter) String() string {
 	}
 	return b.String()
 }
-
-// Welford is a streaming mean/variance accumulator (Welford's algorithm),
-// used where retaining every observation would be too expensive.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add records one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev returns the running population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

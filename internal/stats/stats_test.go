@@ -175,22 +175,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesSample(t *testing.T) {
-	s := NewSample(100)
-	var w Welford
-	for i := 0; i < 100; i++ {
-		x := float64(i%17) * 1.3
-		s.Add(x)
-		w.Add(x)
-	}
-	if !almostEq(s.Mean(), w.Mean(), 1e-9) {
-		t.Fatalf("means differ: %v vs %v", s.Mean(), w.Mean())
-	}
-	if !almostEq(s.Variance(), w.Variance(), 1e-9) {
-		t.Fatalf("variances differ: %v vs %v", s.Variance(), w.Variance())
-	}
-}
-
 // Property: percentiles are monotone in p and bounded by min/max.
 func TestQuickPercentileMonotone(t *testing.T) {
 	f := func(xs []float64) bool {

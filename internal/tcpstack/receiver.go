@@ -43,9 +43,6 @@ type Receiver struct {
 
 // NewReceiver builds a passive receiver for the given flow endpoints.
 func NewReceiver(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, out Output) *Receiver {
-	if cfg.MSS <= 0 {
-		cfg = DefaultConfig()
-	}
 	r := &Receiver{
 		engine: engine, cfg: cfg, out: out,
 		local: local, remote: remote,
@@ -78,7 +75,7 @@ func (r *Receiver) window() int {
 
 // scaledWindow converts the byte window to the on-wire (scaled) field.
 func (r *Receiver) scaledWindow() uint16 {
-	w := r.window() >> r.cfg.WScale
+	w := r.window() >> wScale
 	if w > 65535 {
 		w = 65535
 	}
@@ -118,9 +115,9 @@ func (r *Receiver) sendSynAck() {
 	sa.TCP.Ack = r.irs + 1
 	sa.TCP.Flags = packet.FlagSYN | packet.FlagACK
 	sa.TCP.Window = r.scaledWindow()
-	sa.TCP.MSS = uint16(r.cfg.MSS)
-	sa.TCP.WindowScale = r.cfg.WScale
-	sa.TCP.SACKPermitted = r.cfg.SACK
+	sa.TCP.MSS = MSS
+	sa.TCP.WindowScale = wScale
+	sa.TCP.SACKPermitted = true
 	r.out(sa)
 }
 
@@ -184,17 +181,15 @@ func (r *Receiver) sendAck(latest *packet.SACKBlock) {
 	ack.TCP.Ack = r.rcvNxt
 	ack.TCP.Flags = packet.FlagACK
 	ack.TCP.Window = r.scaledWindow()
-	if r.cfg.SACK {
-		if latest != nil {
-			ack.TCP.SACK = append(ack.TCP.SACK, *latest)
+	if latest != nil {
+		ack.TCP.SACK = append(ack.TCP.SACK, *latest)
+	}
+	for i := r.ooo.Len() - 1; i >= 0 && len(ack.TCP.SACK) < 4; i-- {
+		b := r.ooo.At(i)
+		if latest != nil && b == *latest {
+			continue
 		}
-		for i := r.ooo.Len() - 1; i >= 0 && len(ack.TCP.SACK) < 4; i-- {
-			b := r.ooo.At(i)
-			if latest != nil && b == *latest {
-				continue
-			}
-			ack.TCP.SACK = append(ack.TCP.SACK, b)
-		}
+		ack.TCP.SACK = append(ack.TCP.SACK, b)
 	}
 	r.stats.AcksSent++
 	r.out(ack)

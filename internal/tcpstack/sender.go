@@ -65,9 +65,6 @@ type Sender struct {
 
 // NewSender builds a sender for the given flow endpoints.
 func NewSender(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, out Output) *Sender {
-	if cfg.MSS <= 0 {
-		cfg = DefaultConfig()
-	}
 	s := &Sender{
 		engine: engine, cfg: cfg, out: out,
 		local: local, remote: remote,
@@ -76,8 +73,8 @@ func NewSender(engine *sim.Engine, cfg Config, local, remote packet.Endpoint, ou
 		rto:        sim.Second,
 		peerWScale: 0,
 	}
-	s.cwnd = cfg.InitCwnd * cfg.MSS
-	s.ssthresh = cfg.MaxCwnd * cfg.MSS
+	s.cwnd = initCwnd * MSS
+	s.ssthresh = cfg.MaxCwnd * MSS
 	s.rwnd = 65535
 	s.rtoTimer = engine.NewTimer(func(*sim.Engine) { s.onTimeout() })
 	return s
@@ -94,7 +91,7 @@ func (s *Sender) Stats() SenderStats {
 func (s *Sender) Cwnd() int { return s.cwnd }
 
 // CwndSegments returns the congestion window in MSS units.
-func (s *Sender) CwndSegments() int { return s.cwnd / s.cfg.MSS }
+func (s *Sender) CwndSegments() int { return s.cwnd / MSS }
 
 // Established reports whether the handshake has completed.
 func (s *Sender) Established() bool { return s.state == "established" }
@@ -111,9 +108,9 @@ func (s *Sender) Start() {
 	syn.TCP.Seq = s.iss
 	syn.TCP.Flags = packet.FlagSYN
 	syn.TCP.Window = 65535
-	syn.TCP.MSS = uint16(s.cfg.MSS)
-	syn.TCP.WindowScale = s.cfg.WScale
-	syn.TCP.SACKPermitted = s.cfg.SACK
+	syn.TCP.MSS = MSS
+	syn.TCP.WindowScale = wScale
+	syn.TCP.SACKPermitted = true
 	s.out(syn)
 	s.armRTO()
 }
@@ -175,21 +172,21 @@ func (s *Sender) window() int {
 // connection start), so ACK latency variation directly shapes the data
 // release pattern (§5.1 problem one).
 func (s *Sender) pump() {
-	for s.state == "established" && s.flight()+s.cfg.MSS <= s.window() {
+	for s.state == "established" && s.flight()+MSS <= s.window() {
 		s.sendSegment(s.sndNxt, false)
-		s.sndNxt += uint32(s.cfg.MSS)
+		s.sndNxt += MSS
 	}
 }
 
 func (s *Sender) sendSegment(seq uint32, isRetransmit bool) {
-	d := packet.NewTCPDatagram(s.local, s.remote, s.cfg.MSS)
+	d := packet.NewTCPDatagram(s.local, s.remote, MSS)
 	d.TCP.Seq = seq
 	d.TCP.Ack = 0
 	d.TCP.Flags = packet.FlagACK | packet.FlagPSH
 	d.TCP.Window = 65535
 	s.out(d)
 	s.stats.SegmentsSent++
-	end := seq + uint32(s.cfg.MSS)
+	end := seq + MSS
 	if isRetransmit {
 		s.stats.Retransmits++
 		s.sent.Remove(end) // Karn: no RTT sample from retransmits
@@ -225,8 +222,8 @@ func (s *Sender) handleAck(t *packet.TCP) {
 				s.retransmitHole()
 				// Deflate by the amount acked (NewReno partial-ACK rule).
 				s.cwnd -= acked
-				if s.cwnd < s.cfg.MSS {
-					s.cwnd = s.cfg.MSS
+				if s.cwnd < MSS {
+					s.cwnd = MSS
 				}
 				s.notifyCwnd()
 			} else {
@@ -244,7 +241,7 @@ func (s *Sender) handleAck(t *packet.TCP) {
 		s.dupAcks++
 		if s.inRecovery {
 			// Window inflation keeps the pipe full during recovery.
-			s.cwnd += s.cfg.MSS
+			s.cwnd += MSS
 			s.notifyCwnd()
 			s.pump()
 		} else if s.dupAcks == 3 {
@@ -261,7 +258,7 @@ func (s *Sender) handleAck(t *packet.TCP) {
 }
 
 func (s *Sender) growCwnd(ackedBytes int) {
-	max := s.cfg.MaxCwnd * s.cfg.MSS
+	max := s.cfg.MaxCwnd * MSS
 	if s.cwnd >= max {
 		return
 	}
@@ -270,18 +267,18 @@ func (s *Sender) growCwnd(ackedBytes int) {
 		// Slow start: one MSS per ACKed MSS (ABC, L=1).
 		s.cwnd += ackedBytes
 	case s.cfg.Congestion == Cubic:
-		target := s.cubic.target(float64(s.cwnd), s.cfg.MSS, s.srtt, s.engine.Now())
+		target := s.cubic.target(float64(s.cwnd), MSS, s.srtt, s.engine.Now())
 		if target > float64(s.cwnd) {
 			// Approach the cubic target over roughly one RTT of ACKs.
-			inc := (target - float64(s.cwnd)) / float64(s.cwnd) * float64(s.cfg.MSS)
-			if inc > float64(s.cfg.MSS) {
-				inc = float64(s.cfg.MSS)
+			inc := (target - float64(s.cwnd)) / float64(s.cwnd) * float64(MSS)
+			if inc > float64(MSS) {
+				inc = float64(MSS)
 			}
 			s.cwnd += int(inc) + 1
 		}
 	default:
 		// Reno congestion avoidance: ~one MSS per RTT.
-		s.cwnd += s.cfg.MSS * s.cfg.MSS / s.cwnd
+		s.cwnd += MSS * MSS / s.cwnd
 	}
 	if s.cwnd > max {
 		s.cwnd = max
@@ -299,10 +296,10 @@ func (s *Sender) enterFastRecovery() {
 	} else {
 		s.ssthresh = fl / 2
 	}
-	if s.ssthresh < 2*s.cfg.MSS {
-		s.ssthresh = 2 * s.cfg.MSS
+	if s.ssthresh < 2*MSS {
+		s.ssthresh = 2 * MSS
 	}
-	s.cwnd = s.ssthresh + 3*s.cfg.MSS
+	s.cwnd = s.ssthresh + 3*MSS
 	s.notifyCwnd()
 	s.retransmitHole()
 	s.armRTO()
@@ -311,8 +308,8 @@ func (s *Sender) enterFastRecovery() {
 // retransmitHole resends the first unSACKed segment at or above sndUna.
 func (s *Sender) retransmitHole() {
 	seq := s.sndUna
-	for s.cfg.SACK && s.sacked.Contains(seq, seq+uint32(s.cfg.MSS)) {
-		seq += uint32(s.cfg.MSS)
+	for s.sacked.Contains(seq, seq+MSS) {
+		seq += MSS
 		if !seqspace.LT(seq, s.sndNxt) {
 			return
 		}
@@ -342,11 +339,11 @@ func (s *Sender) sampleRTT(ack uint32) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < minRTO {
+		s.rto = minRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 }
 
@@ -364,8 +361,8 @@ func (s *Sender) onTimeout() {
 	if s.state == "syn-sent" {
 		s.out(s.rebuildSYN())
 		s.rto *= 2
-		if s.rto > s.cfg.MaxRTO {
-			s.rto = s.cfg.MaxRTO
+		if s.rto > maxRTO {
+			s.rto = maxRTO
 		}
 		s.armRTO()
 		return
@@ -375,17 +372,17 @@ func (s *Sender) onTimeout() {
 	}
 	s.stats.Timeouts++
 	s.ssthresh = s.flight() / 2
-	if s.ssthresh < 2*s.cfg.MSS {
-		s.ssthresh = 2 * s.cfg.MSS
+	if s.ssthresh < 2*MSS {
+		s.ssthresh = 2 * MSS
 	}
-	s.cwnd = s.cfg.MSS
+	s.cwnd = MSS
 	s.inRecovery = false
 	s.dupAcks = 0
 	s.notifyCwnd()
 	s.sendSegment(s.sndUna, true)
 	s.rto *= 2
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > maxRTO {
+		s.rto = maxRTO
 	}
 	s.armRTO()
 }
@@ -395,9 +392,9 @@ func (s *Sender) rebuildSYN() *packet.Datagram {
 	syn.TCP.Seq = s.iss
 	syn.TCP.Flags = packet.FlagSYN
 	syn.TCP.Window = 65535
-	syn.TCP.MSS = uint16(s.cfg.MSS)
-	syn.TCP.WindowScale = s.cfg.WScale
-	syn.TCP.SACKPermitted = s.cfg.SACK
+	syn.TCP.MSS = MSS
+	syn.TCP.WindowScale = wScale
+	syn.TCP.SACKPermitted = true
 	return syn
 }
 

@@ -15,22 +15,26 @@ import (
 	"repro/internal/sim"
 )
 
-// MSS is the TCP maximum segment size used throughout the testbed
-// (1500 MTU − 20 IP − 32 TCP w/ options).
-const MSS = 1448
+// The endpoints' fixed parameters: a mid-2010s Linux/Windows host.
+const (
+	// MSS is the TCP maximum segment size used throughout the testbed
+	// (1500 MTU − 20 IP − 32 TCP w/ options).
+	MSS = 1448
+	// initCwnd is the initial window in segments (RFC 6928).
+	initCwnd = 10
+	// wScale is the window-scale shift advertised by both ends.
+	wScale = 7
+	// minRTO is the Linux-style RTO floor, maxRTO its ceiling.
+	minRTO = 200 * sim.Millisecond
+	maxRTO = 60 * sim.Second
+)
 
-// Config parameterises an endpoint pair.
+// Config parameterises an endpoint pair. Both ends always negotiate SACK.
 type Config struct {
-	MSS        int
-	InitCwnd   int      // initial window in segments (RFC 6928 default 10)
 	MaxCwnd    int      // send-buffer cap in segments; the paper's OS default is 770
 	RcvBuf     int      // receiver buffer in bytes
-	WScale     int      // window-scale shift advertised by both ends
-	MinRTO     sim.Time // Linux-style 200 ms floor
-	MaxRTO     sim.Time
 	DelACKSegs int      // delayed-ACK segment threshold (2)
 	DelACKTime sim.Time // delayed-ACK timeout (40 ms quickack-era default)
-	SACK       bool
 	// Congestion selects Reno (default) or Cubic.
 	Congestion Congestion
 }
@@ -41,16 +45,10 @@ type Config struct {
 // the AP's driver pool, as in the paper's testbed.
 func DefaultConfig() Config {
 	return Config{
-		MSS:        MSS,
-		InitCwnd:   10,
 		MaxCwnd:    770,
 		RcvBuf:     512 << 10,
-		WScale:     7,
-		MinRTO:     200 * sim.Millisecond,
-		MaxRTO:     60 * sim.Second,
 		DelACKSegs: 2,
 		DelACKTime: 40 * sim.Millisecond,
-		SACK:       true,
 	}
 }
 

@@ -110,7 +110,7 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	var droppedSeq uint32
 	p.dropData = func(seq uint32) bool {
 		// Drop exactly one segment mid-flight, after slow start ramps.
-		if !dropped && seq > 1000+uint32(100*cfg.MSS) {
+		if !dropped && seq > 1000+uint32(100*MSS) {
 			dropped = true
 			droppedSeq = seq
 			return true
@@ -143,7 +143,7 @@ func TestCwndHalvesOnLoss(t *testing.T) {
 	p := newPipe(cfg, sim.Millisecond)
 	dropped := false
 	p.dropData = func(seq uint32) bool {
-		if !dropped && seq > 1000+uint32(200*cfg.MSS) {
+		if !dropped && seq > 1000+uint32(200*MSS) {
 			dropped = true
 			return true
 		}
@@ -177,7 +177,7 @@ func TestBurstLossRecoversViaSACK(t *testing.T) {
 	drops := 0
 	p.dropData = func(seq uint32) bool {
 		// Drop a burst of 5 distinct segments once.
-		if drops < 5 && seq > 1000+uint32(150*cfg.MSS) && seq < 1000+uint32(200*cfg.MSS) {
+		if drops < 5 && seq > 1000+uint32(150*MSS) && seq < 1000+uint32(200*MSS) {
 			drops++
 			return true
 		}
@@ -210,7 +210,7 @@ func TestRTOWhenAllAcksLost(t *testing.T) {
 	if p.s.Stats().Timeouts == 0 {
 		t.Fatal("no RTO during total ACK blackout")
 	}
-	if p.s.Cwnd() > cfg.MSS {
+	if p.s.Cwnd() > MSS {
 		t.Fatalf("cwnd after RTO = %d, want 1 MSS", p.s.Cwnd())
 	}
 	blackout = false
@@ -224,7 +224,7 @@ func TestRTOWhenAllAcksLost(t *testing.T) {
 // TestRTOBackoffRearmsFromCallback: a SYN that is never answered is resent
 // from inside the timeout callback, which re-arms the very timer that is
 // firing. The instants are the exponential backoff from the initial 1 s RTO
-// to MaxRTO, and between them exactly one timeout is queued.
+// to maxRTO, and between them exactly one timeout is queued.
 func TestRTOBackoffRearmsFromCallback(t *testing.T) {
 	engine := sim.NewEngine(3)
 	var syns []sim.Time
@@ -355,7 +355,7 @@ func TestCubicTransferAndRecovery(t *testing.T) {
 	dropped := 0
 	p.dropData = func(seq uint32) bool {
 		// One loss episode mid-transfer.
-		if dropped == 0 && seq > 1000+uint32(300*cfg.MSS) {
+		if dropped == 0 && seq > 1000+uint32(300*MSS) {
 			dropped++
 			return true
 		}
@@ -427,11 +427,11 @@ func TestOverlappingOutOfOrderFreesTheWholeWindow(t *testing.T) {
 		return acks[len(acks)-1].TCP.Window
 	}
 	deliver(2000, 1000)
-	if w := deliver(2500, 1000); w != uint16((cfg.RcvBuf-1500)>>cfg.WScale) {
-		t.Fatalf("1500 bytes buffered, advertised %d", int(w)<<cfg.WScale)
+	if w := deliver(2500, 1000); w != uint16((cfg.RcvBuf-1500)>>wScale) {
+		t.Fatalf("1500 bytes buffered, advertised %d", int(w)<<wScale)
 	}
 	deliver(1000, 1000) // fills the hole; the ACK is delayed until the next segment
 	if w := deliver(3500, 1000); r.RcvNxt() != 4500 || w != full {
-		t.Fatalf("hole filled: rcvNxt %d, advertised %d of %d", r.RcvNxt(), int(w)<<cfg.WScale, int(full)<<cfg.WScale)
+		t.Fatalf("hole filled: rcvNxt %d, advertised %d of %d", r.RcvNxt(), int(w)<<wScale, int(full)<<wScale)
 	}
 }

@@ -21,42 +21,29 @@ import (
 // realisation is identical across runs regardless of AP mode or traffic —
 // baseline and FastACK are compared over the same air.
 
-// FadingOptions tunes the channel dynamics.
-type FadingOptions struct {
-	Disabled bool
-	// SigmaDB is the stationary std-dev of the Gauss-Markov jitter.
-	SigmaDB float64
-	// Rho is the per-step (100 ms) autocorrelation.
-	Rho float64
-	// EventsPerMinute is the mean rate of deep-fade events per client.
-	EventsPerMinute float64
-	// DepthMinDB/DepthMaxDB bound the fade depth.
-	DepthMinDB, DepthMaxDB float64
-	// DurMin/DurMax bound the fade duration.
-	DurMin, DurMax sim.Time
-}
-
-// DefaultFading matches a quiet performance lab: modest jitter, with a
-// deep fade (someone walking through the path) every couple of minutes
-// per client.
-func DefaultFading() FadingOptions {
-	return FadingOptions{
-		SigmaDB:         2.0,
-		Rho:             0.9,
-		EventsPerMinute: 0.5,
-		DepthMinDB:      8,
-		DepthMaxDB:      18,
-		DurMin:          100 * sim.Millisecond,
-		DurMax:          600 * sim.Millisecond,
-	}
-}
-
-const fadeStep = 100 * sim.Millisecond
+// The fade process's shape: a quiet performance lab, with modest jitter
+// and a deep fade (someone walking through the path) every couple of
+// minutes per client.
+const (
+	// fadeStep is the sampling grid of the process.
+	fadeStep = 100 * sim.Millisecond
+	// fadeSigmaDB is the stationary std-dev of the Gauss-Markov jitter.
+	fadeSigmaDB float64 = 2.0
+	// fadeRho is the per-step autocorrelation.
+	fadeRho float64 = 0.9
+	// fadeEventsPerMinute is the mean rate of deep-fade events per client.
+	fadeEventsPerMinute float64 = 0.5
+	// fadeDepthMinDB and fadeDepthMaxDB bound the fade depth.
+	fadeDepthMinDB float64 = 8
+	fadeDepthMaxDB float64 = 18
+	// fadeDurMin and fadeDurMax bound the fade duration.
+	fadeDurMin = 100 * sim.Millisecond
+	fadeDurMax = 600 * sim.Millisecond
+)
 
 type fader struct {
 	c    *Client
 	rng  *rand.Rand
-	opt  FadingOptions
 	base float64
 
 	jitter    float64
@@ -65,18 +52,13 @@ type fader struct {
 }
 
 func (tb *Testbed) startFading() {
-	if tb.Opt.Fading.Disabled {
+	if tb.Opt.NoFading {
 		return
-	}
-	opt := tb.Opt.Fading
-	if opt.SigmaDB == 0 && opt.EventsPerMinute == 0 {
-		opt = DefaultFading()
 	}
 	for _, c := range tb.Clients {
 		f := &fader{
 			c:    c,
 			rng:  rand.New(rand.NewSource(tb.Opt.Seed*1000003 + int64(c.Index))),
-			opt:  opt,
 			base: c.SNR,
 		}
 		tb.Engine.Ticker(fadeStep, f.step)
@@ -84,19 +66,18 @@ func (tb *Testbed) startFading() {
 }
 
 func (f *fader) step(e *sim.Engine) {
-	o := f.opt
 	// Gauss-Markov jitter around the base SNR.
-	f.jitter = o.Rho*f.jitter + o.SigmaDB*f.rng.NormFloat64()*math.Sqrt(1-o.Rho*o.Rho)
+	f.jitter = fadeRho*f.jitter + fadeSigmaDB*f.rng.NormFloat64()*math.Sqrt(1-fadeRho*fadeRho)
 
 	// Deep-fade event process.
 	if f.fadeLeft > 0 {
 		f.fadeLeft--
 	} else {
 		f.fadeDepth = 0
-		pEvent := o.EventsPerMinute / 60 * fadeStep.Seconds()
+		pEvent := fadeEventsPerMinute / 60 * fadeStep.Seconds()
 		if f.rng.Float64() < pEvent {
-			f.fadeDepth = o.DepthMinDB + f.rng.Float64()*(o.DepthMaxDB-o.DepthMinDB)
-			dur := o.DurMin + sim.Time(f.rng.Int63n(int64(o.DurMax-o.DurMin+1)))
+			f.fadeDepth = fadeDepthMinDB + f.rng.Float64()*(fadeDepthMaxDB-fadeDepthMinDB)
+			dur := fadeDurMin + sim.Time(f.rng.Int63n(int64(fadeDurMax-fadeDurMin+1)))
 			f.fadeLeft = int(dur / fadeStep)
 			if f.fadeLeft < 1 {
 				f.fadeLeft = 1

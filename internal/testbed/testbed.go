@@ -99,6 +99,23 @@ func clientIndexOf(a packet.IPv4Addr) int {
 	return int(v - clientAddrBase)
 }
 
+// The testbed's fixed hardware (§5.6): an 802.11ac wave-2 3x3 AP at
+// 80 MHz serving 3x3 clients, one switch hop from the wired sender.
+const (
+	width = spectrum.W80
+	nss   = 3
+	// wiredDelay is the one-way sender<->AP latency through the switch.
+	wiredDelay = 500 * sim.Microsecond
+	// clientTxDelay models client host-stack latency before transmitting
+	// (§5.1: "many client devices take over 2 ms to even begin
+	// transmitting TCP ACKs").
+	clientTxDelay = 4 * sim.Millisecond
+	// apSharedPool is the AP driver's shared tx-descriptor pool in MPDUs.
+	apSharedPool = 2048
+	// apPerClientQueue is the per-STA (per-TID) driver queue depth.
+	apPerClientQueue = 64
+)
+
 // Options configures a testbed run.
 type Options struct {
 	Seed    int64
@@ -109,12 +126,6 @@ type Options struct {
 	// UDPRateMbps is the per-client offered load for UDPBulk.
 	UDPRateMbps float64
 
-	// WiredDelay is the one-way sender<->AP latency through the switch.
-	WiredDelay sim.Time
-	// ClientTxDelay models client host-stack latency before transmitting
-	// (§5.1: "many client devices take over 2 ms to even begin
-	// transmitting TCP ACKs").
-	ClientTxDelay sim.Time
 	// SNRMin/SNRMax spread clients uniformly across this link-quality
 	// range (near vs far clients, Fig 17's low performers).
 	SNRMin, SNRMax float64
@@ -126,8 +137,9 @@ type Options struct {
 	// recovers with local retransmissions.
 	BadHintRate float64
 
-	// Fading configures link-SNR dynamics (see fading.go).
-	Fading FadingOptions
+	// NoFading holds every client's link SNR at its base draw; the zero
+	// value runs the fade process of fading.go.
+	NoFading bool
 
 	// DataFaults, when non-nil, injects seeded data-path chaos (see
 	// internal/faults.DataProfile): wired-side segment loss / reorder /
@@ -137,14 +149,6 @@ type Options struct {
 	// mode-independent so Baseline and FastACK runs at one seed face the
 	// same adversity.
 	DataFaults *faults.DataProfile
-
-	// APSharedPool is the AP driver's shared tx-descriptor pool in MPDUs.
-	APSharedPool int
-	// APPerClientQueue is the per-STA (per-TID) driver queue depth.
-	APPerClientQueue int
-
-	Width spectrum.Width
-	NSS   int
 
 	TCP     tcpstack.Config
 	FastACK fastack.Config
@@ -160,27 +164,20 @@ type Options struct {
 	AirCapture *pcap.Writer
 }
 
-// DefaultOptions mirrors the paper's testbed: 802.11ac wave-2 3x3 AP,
-// 80 MHz, 3x3 clients, a few ms of client host-stack latency.
+// DefaultOptions mirrors the paper's testbed: ten clients per AP spread
+// over 24-44 dB of SNR, fading on.
 func DefaultOptions() Options {
 	return Options{
-		Seed:             1,
-		APModes:          []Mode{Baseline},
-		ClientsPerAP:     10,
-		Traffic:          TCPBulk,
-		UDPRateMbps:      120,
-		WiredDelay:       500 * sim.Microsecond,
-		ClientTxDelay:    4 * sim.Millisecond,
-		SNRMin:           24,
-		SNRMax:           44,
-		Width:            spectrum.W80,
-		NSS:              3,
-		TCP:              tcpstack.DefaultConfig(),
-		FastACK:          fastack.DefaultConfig(),
-		Fading:           DefaultFading(),
-		APSharedPool:     2048,
-		APPerClientQueue: 64,
-		Warmup:           2 * sim.Second,
+		Seed:         1,
+		APModes:      []Mode{Baseline},
+		ClientsPerAP: 10,
+		Traffic:      TCPBulk,
+		UDPRateMbps:  120,
+		SNRMin:       24,
+		SNRMax:       44,
+		TCP:          tcpstack.DefaultConfig(),
+		FastACK:      fastack.DefaultConfig(),
+		Warmup:       2 * sim.Second,
 	}
 }
 
@@ -282,7 +279,7 @@ type Testbed struct {
 	warmupDone bool
 
 	// wireLine carries every datagram that crosses the switch in exactly
-	// WiredDelay; only a reordered one takes a delay of its own.
+	// wiredDelay; only a reordered one takes a delay of its own.
 	wireLine *sim.Line[wired]
 
 	// apAt and clientAt resolve a mac.StationID to the AP or client that
@@ -309,23 +306,14 @@ func New(opt Options) *Testbed {
 	if opt.ClientsPerAP <= 0 {
 		opt.ClientsPerAP = 1
 	}
-	if opt.FastACK.FlowQueueBudget == 0 && opt.APPerClientQueue > 0 {
-		// Hold each flow's driver queue just below the per-STA cap, and
-		// keep the sum across flows inside the shared pool.
-		opt.FastACK.FlowQueueBudget = (opt.APPerClientQueue - 8) * 1448
-		if opt.APSharedPool > 0 {
-			if share := opt.APSharedPool * 1448 * 9 / 10 / opt.ClientsPerAP; share < opt.FastACK.FlowQueueBudget {
-				opt.FastACK.FlowQueueBudget = share
-			}
-		}
-	} else if opt.APPerClientQueue > 0 {
-		// Invariant: the agent must never admit more per flow than the
-		// per-STA driver queue can hold, or its own vouched-for packets
-		// tail-drop and strand the sender on RTOs.
-		if max := (opt.APPerClientQueue - 8) * 1448; opt.FastACK.FlowQueueBudget > max {
-			opt.FastACK.FlowQueueBudget = max
-		}
+	if opt.FastACK.FlowQueueBudget == 0 {
+		// Keep the sum across flows inside 90% of the shared pool.
+		opt.FastACK.FlowQueueBudget = apSharedPool * tcpstack.MSS * 9 / 10 / opt.ClientsPerAP
 	}
+	// Invariant: the agent must never admit more per flow than the per-STA
+	// driver queue can hold, or its own vouched-for packets tail-drop and
+	// strand the sender on RTOs. Hold each flow just below the cap.
+	opt.FastACK.FlowQueueBudget = min(opt.FastACK.FlowQueueBudget, (apPerClientQueue-8)*tcpstack.MSS)
 	tb := &Testbed{
 		Opt:      opt,
 		Engine:   sim.NewEngine(opt.Seed),
@@ -333,7 +321,7 @@ func New(opt Options) *Testbed {
 		LatTCP:   stats.NewSample(4096),
 	}
 	tb.dataInj = faults.NewData(opt.DataFaults)
-	tb.wireLine = sim.NewLine(tb.Engine, opt.WiredDelay, func(w wired) { w.to.fromWire(w.d) })
+	tb.wireLine = sim.NewLine(tb.Engine, wiredDelay, func(w wired) { w.to.fromWire(w.d) })
 	tb.Medium = mac.NewMedium(tb.Engine, 35)
 	tb.Medium.OnFrame = tb.onFrame
 	if opt.AirCapture != nil {
@@ -343,7 +331,7 @@ func New(opt Options) *Testbed {
 	for i, mode := range opt.APModes {
 		ap := &AP{tb: tb, Index: i, Mode: mode}
 		ap.Station = tb.Medium.AddStation(mac.StationConfig{
-			Name: fmt.Sprintf("ap%d", i), NSS: opt.NSS, Width: opt.Width,
+			Name: fmt.Sprintf("ap%d", i), NSS: nss, Width: width,
 			GI: phy.SGI, IsAP: true,
 			// Driver limits of a wave-2 AP: a shallow per-STA (per-TID)
 			// queue — one block-ack window plus change — and a shared
@@ -351,8 +339,8 @@ func New(opt Options) *Testbed {
 			// the per-STA queue in bursts (tail drops -> cwnd sawtooth,
 			// drained queues, small aggregates); the FastACK agent's
 			// per-flow queue budget holds it just below the cap.
-			QueueLimit:      opt.APPerClientQueue,
-			SharedPoolLimit: opt.APSharedPool,
+			QueueLimit:      apPerClientQueue,
+			SharedPoolLimit: apSharedPool,
 		})
 		if mode == FastACK {
 			ap.Agent = fastack.New(opt.FastACK, tb.Engine.Now)
@@ -392,8 +380,8 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 	down, up := downloadFlow(idx), uploadFlow(idx)
 	c := &Client{tb: tb, Index: idx, AP: ap, SNR: snr, Addr: down.Dst.Addr}
 	c.Station = tb.Medium.AddStation(mac.StationConfig{
-		Name: fmt.Sprintf("c%d", idx), NSS: opt.NSS, Width: opt.Width,
-		GI: phy.SGI, TxDelay: opt.ClientTxDelay,
+		Name: fmt.Sprintf("c%d", idx), NSS: nss, Width: width,
+		GI: phy.SGI, TxDelay: clientTxDelay,
 	})
 	tb.Medium.SetSNR(ap.Station.ID, c.Station.ID, snr)
 	c.Station.OnReceive = func(m *mac.MPDU, now sim.Time) { c.fromAir(m) }
@@ -415,7 +403,7 @@ func (tb *Testbed) addClient(ap *AP, idx int) {
 			tb.wireToAP(c.AP, d)
 		})
 		snd.TCP.OnCwnd = func(now sim.Time, cwndBytes int) {
-			snd.CwndTrace = append(snd.CwndTrace, CwndSample{At: now, Segments: cwndBytes / opt.TCP.MSS})
+			snd.CwndTrace = append(snd.CwndTrace, CwndSample{At: now, Segments: cwndBytes / tcpstack.MSS})
 		}
 		c.Receiver = tcpstack.NewReceiver(tb.Engine, opt.TCP, clientEP, serverEP, func(d *packet.Datagram) {
 			c.Station.Enqueue(d, c.AP.Station.ID, phy.ACBE)

@@ -220,6 +220,30 @@ func TestIdenticalChannelAcrossModes(t *testing.T) {
 	}
 }
 
+// TestFadingSwitch: with fading off every client's link keeps its base
+// SNR draw; with it on, some client's link has moved after 2 s.
+func TestFadingSwitch(t *testing.T) {
+	for _, off := range []bool{true, false} {
+		opt := DefaultOptions()
+		opt.ClientsPerAP = 3
+		opt.NoFading = off
+		tb := New(opt)
+		tb.Run(2 * sim.Second)
+		moved := 0
+		for _, c := range tb.Clients {
+			if tb.Medium.SNR(c.AP.Station.ID, c.Station.ID) != c.SNR {
+				moved++
+			}
+		}
+		if off && moved != 0 {
+			t.Errorf("fading off: %d of %d links left their base SNR", moved, len(tb.Clients))
+		}
+		if !off && moved == 0 {
+			t.Errorf("fading on: no link left its base SNR")
+		}
+	}
+}
+
 func TestAgentSuppressionCountsMatch(t *testing.T) {
 	tb, _ := run(t, func(o *Options) {
 		o.ClientsPerAP = 3
@@ -337,5 +361,25 @@ func TestAirCaptureProducesValidFrames(t *testing.T) {
 	}
 	if data == 0 || bas == 0 {
 		t.Fatalf("capture lacks data (%d) or block acks (%d)", data, bas)
+	}
+}
+
+// TestFlowQueueBudget pins the per-flow queue budget New hands the FastACK
+// agent: just under the per-STA driver queue, until the AP's clients
+// together would overrun 90% of the shared descriptor pool (from 33
+// clients on).
+func TestFlowQueueBudget(t *testing.T) {
+	for _, tc := range []struct{ clients, want int }{
+		{10, 81088},
+		{30, 81088},
+		{33, 80877},
+		{40, 66723},
+	} {
+		opt := DefaultOptions()
+		opt.APModes = []Mode{FastACK}
+		opt.ClientsPerAP = tc.clients
+		if got := New(opt).Opt.FastACK.FlowQueueBudget; got != tc.want {
+			t.Errorf("%d clients: FlowQueueBudget %d, want %d", tc.clients, got, tc.want)
+		}
 	}
 }

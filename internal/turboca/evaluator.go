@@ -97,7 +97,7 @@ func (e *Evaluator) Assign(i, c int) { e.p.setAssign(i, spectrum.ID(c)) }
 // left unchanged.
 func (e *Evaluator) NodeP(i, c int) float64 {
 	if c == Unassigned {
-		return e.p.views[i].Load * math.Log(e.p.cfg.MetricFloor)
+		return e.p.views[i].Load * math.Log(metricFloor)
 	}
 	prev := e.p.assign[i]
 	e.p.setAssign(i, spectrum.ID(c))

@@ -105,23 +105,27 @@ func (in Input) StaleFraction() float64 {
 	return float64(n) / float64(len(in.APs))
 }
 
+// The planner's fixed constants.
+const (
+	// switchPenalty24 replaces Config.SwitchPenalty on 2.4 GHz, where many
+	// clients lack CSA support (§4.4.1 sets this "very high").
+	switchPenalty24 float64 = 0.60
+	// highUtilPenaltyBoost scales the penalty when utilization exceeds 90%
+	// (§4.5.1: small variations halve NetP there, so demand a larger
+	// margin before switching).
+	highUtilPenaltyBoost float64 = 3.0
+	// metricFloor keeps log(NodeP) finite when a channel is hopeless.
+	metricFloor float64 = 1e-9
+)
+
 // Config holds the planner's tunables.
 type Config struct {
 	// SwitchPenalty is the base penalty_c subtracted from channel_metric
 	// when a candidate differs from the AP's current channel.
 	SwitchPenalty float64
-	// SwitchPenalty24 replaces it on 2.4 GHz, where many clients lack CSA
-	// support (§4.4.1 sets this "very high").
-	SwitchPenalty24 float64
-	// HighUtilPenaltyBoost scales the penalty when utilization exceeds
-	// 90% (§4.5.1: small variations halve NetP there, so demand a larger
-	// margin before switching).
-	HighUtilPenaltyBoost float64
 	// Runs is the number of NBO rounds per hop limit per invocation;
 	// scaled by network size when zero.
 	Runs int
-	// MetricFloor keeps log(NodeP) finite when a channel is hopeless.
-	MetricFloor float64
 	// UniformPick disables the load-weighted AP pick on Algorithm 1's
 	// line 8 (an ablation: §4.4.3 argues heavily loaded APs should plan
 	// first and claim the cleaner channels).
@@ -141,10 +145,7 @@ type Config struct {
 // DefaultConfig returns production-like tunables.
 func DefaultConfig() Config {
 	return Config{
-		SwitchPenalty:        0.08,
-		SwitchPenalty24:      0.60,
-		HighUtilPenaltyBoost: 3.0,
-		MetricFloor:          1e-9,
+		SwitchPenalty: 0.08,
 	}
 }
 
@@ -235,9 +236,6 @@ type planner struct {
 }
 
 func newPlanner(cfg Config, in Input) *planner {
-	if cfg.MetricFloor == 0 {
-		cfg.MetricFloor = 1e-9
-	}
 	n := len(in.APs)
 	p := &planner{
 		cfg: cfg, in: in,
@@ -391,14 +389,14 @@ func (p *planner) penaltyBase(v *APView) float64 {
 	}
 	base := p.cfg.SwitchPenalty
 	if p.in.Band == spectrum.Band2G4 {
-		base = p.cfg.SwitchPenalty24
+		base = switchPenalty24
 	}
 	// Clients without CSA support must rescan: scale with their share.
 	base *= 0.4 + 0.6*(1-v.CSAFraction)
 	// §4.5.1: at very high utilization NetP is so volatile that switches
 	// must clear a much higher bar.
 	if v.Utilization > 0.9 {
-		base *= p.cfg.HighUtilPenaltyBoost
+		base *= highUtilPenaltyBoost
 	}
 	return base
 }
@@ -583,8 +581,8 @@ func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float6
 	}
 	capacity := widthFrac[b] * (1 - 0.5*ext)
 	metric := float64(idle/(1+contention)*capacity) - pen
-	if metric < p.cfg.MetricFloor {
-		metric = p.cfg.MetricFloor
+	if metric < metricFloor {
+		metric = metricFloor
 	}
 	return float64(load * math.Log(metric))
 }
@@ -615,7 +613,7 @@ func (p *planner) nodeP(i int, c spectrum.ID, own []int64) float64 {
 
 // logNetP sums ln NodeP over every AP under the working state (NetP is
 // the product of NodeP, §4.4.1). An AP with no channel delivers no
-// service, so it contributes its floor — NodeP = MetricFloor^Load — not a
+// service, so it contributes its floor — NodeP = metricFloor^Load — not a
 // perfect 1: otherwise an all-unassigned baseline would beat every real
 // plan and a greenfield network could never get its first assignments.
 func (p *planner) logNetP() float64 {
@@ -623,7 +621,7 @@ func (p *planner) logNetP() float64 {
 	for i := range p.views {
 		c := p.on[i]
 		if c == spectrum.None {
-			sum += p.views[i].Load * math.Log(p.cfg.MetricFloor)
+			sum += p.views[i].Load * math.Log(metricFloor)
 			continue
 		}
 		sum += p.logNodeP(i)
