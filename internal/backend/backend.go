@@ -181,7 +181,7 @@ type Backend struct {
 	faults          *faults.Injector
 	rf              *rfenv.Env // Opt.RF; nil when no hostile-RF layer
 	switches        int
-	radarHit        int
+	radarHit        int // radar detections injected; a storm sweep counts once
 	disruptionTotal float64
 
 	// rows is what the control plane keeps per AP, at the AP's position in
