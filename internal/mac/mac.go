@@ -77,9 +77,6 @@ type StationConfig struct {
 	SharedPoolLimit int
 	// RetryLimit overrides the per-AC retry limits when > 0.
 	RetryLimit int
-	// RTSThreshold enables an RTS/CTS exchange for frames whose first MPDU
-	// exceeds this many bytes. Zero disables RTS/CTS.
-	RTSThreshold int
 }
 
 // perACRetryLimit returns how many retransmissions each access category
@@ -119,7 +116,7 @@ func (bs *backoffState) fail(ac phy.AccessCategory) {
 
 // peerRow is one station's state about one peer. The zero row is a peer
 // never heard from: no rate controller yet, sequence numbers at 0 in both
-// directions, nothing held, default SNR, audible.
+// directions, nothing held, default SNR.
 type peerRow struct {
 	rate  *RateController // link adaptation toward the peer, made on first use
 	txSeq [4]uint32       // next per-TID sequence number toward the peer, by AC
@@ -130,7 +127,6 @@ type peerRow struct {
 	// APs attach first, so a client's table is as long as there are APs.
 	snr    float64
 	hasSNR bool // false: the medium's default SNR
-	deaf   bool // SetHearing(a, b, false): out of carrier-sense range
 }
 
 // Station is one 802.11 transceiver attached to a Medium.
@@ -153,12 +149,6 @@ type Station struct {
 	// nil without a TxDelay. Stations with equal delays share one.
 	txLine *sim.Line[*MPDU]
 
-	// Carrier-sense state: physBusyUntil is raised by audible
-	// transmissions and interferers; navBusyUntil by overheard RTS/CTS
-	// exchanges (virtual carrier sense, §4.1.2).
-	physBusyUntil sim.Time
-	navBusyUntil  sim.Time
-
 	// Upper-layer hooks.
 	OnReceive   ReceiveFn
 	OnDelivered DeliveredFn
@@ -171,16 +161,14 @@ type Station struct {
 
 // StationStats accumulates per-station counters.
 type StationStats struct {
-	TxMPDUs       int64   // MPDU transmission attempts
-	TxFrames      int64   // A-MPDU frames sent
-	Delivered     int64   // MPDUs acknowledged
-	Dropped       int64   // MPDUs lost (retry exhaustion or tail drop)
-	PoolDrops     int64   // tail drops from shared-pool exhaustion
-	Collisions    int64   // frames lost to collision
-	RTSFailures   int64   // RTS exchanges that drew no CTS (receiver busy)
-	AirtimeUs     float64 // airtime consumed transmitting
-	BytesDeliverd int64   // payload bytes acknowledged
-	AggHistogram  [phy.MaxAMPDUSubframes + 1]int64
+	TxMPDUs      int64   // MPDU transmission attempts
+	TxFrames     int64   // A-MPDU frames sent
+	Delivered    int64   // MPDUs acknowledged
+	Dropped      int64   // MPDUs lost (retry exhaustion or tail drop)
+	PoolDrops    int64   // tail drops from shared-pool exhaustion
+	Collisions   int64   // frames lost to collision
+	AirtimeUs    float64 // airtime consumed transmitting
+	AggHistogram [phy.MaxAMPDUSubframes + 1]int64
 }
 
 // MeanAggregate returns the mean A-MPDU subframe count.

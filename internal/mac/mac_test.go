@@ -187,6 +187,74 @@ func TestMediumSharingRoughlyFair(t *testing.T) {
 	}
 }
 
+// One clean frame exchange is three engine events: the contention round
+// the enqueue kicks, the frame's completion, and the round that completion
+// kicks, which finds nothing queued.
+func TestFrameExchangeEvents(t *testing.T) {
+	md := newTestMedium(45)
+	tx := md.AddStation(stationCfg("tx"))
+	rx := md.AddStation(stationCfg("rx"))
+	tx.Enqueue(dgram(1400), rx.ID, phy.ACBE)
+	md.Engine().Run()
+	if got := md.Engine().Fired(); got != 3 {
+		t.Fatalf("one frame exchange fired %d events, want 3", got)
+	}
+	if tx.Stats().Delivered != 1 {
+		t.Fatalf("stats: %+v", tx.Stats())
+	}
+}
+
+func TestCleanChannelDeliversAll(t *testing.T) {
+	// On a clean channel nothing corrupts a frame: every MPDU arrives.
+	md := newTestMedium(45)
+	a := md.AddStation(stationCfg("a"))
+	rx := md.AddStation(stationCfg("rx"))
+	n := 0
+	rx.OnReceive = func(*MPDU, sim.Time) { n++ }
+	for i := 0; i < 200; i++ {
+		a.Enqueue(dgram(1400), rx.ID, phy.ACBE)
+	}
+	md.Engine().Run()
+	if n != 200 {
+		t.Fatalf("delivered %d/200 on a clean channel", n)
+	}
+}
+
+func TestDeferUntilAudibleTransmissionEnds(t *testing.T) {
+	// B hears A; while A transmits a long frame, B must not start.
+	md := newTestMedium(45)
+	a := md.AddStation(stationCfg("a"))
+	b := md.AddStation(stationCfg("b"))
+	rx := md.AddStation(stationCfg("rx"))
+	var order []StationID
+	rx.OnReceive = func(m *MPDU, now sim.Time) { order = append(order, m.Src) }
+	// A queues a big aggregate first; B queues one packet mid-flight.
+	for i := 0; i < 64; i++ {
+		a.Enqueue(dgram(1400), rx.ID, phy.ACBE)
+	}
+	md.Engine().After(200*sim.Microsecond, func(*sim.Engine) {
+		b.Enqueue(dgram(1400), rx.ID, phy.ACBE)
+	})
+	md.Engine().Run()
+	if len(order) < 65 {
+		t.Fatalf("missing deliveries: %d", len(order))
+	}
+	// All of A's MPDUs from the first frame must precede B's packet.
+	bPos := -1
+	for i, src := range order {
+		if src == b.ID {
+			bPos = i
+			break
+		}
+	}
+	if bPos >= 0 && bPos < 60 {
+		t.Fatalf("B transmitted at position %d, inside A's frame", bPos)
+	}
+	if md.Stats().Collisions != 0 {
+		t.Fatalf("audible stations collided mid-frame: %d", md.Stats().Collisions)
+	}
+}
+
 func TestEDCAPriority(t *testing.T) {
 	// Voice traffic must see lower MAC latency than background traffic
 	// under contention (Fig 4's ordering).

@@ -17,7 +17,7 @@ type FrameReport struct {
 	Rate      phy.Rate
 	AggSize   int     // MPDUs in the A-MPDU
 	Delivered int     // MPDUs acknowledged by the block ACK
-	AirtimeUs float64 // full exchange airtime including BA (and RTS/CTS)
+	AirtimeUs float64 // full exchange airtime including BA
 	Collision bool
 }
 
@@ -29,10 +29,9 @@ type MediumStats struct {
 	InterfererUs float64
 }
 
-// Medium is one collision domain on one channel. By default all attached
-// stations hear each other (the paper's single-room testbed); SetHearing
-// installs a partial audibility matrix for hidden-terminal topologies,
-// with RTS/CTS virtual carrier sense as the §4.1.2 mitigation.
+// Medium is one collision domain on one channel: every attached station
+// hears every other (the paper's single-room testbed), so carrier sense is
+// the medium's one busyUntil.
 type Medium struct {
 	engine   *sim.Engine
 	stations []*Station
@@ -41,13 +40,6 @@ type Medium struct {
 
 	busyUntil         sim.Time
 	contentionPending bool
-
-	// partial is set once SetHearing has been called: until then everyone
-	// hears everyone and hears answers without looking at a row. activeTx
-	// tracks in-flight transmissions for hidden-node interference checks.
-	// See hidden.go.
-	partial  bool
-	activeTx []activeTxRecord
 
 	stats MediumStats
 
@@ -61,9 +53,8 @@ type Medium struct {
 	// Scratch of one contention round, truncated at its start: nothing in
 	// them outlives the round (transmit copies its contender, collide builds
 	// its own attempts). failed is completeFrame's, read by retry only.
-	cs, winners, group []contender
-	used               []bool
-	failed             []*MPDU
+	cs, winners []contender
+	failed      []*MPDU
 
 	// OnFrame, if set, receives a report for every frame exchange.
 	OnFrame func(FrameReport)
@@ -190,12 +181,6 @@ func (md *Medium) Seize(burst sim.Time) {
 		start = md.busyUntil
 	}
 	md.busyUntil = start + burst
-	// An interferer is audible to the whole domain.
-	for _, st := range md.stations {
-		if md.busyUntil > st.physBusyUntil {
-			st.physBusyUntil = md.busyUntil
-		}
-	}
 	md.stats.BusyUs += float64(burst)
 	md.stats.InterfererUs += float64(burst)
 	md.kickContention()
@@ -214,9 +199,8 @@ func (md *Medium) AddInterferer(period sim.Time, dutyCycle float64) (stop func()
 }
 
 // kickContention arranges for a contention round now, unless one is
-// already scheduled. Per-station deferral (carrier sense + NAV) is
-// resolved inside contend, which reschedules itself if every station
-// with traffic is still deferring.
+// already scheduled. Carrier sense is resolved inside contend, which
+// reschedules itself for when the medium frees.
 func (md *Medium) kickContention() {
 	if md.contentionPending {
 		return
@@ -234,29 +218,33 @@ type contender struct {
 }
 
 // contend resolves one channel-access round: every station-AC pair with
-// queued traffic whose carrier sense (physical + NAV) is clear bids
-// AIFS + backoff. A contender transmits when it hears no lower bid; equal
-// audible bids collide; mutually hidden contenders transmit concurrently
-// and corrupt each other at receivers that hear both (hidden.go). Losers
-// freeze their decremented counters (802.11 backoff semantics), which
-// preserves short-term fairness.
+// queued traffic bids AIFS + backoff once the medium is free. A contender
+// proceeds unless another station bids strictly lower; each run of equal
+// bids among those that proceed transmits (a run of one) or collides.
+// Losers freeze their decremented counters (802.11 backoff semantics),
+// which preserves short-term fairness.
+//
+// The rule looks at other stations only, so several ACs of one station can
+// all proceed and put overlapping frames on the air. 802.11e resolves such
+// an internal collision by giving the TXOP to the higher-priority AC and
+// backing the others off as on a collision; this model does not (ROADMAP
+// item 12(a)).
 func (md *Medium) contend(e *sim.Engine) {
 	md.contentionPending = false
 	now := md.engine.Now()
+	if md.busyUntil > now {
+		for _, st := range md.stations {
+			if st.hasTraffic() {
+				md.contentionPending = true
+				md.engine.Schedule(md.busyUntil, md.contendFn)
+				break
+			}
+		}
+		return // otherwise idle; the next Enqueue kicks us again
+	}
 
 	cs := md.cs[:0]
-	var nextFree sim.Time = -1
 	for _, st := range md.stations {
-		if !st.hasTraffic() {
-			continue
-		}
-		if free := md.navUntil(st); free > now {
-			// Still deferring; make sure a round happens when it frees.
-			if nextFree < 0 || free < nextFree {
-				nextFree = free
-			}
-			continue
-		}
 		for ac := range st.queues {
 			if st.queues[ac].count == 0 {
 				continue
@@ -275,20 +263,12 @@ func (md *Medium) contend(e *sim.Engine) {
 	}
 	md.cs = cs
 	if len(cs) == 0 {
-		if nextFree >= 0 {
-			md.contentionPending = true
-			md.engine.Schedule(nextFree, md.contendFn)
-		}
 		return // idle; next Enqueue kicks us again
 	}
 
-	// A contender proceeds unless it hears a strictly lower bid.
 	proceeds := func(c contender) bool {
 		for _, o := range cs {
-			if o.st == c.st {
-				continue
-			}
-			if o.accessDelayUs < c.accessDelayUs && md.hears(c.st.ID, o.st.ID) {
+			if o.st != c.st && o.accessDelayUs < c.accessDelayUs {
 				return false
 			}
 		}
@@ -307,7 +287,7 @@ func (md *Medium) contend(e *sim.Engine) {
 	}
 	md.winners = winners
 	// Losers freeze: decrement by the slots that elapsed after their AIFS
-	// before someone they can hear seized the air.
+	// before someone seized the air.
 	for _, c := range cs {
 		if proceeds(c) {
 			continue
@@ -322,40 +302,23 @@ func (md *Medium) contend(e *sim.Engine) {
 		}
 	}
 
-	// Process winners in bid order so earlier transmissions register
-	// before later ones check the receiver's air (CTS suppression).
+	// Sorting by bid makes equal bids adjacent; the order inside a run,
+	// which collide's attempts follow, is pdqsort's (DESIGN.md §3.9).
 	slices.SortFunc(winners, func(a, b contender) int {
 		return cmp.Compare(a.accessDelayUs, b.accessDelayUs)
 	})
-
-	// Partition winners into audible collision groups: same bid AND
-	// mutually audible -> classic collision. Everything else transmits
-	// independently (possibly overlapping as hidden terminals).
-	used := append(md.used[:0], make([]bool, len(winners))...)
-	md.used = used
-	for i, c := range winners {
-		if used[i] {
-			continue
+	for i := 0; i < len(winners); {
+		j := i + 1
+		for j < len(winners) && winners[j].accessDelayUs == winners[i].accessDelayUs {
+			j++
 		}
-		group := append(md.group[:0], c)
-		used[i] = true
-		for j := i + 1; j < len(winners); j++ {
-			if used[j] {
-				continue
-			}
-			o := winners[j]
-			if o.accessDelayUs == c.accessDelayUs && md.hears(c.st.ID, o.st.ID) {
-				group = append(group, o)
-				used[j] = true
-			}
-		}
-		md.group = group
-		start := now + usToTime(c.accessDelayUs)
-		if len(group) == 1 {
-			md.transmit(c, start)
+		start := now + usToTime(winners[i].accessDelayUs)
+		if j-i == 1 {
+			md.transmit(winners[i], start)
 		} else {
-			md.collide(group, start)
+			md.collide(winners[i:j], start)
 		}
+		i = j
 	}
 }
 
@@ -391,7 +354,7 @@ func (md *Medium) buildFrame(c contender) (dst StationID, rate phy.Rate, mpdus [
 }
 
 // frameAirtimeUs computes the exchange airtime for a concrete MPDU list.
-func (md *Medium) frameAirtimeUs(c contender, rate phy.Rate, mpdus []*MPDU) float64 {
+func frameAirtimeUs(rate phy.Rate, mpdus []*MPDU) float64 {
 	bits := 0.0
 	for _, m := range mpdus {
 		per := m.Dgram.WireLen() + phy.MACHeaderLen
@@ -400,11 +363,7 @@ func (md *Medium) frameAirtimeUs(c contender, rate phy.Rate, mpdus []*MPDU) floa
 		}
 		bits += float64(per) * 8
 	}
-	air := phy.VHTPreambleUs + bits/rate.Mbps()
-	if th := c.st.cfg.RTSThreshold; th > 0 && len(mpdus) > 0 && mpdus[0].Dgram.WireLen() > th {
-		air += phy.RTSCTSOverheadUs()
-	}
-	return air
+	return phy.VHTPreambleUs + bits/rate.Mbps()
 }
 
 // transmit performs a successful (collision-free) frame exchange starting
@@ -416,26 +375,7 @@ func (md *Medium) transmit(c contender, start sim.Time) {
 		md.kickContention()
 		return
 	}
-	st0 := c.st
-	if rtsProtects(st0, mpdus) && md.receiverBusy(st0.ID, dst, start) {
-		// The RTS draws no CTS: the receiver's air is occupied by a
-		// transmitter we cannot hear. Abort cheaply — RTS plus the CTS
-		// timeout — re-queue the frame, and back off.
-		rtsUs := phy.RTSCTSOverheadUs() + phy.AckTimeoutUs
-		rtsEnd := start + usToTime(rtsUs)
-		md.occupy(st0.ID, rtsEnd)
-		md.registerTx(st0.ID, start, rtsEnd)
-		md.stats.BusyUs += rtsUs
-		st0.stats.RTSFailures++
-		for i := len(mpdus) - 1; i >= 0; i-- {
-			st0.queues[c.ac].requeueFront(mpdus[i])
-		}
-		st0.backoffs[c.ac].fail(c.ac)
-		md.engine.Schedule(rtsEnd, func(*sim.Engine) { md.kickContention() })
-		return
-	}
-
-	airUs := md.frameAirtimeUs(c, rate, mpdus) + phy.BlockAckAirtimeUs()
+	airUs := frameAirtimeUs(rate, mpdus) + phy.BlockAckAirtimeUs()
 	end := start + usToTime(airUs)
 	if end > md.busyUntil {
 		md.busyUntil = end
@@ -451,14 +391,6 @@ func (md *Medium) transmit(c contender, start sim.Time) {
 		st.stats.AggHistogram[len(mpdus)]++
 	}
 
-	// Physical carrier sense: everyone who hears the transmitter defers;
-	// with RTS/CTS, everyone who hears the *receiver* defers too (NAV).
-	md.occupy(st.ID, end)
-	if rtsProtects(st, mpdus) {
-		md.setNAV(st.ID, dst, end)
-	}
-	md.registerTx(st.ID, start, end)
-
 	snr := md.SNR(st.ID, dst)
 	md.engine.Schedule(end, func(e *sim.Engine) {
 		md.completeFrame(c, dst, rate, mpdus, snr, start, airUs)
@@ -470,14 +402,6 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 	now := md.engine.Now()
 	rx := md.stations[dst]
 
-	// A hidden transmitter overlapping this frame at the receiver
-	// corrupts the overlapped share of its MPDUs: a brief RTS clips a
-	// few subframes, a full concurrent A-MPDU destroys everything.
-	hiddenFrac := 0.0
-	if dur := float64(now - start); dur > 0 {
-		hiddenFrac = float64(md.hiddenOverlap(st.ID, dst, start, now)) / dur
-	}
-
 	// rate and snr are fixed for the frame, so PER moves only with an
 	// MPDU's length: recompute it only when the length changes. The same
 	// function on the same arguments gives the same bits.
@@ -488,14 +412,9 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 		if n := m.Dgram.WireLen(); n != perLen {
 			perLen, perLast = n, rate.PER(snr, n)
 		}
-		per := perLast
-		if hiddenFrac > 0 && md.engine.Rand().Float64() < hiddenFrac {
-			per = 1
-		}
-		if md.engine.Rand().Float64() >= per {
+		if md.engine.Rand().Float64() >= perLast {
 			delivered++
 			st.stats.Delivered++
-			st.stats.BytesDeliverd += int64(m.Dgram.PayloadLen)
 			rx.reorderDeliver(m, now)
 			if st.OnDelivered != nil {
 				st.OnDelivered(m, true, now)
@@ -577,7 +496,7 @@ func (md *Medium) collide(winners []contender, start sim.Time) {
 		if !ok {
 			continue
 		}
-		air := md.frameAirtimeUs(c, rate, mpdus)
+		air := frameAirtimeUs(rate, mpdus)
 		if air > maxAir {
 			maxAir = air
 		}
@@ -602,10 +521,6 @@ func (md *Medium) collide(winners []contender, start sim.Time) {
 	end := start + usToTime(totalUs)
 	if end > md.busyUntil {
 		md.busyUntil = end
-	}
-	for _, a := range attempts {
-		md.occupy(a.c.st.ID, end)
-		md.registerTx(a.c.st.ID, start, end)
 	}
 	md.stats.BusyUs += totalUs
 	md.stats.Collisions++

@@ -9,10 +9,9 @@ import (
 )
 
 // refLinkMap is the pair state the peer rows replaced, kept as the reference
-// they are held to: SNR and audibility in two maps keyed by the ordered pair.
+// they are held to: SNR in a map keyed by the ordered pair.
 type refLinkMap struct {
 	snr        map[[2]StationID]float64
-	hearing    map[[2]StationID]bool
 	defaultSNR float64
 }
 
@@ -30,28 +29,21 @@ func (r *refLinkMap) SNR(a, b StationID) float64 {
 	return r.defaultSNR
 }
 
-func (r *refLinkMap) hears(a, b StationID) bool {
-	if v, ok := r.hearing[linkKey(a, b)]; ok && a != b {
-		return v
-	}
-	return true
-}
-
 // The peer rows hold what the maps they replaced held.
 func TestPeerRowsMatchMaps(t *testing.T) {
 	t.Run("PairState", pairStateMatchesMaps)
 	t.Run("TIDSequences", tidSequencesIndependent)
 }
 
-// Any interleaving of SetSNR, SetHearing and AddStation reads back from the
-// rows what it read back from the pair-keyed maps: in both argument orders,
-// defaults for pairs never set, and for pairs whose row was made by the
-// other kind of call or by a later, longer table.
+// Any interleaving of SetSNR and AddStation reads back from the rows what it
+// read back from the pair-keyed map: in both argument orders, defaults for
+// pairs never set, and for pairs whose row was made by a rate controller or
+// by a later, longer table.
 func pairStateMatchesMaps(t *testing.T) {
 	for seed := int64(0); seed < 320; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		md := newTestMedium(35)
-		ref := &refLinkMap{snr: map[[2]StationID]float64{}, hearing: map[[2]StationID]bool{}, defaultSNR: 35}
+		ref := &refLinkMap{snr: map[[2]StationID]float64{}, defaultSNR: 35}
 		md.AddStation(stationCfg("s"))
 		for step := 0; step < 60; step++ {
 			n := len(md.stations)
@@ -64,19 +56,13 @@ func pairStateMatchesMaps(t *testing.T) {
 				md.SetSNR(a, b, v)
 				ref.snr[linkKey(a, b)] = v
 			default:
-				audible := rng.Intn(3) == 0
-				md.SetHearing(a, b, audible)
-				ref.hearing[linkKey(a, b)] = audible
+				md.Station(a).rateFor(b)
 			}
 			for x := StationID(0); int(x) < len(md.stations); x++ {
 				for y := StationID(0); int(y) < len(md.stations); y++ {
 					if got, want := md.SNR(x, y), ref.SNR(x, y); got != want || md.SNR(y, x) != want {
 						t.Fatalf("seed %d step %d: SNR(%d,%d) = %v, SNR(%d,%d) = %v, want %v",
 							seed, step, x, y, got, y, x, md.SNR(y, x), want)
-					}
-					if got, want := md.hears(x, y), ref.hears(x, y); got != want || md.hears(y, x) != want {
-						t.Fatalf("seed %d step %d: hears(%d,%d) = %v, hears(%d,%d) = %v, want %v",
-							seed, step, x, y, got, y, x, md.hears(y, x), want)
 					}
 				}
 			}

@@ -7,11 +7,9 @@ const (
 	SlotUs        = 9  // slot time
 	DIFSus        = SIFSus + 2*SlotUs
 	VHTPreambleUs = 44.0 // L-STF+L-LTF+L-SIG+VHT-SIG-A+VHT-STF+VHT-LTFx2+VHT-SIG-B (3x3 typical)
-	LegacyRateMbp = 24.0 // control frame (ACK/BA/RTS/CTS) rate
+	LegacyRateMbp = 24.0 // control frame (ACK/BA) rate
 	BlockAckBytes = 32   // compressed block ack frame
 	AckBytes      = 14
-	RTSBytes      = 20
-	CTSBytes      = 14
 	MPDUDelimiter = 4  // A-MPDU delimiter bytes per subframe
 	MACHeaderLen  = 34 // QoS data header + FCS
 	SGIns         = 400
@@ -84,11 +82,6 @@ func FrameAirtimeUs(r Rate, mpduCount, mpduBytes int) float64 {
 // BlockAckAirtimeUs is the duration of the SIFS + block ACK response.
 func BlockAckAirtimeUs() float64 {
 	return SIFSus + legacyFrameUs(BlockAckBytes)
-}
-
-// RTSCTSOverheadUs is the RTS + SIFS + CTS + SIFS exchange preceding data.
-func RTSCTSOverheadUs() float64 {
-	return legacyFrameUs(RTSBytes) + SIFSus + legacyFrameUs(CTSBytes) + SIFSus
 }
 
 // legacyFrameUs is the duration of a control frame at the legacy rate with
