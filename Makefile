@@ -39,10 +39,15 @@ verify: vet build test allocs race chaos chaos-kill storm cover fuzz bench-modul
 
 # gofmt is part of vet: any file of the root module it would rewrite fails
 # the target, listed. (bench/ is a module of its own with its own gate.)
+# So is the planner's one-word rand source: a non-test file of
+# internal/turboca that builds a standard-library source (4.9 KB, 607 words
+# refilled on every re-seed) fails it, listed.
 vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l *.go cmd examples internal); \
 		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+	@out=$$(grep -ln 'rand\.NewSource' $$(ls internal/turboca/*.go | grep -v '_test\.go$$')); \
+		if [ -n "$$out" ]; then echo "rand.NewSource in internal/turboca (use sim.NewRNG):"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

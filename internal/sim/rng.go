@@ -10,7 +10,9 @@ import "math/rand"
 // gigabytes. SplitMix64 (Vigna) is a one-word generator with excellent
 // statistical quality — it is the same mixer the per-network seed
 // derivation already uses — and implementing rand.Source64 lets it back
-// an ordinary *rand.Rand.
+// an ordinary *rand.Rand. It also backs the planner's per-round NBO
+// streams: re-seeding it is one store, where re-seeding the default
+// source refills all 607 words.
 
 // splitmix64 is a one-word rand.Source64.
 type splitmix64 struct{ state uint64 }

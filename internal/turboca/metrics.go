@@ -492,8 +492,9 @@ const (
 
 // Format numbers the planner's arithmetic: a plan or ln NetP recorded under
 // one format replays bit for bit only under the same one. Format 1 puts
-// contention on the grid.
-const Format = 1
+// contention on the grid. Format 2 draws NBO's round streams from
+// SplitMix64 (sim.NewRNG) and folds the input digest a word per step.
+const Format = 2
 
 // quantize puts a contention weight on the grid: x rounded to the nearest
 // whole number of quanta, NaN as 0, and anything beyond ±maxWeightQ quanta

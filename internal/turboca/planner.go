@@ -388,8 +388,9 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 			go func(w int) {
 				defer wg.Done()
 				wp := p.cloneScratch()
-				// One generator per worker, re-seeded for its later rounds.
-				rr := rand.New(rand.NewSource(roundSeed(base, li, w)))
+				// One generator per worker, re-seeded for its later rounds;
+				// re-seeding a SplitMix64 source is one store.
+				rr := sim.NewRNG(roundSeed(base, li, w))
 				for r := w; r < runs; r += workers {
 					if r > w {
 						rr.Seed(roundSeed(base, li, r))

@@ -1,7 +1,6 @@
 package turboca
 
 import (
-	"math/rand"
 	"sync"
 
 	"repro/internal/sim"
@@ -185,7 +184,7 @@ func (s *Service) RunOnce(hops []int) {
 		wg.Add(1)
 		go func(j *job) {
 			defer wg.Done()
-			j.res = RunNBO(s.Cfg, j.in, rand.New(rand.NewSource(j.seed)), j.hops)
+			j.res = RunNBO(s.Cfg, j.in, sim.NewRNG(j.seed), j.hops)
 		}(j)
 	}
 	wg.Wait()
