@@ -177,7 +177,7 @@ func TestTelemetryHistoryOffSameStreams(t *testing.T) {
 	if rows := on.DB.Table("tcp_latency").Keys(); len(rows) != len(on.Scenario.APs) {
 		t.Fatalf("history on wrote latency rows for %d of %d APs", len(rows), len(on.Scenario.APs))
 	}
-	const atHead = 0x3e5bb45085e57696
+	const atHead = 0x8b58e61cf8827370
 	if on.ReportsDigest() != atHead || off.ReportsDigest() != atHead {
 		t.Fatalf("ReportsDigest %#x with history, %#x without, want %#x", on.ReportsDigest(), off.ReportsDigest(), uint64(atHead))
 	}

@@ -44,15 +44,15 @@ func TestConfigDefaults(t *testing.T) {
 
 // The config digest decides which journals Open accepts, so it must not
 // move when a setting that never reached state bytes is removed: both
-// values fold turboca.Format 1 and ckptFormat 4 (earlier values of
+// values fold turboca.Format 2 and ckptFormat 4 (earlier values of
 // preGridConfig's are in TestOpenRefusesPreGridJournal).
 func TestConfigDigestStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0x74bae1adc2e9f60a},
-		{preGridConfig, 0x8ba821e895aff91a},
+		{Config{}, 0xd3e6b5a56bfb6f39},
+		{preGridConfig, 0xec86f5e0403306c9},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)
