@@ -402,10 +402,10 @@ var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, Checkpo
 // other plans and ln NetP bits, and one written before checkpoints were
 // JSON rows, or while their rows carried a cadence multiplier or
 // per-network cadences, digests other checkpoint bytes; any of them would
-// fail at its first checkpoint. Its config
-// record carries an earlier digest, so Open refuses it up front with the
-// config-digest error, leaving the journal as it was even when its tail
-// is torn, and accepts the same records under the current digest.
+// fail at its first checkpoint. Its config record carries an earlier
+// digest, so Open refuses it up front with the config-digest error,
+// leaving the journal as it was even when its tail is torn, and accepts
+// the same records under the current digest.
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()

@@ -16,8 +16,8 @@ import (
 // whose input provably matches a run that already changed nothing
 // (service.go's DirtySkip).
 
-// digestBasis is the hash before the first word; its value is FNV-1a's
-// offset basis, which format 1 folded bytes into.
+// digestBasis is the hash before the first word: FNV-1a's offset basis,
+// though any constant would do.
 const digestBasis = 14695981039346656037
 
 type digester struct{ h uint64 }
