@@ -46,7 +46,7 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l *.go cmd examples internal); \
 		if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
-	@out=$$(grep -ln 'rand\.NewSource' $$(ls internal/turboca/*.go | grep -v '_test\.go$$')); \
+	@out=$$(grep -l --exclude='*_test.go' 'rand\.NewSource' internal/turboca/*.go); \
 		if [ -n "$$out" ]; then echo "rand.NewSource in internal/turboca (use sim.NewRNG):"; echo "$$out"; exit 1; fi
 
 build:
