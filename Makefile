@@ -150,12 +150,16 @@ bench:
 	$(GO) test -run=NONE -bench='RunNBO|PlannerPass|PerfNBOStadium' -count 6 -benchmem . ./internal/turboca/...
 
 # Where a dense pass spends its time: CPU-profiles BenchmarkPerfNBOStadium
-# (one ~200-AP bowl, hops {1,0}) and prints the top of the profile. Binary
-# and profile live in a temporary directory.
+# (one 400-AP bowl, hops {1,0}) and BenchmarkPerfNBOStadiumFast (the same
+# bowl, hops {0}: the fast pass plan_dense and the fleet run) and prints the
+# top of each profile. Binary and profiles live in a temporary directory.
 profile-planner:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
-	$(GO) test -run '^$$' -bench 'PerfNBOStadium$$' -benchtime 3s -o "$$d/repro.test" -cpuprofile "$$d/cpu.prof" . && \
-	$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof"
+	$(GO) test -c -o "$$d/repro.test" . && \
+	for pass in '' Fast; do \
+		"$$d/repro.test" -test.run '^$$' -test.bench "PerfNBOStadium$$pass\$$" -test.benchtime 3s -test.benchmem -test.cpuprofile "$$d/cpu.prof" && \
+		$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof" || exit 1; \
+	done
 
 # Where the data plane spends its time and what it allocates: CPU-profiles
 # the steady state of BENCHMARK.json's two testbed shapes

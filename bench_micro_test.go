@@ -225,6 +225,20 @@ func BenchmarkPerfNBOStadium(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfNBOStadiumFast is BenchmarkPerfNBOStadium's bowl under the
+// §4.4.4 fast pass alone, hops {0}: the pass plan_dense runs and a fleet
+// network runs every 15 minutes, where ACC is nearly all of the work
+// (`make profile-planner` profiles it too).
+func BenchmarkPerfNBOStadiumFast(b *testing.B) {
+	_, in := plannerInput(topo.Stadium(3), 3)
+	cfg := turboca.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		turboca.RunNBO(cfg, in, rand.New(rand.NewSource(4)), []int{0})
+	}
+}
+
 func BenchmarkPerfModelEvaluate(b *testing.B) {
 	sc := topo.Campus(5)
 	m := backend.NewModel(sc, 5)

@@ -1,11 +1,12 @@
-// Package dot11 implements wire formats for the IEEE 802.11 frames the
-// paper's systems exchange over the air and parse in their control
-// planes: the MAC header, beacons and probe/association management frames
-// with their information elements (SSID, supported rates, HT/VHT
-// capabilities — the fields behind Fig 1's advertised-capability study),
-// the Channel Switch Announcement element TurboCA relies on (§4.3.1), and
-// the compressed Block Ack frame FastACK's 802.11-ACK hint derives from
-// (§5.2).
+// Package dot11 implements wire formats for IEEE 802.11 frames: the MAC
+// header, beacons and probe/association management frames with their
+// information elements (SSID, supported rates, HT/VHT capabilities — the
+// fields behind Fig 1's advertised-capability study), the Channel Switch
+// Announcement element (§4.3.1) and the compressed Block Ack frame (§5.2).
+// Neither TurboCA nor FastACK goes through this codec: backend/disruption.go
+// models CSA as a per-client flag (topo.ClientInfo.SupportsCSA), and
+// FastACK's 802.11-ACK hint is the delivery feedback package mac reports
+// for each MPDU.
 //
 // Encoding follows the standard's little-endian layout so captures export
 // cleanly (see internal/pcap); decoding is defensive and never panics on

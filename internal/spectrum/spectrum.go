@@ -200,7 +200,15 @@ const (
 	maxSub20    = 8   // a 160 MHz channel covers eight 20 MHz sub-channels
 	numChannels = 3 + (25 + 12 + 6 + 2) + (41 + 20 + 9 + 4)
 	numNoDFS5   = 9 + 4 + 2
+	// maxOverlap is the most IDs one channel overlaps, itself included: a
+	// 160 MHz channel holds eight 20s, four 40s, two 80s and itself.
+	maxOverlap = 2*maxSub20 - 1
 )
+
+// MaxBandChannels is the most channels one band has (6 GHz: 41 + 20 + 9 +
+// 4): BandIDs never spans more, so a per-call table indexed by a band's IDs
+// can be a fixed-size array.
+const MaxBandChannels = 41 + 20 + 9 + 4
 
 // ID is a channel's dense index in the package table: 0..numChannels-1,
 // band-major, then width narrow-to-wide, then ascending number — so one
@@ -240,6 +248,10 @@ var tbl struct {
 	// firstOverlap[a][c] is the narrowest width slot s, up to a's own, at
 	// which ladder[a][s] overlaps c, or a's own slot + 1 when none does.
 	firstOverlap [numChannels][numChannels]uint8
+	// overlap[c][:numOverlap[c]] lists the IDs of c's band whose masks
+	// intersect c's, ascending.
+	overlap    [numChannels][maxOverlap]ID
+	numOverlap [numChannels]uint8
 }
 
 func init() {
@@ -277,7 +289,11 @@ func init() {
 		tbl.first[b][numSlots] = id
 	}
 	tbl.firstNoDFS5[numSlots] = noDFS
-	if id != numChannels || noDFS != numNoDFS5 {
+	widest := ID(0)
+	for b := range tbl.first {
+		widest = max(widest, tbl.first[b][numSlots]-tbl.first[b][0])
+	}
+	if id != numChannels || noDFS != numNoDFS5 || widest != MaxBandChannels {
 		panic("spectrum: inventory does not match the table's declared size")
 	}
 
@@ -318,6 +334,12 @@ func init() {
 				f++
 			}
 			tbl.firstOverlap[a][c] = uint8(f)
+		}
+		for c := lo; c < hi; c++ {
+			if tbl.mask[a]&tbl.mask[c] != 0 {
+				tbl.overlap[a][tbl.numOverlap[a]] = c
+				tbl.numOverlap[a]++
+			}
 		}
 	}
 }
@@ -367,6 +389,19 @@ func (id ID) AtWidth(s int) ID { return tbl.ladder[id][s] }
 // overlap id (a channel of another band never does). The views of id up to
 // its own width nest, so c overlaps exactly those from s on.
 func (id ID) FirstOverlap(c ID) int { return int(tbl.firstOverlap[id][c]) }
+
+// FirstOverlaps returns id's row of FirstOverlap as a read-only view of the
+// table, indexed by ID: row[c] == id.FirstOverlap(c) for every ID c.
+func (id ID) FirstOverlaps() []uint8 { return tbl.firstOverlap[id][:] }
+
+// Overlapping returns the IDs of id's band whose masks intersect id's, id
+// itself included, in ascending order, as a read-only view of the table
+// (cap == len). The relation is symmetric, and no channel overlaps more
+// than fifteen.
+func (id ID) Overlapping() []ID {
+	n := tbl.numOverlap[id]
+	return tbl.overlap[id][:n:n]
+}
 
 // Sub20Mask returns the Mask bit of 20 MHz channel number n on band, or 0
 // when n is not a US 20 MHz channel there.

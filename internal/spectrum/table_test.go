@@ -168,6 +168,52 @@ func TestFirstOverlapIsTheMaskLoop(t *testing.T) {
 	}
 }
 
+// TestOverlappingIsTheMaskTest holds each channel's overlap list to the
+// mask test it replaces, over every channel of every band: exactly the
+// IDs of its band whose masks intersect its own, ascending, with cap ==
+// len; the relation is symmetric; and the FirstOverlaps row is
+// FirstOverlap, entry for entry, across all bands.
+func TestOverlappingIsTheMaskTest(t *testing.T) {
+	for _, band := range allBands {
+		lo, hi := BandIDs(band)
+		for a := lo; a < hi; a++ {
+			var want []ID
+			for c := lo; c < hi; c++ {
+				if a.Mask()&c.Mask() != 0 {
+					want = append(want, c)
+				}
+			}
+			got := a.Overlapping()
+			if len(got) != len(want) || cap(got) != len(got) {
+				t.Fatalf("%v.Overlapping() = %v (cap %d), mask test gives %v", a.Channel(), got, cap(got), want)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%v.Overlapping() = %v, mask test gives %v", a.Channel(), got, want)
+				}
+			}
+			for _, c := range got {
+				found := false
+				for _, back := range c.Overlapping() {
+					found = found || back == a
+				}
+				if !found {
+					t.Fatalf("%v overlaps %v, but not the other way round", a.Channel(), c.Channel())
+				}
+			}
+			row := a.FirstOverlaps()
+			for c := ID(0); c < numChannels; c++ {
+				if int(row[c]) != a.FirstOverlap(c) {
+					t.Fatalf("%v.FirstOverlaps()[%d] = %d, FirstOverlap gives %d", a.Channel(), c, row[c], a.FirstOverlap(c))
+				}
+			}
+			if len(row) != numChannels {
+				t.Fatalf("%v.FirstOverlaps() has %d entries, want %d", a.Channel(), len(row), numChannels)
+			}
+		}
+	}
+}
+
 func contains(haystack, needles []int) bool {
 	set := map[int]bool{}
 	for _, h := range haystack {
@@ -291,6 +337,8 @@ var (
 	sinkChan  Channel
 	sinkInts  []int
 	sinkInt   int
+	sinkIDs   []ID
+	sinkRow   []uint8
 )
 
 // TestLookupsDoNotAllocate: every accessor is a read of the table.
@@ -306,6 +354,8 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 		"Sub20Numbers":   func() { sinkInts = c80.Sub20Numbers() },
 		"Primary20":      func() { sinkInt = c80.Primary20() },
 		"Bonded":         func() { sinkChan = Bonded(Band5, 108, W80) },
+		"Overlapping":    func() { sinkIDs = ID(50).Overlapping() },
+		"FirstOverlaps":  func() { sinkRow = ID(50).FirstOverlaps() },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

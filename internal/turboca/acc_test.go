@@ -49,7 +49,7 @@ func nodePAt(p *planner, i int, c spectrum.ID) float64 {
 }
 
 // refDeltaScore is ACC's score by definition — the planner's scoring path
-// until accWalk/accScore factored it: put c on i, then sum i's NodeP and
+// until accWalk/accScores factored it: put c on i, then sum i's NodeP and
 // the NodeP of every neighbor that has a channel, each by its own walk.
 func (p *planner) refDeltaScore(i int, c spectrum.ID) float64 {
 	prev := p.assign[i]
@@ -249,10 +249,10 @@ func checkACCMatchesReference(t *testing.T, seed int64) {
 				cs = p.adm.upTo(true, p.views[i].MaxWidth) // the DFS fallback's set
 			}
 			want, wantScore := spectrum.None, math.Inf(-1)
-			terms := p.accWalk(i)
-			for _, c := range cs {
+			scores := p.accScores(i, cs, p.accWalk(i), make([]float64, len(cs)))
+			for k, c := range cs {
 				ref := p.refDeltaScore(i, c)
-				got := p.accScore(i, c, terms)
+				got := scores[k]
 				if math.Float64bits(got) != math.Float64bits(ref) && !(math.IsNaN(got) && math.IsNaN(ref)) {
 					t.Fatalf("seed %d state %d AP %d (neigh %v) candidate %v: score %v (%#x), reference %v (%#x)",
 						seed, state, i, p.neigh[i], c.Channel(), got, math.Float64bits(got), ref, math.Float64bits(ref))

@@ -556,26 +556,35 @@ func (p *planner) storedTerm(j int, nc spectrum.ID, b int, load float64) float64
 }
 
 // levelTerm is one factor of NodeP in log form, load(b)·ln channel_metric
-// for i on channel c at width slot b:
+// for i on channel c at width slot b with the given contention, which
+// storedTerm and neighborTerm hand it from kept level sums on the grid
+// (accScores forms the same product from its memo of logMetric). The
+// product rounds before the add its callers do, so no platform fuses it
+// and every caller agrees with the definition to the bit.
+func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float64) float64 {
+	return float64(load * p.logMetric(i, c.AtWidth(b), b, c != p.onAir[i], contention))
+}
+
+// logMetric is ln channel_metric for i on view, the width-slot-b view of
+// its channel (AtWidth(b)), where moved says the channel is not i's
+// on-air one:
 //
 //	channel_metric(c,b) = airtime(c,b)·capacity(c,b) − penalty_c
 //
 // with airtime the idle share after external interference divided among i
 // and its co-channel contention, and capacity width scaling times channel
 // quality after non-WiFi interference (§4.4.1). It is the formula's only
-// evaluation — logNodeP and ACC hand it kept level sums, nodeP for ACC a sum
-// from accWalk's row, all on the grid — and it rounds before the
-// subtraction and before the add its callers do, so no platform fuses
-// either and every caller agrees with the definition to the bit.
-func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float64) float64 {
+// evaluation, and the product rounds before the subtraction, so no
+// platform fuses the two.
+func (p *planner) logMetric(i int, view spectrum.ID, b int, moved bool, contention float64) float64 {
 	// The penalty anchors to the channel clients are actually on, not the
 	// working incumbent: adopting a best-so-far plan between hop levels must
 	// not erase the cost of leaving it. A first assignment disrupts nobody.
 	pen := 0.0
-	if p.onAir[i] != spectrum.None && c != p.onAir[i] {
+	if moved && p.onAir[i] != spectrum.None {
 		pen = p.penBase[i]
 	}
-	ext := p.extOf[i][c.AtWidth(b)]
+	ext := p.extOf[i][view]
 	idle := 1 - ext
 	if idle < 0 {
 		idle = 0
@@ -585,27 +594,20 @@ func (p *planner) levelTerm(i int, c spectrum.ID, b int, load, contention float6
 	if metric < metricFloor {
 		metric = metricFloor
 	}
-	return float64(load * math.Log(metric))
+	return math.Log(metric)
 }
 
-// logNodeP computes ln NodeP(i, on[i]) under the working state.
-func (p *planner) logNodeP(i int) float64 { return p.nodeP(i, p.on[i], nil) }
-
-// nodeP is ln NodeP(i, c),
+// logNodeP is ln NodeP(i, on[i]) under the working state,
 //
 //	NodeP(c, cw) = Π_{b=20MHz}^{cw} channel_metric(c,b)^{load(b)}
 //
-// with i's contention read from own, accWalk's row indexed by ID, when the
-// caller has one (ACC), or else from i's kept level row, so c is on[i].
-func (p *planner) nodeP(i int, c spectrum.ID, own []int64) float64 {
+// with i's contention read from its kept level row.
+func (p *planner) logNodeP(i int) float64 {
+	c := p.on[i]
 	cw := c.Channel().Width.Slot()
 	sum := 0.0
 	for b := 0; b <= cw; b++ {
-		switch load := p.load[i][cw][b]; {
-		case load == 0:
-		case own != nil:
-			sum += p.levelTerm(i, c, b, load, float64(own[c.AtWidth(b)])*quantum)
-		default:
+		if load := p.load[i][cw][b]; load != 0 {
 			sum += p.storedTerm(i, c, b, load)
 		}
 	}

@@ -22,17 +22,17 @@ func (p *planner) acc(i int) spectrum.ID {
 	return p.bestByDelta(i, p.adm.ladder(p.views[i], p.current[i]))
 }
 
-// bestByDelta returns the member of cs with the highest accScore for i,
-// the first such in cs order, and spectrum.None only when cs is empty: if
-// no score compares (NaN loads on input that skipped Sanitize) the answer
-// is still a member of cs, its first.
+// bestByDelta returns the member of cs with the highest accScores entry
+// for i, the first such in cs order, and spectrum.None only when cs is
+// empty: if no score compares (NaN loads on input that skipped Sanitize)
+// the answer is still a member of cs, its first.
 func (p *planner) bestByDelta(i int, cs []spectrum.ID) spectrum.ID {
-	terms := p.accWalk(i)
+	var buf [spectrum.MaxBandChannels]float64
 	best, bestScore := spectrum.None, math.Inf(-1)
-	for _, c := range cs {
-		if s := p.accScore(i, c, terms); s > bestScore || best == spectrum.None {
+	for k, s := range p.accScores(i, cs, p.accWalk(i), buf[:len(cs)]) {
+		if s > bestScore || best == spectrum.None {
 			bestScore = s
-			best = c
+			best = cs[k]
 		}
 	}
 	return best
@@ -51,12 +51,12 @@ type accTerm struct {
 // accWalk computes what i's candidate scores share, in one walk of neigh[i]:
 // i's own contention on every channel of the band (p.accOwn, read at a
 // candidate's AtWidth views) and an accTerm per scored neighbor. Every sum
-// is on the grid, so accScore is the definition (refDeltaScore,
+// is on the grid, so accScores is the definition (refDeltaScore,
 // acc_test.go) to the bit.
 func (p *planner) accWalk(i int) []accTerm {
 	lo, hi := spectrum.BandIDs(p.in.Band)
 	own, terms := p.accOwn, p.accTerms[:0]
-	clear(own)
+	clear(own[lo:hi])
 	mult := p.mult[p.nbrOff[i]:p.nbrOff[i+1]]
 	for k, j := range p.neigh[i] {
 		if j == i && !p.ignore[i] {
@@ -71,24 +71,24 @@ func (p *planner) accWalk(i int) []accTerm {
 		if nc == spectrum.None {
 			continue
 		}
-		for s, m := lo, nc.Mask(); s < hi; s++ {
-			if s.Mask()&m != 0 {
-				own[s] += p.wq[j]
-			}
+		for _, s := range nc.Overlapping() {
+			own[s] += p.wq[j]
 		}
-		terms = append(terms, p.neighborTerm(i, j, nc, int64(mult[k])))
+		terms = terms[:len(terms)+1]
+		p.neighborTerm(&terms[len(terms)-1], i, j, nc, int64(mult[k]))
 	}
 	return terms
 }
 
-// neighborTerm is the accTerm of i's neighbor j on channel nc, where i
-// appears m times in neigh[j]. j's contention at each width level of nc
-// without i is its kept row less i's weight where on[i] overlaps; with i
-// it is that plus i's weight at every level, as a candidate that overlaps
-// a level overlaps it. At every level one of the two is the kept row.
-func (p *planner) neighborTerm(i, j int, nc spectrum.ID, m int64) accTerm {
+// neighborTerm fills t with the accTerm of i's neighbor j on channel nc,
+// where i appears m times in neigh[j]. j's contention at each width level
+// of nc without i is its kept row less i's weight where on[i] overlaps;
+// with i it is that plus i's weight at every level, as a candidate that
+// overlaps a level overlaps it. At every level one of the two is the kept
+// row.
+func (p *planner) neighborTerm(t *accTerm, i, j int, nc spectrum.ID, m int64) {
 	cw := nc.Channel().Width.Slot()
-	t := accTerm{nc: nc}
+	*t = accTerm{nc: nc}
 	kept := p.lvl[j].q
 	without, wi := kept, m*p.wq[i]
 	shift(&without, nc, p.on[i], -wi)
@@ -116,24 +116,60 @@ func (p *planner) neighborTerm(i, j int, nc spectrum.ID, m int64) accTerm {
 			}
 		}
 	}
-	return t
 }
 
-// accScore is the NetP contribution affected by assigning c to i: its own
-// NodeP plus, in neigh[i] order, that of every neighbor (whose airtime
-// depends on i's channel). terms is accWalk(i)'s result.
-func (p *planner) accScore(i int, c spectrum.ID, terms []accTerm) float64 {
-	own := p.nodeP(i, c, p.accOwn)
-	score := own
-	for k := range terms {
-		t := &terms[k]
-		if t.self {
-			score += own
+// accScores writes into scores[k] the NetP contribution affected by
+// assigning cs[k] to i — its own NodeP plus, in neigh[i] order, that of
+// every neighbor (whose airtime depends on i's channel) — and returns
+// scores, which is as long as cs. terms is accWalk(i)'s result.
+//
+// Every own NodeP comes first, then the terms are added term by term
+// across the candidates, so each candidate's sum runs in the order the
+// definition's does. The logarithms of the own NodeP are shared: a view
+// AtWidth(b) of a candidate fixes b, the external utilisation and, through
+// accOwn, the contention, so ln channel_metric depends on nothing else but
+// whether the candidate is i's on-air channel (the penalty), and bonded
+// candidates that nest share their narrower views.
+func (p *planner) accScores(i int, cs []spectrum.ID, terms []accTerm, scores []float64) []float64 {
+	lo, _ := spectrum.BandIDs(p.in.Band)
+	var own [spectrum.MaxBandChannels]float64
+	// logs[2x+moved] is ln channel_metric on the band's x-th ID as a view,
+	// or 0 while not computed: a log that is 0 is computed again, to 0.
+	var logs [2 * spectrum.MaxBandChannels]float64
+	for k, c := range cs {
+		cw := c.Channel().Width.Slot()
+		moved := c != p.onAir[i]
+		sum := 0.0
+		for b := 0; b <= cw; b++ {
+			load := p.load[i][cw][b]
+			if load == 0 {
+				continue
+			}
+			v := c.AtWidth(b)
+			key := 2 * uint(v-lo)
+			if moved {
+				key++
+			}
+			if logs[key] == 0 {
+				logs[key] = p.logMetric(i, v, b, moved, float64(p.accOwn[v])*quantum)
+			}
+			sum += float64(load * logs[key])
+		}
+		own[k], scores[k] = sum, sum
+	}
+	for t := range terms {
+		if terms[t].self {
+			for k := range scores {
+				scores[k] += own[k]
+			}
 			continue
 		}
-		score += t.nodeP[t.nc.FirstOverlap(c)]
+		nodeP, fo := &terms[t].nodeP, terms[t].nc.FirstOverlaps()
+		for k, c := range cs {
+			scores[k] += nodeP[fo[c]]
+		}
 	}
-	return score
+	return scores
 }
 
 // bestNonDFSFallback picks the best DFS-free channel within i's cap, used
