@@ -60,12 +60,15 @@ test:
 # allocations per simulated second (both skip under -race), building the
 # fleet_converge shape's 64 networks and planner inputs under its ceiling,
 # and one dense planner pass (BenchmarkPerfNBOStadium's input) under its
-# ceiling, so no per-ACC allocation creeps into the two-hop walk.
+# ceiling, so no per-ACC allocation creeps into the two-hop walk, and a
+# poll with telemetry history on under its ceiling per AP, so no per-row
+# map or per-poll sample slice comes back.
 allocs:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fastack
 	$(GO) test -count=1 -run '^TestDataPlaneAllocCeiling$$' ./internal/testbed
 	$(GO) test -count=1 -run '^TestFleetSetupAllocCeiling$$' ./internal/fleetd
 	$(GO) test -count=1 -run '^TestPlannerPassAllocCeiling$$' ./internal/turboca
+	$(GO) test -count=1 -run '^TestPollAllocCeiling$$' ./internal/backend
 
 race:
 	$(GO) test -race ./internal/turboca/...
@@ -150,14 +153,16 @@ bench:
 	$(GO) test -run=NONE -bench='RunNBO|PlannerPass|PerfNBOStadium' -count 6 -benchmem . ./internal/turboca/...
 
 # Where a dense pass spends its time: CPU-profiles BenchmarkPerfNBOStadium
-# (one 400-AP bowl, hops {1,0}) and BenchmarkPerfNBOStadiumFast (the same
-# bowl, hops {0}: the fast pass plan_dense and the fleet run) and prints the
-# top of each profile. Binary and profiles live in a temporary directory.
+# (one 400-AP bowl, hops {1,0}), BenchmarkPerfNBOStadiumFast (the same
+# bowl, hops {0}: the fast pass plan_dense and the fleet run) and
+# BenchmarkPerfDensePass (plan_dense's whole steady pass: the polls between
+# deadlines, the planner input and the fast pass) and prints the top of each
+# profile. Binary and profiles live in a temporary directory.
 profile-planner:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
 	$(GO) test -c -o "$$d/repro.test" . && \
-	for pass in '' Fast; do \
-		"$$d/repro.test" -test.run '^$$' -test.bench "PerfNBOStadium$$pass\$$" -test.benchtime 3s -test.benchmem -test.cpuprofile "$$d/cpu.prof" && \
+	for bench in PerfNBOStadium PerfNBOStadiumFast PerfDensePass; do \
+		"$$d/repro.test" -test.run '^$$' -test.bench "$$bench\$$" -test.benchtime 3s -test.benchmem -test.cpuprofile "$$d/cpu.prof" && \
 		$(GO) tool pprof -top -nodecount 20 "$$d/repro.test" "$$d/cpu.prof" || exit 1; \
 	done
 

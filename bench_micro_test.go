@@ -239,6 +239,37 @@ func BenchmarkPerfNBOStadiumFast(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfDensePass is plan_dense's steady pass whole: half a stadium
+// bowl (the benchmark's scenario options and seed) on a stand-alone
+// backend with telemetry history on, where each op runs the engine to the
+// next 45-minute deadline — the polls in between included — and then one
+// fast pass, hops {0}. The cold pass runs before the timer. `make
+// profile-planner` profiles it beside the two NBO-only benchmarks.
+func BenchmarkPerfDensePass(b *testing.B) {
+	const seed, step = 20170811, 45 * sim.Minute
+	sc := topo.Generate(topo.ScenarioOptions{
+		Seed: seed, Name: "stadium-half",
+		APCount: 200, AreaW: 200, AreaH: 90, Grid: true,
+		MeanClients: 40, DemandMbps: 90,
+		Interferers: 10, Load: topo.MuseumLoad,
+	})
+	eng := sim.NewEngine(seed)
+	opt := backend.DefaultOptions(backend.AlgTurboCA)
+	opt.Seed = seed
+	be := backend.New(opt, sc, eng)
+	be.StartManaged()
+	pass := func(i int) {
+		eng.RunUntil(sim.Time(i) * step)
+		be.Service.RunOnce([]int{0})
+	}
+	pass(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass(i + 2)
+	}
+}
+
 func BenchmarkPerfModelEvaluate(b *testing.B) {
 	sc := topo.Campus(5)
 	m := backend.NewModel(sc, 5)

@@ -41,7 +41,7 @@ func main() {
 		from, to := sim.Day, sim.Time(days)*sim.Day
 		peak := 0.0
 		for h := from; h < to; h += sim.Hour {
-			if v := be.DB.Table("usage").SumField("bytes", h, h+sim.Hour) / 1e12; v > peak {
+			if v := be.UsageBytes(h, h+sim.Hour) / 1e12; v > peak {
 				peak = v
 			}
 		}

@@ -96,7 +96,7 @@ func main() {
 
 	fmt.Printf("\nday summary: %d channel switches on the watched AP, %d network-wide\n",
 		switches, be.Switches())
-	lat := be.DB.Table("tcp_latency").AggregateField("ms", 0, 24*sim.Hour)
+	lat, _ := be.Samples(0, 24*sim.Hour)
 	fmt.Printf("network TCP latency p50=%.1fms p90=%.1fms over %d samples\n",
 		lat.Median(), lat.Percentile(90), lat.N())
 	heard := map[int]bool{}

@@ -1,6 +1,6 @@
 // Package backend models the Meraki cloud side of Section 2: it polls
-// every AP on a fixed cadence, stores the collected statistics in a
-// LittleTable-style time-series database, snapshots the network state into
+// every AP on a fixed cadence, keeps the collected statistics as a per-AP
+// time-series history (history.go), snapshots the network state into
 // planner inputs, runs a channel-assignment service (TurboCA or
 // ReservedCA), and pushes accepted channel plans back to the APs.
 //
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 
 	"repro/internal/faults"
-	"repro/internal/littletable"
 	"repro/internal/obs"
 	"repro/internal/rfenv"
 	"repro/internal/sim"
@@ -79,8 +78,8 @@ const (
 	pushRetryBase   = 30 * sim.Second
 	pushRetryJitter = 0.5
 	pushAttempts    = 5
-	// retention bounds the telemetry DB to a trailing window so multi-week
-	// simulations do not grow tables unboundedly.
+	// retention bounds the telemetry history to a trailing window so
+	// multi-week simulations do not grow it unboundedly.
 	retention = 14 * sim.Day
 	// reservedCAInterval and reservedCAWidth are the baseline's
 	// re-evaluation period and fixed channel width (§4.6.1).
@@ -124,14 +123,14 @@ type Options struct {
 	// unless Planner.Obs is set explicitly.
 	Obs *obs.Registry
 
-	// DisableTelemetryHistory skips the per-AP history tables (usage,
-	// utilization, tcp_latency, bitrate_eff, disruption) that back the
-	// Report API. Planning is unaffected: the planner consumes the
-	// in-memory last-known-good reports, never the history tables, and
-	// every rng draw still happens so all downstream streams are
-	// byte-identical with history on or off. fleetd sets this — at fleet
-	// scale the history rows dominate per-network resident memory, and
-	// nothing in the fleet reads them.
+	// DisableTelemetryHistory keeps no per-AP telemetry history (usage,
+	// utilization, latency and efficiency samples), so Report,
+	// UsageBytes, Samples and Served read nothing. Planning is
+	// unaffected: the planner consumes the in-memory last-known-good
+	// reports, never the history, and every rng draw still happens so all
+	// downstream streams are byte-identical with history on or off. fleetd
+	// sets this — at fleet scale the history dominates per-network
+	// resident memory, and nothing in the fleet reads it.
 	DisableTelemetryHistory bool
 }
 
@@ -173,7 +172,6 @@ type Backend struct {
 	Opt      Options
 	Scenario *topo.Scenario
 	Engine   *sim.Engine
-	DB       *littletable.DB
 	Model    *Model
 	Service  *turboca.Service // non-nil for AlgTurboCA
 
@@ -187,6 +185,8 @@ type Backend struct {
 	// rows is what the control plane keeps per AP, at the AP's position in
 	// Scenario.APs (which is its ID, see topo.Scenario).
 	rows []apRow
+	// hist is the telemetry history, nil under DisableTelemetryHistory.
+	hist *history
 	// ctl holds the control-plane counters on an obs registry; ctlBase is
 	// their value at construction, so Control() reports per-instance
 	// deltas (see obs.go).
@@ -254,7 +254,6 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 		Opt:       opt,
 		Scenario:  sc,
 		Engine:    engine,
-		DB:        littletable.NewDB(),
 		rng:       sim.NewRNG(opt.Seed),
 		faults:    faults.New(opt.Faults),
 		rf:        opt.RF,
@@ -265,7 +264,9 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 		inputTmpl: map[spectrum.Band][]turboca.APView{},
 		ctx:       context.Background(),
 	}
-	b.DB.SetRetention(retention)
+	if !opt.DisableTelemetryHistory {
+		b.hist = newHistory(sc)
+	}
 	b.Model = NewModel(sc, opt.Seed^0x5eed)
 	if opt.Algorithm == AlgTurboCA {
 		b.Service = turboca.NewService(opt.Planner, b.PlannerInput, b.applyPlan, opt.Seed)

@@ -22,14 +22,14 @@ func TestPollPopulatesTables(t *testing.T) {
 	b := New(DefaultOptions(AlgNone), sc, engine)
 	b.Start()
 	engine.RunUntil(sim.Hour)
-	for _, table := range []string{"usage", "utilization", "tcp_latency", "bitrate_eff"} {
-		tb := b.DB.Table(table)
-		if len(tb.Keys()) != len(sc.APs) {
-			t.Fatalf("%s covers %d keys, want %d", table, len(tb.Keys()), len(sc.APs))
+	// Every AP has usage and utilization rows and both sample sets.
+	for i, a := range b.hist.aps {
+		if len(a.recs) == 0 || len(a.lat) == 0 || len(a.eff) == 0 {
+			t.Fatalf("AP %d: %d rows, %d latency and %d efficiency samples", i, len(a.recs), len(a.lat), len(a.eff))
 		}
 	}
 	// 12 polls in an hour at the 5-minute cadence.
-	if got := b.DB.Table("usage").Len(sc.APs[0].Name); got != 12 {
+	if got := len(b.hist.aps[0].recs); got != 12 {
 		t.Fatalf("usage rows = %d, want 12", got)
 	}
 }
@@ -357,10 +357,6 @@ func TestDisruptionAccounting(t *testing.T) {
 	if b.DisruptionSeconds() <= 0 {
 		t.Fatal("switches charged no disruption during business hours")
 	}
-	// The disruption table holds per-switch rows.
-	if len(b.DB.Table("disruption").Keys()) == 0 {
-		t.Fatal("disruption table empty")
-	}
 	// Night switches on idle APs are (nearly) free.
 	sc2 := topo.Office(12)
 	engine2 := sim.NewEngine(4)
@@ -417,10 +413,8 @@ func TestDeploymentMetrics(t *testing.T) {
 	if r := b.Report(0, 2*sim.Hour); r.TotalUsageTB <= 0 || r.TCPLatencyP50 <= 0 || r.BitrateEffP50 <= 0 {
 		t.Fatalf("report after 2 h: usage %f TB, latency p50 %f ms, efficiency p50 %f", r.TotalUsageTB, r.TCPLatencyP50, r.BitrateEffP50)
 	}
-	for table, field := range map[string]string{"tcp_latency": "ms", "bitrate_eff": "eff", "utilization": "util"} {
-		if b.DB.Table(table).AggregateField(field, 0, 2*sim.Hour).N() == 0 {
-			t.Fatalf("no %s samples", table)
-		}
+	if lat, eff := b.Samples(0, 2*sim.Hour); lat.N() == 0 || eff.N() == 0 || len(b.hist.window(0, 0, 2*sim.Hour)) == 0 {
+		t.Fatal("no latency, efficiency or utilization samples")
 	}
 	engine.RunUntil(engine.Now() + sim.Hour)
 	if engine.Now() != 3*sim.Hour {

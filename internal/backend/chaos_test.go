@@ -354,7 +354,7 @@ func TestChaosDelayedPollsStillLand(t *testing.T) {
 		if rep := b.rows[ap.ID].report; rep.At < sim.Hour {
 			t.Fatalf("AP %d last-known-good stuck at %v", ap.ID, rep.At)
 		}
-		if n := b.DB.Table("usage").Len(ap.Name); n < 12 {
+		if n := len(b.hist.aps[ap.ID].recs); n < 12 {
 			t.Fatalf("AP %d has %d usage rows after an hour", ap.ID, n)
 		}
 	}
@@ -371,11 +371,11 @@ func TestPollIntervalDefaultedWithoutStart(t *testing.T) {
 	b := New(Options{Seed: 1, Algorithm: AlgNone, Planner: turboca.DefaultConfig()}, sc, engine)
 	engine.RunUntil(13 * sim.Hour) // business hours: traffic flows
 	b.Poll()
-	rows := b.DB.Table("usage").Range(sc.APs[0].Name, 0, engine.Now()+1)
+	rows := b.hist.window(0, 0, engine.Now()+1)
 	if len(rows) == 0 {
 		t.Fatal("no usage row")
 	}
-	if row := rows[len(rows)-1]; row.Field("bytes") <= 0 {
-		t.Fatalf("served bytes = %f without Start", row.Field("bytes"))
+	if row := rows[len(rows)-1]; row.Bytes <= 0 {
+		t.Fatalf("served bytes = %f without Start", row.Bytes)
 	}
 }

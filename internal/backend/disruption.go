@@ -2,7 +2,6 @@ package backend
 
 import (
 	"repro/internal/sim"
-	"repro/internal/spectrum"
 	"repro/internal/topo"
 )
 
@@ -12,8 +11,8 @@ import (
 // the loss, rescan, and re-associate — about 5 s on laptops and 8 s on
 // mobile devices in the paper's measurements. The backend charges every
 // switch with the expected client outage so the stability cost of a
-// channel plan is a first-class, queryable metric ("disruption" table),
-// and the switch-penalty ablation can show what it buys.
+// channel plan is a first-class metric (DisruptionSeconds), and the
+// switch-penalty ablation can show what it buys.
 
 // Outage durations measured in §4.3.1.
 const (
@@ -46,19 +45,12 @@ func (b *Backend) disruptionSeconds(ap *topo.AP, now sim.Time) float64 {
 	return total * activeFrac
 }
 
-// chargeSwitch records the disruption for one AP channel change. 2.4 GHz
-// switches hit the CSA-less population hardest, which is exactly why the
-// planner's 2.4 GHz penalty is "very high" (§4.4.1); the same model applies
-// on both bands.
-func (b *Backend) chargeSwitch(ap *topo.AP, band spectrum.Band, now sim.Time) {
-	secs := b.disruptionSeconds(ap, now)
-	b.disruptionTotal += secs
-	if !b.Opt.DisableTelemetryHistory {
-		b.DB.Table("disruption").Insert(ap.Name, now, map[string]float64{
-			"seconds": secs,
-			"band":    float64(band),
-		})
-	}
+// chargeSwitch adds the disruption of one AP channel change to the
+// total. 2.4 GHz switches hit the CSA-less population hardest, which is
+// exactly why the planner's 2.4 GHz penalty is "very high" (§4.4.1); the
+// same model applies on both bands.
+func (b *Backend) chargeSwitch(ap *topo.AP, now sim.Time) {
+	b.disruptionTotal += b.disruptionSeconds(ap, now)
 }
 
 // DisruptionSeconds returns the cumulative client outage charged to

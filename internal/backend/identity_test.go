@@ -5,15 +5,29 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
 )
 
+// refCapByWidth is the per-width capacity map the model kept before its
+// array by width slot.
+func refCapByWidth() map[spectrum.Width]float64 {
+	out := map[spectrum.Width]float64{}
+	for _, w := range spectrum.Widths {
+		r := phy.Rate{MCS: 7, NSS: 2, Width: w, GI: phy.SGI}
+		out[w] = phy.EffectiveMACThroughputMbps(r, 24, 1400)
+	}
+	return out
+}
+
 // refEvaluate is Model.Evaluate as it was while its tables were maps keyed
-// by AP ID — three of them made per call — without the memo.
+// by AP ID — three of them made per call — and overlap was frequency
+// arithmetic, without the memo.
 func refEvaluate(m *Model, t sim.Time) map[int]APPerf {
 	sc := m.sc
+	capByWidth := refCapByWidth()
 	perf := make(map[int]APPerf, len(sc.APs))
 	demand := make(map[int]float64, len(sc.APs))
 	for _, ap := range sc.APs {
@@ -21,12 +35,12 @@ func refEvaluate(m *Model, t sim.Time) map[int]APPerf {
 	}
 	airDemand := make(map[int]float64, len(sc.APs))
 	for _, ap := range sc.APs {
-		cap5 := m.capByWidth[ap.Channel.Width]
+		cap5 := capByWidth[ap.Channel.Width]
 		airDemand[ap.ID] = 0.02 + demand[ap.ID]/math.Max(cap5, 1)
 	}
 	totalServed := 0.0
 	for _, ap := range sc.APs {
-		cap5 := m.capByWidth[ap.Channel.Width]
+		cap5 := capByWidth[ap.Channel.Width]
 		ext := m.extUtilOn(ap, ap.Channel)
 		contention := 0.0
 		for _, j := range sc.NeighborsOf(ap) {
@@ -65,7 +79,10 @@ func refEvaluate(m *Model, t sim.Time) map[int]APPerf {
 // over its previous result, to the map-based one field for field and bit
 // for bit: an office, a museum and UNet (the campus, whose WAN cap must
 // bite), 100 seeds each, four hours of the day with a third of the APs
-// rechannelled — widths and DFS included — halfway through.
+// rechannelled — widths and DFS included — halfway through. The new
+// channels include 2.4 GHz ones (another band's table IDs) and channels
+// off the table (ch34 and ch2 at 20 MHz, ch36 at no width), which keep
+// the frequency-arithmetic overlap test.
 func TestEvaluateMatchesReference(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -75,7 +92,12 @@ func TestEvaluateMatchesReference(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	all := spectrum.AllChannels(spectrum.Band5, spectrum.W160, true)
+	all := append(spectrum.AllChannels(spectrum.Band5, spectrum.W160, true),
+		spectrum.Channel{Band: spectrum.Band2G4, Number: 1, Width: spectrum.W20},
+		spectrum.Channel{Band: spectrum.Band2G4, Number: 6, Width: spectrum.W20},
+		spectrum.Channel{Band: spectrum.Band2G4, Number: 2, Width: spectrum.W20},
+		spectrum.Channel{Band: spectrum.Band5, Number: 34, Width: spectrum.W20},
+		spectrum.Channel{Band: spectrum.Band5, Number: 36})
 	for _, k := range kinds {
 		capped := 0
 		for seed := int64(0); seed < seeds; seed++ {
@@ -152,7 +174,7 @@ func TestTemplatesAliasNeighborRows(t *testing.T) {
 }
 
 // TestTelemetryHistoryOffSameStreams is Options.DisableTelemetryHistory's
-// promise: with the history tables off every rng draw still happens, so
+// promise: with the history off every rng draw still happens, so
 // two backends on one seed — polls lost, delayed and corrupted, APs
 // offline, radar striking — end twelve hours with the same telemetry, the
 // same network and the same place in b.rng. The digest is also the value
@@ -171,11 +193,13 @@ func TestTelemetryHistoryOffSameStreams(t *testing.T) {
 		return b
 	}
 	on, off := run(false), run(true)
-	if rows := off.DB.Table("tcp_latency").Keys(); len(rows) != 0 {
-		t.Fatalf("history off still wrote latency rows for %d APs", len(rows))
+	if off.hist != nil {
+		t.Fatal("history off still keeps a history")
 	}
-	if rows := on.DB.Table("tcp_latency").Keys(); len(rows) != len(on.Scenario.APs) {
-		t.Fatalf("history on wrote latency rows for %d of %d APs", len(rows), len(on.Scenario.APs))
+	for i := range on.Scenario.APs {
+		if len(on.hist.aps[i].lat) == 0 {
+			t.Fatalf("history on kept no latency samples for AP %d", i)
+		}
 	}
 	const atHead = 0x8b58e61cf8827370
 	if on.ReportsDigest() != atHead || off.ReportsDigest() != atHead {

@@ -38,35 +38,46 @@ type Model struct {
 	sc  *topo.Scenario
 	rng *rand.Rand
 
-	// Cached per-width effective capacity (Mbps) for a typical client mix.
-	capByWidth map[spectrum.Width]float64
+	// capBySlot is the effective capacity (Mbps) for a typical client mix
+	// at each width, by spectrum.Width.Slot.
+	capBySlot [4]float64
 
 	// perf is Evaluate's result, by AP position, memoized for the
-	// timestamp lastAt until dirty; demand and airDemand are its scratch.
+	// timestamp lastAt until dirty; demand, airDemand and ids (each AP's
+	// channel table ID, spectrum.None off the table) are its scratch.
 	lastAt            sim.Time
 	perf              []APPerf
 	demand, airDemand []float64
+	ids               []spectrum.ID
 	dirty             bool
 }
 
 // NewModel builds a model over the scenario.
 func NewModel(sc *topo.Scenario, seed int64) *Model {
 	m := &Model{
-		sc:         sc,
-		rng:        sim.NewRNG(seed),
-		capByWidth: map[spectrum.Width]float64{},
-		perf:       make([]APPerf, len(sc.APs)),
-		demand:     make([]float64, len(sc.APs)),
-		airDemand:  make([]float64, len(sc.APs)),
-		dirty:      true,
+		sc:        sc,
+		rng:       sim.NewRNG(seed),
+		perf:      make([]APPerf, len(sc.APs)),
+		demand:    make([]float64, len(sc.APs)),
+		airDemand: make([]float64, len(sc.APs)),
+		ids:       make([]spectrum.ID, len(sc.APs)),
+		dirty:     true,
 	}
 	// Effective MAC throughput for a representative mid-cell client
 	// (MCS7, 2 streams, the Fig 5 mode) at moderate aggregation.
-	for _, w := range spectrum.Widths {
+	for s, w := range spectrum.Widths {
 		r := phy.Rate{MCS: 7, NSS: 2, Width: w, GI: phy.SGI}
-		m.capByWidth[w] = phy.EffectiveMACThroughputMbps(r, 24, 1400)
+		m.capBySlot[s] = phy.EffectiveMACThroughputMbps(r, 24, 1400)
 	}
 	return m
+}
+
+// capacity is the modeled capacity at width w, 0 for an undefined width.
+func (m *Model) capacity(w spectrum.Width) float64 {
+	if s := w.Slot(); s >= 0 {
+		return m.capBySlot[s]
+	}
+	return 0
 }
 
 // Invalidate drops the memoized evaluation (after a channel change).
@@ -76,14 +87,16 @@ func (m *Model) Invalidate() { m.dirty = true }
 // (an AP's ID is its position). Co-channel contention is demand-weighted:
 // a neighbor that overlaps any 20 MHz sub-channel of the AP's assignment
 // consumes a share of its airtime proportional to the neighbor's own
-// offered load (CSMA sharing, §4.1.2). The result is the model's own row
-// and is valid until the next Evaluate, which overwrites it.
+// offered load (CSMA sharing, §4.1.2). Two table channels overlap by the
+// first-overlap table; a channel off the table (malformed state on the
+// air) keeps the frequency-arithmetic test. The result is the model's own
+// row and is valid until the next Evaluate, which overwrites it.
 func (m *Model) Evaluate(t sim.Time) []APPerf {
 	if !m.dirty && t == m.lastAt {
 		return m.perf
 	}
 	sc := m.sc
-	perf, demand, airDemand := m.perf, m.demand, m.airDemand
+	perf, demand, airDemand, ids := m.perf, m.demand, m.airDemand, m.ids
 
 	// Pass 1: demand and normalized load per AP.
 	for i, ap := range sc.APs {
@@ -93,8 +106,8 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 	// Pass 2: per-AP airtime demand (offered load as a fraction of the
 	// AP's own channel capacity, beacons included).
 	for i, ap := range sc.APs {
-		cap5 := m.capByWidth[ap.Channel.Width]
-		airDemand[i] = 0.02 + demand[i]/math.Max(cap5, 1)
+		airDemand[i] = 0.02 + demand[i]/math.Max(m.capacity(ap.Channel.Width), 1)
+		ids[i], _ = spectrum.IDOf(ap.Channel)
 	}
 
 	// Pass 3: rationing. The airtime demanded on an AP's channel is its
@@ -103,12 +116,25 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 	// the total exceeds 1 every participant is scaled back by it.
 	totalServed := 0.0
 	for i, ap := range sc.APs {
-		cap5 := m.capByWidth[ap.Channel.Width]
+		cap5 := m.capacity(ap.Channel.Width)
 		ext := m.extUtilOn(ap, ap.Channel)
 
+		// j overlaps i iff ids[i]'s first overlap with ids[j] is at or
+		// below i's own width slot (another band's ID never is).
+		id, own := ids[i], ap.Channel.Width.Slot()
+		var first []uint8
+		if id != spectrum.None {
+			first = id.FirstOverlaps()
+		}
 		contention := 0.0 // neighbors' airtime demand on our channel
 		for _, j := range sc.NeighborsOf(ap) {
-			if sc.APs[j].Channel.Overlaps(ap.Channel) {
+			var hit bool
+			if nj := ids[j]; first != nil && nj != spectrum.None {
+				hit = int(first[nj]) <= own
+			} else {
+				hit = sc.APs[j].Channel.Overlaps(ap.Channel)
+			}
+			if hit {
 				contention += airDemand[j]
 			}
 		}

@@ -28,28 +28,24 @@ type apReport struct {
 // AP in these scenarios offers anywhere near 100 Gbps.
 const maxSaneDemandMbps = 1e5
 
-// polledSample is one AP's report in flight from AP to cloud.
+// polledSample is one AP's report in flight from AP to cloud. Its
+// latency and efficiency samples are drawn into the AP's history at poll
+// time; only a delayed report carries its own copy (lat, eff) to delivery.
 type polledSample struct {
-	ap          *topo.AP
-	at          sim.Time
-	demand      float64
-	util        float64
-	served      float64
-	servedBytes float64
-	clients     float64
-	hasClients  bool
-	latencies   []float64
-	effs        []float64
+	ap         *topo.AP
+	rec        pollRec // the history row: sample time, usage, utilization, sample count
+	hasClients bool
+	lat, eff   []float64
 }
 
-// Poll collects one statistics sample per AP into the time-series store:
+// Poll collects one statistics sample per AP into the telemetry history:
 // usage (bytes served this interval), channel utilization, TCP latency
 // samples, and bit-rate efficiency. Faults are applied per AP: offline
 // and dropped polls vanish (counters only), corrupted polls mangle the
 // metric fields, delayed polls deliver the same sample later via the
 // engine. All randomness — the latency/efficiency sample draws — is
 // consumed here at poll time, so the b.rng stream advances identically
-// whether or not a report is delayed or later rejected.
+// whether or not a report is delayed, later rejected, or kept.
 func (b *Backend) Poll() {
 	sp := b.obsReg.Tracer().Begin("backend.poll")
 	passStart := time.Now()
@@ -59,7 +55,6 @@ func (b *Backend) Poll() {
 	}()
 	now := b.Engine.Now()
 	perf := b.Model.Evaluate(now)
-	keep := !b.Opt.DisableTelemetryHistory
 
 	for _, ap := range b.Scenario.APs {
 		// Supervision abort: a cancelled pass stops polling mid-fleet.
@@ -91,11 +86,16 @@ func (b *Backend) Poll() {
 			n = 12
 		}
 		s := polledSample{
-			ap: ap, at: now,
-			demand: demand, util: util,
-			served:      p.ServedMbps,
-			servedBytes: p.ServedMbps * 1e6 / 8 * pollInterval.Seconds(),
-			clients:     float64(ap.Mix.Count),
+			ap: ap,
+			rec: pollRec{
+				At:      now,
+				Bytes:   p.ServedMbps * 1e6 / 8 * pollInterval.Seconds(),
+				Demand:  demand,
+				Served:  p.ServedMbps,
+				Clients: float64(ap.Mix.Count),
+				Util:    util,
+				n:       int32(n),
+			},
 			// Clients dissociate off-hours; that is when the deep NBO
 			// passes can migrate APs onto DFS channels without stranding
 			// anyone through a CAC (§4.5.2).
@@ -105,57 +105,66 @@ func (b *Backend) Poll() {
 		// real system, so busy APs and busy hours contribute
 		// proportionally more samples to the fleet distributions
 		// (Figs 8-9). Importance-weight by served traffic. The draws
-		// consume b.rng whether or not history is kept (the stream must
-		// not depend on it); only then are they stored.
-		if keep {
-			s.latencies, s.effs = make([]float64, n), make([]float64, n)
+		// consume b.rng whatever becomes of the report; they land in the
+		// AP's history when it is delivered now and sane, in the report's
+		// own copy when it is delayed, and nowhere when it is rejected or
+		// no history is kept.
+		d, delayed := b.faults.DelayPoll(ap.ID, now)
+		var lat, eff []float64
+		switch {
+		case delayed && b.hist != nil:
+			s.lat, s.eff = make([]float64, n), make([]float64, n)
+			lat, eff = s.lat, s.eff
+		case !delayed && s.sane():
+			lat, eff = b.hist.reserve(ap.ID, n)
 		}
 		for i := 0; i < n; i++ {
-			lat, eff := b.Model.SampleTCPLatency(p, b.rng), b.Model.SampleBitrateEff(p, b.rng)
-			if keep {
-				s.latencies[i], s.effs[i] = lat, eff
+			l, e := b.Model.SampleTCPLatency(p, b.rng), b.Model.SampleBitrateEff(p, b.rng)
+			if lat != nil {
+				lat[i], eff[i] = l, e
 			}
 		}
-		if d, ok := b.faults.DelayPoll(ap.ID, now); ok {
+		if delayed {
 			b.ctl.pollsDelayed.Inc()
 			b.ctl.pollDelayUS.Observe(int64(d))
-			b.Engine.After(d, func(e *sim.Engine) { b.ingest(s) })
+			late := s // only a delayed report escapes to the heap
+			b.Engine.After(d, func(e *sim.Engine) { b.accept(&late) })
 			continue
 		}
-		b.ingest(s)
+		b.accept(&s)
 	}
 }
 
-// ingest validates a delivered report, records it in the time-series
-// store, and promotes it to the AP's last-known-good snapshot. Malformed
-// reports (NaN, negative, or wild-scale metrics — every shape
-// faults.CorruptValue produces) are rejected whole: no rows, no
-// last-known-good update, so a corrupted poll behaves exactly like a
-// lost one except for the counter.
-func (b *Backend) ingest(s polledSample) {
-	if !saneMetric(s.demand, maxSaneDemandMbps) || !saneMetric(s.util, 1) {
+// sane reports whether the report's metrics are usable. Malformed reports
+// (NaN, negative, or wild-scale metrics — every shape faults.CorruptValue
+// produces) are rejected whole: no history rows, no last-known-good
+// update, so a corrupted poll behaves exactly like a lost one except for
+// the counter.
+func (s *polledSample) sane() bool {
+	return saneMetric(s.rec.Demand, maxSaneDemandMbps) && saneMetric(s.rec.Util, 1)
+}
+
+// accept records a delivered report in the history and promotes it to
+// the AP's last-known-good snapshot, or counts it rejected. An on-time
+// report's samples are already the AP's newest; a delayed one's join the
+// history here.
+func (b *Backend) accept(s *polledSample) {
+	if !s.sane() {
 		b.ctl.pollsRejected.Inc()
 		return
 	}
-	if !b.Opt.DisableTelemetryHistory {
-		key := s.ap.Name
-		b.DB.Table("usage").Insert(key, s.at, map[string]float64{
-			"bytes":   s.servedBytes,
-			"demand":  s.demand,
-			"served":  s.served,
-			"clients": s.clients,
-		})
-		b.DB.Table("utilization").InsertValue(key, s.at, "util", s.util)
-		// The per-transmission samples land as one batch per table: one
-		// lock round-trip for the AP's whole sample set instead of one per
-		// sample.
-		b.DB.Table("tcp_latency").InsertSamples(key, s.at, "ms", s.latencies)
-		b.DB.Table("bitrate_eff").InsertSamples(key, s.at, "eff", s.effs)
+	if b.hist != nil {
+		if s.lat != nil {
+			lat, eff := b.hist.reserve(s.ap.ID, len(s.lat))
+			copy(lat, s.lat)
+			copy(eff, s.eff)
+		}
+		b.hist.commit(s.ap.ID, s.rec)
 	}
 	// A delayed report may arrive after a fresher one already landed;
 	// last-known-good is ordered by sample time, not delivery time.
-	if row := &b.rows[s.ap.ID]; !row.reported || s.at >= row.report.At {
-		row.report = apReport{At: s.at, Demand: s.demand, Utilization: s.util, HasClients: s.hasClients}
+	if row := &b.rows[s.ap.ID]; !row.reported || s.rec.At >= row.report.At {
+		row.report = apReport{At: s.rec.At, Demand: s.rec.Demand, Utilization: s.rec.Util, HasClients: s.hasClients}
 		row.reported = true
 	}
 }

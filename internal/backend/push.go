@@ -127,7 +127,7 @@ func (b *Backend) installChannel(ap *topo.AP, band spectrum.Band, a turboca.Assi
 	b.noteFallback(ap, band, a)
 	if changed {
 		b.switches++
-		b.chargeSwitch(ap, band, b.Engine.Now())
+		b.chargeSwitch(ap, b.Engine.Now())
 		b.Model.Invalidate()
 	}
 }

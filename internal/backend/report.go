@@ -50,51 +50,53 @@ func (b *Backend) Report(from, to sim.Time) NetworkReport {
 		RadarEvents:       b.radarHit,
 		DisruptionSeconds: b.disruptionTotal,
 	}
-	usage := b.DB.Table("usage")
-	util := b.DB.Table("utilization")
-
-	r.TotalUsageTB = usage.SumField("bytes", from, to) / 1e12
-
-	type kv struct {
-		name  string
-		bytes float64
-	}
-	var per []kv
-	for _, key := range usage.Keys() {
-		sum := 0.0
-		for _, row := range usage.Range(key, from, to) {
-			sum += row.Field("bytes")
-		}
-		per = append(per, kv{key, sum})
-	}
-	sort.Slice(per, func(i, j int) bool { return per[i].bytes > per[j].bytes })
-	for i := 0; i < len(per) && i < ReportTopN; i++ {
-		us := APUsage{Name: per[i].name, UsageGB: per[i].bytes / 1e9}
-		perUtil := 0.0
-		rows := util.Range(per[i].name, from, to)
-		if len(rows) > 0 {
-			vals := make([]float64, 0, len(rows))
-			for _, row := range rows {
-				vals = append(vals, row.Field("util"))
-			}
-			sort.Float64s(vals)
-			perUtil = vals[len(vals)/2]
-		}
-		us.UtilP50 = perUtil
-		r.BusiestAPs = append(r.BusiestAPs, us)
-	}
-
 	for _, ap := range b.Scenario.APs {
 		r.Widths[ap.Channel.Width]++
 		if ap.Channel.DFS {
 			r.DFSCount++
 		}
 	}
+	h := b.hist
+	if h == nil {
+		return r
+	}
+	r.TotalUsageTB = h.sumBytes(from, to) / 1e12
 
-	lat := b.DB.Table("tcp_latency").AggregateField("ms", from, to)
+	// Every AP that ever delivered a report is listed, in name order,
+	// before the sort by usage.
+	type kv struct {
+		ap    int
+		bytes float64
+	}
+	var per []kv
+	for _, ap := range h.byName {
+		if !b.rows[ap].reported {
+			continue
+		}
+		sum := 0.0
+		for _, rec := range h.window(ap, from, to) {
+			sum += rec.Bytes
+		}
+		per = append(per, kv{ap, sum})
+	}
+	sort.Slice(per, func(i, j int) bool { return per[i].bytes > per[j].bytes })
+	for i := 0; i < len(per) && i < ReportTopN; i++ {
+		us := APUsage{Name: b.Scenario.APs[per[i].ap].Name, UsageGB: per[i].bytes / 1e9}
+		if recs := h.window(per[i].ap, from, to); len(recs) > 0 {
+			vals := make([]float64, len(recs))
+			for k, rec := range recs {
+				vals[k] = rec.Util
+			}
+			sort.Float64s(vals)
+			us.UtilP50 = vals[len(vals)/2]
+		}
+		r.BusiestAPs = append(r.BusiestAPs, us)
+	}
+
+	lat, eff := h.samples(from, to)
 	r.TCPLatencyP50 = lat.Median()
 	r.TCPLatencyP90 = lat.Percentile(90)
-	r.BitrateEffP50 = b.DB.Table("bitrate_eff").AggregateField("eff", from, to).Median()
+	r.BitrateEffP50 = eff.Median()
 	return r
 }
 

@@ -234,9 +234,7 @@ func fig6(s *Session, r *Report) {
 	engine.RunUntil(sim.Day)
 	served := func(from, to sim.Time) *stats.Sample {
 		smp := stats.NewSample(0)
-		for _, p := range be.DB.Table("usage").FieldRange(sc.APs[0].Name, "served", from, to) {
-			smp.Add(p.V)
-		}
+		smp.AddAll(be.Served(sc.APs[0].ID, from, to)...)
 		return smp
 	}
 	day := served(0, sim.Day)

@@ -107,19 +107,17 @@ func RunAB(ab AB) ABResult {
 
 		a := ABArm{Alg: alg, Switches: be.Switches(), Control: be.Control(),
 			DailyTB: stats.NewSample(0), PeakTB: stats.NewSample(0)}
-		usage := be.DB.Table("usage")
 		for from := sim.Day; from+sim.Day <= ab.Dur; from += sim.Day {
-			a.DailyTB.Add(usage.SumField("bytes", from, from+sim.Day) / 1e12)
+			a.DailyTB.Add(be.UsageBytes(from, from+sim.Day) / 1e12)
 			best := 0.0
 			for h := sim.Time(0); h < sim.Day; h += sim.Hour {
-				best = max(best, usage.SumField("bytes", from+h, from+h+sim.Hour)/1e12)
+				best = max(best, be.UsageBytes(from+h, from+h+sim.Hour)/1e12)
 			}
 			a.PeakTB.Add(best)
 		}
-		a.Latency = be.DB.Table("tcp_latency").AggregateField("ms", sim.Day, ab.Dur)
-		a.Efficiency = be.DB.Table("bitrate_eff").AggregateField("eff", sim.Day, ab.Dur)
+		a.Latency, a.Efficiency = be.Samples(sim.Day, ab.Dur)
 
-		a.LateTB = usage.SumField("bytes", ab.Dur/2, ab.Dur) / 1e12
+		a.LateTB = be.UsageBytes(ab.Dur/2, ab.Dur) / 1e12
 		plan := turboca.Plan{}
 		n80 := 0
 		for _, ap := range sc.APs {
