@@ -51,9 +51,6 @@ type Sender struct {
 	// sacked tracks SACKed byte ranges beyond sndUna.
 	sacked seqspace.Ranges
 
-	// cubic holds CUBIC state when cfg.Congestion == Cubic.
-	cubic cubicState
-
 	stats SenderStats
 
 	// OnCwnd, if set, is called whenever cwnd changes (tcp_probe-style
@@ -262,21 +259,10 @@ func (s *Sender) growCwnd(ackedBytes int) {
 	if s.cwnd >= max {
 		return
 	}
-	switch {
-	case s.cwnd < s.ssthresh:
+	if s.cwnd < s.ssthresh {
 		// Slow start: one MSS per ACKed MSS (ABC, L=1).
 		s.cwnd += ackedBytes
-	case s.cfg.Congestion == Cubic:
-		target := s.cubic.target(float64(s.cwnd), MSS, s.srtt, s.engine.Now())
-		if target > float64(s.cwnd) {
-			// Approach the cubic target over roughly one RTT of ACKs.
-			inc := (target - float64(s.cwnd)) / float64(s.cwnd) * float64(MSS)
-			if inc > float64(MSS) {
-				inc = float64(MSS)
-			}
-			s.cwnd += int(inc) + 1
-		}
-	default:
+	} else {
 		// Reno congestion avoidance: ~one MSS per RTT.
 		s.cwnd += MSS * MSS / s.cwnd
 	}
@@ -290,12 +276,7 @@ func (s *Sender) enterFastRecovery() {
 	s.stats.FastRetransmits++
 	s.inRecovery = true
 	s.recover = s.sndNxt
-	fl := s.flight()
-	if s.cfg.Congestion == Cubic {
-		s.ssthresh = int(s.cubic.onLoss(float64(fl), s.engine.Now()))
-	} else {
-		s.ssthresh = fl / 2
-	}
+	s.ssthresh = s.flight() / 2
 	if s.ssthresh < 2*MSS {
 		s.ssthresh = 2 * MSS
 	}

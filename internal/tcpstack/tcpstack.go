@@ -35,8 +35,6 @@ type Config struct {
 	RcvBuf     int      // receiver buffer in bytes
 	DelACKSegs int      // delayed-ACK segment threshold (2)
 	DelACKTime sim.Time // delayed-ACK timeout (40 ms quickack-era default)
-	// Congestion selects Reno (default) or Cubic.
-	Congestion Congestion
 }
 
 // DefaultConfig mirrors a mid-2010s Linux/Windows host. The 512 KiB

@@ -348,62 +348,6 @@ func TestSeqArithmetic(t *testing.T) {
 	}
 }
 
-func TestCubicTransferAndRecovery(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Congestion = Cubic
-	p := newPipe(cfg, 5*sim.Millisecond)
-	dropped := 0
-	p.dropData = func(seq uint32) bool {
-		// One loss episode mid-transfer.
-		if dropped == 0 && seq > 1000+uint32(300*MSS) {
-			dropped++
-			return true
-		}
-		return false
-	}
-	p.s.Start()
-	p.engine.RunUntil(3 * sim.Second)
-	st := p.s.Stats()
-	if dropped == 0 {
-		t.Fatal("never dropped")
-	}
-	if st.FastRetransmits == 0 || st.Timeouts != 0 {
-		t.Fatalf("cubic recovery: %+v", st)
-	}
-	if st.BytesAcked < 20<<20 {
-		t.Fatalf("cubic moved only %d bytes", st.BytesAcked)
-	}
-	// After recovery, the cubic window must regrow past the reduced
-	// point: cwnd should be well above 0.7*wMax eventually.
-	if p.s.CwndSegments() < 50 {
-		t.Fatalf("cubic cwnd stuck at %d", p.s.CwndSegments())
-	}
-}
-
-func TestCubicBeatsRenoOnLongFatPipe(t *testing.T) {
-	// With periodic losses on a long-RTT pipe, CUBIC's cubic regrowth
-	// recovers window faster than Reno's one-MSS-per-RTT.
-	run := func(cc Congestion) int64 {
-		cfg := DefaultConfig()
-		cfg.Congestion = cc
-		cfg.MaxCwnd = 4000
-		cfg.RcvBuf = 8 << 20
-		p := newPipe(cfg, 40*sim.Millisecond)
-		n := 0
-		p.dropData = func(seq uint32) bool {
-			n++
-			return n%4000 == 0 // periodic loss
-		}
-		p.s.Start()
-		p.engine.RunUntil(20 * sim.Second)
-		return p.s.Stats().BytesAcked
-	}
-	reno, cubic := run(Reno), run(Cubic)
-	if cubic <= reno {
-		t.Fatalf("cubic %d <= reno %d on a long fat pipe", cubic, reno)
-	}
-}
-
 // A segment that partially overlaps buffered out-of-order data occupies only
 // its new bytes, and once the hole fills the whole buffer is free again. The
 // receiver used to count the overlap twice and never give it back: after

@@ -24,8 +24,8 @@ const (
 
 // goldenRows are the data-plane shapes testdata/golden_testbed.txt pins,
 // each run at every seed of goldenSeeds: the two benchmark shapes, the
-// tail-drop/SACK-recovery regime of a Baseline AP, pure uplink, CUBIC, and
-// one run with every data-path fault class armed.
+// tail-drop/SACK-recovery regime of a Baseline AP, pure uplink, and one
+// run with every data-path fault class armed.
 var goldenRows = []struct {
 	name string
 	set  func(o *Options, seed int64)
@@ -53,11 +53,6 @@ var goldenRows = []struct {
 		o.APModes = []Mode{FastACK}
 		o.ClientsPerAP = 10
 		o.Traffic = TCPUplink
-	}},
-	{"baseline_cubic4", func(o *Options, _ int64) {
-		o.APModes = []Mode{Baseline}
-		o.ClientsPerAP = 4
-		o.TCP.Congestion = tcpstack.Cubic
 	}},
 	{"fastack_faults2x2", func(o *Options, seed int64) {
 		o.APModes = []Mode{FastACK, FastACK}
