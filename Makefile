@@ -138,7 +138,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSanitize$$' -fuzztime $(FUZZTIME) ./internal/turboca
 	$(GO) test -run '^$$' -fuzz '^FuzzACCMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/turboca
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/packet
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEthernet$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzAgentDatagram$$' -fuzztime $(FUZZTIME) ./internal/fastack
 	$(GO) test -run '^$$' -fuzz '^FuzzRanges$$' -fuzztime $(FUZZTIME) ./internal/seqspace
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime $(FUZZTIME) ./internal/sim

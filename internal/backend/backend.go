@@ -303,10 +303,6 @@ func (b *Backend) StartManaged() {
 // Switches reports how many AP channel changes the service has applied.
 func (b *Backend) Switches() int { return b.switches }
 
-// RF exposes the hostile-RF environment this backend runs under (nil
-// when none was configured).
-func (b *Backend) RF() *rfenv.Env { return b.rf }
-
 // SetPassContext installs the cancellation context the control loops
 // check. Pass nil (or context.Background()) to clear supervision. The
 // engine events already queued keep firing; a cancelled context makes

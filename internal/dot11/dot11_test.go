@@ -7,54 +7,10 @@ import (
 	"repro/internal/spectrum"
 )
 
-func TestHeaderRoundTrip(t *testing.T) {
-	h := Header{
-		Type: TypeData, Subtype: SubtypeQoSData,
-		FromDS: true, Retry: true, Duration: 1500,
-		Addr1: MAC{1, 2, 3, 4, 5, 6},
-		Addr2: MAC{7, 8, 9, 10, 11, 12},
-		Addr3: MAC{13, 14, 15, 16, 17, 18},
-		Seq:   3001, Frag: 2, QoS: 0x0005, HasQoS: true,
-	}
-	b := h.Encode(nil)
-	got, body, err := DecodeHeader(append(b, 0xaa, 0xbb))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", got, h)
-	}
-	if got.TID() != 5 {
-		t.Fatalf("TID = %d", got.TID())
-	}
-	if len(body) != 2 {
-		t.Fatalf("body len %d", len(body))
-	}
-}
-
-func TestHeaderTruncatedAndBadVersion(t *testing.T) {
-	if _, _, err := DecodeHeader(make([]byte, 10)); err != ErrTruncated {
-		t.Fatal("short header accepted")
-	}
-	b := (&Header{Type: TypeData}).Encode(nil)
-	b[0] |= 0x3 // protocol version 3
-	if _, _, err := DecodeHeader(b); err == nil {
-		t.Fatal("bad version accepted")
-	}
-}
-
-func TestSeqNumber12Bit(t *testing.T) {
-	h := Header{Type: TypeData, Seq: 4095}
-	got, _, _ := DecodeHeader(h.Encode(nil))
-	if got.Seq != 4095 {
-		t.Fatalf("seq = %d", got.Seq)
-	}
-}
-
 func TestIEsRoundTrip(t *testing.T) {
 	ies := []IE{
 		{ID: IESSID, Body: []byte("corp")},
-		{ID: IEDSParameter, Body: []byte{36}},
+		{ID: IEHTCapabilities, Body: []byte{36}},
 	}
 	b := EncodeIEs(nil, ies)
 	got, err := DecodeIEs(b)
@@ -67,8 +23,8 @@ func TestIEsRoundTrip(t *testing.T) {
 	if _, err := DecodeIEs(b[:3]); err != ErrTruncated {
 		t.Fatal("truncated IE accepted")
 	}
-	if _, ok := Find(got, IECSA); ok {
-		t.Fatal("phantom CSA")
+	if _, ok := Find(got, IEVHTCapabilities); ok {
+		t.Fatal("phantom VHT capabilities")
 	}
 }
 
@@ -79,41 +35,44 @@ func TestCapabilityRoundTrip(t *testing.T) {
 		{HT: true, VHT: true, MaxWidth: spectrum.W80, NSS: 3, SGI: true},
 		{HT: true, VHT: true, MaxWidth: spectrum.W160, NSS: 4},
 	}
+	// Every capability set fleet.CapabilityModel.Sample can draw, as
+	// fleet.CapabilityReport encodes it (HT always, no SGI): VHT or not,
+	// 20 or 40 MHz (and 80 MHz with VHT), one to three streams.
+	for _, vht := range []bool{false, true} {
+		widths := []spectrum.Width{spectrum.W20, spectrum.W40}
+		if vht {
+			widths = append(widths, spectrum.W80)
+		}
+		for _, w := range widths {
+			for nss := 1; nss <= 3; nss++ {
+				cases = append(cases, Capabilities{HT: true, VHT: vht, MaxWidth: w, NSS: nss})
+			}
+		}
+	}
 	for _, c := range cases {
+		want := c
+		// 80 MHz is mandatory in 802.11ac: the VHT capabilities element
+		// can say 160 MHz or nothing more, so a VHT set narrower than
+		// 80 MHz reads back as 80 MHz.
+		if c.VHT && c.MaxWidth < spectrum.W80 {
+			want.MaxWidth = spectrum.W80
+		}
 		got := ParseCapabilities(CapabilityIEs(c))
-		if got.HT != c.HT || got.VHT != c.VHT || got.MaxWidth != c.MaxWidth || got.NSS != c.NSS {
-			t.Fatalf("round trip: got %+v want %+v", got, c)
+		if got != want {
+			t.Errorf("round trip of %+v: got %+v want %+v", c, got, want)
+		}
+		ar, err := DecodeAssocRequest(EncodeAssocRequest(AssocRequest{SSID: "fleet", Caps: c}))
+		if err != nil {
+			t.Fatalf("association request with %+v: %v", c, err)
+		}
+		if ar.Caps != want {
+			t.Errorf("association request with %+v: got %+v want %+v", c, ar.Caps, want)
 		}
 	}
 	// No HT element at all: a legacy client.
 	legacy := ParseCapabilities(nil)
 	if legacy.HT || legacy.VHT || legacy.MaxWidth != spectrum.W20 || legacy.NSS != 1 {
 		t.Fatalf("legacy parse: %+v", legacy)
-	}
-}
-
-func TestBeaconRoundTripWithCSA(t *testing.T) {
-	bc := Beacon{
-		Timestamp: 123456789,
-		Interval:  100,
-		CapInfo:   0x0431,
-		SSID:      "museum-wifi",
-		Channel:   44,
-		CSA:       &CSA{Mode: 1, NewChannel: 157, SwitchCount: 5},
-		Caps:      Capabilities{HT: true, VHT: true, MaxWidth: spectrum.W80, NSS: 3},
-	}
-	got, err := DecodeBeacon(EncodeBeacon(bc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SSID != "museum-wifi" || got.Channel != 44 || got.Interval != 100 {
-		t.Fatalf("beacon: %+v", got)
-	}
-	if got.CSA == nil || got.CSA.NewChannel != 157 || got.CSA.SwitchCount != 5 {
-		t.Fatalf("CSA: %+v", got.CSA)
-	}
-	if got.Caps.MaxWidth != spectrum.W80 || got.Caps.NSS != 3 {
-		t.Fatalf("caps: %+v", got.Caps)
 	}
 }
 
@@ -126,78 +85,22 @@ func TestAssocRequestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SSID != "corp" || got.Caps.NSS != 2 || !got.Caps.VHT {
-		t.Fatalf("assoc: %+v", got)
+	if got != ar {
+		t.Fatalf("assoc: got %+v want %+v", got, ar)
+	}
+	if _, err := DecodeAssocRequest([]byte{0x21}); err != ErrTruncated {
+		t.Fatal("truncated association request accepted")
 	}
 }
 
-func TestBlockAckBitmap(t *testing.T) {
-	ba := BlockAck{
-		RA: MAC{1}, TA: MAC{2}, TID: 5, StartSeq: 100,
-	}
-	for _, s := range []uint16{100, 101, 103, 163} {
-		ba.SetAcked(s)
-	}
-	ba.SetAcked(164) // beyond the 64-frame window: ignored
-	got, err := DecodeBlockAck(ba.Encode(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TID != 5 || got.StartSeq != 100 {
-		t.Fatalf("ba: %+v", got)
-	}
-	for _, c := range []struct {
-		seq  uint16
-		want bool
-	}{{100, true}, {101, true}, {102, false}, {103, true}, {163, true}, {164, false}} {
-		if got.Acked(c.seq) != c.want {
-			t.Fatalf("Acked(%d) = %v", c.seq, got.Acked(c.seq))
-		}
-	}
-}
-
-func TestBlockAckRejectsOtherFrames(t *testing.T) {
-	h := Header{Type: TypeData}
-	if _, err := DecodeBlockAck(h.Encode(nil)); err == nil {
-		t.Fatal("data frame decoded as block ack")
-	}
-}
-
-// Property: DecodeHeader and DecodeIEs never panic on arbitrary bytes.
+// Property: the decoders never panic on arbitrary bytes.
 func TestQuickDecodersRobust(t *testing.T) {
 	f := func(b []byte) bool {
-		DecodeHeader(b)
 		DecodeIEs(b)
-		DecodeBeacon(b)
 		DecodeAssocRequest(b)
-		DecodeBlockAck(b)
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: header encode/decode round-trips for arbitrary field values
-// within their wire widths.
-func TestQuickHeaderRoundTrip(t *testing.T) {
-	f := func(seq uint16, dur uint16, a1, a2 [6]byte, retry bool) bool {
-		h := Header{
-			Type: TypeData, Subtype: SubtypeQoSData, HasQoS: true,
-			Seq: seq & 0xfff, Duration: dur, Retry: retry,
-			Addr1: MAC(a1), Addr2: MAC(a2),
-		}
-		got, _, err := DecodeHeader(h.Encode(nil))
-		return err == nil && got == h
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStrings(t *testing.T) {
-	h := Header{Type: TypeManagement, Subtype: SubtypeBeacon}
-	if h.String() == "" || subtypeName(TypeControl, SubtypeRTS) != "rts" {
-		t.Fatal("names")
 	}
 }

@@ -2,21 +2,15 @@ package dot11
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/spectrum"
 )
 
-// Information element IDs used by the systems in this repository.
+// Information element IDs an association request carries here.
 const (
 	IESSID            = 0
-	IESupportedRates  = 1
-	IEDSParameter     = 3 // current channel
-	IECSA             = 37
 	IEHTCapabilities  = 45
-	IEExtCSA          = 60
 	IEVHTCapabilities = 191
-	IEVHTOperation    = 192
 )
 
 // IE is one raw information element.
@@ -160,86 +154,6 @@ func ParseCapabilities(ies []IE) Capabilities {
 	return c
 }
 
-// CSA is the Channel Switch Announcement element (§4.3.1): the AP
-// advertises the target channel and a beacon countdown so CSA-capable
-// clients follow without rescanning.
-type CSA struct {
-	Mode        uint8 // 1 = stop transmitting until the switch
-	NewChannel  uint8
-	SwitchCount uint8 // beacons remaining
-}
-
-// ToIE renders the element.
-func (c CSA) ToIE() IE {
-	return IE{ID: IECSA, Body: []byte{c.Mode, c.NewChannel, c.SwitchCount}}
-}
-
-// ParseCSA extracts a CSA element if present.
-func ParseCSA(ies []IE) (CSA, bool) {
-	ie, ok := Find(ies, IECSA)
-	if !ok || len(ie.Body) != 3 {
-		return CSA{}, false
-	}
-	return CSA{Mode: ie.Body[0], NewChannel: ie.Body[1], SwitchCount: ie.Body[2]}, true
-}
-
-// Beacon is the parsed form of a beacon or probe response body.
-type Beacon struct {
-	Timestamp uint64
-	Interval  uint16 // TUs
-	CapInfo   uint16
-	SSID      string
-	Channel   int
-	CSA       *CSA
-	Caps      Capabilities
-	IEs       []IE
-}
-
-// EncodeBeacon renders a beacon management-frame body.
-func EncodeBeacon(bc Beacon) []byte {
-	b := make([]byte, 0, 64)
-	b = binary.LittleEndian.AppendUint64(b, bc.Timestamp)
-	b = binary.LittleEndian.AppendUint16(b, bc.Interval)
-	b = binary.LittleEndian.AppendUint16(b, bc.CapInfo)
-	ies := []IE{{ID: IESSID, Body: []byte(bc.SSID)}}
-	if bc.Channel > 0 && bc.Channel < 256 {
-		ies = append(ies, IE{ID: IEDSParameter, Body: []byte{uint8(bc.Channel)}})
-	}
-	ies = append(ies, CapabilityIEs(bc.Caps)...)
-	if bc.CSA != nil {
-		ies = append(ies, bc.CSA.ToIE())
-	}
-	ies = append(ies, bc.IEs...)
-	return EncodeIEs(b, ies)
-}
-
-// DecodeBeacon parses a beacon body.
-func DecodeBeacon(b []byte) (Beacon, error) {
-	if len(b) < 12 {
-		return Beacon{}, ErrTruncated
-	}
-	var bc Beacon
-	bc.Timestamp = binary.LittleEndian.Uint64(b[0:8])
-	bc.Interval = binary.LittleEndian.Uint16(b[8:10])
-	bc.CapInfo = binary.LittleEndian.Uint16(b[10:12])
-	ies, err := DecodeIEs(b[12:])
-	if err != nil {
-		return Beacon{}, err
-	}
-	bc.IEs = ies
-	if ssid, ok := Find(ies, IESSID); ok {
-		bc.SSID = string(ssid.Body)
-	}
-	if ds, ok := Find(ies, IEDSParameter); ok && len(ds.Body) == 1 {
-		bc.Channel = int(ds.Body[0])
-	}
-	if csa, ok := ParseCSA(ies); ok {
-		bc.CSA = &csa
-	}
-	bc.Caps = ParseCapabilities(ies)
-	return bc, nil
-}
-
 // AssocRequest is the parsed form of an association request body.
 type AssocRequest struct {
 	CapInfo  uint16
@@ -276,65 +190,4 @@ func DecodeAssocRequest(b []byte) (AssocRequest, error) {
 	}
 	ar.Caps = ParseCapabilities(ies)
 	return ar, nil
-}
-
-// BlockAck is the compressed Block Ack control frame: the starting
-// sequence number plus a 64-bit bitmap of acknowledged MPDUs — the
-// link-layer feedback FastACK converts into fast TCP ACKs (§5.2).
-type BlockAck struct {
-	RA, TA   MAC
-	TID      int
-	StartSeq uint16
-	Bitmap   uint64
-}
-
-// Acked reports whether the MPDU with sequence number seq is covered.
-func (ba *BlockAck) Acked(seq uint16) bool {
-	off := int(seq-ba.StartSeq) & 0xfff
-	if off >= 64 {
-		return false
-	}
-	return ba.Bitmap&(1<<off) != 0
-}
-
-// SetAcked marks seq as received.
-func (ba *BlockAck) SetAcked(seq uint16) {
-	off := int(seq-ba.StartSeq) & 0xfff
-	if off < 64 {
-		ba.Bitmap |= 1 << off
-	}
-}
-
-// Encode renders the control frame (header + BA control + SSC + bitmap).
-func (ba *BlockAck) Encode(b []byte) []byte {
-	h := Header{Type: TypeControl, Subtype: SubtypeBlockAck, Addr1: ba.RA, Addr2: ba.TA}
-	// Control frames have no Addr3/seq on the air; we keep the common
-	// header for simplicity and mark the unused fields zero.
-	b = h.Encode(b)
-	ctl := uint16(0x0004) | uint16(ba.TID)<<12 // compressed bitmap
-	b = binary.LittleEndian.AppendUint16(b, ctl)
-	b = binary.LittleEndian.AppendUint16(b, ba.StartSeq<<4)
-	b = binary.LittleEndian.AppendUint64(b, ba.Bitmap)
-	return b
-}
-
-// DecodeBlockAck parses a Block Ack frame previously encoded by Encode.
-func DecodeBlockAck(b []byte) (BlockAck, error) {
-	h, body, err := DecodeHeader(b)
-	if err != nil {
-		return BlockAck{}, err
-	}
-	if h.Type != TypeControl || h.Subtype != SubtypeBlockAck {
-		return BlockAck{}, fmt.Errorf("%w: not a block ack", ErrBadFormat)
-	}
-	if len(body) < 12 {
-		return BlockAck{}, ErrTruncated
-	}
-	var ba BlockAck
-	ba.RA, ba.TA = h.Addr1, h.Addr2
-	ctl := binary.LittleEndian.Uint16(body[0:2])
-	ba.TID = int(ctl >> 12)
-	ba.StartSeq = binary.LittleEndian.Uint16(body[2:4]) >> 4
-	ba.Bitmap = binary.LittleEndian.Uint64(body[4:12])
-	return ba, nil
 }

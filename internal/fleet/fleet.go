@@ -9,6 +9,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -465,7 +466,9 @@ func CapabilityReport(m CapabilityModel, nClients int, seed int64) *stats.Counte
 		})
 		ar, err := dot11.DecodeAssocRequest(wire)
 		if err != nil {
-			continue // never expected; a decode failure just drops the sample
+			// A frame encoded just above must decode: a failure is a codec
+			// bug, and dropping the sample would skew every share.
+			panic(fmt.Sprintf("fleet: decoding our own association request: %v", err))
 		}
 		if ar.Caps.VHT {
 			c.Add("802.11ac")

@@ -75,8 +75,6 @@ type StationConfig struct {
 	// pool. Zero means unlimited. Front-inserted (elevated) frames bypass
 	// the pool check: they replace airtime already accounted for.
 	SharedPoolLimit int
-	// RetryLimit overrides the per-AC retry limits when > 0.
-	RetryLimit int
 }
 
 // perACRetryLimit returns how many retransmissions each access category

@@ -134,11 +134,11 @@ func TestInOrderDeliveryUnderLoss(t *testing.T) {
 }
 
 func TestReorderAdvanceOnDrop(t *testing.T) {
-	// With a terrible link and a tiny retry limit, drops must not stall
-	// the reorder buffer: later packets still reach the receiver.
+	// With a terrible link, drops at Best Effort's retry limit must not
+	// stall the reorder buffer: later packets still reach the receiver.
 	md := newTestMedium(-1) // below even MCS0's requirement
 
-	tx := md.AddStation(StationConfig{Name: "tx", NSS: 1, Width: spectrum.W20, RetryLimit: 1})
+	tx := md.AddStation(StationConfig{Name: "tx", NSS: 1, Width: spectrum.W20})
 	rx := md.AddStation(stationCfg("rx"))
 	got := 0
 	rx.OnReceive = func(*MPDU, sim.Time) { got++ }

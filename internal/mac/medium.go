@@ -59,8 +59,9 @@ type Medium struct {
 	// OnFrame, if set, receives a report for every frame exchange.
 	OnFrame func(FrameReport)
 	// OnTransmit, if set, receives the concrete MPDU list of every
-	// (non-collided) frame exchange at completion — the hook air-capture
-	// tooling uses to encode real 802.11 frames.
+	// (non-collided) frame exchange at completion. Nothing else exposes
+	// that list; TestPERMemoOnMixedAggregates reads it to count the
+	// frames that mixed MPDU lengths.
 	OnTransmit func(FrameReport, []*MPDU)
 }
 
@@ -458,9 +459,6 @@ func (md *Medium) completeFrame(c contender, dst StationID, rate phy.Rate, mpdus
 // reverses, so iterate from the back).
 func (st *Station) retry(failed []*MPDU, rx *Station, ac phy.AccessCategory, now sim.Time) {
 	limit := perACRetryLimit(ac)
-	if st.cfg.RetryLimit > 0 {
-		limit = st.cfg.RetryLimit
-	}
 	for i := len(failed) - 1; i >= 0; i-- {
 		m := failed[i]
 		m.Retries++

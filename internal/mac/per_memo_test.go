@@ -10,25 +10,25 @@ import (
 // The PER memo in completeFrame is exact. A-MPDUs alternate 1500 B data
 // MPDUs with 52 B pure ACKs toward one destination on marginal links, so
 // the length, and with it the PER, changes at nearly every subframe. The
-// delivered, failed, dropped and retry counts are the ones recorded before
-// the memo, when PER was computed afresh for every MPDU.
+// delivered, failed, dropped and retry counts are the ones recorded with
+// PER computed afresh for every MPDU. The AC_BK row drops five MPDUs at
+// that category's own retry limit (4): each failed five times and was
+// never delivered, so failed exceeds retries by 25.
 func TestPERMemoOnMixedAggregates(t *testing.T) {
 	// mixed counts the frames that carried both lengths.
 	type counts struct{ delivered, failed, dropped, retries, frames, mixed int64 }
 	for _, c := range []struct {
-		snr        float64
-		retryLimit int
-		want       counts
+		snr  float64
+		ac   phy.AccessCategory
+		want counts
 	}{
-		{14, 0, counts{2000, 121, 0, 121, 78, 77}},
-		{18, 0, counts{2000, 176, 0, 176, 242, 238}},
-		{22, 0, counts{2000, 56, 0, 56, 278, 274}},
-		{14, 1, counts{1976, 149, 24, 101, 80, 77}},
+		{14, phy.ACBE, counts{2000, 121, 0, 121, 78, 77}},
+		{18, phy.ACBE, counts{2000, 176, 0, 176, 242, 238}},
+		{22, phy.ACBE, counts{2000, 56, 0, 56, 278, 274}},
+		{13, phy.ACBK, counts{1995, 456, 5, 431, 58, 52}},
 	} {
 		md := newTestMedium(c.snr)
-		cfg := stationCfg("tx")
-		cfg.RetryLimit = c.retryLimit
-		tx := md.AddStation(cfg)
+		tx := md.AddStation(stationCfg("tx"))
 		rx := md.AddStation(stationCfg("rx"))
 		var got counts
 		tx.OnDelivered = func(m *MPDU, ok bool, _ sim.Time) {
@@ -51,7 +51,7 @@ func TestPERMemoOnMixedAggregates(t *testing.T) {
 				if sent%2 == 1 {
 					n = 12 // 52 B: a pure ACK with its timestamp option
 				}
-				tx.Enqueue(dgram(n), rx.ID, phy.ACBE)
+				tx.Enqueue(dgram(n), rx.ID, c.ac)
 				sent++
 			}
 		})
@@ -61,7 +61,7 @@ func TestPERMemoOnMixedAggregates(t *testing.T) {
 		st := tx.Stats()
 		got.delivered, got.failed, got.dropped, got.frames = st.Delivered, st.TxMPDUs-st.Delivered, st.Dropped, st.TxFrames
 		if got != c.want {
-			t.Errorf("SNR %v, retry limit %d: %+v, want %+v", c.snr, c.retryLimit, got, c.want)
+			t.Errorf("SNR %v, %v: %+v, want %+v", c.snr, c.ac, got, c.want)
 		}
 	}
 }

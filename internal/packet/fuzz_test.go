@@ -8,7 +8,7 @@ import (
 )
 
 // seedDatagrams returns well-formed wire images covering each parser arm,
-// the corpus the fuzzers start from (alongside the checked-in testdata
+// the corpus FuzzUnmarshal starts from (alongside the checked-in testdata
 // entries).
 func seedDatagrams() [][]byte {
 	src := packet.Endpoint{Addr: packet.IPv4Addr{10, 0, 0, 1}, Port: 443}
@@ -71,38 +71,6 @@ func FuzzUnmarshal(f *testing.F) {
 			if len(d.TCP.SACK) > 4 {
 				t.Fatalf("decoder admitted %d SACK blocks (wire format caps at 4)", len(d.TCP.SACK))
 			}
-		}
-	})
-}
-
-// FuzzDecodeEthernet checks the frame decoder: clean failure below 14
-// bytes, and a lossless header round-trip above.
-func FuzzDecodeEthernet(f *testing.F) {
-	eth := packet.Ethernet{
-		Dst:       packet.MAC{0xaa, 0xbb, 0xcc, 0x00, 0x01, 0x02},
-		Src:       packet.MAC{0xde, 0xad, 0xbe, 0xef, 0x00, 0x01},
-		EtherType: 0x0800,
-	}
-	f.Add(eth.Encode(nil))
-	f.Add(append(eth.Encode(nil), seedDatagrams()[0]...))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		e, rest, err := packet.DecodeEthernet(b)
-		if err != nil {
-			if len(b) >= 14 {
-				t.Fatalf("decode failed on %d bytes: %v", len(b), err)
-			}
-			return
-		}
-		if len(rest) != len(b)-14 {
-			t.Fatalf("payload length %d, want %d", len(rest), len(b)-14)
-		}
-		e2, _, err := packet.DecodeEthernet(e.Encode(nil))
-		if err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if e2 != e {
-			t.Fatalf("header changed across round-trip: %+v -> %+v", e, e2)
 		}
 	})
 }

@@ -5,38 +5,6 @@ import (
 	"fmt"
 )
 
-// Ethernet is the 14-byte link-layer header.
-type Ethernet struct {
-	Dst, Src  MAC
-	EtherType uint16
-}
-
-// LayerType implements Layer.
-func (*Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// HeaderLen is the encoded length of an Ethernet header.
-const ethernetHeaderLen = 14
-
-// Encode appends the wire form of e to b and returns the extended slice.
-func (e *Ethernet) Encode(b []byte) []byte {
-	b = append(b, e.Dst[:]...)
-	b = append(b, e.Src[:]...)
-	return binary.BigEndian.AppendUint16(b, e.EtherType)
-}
-
-// DecodeEthernet parses an Ethernet header, returning the header and the
-// remaining payload bytes.
-func DecodeEthernet(b []byte) (Ethernet, []byte, error) {
-	if len(b) < ethernetHeaderLen {
-		return Ethernet{}, nil, ErrTruncated
-	}
-	var e Ethernet
-	copy(e.Dst[:], b[0:6])
-	copy(e.Src[:], b[6:12])
-	e.EtherType = binary.BigEndian.Uint16(b[12:14])
-	return e, b[14:], nil
-}
-
 // IPv4 is the network-layer header (no IP options are generated; received
 // options are preserved only as header length).
 type IPv4 struct {
@@ -48,16 +16,6 @@ type IPv4 struct {
 	Checksum uint16
 	Src, Dst IPv4Addr
 }
-
-// LayerType implements Layer.
-func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
-
-// DSCP returns the differentiated-services code point, which maps to an
-// 802.11e access category (§3.2.4 of the paper).
-func (ip *IPv4) DSCP() uint8 { return ip.TOS >> 2 }
-
-// SetDSCP sets the DSCP bits, preserving ECN.
-func (ip *IPv4) SetDSCP(dscp uint8) { ip.TOS = dscp<<2 | ip.TOS&0x3 }
 
 const ipv4HeaderLen = 20
 
@@ -142,9 +100,6 @@ type TCP struct {
 	SACKPermitted bool
 	SACK          []SACKBlock // up to 4 blocks
 }
-
-// LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
 
 // NewTCP returns a TCP header with option fields marked absent.
 func NewTCP() TCP { return TCP{WindowScale: -1} }
@@ -347,9 +302,6 @@ type UDP struct {
 	Length           uint16
 	Checksum         uint16
 }
-
-// LayerType implements Layer.
-func (*UDP) LayerType() LayerType { return LayerTypeUDP }
 
 // Encode appends the wire form of u followed by payload.
 func (u *UDP) Encode(b []byte, src, dst IPv4Addr, payload []byte) []byte {

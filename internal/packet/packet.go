@@ -1,11 +1,12 @@
-// Package packet implements wire-format encoding and decoding for the
-// protocol layers the FastACK datapath must inspect and synthesize:
-// Ethernet, IPv4, TCP (including the options FastACK manipulates: MSS,
-// window scale, SACK-permitted and SACK blocks) and UDP.
+// Package packet is the IP datagram the simulated data plane carries and
+// its wire format, IPv4 onward: IPv4, TCP (including the options FastACK
+// manipulates: MSS, window scale, SACK-permitted and SACK blocks) and UDP.
+// There is no link layer; the testbed's switch and radios hand datagrams
+// on by pointer.
 //
-// The design follows the layered-decoding model popularised by gopacket: a
-// packet is a []byte decoded into a stack of layers, each layer knows its
-// own wire format, and transport flows are identified by hashable
+// A Datagram holds decoded headers, so the simulator never re-encodes on a
+// hop; Marshal and Unmarshal convert to and from wire bytes at the edges
+// (pcap export, fuzzing). Transport flows are identified by hashable
 // Flow/Endpoint keys usable directly as map keys.
 package packet
 
@@ -15,62 +16,11 @@ import (
 	"fmt"
 )
 
-// LayerType identifies a protocol layer.
-type LayerType int
-
-// Layer types understood by this package.
-const (
-	LayerTypeEthernet LayerType = iota
-	LayerTypeIPv4
-	LayerTypeTCP
-	LayerTypeUDP
-	LayerTypePayload
-)
-
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeEthernet:
-		return "Ethernet"
-	case LayerTypeIPv4:
-		return "IPv4"
-	case LayerTypeTCP:
-		return "TCP"
-	case LayerTypeUDP:
-		return "UDP"
-	case LayerTypePayload:
-		return "Payload"
-	}
-	return fmt.Sprintf("LayerType(%d)", int(t))
-}
-
-// Layer is one decoded protocol layer.
-type Layer interface {
-	LayerType() LayerType
-}
-
 // Errors returned by decoders.
 var (
 	ErrTruncated = errors.New("packet: truncated")
 	ErrBadFormat = errors.New("packet: malformed header")
 )
-
-// MAC is a 6-byte link-layer address, usable as a map key.
-type MAC [6]byte
-
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// MACFromUint64 builds a MAC from the low 48 bits of v; handy for
-// generating distinct synthetic station addresses.
-func MACFromUint64(v uint64) MAC {
-	var m MAC
-	for i := 5; i >= 0; i-- {
-		m[i] = byte(v)
-		v >>= 8
-	}
-	return m
-}
 
 // IPv4Addr is a 4-byte network address, usable as a map key.
 type IPv4Addr [4]byte
@@ -118,6 +68,3 @@ const (
 	ProtoTCP = 6
 	ProtoUDP = 17
 )
-
-// EtherType values.
-const EtherTypeIPv4 = 0x0800

@@ -7,35 +7,6 @@ import (
 	"unsafe"
 )
 
-func TestEthernetRoundTrip(t *testing.T) {
-	e := Ethernet{
-		Dst:       MACFromUint64(0x0011223344556677),
-		Src:       MACFromUint64(0xaabbccddeeff),
-		EtherType: EtherTypeIPv4,
-	}
-	b := e.Encode(nil)
-	got, rest, err := DecodeEthernet(append(b, 0xde, 0xad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != e {
-		t.Fatalf("round trip: %+v != %+v", got, e)
-	}
-	if len(rest) != 2 {
-		t.Fatalf("payload len %d", len(rest))
-	}
-	if _, _, err := DecodeEthernet(b[:10]); err != ErrTruncated {
-		t.Fatalf("truncated: %v", err)
-	}
-}
-
-func TestMACString(t *testing.T) {
-	m := MACFromUint64(0x0000deadbeef0102)
-	if m.String() != "de:ad:be:ef:01:02" {
-		t.Fatalf("MAC string = %q", m.String())
-	}
-}
-
 func TestIPv4RoundTripAndChecksum(t *testing.T) {
 	ip := IPv4{
 		TOS: 0xb8, ID: 42, TTL: 64, Protocol: ProtoTCP,
@@ -59,16 +30,8 @@ func TestIPv4RoundTripAndChecksum(t *testing.T) {
 	if cs := ipChecksum(b[:20]); cs != 0 {
 		t.Fatalf("checksum verification failed: %04x", cs)
 	}
-	if got.DSCP() != 0xb8>>2 {
-		t.Fatalf("DSCP = %d", got.DSCP())
-	}
-}
-
-func TestIPv4SetDSCPPreservesECN(t *testing.T) {
-	ip := IPv4{TOS: 0x03} // ECN bits set
-	ip.SetDSCP(46)        // EF
-	if ip.DSCP() != 46 || ip.TOS&0x3 != 0x3 {
-		t.Fatalf("TOS = %02x", ip.TOS)
+	if got.TOS != 0xb8 || got.ID != 42 {
+		t.Fatalf("TOS %02x, ID %d", got.TOS, got.ID)
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package pcap writes libpcap capture files, so traffic from the
-// simulators — raw IP datagrams at the AP's wired port, or 802.11 frames
-// on the air — can be opened in Wireshark/tcpdump for inspection. Only
-// the classic (non-ng) format is implemented; it is universally readable.
+// Package pcap writes libpcap capture files, so the raw IP datagrams
+// crossing the testbed APs' wired ports (cmd/experiments -pcap) can be
+// opened in Wireshark/tcpdump for inspection. Only the classic (non-ng)
+// format is implemented; it is universally readable. Reader exists as the
+// Writer's test reference.
 package pcap
 
 import (
@@ -16,15 +17,9 @@ import (
 // https://www.tcpdump.org/linktypes.html).
 type LinkType uint32
 
-// Link types used by this repository's simulators.
-const (
-	// LinkTypeRawIP frames begin directly with an IPv4/IPv6 header.
-	LinkTypeRawIP LinkType = 101
-	// LinkTypeIEEE80211 frames begin with an 802.11 MAC header.
-	LinkTypeIEEE80211 LinkType = 105
-	// LinkTypeEthernet frames begin with an Ethernet header.
-	LinkTypeEthernet LinkType = 1
-)
+// LinkTypeRawIP frames begin directly with an IPv4/IPv6 header, the only
+// link type this repository writes.
+const LinkTypeRawIP LinkType = 101
 
 const (
 	magicMicros = 0xa1b2c3d4

@@ -63,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestHeaderFormat(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, LinkTypeIEEE80211)
+	w := NewWriter(&buf, LinkTypeRawIP)
 	if err := w.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHeaderFormat(t *testing.T) {
 	if binary.LittleEndian.Uint32(b[0:4]) != 0xa1b2c3d4 {
 		t.Fatal("bad magic")
 	}
-	if binary.LittleEndian.Uint32(b[20:24]) != 105 {
+	if binary.LittleEndian.Uint32(b[20:24]) != 101 {
 		t.Fatal("bad link type")
 	}
 }

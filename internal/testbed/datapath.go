@@ -9,28 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// acForDatagram maps DSCP to an access category; testbed bulk flows are
-// unmarked, so everything rides Best Effort like the field data (§3.2.4).
-func acForDatagram(d *packet.Datagram) phy.AccessCategory {
-	switch d.IP.DSCP() >> 3 {
-	case 1: // CS1: background
-		return phy.ACBK
-	case 4, 5: // CS4/CS5: video
-		return phy.ACVI
-	case 6, 7: // CS6/CS7: voice
-		return phy.ACVO
-	default:
-		return phy.ACBE
-	}
-}
-
 // fromWire handles a downlink datagram arriving on the AP's Ethernet port.
 func (ap *AP) fromWire(d *packet.Datagram) {
 	c := ap.client(d.IP.Dst)
 	if c == nil {
 		return // not one of ours (e.g. other AP's client): switch floods away
 	}
-	ac := acForDatagram(d)
+	// Testbed flows are unmarked, so everything rides Best Effort like
+	// the field data (§3.2.4).
+	const ac = phy.ACBE
 
 	if ap.Agent == nil {
 		ap.trackTCPData(d)

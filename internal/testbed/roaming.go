@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/packet"
+	"repro/internal/phy"
 )
 
 // Roam moves a client's association from its current AP to APs[toAP],
@@ -63,7 +64,7 @@ func (tb *Testbed) Roam(clientIdx, toAP int) error {
 			// Re-drive the cache into the roam-to radio: the flushed
 			// frames reach the client ahead of any end-to-end repair.
 			for _, d := range ex.Cache {
-				to.Station.Enqueue(d, c.Station.ID, acForDatagram(d))
+				to.Station.Enqueue(d, c.Station.ID, phy.ACBE)
 			}
 		}
 	}

@@ -159,9 +159,6 @@ type Options struct {
 	// Capture, when non-nil, receives every datagram crossing the APs'
 	// wired ports as a raw-IP pcap stream (openable in Wireshark).
 	Capture *pcap.Writer
-	// AirCapture, when non-nil, receives every transmitted 802.11 frame
-	// (QoS data subframes + block ACKs) as a LinkTypeIEEE80211 pcap.
-	AirCapture *pcap.Writer
 }
 
 // DefaultOptions mirrors the paper's testbed: ten clients per AP spread
@@ -324,9 +321,6 @@ func New(opt Options) *Testbed {
 	tb.wireLine = sim.NewLine(tb.Engine, wiredDelay, func(w wired) { w.to.fromWire(w.d) })
 	tb.Medium = mac.NewMedium(tb.Engine, 35)
 	tb.Medium.OnFrame = tb.onFrame
-	if opt.AirCapture != nil {
-		tb.installAirCapture(opt.AirCapture)
-	}
 
 	for i, mode := range opt.APModes {
 		ap := &AP{tb: tb, Index: i, Mode: mode}

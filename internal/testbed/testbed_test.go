@@ -1,12 +1,8 @@
 package testbed
 
 import (
-	"bytes"
 	"testing"
 
-	"repro/internal/dot11"
-	"repro/internal/packet"
-	"repro/internal/pcap"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -309,58 +305,6 @@ func TestRoamErrors(t *testing.T) {
 	}
 	if err := tb.Roam(0, 0); err != nil {
 		t.Fatalf("no-op roam errored: %v", err)
-	}
-}
-
-func TestAirCaptureProducesValidFrames(t *testing.T) {
-	var buf bytes.Buffer
-	w := pcap.NewWriter(&buf, pcap.LinkTypeIEEE80211)
-	opt := DefaultOptions()
-	opt.ClientsPerAP = 2
-	opt.AirCapture = w
-	opt.Warmup = 100 * sim.Millisecond
-	tb := New(opt)
-	tb.Run(500 * sim.Millisecond)
-	if w.Packets() < 100 {
-		t.Fatalf("captured only %d frames", w.Packets())
-	}
-
-	r, err := pcap.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Link != pcap.LinkTypeIEEE80211 {
-		t.Fatalf("link type %d", r.Link)
-	}
-	data, bas := 0, 0
-	for i := 0; i < 200; i++ {
-		_, frame, err := r.Next()
-		if err != nil {
-			break
-		}
-		h, body, err := dot11.DecodeHeader(frame)
-		if err != nil {
-			t.Fatalf("frame %d undecodable: %v", i, err)
-		}
-		switch {
-		case h.Type == dot11.TypeData:
-			data++
-			// LLC/SNAP then a decodable IPv4 datagram.
-			if len(body) < 8 || body[6] != 0x08 || body[7] != 0x00 {
-				t.Fatalf("frame %d missing LLC/SNAP: %x", i, body[:8])
-			}
-			if _, err := packet.Unmarshal(body[8:]); err != nil {
-				t.Fatalf("frame %d bad IP payload: %v", i, err)
-			}
-		case h.Type == dot11.TypeControl && h.Subtype == dot11.SubtypeBlockAck:
-			bas++
-			if _, err := dot11.DecodeBlockAck(frame); err != nil {
-				t.Fatalf("frame %d bad BA: %v", i, err)
-			}
-		}
-	}
-	if data == 0 || bas == 0 {
-		t.Fatalf("capture lacks data (%d) or block acks (%d)", data, bas)
 	}
 }
 
