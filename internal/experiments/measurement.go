@@ -37,7 +37,7 @@ func fig1(s *Session, r *Report) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-14s %8s %8s\n", "capability", "2015", "2017")
-	for _, k := range []string{"802.11ac", "2.4GHz-only", ">=40MHz", ">=80MHz", ">=2SS"} {
+	for _, k := range []string{"802.11ac", "2.4GHz-only", ">=40MHz", ">=2SS"} {
 		fmt.Fprintf(&b, "%-14s %7.1f%% %7.1f%%\n", k, frac(c15, k), frac(c17, k))
 	}
 	r.Detail = b.String()

@@ -9,7 +9,8 @@ import (
 )
 
 // runMetrics renders the observability activity the session has
-// accumulated on the default registry (planner and fastack scopes) as a regular report, so every sweep ends with the counters and
+// accumulated on the default registry (turboca, backend and fastack
+// scopes) as a regular report, so every sweep ends with the counters and
 // distributions a live -metrics endpoint would show — for the experiments
 // that ran before it, and nothing else the process did earlier.
 func runMetrics(s *Session, r *Report) {

@@ -36,7 +36,8 @@ type Session struct {
 }
 
 // NewSession starts a sweep. The Metrics report covers what the default
-// obs registry accumulates from here on.
+// obs registry accumulates from here on: the planner, backend and fastack
+// scopes of every run the session performs.
 func NewSession(opt Options) *Session {
 	return &Session{
 		Opt:     opt,
@@ -95,7 +96,12 @@ type ABResult struct{ Reserved, Turbo ABArm }
 // RunAB simulates both arms of ab.
 func RunAB(ab AB) ABResult {
 	arm := func(alg backend.Algorithm) ABArm {
+		// Both arms count on the default registry, so the Metrics report
+		// sees their planner and backend activity. The arms run in
+		// sequence and each arm's Control() is read before the next
+		// backend is built, so its deltas stay exact.
 		opt := backend.DefaultOptions(alg)
+		opt.Obs = obs.Default()
 		if ab.Tune != nil {
 			ab.Tune(&opt)
 		}

@@ -476,9 +476,6 @@ func CapabilityReport(m CapabilityModel, nClients int, seed int64) *stats.Counte
 		if ar.Caps.MaxWidth >= spectrum.W40 {
 			c.Add(">=40MHz")
 		}
-		if ar.Caps.MaxWidth >= spectrum.W80 {
-			c.Add(">=80MHz")
-		}
 		if ar.Caps.NSS >= 2 {
 			c.Add(">=2SS")
 		}

@@ -211,7 +211,7 @@ func (ns *netState) ensureBuilt() {
 }
 
 // Controller drives a fleet of networks off one cadence scheduler.
-// Run, Add*, Remove, and Snapshot must be called from one goroutine (the
+// Run, Add*, and Snapshot must be called from one goroutine (the
 // control loop); the worker pool is internal.
 type Controller struct {
 	cfg Config
@@ -292,7 +292,7 @@ func (c *Controller) Now() sim.Time { return c.now }
 // skipped pass leaves every snapshot byte where running it would.
 func (c *Controller) SkippedFastPasses() int64 { return c.met.skippedI0.Value() }
 
-// Len returns the number of registered (non-removed) networks.
+// Len returns the number of registered networks.
 func (c *Controller) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -424,31 +424,6 @@ func (c *Controller) register(ns *netState) {
 	}
 }
 
-// Remove deregisters a network. It never fires again: its pending heap
-// entries are dropped immediately, and any entry that survives is
-// discarded on pop. Returns false
-// if the network is unknown (the journal still records the intent:
-// removing an unknown ID replays as the same no-op).
-func (c *Controller) Remove(id int) bool {
-	if err := c.appendRecord(jrec{Op: opRemove, ID: id}); err != nil {
-		return false
-	}
-	return c.remove(id)
-}
-
-func (c *Controller) remove(id int) bool {
-	c.mu.Lock()
-	_, ok := c.reg[id]
-	delete(c.reg, id)
-	c.mu.Unlock()
-	if !ok {
-		return false
-	}
-	c.met.networks.Add(-1)
-	c.met.removedDropped.Add(int64(c.sched.dropNetwork(id)))
-	return true
-}
-
 // passJob is one network's work at a tick: the deepest due level plus
 // every shallower level it subsumes.
 type passJob struct {
@@ -532,11 +507,6 @@ func (c *Controller) runTick(t sim.Time, due []passEntry) {
 	var jobs []*passJob
 	for _, e := range due {
 		ns := c.get(e.id)
-		if ns == nil {
-			// Removed after this entry was pushed: drop, never re-arm.
-			c.met.removedDropped.Inc()
-			continue
-		}
 		if ns.quarantined {
 			// Defensive: quarantine drops all pending entries, so nothing
 			// should reach here; anything that does is dropped the same way.

@@ -211,45 +211,6 @@ func TestOverloadShedsDeepestFirst(t *testing.T) {
 	}
 }
 
-// A removed network never fires again — not from entries dropped at
-// removal, and not from entries that somehow survive (covered by pushing
-// one behind the scheduler's back).
-func TestRemovedNetworkNeverFires(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := New(Config{Seed: 7, Fast: 10 * sim.Minute, Mid: -1, Deep: -1, Obs: reg})
-	c.Add(testNetwork(0, 2))
-	c.Add(testNetwork(1, 2))
-	c.Run(10 * sim.Minute)
-
-	if !c.Remove(1) {
-		t.Fatal("Remove(1) = false")
-	}
-	if c.Remove(1) {
-		t.Fatal("second Remove(1) = true")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	// A stale entry for the removed network must be discarded on pop.
-	c.sched.push(passEntry{at: c.now + 10*sim.Minute, id: 1, level: levelFast})
-
-	c.Run(30 * sim.Minute)
-	snap := c.Snapshot()
-	if len(snap.Networks) != 1 || snap.Networks[0].ID != 0 {
-		t.Fatalf("snapshot networks = %+v, want only net 0", snap.Networks)
-	}
-	if got := snap.Networks[0].Passes[levelFast]; got != 4 {
-		t.Fatalf("net 0 ran %d fast passes, want 4", got)
-	}
-	// 1 entry dropped at Remove + 1 stale entry discarded on pop.
-	if got := reg.Counter("fleetd.removed_dropped").Value(); got != 2 {
-		t.Fatalf("fleetd.removed_dropped = %d, want 2", got)
-	}
-	if got := reg.Gauge("fleetd.networks").Value(); got != 1 {
-		t.Fatalf("fleetd.networks = %d, want 1", got)
-	}
-}
-
 // The determinism contract: same seed and network set produce a
 // byte-identical snapshot and byte-identical checkpoint bytes for every
 // worker count, both right after the first mid pass and four hours in.

@@ -25,7 +25,6 @@ import (
 //	addfleet  a generative fleet registration (fleet.Options — replay
 //	          re-runs fleet.Generate, so 10k networks cost one record).
 //	add       one hand-built network, inlined (fleet.Network JSON).
-//	remove    network deregistration.
 //	advance   RunTo target clock, written ahead of the run. Replaying an
 //	          advance re-executes every pass it covered.
 //	ckpt      a checkpoint committed at clock To with the given content
@@ -34,8 +33,9 @@ import (
 //	shutdown  clean shutdown marker (Close, after a final checkpoint).
 //
 // Retired ops: journals from before degraded mode was removed may hold
-// demote and ckptfail records, and journals from before per-network
-// cadences were removed may hold cadence records; Open refuses all three
+// demote and ckptfail records, journals from before per-network cadences
+// were removed may hold cadence records, and journals from before network
+// removal was dropped may hold remove records; Open refuses all four
 // rather than replay them.
 //
 // Each record carries its 1-based sequence number and a CRC32 over its
@@ -46,7 +46,6 @@ const (
 	opConfig   = "config"
 	opAddFleet = "addfleet"
 	opAdd      = "add"
-	opRemove   = "remove"
 	opAdvance  = "advance"
 	opCkpt     = "ckpt"
 	opShutdown = "shutdown"
@@ -55,9 +54,12 @@ const (
 // jrec is one journal record. CRC must stay the last field so that any
 // torn prefix of the line is guaranteed to be invalid JSON.
 type jrec struct {
-	Seq    int            `json:"seq"`
-	Op     string         `json:"op"`
-	To     int64          `json:"to,omitempty"` // clock, µs
+	Seq int    `json:"seq"`
+	Op  string `json:"op"`
+	To  int64  `json:"to,omitempty"` // clock, µs
+	// ID exists for the retired remove record: without it such a record
+	// fails its CRC check, and as the final record would be dropped as a
+	// torn tail instead of refused.
 	ID     int            `json:"id,omitempty"`
 	Fleet  *fleet.Options `json:"fleet,omitempty"`
 	Net    *fleet.Network `json:"net,omitempty"`

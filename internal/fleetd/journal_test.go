@@ -38,7 +38,7 @@ func sampleRecords() []jrec {
 		{Op: opAdd, Net: net},
 		{Op: opAdvance, To: 900_000_000},
 		{Op: opCkpt, To: 1_800_000_000, Digest: ^uint64(0)},
-		{Op: opRemove, ID: 3},
+		{Op: "remove", ID: 3}, // retired: decodes, Open refuses it
 		{Op: opShutdown},
 	}
 }

@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Controller observability (scope "fleetd"):
 //
-//	fleetd.networks          registered (non-removed) networks
+//	fleetd.networks          registered networks
 //	fleetd.passes_i{0,1,2}   planning passes executed, by cadence level
 //	fleetd.skipped_i0        fast band-invocations the planning service
 //	                         elided as provable no-ops (dirty-skip);
@@ -14,8 +14,6 @@ import "repro/internal/obs"
 //	fleetd.coalesced         shallower passes subsumed by a deeper pass
 //	                         due at the same tick (the §4.4.4 schedule
 //	                         composition: every deep pass ends in i=0)
-//	fleetd.removed_dropped   heap entries dropped because their network
-//	                         was removed
 //	fleetd.due_per_tick      passes due at one scheduler tick
 //	fleetd.shed_per_tick     passes shed at one scheduler tick
 //	fleetd.sched_lag_us      wall µs a dispatched pass waited for a
@@ -36,16 +34,15 @@ import "repro/internal/obs"
 //	fleetd.watchdog_cancels  stuck passes cancelled past their deadline
 //	fleetd.quarantined       networks quarantined after a faulted pass
 type metrics struct {
-	networks       *obs.Gauge
-	passesRun      [numLevels]*obs.Counter
-	skippedI0      *obs.Counter
-	passesShed     [numLevels]*obs.Counter
-	coalesced      *obs.Counter
-	removedDropped *obs.Counter
-	duePerTick     *obs.Histogram
-	shedPerTick    *obs.Histogram
-	schedLagUS     *obs.Histogram
-	passUS         *obs.Histogram
+	networks    *obs.Gauge
+	passesRun   [numLevels]*obs.Counter
+	skippedI0   *obs.Counter
+	passesShed  [numLevels]*obs.Counter
+	coalesced   *obs.Counter
+	duePerTick  *obs.Histogram
+	shedPerTick *obs.Histogram
+	schedLagUS  *obs.Histogram
+	passUS      *obs.Histogram
 
 	journalRecords  *obs.Counter
 	ckptCommits     *obs.Counter
@@ -60,14 +57,13 @@ type metrics struct {
 func metricsOn(reg *obs.Registry) *metrics {
 	s := reg.Scope("fleetd")
 	m := &metrics{
-		networks:       s.Gauge("networks"),
-		skippedI0:      s.Counter("skipped_i0"),
-		coalesced:      s.Counter("coalesced"),
-		removedDropped: s.Counter("removed_dropped"),
-		duePerTick:     s.Histogram("due_per_tick", "passes"),
-		shedPerTick:    s.Histogram("shed_per_tick", "passes"),
-		schedLagUS:     s.Histogram("sched_lag_us", "µs"),
-		passUS:         s.Histogram("pass_us", "µs"),
+		networks:    s.Gauge("networks"),
+		skippedI0:   s.Counter("skipped_i0"),
+		coalesced:   s.Counter("coalesced"),
+		duePerTick:  s.Histogram("due_per_tick", "passes"),
+		shedPerTick: s.Histogram("shed_per_tick", "passes"),
+		schedLagUS:  s.Histogram("sched_lag_us", "µs"),
+		passUS:      s.Histogram("pass_us", "µs"),
 
 		journalRecords:  s.Counter("journal_records"),
 		ckptCommits:     s.Counter("ckpt_commits"),

@@ -129,9 +129,6 @@ func Open(cfg Config, store Store) (*Controller, error) {
 				return nil, fmt.Errorf("fleetd: journal add record %d has no network", r.Seq)
 			}
 			c.add(r.Net)
-		case opRemove:
-			c.replayPop()
-			c.remove(r.ID)
 		case opAdvance:
 			c.replayPop()
 			if err := c.runTo(sim.Time(r.To)); err != nil {
@@ -146,7 +143,7 @@ func Open(cfg Config, store Store) (*Controller, error) {
 		case opShutdown:
 			c.replayPop()
 		default:
-			// Includes the retired demote/ckptfail/cadence records:
+			// Includes the retired demote/ckptfail/cadence/remove records:
 			// replaying one without its mechanism would rebuild different
 			// state.
 			return nil, fmt.Errorf("fleetd: unexpected journal record %q at seq %d", r.Op, r.Seq)

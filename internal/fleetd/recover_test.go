@@ -365,24 +365,35 @@ func TestCheckpointCommitFailureCounted(t *testing.T) {
 }
 
 // TestOpenRefusesRetiredRecords: a journal from before degraded mode was
-// removed, holding a demote or ckptfail record, or from before per-network
-// cadences were removed, holding a cadence record, is refused with an
-// error naming the record — never replayed into different state.
+// removed, holding a demote or ckptfail record, from before per-network
+// cadences were removed, holding a cadence record, or from before network
+// removal was dropped, holding a remove record, is refused with an error
+// naming the record and left as it was — never replayed into different
+// state, and never truncated as a torn tail.
 func TestOpenRefusesRetiredRecords(t *testing.T) {
 	cfg := testConfig(23)
 	opt := testFleet(23, 4).Opt
-	for _, op := range []string{"demote", "ckptfail", "cadence"} {
+	for _, retired := range []jrec{
+		{Op: "demote", To: int64(sim.Hour)},
+		{Op: "ckptfail", To: int64(sim.Hour)},
+		{Op: "cadence", To: int64(sim.Hour)},
+		{Op: "remove", ID: 2},
+	} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: cfg.withDefaults().digest()},
 			jrec{Op: opAddFleet, Fleet: &opt},
 			jrec{Op: opAdvance, To: int64(2 * sim.Hour)},
-			jrec{Op: op, To: int64(sim.Hour)},
+			retired,
 		))
+		written := bytes.Clone(store.journal.Bytes())
 		cfg.Obs = obs.NewRegistry()
 		_, err := Open(cfg, store)
-		if err == nil || !strings.Contains(err.Error(), strconv.Quote(op)) {
-			t.Fatalf("Open of a journal with a %s record: err = %v, want it refused by name", op, err)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(retired.Op)) {
+			t.Fatalf("Open of a journal with a %s record: err = %v, want it refused by name", retired.Op, err)
+		}
+		if !bytes.Equal(store.journal.Bytes(), written) {
+			t.Fatalf("Open of a journal with a %s record rewrote it", retired.Op)
 		}
 	}
 }

@@ -94,8 +94,8 @@ func (s *scheduler) entries() []passEntry {
 	return out
 }
 
-// dropNetwork removes every pending entry for a network (after Remove),
-// so a removed network costs nothing even if its deadlines were far out.
+// dropNetwork removes every pending entry for a network (on quarantine),
+// so it costs nothing even if its deadlines were far out.
 func (s *scheduler) dropNetwork(id int) int {
 	kept := s.h[:0]
 	dropped := 0

@@ -124,9 +124,6 @@ func (s Snapshot) WriteText(w io.Writer) (int64, error) {
 	return n, nil
 }
 
-// WriteTo implements io.WriterTo with the text rendering.
-func (s Snapshot) WriteTo(w io.Writer) (int64, error) { return s.WriteText(w) }
-
 // WriteJSON renders the snapshot as indented JSON with sorted keys
 // (encoding/json orders map keys), the expvar-style payload the HTTP
 // handler serves.

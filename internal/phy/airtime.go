@@ -3,16 +3,14 @@ package phy
 // MAC/PHY timing constants for 5 GHz OFDM (802.11ac), in microseconds.
 // These govern both real airtime computation and the MAC simulator's clock.
 const (
-	SIFSus        = 16 // short interframe space, 5 GHz
-	SlotUs        = 9  // slot time
-	DIFSus        = SIFSus + 2*SlotUs
+	SIFSus        = 16   // short interframe space, 5 GHz
+	SlotUs        = 9    // slot time
 	VHTPreambleUs = 44.0 // L-STF+L-LTF+L-SIG+VHT-SIG-A+VHT-STF+VHT-LTFx2+VHT-SIG-B (3x3 typical)
 	LegacyRateMbp = 24.0 // control frame (ACK/BA) rate
 	BlockAckBytes = 32   // compressed block ack frame
 	AckBytes      = 14
 	MPDUDelimiter = 4  // A-MPDU delimiter bytes per subframe
 	MACHeaderLen  = 34 // QoS data header + FCS
-	SGIns         = 400
 )
 
 // EDCA access category parameters (802.11e), per Table 8 of the standard.

@@ -82,16 +82,9 @@ func (l Link) SNRDB(w spectrum.Width) float64 {
 // DefaultAPTxPowerDBm is a typical enterprise AP 5 GHz transmit power.
 const DefaultAPTxPowerDBm = 20.0
 
-// DefaultClientTxPowerDBm is a typical laptop/phone transmit power.
-const DefaultClientTxPowerDBm = 15.0
-
 // DefaultAntennaGainDBi is a typical integrated omni antenna gain.
 const DefaultAntennaGainDBi = 3.0
 
 // CarrierSenseThresholdDBm is the energy level above which a station defers
 // (clear channel assessment for valid 802.11 preambles).
 const CarrierSenseThresholdDBm = -82.0
-
-// MinAssociationRSSIDBm is the weakest signal at which clients remain
-// usefully associated.
-const MinAssociationRSSIDBm = -78.0

@@ -1,7 +1,6 @@
 package rfenv_test
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/rfenv"
@@ -123,52 +122,6 @@ func TestNoiseMap(t *testing.T) {
 	}
 	if !sawEntries || !sawQuiet {
 		t.Fatalf("12 hours: occupied sample seen %v, quiet band seen %v; want both", sawEntries, sawQuiet)
-	}
-}
-
-// TestRecordingRoundTrip pins the recorded-trace interchange: a marshaled
-// recording parses back losslessly and agrees with the live trace inside
-// the horizon, and samples 0 beyond it.
-func TestRecordingRoundTrip(t *testing.T) {
-	const horizon = 6 * sim.Hour
-	ts := rfenv.NewTraceSet(11, []int{36, 52, 100, 165}, rfenv.DefaultTraceOptions())
-	rec := ts.Record(horizon)
-	data := rec.Marshal()
-	back, err := rfenv.ParseRecording(data)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	if !bytes.Equal(back.Marshal(), data) {
-		t.Fatal("marshal -> parse -> marshal not byte-identical")
-	}
-	for _, ch := range ts.Channels() {
-		for at := sim.Time(0); at < horizon; at += 97 * sim.Second {
-			if live, got := ts.Occupancy(ch, at), back.Occupancy(ch, at); live != got {
-				t.Fatalf("chan %d at %v: recording %v != live %v", ch, at, got, live)
-			}
-		}
-		if back.Occupancy(ch, horizon+sim.Second) != 0 {
-			t.Fatal("recording must sample 0 beyond its horizon")
-		}
-	}
-}
-
-func TestParseRecordingRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"36 100",                 // field count
-		"x 100 0.5",              // channel
-		"36 -1 0.5",              // negative end
-		"36 100 1.5",             // occupancy range
-		"36 100 NaN",             // occupancy NaN
-		"36 200 0.5\n36 100 0.2", // non-increasing
-	} {
-		if _, err := rfenv.ParseRecording([]byte(bad)); err == nil {
-			t.Fatalf("ParseRecording(%q) accepted malformed input", bad)
-		}
-	}
-	r, err := rfenv.ParseRecording([]byte("# comment\n\n36 100 0.5\n"))
-	if err != nil || len(r.ByChan[36]) != 1 {
-		t.Fatalf("comment/blank skipping broken: %v %v", r, err)
 	}
 }
 

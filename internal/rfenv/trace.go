@@ -1,14 +1,10 @@
 package rfenv
 
 import (
-	"bufio"
-	"bytes"
-	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
 	"sort"
-	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/spectrum"
@@ -189,116 +185,4 @@ func (ts *TraceSet) NoiseMap(t sim.Time) []float64 {
 		}
 	}
 	return row
-}
-
-// Step is one recorded-trace step: the channel holds Occ from the
-// previous step's End (0 for the first) until End.
-type Step struct {
-	End sim.Time
-	Occ float64
-}
-
-// Recording is a materialized trace in WACA's recorded-trace shape: per
-// channel, an abutting step sequence from t=0 to the recording horizon.
-type Recording struct {
-	ByChan map[int][]Step
-}
-
-// Record materializes every channel's trace up to horizon. The final
-// step of each channel is clamped to end exactly at horizon, so two
-// recordings of the same set at different horizons agree on the overlap.
-func (ts *TraceSet) Record(horizon sim.Time) *Recording {
-	r := &Recording{ByChan: make(map[int][]Step, len(ts.chans))}
-	for _, ch := range ts.chans {
-		tr := ts.by[ch]
-		ts.extend(tr, horizon)
-		var steps []Step
-		for i, end := range tr.end {
-			if end > horizon {
-				steps = append(steps, Step{End: horizon, Occ: tr.occ[i]})
-				break
-			}
-			steps = append(steps, Step{End: end, Occ: tr.occ[i]})
-		}
-		r.ByChan[ch] = steps
-	}
-	return r
-}
-
-// Occupancy samples a recording; 0 beyond its horizon or off-trace.
-func (r *Recording) Occupancy(ch int, t sim.Time) float64 {
-	steps := r.ByChan[ch]
-	if len(steps) == 0 || t < 0 {
-		return 0
-	}
-	i := sort.Search(len(steps), func(i int) bool { return steps[i].End > t })
-	if i == len(steps) {
-		return 0
-	}
-	return steps[i].Occ
-}
-
-// Marshal renders the recording in the interchange format: one
-// "channel end_us occupancy" line per step, channels ascending, steps in
-// time order. Occupancy uses shortest round-tripping notation so
-// Marshal/ParseRecording is lossless.
-func (r *Recording) Marshal() []byte {
-	var chans []int
-	for ch := range r.ByChan {
-		chans = append(chans, ch)
-	}
-	sort.Ints(chans)
-	var buf bytes.Buffer
-	buf.WriteString("# rfenv trace v1: chan end_us occupancy\n")
-	for _, ch := range chans {
-		for _, s := range r.ByChan[ch] {
-			buf.WriteString(strconv.Itoa(ch))
-			buf.WriteByte(' ')
-			buf.WriteString(strconv.FormatInt(int64(s.End), 10))
-			buf.WriteByte(' ')
-			buf.WriteString(strconv.FormatFloat(s.Occ, 'g', -1, 64))
-			buf.WriteByte('\n')
-		}
-	}
-	return buf.Bytes()
-}
-
-// ParseRecording parses Marshal's output (comment lines starting with
-// '#' and blank lines are skipped).
-func ParseRecording(data []byte) (*Recording, error) {
-	r := &Recording{ByChan: make(map[int][]Step)}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	line := 0
-	for sc.Scan() {
-		line++
-		text := bytes.TrimSpace(sc.Bytes())
-		if len(text) == 0 || text[0] == '#' {
-			continue
-		}
-		fields := bytes.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("rfenv: line %d: want 3 fields, got %d", line, len(fields))
-		}
-		ch, err := strconv.Atoi(string(fields[0]))
-		if err != nil {
-			return nil, fmt.Errorf("rfenv: line %d: channel: %v", line, err)
-		}
-		end, err := strconv.ParseInt(string(fields[1]), 10, 64)
-		if err != nil || end < 0 {
-			return nil, fmt.Errorf("rfenv: line %d: bad end %q", line, fields[1])
-		}
-		occ, err := strconv.ParseFloat(string(fields[2]), 64)
-		if err != nil || occ < 0 || occ > 1 || math.IsNaN(occ) {
-			return nil, fmt.Errorf("rfenv: line %d: bad occupancy %q", line, fields[2])
-		}
-		steps := r.ByChan[ch]
-		if n := len(steps); n > 0 && sim.Time(end) <= steps[n-1].End {
-			return nil, fmt.Errorf("rfenv: line %d: non-increasing step end for chan %d", line, ch)
-		}
-		r.ByChan[ch] = append(steps, Step{End: sim.Time(end), Occ: occ})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("rfenv: %v", err)
-	}
-	return r, nil
 }

@@ -1,15 +1,12 @@
 // Package spectrum models the unlicensed spectrum available to 802.11
-// devices in the United States: the 2.4 GHz ISM band, the 5 GHz U-NII
-// bands, and the 6 GHz U-NII-5/-7 bands, including channel bonding
-// (40/80/160 MHz), Dynamic Frequency Selection (DFS) restrictions, and
-// channel overlap computation.
+// devices in the United States: the 2.4 GHz ISM band and the 5 GHz U-NII
+// bands, including channel bonding (40/80/160 MHz), Dynamic Frequency
+// Selection (DFS) restrictions, and channel overlap computation.
 //
 // The 5 GHz channel inventory matches Section 4.1.1 of the paper:
 // twenty-five 20 MHz, twelve 40 MHz, six 80 MHz and two 160 MHz channels,
 // of which only nine/four/two/zero are usable without DFS certification;
-// plus three non-overlapping channels at 2.4 GHz. The 6 GHz inventory
-// covers the two US standard-power ranges (U-NII-5, 5.925-6.425 GHz, and
-// U-NII-7, 6.525-6.875 GHz); no 6 GHz channel requires DFS.
+// plus three non-overlapping channels at 2.4 GHz.
 package spectrum
 
 import "fmt"
@@ -22,8 +19,6 @@ const (
 	Band2G4 Band = iota
 	// Band5 is the 5 GHz U-NII band.
 	Band5
-	// Band6 is the 6 GHz band (US standard-power: U-NII-5 and U-NII-7).
-	Band6
 )
 
 func (b Band) String() string {
@@ -32,8 +27,6 @@ func (b Band) String() string {
 		return "2.4GHz"
 	case Band5:
 		return "5GHz"
-	case Band6:
-		return "6GHz"
 	default:
 		return fmt.Sprintf("Band(%d)", int(b))
 	}
@@ -92,11 +85,8 @@ func (c Channel) String() string {
 
 // CenterMHz returns the channel's center frequency in MHz.
 func (c Channel) CenterMHz() float64 {
-	switch c.Band {
-	case Band2G4:
+	if c.Band == Band2G4 {
 		return 2407 + 5*float64(c.Number)
-	case Band6:
-		return 5950 + 5*float64(c.Number)
 	}
 	return 5000 + 5*float64(c.Number)
 }
@@ -129,7 +119,7 @@ func (c Channel) sub20Count() int {
 }
 
 // sub20At is the IEEE number of c's i-th covered 20 MHz sub-channel:
-// 20 MHz neighbours at 5 and 6 GHz are 4 channel numbers apart.
+// 20 MHz neighbours at 5 GHz are 4 channel numbers apart.
 func (c Channel) sub20At(i int) int { return c.Number - 2*(c.sub20Count()-1) + 4*i }
 
 // Sub20Numbers returns the IEEE numbers of the 20 MHz sub-channels covered
@@ -162,12 +152,6 @@ var NonOverlapping24 = []int{1, 6, 11}
 // inventory is the US channel list, by band and width slot. The 2.4 GHz
 // band only supports 20 MHz here: 40 MHz at 2.4 GHz is catastrophic in
 // enterprise deployments and Meraki APs do not use it.
-//
-// 6 GHz US standard-power channels: U-NII-5 (ch 1-93) and U-NII-7
-// (ch 117-181). The two ranges are disjoint — the U-NII-6 gap between
-// them is low-power-indoor only — so bonded channels never straddle it:
-// sub-channel 117 has no 40 MHz partner (ch 113 sits in U-NII-6) and the
-// widest U-NII-7 160 MHz channel is ch 143.
 var inventory = [numBands][numSlots][]int{
 	Band2G4: {NonOverlapping24},
 	Band5: {
@@ -176,39 +160,27 @@ var inventory = [numBands][numSlots][]int{
 		{42, 58, 106, 122, 138, 155},
 		{50, 114},
 	},
-	Band6: {
-		{
-			1, 5, 9, 13, 17, 21, 25, 29, 33, 37, 41, 45, 49, 53, 57, 61, 65, 69, 73, 77, 81, 85, 89, 93,
-			117, 121, 125, 129, 133, 137, 141, 145, 149, 153, 157, 161, 165, 169, 173, 177, 181,
-		},
-		{
-			3, 11, 19, 27, 35, 43, 51, 59, 67, 75, 83, 91,
-			123, 131, 139, 147, 155, 163, 171, 179,
-		},
-		{7, 23, 39, 55, 71, 87, 135, 151, 167},
-		{15, 47, 79, 143},
-	},
 }
 
 // Table dimensions. numChannels and numNoDFS5 restate the inventory's
 // length (§4.1.1: 25/12/6/2 at 5 GHz, 9/4/2/0 of them without DFS) so the
 // table can be fixed-size arrays; init checks them against it.
 const (
-	numBands    = 3
+	numBands    = 2
 	numSlots    = 4
-	maxNumber   = 181 // highest IEEE number on any band (6 GHz ch181)
+	maxNumber   = 165 // highest IEEE number on any band (5 GHz ch165)
 	maxSub20    = 8   // a 160 MHz channel covers eight 20 MHz sub-channels
-	numChannels = 3 + (25 + 12 + 6 + 2) + (41 + 20 + 9 + 4)
+	numChannels = 3 + (25 + 12 + 6 + 2)
 	numNoDFS5   = 9 + 4 + 2
 	// maxOverlap is the most IDs one channel overlaps, itself included: a
 	// 160 MHz channel holds eight 20s, four 40s, two 80s and itself.
 	maxOverlap = 2*maxSub20 - 1
 )
 
-// MaxBandChannels is the most channels one band has (6 GHz: 41 + 20 + 9 +
-// 4): BandIDs never spans more, so a per-call table indexed by a band's IDs
+// MaxBandChannels is the most channels one band has (5 GHz: 25 + 12 + 6 +
+// 2): BandIDs never spans more, so a per-call table indexed by a band's IDs
 // can be a fixed-size array.
-const MaxBandChannels = 41 + 20 + 9 + 4
+const MaxBandChannels = 25 + 12 + 6 + 2
 
 // ID is a channel's dense index in the package table: 0..numChannels-1,
 // band-major, then width narrow-to-wide, then ascending number — so one
@@ -243,7 +215,7 @@ var tbl struct {
 	// ladder[c][s] is c seen at width slot s: below c's own width the
 	// sub-channel anchored at c's primary, at it c itself, above it the
 	// bond containing c — or the widest one that exists, where the US
-	// plan stops short of slot s (ch165, 6 GHz ch117).
+	// plan stops short of slot s (ch165).
 	ladder [numChannels][numSlots]ID
 	// firstOverlap[a][c] is the narrowest width slot s, up to a's own, at
 	// which ladder[a][s] overlaps c, or a's own slot + 1 when none does.
@@ -487,10 +459,9 @@ func Wider(c Channel) (Channel, bool) {
 // Bonded returns the channel an emitter anchored on 20 MHz channel
 // anchor20 occupies when it bonds up to maxWidth: the US channel of that
 // width containing the anchor, or the widest narrower one where the plan
-// has none (ch165 never bonds; 6 GHz ch117 has no 40 MHz partner). An
-// anchor that is not a US 20 MHz channel — a foreign 2.4 GHz AP on
-// channel 3 — comes back as the plain 20 MHz channel at that number, which
-// Overlaps still places correctly.
+// has none (ch165 never bonds). An anchor that is not a US 20 MHz channel
+// — a foreign 2.4 GHz AP on channel 3 — comes back as the plain 20 MHz
+// channel at that number, which Overlaps still places correctly.
 func Bonded(band Band, anchor20 int, maxWidth Width) Channel {
 	c := Channel{Band: band, Number: anchor20, Width: W20}
 	id, ok := IDOf(c)

@@ -2,10 +2,10 @@ package spectrum
 
 import "testing"
 
-var allBands = []Band{Band2G4, Band5, Band6}
+var allBands = []Band{Band2G4, Band5}
 
 // TestTableMatchesFirstPrinciples pins every relation the precomputed
-// table stores to its definition, over every channel of all three bands:
+// table stores to its definition, over every channel of both bands:
 // the table is a cache of these definitions, never a second opinion.
 func TestTableMatchesFirstPrinciples(t *testing.T) {
 	total := 0
@@ -259,9 +259,6 @@ func TestBondedEqualsWidenLoop(t *testing.T) {
 		{Band5, 165, W160, 165, W20}, // never bonds
 		{Band5, 48, W80, 42, W80},
 		{Band5, 161, W160, 155, W80}, // U-NII-3 has no 160 MHz channel
-		{Band6, 117, W160, 117, W20}, // its 40 MHz partner sits in U-NII-6
-		{Band6, 121, W160, 123, W40}, // 121-125 bond; no 80 MHz holds them
-		{Band6, 93, W160, 79, W160},
 		{Band2G4, 6, W80, 6, W20},
 		{Band2G4, 3, W20, 3, W20}, // not a US channel: plain 20 MHz at that number
 		{Band5, 37, W80, 37, W20},
@@ -281,8 +278,8 @@ func TestOffTableChannels(t *testing.T) {
 		{Band: Band5, Number: 36, Width: W160},
 		{Band: Band5, Number: 36, Width: 13},
 		{Band: Band5, Number: -4, Width: W20},
-		{Band: Band6, Number: 97, Width: W20},
-		{Band: Band6, Number: 500, Width: W20},
+		{Band: Band5, Number: 500, Width: W20},
+		{Band: Band(2), Number: 36, Width: W20},
 		{Band: Band2G4, Number: 3, Width: W20},
 		{Band: Band(7), Number: 36, Width: W20},
 		{Band: Band(-1), Number: 36, Width: W20},
@@ -347,15 +344,15 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"Channels":       func() { sinkChans = Channels(Band5, W40, true) },
 		"Channels/noDFS": func() { sinkChans = Channels(Band5, W20, false) },
-		"AllChannels":    func() { sinkChans = AllChannels(Band6, W80, false) },
+		"AllChannels":    func() { sinkChans = AllChannels(Band5, W80, false) },
 		"Wider":          func() { sinkChan, _ = Wider(c80) },
 		"Narrower":       func() { sinkChan = Narrower(c80) },
-		"ChannelAt":      func() { sinkChan, _ = ChannelAt(Band6, 143, W160) },
+		"ChannelAt":      func() { sinkChan, _ = ChannelAt(Band5, 114, W160) },
 		"Sub20Numbers":   func() { sinkInts = c80.Sub20Numbers() },
 		"Primary20":      func() { sinkInt = c80.Primary20() },
 		"Bonded":         func() { sinkChan = Bonded(Band5, 108, W80) },
-		"Overlapping":    func() { sinkIDs = ID(50).Overlapping() },
-		"FirstOverlaps":  func() { sinkRow = ID(50).FirstOverlaps() },
+		"Overlapping":    func() { sinkIDs = ID(40).Overlapping() },
+		"FirstOverlaps":  func() { sinkRow = ID(40).FirstOverlaps() },
 	} {
 		if n := testing.AllocsPerRun(100, fn); n != 0 {
 			t.Errorf("%s allocates %v times per call", name, n)

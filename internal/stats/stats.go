@@ -145,26 +145,6 @@ func (s *Sample) CDF(x float64) float64 {
 	return float64(i) / float64(n)
 }
 
-// CDFPoint is one (value, cumulative-probability) pair of an empirical CDF.
-type CDFPoint struct {
-	X float64 // observation value
-	P float64 // P(X <= x)
-}
-
-// CDFSeries returns n evenly spaced quantile points suitable for plotting or
-// tabulating the distribution. n must be >= 2.
-func (s *Sample) CDFSeries(n int) []CDFPoint {
-	if n < 2 {
-		panic("stats: CDFSeries needs n >= 2")
-	}
-	out := make([]CDFPoint, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1) * 100
-		out[i] = CDFPoint{X: s.Percentile(p), P: p / 100}
-	}
-	return out
-}
-
 // Summary is a compact distribution description.
 type Summary struct {
 	N                  int

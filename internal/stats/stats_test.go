@@ -62,22 +62,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestCDFSeriesMonotonic(t *testing.T) {
-	s := NewSample(100)
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i * i % 37))
-	}
-	series := s.CDFSeries(11)
-	for i := 1; i < len(series); i++ {
-		if series[i].X < series[i-1].X || series[i].P < series[i-1].P {
-			t.Fatalf("CDF series not monotonic at %d: %+v", i, series)
-		}
-	}
-	if series[0].P != 0 || series[len(series)-1].P != 1 {
-		t.Fatalf("CDF endpoints wrong: %+v", series)
-	}
-}
-
 func TestJainFairness(t *testing.T) {
 	if got := JainFairness([]float64{5, 5, 5, 5}); !almostEq(got, 1, 1e-12) {
 		t.Fatalf("equal allocations: %v", got)

@@ -140,7 +140,7 @@ type Scenario struct {
 	// AP and interferer populations before asking for either part.
 	nbrOff  []int                           // NeighborsOf: row i is nbrs[nbrOff[i]:nbrOff[i+1]]
 	nbrs    []int                           // every row's positions, end to end
-	extRows [spectrum.Band6 + 1][][]float64 // ExternalRow, by band then AP position
+	extRows [spectrum.Band5 + 1][][]float64 // ExternalRow, by band then AP position
 }
 
 // checkPositions runs before a table indexed by AP position is built. Both

@@ -186,7 +186,7 @@ func hostileInput(r *rand.Rand) Input {
 		case x < 0.8:
 			v.Current = currents[r.Intn(len(currents))]
 		case x < 0.9:
-			v.Current = spectrum.Channel{Band: spectrum.Band6, Number: 37, Width: spectrum.W20}
+			v.Current = spectrum.Channel{Band: spectrum.Band(2), Number: 37, Width: spectrum.W20}
 		}
 		for k := r.Intn(4); k > 0; k-- {
 			v.WidthLoad[r.Intn(4)] = r.Float64()

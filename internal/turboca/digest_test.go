@@ -129,14 +129,14 @@ func mirror(in Input) mapInput {
 }
 
 // digestInput draws a planning input the way the backend builds one under
-// a storm — on any of the three bands, a quarantine mask, trace noise,
+// a storm — on either band, a quarantine mask, trace noise,
 // stale and pinned APs, APs with no Current yet, APs no interferer reaches
 // (nil row) — and, beyond what the backend builds, invalid entries, rows
 // cut short or running past the band and mask bits beyond it, which Digest
 // must read as far as the band goes and no further.
 func digestInput(r *rand.Rand) Input {
 	in := Input{
-		Band:     spectrum.Band(r.Intn(3)),
+		Band:     spectrum.Band(r.Intn(2)),
 		AllowDFS: r.Intn(2) == 0,
 		MaxWidth: spectrum.Widths[r.Intn(4)],
 	}
