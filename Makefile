@@ -32,9 +32,9 @@ COVER_FLOOR_ORACLE = 85
 # brief live search so verify catches shallow regressions in new code.
 FUZZTIME = 5s
 
-.PHONY: verify vet build test allocs race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed profile-fleet bench-module figures gap loc
+.PHONY: verify vet build test allocs race chaos chaos-kill storm cover fuzz bench profile-planner profile-testbed profile-fleet bench-module figures experiments-check gap loc
 
-verify: vet build test allocs race chaos chaos-kill storm cover fuzz bench-module figures
+verify: vet build test allocs race chaos chaos-kill storm cover fuzz bench-module figures experiments-check
 	-$(MAKE) gap
 
 # gofmt is part of vet: any file of the root module it would rewrite fails
@@ -72,6 +72,7 @@ allocs:
 
 race:
 	$(GO) test -race ./internal/turboca/...
+	$(GO) test -race -count=1 -run '^TestConcurrentRunsReportApart$$' ./internal/testbed
 
 # Fault-injected control plane: chaos campus runs, retry/reconcile
 # contracts, and the faults package's determinism properties, all under
@@ -216,6 +217,21 @@ figures:
 	$(GO) test -run '^$$' -bench 'Figures/(Fig1|Table1|Fig7)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'Ablation' -benchtime 1x .
 	$(GO) run ./cmd/experiments -quick -only fig1,table1,fig7,uplink
+
+# EXPERIMENTS.md against a fresh `cmd/experiments -md -seed 42` (about a
+# minute): the generated body above "## Metrics" byte for byte, then the
+# Metrics section without its wall-time rows (unit µs or ns), which vary
+# by host. A change that moves a figure regenerates EXPERIMENTS.md with it.
+experiments-check:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/experiments -md -seed 42 > "$$d/run.md" && \
+	sed '1,/^<!-- GENERATED BODY BELOW/d; /^## Metrics/,$$d' EXPERIMENTS.md | sed '1{/^$$/d;}' > "$$d/want.body" && \
+	sed '/^## Metrics/,$$d' "$$d/run.md" > "$$d/got.body" && \
+	diff -u "$$d/want.body" "$$d/got.body" && \
+	sed -n '/^## Metrics/,$$p' EXPERIMENTS.md | grep -Ev '^$$| (µs|ns) \|$$' > "$$d/want.metrics" && \
+	sed -n '/^## Metrics/,$$p' "$$d/run.md" | grep -Ev '^$$| (µs|ns) \|$$' > "$$d/got.metrics" && \
+	diff -u "$$d/want.metrics" "$$d/got.metrics" && \
+	echo "experiments-check: EXPERIMENTS.md matches -md -seed 42 ($$(wc -l < "$$d/got.metrics") Metrics lines compared)"
 
 # Optimality-gap campaign (advisory, non-failing in verify): the exact
 # branch-and-bound oracle certifies NBO's NetP on every <=12-AP scenario

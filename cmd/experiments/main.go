@@ -31,7 +31,7 @@ func run() int {
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. fig16,table2); default all")
 	detail := flag.Bool("detail", false, "also print each experiment's per-point series (CDF percentiles, per-client, per-flow and per-seed rows)")
 	pcapPath := flag.String("pcap", "", "write the first testbed run's wired-port traffic to this pcap file")
-	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the experiments run")
+	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the experiments run; fastack counts appear as each testbed run finishes")
 	flag.Parse()
 
 	selected, err := experiments.Select(*only)
@@ -39,10 +39,9 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	_, stopMetrics := obs.ServeFlag(*metricsAddr)
-	defer stopMetrics()
-
 	s := experiments.NewSession(experiments.Options{Seed: *seed, Quick: *quick})
+	stopMetrics := obs.ServeFlag(*metricsAddr, s.Registry())
+	defer stopMetrics()
 	if *pcapPath != "" {
 		f, err := os.Create(*pcapPath)
 		if err != nil {

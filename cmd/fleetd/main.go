@@ -54,8 +54,8 @@ func run() int {
 	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the run executes")
 	flag.Parse()
 
-	reg := obs.Default()
-	_, stopMetrics := obs.ServeFlag(*metricsAddr)
+	reg := obs.NewRegistry()
+	stopMetrics := obs.ServeFlag(*metricsAddr, reg)
 	defer stopMetrics()
 
 	opt := backend.DefaultOptions(backend.AlgTurboCA)

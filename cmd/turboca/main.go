@@ -27,11 +27,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/topo"
-
-	// Registers the fastack metric scope on the default registry so
-	// -metrics advertises the full schema even in planner-only runs
-	// (exporter-style pre-registration).
-	_ "repro/internal/fastack"
 )
 
 func main() {
@@ -56,7 +51,8 @@ func main() {
 		return
 	}
 
-	reg, stopMetrics := obs.ServeFlag(*metricsAddr)
+	reg := obs.NewRegistry()
+	stopMetrics := obs.ServeFlag(*metricsAddr, reg)
 	defer stopMetrics()
 
 	build, ok := scenarios[*scenario]
@@ -82,7 +78,7 @@ func main() {
 
 	switch *mode {
 	case "plan":
-		planOnce(build, *seed, *workers)
+		planOnce(build, *seed, *workers, reg)
 	case "eval":
 		evalAB(build, *days, *seed, *workers, prof, *rfTrace, reg)
 	default:
@@ -90,7 +86,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if reg != nil {
+	if *metricsAddr != "" {
 		fmt.Println("--- metrics ---")
 		_, _ = reg.Snapshot().WriteText(os.Stdout)
 	}
@@ -142,10 +138,11 @@ var scenarios = map[string]func(int64) *topo.Scenario{
 // planOnce runs one deep TurboCA pass (hops 2,1,0) on the 5 GHz band
 // through the backend's own service, which snapshots the planner input
 // and pushes the accepted plan to the APs.
-func planOnce(build func(int64) *topo.Scenario, seed int64, workers int) {
+func planOnce(build func(int64) *topo.Scenario, seed int64, workers int, reg *obs.Registry) {
 	sc := build(seed)
 	opt := backend.DefaultOptions(backend.AlgTurboCA)
 	opt.Planner.Workers = workers
+	opt.Obs = reg
 	be := backend.New(opt, sc, sim.NewEngine(seed))
 	be.Service.Bands = []spectrum.Band{spectrum.Band5}
 	fmt.Printf("%v\n", sc)
@@ -189,7 +186,7 @@ func evalAB(build func(int64) *topo.Scenario, days int, seed int64, workers int,
 					rfenv.NewTraceSet(seed, rfenv.Default5GHzChannels(), rfenv.DefaultTraceOptions()), nil)
 			}
 			// Each arm's control stats are read before the next backend is
-			// built, so the shared serving registry still yields exact
+			// built, so the command's one registry still yields exact
 			// per-instance deltas.
 			opt.Obs = reg
 		},

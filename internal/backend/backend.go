@@ -242,8 +242,9 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 	if reg == nil {
 		// A private registry per instance keeps Control() deltas exact no
 		// matter how many backends a process runs or when their stats are
-		// read; pass a shared registry (e.g. obs.Default()) to aggregate
-		// across instances for serving.
+		// read; pass the registry a run reports into (a command's serving
+		// registry, an experiments session's, a fleet controller's) to
+		// aggregate across instances.
 		reg = obs.NewRegistry()
 	}
 	if opt.Planner.Obs == nil {

@@ -49,6 +49,7 @@ func optimalityGap(s *Session, r *Report) {
 			for seed := 0; seed < seeds; seed++ {
 				base := int64(n)*1_000_003 + opt.Seed*7919 + int64(seed)
 				cfg, in := oracle.Scenario(kind, n, rand.New(rand.NewSource(base)))
+				cfg.Obs = s.reg.Scope("turboca")
 				g := oracle.Gap(cfg, in, oracle.GapOptions{Seed: base + 1, Solve: opt.gapBudget()})
 				total++
 				if g.Proven {

@@ -4,32 +4,29 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"repro/internal/obs"
 )
 
-// runMetrics renders the observability activity the session has
-// accumulated on the default registry (turboca, backend and fastack
-// scopes) as a regular report, so every sweep ends with the counters and
-// distributions a live -metrics endpoint would show — for the experiments
-// that ran before it, and nothing else the process did earlier.
+// runMetrics renders what the session's registry holds (turboca, backend
+// and fastack scopes) as a regular report, so every sweep ends with the
+// counters and distributions its -metrics endpoint shows — for the
+// experiments that ran before it, and nothing else the process did.
 func runMetrics(s *Session, r *Report) {
-	delta := obs.Default().Snapshot().Delta(s.obsBase)
-	names := make([]string, 0, len(delta.Counters))
-	for name := range delta.Counters {
+	snap := s.reg.Snapshot()
+	names := make([]string, 0, len(snap.Counters))
+	for name := range snap.Counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		r.Rows = append(r.Rows, Row{name, "-", "%.0f", []Value{{name, float64(delta.Counters[name])}}})
+		r.Rows = append(r.Rows, Row{name, "-", "%.0f", []Value{{name, float64(snap.Counters[name])}}})
 	}
 	names = names[:0]
-	for name := range delta.Histograms {
+	for name := range snap.Histograms {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := delta.Histograms[name]
+		h := snap.Histograms[name]
 		if h.Count == 0 {
 			continue
 		}
@@ -38,5 +35,5 @@ func runMetrics(s *Session, r *Report) {
 				{name + ".n", float64(h.Count)}, {name + ".mean", h.Mean},
 				{name + ".p50", float64(h.P50)}, {name + ".p95", float64(h.P95)}, {name + ".p99", float64(h.P99)}}})
 	}
-	r.Notes = fmt.Sprintf("scopes: %v; gauges omitted (instantaneous). Wall-time histograms vary by host; value histograms are deterministic per seed.", delta.Scopes())
+	r.Notes = fmt.Sprintf("scopes: %v; gauges omitted (instantaneous). Wall-time histograms vary by host; value histograms are deterministic per seed.", snap.Scopes())
 }

@@ -29,23 +29,27 @@ type Session struct {
 	// from the memo.
 	Runs struct{ Fleet, AB, Testbed int }
 
-	obsBase obs.Snapshot
-	fleet   *fleet.Fleet
-	ab      map[string]ABResult
-	tb      map[testbedKey]*TestbedResult
+	reg   *obs.Registry
+	fleet *fleet.Fleet
+	ab    map[string]ABResult
+	tb    map[testbedKey]*TestbedResult
 }
 
-// NewSession starts a sweep. The Metrics report covers what the default
-// obs registry accumulates from here on: the planner, backend and fastack
-// scopes of every run the session performs.
+// NewSession starts a sweep. The session owns one registry, which the
+// Metrics report reads: the planner and backend scopes of its A/B arms and
+// oracle passes, and the fastack scope of its finished testbed runs.
 func NewSession(opt Options) *Session {
 	return &Session{
-		Opt:     opt,
-		obsBase: obs.Default().Snapshot(),
-		ab:      map[string]ABResult{},
-		tb:      map[testbedKey]*TestbedResult{},
+		Opt: opt,
+		reg: obs.NewRegistry(),
+		ab:  map[string]ABResult{},
+		tb:  map[testbedKey]*TestbedResult{},
 	}
 }
+
+// Registry returns the registry the session's runs report into
+// (cmd/experiments -metrics serves it).
+func (s *Session) Registry() *obs.Registry { return s.reg }
 
 // fleetRun returns the 800-network synthesized fleet of the §3 study.
 func (s *Session) fleetRun() *fleet.Fleet {
@@ -64,8 +68,11 @@ type AB struct {
 	EngineSeed int64
 	Dur        sim.Time
 	// Tune, when set, adjusts each arm's backend options (cmd/turboca's
-	// workers, fault profile and RF traces). It is called once per arm, so
-	// mutable state it installs is private to that arm.
+	// workers, fault profile and RF traces; the registry the arms report
+	// into). It is called once per arm, so mutable state it installs is
+	// private to that arm. Arms run in sequence and each arm's Control() is
+	// read before the next backend is built, so arms sharing a registry
+	// still read exact deltas.
 	Tune func(*backend.Options)
 }
 
@@ -96,12 +103,7 @@ type ABResult struct{ Reserved, Turbo ABArm }
 // RunAB simulates both arms of ab.
 func RunAB(ab AB) ABResult {
 	arm := func(alg backend.Algorithm) ABArm {
-		// Both arms count on the default registry, so the Metrics report
-		// sees their planner and backend activity. The arms run in
-		// sequence and each arm's Control() is read before the next
-		// backend is built, so its deltas stay exact.
 		opt := backend.DefaultOptions(alg)
-		opt.Obs = obs.Default()
 		if ab.Tune != nil {
 			ab.Tune(&opt)
 		}
@@ -146,7 +148,8 @@ func (s *Session) abRun(name string, build func(int64) *topo.Scenario, dur sim.T
 	r, ok := s.ab[name]
 	if !ok {
 		s.Runs.AB++
-		r = RunAB(AB{Build: build, Seed: s.Opt.Seed, EngineSeed: 1, Dur: dur})
+		r = RunAB(AB{Build: build, Seed: s.Opt.Seed, EngineSeed: 1, Dur: dur,
+			Tune: func(opt *backend.Options) { opt.Obs = s.reg }})
 		s.ab[name] = r
 	}
 	return r
@@ -220,6 +223,12 @@ func (s *Session) Testbed(mode testbed.Mode, clients int, variant string, tune f
 		tb.Engine.RunUntil(dur + 500*sim.Millisecond)
 	}
 
+	fold := s.reg.Scope("fastack")
+	for _, ap := range tb.APs {
+		if ap.Agent != nil {
+			ap.Agent.Fold(fold)
+		}
+	}
 	r := &TestbedResult{
 		Agg:       tb.AggAP[0].Mean(),
 		Lat80211:  tb.Lat80211.Mean(),

@@ -162,6 +162,8 @@ type Agent struct {
 	now        func() sim.Time
 	flows      map[packet.Flow]*flowState
 	stats      Stats
+	tally      tally
+	hist       histograms
 	violations []string
 
 	// bud carries the cross-flow shared state: cache budget, LRU eviction
@@ -206,6 +208,7 @@ func New(cfg Config, now func() sim.Time) *Agent {
 	return &Agent{
 		cfg: cfg, now: now,
 		flows: map[packet.Flow]*flowState{},
+		hist:  newHistograms(),
 		bud:   &cacheBudget{limit: limit},
 	}
 }
@@ -435,12 +438,10 @@ func (a *Agent) cacheInsert(f *flowState, d *packet.Datagram) {
 	}
 	if ev := f.cacheInsert(d, a.cfg.CacheLimitBytes); ev > 0 {
 		a.stats.CacheEvictions++
-		obsm.cacheEvictions.Inc()
 	}
 	if ev, overrun := a.bud.reclaim(f); ev > 0 || overrun {
 		if ev > 0 {
 			a.stats.SharedCacheEvictions += int64(ev)
-			obsm.sharedEvictions.Add(int64(ev))
 		}
 		if overrun {
 			// Every byte the budget could reclaim across all flows is
@@ -448,7 +449,6 @@ func (a *Agent) cacheInsert(f *flowState, d *packet.Datagram) {
 			// inserting flow — bypassing it trims its cache to exactly its
 			// debt and stops it growing the pressure.
 			a.stats.SharedBudgetOverruns++
-			obsm.sharedOverruns.Inc()
 			f.evictBlocked = true
 		}
 	}
@@ -556,9 +556,8 @@ func (a *Agent) drainFastAck(f *flowState, disp *Disposition) {
 		// growth is unaffected).
 		fa := a.buildAck(f, f.seqFack)
 		a.stats.FastAcksSent++
-		obsm.fastAcksSent.Inc()
-		obsm.ampduBytes.Observe(int64(newFack - fackBefore))
-		obsm.ampduSegs.Observe(int64(segs))
+		a.hist.ampduBytes.Observe(int64(newFack - fackBefore))
+		a.hist.ampduSegs.Observe(int64(segs))
 		f.lastFastAckAt = a.now()
 		a.emitSender(disp, fa)
 	}
@@ -650,7 +649,6 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 			// release it now that the client drained (§5.5.2).
 			up := a.buildAck(f, f.seqFack)
 			a.stats.WindowUpdates++
-			obsm.windowUpdates.Inc()
 			a.emitSender(&disp, up)
 		}
 
@@ -715,7 +713,6 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 		}
 	} else if !a.cfg.DisableSuppression {
 		a.stats.ClientAcksDropped++
-		obsm.clientAcksDropped.Inc()
 	}
 	a.finishFlow(f)
 	return disp
@@ -727,10 +724,10 @@ func (a *Agent) HandleUplink(d *packet.Datagram) Disposition {
 func (a *Agent) redrive(disp *Disposition, f *flowState, seq uint32) bool {
 	c := f.cacheLookup(seq)
 	if c == nil {
-		obsm.cacheMisses.Inc()
+		a.tally.cacheMisses++
 		return false
 	}
-	obsm.cacheHits.Inc()
+	a.tally.cacheHits++
 	a.emitClient(disp, a.clone(c))
 	return true
 }
@@ -764,7 +761,6 @@ sacked:
 		}
 	}
 	a.stats.LocalRetransmits += int64(queued)
-	obsm.localRetransmits.Add(int64(queued))
 	return queued
 }
 
@@ -791,7 +787,7 @@ func (a *Agent) buildAck(f *flowState, ackNo uint32) *packet.Datagram {
 	d.TCP.Ack = ackNo
 	d.TCP.Flags = packet.FlagACK
 	advBytes := f.advertisedWindow(a.cfg.FlowQueueBudget)
-	obsm.advWindow.Observe(int64(advBytes))
+	a.hist.advWindow.Observe(int64(advBytes))
 	adv := advBytes >> f.wscale()
 	if adv > 65535 {
 		adv = 65535
@@ -922,7 +918,6 @@ func (a *Agent) Import(ex ExportedFlow) *packet.Datagram {
 	}
 	if ev, _ := a.bud.reclaim(f); ev > 0 {
 		a.stats.SharedCacheEvictions += int64(ev)
-		obsm.sharedEvictions.Add(int64(ev))
 	}
 	a.accountFlow(f)
 	if f.gstate >= GuardBypass || !ex.SawData {

@@ -89,8 +89,9 @@ const (
 	GuardReasonIdleDebt GuardReason = "idle_debt"
 )
 
-// guardReasons enumerates every reason for obs counter pre-registration.
-var guardReasons = []GuardReason{
+// guardReasons enumerates every reason; an agent counts bypasses by
+// position here (Fold).
+var guardReasons = [...]GuardReason{
 	GuardReasonStorm, GuardReasonDebtStall, GuardReasonSeqJump,
 	GuardReasonWildAck, GuardReasonCacheThrash, GuardReasonRST,
 	GuardReasonIdleDebt,
@@ -179,13 +180,11 @@ func (a *Agent) guardSoftAnomaly(f *flowState, reason GuardReason) {
 		f.gstate = GuardSuspect
 		f.suspectAt = now
 		a.stats.GuardSuspects++
-		obsm.guardSuspects.Inc()
 	case GuardSuspect:
 		if now-f.suspectAt > suspectWindow {
 			// The earlier anomaly aged out; this one starts a fresh window.
 			f.suspectAt = now
 			a.stats.GuardSuspects++
-			obsm.guardSuspects.Inc()
 			return
 		}
 		if now-f.ackProgressAt <= suspectWindow {
@@ -218,11 +217,12 @@ func (a *Agent) guardTrip(f *flowState, reason GuardReason) {
 	f.bypassReason = reason
 	f.debtAtBypass = int64(f.debtBytes())
 	a.stats.GuardBypasses++
-	obsm.guardBypasses.Inc()
-	if c := obsm.bypassReasons[reason]; c != nil {
-		c.Inc()
+	for i, r := range guardReasons {
+		if r == reason {
+			a.tally.bypasses[i]++
+		}
 	}
-	obsm.guardDebtBytes.Observe(f.debtAtBypass)
+	a.hist.guardDebt.Observe(f.debtAtBypass)
 	f.gstate = GuardBypass
 	f.stormCount = 0
 	f.dupAcksFromClient = 0
@@ -239,8 +239,7 @@ func (a *Agent) guardTrip(f *flowState, reason GuardReason) {
 // pass-through tombstone holding no packet state.
 func (a *Agent) guardDetach(f *flowState) {
 	a.stats.GuardDrains++
-	obsm.guardDrained.Inc()
-	obsm.guardDrainMs.Observe(int64((a.now() - f.bypassAt) / sim.Millisecond))
+	a.hist.guardDrainMs.Observe(int64((a.now() - f.bypassAt) / sim.Millisecond))
 	f.gstate = GuardPassThrough
 	f.dropPackets(false)
 	a.accountFlow(f)

@@ -19,15 +19,15 @@ import (
 //     good on what it vouched for.
 //
 // A violation is a bug in the agent, never in the network: the checks
-// count into Stats().InvariantViolations, the fastack obs scope, and a
-// bounded message log readable via Violations().
+// count into Stats().InvariantViolations (folded into a run's fastack
+// obs scope at run end) and a bounded message log readable via
+// Violations().
 
 // maxViolationLog bounds the retained violation messages.
 const maxViolationLog = 32
 
 func (a *Agent) violate(f *flowState, format string, args ...any) {
 	a.stats.InvariantViolations++
-	obsm.invariantViolations.Inc()
 	if len(a.violations) < maxViolationLog {
 		msg := fmt.Sprintf(format, args...)
 		a.violations = append(a.violations, fmt.Sprintf("%s [%s]", msg, f))

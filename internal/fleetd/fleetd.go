@@ -74,8 +74,9 @@ type Config struct {
 	// per-network telemetry history is disabled (nothing in the fleet
 	// reads it). Zero value means backend defaults with AlgTurboCA.
 	Backend backend.Options
-	// Obs receives the controller's own "fleetd" scope (default
-	// obs.Default()).
+	// Obs receives the controller's own "fleetd" scope and every
+	// network's backend and planner scopes. Nil gives the controller a
+	// private registry.
 	Obs *obs.Registry
 	// CheckpointEvery is the periodic checkpoint cadence on the fleet
 	// clock when the controller runs against a Store (Open defaults it to
@@ -125,7 +126,7 @@ func (c Config) withDefaults() Config {
 		c.Backend = backend.DefaultOptions(backend.AlgTurboCA)
 	}
 	if c.Obs == nil {
-		c.Obs = obs.Default()
+		c.Obs = obs.NewRegistry()
 	}
 	if c.StormRF {
 		if c.StormsPerDay == 0 {

@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -209,9 +208,6 @@ func (t *Table) schemaFor(fields map[string]float64) *rowSchema {
 // (the common case for a poller); out-of-order inserts are accepted and
 // lazily re-sorted.
 func (t *Table) Insert(key string, at sim.Time, fields map[string]float64) {
-	start := time.Now()
-	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
-	obsm.rowsInserted.Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendLocked(key, []Row{{At: at, Fields: fields}})
@@ -231,10 +227,6 @@ func (t *Table) InsertBatch(key string, rows []Row) {
 	if len(rows) == 0 {
 		return
 	}
-	start := time.Now()
-	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
-	obsm.rowsInserted.Add(int64(len(rows)))
-	obsm.batchRows.Observe(int64(len(rows)))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendLocked(key, rows)
@@ -317,9 +309,6 @@ func (t *Table) pruneOnReadLocked() {
 
 // InsertValue appends a single-field row.
 func (t *Table) InsertValue(key string, at sim.Time, field string, v float64) {
-	start := time.Now()
-	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
-	obsm.rowsInserted.Inc()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendValuesLocked(key, at, field, []float64{v})
@@ -333,10 +322,6 @@ func (t *Table) InsertSamples(key string, at sim.Time, field string, vals []floa
 	if len(vals) == 0 {
 		return
 	}
-	start := time.Now()
-	defer func() { obsm.insertNS.Observe(time.Since(start).Nanoseconds()) }()
-	obsm.rowsInserted.Add(int64(len(vals)))
-	obsm.batchRows.Observe(int64(len(vals)))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.appendValuesLocked(key, at, field, vals)
@@ -400,8 +385,6 @@ func (t *Table) Len(key string) int {
 // Rows are freshly materialized: the result does not alias internal
 // storage and stays valid indefinitely.
 func (t *Table) Range(key string, from, to sim.Time) []Row {
-	start := time.Now()
-	defer func() { obsm.queryNS.Observe(time.Since(start).Nanoseconds()) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pruneOnReadLocked()
@@ -438,8 +421,6 @@ type Point struct {
 // FieldRange returns the named field over [from, to). It reads the
 // columnar storage directly — no per-row map materialization.
 func (t *Table) FieldRange(key, field string, from, to sim.Time) []Point {
-	start := time.Now()
-	defer func() { obsm.queryNS.Observe(time.Since(start).Nanoseconds()) }()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.pruneOnReadLocked()
@@ -514,9 +495,6 @@ func (t *Table) trimLocked(cutoff sim.Time) int {
 		}
 		s.rows = append(s.rows[:0], s.rows[lo:]...)
 		s.compact()
-	}
-	if removed > 0 {
-		obsm.rowsPruned.Add(int64(removed))
 	}
 	return removed
 }

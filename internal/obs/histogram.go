@@ -42,7 +42,9 @@ type Histogram struct {
 	buckets [numBuckets]int64
 }
 
-func newHistogram(unit string) *Histogram {
+// NewHistogram returns an empty histogram outside any registry: state a
+// component owns and folds into a registry's histogram with Merge.
+func NewHistogram(unit string) *Histogram {
 	h := &Histogram{unit: unit}
 	h.min = int64(^uint64(0) >> 1) // MaxInt64 sentinel until first observation
 	return h
@@ -89,15 +91,38 @@ func (h *Histogram) Observe(v int64) {
 	atomic.AddInt64(&h.buckets[bucketIndex(b)], 1)
 	atomic.AddInt64(&h.count, 1)
 	atomic.AddInt64(&h.sum, v)
+	h.bound(v, v)
+}
+
+// Merge adds every observation recorded in o to h, as if h had observed
+// them itself. o must be quiescent; h may be recorded into concurrently.
+func (h *Histogram) Merge(o *Histogram) {
+	n := atomic.LoadInt64(&o.count)
+	if n == 0 {
+		return
+	}
+	for i := range o.buckets {
+		if c := atomic.LoadInt64(&o.buckets[i]); c != 0 {
+			atomic.AddInt64(&h.buckets[i], c)
+		}
+	}
+	atomic.AddInt64(&h.count, n)
+	atomic.AddInt64(&h.sum, atomic.LoadInt64(&o.sum))
+	h.bound(atomic.LoadInt64(&o.min), atomic.LoadInt64(&o.max))
+}
+
+// bound lowers h's minimum to lo and raises its maximum to hi where they
+// extend the observed range.
+func (h *Histogram) bound(lo, hi int64) {
 	for {
 		cur := atomic.LoadInt64(&h.min)
-		if v >= cur || atomic.CompareAndSwapInt64(&h.min, cur, v) {
+		if lo >= cur || atomic.CompareAndSwapInt64(&h.min, cur, lo) {
 			break
 		}
 	}
 	for {
 		cur := atomic.LoadInt64(&h.max)
-		if v <= cur || atomic.CompareAndSwapInt64(&h.max, cur, v) {
+		if hi <= cur || atomic.CompareAndSwapInt64(&h.max, cur, hi) {
 			break
 		}
 	}
@@ -121,9 +146,6 @@ type HistSnapshot struct {
 	P50   int64   `json:"p50"`
 	P95   int64   `json:"p95"`
 	P99   int64   `json:"p99"`
-
-	sum     int64
-	buckets []int64 // sparse-copied only when non-empty; used by Delta
 }
 
 // Snapshot summarises the histogram. Concurrent Observe calls may land
@@ -133,17 +155,16 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if s.Count == 0 {
 		return s
 	}
-	s.sum = atomic.LoadInt64(&h.sum)
 	s.Min = atomic.LoadInt64(&h.min)
 	s.Max = atomic.LoadInt64(&h.max)
-	s.Mean = float64(s.sum) / float64(s.Count)
-	s.buckets = make([]int64, numBuckets)
+	s.Mean = float64(atomic.LoadInt64(&h.sum)) / float64(s.Count)
+	buckets := make([]int64, numBuckets)
 	for i := range h.buckets {
-		s.buckets[i] = atomic.LoadInt64(&h.buckets[i])
+		buckets[i] = atomic.LoadInt64(&h.buckets[i])
 	}
-	s.P50 = quantile(s.buckets, s.Count, 0.50)
-	s.P95 = quantile(s.buckets, s.Count, 0.95)
-	s.P99 = quantile(s.buckets, s.Count, 0.99)
+	s.P50 = quantile(buckets, s.Count, 0.50)
+	s.P95 = quantile(buckets, s.Count, 0.95)
+	s.P99 = quantile(buckets, s.Count, 0.99)
 	s.clampQuantiles()
 	return s
 }
@@ -163,40 +184,6 @@ func (s *HistSnapshot) clampQuantiles() {
 		return v
 	}
 	s.P50, s.P95, s.P99 = clamp(s.P50), clamp(s.P95), clamp(s.P99)
-}
-
-// Delta returns the histogram activity between prev and s: bucket-wise
-// subtraction with quantiles recomputed over the difference. Min and Max
-// cannot be windowed and carry the current (cumulative) values.
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{
-		Unit:  s.Unit,
-		Count: s.Count - prev.Count,
-		Min:   s.Min,
-		Max:   s.Max,
-		sum:   s.sum - prev.sum,
-	}
-	if d.Count <= 0 {
-		d.Count = 0
-		return d
-	}
-	d.Mean = float64(d.sum) / float64(d.Count)
-	d.buckets = make([]int64, numBuckets)
-	for i := range d.buckets {
-		var a, b int64
-		if s.buckets != nil {
-			a = s.buckets[i]
-		}
-		if prev.buckets != nil {
-			b = prev.buckets[i]
-		}
-		d.buckets[i] = a - b
-	}
-	d.P50 = quantile(d.buckets, d.Count, 0.50)
-	d.P95 = quantile(d.buckets, d.Count, 0.95)
-	d.P99 = quantile(d.buckets, d.Count, 0.99)
-	d.clampQuantiles()
-	return d
 }
 
 // quantile returns the representative value of the bucket holding the

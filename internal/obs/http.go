@@ -48,16 +48,15 @@ func Handler(r *Registry) http.Handler {
 }
 
 // ServeFlag is what every command's -metrics flag does. With an address it
-// turns on wall-clock span tracing on the process-wide registry and serves
-// that registry there (Handler) from a background goroutine, reporting a
-// listen failure on stderr; it returns the registry and a stop function
-// to defer, which returns once the server has exited. With an empty
-// address it returns nil and a no-op.
-func ServeFlag(addr string) (*Registry, func()) {
+// turns on wall-clock span tracing on reg, the registry the command's run
+// records into, and serves it there (Handler) from a background goroutine,
+// reporting a listen failure on stderr; it returns a stop function to
+// defer, which returns once the server has exited. With an empty address
+// it returns a no-op.
+func ServeFlag(addr string, reg *Registry) func() {
 	if addr == "" {
-		return nil, func() {}
+		return func() {}
 	}
-	reg := Default()
 	reg.EnableTracing(4096, func() int64 { return time.Now().UnixNano() })
 	srv := &http.Server{Addr: addr, Handler: Handler(reg)}
 	done := make(chan struct{})
@@ -68,7 +67,7 @@ func ServeFlag(addr string) (*Registry, func()) {
 		}
 	}()
 	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics (pprof under /debug/pprof/)\n", addr)
-	return reg, func() {
+	return func() {
 		_ = srv.Close() // a failed close of a stopping server has no one to tell
 		<-done
 	}

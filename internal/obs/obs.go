@@ -1,23 +1,23 @@
-// Package obs is the repository's unified observability layer: named,
-// always-on metrics (atomic counters and gauges, log-bucketed histograms
-// with deterministic snapshots) plus a fixed-size ring-buffer event tracer
-// with a pluggable clock, so spans can be stamped in wall time or in
-// simulated time.
+// Package obs is the repository's unified observability layer: named
+// metrics (atomic counters and gauges, log-bucketed histograms with
+// deterministic snapshots) plus a fixed-size ring-buffer event tracer with
+// a pluggable clock, so spans can be stamped in wall time or in simulated
+// time.
 //
 // The paper's methodology is measurement-first (§3 fleet study, §5.6
-// FastACK evaluation); this package is the in-process counterpart: every
-// hot path — the NBO planner, the polling/push control plane, the FastACK
-// agent, the LittleTable store — records into a Registry cheaply enough
-// that instrumentation never needs to be compiled out. A counter increment
-// is a single atomic add; a histogram observation is two atomic adds, a
-// bucket add and two bounded CAS loops; a disabled tracer is a nil check.
+// FastACK evaluation); this package is the in-process counterpart. The
+// control plane — the NBO planner, the polling/push backend, the fleet
+// controller — records into the Registry its run was given; a counter
+// increment is a single atomic add, a histogram observation two atomic
+// adds, a bucket add and two bounded CAS loops, and a disabled tracer a nil
+// check. The FastACK data plane counts into state its agent owns and a run
+// folds that into its registry once, at run end (Histogram.Merge).
 //
-// Metrics live in a Registry under dotted names ("scope.name"). The
-// package-level Default registry is what production code records into;
-// tests that need isolated, deterministic snapshots create their own with
-// NewRegistry. Export paths (Snapshot, Delta, WriteText, JSON, the HTTP
-// handler in http.go) are shared by every consumer so there is exactly one
-// way metrics leave the process.
+// There is no process-wide registry: every command, session, backend and
+// test creates its own with NewRegistry, so two runs in one process report
+// apart. Export paths (Snapshot, WriteText, JSON, the HTTP handler in
+// http.go) are shared by every consumer so there is exactly one way metrics
+// leave the process.
 package obs
 
 import (
@@ -46,12 +46,6 @@ func NewRegistry() *Registry {
 		hists:    map[string]*Histogram{},
 	}
 }
-
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-wide registry that production code records
-// into.
-func Default() *Registry { return defaultRegistry }
 
 // Scope returns a named scope of the registry; metrics created through it
 // are registered as "name.metric".
@@ -108,7 +102,7 @@ func (r *Registry) Histogram(name, unit string) *Histogram {
 	if h, ok = r.hists[name]; ok {
 		return h
 	}
-	h = newHistogram(unit)
+	h = NewHistogram(unit)
 	r.hists[name] = h
 	return h
 }

@@ -126,26 +126,40 @@ func TestHistogramNegativeClampsToZeroBucket(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.c")
-	h := r.Histogram("a.h", "µs")
-	c.Add(3)
-	h.Observe(10)
-	before := r.Snapshot()
-	c.Add(2)
-	h.Observe(20)
-	h.Observe(20)
-	d := r.Snapshot().Delta(before)
-	if d.Counters["a.c"] != 2 {
-		t.Fatalf("counter delta = %d, want 2", d.Counters["a.c"])
+func TestHistogramMergeMatchesOneHistogram(t *testing.T) {
+	// Merging A into B must read as one histogram that observed both
+	// multisets: count, sum, min, max and every quantile.
+	rng := rand.New(rand.NewSource(7))
+	a, b, both := NewHistogram("B"), NewHistogram("B"), NewHistogram("B")
+	for i := 0; i < 3000; i++ {
+		v := rng.Int63n(1 << 20)
+		if i%3 == 0 {
+			v = -rng.Int63n(50) // negatives clamp to bucket 0 but move min
+		}
+		h := a
+		if rng.Intn(2) == 0 {
+			h = b
+		}
+		h.Observe(v)
+		both.Observe(v)
 	}
-	hd := d.Histograms["a.h"]
-	if hd.Count != 2 {
-		t.Fatalf("hist delta count = %d, want 2", hd.Count)
+	summary := func(h *Histogram) [7]int64 {
+		s := h.Snapshot()
+		return [7]int64{s.Count, h.sum, s.Min, s.Max, s.P50, s.P95, s.P99}
 	}
-	if hd.P50 != 20 || hd.Mean != 20 {
-		t.Fatalf("hist delta p50/mean = %d/%v, want 20/20", hd.P50, hd.Mean)
+	want := summary(both)
+	b.Merge(a)
+	if got := summary(b); got != want {
+		t.Fatalf("merged count/sum/min/max/p50/p95/p99 = %v, want %v", got, want)
+	}
+	b.Merge(NewHistogram("B"))
+	if got := summary(b); got != want {
+		t.Fatalf("merging an empty histogram moved %v to %v", want, got)
+	}
+	empty := NewHistogram("B")
+	empty.Merge(both)
+	if got := summary(empty); got != want {
+		t.Fatalf("merge into an empty histogram = %v, want %v", got, want)
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // Snapshot is a point-in-time copy of every metric in a registry, the unit
-// of export: rendered as text or JSON, diffed with Delta, served over HTTP
-// by Handler.
+// of export: rendered as text or JSON, served over HTTP by Handler.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
 	Gauges     map[string]int64        `json:"gauges"`
@@ -35,28 +34,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// Delta returns the activity between prev and s: counters and histogram
-// populations subtract, gauges keep their current value (an instantaneous
-// reading has no meaningful difference). Metrics absent from prev are
-// treated as zero.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{
-		Counters:   make(map[string]int64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistSnapshot, len(s.Histograms)),
-	}
-	for name, v := range s.Counters {
-		d.Counters[name] = v - prev.Counters[name]
-	}
-	for name, v := range s.Gauges {
-		d.Gauges[name] = v
-	}
-	for name, h := range s.Histograms {
-		d.Histograms[name] = h.Delta(prev.Histograms[name])
-	}
-	return d
 }
 
 // Scoped returns the subset of the snapshot whose names start with

@@ -135,10 +135,9 @@ type Config struct {
 	// for any worker count: every round draws from its own RNG stream
 	// derived from (seed, hop level, round index).
 	Workers int
-	// Obs, when non-nil, redirects the planner's metrics (pass/hop-level
-	// timings, NetP trajectory, accept/reject counters — see obs.go) to a
-	// private scope instead of the process-wide default registry. Tests
-	// use this for isolated, deterministic snapshots.
+	// Obs, when non-nil, receives the planner's metrics (pass/hop-level
+	// timings, NetP trajectory, accept/reject counters — see obs.go) and
+	// its registry's tracer its spans. Nil records nothing.
 	Obs *obs.Scope
 }
 

@@ -1,14 +1,16 @@
 package turboca
 
 import (
+	"time"
+
 	"repro/internal/obs"
 )
 
-// Planner observability (scope "turboca"). Instrumentation is always on:
-// the counters are single atomics and every histogram observation happens
-// at pass/level/round granularity — never inside ACC's per-channel loops —
-// so a 600-AP pass pays a few dozen atomic ops on top of ~8 ms of planning
-// (BenchmarkPlannerPass, one 2.1 GHz core).
+// Planner observability (scope "turboca" of the registry Config.Obs belongs
+// to; a nil Obs records nothing). The counters are single atomics and every
+// histogram observation happens at pass/level/round granularity — never
+// inside ACC's per-channel loops — so a 600-AP pass pays a few dozen atomic
+// ops on top of ~8 ms of planning (BenchmarkPlannerPass, one 2.1 GHz core).
 //
 // Metric inventory:
 //
@@ -52,26 +54,54 @@ func metricsOn(scope *obs.Scope) *plannerMetrics {
 	}
 }
 
-// defaultPlannerMetrics serves every Config with a nil Obs scope.
-var defaultPlannerMetrics = metricsOn(obs.Default().Scope("turboca"))
-
-// metrics resolves the metric set for this configuration: the process
-// default, or a private scope (tests use one for isolated, deterministic
-// snapshots).
+// metrics resolves the metric set for this configuration: nil, which
+// records nothing, when Obs is nil.
 func (cfg Config) metrics() *plannerMetrics {
 	if cfg.Obs == nil {
-		return defaultPlannerMetrics
+		return nil
 	}
 	return metricsOn(cfg.Obs)
 }
 
-// obsRegistry resolves the registry whose tracer instruments this
-// configuration.
-func (cfg Config) obsRegistry() *obs.Registry {
+// tracer returns the tracer of the registry Obs belongs to, nil (whose
+// spans are no-ops) when Obs is nil or tracing is off.
+func (cfg Config) tracer() *obs.Tracer {
 	if cfg.Obs == nil {
-		return obs.Default()
+		return nil
 	}
-	return cfg.Obs.Registry()
+	return cfg.Obs.Registry().Tracer()
+}
+
+// round records one NBO round's score and whether it was accepted.
+func (m *plannerMetrics) round(score float64, accepted bool) {
+	if m == nil {
+		return
+	}
+	m.rounds.Inc()
+	m.netpRound.Observe(milliNetP(score))
+	if accepted {
+		m.roundsAccepted.Inc()
+	} else {
+		m.roundsRejected.Inc()
+	}
+}
+
+// level records one hop level's wall time.
+func (m *plannerMetrics) level(start time.Time) {
+	if m != nil {
+		m.levelUS.Observe(time.Since(start).Microseconds())
+	}
+}
+
+// pass records one finished RunNBO invocation.
+func (m *plannerMetrics) pass(start time.Time, best float64, switches int) {
+	if m == nil {
+		return
+	}
+	m.passes.Inc()
+	m.passUS.Observe(time.Since(start).Microseconds())
+	m.netpBest.Set(milliNetP(best))
+	m.switchesDone.Add(int64(switches))
 }
 
 // milliNetP scales ln NetP for integer histograms: −1000·score, so lower

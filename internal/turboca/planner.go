@@ -379,13 +379,9 @@ type nboHooks struct {
 // runNBO is RunNBO plus test hooks.
 func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Result {
 	m := cfg.metrics()
-	sp := cfg.obsRegistry().Tracer().Begin("turboca.pass")
+	sp := cfg.tracer().Begin("turboca.pass")
+	defer sp.End()
 	passStart := time.Now()
-	defer func() {
-		m.passUS.Observe(time.Since(passStart).Microseconds())
-		sp.End()
-	}()
-	m.passes.Inc()
 
 	p := newPlanner(cfg, in)
 	runs := cfg.Runs
@@ -444,18 +440,15 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 		// score in a scheduling-independent multiset.
 		for _, ro := range out {
 			rounds++
-			m.rounds.Inc()
-			m.netpRound.Observe(milliNetP(ro.score))
-			if ro.score > bestScore {
+			accepted := ro.score > bestScore
+			if accepted {
 				bestScore = ro.score
 				bestAssign = ro.assign
 				improved = true
-				m.roundsAccepted.Inc()
-			} else {
-				m.roundsRejected.Inc()
 			}
+			m.round(ro.score, accepted)
 		}
-		m.levelUS.Observe(time.Since(levelStart).Microseconds())
+		m.level(levelStart)
 
 		// Refinement (§4.4.4): adopt the best plan so far as the working
 		// incumbent, so the next hop level's rounds plan against it — the
@@ -479,7 +472,6 @@ func runNBO(cfg Config, in Input, rng *rand.Rand, hops []int, hooks nboHooks) Re
 	}
 	res.Plan = p.snapshotPlan()
 	res.Switches = p.switches(res.Plan)
-	m.netpBest.Set(milliNetP(bestScore))
-	m.switchesDone.Add(int64(res.Switches))
+	m.pass(passStart, bestScore, res.Switches)
 	return res
 }

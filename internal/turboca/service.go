@@ -133,7 +133,7 @@ func (s *Service) Stop() {
 // callbacks, and every plan are deterministic. Duplicate Bands entries are
 // planned once per invocation.
 func (s *Service) RunOnce(hops []int) {
-	sp := s.Cfg.obsRegistry().Tracer().Begin("turboca.run_once")
+	sp := s.Cfg.tracer().Begin("turboca.run_once")
 	defer sp.End()
 	type job struct {
 		band   spectrum.Band
