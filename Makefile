@@ -17,8 +17,10 @@ GO ?= go
 # failing a build, plus the backend's telemetry
 # store and the control plane — the fleet controller, and the backend,
 # planner and topology under it — whose determinism contracts live in
-# their tests.
-COVER_PKGS  = ./internal/sim ./internal/mac ./internal/testbed ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle ./internal/backend ./internal/turboca ./internal/topo
+# their tests — and the packages the figures stand on: the fleet
+# population (Fig 1's tally), channels, RF environment, fault injection,
+# metrics, statistics and PHY rates.
+COVER_PKGS  = ./internal/sim ./internal/mac ./internal/testbed ./internal/fastack ./internal/tcpstack ./internal/seqspace ./internal/packet ./internal/littletable ./internal/fleetd ./internal/oracle ./internal/backend ./internal/turboca ./internal/topo ./internal/fleet ./internal/spectrum ./internal/rfenv ./internal/faults ./internal/obs ./internal/stats ./internal/phy
 COVER_FLOOR = 75
 # The FastACK agent carries the safety guard and invariant checker; its
 # guard/chaos/fuzz test battery holds it to a stricter floor.

@@ -22,12 +22,9 @@ import (
 // supersedes a stale retry.
 
 // applyPlan records plan as the intent of record for the band and pushes
-// it to each diverging AP, returning how many switches landed
-// immediately. Deferred deliveries (retries, reconciliations) credit
-// Service.SwitchesTotal themselves when they land, so partial
-// applications are never over-counted.
-func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.Result) int {
-	applied := 0
+// it to each diverging AP. A switch is counted (Switches) where it lands,
+// in installChannel, whether by this push, a retry or a reconciliation.
+func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.Result) {
 	for i, ap := range b.Scenario.APs {
 		a, ok := plan[ap.ID]
 		if !ok {
@@ -41,27 +38,23 @@ func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.R
 			continue
 		}
 		if b.cancelled() {
-			return applied
+			return
 		}
-		if b.pushAP(ap, band, a, 0) {
-			applied++
-		}
+		b.pushAP(ap, band, a, 0)
 	}
-	return applied
 }
 
 // pushAP attempts one configuration push. On failure it arms the backoff
-// retry chain and reports false.
-func (b *Backend) pushAP(ap *topo.AP, band spectrum.Band, a turboca.Assignment, attempt int) bool {
+// retry chain.
+func (b *Backend) pushAP(ap *topo.AP, band spectrum.Band, a turboca.Assignment, attempt int) {
 	now := b.Engine.Now()
 	b.ctl.pushesAttempted.Inc()
 	if b.faults.Offline(ap.ID, now) || b.faults.FailPush(ap.ID, int(band), now, attempt) {
 		b.ctl.pushesFailed.Inc()
 		b.scheduleRetry(ap, band, attempt)
-		return false
+		return
 	}
 	b.installChannel(ap, band, a)
-	return true
 }
 
 // scheduleRetry arms the next delivery attempt: delay doubles from
@@ -93,9 +86,7 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int) {
 		if !row.has[band] || b.channelOn(ap, band) == a.Channel {
 			return
 		}
-		if b.pushAP(ap, band, a, attempt+1) && b.Service != nil {
-			b.Service.SwitchesTotal++
-		}
+		b.pushAP(ap, band, a, attempt+1)
 	})
 }
 
@@ -154,9 +145,7 @@ func (b *Backend) Reconcile() {
 				continue
 			}
 			b.ctl.reconciliations.Inc()
-			if b.pushAP(ap, band, a, 0) && b.Service != nil {
-				b.Service.SwitchesTotal++
-			}
+			b.pushAP(ap, band, a, 0)
 		}
 	}
 }

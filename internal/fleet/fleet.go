@@ -9,11 +9,9 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
-	"repro/internal/dot11"
 	"repro/internal/phy"
 	"repro/internal/spectrum"
 	"repro/internal/stats"
@@ -437,11 +435,10 @@ func (f *Fleet) WidthTable() (all, large *stats.Counter) {
 }
 
 // CapabilityReport reruns Fig 1 for a cohort: fractions of nClients
-// advertising each capability. Fidelity note: each sampled client's
-// capabilities are rendered as real HT/VHT information elements inside an
-// encoded 802.11 association request and tallied from the *decoded* frame
-// — the same pipeline a production AP uses to learn what a client
-// advertises (§3.2.1).
+// advertising each capability. Fidelity note: each client is counted as
+// its association request would advertise it (§3.2.1). A VHT
+// capabilities element cannot advertise less than 80 MHz, so every
+// 802.11ac client counts as >=40 MHz capable whatever width it drew.
 func CapabilityReport(m CapabilityModel, nClients int, seed int64) *stats.Counter {
 	rng := rand.New(rand.NewSource(seed))
 	c := stats.NewCounter()
@@ -451,32 +448,13 @@ func CapabilityReport(m CapabilityModel, nClients int, seed int64) *stats.Counte
 		if !caps.Supports5GHz {
 			c.Add("2.4GHz-only")
 		}
-
-		// Round-trip through the wire format.
-		wire := dot11.EncodeAssocRequest(dot11.AssocRequest{
-			SSID: "fleet",
-			Caps: dot11.Capabilities{
-				// Effectively every client in the 2015+ cohorts is at
-				// least 802.11n, including 2.4 GHz-only devices.
-				HT:       true,
-				VHT:      caps.VHT,
-				MaxWidth: caps.MaxWidth,
-				NSS:      caps.NSS,
-			},
-		})
-		ar, err := dot11.DecodeAssocRequest(wire)
-		if err != nil {
-			// A frame encoded just above must decode: a failure is a codec
-			// bug, and dropping the sample would skew every share.
-			panic(fmt.Sprintf("fleet: decoding our own association request: %v", err))
-		}
-		if ar.Caps.VHT {
+		if caps.VHT {
 			c.Add("802.11ac")
 		}
-		if ar.Caps.MaxWidth >= spectrum.W40 {
+		if caps.VHT || caps.MaxWidth >= spectrum.W40 { // 802.11ac makes 80 MHz mandatory
 			c.Add(">=40MHz")
 		}
-		if ar.Caps.NSS >= 2 {
+		if caps.NSS >= 2 {
 			c.Add(">=2SS")
 		}
 	}

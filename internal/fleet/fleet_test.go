@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/spectrum"
@@ -33,6 +36,75 @@ func TestCapabilityCohorts(t *testing.T) {
 	within(t, "2017 >=2SS", frac(c17, ">=2SS"), 0.37, 0.02)
 	if frac(c17, ">=40MHz") <= frac(c15, ">=40MHz") {
 		t.Error("40 MHz capability did not grow")
+	}
+}
+
+// TestCapabilityReportKeys holds Fig 1's tally to its rule over every
+// capability set CapabilityModel.Sample can draw: which keys one client
+// adds. A 2.4 GHz-only client is never VHT and stays at 20 MHz, and only a
+// VHT client draws 80 MHz; an 802.11ac client always counts as >=40 MHz.
+func TestCapabilityReportKeys(t *testing.T) {
+	const (
+		w20, w40, w80 = spectrum.W20, spectrum.W40, spectrum.W80
+		g24, ac, ss2  = "2.4GHz-only", "802.11ac", ">=2SS"
+		mhz40         = ">=40MHz"
+	)
+	cases := []struct {
+		fiveGHz, vht bool
+		width        spectrum.Width
+		nss          int
+		want         []string
+	}{
+		{false, false, w20, 1, []string{g24}},
+		{false, false, w20, 2, []string{g24, ss2}},
+		{false, false, w20, 3, []string{g24, ss2}},
+		{true, false, w20, 1, nil},
+		{true, false, w20, 2, []string{ss2}},
+		{true, false, w20, 3, []string{ss2}},
+		{true, false, w40, 1, []string{mhz40}},
+		{true, false, w40, 2, []string{mhz40, ss2}},
+		{true, false, w40, 3, []string{mhz40, ss2}},
+		{true, true, w20, 1, []string{ac, mhz40}},
+		{true, true, w20, 2, []string{ac, mhz40, ss2}},
+		{true, true, w20, 3, []string{ac, mhz40, ss2}},
+		{true, true, w40, 1, []string{ac, mhz40}},
+		{true, true, w40, 2, []string{ac, mhz40, ss2}},
+		{true, true, w40, 3, []string{ac, mhz40, ss2}},
+		{true, true, w80, 1, []string{ac, mhz40}},
+		{true, true, w80, 2, []string{ac, mhz40, ss2}},
+		{true, true, w80, 3, []string{ac, mhz40, ss2}},
+	}
+	for _, tc := range cases {
+		caps := ClientCaps{Supports5GHz: tc.fiveGHz, VHT: tc.vht, MaxWidth: tc.width, NSS: tc.nss}
+		// A cohort whose every probability is 0 or 1 draws caps and
+		// nothing else.
+		m := CapabilityModel{P24Only: 1}
+		if tc.fiveGHz {
+			m.P24Only = 0
+		}
+		if tc.vht {
+			m.PVHT = 1
+		}
+		if tc.width >= w40 {
+			m.P40MHz = 1
+		}
+		if tc.width >= w80 {
+			m.P80MHz = 1
+		}
+		switch tc.nss {
+		case 2:
+			m.P2SS = 1
+		case 3:
+			m.P3SS = 1
+		}
+		if got := m.Sample(rand.New(rand.NewSource(1))); got != caps {
+			t.Fatalf("cohort for %+v draws %+v", caps, got)
+		}
+		want := append([]string{"all"}, tc.want...)
+		sort.Strings(want)
+		if got := CapabilityReport(m, 1, 1).Keys(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: keys %v, want %v", caps, got, want)
+		}
 	}
 }
 

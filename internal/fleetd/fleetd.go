@@ -30,6 +30,7 @@ package fleetd
 
 import (
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"runtime"
@@ -322,8 +323,13 @@ func netSeed(seed int64, id int) int64 {
 // Against a store, the registration intent is journaled first: a
 // generated fleet costs one record (its fleet.Options — replay re-runs
 // fleet.Generate), a hand-assembled one falls back to one record per
-// network. A journal-append failure leaves nothing registered.
+// network. A fleet holding an ID that is already registered, or holding
+// one ID twice, is refused whole before anything is journaled, as is a
+// journal-append failure: either leaves nothing registered.
 func (c *Controller) AddFleet(f *fleet.Fleet) error {
+	if err := c.refuseRegistered(f.Networks); err != nil {
+		return err
+	}
 	if c.store != nil {
 		if f.Opt.Networks > 0 {
 			opt := f.Opt
@@ -349,12 +355,33 @@ func (c *Controller) addFleet(f *fleet.Fleet) {
 }
 
 // Add registers one network on the controller's cadences, journaling the
-// intent (network inlined) when a store is attached.
+// intent (network inlined) when a store is attached. An ID that is already
+// registered is refused before anything is journaled.
 func (c *Controller) Add(n *fleet.Network) error {
+	if err := c.refuseRegistered([]*fleet.Network{n}); err != nil {
+		return err
+	}
 	if err := c.appendRecord(jrec{Op: opAdd, Net: n}); err != nil {
 		return err
 	}
 	c.add(n)
+	return nil
+}
+
+// refuseRegistered names the first network of nets whose ID is already
+// registered or repeats an earlier entry of nets. Registering it would
+// overwrite the registry entry and arm a second set of deadlines for the
+// ID.
+func (c *Controller) refuseRegistered(nets []*fleet.Network) error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	seen := make(map[int]bool, len(nets))
+	for _, n := range nets {
+		if c.reg[n.ID] != nil || seen[n.ID] {
+			return fmt.Errorf("fleetd: duplicate network ID %d", n.ID)
+		}
+		seen[n.ID] = true
+	}
 	return nil
 }
 

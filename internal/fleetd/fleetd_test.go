@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -109,6 +110,61 @@ func TestSnapshotUtil(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want.Summarize()) {
 		t.Fatalf("Util = %+v, want %+v", got, want.Summarize())
+	}
+}
+
+// TestAddRefusesRegisteredID: Add and AddFleet refuse an ID that is
+// already registered, or one a fleet holds twice, before anything is
+// journaled or registered. A refused call leaves the controller, its
+// networks gauge and its journal where a twin that never made it stands.
+func TestAddRefusesRegisteredID(t *testing.T) {
+	f := testFleet(37, 2)
+	mk := func() (*Controller, *MemStore) {
+		store := NewMemStore(nil)
+		c := mustOpen(t, testConfig(37), store)
+		if err := c.AddFleet(f); err != nil {
+			t.Fatal(err)
+		}
+		return c, store
+	}
+	c, store := mk()
+	twin, _ := mk()
+	written := bytes.Clone(store.journal.Bytes())
+	dup := f.Networks[0].ID
+	for _, tc := range []struct {
+		name string
+		id   int // the ID the error must name
+		add  func() error
+	}{
+		{"Add", dup, func() error { return c.Add(f.Networks[0]) }},
+		{"Add hand-built", dup, func() error { return c.Add(testNetwork(dup, 3)) }},
+		{"AddFleet again", dup, func() error { return c.AddFleet(f) }},
+		{"AddFleet mixed", dup, func() error {
+			return c.AddFleet(&fleet.Fleet{Networks: []*fleet.Network{testNetwork(100, 2), f.Networks[0]}})
+		}},
+		{"AddFleet inside", 100, func() error {
+			return c.AddFleet(&fleet.Fleet{Networks: []*fleet.Network{testNetwork(100, 2), testNetwork(100, 2)}})
+		}},
+	} {
+		want := fmt.Sprintf("fleetd: duplicate network ID %d", tc.id)
+		if err := tc.add(); err == nil || err.Error() != want {
+			t.Fatalf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+	if !bytes.Equal(store.journal.Bytes(), written) {
+		t.Fatal("a refused registration was journaled")
+	}
+	if c.Len() != 2 || c.get(100) != nil || c.met.networks.Value() != 2 {
+		t.Fatalf("Len() = %d, networks gauge = %d, network 100 registered = %v; want 2, 2, false",
+			c.Len(), c.met.networks.Value(), c.get(100) != nil)
+	}
+	for _, ctl := range []*Controller{c, twin} {
+		if err := ctl.RunTo(sim.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(c.CheckpointBytes(), twin.CheckpointBytes()) {
+		t.Fatal("refused registrations moved the controller's state")
 	}
 }
 

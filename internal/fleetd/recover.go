@@ -122,11 +122,18 @@ func Open(cfg Config, store Store) (*Controller, error) {
 			if r.Fleet == nil {
 				return nil, fmt.Errorf("fleetd: journal addfleet record %d has no options", r.Seq)
 			}
-			c.addFleet(fleet.Generate(*r.Fleet))
+			f := fleet.Generate(*r.Fleet)
+			if err := c.refuseRegistered(f.Networks); err != nil {
+				return nil, fmt.Errorf("fleetd: journal addfleet record %d: %w", r.Seq, err)
+			}
+			c.addFleet(f)
 		case opAdd:
 			c.replayPop()
 			if r.Net == nil {
 				return nil, fmt.Errorf("fleetd: journal add record %d has no network", r.Seq)
+			}
+			if err := c.refuseRegistered([]*fleet.Network{r.Net}); err != nil {
+				return nil, fmt.Errorf("fleetd: journal add record %d: %w", r.Seq, err)
 			}
 			c.add(r.Net)
 		case opAdvance:

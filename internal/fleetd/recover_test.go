@@ -398,6 +398,36 @@ func TestOpenRefusesRetiredRecords(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesDuplicateAdd: replaying an add or addfleet record for an
+// ID the journal already registered is an Open error naming the record
+// and the ID, not a silent overwrite.
+func TestOpenRefusesDuplicateAdd(t *testing.T) {
+	cfg := testConfig(41)
+	f := testFleet(41, 3)
+	opt := f.Opt
+	for _, tc := range []struct {
+		dup jrec
+		id  int // the ID the error must name
+	}{
+		{jrec{Op: opAdd, Net: f.Networks[1]}, f.Networks[1].ID},
+		{jrec{Op: opAddFleet, Fleet: &opt}, f.Networks[0].ID},
+	} {
+		store := NewMemStore(nil)
+		store.journal.Write(journalBytes(t,
+			jrec{Op: opConfig, Digest: cfg.withDefaults().digest()},
+			jrec{Op: opAddFleet, Fleet: &opt},
+			jrec{Op: opAdvance, To: int64(sim.Hour)},
+			tc.dup,
+		))
+		cfg.Obs = obs.NewRegistry()
+		_, err := Open(cfg, store)
+		want := fmt.Sprintf("fleetd: journal %s record 4: fleetd: duplicate network ID %d", tc.dup.Op, tc.id)
+		if err == nil || err.Error() != want {
+			t.Fatalf("Open of a journal with a duplicate %s record: err = %v, want %q", tc.dup.Op, err, want)
+		}
+	}
+}
+
 // preGridConfig's digest was 0x6308c920312de455 before turboca.Format
 // was folded into it, 0x2f2bfc1f5aa64004 before ckptFormat was,
 // 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried a since

@@ -12,11 +12,9 @@ import (
 type EnvironmentFn func(band spectrum.Band) Input
 
 // ApplyFn delivers an accepted plan to the network (the backend pushes the
-// configuration to the APs) and returns how many AP channel switches were
-// actually applied right away. Deliveries that land later — push retries,
-// reconciliations — are reported by incrementing Service.SwitchesTotal
-// directly, so partial applications are never over-counted.
-type ApplyFn func(band spectrum.Band, plan Plan, res Result) (switched int)
+// configuration to the APs). The service does not count switches: the
+// network that applies them does (backend.Backend.Switches).
+type ApplyFn func(band spectrum.Band, plan Plan, res Result)
 
 // The §4.4.4 cadences of the three schedules.
 const (
@@ -64,7 +62,6 @@ type Service struct {
 
 	// Counters for evaluation.
 	RunsTotal     int
-	SwitchesTotal int
 	ImprovedTotal int
 	// SkippedTotal counts band-invocations elided by DirtySkip (each also
 	// counts in RunsTotal: a skip is a run whose outcome was proven
@@ -203,9 +200,7 @@ func (s *Service) RunOnce(hops []int) {
 		if j.res.Improved {
 			s.ImprovedTotal++
 			if s.Apply != nil {
-				s.SwitchesTotal += s.Apply(j.band, j.res.Plan, j.res)
-			} else {
-				s.SwitchesTotal += j.res.Switches
+				s.Apply(j.band, j.res.Plan, j.res)
 			}
 		}
 	}

@@ -290,29 +290,37 @@ const time1 = sim.Minute
 
 func TestServiceAppliesImprovedPlans(t *testing.T) {
 	engine := sim.NewEngine(6)
-	applied := 0
+	start := chainInput(4, spectrum.W80, 1.0).APs[0].Current
 	env := func(band spectrum.Band) Input {
 		if band != spectrum.Band5 {
 			return Input{}
 		}
 		return chainInput(4, spectrum.W80, 1.0) // always the bad plan: always improvable
 	}
-	svc := NewService(DefaultConfig(), env, func(band spectrum.Band, plan Plan, res Result) int {
-		applied++
-		if len(plan) == 0 {
-			t.Error("empty plan applied")
+	var applied []Plan
+	svc := NewService(DefaultConfig(), env, func(band spectrum.Band, plan Plan, res Result) {
+		if band != spectrum.Band5 || !res.Improved {
+			t.Errorf("applied a %v plan with Improved=%v", band, res.Improved)
 		}
-		return res.Switches
+		applied = append(applied, plan)
 	}, 6)
 	svc.Bands = []spectrum.Band{spectrum.Band5}
 	svc.Start(engine)
 	engine.RunUntil(sim.Hour)
 	svc.Stop()
-	if applied == 0 {
-		t.Fatal("no plans applied")
+	if len(applied) == 0 || len(applied) != svc.ImprovedTotal {
+		t.Fatalf("%d plans applied, %d improved", len(applied), svc.ImprovedTotal)
 	}
-	if svc.SwitchesTotal == 0 {
-		t.Fatal("no switches counted")
+	for i, plan := range applied {
+		moved := 0
+		for _, a := range plan {
+			if a.Channel != start {
+				moved++
+			}
+		}
+		if len(plan) != 4 || moved == 0 {
+			t.Errorf("plan %d: %d assignments, %d off the co-channel start", i, len(plan), moved)
+		}
 	}
 }
 
