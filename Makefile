@@ -97,14 +97,15 @@ chaos:
 # Crash-safety campaign for the fleet control plane: seeded SIGKILLs at
 # durable-write instants over a 600-network fleet (half tearing the
 # journal's final record), restart-replay equivalence at every write
-# boundary (with and without checkpoint failures), the proof that a
-# failed checkpoint changes nothing, pass supervision (panic quarantine,
-# stuck-pass watchdog), and a real SIGKILL re-exec of the test binary
-# over the on-disk store — all under the race detector. -short keeps the
-# campaign to 8 seeds under
+# boundary (with and without checkpoint failures), restart points taken
+# with push retries, delayed reports and radar storms in flight, the
+# proof that a failed checkpoint changes nothing, pass supervision (panic
+# quarantine, stuck-pass watchdog), and a real SIGKILL re-exec of the
+# test binary over the on-disk store — all under the race detector.
+# -short keeps the campaign to 8 seeds under
 # -race; plain `go test ./internal/fleetd` runs all 50.
 chaos-kill:
-	$(GO) test -race -short -run 'TestChaosKillCampaign|TestRestartEquivalence|TestCleanRestart|TestFailedCheckpointChangesNothing|TestOpenTruncates|TestOpenRejects|TestPanicQuarantine|TestWatchdog|TestRealSIGKILL' ./internal/fleetd
+	$(GO) test -race -short -run 'TestChaosKillCampaign|TestRestartEquivalence|TestRestartPointsUnderChaos|TestCleanRestart|TestCleanCloseOpenRunsNoPasses|TestFailedCheckpointChangesNothing|TestOpenTruncates|TestOpenRejects|TestPanicQuarantine|TestWatchdog|TestRealSIGKILL' ./internal/fleetd
 
 # Hostile-RF survival campaign under the race detector: the campus storm
 # acceptance run (correlated DFS sweeps + spectrum-trace interference,

@@ -272,7 +272,7 @@ func BenchmarkPerfDensePass(b *testing.B) {
 
 func BenchmarkPerfModelEvaluate(b *testing.B) {
 	sc := topo.Campus(5)
-	m := backend.NewModel(sc, 5)
+	m := backend.NewModel(sc)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Invalidate()

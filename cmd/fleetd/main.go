@@ -6,8 +6,10 @@
 //
 // With -store the controller runs crash-safe: every mutation is
 // journaled write-ahead to <dir>/journal.jsonl, state checkpoints land
-// atomically in <dir>/checkpoint, and a restart replays the journal to
-// exactly where the previous process died. SIGINT/SIGTERM trigger a
+// atomically in <dir>/checkpoint (the one before in checkpoint.prev), and
+// a restart restores the newest checkpoint the journal vouches for and
+// replays the journal after it, to exactly where the previous process
+// died. SIGINT/SIGTERM trigger a
 // final graceful checkpoint-and-exit; the exit code distinguishes a
 // clean, fully-durable stop (0) from a dirty one (1).
 //
@@ -48,7 +50,7 @@ func run() int {
 	chaos := flag.Bool("chaos", false, "inject the default chaos fault profile into every network's control path")
 	storm := flag.Bool("storm", false, "hostile RF: fleet-correlated DFS radar storms plus per-network spectrum occupancy traces; struck sub-channels serve a 30-minute non-occupancy period")
 	stormsPerDay := flag.Float64("storms-per-day", 2, "expected correlated radar storms per day (requires -storm)")
-	storeDir := flag.String("store", "", "durability directory (journal + checkpoints); restart replays the journal and resumes where the last process stopped")
+	storeDir := flag.String("store", "", "durability directory (journal + checkpoints); restart restores the newest vouched checkpoint, replays the journal after it and resumes where the last process stopped")
 	ckptEvery := flag.Duration("checkpoint-every", time.Hour, "simulated time between periodic checkpoints (requires -store)")
 	passDeadline := flag.Duration("pass-deadline", 0, "wall-clock watchdog per planning pass; a pass exceeding it is cancelled and its network quarantined (0 = off)")
 	metricsAddr := flag.String("metrics", "", "serve metrics JSON (/metrics), text (/metrics.txt), span traces (/trace), and net/http/pprof on this address (e.g. localhost:6060) while the run executes")
@@ -90,7 +92,7 @@ func run() int {
 			return 1
 		}
 		if c.Now() > 0 {
-			fmt.Printf("recovered: journal replayed to t=%s in %.1fs\n",
+			fmt.Printf("recovered: newest vouched checkpoint plus the journal after it, to t=%s in %.3fs\n",
 				fmtSim(c.Now()), time.Since(start).Seconds())
 		}
 	} else {

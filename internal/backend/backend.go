@@ -176,6 +176,7 @@ type Backend struct {
 	Service  *turboca.Service // non-nil for AlgTurboCA
 
 	rng             *rand.Rand
+	rngSrc          *sim.SplitMix64 // rng's source, whose State Export writes
 	faults          *faults.Injector
 	rf              *rfenv.Env // Opt.RF; nil when no hostile-RF layer
 	switches        int
@@ -185,6 +186,9 @@ type Backend struct {
 	// rows is what the control plane keeps per AP, at the AP's position in
 	// Scenario.APs (which is its ID, see topo.Scenario).
 	rows []apRow
+	// late holds the delayed reports in transit, each at the slot its
+	// evLate event names; a free slot has a nil ap (poll.go).
+	late []polledSample
 	// hist is the telemetry history, nil under DisableTelemetryHistory.
 	hist *history
 	// ctl holds the control-plane counters on an obs registry; ctlBase is
@@ -251,11 +255,13 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 		opt.Planner.Obs = reg.Scope("turboca")
 	}
 	ctl := ctlMetricsOn(reg)
+	src := &sim.SplitMix64{State: uint64(opt.Seed)}
 	b := &Backend{
 		Opt:       opt,
 		Scenario:  sc,
 		Engine:    engine,
-		rng:       sim.NewRNG(opt.Seed),
+		rng:       rand.New(src),
+		rngSrc:    src,
 		faults:    faults.New(opt.Faults),
 		rf:        opt.RF,
 		rows:      make([]apRow, len(sc.APs)),
@@ -268,12 +274,46 @@ func New(opt Options, sc *topo.Scenario, engine *sim.Engine) *Backend {
 	if !opt.DisableTelemetryHistory {
 		b.hist = newHistory(sc)
 	}
-	b.Model = NewModel(sc, opt.Seed^0x5eed)
+	b.Model = NewModel(sc)
 	if opt.Algorithm == AlgTurboCA {
 		b.Service = turboca.NewService(opt.Planner, b.PlannerInput, b.applyPlan, opt.Seed)
 		b.Service.DirtySkip = opt.DirtySkip
 	}
+	engine.Handle(b.handlers())
 	return b
+}
+
+// The backend's typed engine events (sim.Post), by kind. The three tickers
+// re-arm themselves after their body, as a sim.Ticker does; the payloads
+// are positions: a storm in rf.Storms, an AP with a band and an attempt, a
+// slot of the late table.
+const (
+	evPoll      sim.Kind = iota // every pollInterval: Poll
+	evReconcile                 // every ReconcileInterval: Reconcile
+	evRadar                     // every radarCheckInterval: radarTick
+	evStorm                     // [storm]: radarStorm
+	evRetry                     // [ap, band, attempt]: retryPush
+	evLate                      // [slot]: deliverLate
+)
+
+func (b *Backend) handlers() []sim.Handler {
+	return []sim.Handler{
+		evPoll: func(sim.Payload) {
+			b.Poll()
+			b.Engine.Post(pollInterval, evPoll, sim.Payload{})
+		},
+		evReconcile: func(sim.Payload) {
+			b.Reconcile()
+			b.Engine.Post(ReconcileInterval, evReconcile, sim.Payload{})
+		},
+		evRadar: func(sim.Payload) {
+			b.radarTick()
+			b.Engine.Post(radarCheckInterval, evRadar, sim.Payload{})
+		},
+		evStorm: func(p sim.Payload) { b.radarStorm(b.rf.Storms[p[0]]) },
+		evRetry: b.retryPush,
+		evLate:  b.deliverLate,
+	}
 }
 
 // Start registers the poll, planning, and reconciliation schedules.
@@ -294,10 +334,10 @@ func (b *Backend) Start() {
 // internal/fleetd drives thousands of these per process off one
 // fleet-wide priority cadence heap.
 func (b *Backend) StartManaged() {
-	b.Engine.Ticker(pollInterval, func(e *sim.Engine) { b.Poll() })
+	b.Engine.Post(pollInterval, evPoll, sim.Payload{})
 	b.startRadar()
 	if b.Opt.Algorithm != AlgNone {
-		b.Engine.Ticker(ReconcileInterval, func(e *sim.Engine) { b.Reconcile() })
+		b.Engine.Post(ReconcileInterval, evReconcile, sim.Payload{})
 	}
 }
 
@@ -456,7 +496,6 @@ func (b *Backend) runReservedCA() {
 		if band == spectrum.Band2G4 {
 			w = spectrum.W20
 		}
-		res := turboca.RunReservedCA(b.Opt.Planner, in, w)
-		b.applyPlan(band, res.Plan, res)
+		b.applyPlan(band, turboca.RunReservedCA(b.Opt.Planner, in, w).Plan)
 	}
 }

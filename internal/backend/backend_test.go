@@ -151,7 +151,7 @@ func TestApplyPlanSwitchesChannels(t *testing.T) {
 	b := New(DefaultOptions(AlgTurboCA), sc, engine)
 	ch155, _ := spectrum.ChannelAt(spectrum.Band5, 155, spectrum.W80)
 	plan := turboca.Plan{sc.APs[0].ID: {Channel: ch155}}
-	b.applyPlan(spectrum.Band5, plan, turboca.Result{})
+	b.applyPlan(spectrum.Band5, plan)
 	if sc.APs[0].Channel != ch155 {
 		t.Fatal("plan not applied")
 	}
@@ -159,7 +159,7 @@ func TestApplyPlanSwitchesChannels(t *testing.T) {
 		t.Fatalf("switches = %d", b.Switches())
 	}
 	// Re-applying the same plan is a no-op.
-	b.applyPlan(spectrum.Band5, plan, turboca.Result{})
+	b.applyPlan(spectrum.Band5, plan)
 	if b.Switches() != 1 {
 		t.Fatal("idempotent apply counted twice")
 	}
@@ -206,7 +206,7 @@ func TestReservedCARunsOnSchedule(t *testing.T) {
 
 func TestModelRationing(t *testing.T) {
 	sc := office(t)
-	m := NewModel(sc, 1)
+	m := NewModel(sc)
 	perf := m.Evaluate(13 * sim.Hour)
 	for id, p := range perf {
 		if p.ServedMbps > p.DemandMbps+1e-9 {
@@ -223,7 +223,7 @@ func TestModelRationing(t *testing.T) {
 
 func TestModelMemoization(t *testing.T) {
 	sc := office(t)
-	m := NewModel(sc, 1)
+	m := NewModel(sc)
 	a := slices.Clone(m.Evaluate(sim.Hour))
 	if len(a) != len(sc.APs) {
 		t.Fatalf("%d rows for %d APs", len(a), len(sc.APs))
@@ -245,7 +245,7 @@ func TestModelMemoization(t *testing.T) {
 func TestUplinkCapScalesServed(t *testing.T) {
 	sc := office(t)
 	sc.UplinkMbps = 100 // choke the WAN
-	m := NewModel(sc, 1)
+	m := NewModel(sc)
 	perf := m.Evaluate(13 * sim.Hour)
 	total := 0.0
 	for _, p := range perf {
@@ -276,7 +276,7 @@ func TestLatencySamplesHeavyTail(t *testing.T) {
 
 func TestBitrateEffDegradesWithUtilization(t *testing.T) {
 	sc := office(t)
-	m := NewModel(sc, 1)
+	m := NewModel(sc)
 	rngA := sim.NewEngine(9).Rand()
 	quiet, busy := 0.0, 0.0
 	for i := 0; i < 5000; i++ {

@@ -186,7 +186,7 @@ func TestChaosOfflineWindowReconciled(t *testing.T) {
 	ch155, _ := spectrum.ChannelAt(spectrum.Band5, 155, spectrum.W80)
 	plan := turboca.Plan{sc.APs[0].ID: {Channel: ch155}}
 	before := b.Switches()
-	b.applyPlan(spectrum.Band5, plan, turboca.Result{})
+	b.applyPlan(spectrum.Band5, plan)
 	if got := b.Switches() - before; got != 0 || sc.APs[0].Channel == ch155 {
 		t.Fatalf("push to offline AP applied %d switches", got)
 	}

@@ -35,33 +35,39 @@ type APPerf struct {
 // for simulated weeks, which the planner experiments (Table 2, Figs 8-9)
 // require.
 type Model struct {
-	sc  *topo.Scenario
-	rng *rand.Rand
+	sc *topo.Scenario
 
 	// capBySlot is the effective capacity (Mbps) for a typical client mix
 	// at each width, by spectrum.Width.Slot.
 	capBySlot [4]float64
 
 	// perf is Evaluate's result, by AP position, memoized for the
-	// timestamp lastAt until dirty; demand, airDemand and ids (each AP's
-	// channel table ID, spectrum.None off the table) are its scratch.
+	// timestamp lastAt until dirty; demand and airDemand are its scratch.
+	// ids is each AP's channel table ID as of the last Evaluate
+	// (spectrum.None off the table, and before the first), and ext the
+	// external utilization on that channel: a static scenario reading,
+	// recomputed only where the ID moved or is None.
 	lastAt            sim.Time
 	perf              []APPerf
 	demand, airDemand []float64
 	ids               []spectrum.ID
+	ext               []float64
 	dirty             bool
 }
 
 // NewModel builds a model over the scenario.
-func NewModel(sc *topo.Scenario, seed int64) *Model {
+func NewModel(sc *topo.Scenario) *Model {
 	m := &Model{
 		sc:        sc,
-		rng:       sim.NewRNG(seed),
 		perf:      make([]APPerf, len(sc.APs)),
 		demand:    make([]float64, len(sc.APs)),
 		airDemand: make([]float64, len(sc.APs)),
 		ids:       make([]spectrum.ID, len(sc.APs)),
+		ext:       make([]float64, len(sc.APs)),
 		dirty:     true,
+	}
+	for i := range m.ids {
+		m.ids[i] = spectrum.None
 	}
 	// Effective MAC throughput for a representative mid-cell client
 	// (MCS7, 2 streams, the Fig 5 mode) at moderate aggregation.
@@ -96,7 +102,7 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 		return m.perf
 	}
 	sc := m.sc
-	perf, demand, airDemand, ids := m.perf, m.demand, m.airDemand, m.ids
+	perf, demand, airDemand, ids, ext := m.perf, m.demand, m.airDemand, m.ids, m.ext
 
 	// Pass 1: demand and normalized load per AP.
 	for i, ap := range sc.APs {
@@ -107,7 +113,9 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 	// AP's own channel capacity, beacons included).
 	for i, ap := range sc.APs {
 		airDemand[i] = 0.02 + demand[i]/math.Max(m.capacity(ap.Channel.Width), 1)
-		ids[i], _ = spectrum.IDOf(ap.Channel)
+		if id, _ := spectrum.IDOf(ap.Channel); id != ids[i] || id == spectrum.None {
+			ids[i], ext[i] = id, m.extUtilOn(ap, ap.Channel)
+		}
 	}
 
 	// Pass 3: rationing. The airtime demanded on an AP's channel is its
@@ -117,7 +125,6 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 	totalServed := 0.0
 	for i, ap := range sc.APs {
 		cap5 := m.capacity(ap.Channel.Width)
-		ext := m.extUtilOn(ap, ap.Channel)
 
 		// j overlaps i iff ids[i]'s first overlap with ids[j] is at or
 		// below i's own width slot (another band's ID never is).
@@ -138,7 +145,7 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 				contention += airDemand[j]
 			}
 		}
-		total := ext + contention + airDemand[i]
+		total := ext[i] + contention + airDemand[i]
 
 		scale := 1.0
 		if total > 1 {
@@ -154,7 +161,7 @@ func (m *Model) Evaluate(t sim.Time) []APPerf {
 			ServedMbps:   served,
 			Utilization:  clamp01(total),
 			Contention:   contention,
-			ExtUtil:      ext,
+			ExtUtil:      ext[i],
 		}
 		totalServed += served
 	}

@@ -127,12 +127,33 @@ func (b *Backend) Poll() {
 		if delayed {
 			b.ctl.pollsDelayed.Inc()
 			b.ctl.pollDelayUS.Observe(int64(d))
-			late := s // only a delayed report escapes to the heap
-			b.Engine.After(d, func(e *sim.Engine) { b.accept(&late) })
+			b.Engine.Post(d, evLate, sim.Payload{int32(b.park(s))})
 			continue
 		}
 		b.accept(&s)
 	}
+}
+
+// park puts a delayed report in the lowest free slot of the late table
+// and returns the slot. Lowest-free makes the slot a function of which
+// slots are taken, so a restored table hands out the slots the original
+// would have.
+func (b *Backend) park(s polledSample) int {
+	for i := range b.late {
+		if b.late[i].ap == nil {
+			b.late[i] = s
+			return i
+		}
+	}
+	b.late = append(b.late, s)
+	return len(b.late) - 1
+}
+
+// deliverLate is the evLate event: the report parked in slot p[0] arrives.
+func (b *Backend) deliverLate(p sim.Payload) {
+	s := b.late[p[0]]
+	b.late[p[0]] = polledSample{}
+	b.accept(&s)
 }
 
 // sane reports whether the report's metrics are usable. Malformed reports
@@ -172,39 +193,4 @@ func (b *Backend) accept(s *polledSample) {
 // saneMetric accepts finite values in [0, hi].
 func saneMetric(v, hi float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 && v <= hi
-}
-
-// ReportsDigest returns an FNV-1a content hash of the last-known-good
-// report rows, folded in Scenario.APs order with each AP's ID. The fleet
-// durability layer records it in checkpoints
-// as the telemetry-state anchor: two backends with equal digests have
-// byte-identical planner-visible telemetry.
-func (b *Backend) ReportsDigest() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	for i, ap := range b.Scenario.APs {
-		if !b.rows[i].reported {
-			continue
-		}
-		rep := &b.rows[i].report
-		mix(uint64(ap.ID))
-		mix(uint64(rep.At))
-		mix(math.Float64bits(rep.Demand))
-		mix(math.Float64bits(rep.Utilization))
-		if rep.HasClients {
-			mix(1)
-		} else {
-			mix(0)
-		}
-	}
-	return h
 }

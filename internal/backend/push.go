@@ -24,7 +24,7 @@ import (
 // applyPlan records plan as the intent of record for the band and pushes
 // it to each diverging AP. A switch is counted (Switches) where it lands,
 // in installChannel, whether by this push, a retry or a reconciliation.
-func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan, res turboca.Result) {
+func (b *Backend) applyPlan(band spectrum.Band, plan turboca.Plan) {
 	for i, ap := range b.Scenario.APs {
 		a, ok := plan[ap.ID]
 		if !ok {
@@ -75,19 +75,25 @@ func (b *Backend) scheduleRetry(ap *topo.AP, band spectrum.Band, attempt int) {
 	row.retrying[band] = true
 	b.ctl.pushRetries.Inc()
 	b.ctl.pushDelayUS.Observe(int64(d))
-	b.Engine.After(d, func(e *sim.Engine) {
-		row.retrying[band] = false
-		if b.cancelled() {
-			return
-		}
-		// Re-read intent: a newer plan, or a radar fallback, may have
-		// superseded the assignment this retry was armed for.
-		a := row.intended[band]
-		if !row.has[band] || b.channelOn(ap, band) == a.Channel {
-			return
-		}
-		b.pushAP(ap, band, a, attempt+1)
-	})
+	b.Engine.Post(d, evRetry, sim.Payload{int32(ap.ID), int32(band), int32(attempt)})
+}
+
+// retryPush is the evRetry event scheduleRetry armed for attempt p[2] of
+// AP p[0]'s delivery on band p[1].
+func (b *Backend) retryPush(p sim.Payload) {
+	ap, band, attempt := b.Scenario.APs[p[0]], spectrum.Band(p[1]), int(p[2])
+	row := &b.rows[ap.ID]
+	row.retrying[band] = false
+	if b.cancelled() {
+		return
+	}
+	// Re-read intent: a newer plan, or a radar fallback, may have
+	// superseded the assignment this retry was armed for.
+	a := row.intended[band]
+	if !row.has[band] || b.channelOn(ap, band) == a.Channel {
+		return
+	}
+	b.pushAP(ap, band, a, attempt+1)
 }
 
 // installChannel applies an assignment to the AP, charging switch

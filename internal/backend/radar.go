@@ -37,27 +37,28 @@ const radarCheckInterval = 15 * sim.Minute
 // RadarEventsPerDay enables it, the scheduled storms and the invariant
 // sweep when an RF environment is attached.
 func (b *Backend) startRadar() {
-	random := b.Opt.RadarEventsPerDay > 0
-	if random || b.rf != nil {
-		perCheck := b.Opt.RadarEventsPerDay * radarCheckInterval.Seconds() / sim.Day.Seconds()
-		b.Engine.Ticker(radarCheckInterval, func(e *sim.Engine) {
-			if random && b.rng.Float64() < perCheck {
-				b.radarEvent()
-			}
-			b.checkNOP()
-		})
+	if b.Opt.RadarEventsPerDay > 0 || b.rf != nil {
+		b.Engine.Post(radarCheckInterval, evRadar, sim.Payload{})
 	}
 	if b.rf == nil {
 		return
 	}
 	now := b.Engine.Now()
-	for _, s := range b.rf.Storms {
-		if s.At <= now {
-			continue
+	for i, s := range b.rf.Storms {
+		if s.At > now {
+			b.Engine.Post(s.At-now, evStorm, sim.Payload{int32(i)})
 		}
-		storm := s
-		b.Engine.After(storm.At-now, func(e *sim.Engine) { b.radarStorm(storm) })
 	}
+}
+
+// radarTick is one radarCheckInterval tick: a random detection with the
+// configured probability, then the invariant sweep.
+func (b *Backend) radarTick() {
+	perCheck := b.Opt.RadarEventsPerDay * radarCheckInterval.Seconds() / sim.Day.Seconds()
+	if perCheck > 0 && b.rng.Float64() < perCheck {
+		b.radarEvent()
+	}
+	b.checkNOP()
 }
 
 // radarEvent picks a random AP operating on a DFS channel and injects a

@@ -250,7 +250,7 @@ func fig6(s *Session, r *Report) {
 // fig7 shows RSSI's insensitivity to load.
 func fig7(s *Session, r *Report) {
 	sc := topo.Museum(s.Opt.Seed)
-	m := backend.NewModel(sc, s.Opt.Seed)
+	m := backend.NewModel(sc)
 	engine := sim.NewEngine(s.Opt.Seed)
 	peak, off := stats.NewSample(8000), stats.NewSample(8000)
 	for i := 0; i < 8000; i++ {

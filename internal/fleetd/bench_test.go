@@ -1,6 +1,8 @@
 package fleetd
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -130,4 +132,44 @@ func BenchmarkFleetd100kNetworks(b *testing.B) {
 		b.Skip("100k-network fleet benchmark skipped under -short")
 	}
 	benchFleetScale(b, 100_000)
+}
+
+// BenchmarkFleetdRecovery times Open on the fleet_durable shape (16
+// networks, hourly checkpoints, 15-minute advances) after 1 and 4
+// simulated days, left 45 minutes past its last checkpoint as a crash
+// would leave it: Open restores that checkpoint and replays the three
+// advances after it, so recovery_ms stays flat as the history grows.
+func BenchmarkFleetdRecovery(b *testing.B) {
+	for _, days := range []int{1, 4} {
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			cfg := Config{Seed: 20170811, CheckpointEvery: sim.Hour, Obs: obs.NewRegistry()}
+			store := NewMemStore(nil)
+			c, err := Open(cfg, store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.AddFleet(fleet.Generate(fleet.Options{Seed: 20170811, Networks: 16, MaxAPs: 48})); err != nil {
+				b.Fatal(err)
+			}
+			end := sim.Time(days)*sim.Day + 45*sim.Minute
+			for t := 15 * sim.Minute; t <= end; t += 15 * sim.Minute {
+				if err := c.RunTo(t); err != nil {
+					b.Fatal(err)
+				}
+			}
+			want := c.CheckpointBytes()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg.Obs = obs.NewRegistry()
+				re, err := Open(cfg, store)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 && !bytes.Equal(re.CheckpointBytes(), want) {
+					b.Fatal("recovered state differs from the crashed controller's")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "recovery_ms")
+		})
+	}
 }

@@ -6,8 +6,8 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/backend"
 	"repro/internal/sim"
-	"repro/internal/spectrum"
 )
 
 // Checkpoints. A checkpoint renders the controller's durable state as one
@@ -15,18 +15,23 @@ import (
 // the fleet clock, the next checkpoint instant, the seed, the config
 // digest, one row per network in ascending ID order and the scheduler's
 // pending entries in their total order. A network's row is its snapshot
-// row (status) plus what no snapshot shows: whether it is built, the
-// reports digest and the dirty-skip memos. uint64s encode as exact
-// integers and floats as their shortest round-tripping form, so the blob
-// is a canonical byte string of the fleet's state: two controllers are
-// equivalent iff their checkpoint bytes are equal, which is exactly the
-// invariant the restart property test and the kill-chaos campaign pin.
+// row (status) plus what no snapshot shows: whether it is built and, when
+// it is live, its engine's exported position (sim.State: clock, counters,
+// rng and the pending typed events) and its backend's (backend.State: the
+// per-AP rows and channels, the rng, the quarantine table, the delayed
+// reports in transit and the planning service's memos and counters).
+// uint64s encode as exact integers and floats as their shortest
+// round-tripping form, so the blob is a canonical byte string of the
+// fleet's state: two controllers are equivalent iff their checkpoint
+// bytes are equal, which is exactly the invariant the restart property
+// test and the kill-chaos campaign pin.
 //
-// Checkpoints are NOT replay shortcuts: recovery always replays the
-// journal from the beginning (per-network engines cannot be serialised;
-// determinism reconstructs them exactly). A stored checkpoint instead
-// verifies the replay — when the replayed clock passes the instant the
-// blob was committed at, the recomputed bytes must match it exactly.
+// A committed checkpoint is a restart point: Open restores the controller
+// from the newest blob a journaled ckpt record vouches for and replays
+// only the records after it (recover.go). What can be rebuilt is not in
+// the document — scenarios, planner-input templates, the Model's memo,
+// RF traces — and restore renders the restored state once more, so a
+// document that does not round-trip is refused rather than run.
 
 // ckptFormat numbers the checkpoint encoding. The config digest folds it:
 // a journal's ckpt records digest bytes of one encoding, so Open refuses a
@@ -46,9 +51,10 @@ type ckptState struct {
 type ckptNet struct {
 	NetworkStatus
 	Built bool
-	// Reports and Memos are planner-derived: zero unless live.
-	Reports uint64
-	Memos   map[spectrum.Band]uint64
+	// Engine and Backend are the network's restart state: present only
+	// while it is live (built and not quarantined).
+	Engine  *sim.State     `json:",omitempty"`
+	Backend *backend.State `json:",omitempty"`
 }
 
 // fnvBytes is FNV-1a over a byte slice (checkpoint content digests).
@@ -72,8 +78,15 @@ func (c *Controller) checkpointBytes() []byte {
 			Built:         ns.build == nil,
 		}
 		if be := ns.live(); be != nil {
-			row.Reports = be.ReportsDigest()
-			row.Memos = be.Service.SkipMemos()
+			eng, err := ns.engine.Export()
+			if err != nil {
+				panic(fmt.Sprintf("fleetd: checkpoint of network %d: %v", ns.id, err))
+			}
+			bst, err := be.Export()
+			if err != nil {
+				panic(fmt.Sprintf("fleetd: checkpoint of network %d: %v", ns.id, err))
+			}
+			row.Engine, row.Backend = &eng, &bst
 		}
 		st.Networks = append(st.Networks, row)
 	}
@@ -163,20 +176,68 @@ func (c *Controller) commitCkpt() error {
 }
 
 // verifyCkpt re-applies a journaled commit during replay: the state bytes
-// recomputed at its clock must carry the recorded digest, and must equal
-// the stored blob when it is this commit's.
+// recomputed at its clock must carry the recorded digest.
 func (c *Controller) verifyCkpt(r jrec) error {
 	if at := sim.Time(r.To); at != c.now {
 		return errReplayDiverged("checkpoint record for clock %v replayed at %v", at, c.now)
 	}
-	data := c.checkpointBytes()
-	if fnvBytes(data) != r.Digest {
+	if fnvBytes(c.checkpointBytes()) != r.Digest {
 		return errReplayDiverged("checkpoint digest mismatch at %v", c.now)
 	}
-	if c.storedCkpt != nil && c.storedCkptAt == c.now && !bytes.Equal(data, c.storedCkpt) {
-		return errReplayDiverged("stored checkpoint at %v does not match replayed state", c.now)
-	}
 	c.met.ckptCommits.Inc()
+	return nil
+}
+
+// restore puts a controller whose networks are registered, and nothing
+// else has happened to, where a checkpoint blob says. A built network is
+// constructed afresh and its engine and backend import their exported
+// state instead of starting; a quarantined one comes back frozen, built
+// and with no control plane, since nothing reads one; an unbuilt one stays
+// lazy. The restored state must render the blob again byte for byte.
+func (c *Controller) restore(data []byte) error {
+	var st ckptState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("fleetd: stored checkpoint unreadable: %w", err)
+	}
+	if st.Config != c.cfg.digest() {
+		return errors.New("fleetd: stored checkpoint was written under another configuration")
+	}
+	if len(st.Networks) != c.Len() {
+		return fmt.Errorf("fleetd: stored checkpoint holds %d networks, the journal registers %d", len(st.Networks), c.Len())
+	}
+	c.now, c.nextCkptAt = st.Now, st.NextCkptAt
+	for _, row := range st.Networks {
+		ns := c.get(row.ID)
+		if ns == nil || ns.key != row.Key || ns.apCount != row.APs {
+			return fmt.Errorf("fleetd: stored checkpoint row %s matches no registered network", row.Key)
+		}
+		ns.passes, ns.shed, ns.coalesced, ns.quarantined = row.Passes, row.Shed, row.Coalesced, row.Quarantined
+		switch {
+		case !row.Built:
+		case row.Quarantined:
+			ns.build = nil
+		case row.Engine == nil || row.Backend == nil:
+			return fmt.Errorf("fleetd: stored checkpoint row %s is live with no state", row.Key)
+		default:
+			ns.construct()
+			if err := ns.engine.Import(*row.Engine); err != nil {
+				return fmt.Errorf("fleetd: restore %s: %w", row.Key, err)
+			}
+			if err := ns.be.Import(*row.Backend); err != nil {
+				return fmt.Errorf("fleetd: restore %s: %w", row.Key, err)
+			}
+		}
+	}
+	c.sched = scheduler{}
+	for _, e := range st.Sched {
+		if c.get(int(e[1])) == nil || e[2] < 0 || e[2] >= numLevels {
+			return fmt.Errorf("fleetd: stored checkpoint schedules %v", e)
+		}
+		c.sched.push(passEntry{at: sim.Time(e[0]), id: int(e[1]), level: int(e[2])})
+	}
+	if !bytes.Equal(c.checkpointBytes(), data) {
+		return errors.New("fleetd: restored state does not render the stored checkpoint")
+	}
 	return nil
 }
 

@@ -184,10 +184,12 @@ type netState struct {
 	id      int
 	key     string
 	apCount int
-	build   func() // non-nil until first ensureBuilt
-	sc      *topo.Scenario
-	engine  *sim.Engine
-	be      *backend.Backend
+	// build constructs the scenario, engine and backend, nothing started;
+	// non-nil until the network is built (ensureBuilt, or a restore).
+	build  func()
+	sc     *topo.Scenario
+	engine *sim.Engine
+	be     *backend.Backend
 
 	passes    [numLevels]int
 	shed      [numLevels]int
@@ -200,16 +202,22 @@ type netState struct {
 	quarantined bool
 }
 
-// ensureBuilt materializes the network's control plane. Callers must hold
-// exclusive use of the netState (the per-tick single-worker rule); the
-// build closure is dropped after running so the captured fleet.Network
-// can be collected.
+// ensureBuilt materializes the network's control plane and starts its
+// schedules. Callers must hold exclusive use of the netState (the
+// per-tick single-worker rule).
 func (ns *netState) ensureBuilt() {
 	if ns.build != nil {
-		f := ns.build
-		ns.build = nil
-		f()
+		ns.construct()
+		ns.be.StartManaged()
 	}
+}
+
+// construct runs the build closure once and drops it, so the captured
+// fleet.Network can be collected.
+func (ns *netState) construct() {
+	f := ns.build
+	ns.build = nil
+	f()
 }
 
 // Controller drives a fleet of networks off one cadence scheduler.
@@ -234,14 +242,12 @@ type Controller struct {
 	// RF environment — correlation is the point.
 	storms []rfenv.Storm
 
-	store        Store
-	seq          int          // last journal sequence number written or replayed
-	replay       *replayState // non-nil while Open replays; nil once live
-	proc         *faults.ProcInjector
-	dead         bool // the store reported ErrKilled; every run refuses
-	storedCkpt   []byte
-	storedCkptAt sim.Time
-	nextCkptAt   sim.Time
+	store      Store
+	seq        int          // last journal sequence number written or replayed
+	replay     *replayState // non-nil while Open replays; nil once live
+	proc       *faults.ProcInjector
+	dead       bool // the store reported ErrKilled; every run refuses
+	nextCkptAt sim.Time
 }
 
 // New builds an empty controller; register networks with Add or AddFleet.
@@ -434,7 +440,6 @@ func (c *Controller) buildNet(n *fleet.Network) *netState {
 			bopt.RF = rfenv.NewEnv(traces, c.storms)
 		}
 		ns.be = backend.New(bopt, ns.sc, ns.engine)
-		ns.be.StartManaged()
 	}
 	return ns
 }

@@ -15,9 +15,9 @@ import (
 // journal already promises to redo. Because every per-network control
 // plane is a pure function of (config, network set, clock) — seeds are
 // content-derived, fault decisions are positional hashes — replaying the
-// journal from the beginning reconstructs the exact pre-crash state:
-// determinism IS the recovery mechanism, and checkpoints are verification
-// anchors rather than replay shortcuts.
+// journal reconstructs the exact pre-crash state, from the beginning or
+// from any checkpoint a ckpt record vouches for (recover.go): determinism
+// IS the recovery mechanism, and checkpoints are where it may start.
 //
 // Record ops:
 //
@@ -26,10 +26,11 @@ import (
 //	          re-runs fleet.Generate, so 10k networks cost one record).
 //	add       one hand-built network, inlined (fleet.Network JSON).
 //	advance   RunTo target clock, written ahead of the run. Replaying an
-//	          advance re-executes every pass it covered.
+//	          advance re-executes every pass it covered (from a restart
+//	          point inside it, every pass after that point).
 //	ckpt      a checkpoint committed at clock To with the given content
-//	          digest, appended after the atomic rename. A failed attempt
-//	          writes nothing.
+//	          digest, appended after the atomic rename: it vouches for the
+//	          blob as a restart point. A failed attempt writes nothing.
 //	shutdown  clean shutdown marker (Close, after a final checkpoint).
 //
 // Retired ops: journals from before degraded mode was removed may hold

@@ -29,7 +29,10 @@ import "repro/internal/obs"
 //	                         real IO, periodic or forced); counted and
 //	                         skipped, nothing else changes
 //	fleetd.torn_dropped      torn journal tail records dropped at Open
-//	fleetd.recoveries        journal replays performed by Open
+//	fleetd.recoveries        recoveries performed by Open (restore
+//	                         from the newest restart point, then replay
+//	                         of the journal after it); a recovering
+//	                         registry counts only the work recovery did
 //	fleetd.pass_panics       panicking passes caught by the supervisor
 //	fleetd.watchdog_cancels  stuck passes cancelled past their deadline
 //	fleetd.quarantined       networks quarantined after a faulted pass

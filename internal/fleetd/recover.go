@@ -8,19 +8,35 @@ import (
 )
 
 // Restart and recovery. Open is the durable entry point: on an empty
-// store it starts a fresh journal; otherwise it rebuilds the controller
-// by replaying every journaled intent from the beginning. Replay is
-// exact — seeds, scenarios, fault decisions, and pass schedules are all
-// pure functions of journaled inputs — so the rebuilt controller's state
-// bytes match an uncrashed twin's, which the replayed checkpoint records
-// verify en route.
+// store it starts a fresh journal; otherwise it restores the controller
+// from its newest restart point and replays the journal records after it.
+// A restart point is a stored checkpoint blob that a journaled ckpt record
+// vouches for (same digest, and the restored clock must be the record's);
+// the record's position says where
+// in the journal the blob's state stands. The networks registered before
+// it are read back from their add and addfleet records, with no pass
+// running, and the blob restores everything else (checkpoint.go). A
+// journal with no vouched checkpoint yet restarts from the empty state at
+// t = 0, through the same loop: recovery time follows the journal tail,
+// not the run's length.
+//
+// Replay is exact — seeds, scenarios, fault decisions, and pass schedules
+// are all pure functions of journaled inputs and of the restored state —
+// so the rebuilt controller's state bytes match an uncrashed twin's, which
+// the replayed checkpoint records verify en route. A periodic checkpoint
+// can fall inside an advance; restoring from one resumes that advance from
+// the checkpoint's clock.
 //
 // The crash point needs no bookkeeping of its own: the final advance
 // record was written ahead of its work, so replay simply re-executes the
-// whole advance. The moment the record stream runs out, the controller
-// flips from replay to live mode mid-run — everything past the last
-// durable record is new execution, with real checkpoint commits and
+// rest of the advance. The moment the record stream runs out, the
+// controller flips from replay to live mode mid-run — everything past the
+// last durable record is new execution, with real checkpoint commits and
 // journal appends (and, under the chaos campaign, real kill points).
+//
+// Counters on the registry of a recovering controller count only the work
+// recovery did: a restored network's passes run before the restart point
+// are in its checkpoint row, not in fleetd.passes_i*.
 
 // errReplayDiverged formats the hard failure every replay verification
 // raises: the journal promises state the rebuilt controller did not
@@ -52,8 +68,9 @@ func (c *Controller) replayHead() (jrec, bool) {
 func (c *Controller) replayPop() { c.replay.p++ }
 
 // Open attaches a Controller to a durable store. An empty journal starts
-// a fresh one (writing the config record); otherwise the journal is
-// replayed to reconstruct the pre-crash controller. A torn final record
+// a fresh one (writing the config record); otherwise the pre-crash
+// controller is restored from its newest restart point and the journal
+// after it is replayed. A torn final record
 // (crash mid-append) is dropped and truncated away. The returned error
 // is ErrKilled when the store's fault model kills the process during the
 // live continuation — re-Open after Revive to continue recovery.
@@ -98,64 +115,139 @@ func Open(cfg Config, store Store) (*Controller, error) {
 		return c, nil
 	}
 
-	if data, ok, err := store.Checkpoint(); err != nil {
+	point, blob, err := restartPoint(store, recs)
+	if err != nil {
 		return nil, err
-	} else if ok {
-		at, err := ckptClock(data)
-		if err != nil {
-			return nil, err
-		}
-		c.storedCkpt, c.storedCkptAt = data, at
 	}
-
 	c.seq = len(recs)
 	c.replay = &replayState{recs: recs, p: 1}
 	c.met.recoveries.Inc()
+	if point > 0 {
+		for _, r := range recs[1:point] {
+			switch r.Op {
+			case opAddFleet, opAdd:
+				if err := c.replayAdd(r); err != nil {
+					return nil, err
+				}
+			case opAdvance, opCkpt, opShutdown:
+			default:
+				return nil, errRetired(r)
+			}
+		}
+		if err := c.restore(blob); err != nil {
+			return nil, err
+		}
+		if at := sim.Time(recs[point].To); c.now != at {
+			return nil, errReplayDiverged("checkpoint record for clock %v restored at %v", at, c.now)
+		}
+		c.replay.p = point + 1
+		if to, ok := openAdvance(recs[:point]); ok {
+			if err := c.runTo(to); err != nil {
+				return nil, err
+			}
+		}
+	}
 	for {
 		r, ok := c.replayHead()
 		if !ok {
 			break
 		}
+		c.replayPop()
 		switch r.Op {
-		case opAddFleet:
-			c.replayPop()
-			if r.Fleet == nil {
-				return nil, fmt.Errorf("fleetd: journal addfleet record %d has no options", r.Seq)
+		case opAddFleet, opAdd:
+			if err := c.replayAdd(r); err != nil {
+				return nil, err
 			}
-			f := fleet.Generate(*r.Fleet)
-			if err := c.refuseRegistered(f.Networks); err != nil {
-				return nil, fmt.Errorf("fleetd: journal addfleet record %d: %w", r.Seq, err)
-			}
-			c.addFleet(f)
-		case opAdd:
-			c.replayPop()
-			if r.Net == nil {
-				return nil, fmt.Errorf("fleetd: journal add record %d has no network", r.Seq)
-			}
-			if err := c.refuseRegistered([]*fleet.Network{r.Net}); err != nil {
-				return nil, fmt.Errorf("fleetd: journal add record %d: %w", r.Seq, err)
-			}
-			c.add(r.Net)
 		case opAdvance:
-			c.replayPop()
 			if err := c.runTo(sim.Time(r.To)); err != nil {
 				return nil, err
 			}
 		case opCkpt:
 			// A forced commit (Checkpoint/Close) at its stream position.
-			c.replayPop()
 			if err := c.verifyCkpt(r); err != nil {
 				return nil, err
 			}
 		case opShutdown:
-			c.replayPop()
 		default:
-			// Includes the retired demote/ckptfail/cadence/remove records:
-			// replaying one without its mechanism would rebuild different
-			// state.
-			return nil, fmt.Errorf("fleetd: unexpected journal record %q at seq %d", r.Op, r.Seq)
+			return nil, errRetired(r)
 		}
 	}
 	c.replay = nil
 	return c, nil
+}
+
+// errRetired refuses a record Open has no mechanism for, including the
+// retired demote/ckptfail/cadence/remove records: replaying one without
+// its mechanism would rebuild different state.
+func errRetired(r jrec) error {
+	return fmt.Errorf("fleetd: unexpected journal record %q at seq %d", r.Op, r.Seq)
+}
+
+// replayAdd registers the networks of an add or addfleet record.
+func (c *Controller) replayAdd(r jrec) error {
+	var f *fleet.Fleet
+	switch {
+	case r.Op == opAddFleet && r.Fleet != nil:
+		f = fleet.Generate(*r.Fleet)
+	case r.Op == opAdd && r.Net != nil:
+		f = &fleet.Fleet{Networks: []*fleet.Network{r.Net}}
+	default:
+		return fmt.Errorf("fleetd: journal %s record %d is empty", r.Op, r.Seq)
+	}
+	if err := c.refuseRegistered(f.Networks); err != nil {
+		return fmt.Errorf("fleetd: journal %s record %d: %w", r.Op, r.Seq, err)
+	}
+	c.addFleet(f)
+	return nil
+}
+
+// restartPoint finds the newest restart point: the index in recs of the
+// last ckpt record whose digest is a stored blob's, and that blob. It is 0
+// and nil when no record vouches for either stored blob. A stored blob no
+// record vouches for is the commit whose record never landed; one whose
+// clock cannot even be read is an error, not a blob to pass over.
+func restartPoint(store Store, recs []jrec) (int, []byte, error) {
+	vouched := map[uint64]int{}
+	for i, r := range recs {
+		if r.Op == opCkpt {
+			vouched[r.Digest] = i
+		}
+	}
+	point, blob := 0, []byte(nil)
+	for _, read := range []func() ([]byte, bool, error){store.Checkpoint, store.PrevCheckpoint} {
+		data, ok, err := read()
+		if err != nil {
+			return 0, nil, err
+		}
+		if !ok {
+			continue
+		}
+		i, ok := vouched[fnvBytes(data)]
+		if !ok {
+			if _, err := ckptClock(data); err != nil {
+				return 0, nil, err
+			}
+			continue
+		}
+		if i > point {
+			point, blob = i, data
+		}
+	}
+	return point, blob, nil
+}
+
+// openAdvance reports the advance a restart point at the end of prefix
+// stands inside: the last advance record, when only ckpt records follow
+// it. A restart point after any other record stands between advances.
+func openAdvance(prefix []jrec) (sim.Time, bool) {
+	for i := len(prefix) - 1; i > 0; i-- {
+		switch prefix[i].Op {
+		case opCkpt:
+			continue
+		case opAdvance:
+			return sim.Time(prefix[i].To), true
+		}
+		break
+	}
+	return 0, false
 }

@@ -13,10 +13,12 @@ import (
 // Durable storage for the controller's intent journal and checkpoint.
 //
 // The journal is append-only: one record per line, each synced before the
-// work it describes executes (write-ahead). The checkpoint is a single
-// blob replaced atomically (write-to-temp, sync, rename), so a reader
-// always sees either the previous or the next checkpoint, never a torn
-// one. The journal's tail, by contrast, CAN tear — a crash mid-append
+// work it describes executes (write-ahead). A checkpoint is a blob
+// committed atomically (write-to-temp, sync, rename), so a reader never
+// sees a torn one. A commit keeps the blob it replaces as the previous
+// checkpoint: a crash between a commit and the journal record that vouches
+// for it leaves the newest blob unvouched, and recovery restarts from the
+// previous one, whose record did land. The journal's tail, by contrast, CAN tear — a crash mid-append
 // leaves a prefix of the final record — which is why the decoder drops a
 // malformed final record and Open truncates the file back to the clean
 // prefix before appending anything new.
@@ -39,15 +41,18 @@ type Store interface {
 	JournalBytes() ([]byte, error)
 	// Truncate discards journal bytes past n — the torn-tail repair.
 	Truncate(n int64) error
-	// CommitCheckpoint atomically replaces the checkpoint blob.
+	// CommitCheckpoint atomically replaces the checkpoint blob, keeping
+	// the blob it replaces as the previous one.
 	CommitCheckpoint(data []byte) error
 	// Checkpoint returns the current checkpoint blob, if one exists.
 	Checkpoint() ([]byte, bool, error)
+	// PrevCheckpoint returns the blob the current one replaced, if any.
+	PrevCheckpoint() ([]byte, bool, error)
 }
 
 // DirStore is the on-disk store: <dir>/journal.jsonl plus
-// <dir>/checkpoint, with fsync on every journal append and a
-// write-sync-rename cycle per checkpoint commit.
+// <dir>/checkpoint and <dir>/checkpoint.prev, with fsync on every journal
+// append and a write-sync-rename cycle per checkpoint commit.
 type DirStore struct {
 	dir string
 	jf  *os.File
@@ -118,6 +123,11 @@ func (s *DirStore) CommitCheckpoint(data []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("fleetd: checkpoint close: %w", err)
 	}
+	// A crash between the two renames leaves only the previous blob,
+	// which is the one recovery would restart from anyway.
+	if err := os.Rename(final, final+".prev"); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("fleetd: checkpoint rotate: %w", err)
+	}
 	if err := os.Rename(tmp, final); err != nil {
 		return fmt.Errorf("fleetd: checkpoint rename: %w", err)
 	}
@@ -143,8 +153,12 @@ var syncDir = func(dir string) error {
 	return err
 }
 
-func (s *DirStore) Checkpoint() ([]byte, bool, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, "checkpoint"))
+func (s *DirStore) Checkpoint() ([]byte, bool, error) { return s.readBlob("checkpoint") }
+
+func (s *DirStore) PrevCheckpoint() ([]byte, bool, error) { return s.readBlob("checkpoint.prev") }
+
+func (s *DirStore) readBlob(name string) ([]byte, bool, error) {
+	data, err := os.ReadFile(filepath.Join(s.dir, name))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
@@ -170,8 +184,8 @@ type MemStore struct {
 	dead     bool
 	kills    int
 
-	journal bytes.Buffer
-	ckpt    []byte
+	journal    bytes.Buffer
+	ckpt, prev []byte
 }
 
 // NewMemStore builds an in-memory store; prof may be nil (no kills).
@@ -244,7 +258,7 @@ func (s *MemStore) CommitCheckpoint(data []byte) error {
 		return ErrKilled
 	}
 	s.writes++
-	s.ckpt = append([]byte(nil), data...)
+	s.prev, s.ckpt = s.ckpt, append([]byte(nil), data...)
 	if s.writes == s.killAt {
 		// The rename happened, then the process died: the commit is
 		// durable but its journal confirmation never lands.
@@ -253,9 +267,13 @@ func (s *MemStore) CommitCheckpoint(data []byte) error {
 	return nil
 }
 
-func (s *MemStore) Checkpoint() ([]byte, bool, error) {
-	if s.ckpt == nil {
+func (s *MemStore) Checkpoint() ([]byte, bool, error) { return blob(s.ckpt) }
+
+func (s *MemStore) PrevCheckpoint() ([]byte, bool, error) { return blob(s.prev) }
+
+func blob(b []byte) ([]byte, bool, error) {
+	if b == nil {
 		return nil, false, nil
 	}
-	return append([]byte(nil), s.ckpt...), true, nil
+	return append([]byte(nil), b...), true, nil
 }

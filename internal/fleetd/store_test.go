@@ -55,6 +55,10 @@ func TestDirStoreRoundTrip(t *testing.T) {
 	if err != nil || !ok || string(blob) != "blob-2" {
 		t.Fatalf("checkpoint = %q ok=%v err=%v, want blob-2", blob, ok, err)
 	}
+	blob, ok, err = st.PrevCheckpoint()
+	if err != nil || !ok || string(blob) != "blob-1" {
+		t.Fatalf("previous checkpoint = %q ok=%v err=%v, want blob-1", blob, ok, err)
+	}
 }
 
 func TestMemStoreKillsAndRevives(t *testing.T) {

@@ -87,6 +87,28 @@ func (q *Quarantine) Mask(t sim.Time) uint64 {
 	return m
 }
 
+// Expiries returns the table: entry i is the NOP expiry of mask bit i's
+// sub-channel, trailing zeros dropped (nil for an empty table).
+func (q *Quarantine) Expiries() []sim.Time {
+	n := len(q.expiry)
+	for n > 0 && q.expiry[n-1] == 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	return append([]sim.Time(nil), q.expiry[:n]...)
+}
+
+// SetExpiries replaces the table with one Expiries returned.
+func (q *Quarantine) SetExpiries(exp []sim.Time) {
+	*q = Quarantine{}
+	copy(q.expiry[:], exp)
+	for _, e := range q.expiry {
+		q.last = max(q.last, e)
+	}
+}
+
 // Touches reports whether c is a 5 GHz channel covering any sub-channel
 // of mask — quarantine propagates to every bonded channel that touches a
 // struck sub-channel. Only 5 GHz channels can be radar quarantined. A

@@ -14,12 +14,15 @@ import "math/rand"
 // streams: re-seeding it is one store, where re-seeding the default
 // source refills all 607 words.
 
-// splitmix64 is a one-word rand.Source64.
-type splitmix64 struct{ state uint64 }
+// SplitMix64 is the one-word rand.Source64 behind NewRNG. State is the
+// stream's whole position: a source rebuilt with the same State draws
+// what the original would have drawn next, which is how a restart point
+// carries a stream.
+type SplitMix64 struct{ State uint64 }
 
-func (s *splitmix64) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	return Mix64(s.state)
+func (s *SplitMix64) Uint64() uint64 {
+	s.State += 0x9e3779b97f4a7c15
+	return Mix64(s.State)
 }
 
 // Mix64 is the SplitMix64 finalizer, shared by this source and by every
@@ -30,13 +33,13 @@ func Mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (s *splitmix64) Int63() int64 { return int64(s.Uint64() >> 1) }
+func (s *SplitMix64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
-func (s *splitmix64) Seed(seed int64) { s.state = uint64(seed) }
+func (s *SplitMix64) Seed(seed int64) { s.State = uint64(seed) }
 
 // NewRNG returns a deterministic *rand.Rand over a one-word SplitMix64
 // source: a drop-in replacement for rand.New(rand.NewSource(seed)) for
 // long-lived streams, at a fraction of the footprint. Streams differ
 // from the stdlib source's for the same seed — both are equally
 // deterministic, so only code pinning exact stdlib sequences cares.
-func NewRNG(seed int64) *rand.Rand { return rand.New(&splitmix64{state: uint64(seed)}) }
+func NewRNG(seed int64) *rand.Rand { return rand.New(&SplitMix64{State: uint64(seed)}) }

@@ -14,7 +14,10 @@
 // that are taken back (a retransmission timeout, a delayed ACK, a ticker)
 // own a Timer, which occupies at most one queue slot and leaves it on Stop.
 // Items that all wait one fixed delay (a wire, a host stack) ride a Line,
-// which likewise holds one slot, for its head.
+// which likewise holds one slot, for its head. Events that must outlive
+// the process, the control plane's, are typed: data rather than closures,
+// so an engine holding only those exports and imports its whole position
+// (event.go).
 package sim
 
 import (
@@ -228,7 +231,11 @@ type Engine struct {
 	queue eventHeap
 	lined int // items waiting in Lines behind their heads
 	rng   *rand.Rand
+	src   *SplitMix64 // rng's source; nil under NewEngine
 	fired uint64
+
+	typed    typedHeap // pending typed events (event.go)
+	handlers []Handler
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
@@ -238,10 +245,11 @@ func NewEngine(seed int64) *Engine {
 
 // NewEngineCompact is NewEngine over the one-word SplitMix64 source (see
 // NewRNG): same engine, ~4.9 KB less resident state, a different (equally
-// deterministic) draw stream. Fleet-scale processes holding one engine
-// per network use this.
+// deterministic) draw stream, and a position Export can write down.
+// Fleet-scale processes holding one engine per network use this.
 func NewEngineCompact(seed int64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	src := &SplitMix64{State: uint64(seed)}
+	return &Engine{rng: rand.New(src), src: src}
 }
 
 // Now returns the current simulation time.
@@ -254,8 +262,8 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Queued returns the number of events waiting to fire, each item waiting in
-// a Line among them.
-func (e *Engine) Queued() int { return len(e.queue) + e.lined }
+// a Line and each typed event among them.
+func (e *Engine) Queued() int { return len(e.queue) + e.lined + len(e.typed) }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it always indicates a logic error in a model.
@@ -278,6 +286,13 @@ func (e *Engine) After(delay Time, fn func(*Engine)) {
 // Step executes the next pending event, advancing the clock. It returns false
 // when the queue is empty.
 func (e *Engine) Step() bool {
+	if len(e.typed) > 0 && (len(e.queue) == 0 || e.typed[0].before(e.queue[0].at, e.queue[0].seq)) {
+		ev := e.typed.pop()
+		e.now = ev.At
+		e.fired++
+		e.handlers[ev.Kind](ev.Arg)
+		return true
+	}
 	if len(e.queue) == 0 {
 		return false
 	}
@@ -300,7 +315,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with timestamps <= deadline, then sets the clock to
 // deadline. Events scheduled beyond the deadline remain queued.
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
+	for len(e.queue) > 0 && e.queue[0].at <= deadline || len(e.typed) > 0 && e.typed[0].At <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {

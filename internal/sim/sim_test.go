@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -346,6 +347,7 @@ type queue interface {
 	nextSeq() uint64 // the seq the next Schedule, Reset or Push will draw
 	live() int       // events queued that will fire
 	Schedule(at Time, fn func())
+	Post(delay Time, fn func()) // a typed event whose handler runs fn
 	Push(l int, fn func())
 	Reset(j int, delay Time)
 	Stop(j int)
@@ -364,10 +366,12 @@ type newQueue struct {
 	*Engine
 	timers [refTimers]*Timer
 	lines  [refLines]*Line[func()]
+	posted []func() // by typed event payload
 }
 
 func newNewQueue(fire func(j int)) *newQueue {
 	q := &newQueue{Engine: NewEngine(1)}
+	q.Handle([]Handler{func(p Payload) { q.posted[p[0]]() }})
 	for j := range q.timers {
 		j := j
 		q.timers[j] = q.NewTimer(func(*Engine) { fire(j) })
@@ -382,9 +386,13 @@ func (q *newQueue) nextSeq() uint64             { return q.seq }
 func (q *newQueue) live() int                   { return q.Queued() }
 func (q *newQueue) Schedule(at Time, fn func()) { q.Engine.Schedule(at, func(*Engine) { fn() }) }
 func (q *newQueue) Push(l int, fn func())       { q.lines[l].Push(fn) }
-func (q *newQueue) Reset(j int, delay Time)     { q.timers[j].Reset(delay) }
-func (q *newQueue) Stop(j int)                  { q.timers[j].Stop() }
-func (q *newQueue) Pending(j int) bool          { return q.timers[j].Pending() }
+func (q *newQueue) Post(delay Time, fn func()) {
+	q.Engine.Post(delay, 0, Payload{int32(len(q.posted))})
+	q.posted = append(q.posted, fn)
+}
+func (q *newQueue) Reset(j int, delay Time) { q.timers[j].Reset(delay) }
+func (q *newQueue) Stop(j int)              { q.timers[j].Stop() }
+func (q *newQueue) Pending(j int) bool      { return q.timers[j].Pending() }
 
 // refQueue drives its timers the way tcpstack and Ticker drove the old
 // queue: cancel the handle and schedule afresh; the callback clears the
@@ -409,6 +417,11 @@ func (q *refQueue) live() int {
 }
 func (q *refQueue) Schedule(at Time, fn func()) {
 	q.refEngine.Schedule(at, func(*refEngine) { fn() })
+}
+
+// Post is what a typed event stands for: an After with its callback.
+func (q *refQueue) Post(delay Time, fn func()) {
+	q.After(delay, func(*refEngine) { fn() })
 }
 
 // Push is what a line stands for: an After of the line's delay.
@@ -471,6 +484,8 @@ func (d *driver) event(at Time, act byte) func() {
 
 func (d *driver) schedule(at Time, act byte) { d.q.Schedule(at, d.event(at, act)) }
 
+func (d *driver) post(delay Time, act byte) { d.q.Post(delay, d.event(d.q.Now()+delay, act)) }
+
 func (d *driver) push(l int, act byte) { d.q.Push(l, d.event(d.q.Now()+lineDelays[l], act)) }
 
 func (d *driver) reset(j int, delay Time, act byte) {
@@ -504,8 +519,12 @@ func (d *driver) inside(act byte, self int) {
 	switch act % 8 {
 	case 1: // onto a line, the one being delivered among them
 		d.push(arg%refLines, 0)
-	case 2:
-		d.schedule(d.q.Now()+delay, 0)
+	case 2: // a plain event or, by arg's parity, a typed one
+		if arg%2 == 1 {
+			d.post(delay, 0)
+		} else {
+			d.schedule(d.q.Now()+delay, 0)
+		}
 	case 3:
 		d.reset(j, delay, 0)
 	case 4:
@@ -531,7 +550,7 @@ func (d *driver) inside(act byte, self int) {
 // op applies one three-byte operation from outside any callback.
 func (d *driver) op(k, a, b byte) {
 	j, delay := int(a)%refTimers, queueDelays[int(a)/refTimers%len(queueDelays)]
-	switch k % 12 {
+	switch k % 13 {
 	case 0:
 		d.schedule(d.q.Now()+delay, b)
 	case 1: // a burst, so that pops walk a heap several levels deep
@@ -564,6 +583,8 @@ func (d *driver) op(k, a, b byte) {
 		for i := 0; i <= int(a>>2)%16; i++ {
 			d.push((l+alt*i)%refLines, b)
 		}
+	case 12:
+		d.post(delay, b)
 	}
 }
 
@@ -655,14 +676,14 @@ func runQueueOps(t *testing.T, ops []byte) {
 }
 
 // TestQueueMatchesReference: random operation strings — Schedule at now, at
-// equal timestamps and far out; Push onto two lines of different delays,
+// equal timestamps and far out; Post typed events; Push onto two lines of different delays,
 // one item or a burst; Reset on stopped and pending timers to earlier, later
 // and equal instants; Stop pending, stopped and twice; all of those again
 // from inside firing callbacks and line deliveries; bursts that deepen the
 // heap; Step and RunUntil — fire the same (at, seq, id) sequence on the
-// value-event queue, whose pop works bottom up and whose lines hold one slot
-// each, as on the pointer queue with its dead flag, where a push is an
-// After, with the same timers pending after every pop and the same clock,
+// value-event queue, whose pop works bottom up, whose lines hold one slot
+// each and whose typed events wait in a heap of their own, as on the
+// pointer queue with its dead flag, where a push or a post is an After, with the same timers pending after every pop and the same clock,
 // Fired() and Queued() after every operation.
 func TestQueueMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 600; seed++ {
@@ -809,4 +830,107 @@ func TestQueueReleasesClosures(t *testing.T) {
 	if held() != 0 {
 		t.Fatalf("%d slots still hold an event after the queue drained", held())
 	}
+}
+
+// TestExportImportRoundTrip: an engine whose pending events are all typed,
+// exported at a random point of a random run and imported into a fresh
+// engine with the same handlers, fires the same (at, kind, payload)
+// sequence from there on, and after every step both engines export the same
+// State: clock, seq, Fired, rng position and every pending (at, seq, kind,
+// payload).
+func TestExportImportRoundTrip(t *testing.T) {
+	delays := [...]Time{0, 0, 1, 5, 10, 10, 200, Second}
+	build := func(log *[]Event) *Engine {
+		e := NewEngineCompact(7)
+		table := make([]Handler, 3)
+		for k := range table {
+			k := Kind(k)
+			table[k] = func(p Payload) {
+				*log = append(*log, Event{At: e.Now(), Kind: k, Arg: p})
+				r := e.Rand().Int63()
+				for i := int64(0); i < r%3; i++ {
+					e.Post(delays[(r>>8+i)%int64(len(delays))], Kind((r>>4+i)%3), Payload{int32(r >> 16), p[1] + 1, int32(i)})
+				}
+			}
+		}
+		e.Handle(table)
+		return e
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var logA, logB []Event
+		a := build(&logA)
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			a.Post(delays[rng.Intn(len(delays))], Kind(rng.Intn(3)), Payload{int32(i)})
+		}
+		for i := rng.Intn(60); i > 0 && a.Step(); i-- {
+		}
+		if rng.Intn(2) == 0 {
+			a.RunUntil(a.Now() + delays[rng.Intn(len(delays))])
+		}
+		st, err := a.Export()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		b := build(&logB)
+		if err := b.Import(st); err != nil {
+			t.Fatalf("seed %d: import: %v", seed, err)
+		}
+		logA = logA[:0]
+		for step := 0; ; step++ {
+			sa, _ := a.Export()
+			sb, _ := b.Export()
+			if !reflect.DeepEqual(sa, sb) {
+				t.Fatalf("seed %d step %d: states diverge:\n%+v\n%+v", seed, step, sa, sb)
+			}
+			if !slices.Equal(logA, logB) {
+				t.Fatalf("seed %d step %d: firings diverge:\n%v\n%v", seed, step, logA, logB)
+			}
+			okA, okB := a.Step(), b.Step()
+			if okA != okB {
+				t.Fatalf("seed %d step %d: Step %v on the original, %v on the import", seed, step, okA, okB)
+			}
+			if !okA || step == 200 {
+				break
+			}
+		}
+	}
+}
+
+// What cannot be written down is refused: a pending closure, Timer or Line
+// item, the standard library's source, an import into an engine that has
+// run, an event kind without a handler, and a second handler table.
+func TestExportRefuses(t *testing.T) {
+	e := NewEngineCompact(1)
+	e.Handle([]Handler{func(Payload) {}})
+	e.After(5, func(*Engine) {})
+	if _, err := e.Export(); err == nil {
+		t.Error("Export with a closure pending succeeded")
+	}
+	e.Run()
+	NewLine(e, 3, func(int) {}).Push(1)
+	if _, err := e.Export(); err == nil {
+		t.Error("Export with a line item pending succeeded")
+	}
+	e.Run()
+	e.Post(1, 0, Payload{})
+	st, err := e.Export()
+	if err != nil {
+		t.Fatalf("Export with only a typed event pending: %v", err)
+	}
+	if _, err := NewEngine(1).Export(); err == nil {
+		t.Error("Export over the standard library source succeeded")
+	}
+	if err := e.Import(st); err == nil {
+		t.Error("Import into an engine that has run succeeded")
+	}
+	if err := NewEngineCompact(1).Import(st); err == nil {
+		t.Error("Import of a kind with no handler succeeded")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second handler table was accepted")
+		}
+	}()
+	e.Handle([]Handler{func(Payload) {}})
 }

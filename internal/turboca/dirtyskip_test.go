@@ -49,7 +49,7 @@ func newSkipHarness(seed int64, dirtySkip bool) *skipHarness {
 		}
 		return in
 	}
-	apply := func(band spectrum.Band, plan Plan, res Result) {
+	apply := func(band spectrum.Band, plan Plan) {
 		h.plans = append(h.plans, plan.Clone())
 		for id, a := range plan {
 			h.cur[id] = a.Channel

@@ -1,6 +1,7 @@
 package turboca
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/sim"
@@ -14,7 +15,7 @@ type EnvironmentFn func(band spectrum.Band) Input
 // ApplyFn delivers an accepted plan to the network (the backend pushes the
 // configuration to the APs). The service does not count switches: the
 // network that applies them does (backend.Backend.Switches).
-type ApplyFn func(band spectrum.Band, plan Plan, res Result)
+type ApplyFn func(band spectrum.Band, plan Plan)
 
 // The §4.4.4 cadences of the three schedules.
 const (
@@ -87,18 +88,33 @@ func NewService(cfg Config, env EnvironmentFn, apply ApplyFn, seed int64) *Servi
 	}
 }
 
-// SkipMemos returns a copy of the per-band dirty-skip memo table: the
-// input digest of each band's last executed fast-only no-op invocation.
-// The fleet durability layer folds these into checkpoints — the memos
-// are part of the controller state that must match between a recovered
-// process and its uncrashed twin, since a divergent memo would skip (or
-// run) a pass the twin runs (or skips).
-func (s *Service) SkipMemos() map[spectrum.Band]uint64 {
-	out := make(map[spectrum.Band]uint64, len(s.lastNoop))
-	for b, d := range s.lastNoop {
-		out[b] = d
+// ServiceState is what a continuation of a Service depends on beyond its
+// configuration: the dirty-skip memos (a divergent memo would skip, or
+// run, a pass an uninterrupted service runs, or skips), the last objective
+// per band and the counters.
+type ServiceState struct {
+	LastNoop                                     map[spectrum.Band]uint64
+	LastLogNetP                                  map[spectrum.Band]float64
+	Runs, Improved, Skipped, Degraded, Sanitized int
+}
+
+// Export writes the service's state; the maps are copies.
+func (s *Service) Export() ServiceState {
+	return ServiceState{
+		LastNoop:    maps.Clone(s.lastNoop),
+		LastLogNetP: maps.Clone(s.LastLogNetP),
+		Runs:        s.RunsTotal, Improved: s.ImprovedTotal, Skipped: s.SkippedTotal,
+		Degraded: s.DegradedTotal, Sanitized: s.SanitizedTotal,
 	}
-	return out
+}
+
+// Import puts the service where st says.
+func (s *Service) Import(st ServiceState) {
+	s.lastNoop, s.LastLogNetP = map[spectrum.Band]uint64{}, map[spectrum.Band]float64{}
+	maps.Copy(s.lastNoop, st.LastNoop)
+	maps.Copy(s.LastLogNetP, st.LastLogNetP)
+	s.RunsTotal, s.ImprovedTotal, s.SkippedTotal = st.Runs, st.Improved, st.Skipped
+	s.DegradedTotal, s.SanitizedTotal = st.Degraded, st.Sanitized
 }
 
 // Start registers the three cadences on the engine. Mid and Deep ticks
@@ -200,7 +216,7 @@ func (s *Service) RunOnce(hops []int) {
 		if j.res.Improved {
 			s.ImprovedTotal++
 			if s.Apply != nil {
-				s.Apply(j.band, j.res.Plan, j.res)
+				s.Apply(j.band, j.res.Plan)
 			}
 		}
 	}
