@@ -36,7 +36,7 @@ import (
 // ckptFormat numbers the checkpoint encoding. The config digest folds it:
 // a journal's ckpt records digest bytes of one encoding, so Open refuses a
 // journal written under another.
-const ckptFormat = 4
+const ckptFormat = 5
 
 // ckptState is the checkpoint document; Now leads so ckptClock can read it.
 type ckptState struct {

@@ -45,15 +45,15 @@ func TestConfigDefaults(t *testing.T) {
 
 // The config digest decides which journals Open accepts, so it must not
 // move when a setting that never reached state bytes is removed: both
-// values fold turboca.Format 2 and ckptFormat 4 (earlier values of
+// values fold turboca.Format 2 and ckptFormat 5 (earlier values of
 // preGridConfig's are in TestOpenRefusesPreGridJournal).
 func TestConfigDigestStable(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0xd3e6b5a56bfb6f39},
-		{preGridConfig, 0xec86f5e0403306c9},
+		{Config{}, 0xd3e34fa56bf88c10},
+		{preGridConfig, 0xec838fe0403023a0},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)

@@ -433,16 +433,18 @@ func TestOpenRefusesDuplicateAdd(t *testing.T) {
 // 0xf4fbdfe1b342deb4 under ckptFormat 2, whose rows carried a since
 // deleted cadence multiplier and its controller state,
 // 0x8bb253e895b8a295 under ckptFormat 3, whose rows carried per-network
-// cadences, and 0x8ba821e895aff91a under turboca.Format 1, whose NBO
+// cadences, 0x8ba821e895aff91a under turboca.Format 1, whose NBO
 // rounds drew from the standard library's source and whose input digest
-// folded bytes.
+// folded bytes, and 0xec86f5e0403306c9 under ckptFormat 4, whose
+// checkpoints were verification anchors with no restart state.
 var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, CheckpointEvery: 2 * sim.Hour}
 
 // TestOpenRefusesPreGridJournal: a journal written before contention went
 // on the planner's integer grid, or under planner format 1, replays into
 // other plans and ln NetP bits, and one written before checkpoints were
 // JSON rows, or while their rows carried a cadence multiplier or
-// per-network cadences, digests other checkpoint bytes; any of them would
+// per-network cadences, or while they carried no restart state, digests
+// other checkpoint bytes; any of them would
 // fail at its first checkpoint. Its config record carries an earlier
 // digest, so Open refuses it up front with the config-digest error,
 // leaving the journal as it was even when its tail is torn, and accepts
@@ -450,7 +452,7 @@ var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, Checkpo
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()
-	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, 0x8bb253e895b8a295, 0x8ba821e895aff91a, current} {
+	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, 0x8bb253e895b8a295, 0x8ba821e895aff91a, 0xec86f5e0403306c9, current} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: digest},
