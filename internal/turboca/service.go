@@ -93,8 +93,10 @@ func NewService(cfg Config, env EnvironmentFn, apply ApplyFn, seed int64) *Servi
 // run, a pass an uninterrupted service runs, or skips), the last objective
 // per band and the counters.
 type ServiceState struct {
-	LastNoop                                     map[spectrum.Band]uint64
-	LastLogNetP                                  map[spectrum.Band]float64
+	LastNoop    map[spectrum.Band]uint64
+	LastLogNetP map[spectrum.Band]float64
+	// The counters: RunsTotal, ImprovedTotal, SkippedTotal,
+	// DegradedTotal and SanitizedTotal.
 	Runs, Improved, Skipped, Degraded, Sanitized int
 }
 
