@@ -723,6 +723,9 @@ func TestQueueDirectedCases(t *testing.T) {
 		"reset draws a fresh seq": {3, 4 * 7, 0, 2, 0, 0, 5, 0, 0, 9, 4 * 9, 0},
 		// a plain event stops, re-arms and schedules from inside its callback
 		"event re-arms a timer": {3, 3 + 4*7, 0, 0, 4 * 5, stopRearmAdd, 9, 4 * 11, 0},
+		// typed events, plain events and a timer all due at 10µs fire in
+		// arming order
+		"typed among plain at one instant": {0, 4 * 7, 0, 12, 4 * 7, 0, 3, 4 * 7, 0, 12, 4*7 + 1, 0, 2, 0, 0, 9, 4 * 9, 0},
 		// Stop of the heap's last slot, its root, and an already stopped timer
 		"stop root and last": {3, 0 + 4*2, 0, 3, 1 + 4*7, 0, 6, 1, 1, 6, 0, 0, 6, 0, 1, 7, 0, 0},
 	} {
@@ -737,6 +740,7 @@ func FuzzQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 0, 4, 3, 3, 1, 5, 7, 0, 0, 7, 0, 0, 9, 40, 0})
 	f.Add([]byte{3, 0, 63, 3, 1, 63, 2, 0, 23, 6, 0, 1, 8, 3, 0, 9, 52, 0})
 	f.Add([]byte{10, 0, 1, 11, 7, 9, 5, 0, 0, 10, 1, 6, 8, 3, 0, 9, 36, 0})
+	f.Add([]byte{12, 4, 2 | 1<<3, 12, 0, 0, 0, 4, 2 | 3<<3, 3, 0, 0, 8, 3, 0, 9, 36, 0}) // typed events, posted from outside and inside
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 3*2000 {
 			return
