@@ -3,8 +3,9 @@ package backend
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/turboca"
@@ -28,78 +29,66 @@ type State struct {
 	Disruption float64
 	// NOP is the RF environment's quarantine table (rfenv.Quarantine
 	// Expiries), nil without one or when empty.
-	NOP []sim.Time `json:",omitempty"`
+	NOP []sim.Time
 	// Late lists the delayed reports in transit, by the slot their
 	// evLate event names.
-	Late    []LateReport          `json:",omitempty"`
-	Service *turboca.ServiceState `json:",omitempty"`
+	Late []LateReport
+	// Service is the planning service's state, where HasService.
+	HasService bool
+	Service    turboca.ServiceState
 }
 
 // APState is one AP's row: the channels it is on and what the control
 // plane keeps about it.
 type APState struct {
-	On     [spectrum.Band5 + 1]Chan // the channel the AP is on, by band
-	Report *apReport                `json:",omitempty"` // last-known-good, once reported
-	// Intended is the plan of record by band, its channel and fallback
-	// (nil where there is none), and Retrying marks a band with a backoff
-	// retry in flight.
-	Intended [spectrum.Band5 + 1]*[2]Chan
-	Retrying [spectrum.Band5 + 1]bool
-	Fallback Chan
+	On [spectrum.Band5 + 1]spectrum.Channel // the channel the AP is on, by band
+	// Report is the last-known-good report, where Reported.
+	Reported bool
+	Report   apReport
+	// Intended is the plan of record by band, where HasIntended, and
+	// Retrying marks a band with a backoff retry in flight.
+	HasIntended [spectrum.Band5 + 1]bool
+	Intended    [spectrum.Band5 + 1]turboca.Assignment
+	Retrying    [spectrum.Band5 + 1]bool
+	Fallback    spectrum.Channel
 }
 
-// Chan is a spectrum.Channel written compactly: band, number, width and
-// DFS as 0 or 1.
-type Chan [4]int
-
-func chanOf(c spectrum.Channel) Chan {
-	dfs := 0
-	if c.DFS {
-		dfs = 1
-	}
-	return Chan{int(c.Band), c.Number, int(c.Width), dfs}
-}
-
-func (c Chan) channel() spectrum.Channel {
-	return spectrum.Channel{Band: spectrum.Band(c[0]), Number: c[1], Width: spectrum.Width(c[2]), DFS: c[3] != 0}
-}
-
-// LateReport is one delayed report in transit. Demand and Util are
-// float64 bits: a report can be corrupted in transit to NaN or an
-// infinity (it is rejected on delivery), which JSON cannot carry.
+// LateReport is one delayed report in transit. A report can be corrupted
+// in transit to NaN or an infinity; it is rejected on delivery.
 type LateReport struct {
 	Slot, AP     int
 	At           sim.Time
-	Demand, Util uint64
+	Demand, Util float64
 	HasClients   bool
 }
 
-// Export writes the backend's state. A backend that keeps a telemetry
-// history cannot be exported: the history is not part of State.
-func (b *Backend) Export() (State, error) {
+// Export writes the backend's state into st, reusing the storage of
+// st.APs: one State carries network after network through a checkpoint
+// render. A backend that keeps a telemetry history cannot be exported:
+// the history is not part of State.
+func (b *Backend) Export(st *State) error {
 	if b.hist != nil {
-		return State{}, errors.New("backend: cannot export a backend that keeps telemetry history")
+		return errors.New("backend: cannot export a backend that keeps telemetry history")
 	}
-	st := State{
-		APs:        make([]APState, len(b.rows)),
+	*st = State{
+		APs:        slices.Grow(st.APs[:0], len(b.rows))[:len(b.rows)],
 		RNG:        b.rngSrc.State,
 		Switches:   b.switches,
 		RadarHits:  b.radarHit,
 		Disruption: b.disruptionTotal,
 	}
 	for i, ap := range b.Scenario.APs {
-		row := &b.rows[i]
-		a := &st.APs[i]
-		a.On[spectrum.Band2G4], a.On[spectrum.Band5] = chanOf(ap.Channel24), chanOf(ap.Channel)
-		a.Retrying, a.Fallback = row.retrying, chanOf(row.fallback)
+		row, a := &b.rows[i], &st.APs[i]
+		*a = APState{
+			On:       [...]spectrum.Channel{spectrum.Band2G4: ap.Channel24, spectrum.Band5: ap.Channel},
+			Reported: row.reported, HasIntended: row.has, Retrying: row.retrying, Fallback: row.fallback,
+		}
 		if row.reported {
-			rep := row.report
-			a.Report = &rep
+			a.Report = row.report
 		}
 		for band, has := range row.has {
 			if has {
-				in := row.intended[band]
-				a.Intended[band] = &[2]Chan{chanOf(in.Channel), chanOf(in.Fallback)}
+				a.Intended[band] = row.intended[band]
 			}
 		}
 	}
@@ -109,14 +98,13 @@ func (b *Backend) Export() (State, error) {
 	for slot, s := range b.late {
 		if s.ap != nil {
 			st.Late = append(st.Late, LateReport{Slot: slot, AP: s.ap.ID, At: s.rec.At,
-				Demand: math.Float64bits(s.rec.Demand), Util: math.Float64bits(s.rec.Util), HasClients: s.hasClients})
+				Demand: s.rec.Demand, Util: s.rec.Util, HasClients: s.hasClients})
 		}
 	}
 	if b.Service != nil {
-		svc := b.Service.Export()
-		st.Service = &svc
+		st.HasService, st.Service = true, b.Service.Export()
 	}
-	return st, nil
+	return nil
 }
 
 // Import puts a backend fresh from New, whose engine imported the
@@ -128,7 +116,7 @@ func (b *Backend) Import(st State) error {
 	if len(st.APs) != len(b.rows) {
 		return fmt.Errorf("backend: state holds %d APs, the scenario %d", len(st.APs), len(b.rows))
 	}
-	if (st.Service != nil) != (b.Service != nil) {
+	if st.HasService != (b.Service != nil) {
 		return errors.New("backend: state and backend disagree on the planning service")
 	}
 	if st.NOP != nil && b.rf == nil {
@@ -136,17 +124,9 @@ func (b *Backend) Import(st State) error {
 	}
 	for i, ap := range b.Scenario.APs {
 		a, row := &st.APs[i], &b.rows[i]
-		ap.Channel24, ap.Channel = a.On[spectrum.Band2G4].channel(), a.On[spectrum.Band5].channel()
-		*row = apRow{retrying: a.Retrying, fallback: a.Fallback.channel()}
-		if a.Report != nil {
-			row.report, row.reported = *a.Report, true
-		}
-		for band, in := range a.Intended {
-			if in != nil {
-				row.intended[band] = turboca.Assignment{Channel: in[0].channel(), Fallback: in[1].channel()}
-				row.has[band] = true
-			}
-		}
+		ap.Channel24, ap.Channel = a.On[spectrum.Band2G4], a.On[spectrum.Band5]
+		*row = apRow{report: a.Report, reported: a.Reported, intended: a.Intended, has: a.HasIntended,
+			retrying: a.Retrying, fallback: a.Fallback}
 	}
 	b.rngSrc.State = st.RNG
 	b.switches, b.radarHit, b.disruptionTotal = st.Switches, st.RadarHits, st.Disruption
@@ -162,11 +142,120 @@ func (b *Backend) Import(st State) error {
 			b.late = append(b.late, polledSample{})
 		}
 		b.late[l.Slot] = polledSample{ap: b.Scenario.APs[l.AP], hasClients: l.HasClients,
-			rec: pollRec{At: l.At, Demand: math.Float64frombits(l.Demand), Util: math.Float64frombits(l.Util)}}
+			rec: pollRec{At: l.At, Demand: l.Demand, Util: l.Util}}
 	}
 	if b.Service != nil {
-		b.Service.Import(*st.Service)
+		b.Service.Import(st.Service)
 	}
 	b.Model.Invalidate()
 	return nil
+}
+
+// Append appends st in the restart-state encoding (package codec): the AP
+// rows, the rng, the tallies, the quarantine table, the delayed reports
+// and, behind a presence flag, the planning service's state. An AP row's
+// report and each band's plan of record follow their presence flags.
+func (st *State) Append(b []byte) []byte {
+	b = codec.AppendUint(b, uint64(len(st.APs)))
+	for i := range st.APs {
+		a := &st.APs[i]
+		for _, c := range a.On {
+			b = appendChannel(b, c)
+		}
+		if b = codec.AppendBool(b, a.Reported); a.Reported {
+			b = codec.AppendInt(b, int64(a.Report.At))
+			b = codec.AppendFloat(b, a.Report.Demand)
+			b = codec.AppendFloat(b, a.Report.Utilization)
+			b = codec.AppendBool(b, a.Report.HasClients)
+		}
+		for band, has := range a.HasIntended {
+			if b = codec.AppendBool(b, has); has {
+				b = appendChannel(b, a.Intended[band].Channel)
+				b = appendChannel(b, a.Intended[band].Fallback)
+			}
+		}
+		for _, r := range a.Retrying {
+			b = codec.AppendBool(b, r)
+		}
+		b = appendChannel(b, a.Fallback)
+	}
+	b = codec.AppendUint(b, st.RNG)
+	b = codec.AppendInt(b, int64(st.Switches))
+	b = codec.AppendInt(b, int64(st.RadarHits))
+	b = codec.AppendFloat(b, st.Disruption)
+	b = codec.AppendUint(b, uint64(len(st.NOP)))
+	for _, t := range st.NOP {
+		b = codec.AppendInt(b, int64(t))
+	}
+	b = codec.AppendUint(b, uint64(len(st.Late)))
+	for _, l := range st.Late {
+		b = codec.AppendInt(b, int64(l.Slot))
+		b = codec.AppendInt(b, int64(l.AP))
+		b = codec.AppendInt(b, int64(l.At))
+		b = codec.AppendFloat(b, l.Demand)
+		b = codec.AppendFloat(b, l.Util)
+		b = codec.AppendBool(b, l.HasClients)
+	}
+	if b = codec.AppendBool(b, st.HasService); st.HasService {
+		b = st.Service.Append(b)
+	}
+	return b
+}
+
+// ReadState reads a State that Append wrote; a malformed one sets r's
+// error.
+func ReadState(r *codec.Reader) State {
+	var st State
+	if n := r.Len(17); n > 0 { // an AP row takes at least 17 bytes
+		st.APs = make([]APState, n)
+	}
+	for i := range st.APs {
+		a := &st.APs[i]
+		for band := range a.On {
+			a.On[band] = readChannel(r)
+		}
+		if a.Reported = r.Bool(); a.Reported {
+			a.Report = apReport{At: sim.Time(r.Int()), Demand: r.Float(), Utilization: r.Float(), HasClients: r.Bool()}
+		}
+		for band := range a.HasIntended {
+			if a.HasIntended[band] = r.Bool(); a.HasIntended[band] {
+				a.Intended[band] = turboca.Assignment{Channel: readChannel(r), Fallback: readChannel(r)}
+			}
+		}
+		for band := range a.Retrying {
+			a.Retrying[band] = r.Bool()
+		}
+		a.Fallback = readChannel(r)
+	}
+	st.RNG, st.Switches, st.RadarHits, st.Disruption = r.Uint(), int(r.Int()), int(r.Int()), r.Float()
+	if n := r.Len(1); n > 0 {
+		st.NOP = make([]sim.Time, n)
+	}
+	for i := range st.NOP {
+		st.NOP[i] = sim.Time(r.Int())
+	}
+	if n := r.Len(20); n > 0 { // a delayed report takes at least 20 bytes
+		st.Late = make([]LateReport, n)
+	}
+	for i := range st.Late {
+		st.Late[i] = LateReport{Slot: int(r.Int()), AP: int(r.Int()), At: sim.Time(r.Int()),
+			Demand: r.Float(), Util: r.Float(), HasClients: r.Bool()}
+	}
+	if st.HasService = r.Bool(); st.HasService {
+		st.Service = turboca.ReadServiceState(r)
+	}
+	return st
+}
+
+// appendChannel appends a channel's band, number and width, and its DFS
+// flag.
+func appendChannel(b []byte, c spectrum.Channel) []byte {
+	b = codec.AppendInt(b, int64(c.Band))
+	b = codec.AppendInt(b, int64(c.Number))
+	b = codec.AppendInt(b, int64(c.Width))
+	return codec.AppendBool(b, c.DFS)
+}
+
+func readChannel(r *codec.Reader) spectrum.Channel {
+	return spectrum.Channel{Band: spectrum.Band(r.Int()), Number: int(r.Int()), Width: spectrum.Width(r.Int()), DFS: r.Bool()}
 }

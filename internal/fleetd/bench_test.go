@@ -134,6 +134,30 @@ func BenchmarkFleetd100kNetworks(b *testing.B) {
 	benchFleetScale(b, 100_000)
 }
 
+// durableShape is the fleet_durable workload's controller: 16 networks
+// of at most 48 APs (seed 20170811) over a MemStore with hourly
+// checkpoints, advanced in 15-minute steps to end. It returns the fleet
+// and the configuration to reopen or rebuild it with.
+func durableShape(tb testing.TB, end sim.Time) (*Controller, Config, *fleet.Fleet, *MemStore) {
+	tb.Helper()
+	cfg := Config{Seed: 20170811, CheckpointEvery: sim.Hour, Obs: obs.NewRegistry()}
+	store := NewMemStore(nil)
+	c, err := Open(cfg, store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := fleet.Generate(fleet.Options{Seed: 20170811, Networks: 16, MaxAPs: 48})
+	if err := c.AddFleet(f); err != nil {
+		tb.Fatal(err)
+	}
+	for t := 15 * sim.Minute; t <= end; t += 15 * sim.Minute {
+		if err := c.RunTo(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c, cfg, f, store
+}
+
 // BenchmarkFleetdRecovery times Open on the fleet_durable shape (16
 // networks, hourly checkpoints, 15-minute advances) after 1 and 4
 // simulated days, left 45 minutes past its last checkpoint as a crash
@@ -142,21 +166,7 @@ func BenchmarkFleetd100kNetworks(b *testing.B) {
 func BenchmarkFleetdRecovery(b *testing.B) {
 	for _, days := range []int{1, 4} {
 		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
-			cfg := Config{Seed: 20170811, CheckpointEvery: sim.Hour, Obs: obs.NewRegistry()}
-			store := NewMemStore(nil)
-			c, err := Open(cfg, store)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := c.AddFleet(fleet.Generate(fleet.Options{Seed: 20170811, Networks: 16, MaxAPs: 48})); err != nil {
-				b.Fatal(err)
-			}
-			end := sim.Time(days)*sim.Day + 45*sim.Minute
-			for t := 15 * sim.Minute; t <= end; t += 15 * sim.Minute {
-				if err := c.RunTo(t); err != nil {
-					b.Fatal(err)
-				}
-			}
+			c, cfg, _, store := durableShape(b, sim.Time(days)*sim.Day+45*sim.Minute)
 			want := c.CheckpointBytes()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -172,4 +182,39 @@ func BenchmarkFleetdRecovery(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "recovery_ms")
 		})
 	}
+}
+
+// BenchmarkFleetdCheckpoint times the checkpoint codec on the
+// fleet_durable shape at that workload's horizon (6h15m). render renders
+// the blob; restore puts a controller with the same networks registered,
+// and nothing run, where the blob says: it decodes the blob, constructs
+// each built network, imports its engine and backend and renders the
+// check copy. Registering the networks is not timed. blob_bytes is the
+// blob's length.
+func BenchmarkFleetdCheckpoint(b *testing.B) {
+	c, cfg, f, _ := durableShape(b, 6*sim.Hour+15*sim.Minute)
+	data := c.CheckpointBytes()
+	b.Run("render", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.CheckpointBytes()
+		}
+		b.ReportMetric(float64(len(data)), "blob_bytes")
+	})
+	b.Run("restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg.Obs = obs.NewRegistry()
+			re := New(cfg)
+			if err := re.AddFleet(f); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if err := re.restore(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(data)), "blob_bytes")
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
@@ -100,11 +101,14 @@ func TestOpenRejectsBadCheckpoint(t *testing.T) {
 	if store.ckpt == nil {
 		t.Fatal("no checkpoint committed; test is vacuous")
 	}
+	header := codec.AppendUint([]byte(ckptMagic), ckptFormat)
 	for _, tc := range []struct{ blob, want string }{
 		{"{not json", "unreadable"},
-		{`{"t":"ckpt_meta","k":"fleet","at":0,"f":{"now":0}}` + "\n" + `{"t":"ckpt_net"}`, "unreadable"},
-		{`{"Seed":67,"Networks":[]}`, "has no clock"},
-		{`{"Now":null}`, "has no clock"},
+		{`{"Now":3600000000,"NextCkptAt":7200000000,"Seed":67,"Networks":[]}`, "unreadable"},
+		{string(codec.AppendUint([]byte(ckptMagic), ckptFormat-1)), "unreadable"},
+		{ckptMagic, "has no clock"},
+		{string(header), "has no clock"},
+		{string(append(header, 0x80)), "has no clock"},
 	} {
 		store.ckpt = []byte(tc.blob)
 		cfg.Obs = obs.NewRegistry()

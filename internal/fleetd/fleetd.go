@@ -248,6 +248,7 @@ type Controller struct {
 	proc       *faults.ProcInjector
 	dead       bool // the store reported ErrKilled; every run refuses
 	nextCkptAt sim.Time
+	ckptSize   int // the last checkpoint blob's length
 }
 
 // New builds an empty controller; register networks with Add or AddFleet.

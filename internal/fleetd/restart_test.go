@@ -2,7 +2,6 @@ package fleetd
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/backend"
@@ -63,12 +62,12 @@ func TestRestartPointsUnderChaos(t *testing.T) {
 	kinds := map[sim.Kind]int{}
 	late, retrying := 0, 0
 	for _, data := range rec.blobs {
-		var st ckptState
-		if err := json.Unmarshal(data, &st); err != nil {
+		st, err := readCkpt(data)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, n := range st.Networks {
-			if n.Engine == nil {
+			if !n.Live {
 				continue
 			}
 			for _, ev := range n.Engine.Queue {

@@ -3,7 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+
+	"repro/internal/codec"
 )
 
 // Typed events. A closure cannot be written down, so an engine whose
@@ -114,6 +117,53 @@ type State struct {
 	Fired uint64
 	RNG   uint64  // the SplitMix64 source's State
 	Queue []Event // pending typed events in (At, Seq) order
+}
+
+// Append appends st in the restart-state encoding (package codec): the
+// clock, seq, fired count and rng position, then the queue's length and
+// each event's at, seq, kind and payload words.
+func (st *State) Append(b []byte) []byte {
+	b = codec.AppendInt(b, int64(st.Now))
+	b = codec.AppendUint(b, st.Seq)
+	b = codec.AppendUint(b, st.Fired)
+	b = codec.AppendUint(b, st.RNG)
+	b = codec.AppendUint(b, uint64(len(st.Queue)))
+	for i := range st.Queue {
+		ev := &st.Queue[i]
+		b = codec.AppendInt(b, int64(ev.At))
+		b = codec.AppendUint(b, ev.Seq)
+		b = codec.AppendUint(b, uint64(ev.Kind))
+		for _, w := range ev.Arg {
+			b = codec.AppendInt(b, int64(w))
+		}
+	}
+	return b
+}
+
+// ReadState reads a State that Append wrote; a malformed one sets r's
+// error.
+func ReadState(r *codec.Reader) State {
+	st := State{Now: Time(r.Int()), Seq: r.Uint(), Fired: r.Uint(), RNG: r.Uint()}
+	if n := r.Len(6); n > 0 { // an event takes at least six bytes
+		st.Queue = make([]Event, n)
+	}
+	for i := range st.Queue {
+		ev := &st.Queue[i]
+		ev.At, ev.Seq = Time(r.Int()), r.Uint()
+		if k := r.Uint(); k > math.MaxUint8 {
+			r.Failf("sim: event kind %d", k)
+		} else {
+			ev.Kind = Kind(k)
+		}
+		for j := range ev.Arg {
+			w := r.Int()
+			if w != int64(int32(w)) {
+				r.Failf("sim: payload word %d", w)
+			}
+			ev.Arg[j] = int32(w)
+		}
+	}
+	return st
 }
 
 // Export writes the engine's position. It fails when a closure event, a

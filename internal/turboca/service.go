@@ -2,8 +2,10 @@ package turboca
 
 import (
 	"maps"
+	"slices"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 )
@@ -117,6 +119,64 @@ func (s *Service) Import(st ServiceState) {
 	maps.Copy(s.LastLogNetP, st.LastLogNetP)
 	s.RunsTotal, s.ImprovedTotal, s.SkippedTotal = st.Runs, st.Improved, st.Skipped
 	s.DegradedTotal, s.SanitizedTotal = st.Degraded, st.Sanitized
+}
+
+// Append appends st in the restart-state encoding (package codec): each
+// memo map as its length and its (band, value) pairs in band order, then
+// the five counters.
+func (st *ServiceState) Append(b []byte) []byte {
+	b = appendBandMap(b, st.LastNoop, codec.AppendUint)
+	b = appendBandMap(b, st.LastLogNetP, codec.AppendFloat)
+	for _, n := range [...]int{st.Runs, st.Improved, st.Skipped, st.Degraded, st.Sanitized} {
+		b = codec.AppendInt(b, int64(n))
+	}
+	return b
+}
+
+// ReadServiceState reads a ServiceState that Append wrote; a malformed
+// one sets r's error.
+func ReadServiceState(r *codec.Reader) ServiceState {
+	st := ServiceState{
+		LastNoop:    readBandMap(r, (*codec.Reader).Uint),
+		LastLogNetP: readBandMap(r, (*codec.Reader).Float),
+	}
+	for _, n := range [...]*int{&st.Runs, &st.Improved, &st.Skipped, &st.Degraded, &st.Sanitized} {
+		*n = int(r.Int())
+	}
+	return st
+}
+
+func appendBandMap[V any](b []byte, m map[spectrum.Band]V, value func([]byte, V) []byte) []byte {
+	var buf [4]spectrum.Band
+	bands := buf[:0]
+	for band := range m {
+		bands = append(bands, band)
+	}
+	slices.Sort(bands)
+	b = codec.AppendUint(b, uint64(len(bands)))
+	for _, band := range bands {
+		b = value(codec.AppendInt(b, int64(band)), m[band])
+	}
+	return b
+}
+
+// readBandMap reads what appendBandMap wrote: nil for no entries, and an
+// error for bands out of order.
+func readBandMap[V any](r *codec.Reader, value func(*codec.Reader) V) map[spectrum.Band]V {
+	n := r.Len(2) // a band and at least one byte of value
+	if n == 0 {
+		return nil
+	}
+	m := make(map[spectrum.Band]V, n)
+	prev := spectrum.Band(0)
+	for i := 0; i < n; i++ {
+		band := spectrum.Band(r.Int())
+		if i > 0 && band <= prev {
+			r.Failf("turboca: band %d after band %d", band, prev)
+		}
+		m[band], prev = value(r), band
+	}
+	return m
 }
 
 // Start registers the three cadences on the engine. Mid and Deep ticks
