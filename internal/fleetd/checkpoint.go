@@ -41,7 +41,7 @@ import (
 // ckptFormat numbers the checkpoint encoding. The config digest folds it:
 // a journal's ckpt records digest bytes of one encoding, so Open refuses a
 // journal written under another.
-const ckptFormat = 5
+const ckptFormat = 6
 
 // ckptMagic opens every checkpoint blob.
 const ckptMagic = "FDCK"

@@ -52,8 +52,8 @@ func TestConfigDigestStable(t *testing.T) {
 		cfg  Config
 		want uint64
 	}{
-		{Config{}, 0xd3e34fa56bf88c10},
-		{preGridConfig, 0xec838fe0403023a0},
+		{Config{}, 0xd3ed81a56c01358b},
+		{preGridConfig, 0xec8dc1e04038cd1b},
 	} {
 		if got := New(tc.cfg).cfg.digest(); got != tc.want {
 			t.Errorf("digest of %+v = %#x, want %#x", tc.cfg, got, tc.want)

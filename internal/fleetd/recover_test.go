@@ -452,7 +452,7 @@ var preGridConfig = Config{Seed: 7, StormRF: true, MaxPassesPerTick: 40, Checkpo
 func TestOpenRefusesPreGridJournal(t *testing.T) {
 	opt := testFleet(29, 3).Opt
 	current := preGridConfig.withDefaults().digest()
-	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, 0x8bb253e895b8a295, 0x8ba821e895aff91a, 0xec86f5e0403306c9, current} {
+	for _, digest := range []uint64{0x6308c920312de455, 0x2f2bfc1f5aa64004, 0xf4fbdfe1b342deb4, 0x8bb253e895b8a295, 0x8ba821e895aff91a, 0xec86f5e0403306c9, 0xec838fe0403023a0, current} {
 		store := NewMemStore(nil)
 		store.journal.Write(journalBytes(t,
 			jrec{Op: opConfig, Digest: digest},
