@@ -64,13 +64,16 @@ test:
 # and one dense planner pass (BenchmarkPerfNBOStadium's input) under its
 # ceiling, so no per-ACC allocation creeps into the two-hop walk, and a
 # poll with telemetry history on under its ceiling per AP, so no per-row
-# map or per-poll sample slice comes back.
+# map or per-poll sample slice comes back, and a fleet_durable checkpoint
+# render under its ceiling, so the render allocates per network, not per
+# AP.
 allocs:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fastack
 	$(GO) test -count=1 -run '^TestDataPlaneAllocCeiling$$' ./internal/testbed
 	$(GO) test -count=1 -run '^TestFleetSetupAllocCeiling$$' ./internal/fleetd
 	$(GO) test -count=1 -run '^TestPlannerPassAllocCeiling$$' ./internal/turboca
 	$(GO) test -count=1 -run '^TestPollAllocCeiling$$' ./internal/backend
+	$(GO) test -count=1 -run '^TestCheckpointRenderAllocs$$' ./internal/fleetd
 
 race:
 	$(GO) test -race ./internal/turboca/...
@@ -145,6 +148,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAgentDatagram$$' -fuzztime $(FUZZTIME) ./internal/fastack
 	$(GO) test -run '^$$' -fuzz '^FuzzRanges$$' -fuzztime $(FUZZTIME) ./internal/seqspace
 	$(GO) test -run '^$$' -fuzz '^FuzzQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/fleetd
 
 # Planner numbers with spread: BenchmarkRunNBO sweeps Workers on ~600 APs,
 # BenchmarkPlannerPass is the one configuration README and obs.go quote, and

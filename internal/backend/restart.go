@@ -248,14 +248,16 @@ func ReadState(r *codec.Reader) State {
 }
 
 // appendChannel appends a channel's band, number and width, and its DFS
-// flag.
+// flag. The three are never negative, so they are written unsigned: a
+// 5 GHz number below 128 and the 80 MHz width take one byte each, not
+// the two a zig-zag varint takes.
 func appendChannel(b []byte, c spectrum.Channel) []byte {
-	b = codec.AppendInt(b, int64(c.Band))
-	b = codec.AppendInt(b, int64(c.Number))
-	b = codec.AppendInt(b, int64(c.Width))
+	b = codec.AppendUint(b, uint64(c.Band))
+	b = codec.AppendUint(b, uint64(c.Number))
+	b = codec.AppendUint(b, uint64(c.Width))
 	return codec.AppendBool(b, c.DFS)
 }
 
 func readChannel(r *codec.Reader) spectrum.Channel {
-	return spectrum.Channel{Band: spectrum.Band(r.Int()), Number: int(r.Int()), Width: spectrum.Width(r.Int()), DFS: r.Bool()}
+	return spectrum.Channel{Band: spectrum.Band(r.Uint()), Number: int(r.Uint()), Width: spectrum.Width(r.Uint()), DFS: r.Bool()}
 }

@@ -15,7 +15,7 @@ import (
 
 // ckptFixture is a small built fleet two hours in, its last network
 // quarantined: the state every perturbation below starts from.
-func ckptFixture(t *testing.T) (*Controller, *netState, *netState) {
+func ckptFixture(t testing.TB) (*Controller, *netState, *netState) {
 	t.Helper()
 	c := New(testConfig(61))
 	if err := c.AddFleet(testFleet(61, 3)); err != nil {
@@ -151,5 +151,84 @@ func TestDirStoreCommitNeedsDurableRename(t *testing.T) {
 		if r.Op == opCkpt {
 			t.Fatalf("journal record %d confirms a commit that was not durable", r.Seq)
 		}
+	}
+}
+
+// appendCkpt re-encodes a decoded checkpoint document the way
+// checkpointBytes renders one.
+func appendCkpt(st *ckptState) []byte {
+	b := st.appendHead(nil, len(st.Networks))
+	for i := range st.Networks {
+		b = st.Networks[i].append(b)
+	}
+	return appendSched(b, st.Sched)
+}
+
+// chaosCkptBlobs returns the checkpoints a clean run of the
+// chaosRestartConfig fleet commits: push retries, delayed reports and
+// radar storms in flight.
+func chaosCkptBlobs(tb testing.TB) [][]byte {
+	tb.Helper()
+	rec := &recordingStore{MemStore: NewMemStore(nil)}
+	c, err := Open(chaosRestartConfig(), rec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.AddFleet(testFleet(83, 8)); err != nil {
+		tb.Fatal(err)
+	}
+	for _, target := range advanceTargets(3, 50*sim.Minute) {
+		if err := c.RunTo(target); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return rec.blobs
+}
+
+// FuzzCheckpointDecode: any input either fails to decode or re-encodes to
+// exactly its own bytes, and decoding never panics. The seeds are real
+// checkpoints: a quarantined and a live network, and the chaos run's,
+// which hold push retries, delayed reports, radar storms and a report
+// corrupted to NaN in transit.
+func FuzzCheckpointDecode(f *testing.F) {
+	c, _, _ := ckptFixture(f)
+	f.Add(c.CheckpointBytes())
+	blobs := chaosCkptBlobs(f)
+	for _, data := range blobs {
+		f.Add(data)
+	}
+	kinds, late, retrying, nan := inFlight(f, blobs)
+	if len(kinds) != 6 || late == 0 || retrying == 0 || nan == 0 {
+		f.Fatalf("seeds hold event kinds %v, %d delayed reports (%d NaN), %d retries; want all six kinds, a NaN report and a retry",
+			kinds, late, nan, retrying)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := readCkpt(data)
+		if err != nil {
+			return
+		}
+		if got := appendCkpt(&st); !bytes.Equal(got, data) {
+			t.Fatalf("decoded blob re-encodes to different bytes:\n in %x\nout %x", data, got)
+		}
+	})
+}
+
+// ckptRenderAllocCeiling bounds the heap allocations of one checkpoint
+// render of the fleet_durable shape at its horizon (16 live networks, 289
+// APs, 6h15m). It is the measured count plus a tenth (95 on linux/amd64
+// with Go 1.24, about six per network: the engine's queue and the
+// planning service's two memo map copies, and one buffer for the blob;
+// the encoding/json render of format 5 made 1,174), so no per-AP
+// allocation comes back into Export or the encoding. A change that lowers the count should lower the
+// ceiling with it.
+const ckptRenderAllocCeiling = 105
+
+// TestCheckpointRenderAllocs: a render allocates per network, not per AP.
+func TestCheckpointRenderAllocs(t *testing.T) {
+	c, _, _, _ := durableShape(t, 6*sim.Hour+15*sim.Minute)
+	n := testing.AllocsPerRun(10, func() { c.CheckpointBytes() })
+	t.Logf("%.0f allocations per render of %d networks", n, c.Len())
+	if n > ckptRenderAllocCeiling {
+		t.Fatalf("%.0f allocations per checkpoint render, ceiling %d", n, ckptRenderAllocCeiling)
 	}
 }

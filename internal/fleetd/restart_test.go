@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/backend"
@@ -37,6 +38,42 @@ func chaosRestartConfig() Config {
 	return cfg
 }
 
+// inFlight decodes checkpoint blobs and tallies what their live networks
+// hold in flight: pending engine events by kind, delayed reports, bands
+// with a push retry pending, and delayed reports corrupted to NaN.
+func inFlight(tb testing.TB, blobs [][]byte) (kinds map[sim.Kind]int, late, retrying, nan int) {
+	tb.Helper()
+	kinds = map[sim.Kind]int{}
+	for _, data := range blobs {
+		st, err := readCkpt(data)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, n := range st.Networks {
+			if !n.Live {
+				continue
+			}
+			for _, ev := range n.Engine.Queue {
+				kinds[ev.Kind]++
+			}
+			late += len(n.Backend.Late)
+			for _, l := range n.Backend.Late {
+				if math.IsNaN(l.Demand) || math.IsNaN(l.Util) {
+					nan++
+				}
+			}
+			for _, ap := range n.Backend.APs {
+				for _, r := range ap.Retrying {
+					if r {
+						retrying++
+					}
+				}
+			}
+		}
+	}
+	return kinds, late, retrying, nan
+}
+
 // TestRestartPointsUnderChaos: with push failures, delayed and lost
 // polls and radar storms, the checkpoints a clean run commits hold every
 // kind of engine event the backend posts in flight — retries, delayed
@@ -59,30 +96,7 @@ func TestRestartPointsUnderChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	kinds := map[sim.Kind]int{}
-	late, retrying := 0, 0
-	for _, data := range rec.blobs {
-		st, err := readCkpt(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range st.Networks {
-			if !n.Live {
-				continue
-			}
-			for _, ev := range n.Engine.Queue {
-				kinds[ev.Kind]++
-			}
-			late += len(n.Backend.Late)
-			for _, ap := range n.Backend.APs {
-				for _, r := range ap.Retrying {
-					if r {
-						retrying++
-					}
-				}
-			}
-		}
-	}
+	kinds, late, retrying, _ := inFlight(t, rec.blobs)
 	t.Logf("%d checkpoints committed: event kinds %v, %d delayed reports, %d retries in flight", len(rec.blobs), kinds, late, retrying)
 	if len(kinds) != 6 || late == 0 || retrying == 0 {
 		t.Fatal("want all six event kinds, a delayed report and a retry in flight at some checkpoint")
