@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/codec"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -837,8 +839,8 @@ func TestQueueReleasesClosures(t *testing.T) {
 }
 
 // TestExportImportRoundTrip: an engine whose pending events are all typed,
-// exported at a random point of a random run and imported into a fresh
-// engine with the same handlers, fires the same (at, kind, payload)
+// exported at a random point of a random run, encoded and decoded, and
+// imported into a fresh engine with the same handlers, fires the same (at, kind, payload)
 // sequence from there on, and after every step both engines export the same
 // State: clock, seq, Fired, rng position and every pending (at, seq, kind,
 // payload).
@@ -875,6 +877,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 		st, err := a.Export()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// The state reaches the import through the restart-state encoding.
+		r := codec.NewReader(st.Append(nil))
+		st = ReadState(r)
+		if err := r.Done(); err != nil {
+			t.Fatalf("seed %d: decode: %v", seed, err)
 		}
 		b := build(&logB)
 		if err := b.Import(st); err != nil {
